@@ -19,6 +19,7 @@ from repro import obs
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.obs.report import build_pipeline_report, write_report
 from repro.pipeline import SurveillanceSystem, SystemConfig
+from repro.runtime import ParallelSurveillanceSystem
 from repro.simulator import FleetSimulator, build_aegean_world
 from repro.tracking import (
     Compressor,
@@ -175,8 +176,8 @@ def run_tracking_backend_sweep(
     """Tracking-kernel throughput per backend (see docs/PERFORMANCE.md).
 
     Replays the standard benchmark stream through every registered
-    Mobility Tracker kernel in *interleaved* rounds (scalar, array,
-    numpy, scalar, ...) and keeps each backend's best round, so CPU
+    Mobility Tracker kernel in *interleaved* rounds (array, scalar,
+    array, ...) and keeps each backend's best round, so CPU
     frequency drift hits all kernels alike instead of biasing whichever
     ran last.  Only the ``process_batch`` calls are timed — this is the
     kernel's own throughput, without compression or IPC.
@@ -284,16 +285,12 @@ def run_pipeline_benchmark(
     window = window or WindowSpec.of_minutes(120, 30)
     _, specs, stream = benchmark_fleet(fleet_size, duration)
     with obs.activate(obs.MetricsRegistry()) as registry:
-        if shards is not None:
-            from repro.runtime import ParallelSurveillanceSystem
-
+        config = SystemConfig(window=window)
+        if shards is None:
+            system = SurveillanceSystem(benchmark_world(), specs, config)
+        else:  # explicit counts, 1 included, measure the sharded runtime
             system = ParallelSurveillanceSystem(
-                benchmark_world(), specs, SystemConfig(window=window),
-                shards=shards,
-            )
-        else:
-            system = SurveillanceSystem(
-                benchmark_world(), specs, SystemConfig(window=window)
+                benchmark_world(), specs, config, shards=shards
             )
         replayer = StreamReplayer(
             [TimedArrival(p.timestamp, p) for p in stream],
@@ -315,8 +312,7 @@ def run_pipeline_benchmark(
                 "shards": shards or 1,
             },
         )
-        if shards is not None:
-            system.close()
+        system.close()
     if json_path is not None:
         write_report(report, json_path)
     return report

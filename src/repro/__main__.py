@@ -6,7 +6,7 @@ Usage::
                     [--window-hours W] [--slide-minutes B]
                     [--spatial-facts] [--pairwise]
                     [--shards N] [--checkpoint-dir PATH]
-                    [--tracking-backend scalar|array|numpy]
+                    [--tracking-backend scalar|array]
                     [--kml PATH] [--metrics-json PATH]
     python -m repro --serve [--port P] [--host H]
                     [--wal-dir PATH] [--fsync always|batch|never]
@@ -20,10 +20,10 @@ metrics registry is enabled for the run and a machine-readable report
 full registry snapshot) is written to the given path — see
 docs/OBSERVABILITY.md for the format.
 
-``--shards N`` with ``N > 1`` runs the same pipeline on the sharded,
-process-parallel runtime (:class:`repro.runtime.ParallelSurveillanceSystem`)
-— identical alerts and synopses, with per-shard runtime metrics added to
-the report; see docs/RUNTIME.md.
+``--shards N`` with ``N > 1`` runs the same pipeline with its stages on
+the sharded, process-parallel runtime (:mod:`repro.runtime`) — identical
+alerts and synopses, with per-shard runtime metrics added to the report;
+see docs/RUNTIME.md.
 
 ``--serve`` starts the always-on live service instead of a batch replay:
 a TCP ingest listener for raw ``!AIVDM`` lines on ``--port`` (default
@@ -53,13 +53,13 @@ from repro import obs
 from repro import (
     FleetSimulator,
     StreamReplayer,
-    SurveillanceSystem,
     SystemConfig,
     TimedArrival,
     WindowSpec,
     build_aegean_world,
     compute_trip_statistics,
 )
+from repro.runtime import build_system
 from repro.tracking.backends import DEFAULT_BACKEND, available_backends
 from repro.transport import DEFAULT_TRANSPORT, available_transports
 
@@ -229,16 +229,9 @@ def _install_chaos(args: argparse.Namespace) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     world, simulator, fleet, specs, config = _build_pipeline_inputs(args)
-    if args.shards > 1:
-        from repro.runtime import ParallelSurveillanceSystem
-
-        system = ParallelSurveillanceSystem(
-            world, specs, config,
-            shards=args.shards,
-            checkpoint_dir=args.checkpoint_dir,
-        )
-    else:
-        system = SurveillanceSystem(world, specs, config)
+    system = build_system(
+        world, specs, config, args.shards, args.checkpoint_dir
+    )
     stream = simulator.positions(fleet)
     sharding = f", {args.shards} shards" if args.shards > 1 else ""
     print(
@@ -264,7 +257,7 @@ def _run(args: argparse.Namespace) -> int:
     system.finalize()
 
     print("\n--- summary ---")
-    stats = system.compressor.statistics
+    stats = system.statistics
     print(f"compression: {stats.critical_points} critical points from "
           f"{stats.raw_positions} raw ({stats.compression_ratio:.1%} dropped)")
     print("avg per-slide cost:",
@@ -296,8 +289,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         write_report(report, args.metrics_json)
         print(f"\nmetrics report written to {args.metrics_json}")
-    if args.shards > 1:
-        system.close()
+    system.close()
     return 0
 
 

@@ -209,9 +209,7 @@ class GatewayCluster:
         await supervisor.ingest.stop()
         await supervisor.feed.close()
         await supervisor.http.stop()
-        if hasattr(supervisor.system, "close"):
-            supervisor.system.close()
-        supervisor.system.database.close()
+        supervisor.system.close()
 
     async def restart_runtime(self, index: int) -> None:
         """Bring a crashed runtime back on its own journal, repoint every

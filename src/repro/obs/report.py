@@ -87,16 +87,11 @@ def build_pipeline_report(
     raw_positions = counters.get("pipeline.raw_positions", 0.0)
     movement_events = counters.get("pipeline.movement_events", 0.0)
     recognized = counters.get("pipeline.recognized_complex_events", 0.0)
-    statistics = system.compressor.statistics
+    statistics = system.statistics
 
     def rate(total: float) -> float:
         return total / processing_seconds if processing_seconds > 0 else 0.0
 
-    tracker = getattr(system, "tracker", None)
-    if tracker is not None:
-        backend = getattr(tracker, "backend_name", "scalar")
-    else:  # the sharded runtime keeps its trackers in worker processes
-        backend = getattr(system.config, "tracking_backend", "scalar")
     tracking_seconds = phases.get("tracking", {}).get("total_s", 0.0)
 
     report: dict[str, Any] = {
@@ -105,7 +100,7 @@ def build_pipeline_report(
         "slides": system.timings.slides,
         "phases": phases,
         "tracking": {
-            "backend": backend,
+            "backend": system.config.tracking_backend,
             "positions_per_sec": (
                 raw_positions / tracking_seconds
                 if tracking_seconds > 0
@@ -133,11 +128,11 @@ def build_pipeline_report(
 def _runtime_summary(registry: MetricsRegistry) -> dict[str, Any]:
     """Condense the process-parallel runtime's instruments, if any ran.
 
-    Present only for :class:`repro.runtime.ParallelSurveillanceSystem`
-    runs: shard count, supervisor restarts, backpressure stalls, and the
-    per-shard tracking/recognition latency summaries recorded from the
-    workers' own measurements (IPC excluded — the inclusive figures are
-    the ``pipeline.phase.*`` histograms).
+    Present only for sharded (:mod:`repro.runtime`) runs: shard count,
+    supervisor restarts, backpressure stalls, and the per-shard
+    tracking/recognition latency summaries recorded from the workers' own
+    measurements, one sample per worker request (IPC excluded — the
+    inclusive figures are the ``pipeline.phase.*`` histograms).
     """
     gauges = {name: g.value for name, g in registry._gauges.items()}
     if "runtime.shards" not in gauges:

@@ -9,8 +9,10 @@ by a supervisor that restarts crashed workers from atomic checkpoints and
 replays the delta — with outputs guaranteed identical to the
 single-process pipeline for any shard count.
 
-Entry point: :class:`ParallelSurveillanceSystem` (same surface as
-:class:`~repro.pipeline.system.SurveillanceSystem`); see docs/RUNTIME.md
+Entry point: :func:`build_system`, which returns a
+:class:`ParallelSurveillanceSystem` — a
+:class:`~repro.pipeline.system.SurveillanceSystem` whose stage operations
+run on the workers — when asked for more than one shard; see docs/RUNTIME.md
 for topology, queue semantics, checkpoint format and crash-recovery
 guarantees.
 """
@@ -28,7 +30,7 @@ from repro.runtime.supervisor import (
     WorkerCrash,
     WorkerUnrecoverable,
 )
-from repro.runtime.system import ParallelSurveillanceSystem
+from repro.runtime.system import ParallelSurveillanceSystem, build_system
 from repro.runtime.worker import ShardWorker
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "Supervisor",
     "WorkerCrash",
     "WorkerUnrecoverable",
+    "build_system",
     "merge_alerts",
     "merge_critical_points",
     "merge_finalize_events",

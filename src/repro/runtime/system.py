@@ -1,23 +1,22 @@
 """The process-parallel surveillance system (Section 5.2, for real).
 
-:class:`ParallelSurveillanceSystem` is a drop-in replacement for
-:class:`~repro.pipeline.system.SurveillanceSystem`: the same
-``process_slide`` / ``finalize`` surface, the same
-:class:`~repro.pipeline.metrics.SlideReport`, the same metrics names
-feeding ``--metrics-json`` — but tracking/compression and CE recognition
-execute on *worker processes* supervised with checkpoint/restart.
+:class:`ParallelSurveillanceSystem` *is* a
+:class:`~repro.pipeline.system.SurveillanceSystem`: the slide skeleton
+(``process_slide`` / ``finalize``, phase timing, metrics, the MOD block,
+the pairwise monitor, the :class:`~repro.pipeline.metrics.SlideReport`)
+is inherited untouched.  This module supplies only the stage operations
+that run on *worker processes* supervised with checkpoint/restart:
 
-Per slide:
-
-1. the :class:`~repro.runtime.shard.ShardRouter` splits the positional
-   batch by MMSI hash and every worker tracks + compresses its sub-batch
-   concurrently;
-2. the per-shard movement events are spliced back into exact
-   single-process order (:mod:`repro.runtime.merge`) and the expired
-   critical points go to the parent-held Moving Object Database;
-3. the merged critical events fan out to the workers' longitude-band
-   recognition engines; the bands' alerts merge into the single-engine
-   report order.
+* **track** — the :class:`~repro.runtime.shard.ShardRouter` splits the
+  positional batch by MMSI hash, every worker tracks + compresses its
+  sub-batch concurrently, and the per-shard movement events and critical
+  points are spliced back into exact single-process order
+  (:mod:`repro.runtime.merge`);
+* **finalize-track** — the same fan-out for the end-of-stream flush;
+* **recognize** — the merged critical events (and, in pairwise mode, the
+  parent-side monitor's pair facts) fan out to the workers' longitude-band
+  recognition engines; the bands' alerts merge into the single-engine
+  report order.
 
 Determinism is a hard invariant, verified by
 ``tests/runtime/test_determinism.py``: for any shard count the alerts and
@@ -30,15 +29,14 @@ SQLite handles are not shareable across processes anyway.
 
 import shutil
 import tempfile
+import time
 
 from repro import obs
 from repro.ais.stream import PositionalTuple
-from repro.maritime.pairwise.monitor import PairwiseMonitor
 from repro.maritime.partition import PartitionStepTiming
 from repro.maritime.recognizer import Alert
-from repro.mod.database import MovingObjectDatabase
 from repro.pipeline.config import SystemConfig
-from repro.pipeline.metrics import PhaseTimings, SlideReport
+from repro.pipeline.system import SurveillanceSystem
 from repro.runtime.merge import (
     merge_alerts,
     merge_critical_points,
@@ -50,24 +48,10 @@ from repro.runtime.supervisor import Supervisor
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import WorldModel
 from repro.tracking.compressor import CompressionStatistics
-from repro.tracking.exporter import TrajectoryExporter
 from repro.tracking.types import CriticalPoint
 
 
-class _AggregateCompressor:
-    """Fleet-wide compression accounting, summed over the shards.
-
-    Quacks like the ``compressor`` attribute of the single-process system
-    as far as reporting goes (``.statistics``), so
-    :func:`repro.obs.report.build_pipeline_report` and the CLI summary
-    work unchanged against either system.
-    """
-
-    def __init__(self) -> None:
-        self.statistics = CompressionStatistics()
-
-
-class ParallelSurveillanceSystem:
+class ParallelSurveillanceSystem(SurveillanceSystem):
     """Sharded, supervised, checkpoint-restartable surveillance pipeline.
 
     Parameters
@@ -96,232 +80,111 @@ class ParallelSurveillanceSystem:
         queue_capacity: int = 16,
         start_method: str | None = None,
     ):
-        self.world = world
-        self.config = config or SystemConfig()
+        config = config or SystemConfig()
         self.shards = shards
         self.router = ShardRouter(
             world,
             shards,
-            close_margin_meters=self.config.maritime.close_threshold_meters,
+            close_margin_meters=config.maritime.close_threshold_meters,
         )
-        self.database = MovingObjectDatabase(
-            world.ports, path=self.config.database_path
-        )
-        self.database.load_vessels(specs.values())
-        self.exporter = TrajectoryExporter()
-        self.timings = PhaseTimings()
-        self.compressor = _AggregateCompressor()
         self._owns_checkpoint_dir = checkpoint_dir is None
         self.checkpoint_dir = checkpoint_dir or tempfile.mkdtemp(
             prefix="repro-runtime-"
         )
         self.supervisor = Supervisor(
-            worker_args=(world, specs, self.config),
+            worker_args=(world, specs, config),
             shards=shards,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=checkpoint_every,
             queue_capacity=queue_capacity,
             start_method=start_method,
         )
-        self.supervisor.start()
-        # The pairwise monitor runs once, in the parent, over the merged
-        # (single-process-identical) event stream: the produced pair
-        # facts are the same at any shard count, and the router sends
-        # each one to its episode's anchor band (see docs/SPATIAL.md).
-        self.monitor = (
-            PairwiseMonitor(world, self.config.pairwise_config)
-            if self.config.pairwise
-            else None
-        )
+        #: Fleet-wide compression accounting, summed over the shards.
+        self.statistics = CompressionStatistics()
         self.last_partition_timing: PartitionStepTiming | None = None
-        self._last_query_time: int | None = None
         self._last_alerts: list[Alert] = []
         self._vessels_tracked = 0
         self._closed = False
+        super().__init__(world, specs, config)
 
     # ------------------------------------------------------------------
-    # streaming
+    # stage operations, on the shard workers
     # ------------------------------------------------------------------
 
-    def process_slide(
-        self, batch: list[PositionalTuple], query_time: int
-    ) -> SlideReport:
-        """Process one slide's arrivals across the shards."""
-        slide_timings: dict[str, float] = {}
+    def _start_stages(self, specs: dict[int, VesselSpec]) -> None:
+        self.supervisor.start()
+
+    def _observe_shards(self, phase: str, replies: list[dict]) -> None:
+        """The workers' own (IPC-exclusive) seconds, one sample per request,
+        plus the fleet gauges."""
         registry = obs.get_registry()
+        if not registry.enabled:
+            return
+        for shard_id, reply in enumerate(replies):
+            registry.observe(
+                f"runtime.shard.{shard_id}.{phase}", reply["seconds"]
+            )
+        registry.set_gauge("runtime.shards", self.shards)
+        registry.set_gauge("runtime.restarts_total", self.restart_count())
 
-        with obs.timed_span("pipeline.slide"):
-            with obs.timed_span("tracking") as phase:
-                routed = self.router.route_positions(batch)
-                replies = self.supervisor.request_all(
-                    "track",
-                    [(query_time, routed[i]) for i in range(self.shards)],
-                )
-                events = merge_tagged_events([r["events"] for r in replies])
-                fresh = merge_critical_points([r["fresh"] for r in replies])
-                expired = merge_critical_points([r["expired"] for r in replies])
-            slide_timings["tracking"] = phase.seconds
-            self._vessels_tracked = sum(r["vessels"] for r in replies)
-            for shard_id, reply in enumerate(replies):
-                registry.observe(
-                    f"runtime.shard.{shard_id}.tracking", reply["seconds"]
-                )
-
-            with obs.timed_span("staging") as phase:
-                if expired:
-                    self.database.stage_points(expired)
-            slide_timings["staging"] = phase.seconds
-
-            slide_timings["reconstruction"] = 0.0
-            slide_timings["loading"] = 0.0
-            if self.config.reconstruct_each_slide and expired:
-                self.database.reconstruct(slide_timings)
-
-            recognized = 0
-            alerts: tuple = ()
-            if self.config.enable_recognition:
-                with obs.timed_span("recognition") as phase:
-                    payloads = self._recognition_payloads(events, query_time)
-                    replies = self.supervisor.request_all(
-                        "recognize", payloads
-                    )
-                slide_timings["recognition"] = phase.seconds
-                recognized = sum(r["recognized"] for r in replies)
-                merged = merge_alerts([r["alerts"] for r in replies])
-                self._last_alerts = merged
-                alerts = tuple(merged)
-                self.last_partition_timing = PartitionStepTiming(
-                    per_partition_seconds=[r["step_seconds"] for r in replies],
-                    measured_parallel_seconds=phase.seconds,
-                )
-                for shard_id, reply in enumerate(replies):
-                    registry.observe(
-                        f"runtime.shard.{shard_id}.recognition",
-                        reply["seconds"],
-                    )
-
-        self.compressor.statistics.raw_positions += len(batch)
-        self.compressor.statistics.critical_points += len(fresh)
-        self.timings.record(slide_timings)
-        self._record_slide_metrics(
-            slide_timings, len(batch), len(events), len(fresh), len(expired),
-            recognized,
+    def _track(self, batch: list[PositionalTuple], query_time: int):
+        routed = self.router.route_positions(batch)
+        replies = self.supervisor.request_all(
+            "track", [(query_time, routed[i]) for i in range(self.shards)]
         )
-        self._last_query_time = query_time
-        return SlideReport(
-            query_time=query_time,
-            raw_positions=len(batch),
-            movement_events=len(events),
-            fresh_critical_points=len(fresh),
-            expired_critical_points=len(expired),
-            recognized_complex_events=recognized,
-            alerts=alerts,
-            timings=slide_timings,
-            fresh_points=tuple(fresh),
-        )
+        events = merge_tagged_events([r["events"] for r in replies])
+        fresh = merge_critical_points([r["fresh"] for r in replies])
+        expired = merge_critical_points([r["expired"] for r in replies])
+        self._vessels_tracked = sum(r["vessels"] for r in replies)
+        self.statistics.raw_positions += len(batch)
+        self.statistics.critical_points += len(fresh)
+        self._observe_shards("tracking", replies)
+        return events, fresh, expired
 
-    def finalize(self) -> SlideReport | None:
-        """Flush open long-lasting events and archive the whole synopsis."""
-        if self._last_query_time is None:
-            return None
-        query_time = self._last_query_time + self.config.window.slide_seconds
+    def _finalize_track(self, query_time: int):
         replies = self.supervisor.request_all(
             "finalize_track", [(query_time,) for _ in range(self.shards)]
         )
-        events = merge_finalize_events([r["events"] for r in replies])
-        fresh = merge_critical_points([r["fresh"] for r in replies])
-        expired = merge_critical_points([r["expired"] for r in replies])
-        remaining = merge_critical_points([r["remaining"] for r in replies])
-        self.database.stage_points(expired + remaining)
-        self.database.reconstruct()
-        recognized = 0
-        alerts: tuple = ()
-        if self.config.enable_recognition:
-            payloads = self._recognition_payloads(events, query_time)
-            replies = self.supervisor.request_all("recognize", payloads)
-            recognized = sum(r["recognized"] for r in replies)
-            merged = merge_alerts([r["alerts"] for r in replies])
-            self._last_alerts = merged
-            alerts = tuple(merged)
-        slide_timings = {"tracking": 0.0, "staging": 0.0, "recognition": 0.0}
-        return SlideReport(
-            query_time=query_time,
-            raw_positions=0,
-            movement_events=len(events),
-            fresh_critical_points=len(fresh),
-            expired_critical_points=len(expired) + len(remaining),
-            recognized_complex_events=recognized,
-            alerts=alerts,
-            timings=slide_timings,
-            fresh_points=tuple(fresh),
+        self._observe_shards("tracking", replies)
+        return (
+            merge_finalize_events([r["events"] for r in replies]),
+            merge_critical_points([r["fresh"] for r in replies]),
+            merge_critical_points([r["expired"] for r in replies]),
+            merge_critical_points([r["remaining"] for r in replies]),
         )
 
-    def _recognition_payloads(self, events, query_time: int) -> list[tuple]:
-        """Per-shard ``recognize`` arguments, with pairwise routing.
+    def _recognize(self, events, pair_facts, query_time: int):
+        """Fan the slide out to the band engines.
 
         In pairwise mode the monitor's facts are routed to their anchor
         bands and every pair member's movement events are co-routed to
         those bands, so each band engine sees everything its pair rules
-        can join on.
+        can join on (see docs/SPATIAL.md).
         """
-        if self.monitor is None:
+        started = time.perf_counter()
+        if pair_facts is None:
             routed_events = self.router.route_events(events)
-            return [
+            payloads = [
                 (query_time, routed_events[i]) for i in range(self.shards)
             ]
-        facts = self.monitor.observe(events, query_time)
-        routed_facts = self.router.route_pair_facts(facts)
-        routed_events = self.router.route_events(
-            events, extra_bands_by_mmsi=self.router.pair_fact_bands(facts)
-        )
-        return [
-            (query_time, routed_events[i], routed_facts[i])
-            for i in range(self.shards)
-        ]
-
-    def _record_slide_metrics(
-        self,
-        slide_timings: dict[str, float],
-        raw_positions: int,
-        movement_events: int,
-        fresh: int,
-        expired: int,
-        recognized: int,
-    ) -> None:
-        """Mirror the single-process pipeline's per-slide metrics, plus
-        the runtime-specific instruments."""
-        registry = obs.get_registry()
-        if not registry.enabled:
-            return
-        for phase, seconds in sorted(slide_timings.items()):
-            registry.observe(f"pipeline.phase.{phase}", seconds)
-        registry.inc("pipeline.slides")
-        registry.inc("pipeline.raw_positions", raw_positions)
-        registry.inc("pipeline.movement_events", movement_events)
-        registry.inc("pipeline.fresh_critical_points", fresh)
-        registry.inc("pipeline.expired_critical_points", expired)
-        registry.inc("pipeline.recognized_complex_events", recognized)
-        registry.set_gauge(
-            "pipeline.compression_ratio",
-            self.compressor.statistics.compression_ratio,
-        )
-        registry.set_gauge("pipeline.vessels_tracked", self._vessels_tracked)
-        tracking_seconds = slide_timings.get("tracking", 0.0)
-        if tracking_seconds > 0:
-            registry.set_gauge(
-                "tracking.positions_per_second",
-                raw_positions / tracking_seconds,
+        else:
+            routed_facts = self.router.route_pair_facts(pair_facts)
+            routed_events = self.router.route_events(
+                events,
+                extra_bands_by_mmsi=self.router.pair_fact_bands(pair_facts),
             )
-        # Prometheus info pattern: the kernel every shard worker runs.
-        registry.set_gauge(
-            f"tracking.backend_info.{self.config.tracking_backend}", 1.0
+            payloads = [
+                (query_time, routed_events[i], routed_facts[i])
+                for i in range(self.shards)
+            ]
+        replies = self.supervisor.request_all("recognize", payloads)
+        self.last_partition_timing = PartitionStepTiming(
+            per_partition_seconds=[r["step_seconds"] for r in replies],
+            measured_parallel_seconds=time.perf_counter() - started,
         )
-        registry.set_gauge("runtime.shards", self.shards)
-        registry.set_gauge("runtime.restarts_total", self.restart_count())
-
-    # ------------------------------------------------------------------
-    # outputs
-    # ------------------------------------------------------------------
+        self._last_alerts = merge_alerts([r["alerts"] for r in replies])
+        self._observe_shards("recognition", replies)
+        return sum(r["recognized"] for r in replies), self._last_alerts
 
     def current_synopsis(self, mmsi: int | None = None) -> list[CriticalPoint]:
         """Critical points currently in the shards' sliding windows."""
@@ -330,47 +193,59 @@ class ParallelSurveillanceSystem:
         )
         return merge_critical_points([r["points"] for r in replies])
 
-    def export_kml(self) -> str:
-        """KML rendering of the current window synopsis."""
-        return self.exporter.to_kml(self.current_synopsis())
-
-    def export_geojson(self) -> dict:
-        """GeoJSON rendering of the current window synopsis."""
-        return self.exporter.to_geojson(self.current_synopsis())
-
     def alerts(self) -> list[Alert]:
         """Alerts from the most recent recognition step, fleet-wide."""
         return list(self._last_alerts)
+
+    def vessel_count(self) -> int:
+        """Vessels currently tracked across all shards."""
+        return self._vessels_tracked
 
     def restart_count(self) -> int:
         """Worker restarts performed by the supervisor so far."""
         return self.supervisor.restart_count()
 
-    def vessel_count(self) -> int:
-        """Vessels currently tracked across all shards."""
-        return self._vessels_tracked
+    def terminate_workers(self) -> int:
+        """Hard-kill every worker; the next request recovers them from
+        their checkpoints (how a wedged slide is converted into an
+        ordinary worker restart)."""
+        return self.supervisor.terminate_workers()
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Stop the workers and release checkpoint storage."""
+        """Stop the workers, release checkpoint storage, close the MOD."""
         if self._closed:
             return
         self._closed = True
         self.supervisor.stop()
         if self._owns_checkpoint_dir:
             shutil.rmtree(self.checkpoint_dir, ignore_errors=True)
-
-    def __enter__(self) -> "ParallelSurveillanceSystem":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        super().close()
 
     def __del__(self) -> None:
         try:
             self.close()
         except Exception:
             pass
+
+
+def build_system(
+    world: WorldModel,
+    specs: dict[int, VesselSpec],
+    config: SystemConfig | None = None,
+    shards: int = 1,
+    checkpoint_dir: str | None = None,
+) -> SurveillanceSystem:
+    """The pipeline for a shard count: inline at 1, sharded above.
+
+    The one place that picks the class; everything downstream talks to
+    the :class:`~repro.pipeline.system.SurveillanceSystem` surface.
+    """
+    if shards > 1:
+        return ParallelSurveillanceSystem(
+            world, specs, config, shards=shards, checkpoint_dir=checkpoint_dir
+        )
+    return SurveillanceSystem(world, specs, config)

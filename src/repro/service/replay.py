@@ -13,7 +13,7 @@ the network added nothing and lost nothing (anything shed is counted).
 from repro.ais.scanner import DataScanner
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline.config import SystemConfig
-from repro.pipeline.system import SurveillanceSystem
+from repro.runtime.system import build_system
 from repro.service.protocol import slide_feed_line
 
 
@@ -34,14 +34,8 @@ def offline_feed_lines(
     scanner = DataScanner()
     positions = scanner.scan_many(sentences)
     scanner.flush()
-    if shards > 1:
-        from repro.runtime import ParallelSurveillanceSystem
-
-        system = ParallelSurveillanceSystem(world, specs, config, shards=shards)
-    else:
-        system = SurveillanceSystem(world, specs, config)
     lines = []
-    try:
+    with build_system(world, specs, config, shards) as system:
         replayer = StreamReplayer(
             [TimedArrival(p.timestamp, p) for p in positions],
             config.window.slide_seconds,
@@ -52,8 +46,4 @@ def offline_feed_lines(
         final = system.finalize()
         if final is not None:
             lines.append(slide_feed_line(final, "finalize"))
-    finally:
-        if hasattr(system, "close"):
-            system.close()
-        system.database.close()
     return lines

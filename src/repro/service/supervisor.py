@@ -1,13 +1,12 @@
 """The service supervisor: one object that owns the whole live deployment.
 
 :class:`ServiceSupervisor` assembles the three network surfaces (ingest
-listener, subscription feed, HTTP API) around one embedded pipeline —
-the single-process :class:`~repro.pipeline.system.SurveillanceSystem` or,
-with ``shards > 1``, the process-parallel
-:class:`~repro.runtime.ParallelSurveillanceSystem`, whose own supervisor
-already handles worker crash-restart with exactly-once checkpoint
-recovery (docs/RUNTIME.md); this layer surfaces its restart counts on
-``/healthz`` and keeps serving through recoveries.
+listener, subscription feed, HTTP API) around one embedded pipeline, a
+:class:`~repro.pipeline.system.SurveillanceSystem` built by
+:func:`repro.runtime.build_system`.  With ``shards > 1`` its stages run on
+worker processes whose own supervisor already handles crash-restart with
+exactly-once checkpoint recovery (docs/RUNTIME.md); this layer surfaces
+the restart counts on ``/healthz`` and keeps serving through recoveries.
 
 On top of that sits the durability layer (docs/RESILIENCE.md), active
 when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set:
@@ -40,12 +39,12 @@ from pathlib import Path
 
 from repro import obs
 from repro.pipeline.config import SystemConfig
-from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.guard import GuardedDatabase, SpillQueue
 from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import IngestJournal
 from repro.resilience.watchdog import SlideWatchdog
+from repro.runtime.system import build_system
 from repro.service.batcher import SlideBatcher
 from repro.service.config import ServiceConfig
 from repro.service.feed import FeedHub
@@ -55,21 +54,6 @@ from repro.service.protocol import slide_feed_line
 from repro.service.quarantine import DeadLetterBuffer
 from repro.service.state import AlertRing, VesselStateStore
 from repro.transport.registry import create_transport
-
-
-def build_system(world, specs, config: SystemConfig, service: ServiceConfig):
-    """The embedded pipeline for a service configuration."""
-    if service.shards > 1:
-        from repro.runtime import ParallelSurveillanceSystem
-
-        return ParallelSurveillanceSystem(
-            world,
-            specs,
-            config,
-            shards=service.shards,
-            checkpoint_dir=service.checkpoint_dir,
-        )
-    return SurveillanceSystem(world, specs, config)
 
 
 class ServiceSupervisor:
@@ -83,8 +67,9 @@ class ServiceSupervisor:
         Network, backpressure and durability knobs
         (:class:`ServiceConfig`).
     system_factory:
-        Test hook: replaces :func:`build_system` to wrap or slow the
-        embedded pipeline (the load-shedding soak test injects delays).
+        Test hook: replaces :func:`repro.runtime.build_system` (same
+        arguments) to slow or wedge the embedded pipeline (the
+        load-shedding soak test injects delays).
     """
 
     def __init__(
@@ -98,7 +83,13 @@ class ServiceSupervisor:
         self.config = config or SystemConfig()
         self.service = service or ServiceConfig()
         factory = system_factory or build_system
-        self.system = factory(world, specs, self.config, self.service)
+        self.system = factory(
+            world,
+            specs,
+            self.config,
+            self.service.shards,
+            self.service.checkpoint_dir,
+        )
         self.vessels = VesselStateStore()
         self.alert_ring = AlertRing(self.service.alert_ring_size)
         self.queue = IngestQueue(self.service.ingest_queue_size)
@@ -155,15 +146,13 @@ class ServiceSupervisor:
             retention_segments=self.service.wal_retention_segments,
         )
 
-    def _guard_database(self) -> GuardedDatabase | None:
+    def _guard_database(self) -> GuardedDatabase:
         """Put the MOD behind retry + breaker + spill, transparently.
 
         The pipeline looks ``system.database`` up at call time, so
         swapping the attribute for the guard covers every staging write
         and reconstruction pass without touching the pipeline itself.
         """
-        if not hasattr(self.system, "database"):
-            return None
         if self.service.wal_dir is not None:
             spill = SpillQueue(
                 Path(self.service.wal_dir) / "spill",
@@ -199,12 +188,10 @@ class ServiceSupervisor:
     def _on_stall(self, query_time, elapsed: float) -> None:
         """A pipeline slide overran its deadline: kill the shard workers
         so the stall becomes a WorkerCrash the checkpoint machinery
-        recovers from (single-process systems have no such lever — the
-        stall is counted and surfaced on ``/healthz`` instead)."""
+        recovers from (inline there is nothing to kill — the stall is
+        counted and surfaced on ``/healthz`` instead)."""
         obs.count("service.watchdog.stalls")
-        runtime = getattr(self.system, "supervisor", None)
-        if runtime is not None and hasattr(runtime, "terminate_workers"):
-            runtime.terminate_workers()
+        self.system.terminate_workers()
 
     # ------------------------------------------------------------------
     # slide fan-out
@@ -291,12 +278,10 @@ class ServiceSupervisor:
         # 3. Disconnect subscribers after the final lines are queued.
         await self.feed.close()
         await self.http.stop()
-        # 4. Release the pipeline: sharded workers and checkpoints first,
+        # 4. Release the pipeline: shard workers and checkpoints first,
         #    then the MOD connection (staging flushed by finalize above;
         #    closing the guard also closes the spill queue).
-        if hasattr(self.system, "close"):
-            self.system.close()
-        self.system.database.close()
+        self.system.close()
         obs.set_gauge("service.up", 0)
 
     async def serve_until(self, stop_event: asyncio.Event) -> None:
@@ -317,12 +302,11 @@ class ServiceSupervisor:
         a drain that had to be force-aborted.
         """
         reasons = []
-        if self.guard is not None:
-            breaker = self.guard.breaker
-            if breaker.state != "closed":
-                reasons.append(f"mod breaker {breaker.state}")
-            if len(self.guard.spill) > 0:
-                reasons.append(f"spill backlog of {len(self.guard.spill)}")
+        breaker = self.guard.breaker
+        if breaker.state != "closed":
+            reasons.append(f"mod breaker {breaker.state}")
+        if len(self.guard.spill) > 0:
+            reasons.append(f"spill backlog of {len(self.guard.spill)}")
         if self.forced_abort:
             reasons.append("drain force-aborted")
         return reasons
@@ -378,11 +362,10 @@ class ServiceSupervisor:
             }
         if self.journal is not None:
             payload["wal"] = self.journal.snapshot()
-        if self.guard is not None:
-            payload["mod_guard"] = self.guard.snapshot()
+        payload["mod_guard"] = self.guard.snapshot()
         if self.watchdog is not None:
             payload["watchdog"] = self.watchdog.snapshot()
-        if hasattr(self.system, "restart_count"):
+        if self.service.shards > 1:
             payload["runtime_restarts"] = self.system.restart_count()
         return payload
 

@@ -4,11 +4,11 @@ The Mobility Tracker consumes the cleaned positional stream and maintains
 one velocity vector per vessel, detecting *instantaneous* trajectory
 events (pause, speed change, turn, off-course outliers) in O(1) per tuple
 and *long-lasting* events (communication gap, smooth turn, long-term stop,
-slow motion) in O(m) over the last m positions.  Three interchangeable
+slow motion) in O(m) over the last m positions.  Two interchangeable
 kernels implement that contract — the scalar reference
-:class:`MobilityTracker`, the batch/columnar :class:`ColumnarTracker`
-(the default), and its numpy variant — selected by name through
-:func:`create_tracker`; all emit byte-identical event streams.  The
+:class:`MobilityTracker` and the batch/columnar :class:`ColumnarTracker`
+(the default) — selected by name through :func:`create_tracker`; both
+emit byte-identical event streams.  The
 :class:`Compressor` filters those events at each window slide and emits
 annotated *critical points* — the ~6 % of input locations that suffice to
 reconstruct each vessel's course.
@@ -20,7 +20,7 @@ from repro.tracking.backends import (
     backend_name,
     create_tracker,
 )
-from repro.tracking.columnar import ColumnarTracker, NumpyColumnarTracker
+from repro.tracking.columnar import ColumnarTracker
 from repro.tracking.compressor import Compressor
 from repro.tracking.config import TrackingParameters
 from repro.tracking.exporter import TrajectoryExporter
@@ -41,7 +41,6 @@ __all__ = [
     "MobilityTracker",
     "MovementEvent",
     "MovementEventType",
-    "NumpyColumnarTracker",
     "SlidingWindow",
     "TrackingParameters",
     "TrajectoryExporter",

@@ -1,6 +1,6 @@
 """Tracking backend registry: pick a kernel at runtime, keep the events.
 
-Three interchangeable kernels implement the Mobility Tracker contract:
+Two interchangeable kernels implement the Mobility Tracker contract:
 
 ``scalar``
     :class:`~repro.tracking.tracker.MobilityTracker` — the reference
@@ -8,19 +8,15 @@ Three interchangeable kernels implement the Mobility Tracker contract:
 ``array``
     :class:`~repro.tracking.columnar.ColumnarTracker` — the fused
     batch/columnar kernel over :mod:`array` columns; the default.
-``numpy``
-    :class:`~repro.tracking.columnar.NumpyColumnarTracker` — the
-    columnar kernel with numpy-vectorized trigonometry; registered only
-    when numpy imports.
 
-All three emit byte-identical event streams (see
+Both emit byte-identical event streams (see
 ``tests/tracking/test_columnar_parity.py``), so the choice is purely a
 throughput knob: ``SystemConfig.tracking_backend``, the ``repro``
 CLI's ``--tracking-backend`` flag, and the benchmark harness all route
 through :func:`create_tracker`.
 """
 
-from repro.tracking.columnar import ColumnarTracker, NumpyColumnarTracker
+from repro.tracking.columnar import ColumnarTracker
 from repro.tracking.config import TrackingParameters
 from repro.tracking.tracker import MobilityTracker
 
@@ -31,13 +27,6 @@ _REGISTRY: dict[str, type] = {
     "scalar": MobilityTracker,
     "array": ColumnarTracker,
 }
-
-try:  # numpy ships with the toolchain but stays optional by contract
-    import numpy as _numpy  # noqa: F401
-except ImportError:  # pragma: no cover - exercised only without numpy
-    pass
-else:
-    _REGISTRY["numpy"] = NumpyColumnarTracker
 
 
 def available_backends() -> list[str]:
@@ -51,8 +40,7 @@ def create_tracker(
 ):
     """Construct the tracker implementing ``backend``.
 
-    Raises ``ValueError`` for unknown names, listing what is available —
-    including ``numpy`` missing from the registry when the import failed.
+    Raises ``ValueError`` for unknown names, listing what is available.
     """
     tracker_class = _REGISTRY.get(backend)
     if tracker_class is None:

@@ -10,10 +10,9 @@ event semantics but restructures each slide's work around data instead of
 tuples:
 
 1. the batch is grouped into **per-MMSI shards** of parallel columns —
-   ``lon``/``lat`` as :mod:`array` buffers plus derived τ /
-   ``cos(lat)`` / ``sin(lat)`` columns — so each position's latitude
-   trigonometry is computed once per slide instead of once per
-   Haversine/bearing call;
+   ``lon``/``lat`` plus derived τ / ``cos(lat)`` / ``sin(lat)`` columns
+   — so each position's latitude trigonometry is computed once per
+   slide instead of once per Haversine/bearing call;
 2. consecutive-pair geometry (Haversine distance, speed, initial
    bearing) is **precomputed over whole runs** in tight comprehension
    passes, and the gap/turn/stop/slow-motion detectors run in one fused
@@ -35,18 +34,10 @@ consecutive-pair chain; the fused loop then recomputes that one pair
 inline against the true previous position and re-enters the precomputed
 stream at the next accepted tuple.
 
-:class:`NumpyColumnarTracker` additionally vectorizes the column and
-pair trigonometry with numpy where (and only where) the results are
-bit-for-bit equal to :mod:`math` — ``radians`` (one multiply), ``sin``,
-``cos``, and exact float subtraction/multiplication; the column buffers
-reach numpy zero-copy through their :class:`memoryview`.  ``arcsin``,
-``arctan2`` and ``**`` round differently in numpy's SIMD loops, so the
-arc and the bearing angle finish element-wise through libm.  Backend
-construction and selection live in :mod:`repro.tracking.backends`.
+Backend construction and selection live in :mod:`repro.tracking.backends`.
 """
 
 import math
-from array import array
 from collections import defaultdict, deque
 from collections.abc import Iterable
 from itertools import islice as _islice
@@ -1057,90 +1048,3 @@ class ColumnarTracker:
 #: C-level sort key for the arrival-order splice (tuples would compare
 #: their MovementEvent payloads on ties without it).
 _emit_key = _itemgetter(0)
-
-
-def _bearing_from_yx(y: float, x: float) -> float:
-    """The tail of ``initial_bearing_degrees`` given its y/x terms."""
-    if x == 0.0 and y == 0.0:
-        return 0.0
-    theta = math.degrees(math.atan2(y, x)) % 360.0
-    return 0.0 if theta == 360.0 else theta
-
-
-class NumpyColumnarTracker(ColumnarTracker):
-    """Columnar tracker with numpy-vectorized column and pair trigonometry.
-
-    Only operations whose numpy float64 results are bit-identical to
-    :mod:`math` on this platform are vectorized: ``radians`` (a single
-    multiply), ``sin``, ``cos``, and exact subtraction/multiplication.
-    ``arcsin``/``arctan2``/``**`` round differently in numpy's SIMD
-    loops, so the Haversine arc and the bearing angle finish element-wise
-    through libm — the parity twin test holds for this backend too.
-    The numpy ufunc dispatch overhead is fixed per run, so this backend
-    overtakes the pure-:mod:`array` kernel only on long per-vessel runs
-    (larger slides or fewer vessels).
-    """
-
-    backend_name = "numpy"
-
-    def _vessel_columns(self, state, points):
-        import numpy
-
-        _, lon, lat, taus = zip(*points)
-        # Zero-copy: numpy maps the array('d') buffers via memoryview.
-        lon_arr = numpy.frombuffer(memoryview(array("d", lon)))
-        lat_arr = numpy.frombuffer(memoryview(array("d", lat)))
-        rlat = numpy.radians(lat_arr)
-        cos_arr = numpy.cos(rlat)
-        sin_arr = numpy.sin(rlat)
-
-        size = len(points)
-        last = state.last
-        ext_lon = numpy.empty(size)
-        ext_lat = numpy.empty(size)
-        ext_cos = numpy.empty(size)
-        ext_sin = numpy.empty(size)
-        if last is not None:
-            ext_lon[0] = last.lon
-            ext_lat[0] = last.lat
-            ext_cos[0] = state.last_cos
-            ext_sin[0] = state.last_sin
-        else:
-            ext_lon[0] = lon_arr[0]
-            ext_lat[0] = lat_arr[0]
-            ext_cos[0] = cos_arr[0]
-            ext_sin[0] = sin_arr[0]
-        ext_lon[1:] = lon_arr[:-1]
-        ext_lat[1:] = lat_arr[:-1]
-        ext_cos[1:] = cos_arr[:-1]
-        ext_sin[1:] = sin_arr[:-1]
-
-        dphi = numpy.radians(lat_arr - ext_lat)
-        dlam = numpy.radians(lon_arr - ext_lon)
-        sin_hd = numpy.sin(dphi / 2.0).tolist()
-        sin_hl = numpy.sin(dlam / 2.0).tolist()
-        cos_prod = (ext_cos * cos_arr).tolist()
-        asin = math.asin
-        sqrt = math.sqrt
-        dist = [
-            # The squares stay Python ``**``: libm pow(x, 2.0) is not
-            # always x*x in the last ulp, and the scalar code uses ``**``.
-            _TWO_RADII * asin(sqrt(
-                t
-                if 0.0 <= (t := a ** 2 + b * c ** 2) <= 1.0
-                else min(1.0, max(0.0, t))
-            ))
-            for a, b, c in zip(sin_hd, cos_prod, sin_hl)
-        ]
-        # Bearing terms with scalar-identical association:
-        # (cos1*sin2) - ((sin1*cos2)*cos(dlam)); the atan2 stays on libm.
-        y_list = (numpy.sin(dlam) * cos_arr).tolist()
-        x_list = (
-            ext_cos * sin_arr - ext_sin * cos_arr * numpy.cos(dlam)
-        ).tolist()
-        bearing = _bearing_from_yx
-        head = [
-            bearing(yy, xx) if d > 1.0 else 0.0
-            for d, yy, xx in zip(dist, y_list, x_list)
-        ]
-        return taus, dist, head

@@ -11,6 +11,7 @@ from repro.maritime import MaritimeRecognizer
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
 from repro.tracking import MobilityTracker, WindowSpec
+from tests.parity import replay_transcript
 
 
 class TestCorruptSentences:
@@ -101,36 +102,13 @@ class TestWorkerCrashRecovery:
 
     @staticmethod
     def _replay(system, small_fleet, poison_slides=()):
-        arrivals = [
-            TimedArrival(p.timestamp, p) for p in small_fleet["stream"]
-        ]
-        transcript = []
-        for index, (query_time, batch) in enumerate(
-            StreamReplayer(arrivals, 1800).batches()
-        ):
+        def poison(index):
             if index in poison_slides:
                 system.supervisor.inject_failure(index % system.shards)
-            report = system.process_slide(batch, query_time)
-            transcript.append(
-                (
-                    report.query_time,
-                    report.movement_events,
-                    report.fresh_critical_points,
-                    report.expired_critical_points,
-                    [repr(a) for a in report.alerts],
-                )
-            )
-        final = system.finalize()
-        transcript.append(
-            (
-                final.query_time,
-                final.movement_events,
-                final.fresh_critical_points,
-                final.expired_critical_points,
-                [repr(a) for a in final.alerts],
-            )
+
+        return replay_transcript(
+            system, small_fleet["stream"], before_slide=poison
         )
-        return transcript
 
     def test_restart_recovers_without_losing_output(self, world, small_fleet):
         from repro.runtime import ParallelSurveillanceSystem

@@ -9,11 +9,11 @@ byte for byte, because pair facts are routed by episode anchor.
 
 import pytest
 
-from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.runtime import ParallelSurveillanceSystem
 from repro.simulator.fleet import FleetSimulator
 from repro.tracking import WindowSpec
+from tests.parity import replay_transcript
 
 SLIDE_SECONDS = 1800
 
@@ -35,23 +35,21 @@ def rendezvous_fleet(world):
 
 
 def _replay(system, stream):
-    """Per-slide alert transcript plus the deduplicated union.
+    """The parity transcript plus the deduplicated union of alerts.
 
     ``system.alerts()`` only covers the latest window, which by finalize
     has slid past the meeting — the union over slides is what an operator
     following the feed would have seen.
     """
-    arrivals = [TimedArrival(p.timestamp, p) for p in stream]
-    slides = []
-    seen: dict[str, object] = {}
-    for query_time, batch in StreamReplayer(arrivals, SLIDE_SECONDS).batches():
-        report = system.process_slide(batch, query_time)
-        slides.append((query_time, [repr(a) for a in report.alerts]))
-        seen.update((repr(a), a) for a in report.alerts)
-    final = system.finalize()
-    slides.append(("finalize", [repr(a) for a in final.alerts]))
-    seen.update((repr(a), a) for a in final.alerts)
-    return {"slides": slides, "alerts": [seen[key] for key in sorted(seen)]}
+    with system:
+        transcript = replay_transcript(system, stream, SLIDE_SECONDS)
+    seen = {
+        repr(alert): alert
+        for report in [*transcript["slides"], transcript["finalize"]]
+        for alert in report["alerts"]
+    }
+    transcript["alerts"] = [seen[key] for key in sorted(seen)]
+    return transcript
 
 
 @pytest.fixture(scope="module")
@@ -102,14 +100,10 @@ class TestRendezvousRecognition:
     def test_sharded_transcript_is_byte_identical(
         self, world, rendezvous_fleet, shards, single_process
     ):
-        with ParallelSurveillanceSystem(
+        system = ParallelSurveillanceSystem(
             world, rendezvous_fleet["specs"], _config(), shards=shards
-        ) as system:
-            transcript = _replay(system, rendezvous_fleet["stream"])
-        assert transcript["slides"] == single_process["slides"]
-        assert [repr(a) for a in transcript["alerts"]] == [
-            repr(a) for a in single_process["alerts"]
-        ]
+        )
+        assert _replay(system, rendezvous_fleet["stream"]) == single_process
 
     def test_pairwise_off_by_default_emits_no_pair_alerts(
         self, world, rendezvous_fleet

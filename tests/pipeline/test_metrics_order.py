@@ -1,17 +1,18 @@
 """Slide-metrics recording must not depend on dict insertion order.
 
-The runtime's per-slide phase timings arrive as a dict whose insertion
-order reflects execution interleaving — which can differ across shard
-counts and runs.  Anything derived from iterating it (here: the order of
-histogram observations) must go through ``sorted()`` so observability
-output is byte-stable, the same discipline RPR005 enforces statically.
+The per-slide phase timings arrive as a dict whose insertion order
+reflects execution interleaving.  Anything derived from iterating it
+(here: the order of histogram observations) must go through ``sorted()``
+so observability output is byte-stable, the same discipline RPR005
+enforces statically.  There is one ``_record_slide_metrics`` — inline and
+sharded systems share it — so it is exercised on the real inline system.
 """
 
-from types import SimpleNamespace
+import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry
-from repro.runtime.system import ParallelSurveillanceSystem
+from repro.pipeline import SurveillanceSystem
 
 
 class RecordingRegistry(MetricsRegistry):
@@ -26,22 +27,14 @@ class RecordingRegistry(MetricsRegistry):
         super().observe(name, value)
 
 
-def _bare_system():
-    """A system shell with just the attributes slide metrics touch."""
-    system = ParallelSurveillanceSystem.__new__(ParallelSurveillanceSystem)
-    system.compressor = SimpleNamespace(
-        statistics=SimpleNamespace(compression_ratio=1.0)
-    )
-    system.config = SimpleNamespace(tracking_backend="array")
-    system._vessels_tracked = 3
-    system.shards = 2
-    system.restart_count = lambda: 0
-    return system
+@pytest.fixture()
+def system(world, small_fleet):
+    with SurveillanceSystem(world, small_fleet["specs"]) as system:
+        yield system
 
 
 class TestPhaseObservationOrder:
-    def test_phases_recorded_in_sorted_order(self):
-        system = _bare_system()
+    def test_phases_recorded_in_sorted_order(self, system):
         # Adversarial insertion order: reverse-alphabetical.
         timings = {"tracking": 0.3, "batch": 0.2, "alerting": 0.1}
         with obs.activate(RecordingRegistry()) as registry:
@@ -64,10 +57,9 @@ class TestPhaseObservationOrder:
             "pipeline.phase.tracking",
         ]
 
-    def test_order_is_stable_across_insertion_orders(self):
+    def test_order_is_stable_across_insertion_orders(self, system):
         orders = []
         for keys in (("a", "b", "c"), ("c", "a", "b"), ("b", "c", "a")):
-            system = _bare_system()
             timings = {key: 0.1 for key in keys}
             with obs.activate(RecordingRegistry()) as registry:
                 system._record_slide_metrics(

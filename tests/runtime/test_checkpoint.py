@@ -5,6 +5,7 @@ from repro.pipeline.config import SystemConfig
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.worker import ShardWorker
 from repro.tracking import WindowSpec
+from tests.parity import canonical_points
 
 
 class TestCheckpointStore:
@@ -86,8 +87,8 @@ class TestWorkerSnapshotRestore:
                 out.append(
                     (
                         [repr(e) for _, e in reply["events"]],
-                        [repr(p) for p in reply["fresh"]],
-                        [repr(p) for p in reply["expired"]],
+                        canonical_points(reply["fresh"]),
+                        canonical_points(reply["expired"]),
                     )
                 )
             return out

@@ -11,60 +11,23 @@ from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.runtime import ParallelSurveillanceSystem
 from repro.tracking import WindowSpec
+from tests.parity import replay_transcript
 
 
 def _config():
     return SystemConfig(window=WindowSpec.of_hours(2, 0.5))
 
 
-def _replay(system, small_fleet):
-    """Drive a system over the fleet stream; normalized output transcript."""
-    arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
-    slides = []
-    for query_time, batch in StreamReplayer(arrivals, 1800).batches():
-        report = system.process_slide(batch, query_time)
-        slides.append(
-            (
-                report.query_time,
-                report.raw_positions,
-                report.movement_events,
-                report.fresh_critical_points,
-                report.expired_critical_points,
-                report.recognized_complex_events,
-                [repr(a) for a in report.alerts],
-            )
-        )
-    final = system.finalize()
-    synopsis = [repr(p) for p in system.current_synopsis()]
-    archived = []
-    for trip in system.database.all_trips():
-        archived.extend(
-            repr(p) for p in system.database.trip_points(trip["trip_id"])
-        )
-    return {
-        "slides": slides,
-        "finalize": (
-            final.movement_events,
-            final.fresh_critical_points,
-            final.expired_critical_points,
-            final.recognized_complex_events,
-            [repr(a) for a in final.alerts],
-        ),
-        "synopsis": synopsis,
-        "alerts": [repr(a) for a in system.alerts()],
-        "archived": archived,
-    }
-
-
 @pytest.fixture(scope="module")
 def single_process_transcript(world, small_fleet):
-    system = SurveillanceSystem(world, small_fleet["specs"], _config())
-    transcript = _replay(system, small_fleet)
+    with SurveillanceSystem(world, small_fleet["specs"], _config()) as system:
+        transcript = replay_transcript(system, small_fleet["stream"])
     # The fixture fleet must actually exercise the pipeline, or the
     # equality below is vacuous.
-    assert sum(s[2] for s in transcript["slides"]) > 0, "no movement events"
-    assert sum(s[3] for s in transcript["slides"]) > 0, "no critical points"
-    assert any(s[6] for s in transcript["slides"]), "no alerts raised"
+    slides = transcript["slides"]
+    assert sum(s["movement_events"] for s in slides) > 0, "no movement events"
+    assert sum(s["fresh_critical_points"] for s in slides) > 0, "no critical points"
+    assert any(s["alerts"] for s in slides), "no alerts raised"
     return transcript
 
 
@@ -75,13 +38,13 @@ def test_sharded_output_identical_to_single_process(
     with ParallelSurveillanceSystem(
         world, small_fleet["specs"], _config(), shards=shards
     ) as system:
-        transcript = _replay(system, small_fleet)
+        transcript = replay_transcript(system, small_fleet["stream"])
     assert transcript == single_process_transcript
 
 
 def test_report_surface_matches_single_process(world, small_fleet):
-    """Drop-in contract: the aggregate compressor statistics and phase
-    timings the reporting layer reads exist and add up."""
+    """The aggregate compression statistics and phase timings the
+    reporting layer reads exist and add up."""
     with ParallelSurveillanceSystem(
         world, small_fleet["specs"], _config(), shards=2
     ) as system:
@@ -93,8 +56,8 @@ def test_report_surface_matches_single_process(world, small_fleet):
             system.process_slide(batch, query_time)
             raw_total += len(batch)
         system.finalize()
-        assert system.compressor.statistics.raw_positions == raw_total
-        assert system.compressor.statistics.critical_points > 0
+        assert system.statistics.raw_positions == raw_total
+        assert system.statistics.critical_points > 0
         assert system.timings.slides > 0
         timing = system.last_partition_timing
         assert timing is not None

@@ -187,23 +187,16 @@ class TestDrainDeadline:
         """The satellite bugfix: drain used to await the batcher forever."""
         release = threading.Event()
 
-        class WedgedSystem:
-            def __init__(self, inner):
-                self._inner = inner
-                self.database = inner.database
-
-            def process_slide(self, batch, query_time):
-                release.wait(timeout=30.0)  # wedge until the test releases
-                return self._inner.process_slide(batch, query_time)
-
-            def finalize(self):
-                return self._inner.finalize()
-
         from repro.pipeline.system import SurveillanceSystem
 
+        class WedgedSystem(SurveillanceSystem):
+            def process_slide(self, batch, query_time):
+                release.wait(timeout=30.0)  # wedge until the test releases
+                return super().process_slide(batch, query_time)
+
         service = ServiceConfig(drain_timeout_seconds=0.5, **EPHEMERAL)
-        def factory(world, specs, config, svc):
-            return WedgedSystem(SurveillanceSystem(world, specs, config))
+        def factory(world, specs, config, shards, checkpoint_dir):
+            return WedgedSystem(world, specs, config)
 
         async def scenario():
             supervisor = ServiceSupervisor(

@@ -116,26 +116,19 @@ class TestSoakParity:
     ):
         """Overrun a tiny queue; parity must hold for the post-shed stream."""
 
-        class SlowSystem:
-            """Wraps the real pipeline, stalling each slide so the socket
-            reader outruns the batcher and the bounded queue must shed."""
-
-            def __init__(self, inner):
-                self._inner = inner
-                self.database = inner.database
+        class SlowSystem(SurveillanceSystem):
+            """The real pipeline, stalling each slide so the socket reader
+            outruns the batcher and the bounded queue must shed."""
 
             def process_slide(self, batch, query_time):
                 time.sleep(0.05)
-                return self._inner.process_slide(batch, query_time)
-
-            def finalize(self):
-                return self._inner.finalize()
+                return super().process_slide(batch, query_time)
 
         service = ServiceConfig(
             ingest_queue_size=64, record_ingest=True, **EPHEMERAL
         )
-        def factory(world, specs, config, svc):
-            return SlowSystem(SurveillanceSystem(world, specs, config))
+        def factory(world, specs, config, shards, checkpoint_dir):
+            return SlowSystem(world, specs, config)
         with obs.activate(obs.MetricsRegistry()) as registry:
             supervisor, live = asyncio.run(
                 run_live(

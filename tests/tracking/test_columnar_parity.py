@@ -1,9 +1,9 @@
 """The columnar kernels' hard invariant: byte-identical event streams.
 
-The ``array`` and ``numpy`` backends reorganize the Mobility Tracker's
-hot path around per-vessel columns, but they are *kernels*, not
-approximations: on any input, slide by slide, they must emit exactly the
-events the scalar reference emits — same order, same floats, same reprs.
+The ``array`` backend reorganizes the Mobility Tracker's hot path around
+per-vessel columns, but it is a *kernel*, not an approximation: on any
+input, slide by slide, it must emit exactly the events the scalar
+reference emits — same order, same floats, same reprs.
 These tests pin that twin contract on a full simulator fleet (directly
 and through the sharded runtime at 1 and 2 shards) and on the adversarial
 per-batch shapes the columnar grouping has to get right: empty slides,
@@ -22,6 +22,7 @@ from repro.tracking.backends import (
     backend_name,
     create_tracker,
 )
+from tests.parity import replay_transcript
 from tests.tracking.helpers import TraceBuilder
 
 COLUMNAR_BACKENDS = [name for name in available_backends() if name != "scalar"]
@@ -101,36 +102,19 @@ def test_sharded_parity_with_scalar_single_process(world, small_fleet, shards):
     """
     from repro.runtime import ParallelSurveillanceSystem
 
-    def replay(system):
-        arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
-        slides = []
-        for query_time, batch in StreamReplayer(arrivals, 1800).batches():
-            report = system.process_slide(batch, query_time)
-            slides.append((
-                report.query_time,
-                report.movement_events,
-                [repr(p) for p in report.fresh_points],
-                [repr(a) for a in report.alerts],
-            ))
-        final = system.finalize()
-        return {
-            "slides": slides,
-            "finalize_events": final.movement_events,
-            "synopsis": [repr(p) for p in system.current_synopsis()],
-        }
-
     window = WindowSpec.of_hours(2, 0.5)
-    reference = replay(SurveillanceSystem(
+    with SurveillanceSystem(
         world, small_fleet["specs"],
         SystemConfig(window=window, tracking_backend="scalar"),
-    ))
-    assert any(s[3] for s in reference["slides"]), "no alerts raised"
+    ) as system:
+        reference = replay_transcript(system, small_fleet["stream"])
+    assert any(s["alerts"] for s in reference["slides"]), "no alerts raised"
     with ParallelSurveillanceSystem(
         world, small_fleet["specs"],
         SystemConfig(window=window, tracking_backend="array"),
         shards=shards,
     ) as system:
-        assert replay(system) == reference
+        assert replay_transcript(system, small_fleet["stream"]) == reference
 
 
 # ---------------------------------------------------------------------------
