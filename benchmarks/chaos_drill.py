@@ -46,27 +46,18 @@ RECOVERED_LINE = re.compile(r"recovered (\d+) journaled sentences")
 def build_sentences() -> list[str]:
     """Encode the same fleet the server recognizes into raw AIVDM lines."""
     sys.path.insert(0, str(SRC))
-    from repro.ais import encode_position_report, wrap_aivdm
-    from repro.ais.messages import PositionReport
+    from harness import encode_sentences
+
     from repro.simulator import FleetSimulator, build_aegean_world
 
     simulator = FleetSimulator(
         build_aegean_world(), seed=SEED, duration_seconds=HOURS * 3600
     )
     fleet = simulator.build_mixed_fleet(VESSELS)
-    lines = []
-    for position in simulator.positions(fleet):
-        payload, fill = encode_position_report(PositionReport(
-            message_type=1,
-            mmsi=position.mmsi,
-            lon=position.lon,
-            lat=position.lat,
-            speed_knots=10.0,
-            course_degrees=90.0,
-            second_of_minute=position.timestamp % 60,
-        ))
-        lines.append(f"{position.timestamp}\t{wrap_aivdm(payload, fill)}\n")
-    return lines
+    return [
+        f"{receive_time}\t{sentence}\n"
+        for receive_time, sentence in encode_sentences(simulator.positions(fleet))
+    ]
 
 
 def start_server(wal_dir: Path, log_path: Path) -> tuple:

@@ -6,7 +6,6 @@ Usage::
                     [--window-hours W] [--slide-minutes B]
                     [--spatial-facts] [--pairwise]
                     [--shards N] [--checkpoint-dir PATH]
-                    [--tracking-backend scalar|array]
                     [--kml PATH] [--metrics-json PATH]
     python -m repro --serve [--port P] [--host H]
                     [--wal-dir PATH] [--fsync always|batch|never]
@@ -48,6 +47,7 @@ docs/RESILIENCE.md for sites, kinds, and the recovery guarantees.
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro import obs
 from repro import (
@@ -60,8 +60,18 @@ from repro import (
     compute_trip_statistics,
 )
 from repro.runtime import build_system
-from repro.tracking.backends import DEFAULT_BACKEND, available_backends
 from repro.transport import DEFAULT_TRANSPORT, available_transports
+
+
+def _report_path(value: str) -> str:
+    """``--metrics-json`` must be writable once the run is over."""
+    if not value:
+        raise argparse.ArgumentTypeError("path must not be empty")
+    if not Path(value).absolute().parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory of {value!r} does not exist"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -88,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=1,
                         help="worker shards; >1 selects the process-parallel "
                              "runtime (default: 1, single-process)")
-    parser.add_argument("--tracking-backend", default=DEFAULT_BACKEND,
-                        choices=available_backends(),
-                        help="Mobility Tracker kernel; all backends emit "
-                             "byte-identical events (docs/TRACKING.md) "
-                             f"(default: {DEFAULT_BACKEND})")
     parser.add_argument("--checkpoint-dir", metavar="PATH",
                         help="shard checkpoint directory (with --shards > 1; "
                              "default: a private temporary directory)")
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "sites (replayable by seed; prints the plan)")
     parser.add_argument("--kml", metavar="PATH",
                         help="export the final window synopsis as KML")
-    parser.add_argument("--metrics-json", metavar="PATH",
+    parser.add_argument("--metrics-json", metavar="PATH", type=_report_path,
                         help="enable metrics collection and write the "
                              "observability report (p50/p95 per phase, "
                              "events/sec, compression) to PATH")
@@ -162,7 +167,6 @@ def _build_pipeline_inputs(args: argparse.Namespace):
     specs = {vessel.mmsi: vessel.spec for vessel in fleet}
     config = SystemConfig(
         window=WindowSpec.of_minutes(args.window_hours * 60, args.slide_minutes),
-        tracking_backend=args.tracking_backend,
         spatial_facts=args.spatial_facts,
         pairwise=args.pairwise,
     )

@@ -8,8 +8,7 @@ sorted by location, suppression comments already applied.
 The engine measures itself through the ambient observability registry
 (:mod:`repro.obs`): ``analysis.files`` / ``analysis.diagnostics``
 counters and an ``analysis.rule_seconds.<CODE>`` histogram per rule —
-the numbers behind ``benchmarks/harness.py --lint`` and the
-``static_analysis`` section of ``BENCH_pipeline.json``.
+the numbers ``benchmarks/drills.py lint`` prints.
 
 Discovery prunes ``__pycache__``, hidden directories, and directories
 named ``fixtures`` (the known-bad sample trees under

@@ -17,7 +17,6 @@ endpoints in the same minimal HTTP/1.1 dialect as the per-runtime API
 """
 
 import asyncio
-import json
 from typing import Callable
 from urllib.parse import unquote, urlsplit
 
@@ -25,6 +24,7 @@ from repro.gateway.fanin import FeedFanIn
 from repro.gateway.metrics import federate_prometheus
 from repro.gateway.node import GatewayNode
 from repro.service.feed import FeedHub
+from repro.service.http import serve_request
 from repro.transport.base import Transport, TransportSession
 
 
@@ -158,34 +158,7 @@ class GatewayAggregator:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("ascii", errors="replace").split()
-            if len(parts) != 3:
-                await self._respond(writer, 400, {"error": "malformed request"})
-                return
-            method, target, _version = parts
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if method != "GET":
-                await self._respond(
-                    writer, 405, {"error": f"method {method} not allowed"}
-                )
-                return
-            status, payload, content_type = self._route(target)
-            await self._respond(writer, status, payload, content_type)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        await serve_request(reader, writer, self._route)
 
     def _route(self, target: str):
         path = unquote(urlsplit(target).path).rstrip("/") or "/"
@@ -198,26 +171,3 @@ class GatewayAggregator:
                 "text/plain; version=0.0.4; charset=utf-8",
             )
         return 404, {"error": f"no such endpoint: {path}"}, "application/json"
-
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-    ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed"}
-        if isinstance(payload, str):
-            body = payload.encode()
-        else:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n"
-            f"\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()

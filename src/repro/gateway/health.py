@@ -23,7 +23,7 @@ chaos hooks into a closed loop (docs/GATEWAY.md, docs/RESILIENCE.md):
   network partition pinned to the old endpoint
   (:mod:`repro.transport.chaosnet`).  Every heal is recorded as an
   incident with measured detection and failover latency (the MTTR
-  evidence ``harness --partition-drill`` publishes).
+  evidence ``benchmarks/drills.py partition-drill`` prints).
 
 Heartbeats never touch watermark clocks, the journal, or the scanner —
 the runtime counts and discards them — so supervision leaves the merged

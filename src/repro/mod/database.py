@@ -10,6 +10,7 @@ property Hermes exploits to keep update costs low.
 """
 
 import sqlite3
+import time
 from collections.abc import Iterable
 
 from repro import obs
@@ -155,30 +156,31 @@ class MovingObjectDatabase:
         open-ended residues stay staged, awaiting a destination port
         ("these points will be piling up in the staging table").
 
-        When ``timings`` is given, the seconds spent in segmentation and in
-        loading trips are accumulated under ``"reconstruction"`` and
-        ``"loading"`` — the phase split of Figure 10.
+        When ``timings`` is given, the seconds spent reading and segmenting
+        the staged points and in loading trips are accumulated under
+        ``"reconstruction"`` and ``"loading"`` — the phase split of
+        Figure 10; together they cover the whole call.
         """
         with obs.span("mod.reconstruct"):
             return self._reconstruct(timings)
 
     def _reconstruct(self, timings: dict | None = None) -> int:
         fault_point("mod.reconstruct")
-        import time as _time
-
+        # The reconstruction clock owns whatever loading does not — the
+        # staging reads and loop bookkeeping as well as segmentation — so
+        # the two phases cover the whole call and a slide's timings add up
+        # to the slide (tests/pipeline/test_observability.py).
+        started = time.perf_counter()
         cursor = self._connection.execute("SELECT DISTINCT mmsi FROM staging")
         vessels = [row[0] for row in cursor.fetchall()]
         new_trips = 0
-        reconstruction_seconds = 0.0
         loading_seconds = 0.0
         for mmsi in vessels:
             points = self.staged_points(mmsi)
-            started = _time.perf_counter()
             trips, residue = self._segmenter.segment(points)
-            reconstruction_seconds += _time.perf_counter() - started
             if not trips:
                 continue
-            started = _time.perf_counter()
+            loading_started = time.perf_counter()
             for trip in trips:
                 self._insert_trip(trip)
                 new_trips += 1
@@ -191,10 +193,12 @@ class MovingObjectDatabase:
                 "DELETE FROM staging WHERE mmsi = ? AND timestamp < ?",
                 (mmsi, cutoff),
             )
-            loading_seconds += _time.perf_counter() - started
-        started = _time.perf_counter()
+            loading_seconds += time.perf_counter() - loading_started
+        loading_started = time.perf_counter()
         self._connection.commit()
-        loading_seconds += _time.perf_counter() - started
+        finished = time.perf_counter()
+        loading_seconds += finished - loading_started
+        reconstruction_seconds = finished - started - loading_seconds
         if timings is not None:
             timings["reconstruction"] = (
                 timings.get("reconstruction", 0.0) + reconstruction_seconds

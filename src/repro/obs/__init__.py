@@ -8,7 +8,7 @@ produced.  It has three parts:
 * :mod:`repro.obs.spans` — hierarchical ``with span("name")`` timing
   regions recorded into the registry;
 * :mod:`repro.obs.report` — the machine-readable pipeline report behind
-  ``--metrics-json`` and ``BENCH_pipeline.json``.
+  ``--metrics-json``.
 
 A process-wide default registry starts **disabled** so the instrumented
 hot paths (tracker, compressor, RTEC engine, MOD) cost one branch per
@@ -19,7 +19,7 @@ batch when nobody is measuring.  Enable it globally::
     ...  # run the pipeline
     print(obs.get_registry().snapshot())
 
-or scope a fresh registry to one run (what the bench harness does)::
+or scope a fresh registry to one run (what the CLI and the benchmarks do)::
 
     with obs.activate(obs.MetricsRegistry()) as registry:
         ...  # run

@@ -5,7 +5,7 @@ throughput under scaled arrival rates (Figure 7) and compression ratio
 (Figure 9).  :func:`build_pipeline_report` assembles exactly those numbers
 from a :class:`~repro.obs.registry.MetricsRegistry` that observed a
 :class:`~repro.pipeline.system.SurveillanceSystem` run, in the JSON layout
-that ``--metrics-json`` and ``BENCH_pipeline.json`` share::
+that ``--metrics-json`` writes::
 
     {
       "schema": "repro.obs/pipeline-v1",
@@ -70,7 +70,7 @@ def build_pipeline_report(
         The (enabled) registry that collected the run's metrics.
     config:
         Optional run-configuration dict echoed verbatim into the report,
-        so a ``BENCH_*.json`` records what produced it.
+        so the report records what produced it.
     """
     from repro.pipeline.metrics import PHASES
 

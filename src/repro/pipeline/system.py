@@ -25,7 +25,7 @@ feed :class:`~repro.pipeline.metrics.PhaseTimings` and the
 :class:`~repro.pipeline.metrics.SlideReport` (as before); when the global
 metrics registry is enabled each phase additionally lands in a
 ``pipeline.phase.<name>`` histogram (per-slide p50/p95/p99) plus stream
-counters, which is what ``--metrics-json`` and the bench harness report.
+counters, which is what ``--metrics-json`` reports.
 """
 
 from repro import obs

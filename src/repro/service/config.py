@@ -12,7 +12,7 @@ class ServiceConfig:
 
     Ports set to ``0`` bind ephemerally (the supervisor reports the actual
     port after :meth:`~repro.service.supervisor.ServiceSupervisor.start`),
-    which is what the tests and the benchmark harness use.
+    which is what the tests and the benchmarks use.
     """
 
     host: str = "127.0.0.1"

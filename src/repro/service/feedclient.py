@@ -13,7 +13,7 @@ duplicate-free: byte-identical to an uninterrupted subscription as long
 as the hub's ring still holds the lines missed while away.
 
 Used by ``examples/live_feed.py --resume``, the partition drill
-(``benchmarks/harness.py --partition-drill``) and the feed-resume tests.
+(``benchmarks/drills.py partition-drill``) and the feed-resume tests.
 """
 
 import asyncio

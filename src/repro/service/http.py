@@ -28,6 +28,71 @@ from repro import obs
 from repro.maritime.definitions import ALL_CE_NAMES
 from repro.obs.registry import render_prometheus
 
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed"}
+
+
+async def respond(
+    writer: asyncio.StreamWriter,
+    status: int,
+    payload,
+    content_type: str = "application/json",
+) -> None:
+    """Write one response: a ``str`` payload verbatim, anything else as JSON."""
+    if isinstance(payload, str):
+        body = payload.encode()
+    else:
+        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Error')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        f"Connection: close\r\n"
+        f"\r\n"
+    )
+    writer.write(head.encode("ascii") + body)
+    await writer.drain()
+
+
+async def serve_request(
+    reader: asyncio.StreamReader, writer: asyncio.StreamWriter, route
+) -> None:
+    """Answer the one request of a connection, then close it.
+
+    ``route(target) -> (status, payload, content_type)`` sees well-formed
+    ``GET`` requests only; anything else is answered 400/405 here.  The
+    per-runtime API and the cluster aggregator
+    (:mod:`repro.gateway.aggregator`) both serve through this.
+    """
+    try:
+        request_line = await reader.readline()
+        if not request_line:
+            return
+        parts = request_line.decode("ascii", errors="replace").split()
+        if len(parts) != 3:
+            await respond(writer, 400, {"error": "malformed request"})
+            return
+        method, target, _version = parts
+        # Drain headers; the dialect is GET-only so bodies are ignored.
+        while True:
+            header = await reader.readline()
+            if header in (b"\r\n", b"\n", b""):
+                break
+        if method != "GET":
+            await respond(
+                writer, 405, {"error": f"method {method} not allowed"}
+            )
+            return
+        await respond(writer, *route(target))
+    except (ConnectionResetError, BrokenPipeError):
+        pass
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
 
 class HttpApi:
     """The query/metrics endpoint server."""
@@ -57,38 +122,10 @@ class HttpApi:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            parts = request_line.decode("ascii", errors="replace").split()
-            if len(parts) != 3:
-                await self._respond(writer, 400, {"error": "malformed request"})
-                return
-            method, target, _version = parts
-            # Drain headers; the API is GET-only so bodies are ignored.
-            while True:
-                header = await reader.readline()
-                if header in (b"\r\n", b"\n", b""):
-                    break
-            if method != "GET":
-                await self._respond(
-                    writer, 405, {"error": f"method {method} not allowed"}
-                )
-                return
-            obs.count("service.http.requests")
-            status, payload, content_type = self._route(target)
-            await self._respond(writer, status, payload, content_type)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        await serve_request(reader, writer, self._route)
 
     def _route(self, target: str):
+        obs.count("service.http.requests")
         split = urlsplit(target)
         path = unquote(split.path).rstrip("/") or "/"
         query = parse_qs(split.query)
@@ -169,26 +206,3 @@ class HttpApi:
             {"alerts": entries, "last_seq": ring.last_seq},
             "application/json",
         )
-
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-    ) -> None:
-        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed"}
-        if isinstance(payload, str):
-            body = payload.encode()
-        else:
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'Error')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n"
-            f"\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()

@@ -81,7 +81,7 @@ class SlideGridIndex:
         self._points: dict[int, tuple[float, float]] = {}
         self._cells: dict[tuple[int, int], list[int]] = {}
         #: Ordered candidate pairs examined by the last ``close_pairs``
-        #: call — the O(n·k) cost the benchmark harness records.
+        #: call — the O(n·k) cost behind ``spatial.candidate_pairs``.
         self.candidates_examined = 0
 
     def __len__(self) -> int:

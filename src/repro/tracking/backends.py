@@ -11,9 +11,9 @@ Two interchangeable kernels implement the Mobility Tracker contract:
 
 Both emit byte-identical event streams (see
 ``tests/tracking/test_columnar_parity.py``), so the choice is purely a
-throughput knob: ``SystemConfig.tracking_backend``, the ``repro``
-CLI's ``--tracking-backend`` flag, and the benchmark harness all route
-through :func:`create_tracker`.
+throughput knob, and users are not offered it: ``scalar`` is reached
+through ``SystemConfig.tracking_backend`` by the parity tests and by
+``benchmarks/drills.py tracking-sweep``, both via :func:`create_tracker`.
 """
 
 from repro.tracking.columnar import ColumnarTracker

@@ -4,10 +4,10 @@
 time through a stack of per-detector method calls — clear, but the method
 dispatch, parameter-property recomputation and throwaway
 :class:`VelocityVector` allocations dominate the per-slide tracking cost
-(BENCH_pipeline.json showed tracking at ~29 ms mean per slide against
-~1.4 ms reconstruction).  :class:`ColumnarTracker` keeps the exact same
-event semantics but restructures each slide's work around data instead of
-tuples:
+(a whole-pipeline replay showed tracking at ~29 ms mean per slide
+against ~1.4 ms reconstruction).  :class:`ColumnarTracker` keeps the
+exact same event semantics but restructures each slide's work around
+data instead of tuples:
 
 1. the batch is grouped into **per-MMSI shards** of parallel columns —
    ``lon``/``lat`` plus derived τ / ``cos(lat)`` / ``sin(lat)`` columns

@@ -10,8 +10,8 @@ import pytest
 
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.pipeline.config import SystemConfig
-from repro.service import offline_feed_lines
 from tests.gateway.conftest import feed_gateways, http_get, split_round_robin
+from tests.parity import offline_oracle
 from tests.service.conftest import to_sentences
 
 
@@ -47,7 +47,7 @@ def cluster_sentences(small_fleet):
 @pytest.fixture(scope="module")
 def oracle(cluster_sentences, world, small_fleet, vessel_config):
     """The single-node ground truth for the same sentences."""
-    return offline_feed_lines(
+    return offline_oracle(
         cluster_sentences, world, small_fleet["specs"], config=vessel_config
     )
 

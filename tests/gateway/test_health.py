@@ -17,11 +17,11 @@ from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.gateway.health import ClusterSupervisor, LinkFailureDetector
 from repro.pipeline.config import SystemConfig
 from repro.resilience.retry import BackoffPolicy
-from repro.service import offline_feed_lines
 from repro.service.batcher import SlideBatcher
 from repro.service.protocol import format_heartbeat, parse_heartbeat
 from repro.transport import chaosnet
 from tests.gateway.conftest import http_get, split_round_robin
+from tests.parity import offline_oracle
 from tests.service.conftest import to_sentences
 
 
@@ -307,7 +307,7 @@ class TestSupervisedFailover:
         feed must come out byte-identical to the single-node oracle."""
         config = SystemConfig(ce_scope="vessel")
         sentences = to_sentences(small_fleet["stream"], fragment_every=40)
-        oracle = offline_feed_lines(
+        oracle = offline_oracle(
             sentences, world, small_fleet["specs"], config=config
         )
         streams = split_round_robin(sentences, 2)

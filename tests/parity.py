@@ -1,4 +1,4 @@
-"""The one transcript builder behind every byte-parity suite.
+"""The one transcript builder and offline oracle behind every byte-parity suite.
 
 A transcript is everything a system emits over a stream — per-slide
 reports, the finalize report, the final synopsis, the latest alerts and
@@ -13,6 +13,8 @@ Alerts and movement events hold only scalars, so they compare as they are.
 """
 
 from repro.ais.stream import StreamReplayer, TimedArrival
+from repro.pipeline.config import SystemConfig
+from repro.service import offline_feed_lines
 from repro.service.protocol import point_to_dict
 
 
@@ -61,3 +63,25 @@ def replay_transcript(system, stream, slide_seconds=1800, before_slide=None):
             for trip in database.all_trips()
         ],
     }
+
+
+_ORACLE_LINES: dict[tuple, tuple[str, ...]] = {}
+
+
+def offline_oracle(sentences, world, specs, config=None, shards=1) -> list[str]:
+    """:func:`~repro.service.offline_feed_lines`, replayed once per input.
+
+    The live-service, recovery and gateway suites all compare against the
+    offline replay of the same few sentence streams; the replay is
+    deterministic, so each (sentences, fleet, config, shard count) runs
+    once per session and every caller gets its own copy of the lines.
+    """
+    key = (
+        tuple(sentences), id(world), tuple(specs),
+        config or SystemConfig(), shards,
+    )
+    if key not in _ORACLE_LINES:
+        _ORACLE_LINES[key] = tuple(
+            offline_feed_lines(sentences, world, specs, config, shards)
+        )
+    return list(_ORACLE_LINES[key])

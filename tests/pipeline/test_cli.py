@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` CLI demo."""
 
+import pytest
+
 from repro.__main__ import build_parser, main
 
 
@@ -17,6 +19,17 @@ class TestParser:
         assert args.vessels == 10
         assert args.hours == 2.0
         assert args.spatial_facts
+
+    @pytest.mark.parametrize("path", ["", "no-such-directory/metrics.json"])
+    def test_unwritable_metrics_json_is_a_usage_error(
+        self, path, capsys, tmp_path, monkeypatch
+    ):
+        """Rejected while parsing — before anything is simulated."""
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["--metrics-json", path])
+        assert exit_info.value.code == 2
+        assert "--metrics-json" in capsys.readouterr().err
 
 
 class TestMain:

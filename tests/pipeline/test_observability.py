@@ -69,6 +69,28 @@ class TestRegistryCollection:
             r.movement_events for r in reports
         )
 
+    def test_slide_timings_cover_the_slide_span(self, world, small_fleet):
+        """Σ ``SlideReport.timings`` ≥ 95 % of the ``pipeline.slide`` span.
+
+        The five phase clocks are the pipeline's own account of a slide;
+        work that runs between them (staging reads used to) is a cost no
+        phase owns.  A clock gap is systematic, scheduler noise is not:
+        the best of three replays has to clear the bar.
+        """
+        config = SystemConfig(
+            window=WindowSpec.of_hours(1, 0.25), reconstruct_each_slide=True
+        )
+        coverage = []
+        for _ in range(3):
+            with obs.activate(MetricsRegistry()) as registry:
+                system = SurveillanceSystem(world, small_fleet["specs"], config)
+                reports = run_stream(system, small_fleet["stream"])
+            slide_span = registry.snapshot()["spans"]["pipeline.slide"]
+            assert slide_span["count"] == len(reports)
+            timed = sum(sum(report.timings.values()) for report in reports)
+            coverage.append(timed / slide_span["total"])
+        assert max(coverage) >= 0.95, coverage
+
     def test_span_tree_covers_components(self, world, small_fleet):
         config = SystemConfig(window=WindowSpec.of_hours(1, 0.25))
         with obs.activate(MetricsRegistry()) as registry:

@@ -21,7 +21,8 @@ import pytest
 
 from repro.resilience import FaultPlan, SimulatedCrash, inject
 from repro.resilience.wal import read_journal
-from repro.service import ServiceConfig, ServiceSupervisor, offline_feed_lines
+from repro.service import ServiceConfig, ServiceSupervisor
+from tests.parity import offline_oracle
 
 EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
 
@@ -115,7 +116,7 @@ class TestCrashRecoveryParity:
         assert fired == ["service.slide:crash@3"]
         assert crashed.queue.shed_count == 0
 
-        offline = offline_feed_lines(
+        offline = offline_oracle(
             soak_sentences, world, small_fleet["specs"], shards=shards
         )
         # Everything published before the crash is a clean prefix of the
@@ -174,7 +175,7 @@ class TestWorkerKillChaos:
             )
             assert injector.snapshot()["fired"] == ["runtime.worker:kill@3:1"]
         assert supervisor.system.restart_count() >= 1
-        offline = offline_feed_lines(
+        offline = offline_oracle(
             soak_sentences, world, small_fleet["specs"], shards=2
         )
         assert live == offline

@@ -13,9 +13,9 @@ import time
 
 from repro import obs
 from repro.obs.registry import render_prometheus
-from repro.pipeline.config import SystemConfig
 from repro.pipeline.system import SurveillanceSystem
-from repro.service import ServiceConfig, ServiceSupervisor, offline_feed_lines
+from repro.service import ServiceConfig, ServiceSupervisor
+from tests.parity import offline_oracle
 
 EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
 
@@ -83,7 +83,7 @@ class TestSoakParity:
         supervisor, live = asyncio.run(
             run_live(soak_sentences, world, small_fleet["specs"])
         )
-        offline = offline_feed_lines(
+        offline = offline_oracle(
             soak_sentences, world, small_fleet["specs"]
         )
         assert supervisor.queue.shed_count == 0
@@ -100,14 +100,14 @@ class TestSoakParity:
             run_live(soak_sentences, world, small_fleet["specs"],
                      service=service)
         )
-        offline = offline_feed_lines(
+        offline = offline_oracle(
             soak_sentences, world, small_fleet["specs"], shards=2
         )
         assert supervisor.queue.shed_count == 0
         assert live == offline
         # And the sharded offline replay equals the single-process one —
         # the determinism guarantee the service inherits.
-        assert offline == offline_feed_lines(
+        assert offline == offline_oracle(
             soak_sentences, world, small_fleet["specs"], shards=1
         )
 
@@ -155,5 +155,5 @@ class TestSoakParity:
         # replaying it offline reproduces the live feed byte for byte.
         recorded = supervisor.batcher.ingested
         assert len(recorded) == len(soak_sentences) - supervisor.queue.shed_count
-        offline = offline_feed_lines(recorded, world, small_fleet["specs"])
+        offline = offline_oracle(recorded, world, small_fleet["specs"])
         assert live == offline
