@@ -48,13 +48,15 @@ from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.resilience import IngestJournal
 from repro.runtime import ParallelSurveillanceSystem
 from repro.service import ResumableFeedReader, ServiceConfig, ServiceSupervisor
-from repro.tracking import WindowSpec
-from repro.tracking.backends import available_backends, create_tracker
+from repro.tracking import ColumnarTracker, MobilityTracker, WindowSpec
 from repro.transport import chaosnet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Every drill runs the pipeline under the paper's default window.
 WINDOW = WindowSpec.of_minutes(120, 30)
+#: The two Mobility Tracker kernels the tracking sweep compares: the one
+#: every pipeline runs and the scalar reference it must agree with.
+KERNELS = {"array": ColumnarTracker, "scalar": MobilityTracker}
 
 
 def _slide_batches(stream):
@@ -64,7 +66,7 @@ def _slide_batches(stream):
 
 
 def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
-    """Tracking-kernel throughput per registered backend.
+    """Tracking-kernel throughput, columnar kernel vs scalar reference.
 
     Replays the benchmark stream through every Mobility Tracker kernel in
     *interleaved* rounds (array, scalar, array, ...) and keeps each
@@ -78,7 +80,7 @@ def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
     docs/TRACKING.md): a speedup can never come from dropped or reordered
     work.
     """
-    backends = tuple(available_backends())
+    backends = tuple(KERNELS)
     _, _, stream = benchmark_fleet(fleet_size, duration)
     batches = [batch for _, batch in _slide_batches(stream)]
 
@@ -86,7 +88,7 @@ def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
     event_streams: dict[str, list] = {}
     for _ in range(rounds):
         for name in backends:
-            tracker = create_tracker(backend=name)
+            tracker = KERNELS[name]()
             events = []
             elapsed = 0.0
             for batch in batches:

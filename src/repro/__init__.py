@@ -46,7 +46,7 @@ from repro.maritime import (
 from repro.mod import MovingObjectDatabase, compute_od_matrix, compute_trip_statistics
 from repro.obs import MetricsRegistry
 from repro.pipeline import SlideReport, SurveillanceSystem, SystemConfig
-from repro.reconstruct import StagingArea, TripSegmenter, fleet_rmse, trajectory_rmse
+from repro.reconstruct import TripSegmenter, fleet_rmse, trajectory_rmse
 from repro.rtec import RTEC
 from repro.runtime import ParallelSurveillanceSystem
 from repro.simulator import FleetSimulator, build_aegean_world
@@ -82,7 +82,6 @@ __all__ = [
     "PositionalTuple",
     "RTEC",
     "SlideReport",
-    "StagingArea",
     "StreamReplayer",
     "SurveillanceSystem",
     "SystemConfig",

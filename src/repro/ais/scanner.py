@@ -14,7 +14,7 @@ rejection cause are kept for observability — including fragments that
 never completed, which are *counted*, never silently lost.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import obs
 from repro.ais.messages import decode_payload
@@ -42,7 +42,6 @@ class ScannerStatistics:
     fragmented_dropped: int = 0
     #: Multi-fragment groups successfully reassembled into one message.
     reassembled: int = 0
-    rejection_causes: dict[str, int] = field(default_factory=dict)
 
     @property
     def rejected(self) -> int:
@@ -130,6 +129,10 @@ class DataScanner:
 
     def __init__(self, max_pending_fragments: int = 64) -> None:
         self.statistics = ScannerStatistics()
+        #: Why the latest :meth:`scan` call discarded its sentence — the
+        #: name of the :class:`ScannerStatistics` counter it bumped — or
+        #: ``None`` when it emitted a tuple or buffered a fragment.
+        self.last_rejection: str | None = None
         self._assembler = FragmentAssembler(max_pending_fragments)
 
     def scan(self, receive_time: int, sentence: str) -> PositionalTuple | None:
@@ -141,14 +144,13 @@ class DataScanner:
         multi-fragment messages that is the final fragment's receive time.
         """
         stats = self.statistics
+        self.last_rejection = None
         try:
             parsed = unwrap_aivdm(sentence)
         except ChecksumError:
-            stats.bad_checksum += 1
-            return None
+            return self._reject("bad_checksum")
         except NmeaFormatError:
-            stats.bad_format += 1
-            return None
+            return self._reject("bad_format")
         if parsed.is_fragmented:
             before = self._assembler.dropped_sentences
             parsed = self._assembler.add(parsed)
@@ -161,14 +163,11 @@ class DataScanner:
         try:
             report = decode_payload(parsed.payload, parsed.fill_bits)
         except ValueError:
-            stats.bad_payload += 1
-            return None
+            return self._reject("bad_payload")
         if report is None:
-            stats.unsupported_type += 1
-            return None
+            return self._reject("unsupported_type")
         if not report.has_valid_position():
-            stats.invalid_position += 1
-            return None
+            return self._reject("invalid_position")
         stats.accepted += 1
         return PositionalTuple(
             mmsi=report.mmsi,
@@ -176,6 +175,12 @@ class DataScanner:
             lat=report.lat,
             timestamp=receive_time,
         )
+
+    def _reject(self, cause: str) -> None:
+        """Count one discarded sentence under ``cause`` and name it."""
+        stats = self.statistics
+        setattr(stats, cause, getattr(stats, cause) + 1)
+        self.last_rejection = cause
 
     def scan_many(
         self, sentences: list[tuple[int, str]]

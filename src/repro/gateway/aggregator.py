@@ -27,6 +27,11 @@ from repro.service.feed import FeedHub
 from repro.service.http import serve_request
 from repro.transport.base import Transport, TransportSession
 
+#: Published lines the merged feed (and each runtime feed) keeps for
+#: ``RESUME`` replays — how far back a subscriber can reconnect gapless
+#: (docs/SERVICE.md).
+FEED_REPLAY_RING = 4096
+
 
 class GatewayAggregator:
     """Federated /healthz + /metrics and the merged alert feed."""
@@ -39,8 +44,6 @@ class GatewayAggregator:
         nodes: list[GatewayNode],
         runtime_health: Callable[[], list],
         feed_transport: Transport | None = None,
-        subscriber_queue_size: int = 256,
-        feed_replay_ring: int = 4096,
         supervisor_health: Callable[[], dict | None] | None = None,
     ):
         self.host = host
@@ -51,9 +54,8 @@ class GatewayAggregator:
         self.hub = FeedHub(
             host,
             feed_port,
-            queue_size=subscriber_queue_size,
             transport=feed_transport,
-            replay_ring=feed_replay_ring,
+            replay_ring=FEED_REPLAY_RING,
         )
         self.fanin = FeedFanIn(self._publish)
         #: Every merged line, in order — the parity tests' ground truth.

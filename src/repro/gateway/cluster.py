@@ -21,11 +21,9 @@ replay republishes the pre-crash slides before the feed rebinds, so the
 merged stream resumes without holes or duplicates.
 """
 
-import asyncio
-import contextlib
 from pathlib import Path
 
-from repro.gateway.aggregator import GatewayAggregator
+from repro.gateway.aggregator import FEED_REPLAY_RING, GatewayAggregator
 from repro.gateway.config import GatewayClusterConfig
 from repro.gateway.health import ClusterSupervisor, LinkFailureDetector
 from repro.gateway.node import GatewayNode, RuntimeLink
@@ -68,6 +66,8 @@ class GatewayCluster:
         self._crashed: set[int] = set()
 
     def _service_config(self, index: int) -> ServiceConfig:
+        """One backend runtime's service: only what a cluster member
+        needs set differently from a stand-alone service."""
         cfg = self.cluster
         wal_dir = None
         if cfg.wal_root is not None:
@@ -81,10 +81,8 @@ class GatewayCluster:
             feed_transport=cfg.backend_transport,
             watermark_sources=cfg.gateways,
             ingest_queue_size=cfg.ingest_queue_size,
-            subscriber_queue_size=cfg.subscriber_queue_size,
             wal_dir=wal_dir,
-            drain_timeout_seconds=cfg.drain_timeout_seconds,
-            feed_replay_ring=cfg.feed_replay_ring,
+            feed_replay_ring=FEED_REPLAY_RING,
         )
 
     # ------------------------------------------------------------------
@@ -130,8 +128,6 @@ class GatewayCluster:
             self.nodes,
             self._runtime_health,
             feed_transport=create_transport(cfg.transport),
-            subscriber_queue_size=cfg.subscriber_queue_size,
-            feed_replay_ring=cfg.feed_replay_ring,
             supervisor_health=self._supervisor_health,
         )
         await self.aggregator.start()
@@ -198,18 +194,8 @@ class GatewayCluster:
     async def crash_runtime(self, index: int) -> None:
         """Kill one runtime abruptly: no drain, no finalize.  Its journal
         survives for the restarted incarnation to replay."""
-        supervisor = self.supervisors[index]
         self._crashed.add(index)
-        task = supervisor._batcher_task
-        if task is not None:
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError, Exception):
-                await task
-        supervisor.batcher.abort()
-        await supervisor.ingest.stop()
-        await supervisor.feed.close()
-        await supervisor.http.stop()
-        supervisor.system.close()
+        await self.supervisors[index].abort()
 
     async def restart_runtime(self, index: int) -> None:
         """Bring a crashed runtime back on its own journal, repoint every

@@ -33,12 +33,6 @@ class GatewayClusterConfig:
     feed_port: int = 0
     #: Cluster ``/healthz`` + federated ``/metrics`` port.
     http_port: int = 0
-    #: Lines buffered per merged-feed subscriber before eviction.
-    subscriber_queue_size: int = 256
-    #: Published lines the merged feed (and each runtime feed) keeps for
-    #: ``RESUME`` replays — how far back a subscriber can reconnect
-    #: gapless (docs/SERVICE.md).
-    feed_replay_ring: int = 4096
     #: Unbroken delivery-failure seconds after which a gateway→runtime
     #: link is declared ``down`` and the cluster supervisor intervenes
     #: (:mod:`repro.gateway.health`).
@@ -47,8 +41,6 @@ class GatewayClusterConfig:
     #: durability); runtime ``i`` journals under ``<wal_root>/runtime<i>``
     #: and a restarted runtime replays its own journal.
     wal_root: str | None = None
-    #: Per-runtime graceful-drain deadline.
-    drain_timeout_seconds: float = 30.0
 
     def __post_init__(self) -> None:
         if self.gateways < 1:
@@ -71,21 +63,7 @@ class GatewayClusterConfig:
             raise ValueError(
                 f"ingest_queue_size must be positive: {self.ingest_queue_size}"
             )
-        if self.subscriber_queue_size <= 0:
-            raise ValueError(
-                f"subscriber_queue_size must be positive: "
-                f"{self.subscriber_queue_size}"
-            )
-        if self.feed_replay_ring <= 0:
-            raise ValueError(
-                f"feed_replay_ring must be positive: {self.feed_replay_ring}"
-            )
         if self.link_down_seconds <= 0:
             raise ValueError(
                 f"link_down_seconds must be positive: {self.link_down_seconds}"
-            )
-        if self.drain_timeout_seconds <= 0:
-            raise ValueError(
-                f"drain_timeout_seconds must be positive: "
-                f"{self.drain_timeout_seconds}"
             )

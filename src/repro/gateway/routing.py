@@ -3,7 +3,8 @@
 The cluster's byte-identity contract rests on one invariant: every
 sentence of a vessel reaches the *same* backend runtime, in order.  The
 router decides ownership from the MMSI carried in bits 8–38 of any AIS
-payload, without decoding the rest of the message.
+payload, without decoding the rest of the message, and hashes it with
+the sharded runtime's own :func:`~repro.runtime.shard.shard_for_mmsi`.
 
 Multi-fragment messages only carry the MMSI in their first fragment, so
 the router remembers ``(channel, message id)`` of an opened fragment
@@ -18,19 +19,11 @@ like a single node's would.
 from repro.ais.nmea import unwrap_aivdm
 from repro.ais.sixbit import payload_to_bits
 from repro.obs.registry import MetricsRegistry
-
-#: Knuth's multiplicative hash constant; spreads consecutive MMSIs
-#: (fleets are often numbered in blocks) evenly across backends.
-_KNUTH = 2654435761
+from repro.runtime.shard import shard_for_mmsi
 
 #: Open fragment groups remembered at once; beyond this the oldest is
 #: evicted (and counted) — an abandoned group must not leak memory.
 PENDING_FRAGMENT_CAPACITY = 1024
-
-
-def shard_for_mmsi(mmsi: int, shards: int) -> int:
-    """The backend runtime owning a vessel."""
-    return ((mmsi * _KNUTH) & 0xFFFFFFFF) % shards
 
 
 def mmsi_of_payload(payload: str, fill_bits: int) -> int | None:

@@ -11,7 +11,7 @@ that ``--metrics-json`` writes::
       "schema": "repro.obs/pipeline-v1",
       "slides": 24,
       "phases": {"tracking": {"p50_ms": ..., "p95_ms": ..., ...}, ...},
-      "tracking": {"backend": "array", "positions_per_sec": ...},
+      "tracking": {"positions_per_sec": ...},
       "throughput": {"positions_per_sec": ..., "events_per_sec": ..., ...},
       "compression_ratio": 0.94,
       "metrics": {... full registry snapshot ...},
@@ -100,7 +100,6 @@ def build_pipeline_report(
         "slides": system.timings.slides,
         "phases": phases,
         "tracking": {
-            "backend": system.config.tracking_backend,
             "positions_per_sec": (
                 raw_positions / tracking_seconds
                 if tracking_seconds > 0

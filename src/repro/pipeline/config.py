@@ -22,10 +22,6 @@ class SystemConfig:
         default_factory=lambda: WindowSpec.of_hours(1, 1 / 6)
     )
     tracking: TrackingParameters = field(default_factory=TrackingParameters)
-    #: Mobility Tracker kernel (``scalar`` or ``array``); both emit
-    #: byte-identical event streams, so this is purely a throughput knob.
-    #: See :mod:`repro.tracking.backends`.
-    tracking_backend: str = "array"
     maritime: MaritimeConfig = field(default_factory=MaritimeConfig)
     recognition_window_seconds: int | None = None
     #: Run CE recognition with the spatial-facts stream of Figure 11(b).

@@ -37,7 +37,7 @@ from repro.pipeline.config import SystemConfig
 from repro.pipeline.metrics import PhaseTimings, SlideReport
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import WorldModel
-from repro.tracking.backends import create_tracker
+from repro.tracking.columnar import ColumnarTracker
 from repro.tracking.compressor import Compressor
 from repro.tracking.exporter import TrajectoryExporter
 from repro.tracking.types import CriticalPoint
@@ -77,9 +77,7 @@ class SurveillanceSystem:
 
     def _start_stages(self, specs: dict[int, VesselSpec]) -> None:
         """Build what tracks, compresses and recognizes."""
-        self.tracker = create_tracker(
-            self.config.tracking, self.config.tracking_backend
-        )
+        self.tracker = ColumnarTracker(self.config.tracking)
         self.compressor = Compressor(self.config.window)
         #: Fleet-wide compression accounting, as the reports read it.
         self.statistics = self.compressor.statistics
@@ -263,10 +261,6 @@ class SurveillanceSystem:
                 "tracking.positions_per_second",
                 raw_positions / tracking_seconds,
             )
-        # Prometheus info pattern: the active kernel as a unit gauge.
-        registry.set_gauge(
-            f"tracking.backend_info.{self.config.tracking_backend}", 1.0
-        )
 
     # ------------------------------------------------------------------
     # outputs

@@ -143,6 +143,13 @@ def read_wal(
     return records, stats
 
 
+#: WAL segment rotation threshold, bytes.
+SEGMENT_MAX_BYTES = 4 * 1024 * 1024
+#: Closed WAL segments kept on disk (0 = unlimited).  Bounds disk use at
+#: the cost of how far back a restart can replay.
+RETENTION_SEGMENTS = 0
+
+
 class WriteAheadLog:
     """Segmented append-only journal with CRC framing and rotation.
 
@@ -166,8 +173,8 @@ class WriteAheadLog:
         self,
         directory: str | Path,
         fsync: str = "batch",
-        segment_max_bytes: int = 4 * 1024 * 1024,
-        retention_segments: int = 0,
+        segment_max_bytes: int = SEGMENT_MAX_BYTES,
+        retention_segments: int = RETENTION_SEGMENTS,
         name: str = "wal",
     ):
         if fsync not in FSYNC_POLICIES:
@@ -368,16 +375,8 @@ class IngestJournal:
         self,
         directory: str | Path,
         fsync: str = "batch",
-        segment_max_bytes: int = 4 * 1024 * 1024,
-        retention_segments: int = 0,
     ):
-        self.wal = WriteAheadLog(
-            directory,
-            fsync=fsync,
-            segment_max_bytes=segment_max_bytes,
-            retention_segments=retention_segments,
-            name="wal",
-        )
+        self.wal = WriteAheadLog(directory, fsync=fsync, name="wal")
         #: The sentences recovered from a previous incarnation, in order.
         self.recovered: list[tuple[int, str]] = [
             self._decode(record.payload) for record in self.wal.recovered

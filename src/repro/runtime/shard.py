@@ -33,13 +33,15 @@ from repro.maritime.partition import partition_world
 from repro.simulator.world import WorldModel
 from repro.tracking.types import MovementEvent
 
-#: Knuth's multiplicative constant (2^32 / phi), for MMSI mixing.
+#: Knuth's multiplicative constant (2^32 / phi), for MMSI mixing; spreads
+#: consecutive MMSIs (fleets are often numbered in blocks) evenly.
 _MIX = 2654435761
 _MASK = 0xFFFFFFFF
 
 
 def shard_for_mmsi(mmsi: int, shards: int) -> int:
-    """The tracking shard owning a vessel; deterministic across processes."""
+    """The tracking shard — or, in a gateway cluster, the backend runtime —
+    owning a vessel; deterministic across processes."""
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     return ((mmsi * _MIX) & _MASK) % shards

@@ -31,6 +31,24 @@ from repro.resilience.retry import BackoffPolicy
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.worker import worker_main
 
+#: Depth of each worker's bounded command and reply queues; a full
+#: command queue blocks the producer, and every stall is counted.
+QUEUE_CAPACITY = 16
+#: Resurrections of one shard before the supervisor gives up with
+#: :class:`WorkerUnrecoverable`.
+MAX_RESTARTS = 5
+#: How long a live worker may stay silent (or its queue stay full) before
+#: the wait is abandoned with ``TimeoutError``.
+REPLY_TIMEOUT_SECONDS = 120.0
+#: Respawn delay grows with consecutive restarts of the same shard: a
+#: worker that dies instantly every time must not busy-loop the
+#: supervisor.  Deterministic (no jitter) like every retry schedule in
+#: this tree.
+RESTART_BACKOFF = BackoffPolicy(
+    initial_seconds=0.02, multiplier=2.0, max_seconds=1.0,
+    max_attempts=MAX_RESTARTS + 1,
+)
+
 
 class WorkerCrash(RuntimeError):
     """A worker process died before answering."""
@@ -65,34 +83,15 @@ class Supervisor:
         shards: int,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 4,
-        queue_capacity: int = 16,
-        max_restarts: int = 5,
-        reply_timeout_seconds: float = 120.0,
-        start_method: str | None = None,
-        restart_backoff: BackoffPolicy | None = None,
-        sleep=time.sleep,
     ):
         self._worker_args = worker_args
         self.shards = shards
         self.checkpoint_dir = checkpoint_dir
         self.checkpoint_every = checkpoint_every
-        self.queue_capacity = queue_capacity
-        self.max_restarts = max_restarts
-        self.reply_timeout_seconds = reply_timeout_seconds
-        # Respawn delay grows with consecutive restarts of the same shard:
-        # a worker that dies instantly every time must not busy-loop the
-        # supervisor.  Deterministic (no jitter) like every retry schedule
-        # in this tree; `sleep` is injectable so tests run at full speed.
-        self.restart_backoff = restart_backoff or BackoffPolicy(
-            initial_seconds=0.02, multiplier=2.0, max_seconds=1.0,
-            max_attempts=max_restarts + 1,
+        self.max_restarts = MAX_RESTARTS
+        self._ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         )
-        self._sleep = sleep
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in mp.get_all_start_methods() else "spawn"
-            )
-        self._ctx = mp.get_context(start_method)
         self._handles = [_WorkerHandle(i) for i in range(shards)]
         self._started = False
         if checkpoint_dir is not None:
@@ -178,12 +177,6 @@ class Supervisor:
             for handle, seq in zip(self._handles, seqs)
         ]
 
-    def request_one(self, shard_id: int, kind: str, *payload) -> dict:
-        """Issue a single command to one worker and await its reply."""
-        handle = self._handles[shard_id]
-        seq = self._send(handle, (kind, *payload))
-        return self._collect(handle, seq)
-
     def inject_failure(self, shard_id: int) -> None:
         """Failure-injection hook: the worker hard-exits (``os._exit``)
         while consuming its next ``track`` command — mid-slide, with the
@@ -204,8 +197,8 @@ class Supervisor:
         may still hold commands it never consumed, which must not leak
         into the replacement's replay sequence.
         """
-        handle.command_queue = self._ctx.Queue(maxsize=self.queue_capacity)
-        handle.reply_queue = self._ctx.Queue(maxsize=self.queue_capacity)
+        handle.command_queue = self._ctx.Queue(maxsize=QUEUE_CAPACITY)
+        handle.reply_queue = self._ctx.Queue(maxsize=QUEUE_CAPACITY)
         handle.process = self._ctx.Process(
             target=worker_main,
             args=(
@@ -244,7 +237,7 @@ class Supervisor:
         except queue_module.Full:
             registry.inc("runtime.backpressure_stalls")
             registry.inc(f"runtime.shard.{handle.shard_id}.backpressure_stalls")
-        deadline = time.monotonic() + self.reply_timeout_seconds
+        deadline = time.monotonic() + REPLY_TIMEOUT_SECONDS
         while True:
             try:
                 handle.command_queue.put(command, timeout=0.2)
@@ -268,11 +261,15 @@ class Supervisor:
         handle.delivered = max(handle.delivered, want_seq)
         return payload
 
-    def _await_reply(self, handle: _WorkerHandle, want_seq: int) -> dict:
-        deadline = time.monotonic() + self.reply_timeout_seconds
+    def _await_reply(
+        self, handle: _WorkerHandle, want_seq: int, accept_ignored: bool = False
+    ) -> dict:
+        """The reply to ``want_seq``; during a replay an ``ignored``
+        acknowledgement (the checkpoint already covers it) counts too."""
+        deadline = time.monotonic() + REPLY_TIMEOUT_SECONDS
         while True:
             try:
-                shard_id, seq, payload = handle.reply_queue.get(timeout=0.2)
+                _, seq, payload = handle.reply_queue.get(timeout=0.2)
             except queue_module.Empty:
                 if not handle.process.is_alive():
                     raise WorkerCrash(
@@ -287,7 +284,9 @@ class Supervisor:
             if "checkpoint_cursor" in payload:
                 self._trim_history(handle, payload["checkpoint_cursor"])
                 continue
-            if seq == want_seq and not payload.get("ignored"):
+            if seq == want_seq and (
+                accept_ignored or not payload.get("ignored")
+            ):
                 return payload
             # Duplicate of an already-delivered command, or a reply to a
             # fire-and-forget command (poison): discard.
@@ -311,12 +310,12 @@ class Supervisor:
             handle.restarts += 1
             registry.inc("runtime.restarts")
             registry.inc(f"runtime.shard.{handle.shard_id}.restarts")
-            delay = self.restart_backoff.delay_for(
-                min(handle.restarts, self.restart_backoff.max_attempts)
+            delay = RESTART_BACKOFF.delay_for(
+                min(handle.restarts, RESTART_BACKOFF.max_attempts)
             )
             if delay:
                 obs.observe("runtime.restart_backoff_seconds", delay)
-                self._sleep(delay)
+                time.sleep(delay)
             if handle.process is not None:
                 handle.process.join(timeout=2.0)
             self._spawn(handle)
@@ -329,7 +328,9 @@ class Supervisor:
         wanted: dict | None = None
         for command in list(handle.history):
             self._put(handle, command)
-            payload = self._await_reply_any(handle, command[1])
+            payload = self._await_reply(
+                handle, command[1], accept_ignored=True
+            )
             if command[1] == want_seq and not payload.get("ignored"):
                 wanted = payload
         if wanted is None:
@@ -337,28 +338,6 @@ class Supervisor:
                 f"shard {handle.shard_id} replay never answered seq {want_seq}"
             )
         return wanted
-
-    def _await_reply_any(self, handle: _WorkerHandle, seq: int) -> dict:
-        """Like :meth:`_await_reply` but accepts ``ignored`` replies."""
-        deadline = time.monotonic() + self.reply_timeout_seconds
-        while True:
-            try:
-                _, got_seq, payload = handle.reply_queue.get(timeout=0.2)
-            except queue_module.Empty:
-                if not handle.process.is_alive():
-                    raise WorkerCrash(
-                        f"shard {handle.shard_id} died during replay"
-                    ) from None
-                if time.monotonic() > deadline:
-                    raise TimeoutError(
-                        f"shard {handle.shard_id} replay stuck at seq {seq}"
-                    ) from None
-                continue
-            if "checkpoint_cursor" in payload:
-                self._trim_history(handle, payload["checkpoint_cursor"])
-                continue
-            if got_seq == seq:
-                return payload
 
     def _trim_history(self, handle: _WorkerHandle, cursor: int) -> None:
         handle.history = [

@@ -77,8 +77,6 @@ class ParallelSurveillanceSystem(SurveillanceSystem):
         shards: int = 2,
         checkpoint_dir: str | None = None,
         checkpoint_every: int = 4,
-        queue_capacity: int = 16,
-        start_method: str | None = None,
     ):
         config = config or SystemConfig()
         self.shards = shards
@@ -96,8 +94,6 @@ class ParallelSurveillanceSystem(SurveillanceSystem):
             shards=shards,
             checkpoint_dir=self.checkpoint_dir,
             checkpoint_every=checkpoint_every,
-            queue_capacity=queue_capacity,
-            start_method=start_method,
         )
         #: Fleet-wide compression accounting, summed over the shards.
         self.statistics = CompressionStatistics()

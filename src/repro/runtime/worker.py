@@ -1,8 +1,7 @@
 """The shard worker: one process, one tracking shard, one recognition band.
 
-Worker *i* owns the Mobility Tracker (whichever kernel
-``SystemConfig.tracking_backend`` selects through
-:func:`~repro.tracking.backends.create_tracker`) and the
+Worker *i* owns the Mobility Tracker
+(:class:`~repro.tracking.columnar.ColumnarTracker`) and the
 :class:`~repro.tracking.compressor.Compressor` for the vessels hashed to
 shard *i*, plus the :class:`~repro.maritime.recognizer.MaritimeRecognizer`
 for longitude band *i* of the partitioned world.  It is driven over a
@@ -34,7 +33,7 @@ from repro.pipeline.config import SystemConfig
 from repro.runtime.checkpoint import CheckpointStore
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import WorldModel
-from repro.tracking.backends import create_tracker
+from repro.tracking.columnar import ColumnarTracker
 from repro.tracking.compressor import Compressor
 
 #: Exit code of a worker killed through the failure-injection hook.
@@ -61,7 +60,7 @@ class ShardWorker:
         self.world = world
         self.specs = specs
         self.config = config
-        self.tracker = create_tracker(config.tracking, config.tracking_backend)
+        self.tracker = ColumnarTracker(config.tracking)
         self.compressor = Compressor(config.window)
         self.band = partition_world(world, shards)[shard_id]
         self.recognizer = MaritimeRecognizer(

@@ -48,7 +48,6 @@ from repro.ais.scanner import DataScanner
 from repro.pipeline.metrics import SlideReport
 from repro.resilience.faults import InjectedFault, SimulatedCrash, fault_point
 from repro.service.protocol import parse_heartbeat, parse_watermark
-from repro.service.quarantine import REASONS
 
 
 class SlideBatcher:
@@ -157,8 +156,12 @@ class SlideBatcher:
             return
         if self._record_ingest:
             self.ingested.append((receive_time, sentence))
-        position = self._scan(receive_time, sentence)
+        position = self.scanner.scan(receive_time, sentence)
         if position is None:
+            reason = self.scanner.last_rejection
+            # None = a fragment still waiting for the rest of its group.
+            if reason is not None and self.deadletter is not None:
+                self.deadletter.quarantine(receive_time, sentence, reason)
             return
         self._on_position(position)
         arrival = receive_time
@@ -246,20 +249,6 @@ class SlideBatcher:
     def watermark_clocks(self) -> dict[str, int]:
         """Last watermark per source (health/diagnostics snapshot)."""
         return dict(self._wm_clocks)
-
-    def _scan(self, receive_time: int, sentence: str):
-        """Scan one sentence, quarantining anything the scanner rejects."""
-        if self.deadletter is None:
-            return self.scanner.scan(receive_time, sentence)
-        stats = self.scanner.statistics
-        before = {reason: getattr(stats, reason) for reason in REASONS}
-        position = self.scanner.scan(receive_time, sentence)
-        if position is None:
-            for reason in REASONS:
-                if getattr(stats, reason) > before[reason]:
-                    self.deadletter.quarantine(receive_time, sentence, reason)
-                    break
-        return position
 
     async def drain(self) -> None:
         """Flush the last partial slide and run end-of-stream finalize."""

@@ -47,8 +47,6 @@ class ServiceConfig:
     #: replays: how far back an evicted or disconnected subscriber can
     #: reconnect gapless (docs/SERVICE.md).
     feed_replay_ring: int = 1024
-    #: Recent complex events kept for ``/alerts?since=``.
-    alert_ring_size: int = 1024
     #: Worker shards; >1 embeds the process-parallel runtime
     #: (:class:`repro.runtime.ParallelSurveillanceSystem`).
     shards: int = 1
@@ -67,11 +65,6 @@ class ServiceConfig:
     #: WAL fsync policy: ``always`` | ``batch`` (fsync at each slide
     #: boundary) | ``never``.
     wal_fsync: str = "batch"
-    #: WAL segment rotation threshold, bytes.
-    wal_segment_bytes: int = 4 * 1024 * 1024
-    #: Closed WAL segments kept on disk (0 = unlimited).  Bounds disk
-    #: use at the cost of how far back a restart can replay.
-    wal_retention_segments: int = 0
     #: Graceful-drain deadline; past it the supervisor force-aborts the
     #: in-flight pipeline slide instead of hanging on shutdown.
     drain_timeout_seconds: float = 30.0
@@ -80,14 +73,6 @@ class ServiceConfig:
     #: A pipeline slide running longer than this is declared stalled and
     #: the watchdog intervenes (0 = watchdog disabled).
     watchdog_timeout_seconds: float = 0.0
-    #: MOD circuit breaker: consecutive write failures before opening.
-    mod_failure_threshold: int = 3
-    #: MOD circuit breaker: seconds open before admitting a probe.
-    mod_recovery_seconds: float = 5.0
-    #: MOD write retry budget (attempts, including the first).
-    mod_retry_attempts: int = 3
-    #: First MOD retry delay; doubles per attempt, capped at 1s.
-    mod_retry_initial_seconds: float = 0.02
 
     def __post_init__(self) -> None:
         if self.ingest_queue_size <= 0:
@@ -123,10 +108,6 @@ class ServiceConfig:
             raise ValueError(
                 f"wal_fsync must be one of {FSYNC_POLICIES}: "
                 f"{self.wal_fsync!r}"
-            )
-        if self.wal_segment_bytes <= 0:
-            raise ValueError(
-                f"wal_segment_bytes must be positive: {self.wal_segment_bytes}"
             )
         if self.drain_timeout_seconds <= 0:
             raise ValueError(

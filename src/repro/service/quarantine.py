@@ -16,19 +16,11 @@ from dataclasses import dataclass
 
 from repro import obs
 
-#: Classification reasons, mirroring the scanner's rejection counters.
-REASONS = (
-    "bad_checksum",
-    "bad_format",
-    "bad_payload",
-    "unsupported_type",
-    "invalid_position",
-)
-
 
 @dataclass(frozen=True)
 class DeadLetter:
-    """One quarantined sentence."""
+    """One quarantined sentence; ``reason`` is the scanner's
+    :attr:`~repro.ais.scanner.DataScanner.last_rejection`."""
 
     receive_time: int
     sentence: str

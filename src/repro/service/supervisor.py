@@ -34,6 +34,7 @@ the host's shutdown forever.
 """
 
 import asyncio
+import contextlib
 import signal
 from pathlib import Path
 
@@ -54,6 +55,18 @@ from repro.service.protocol import slide_feed_line
 from repro.service.quarantine import DeadLetterBuffer
 from repro.service.state import AlertRing, VesselStateStore
 from repro.transport.registry import create_transport
+
+#: Recent complex events kept for ``/alerts?since=``.
+ALERT_RING_SIZE = 1024
+#: MOD circuit breaker: consecutive write failures before opening.
+MOD_FAILURE_THRESHOLD = 3
+#: MOD circuit breaker: seconds open before admitting a probe.
+MOD_RECOVERY_SECONDS = 5.0
+#: MOD write retry budget: three attempts including the first; the first
+#: retry waits 20 ms, doubling per attempt, capped at 1 s.
+MOD_RETRY = BackoffPolicy(
+    initial_seconds=0.02, multiplier=2.0, max_seconds=1.0, max_attempts=3
+)
 
 
 class ServiceSupervisor:
@@ -91,7 +104,7 @@ class ServiceSupervisor:
             self.service.checkpoint_dir,
         )
         self.vessels = VesselStateStore()
-        self.alert_ring = AlertRing(self.service.alert_ring_size)
+        self.alert_ring = AlertRing(ALERT_RING_SIZE)
         self.queue = IngestQueue(self.service.ingest_queue_size)
         self.ingest = IngestServer(
             self.queue,
@@ -140,10 +153,7 @@ class ServiceSupervisor:
         if self.service.wal_dir is None:
             return None
         return IngestJournal(
-            self.service.wal_dir,
-            fsync=self.service.wal_fsync,
-            segment_max_bytes=self.service.wal_segment_bytes,
-            retention_segments=self.service.wal_retention_segments,
+            self.service.wal_dir, fsync=self.service.wal_fsync
         )
 
     def _guard_database(self) -> GuardedDatabase:
@@ -164,15 +174,10 @@ class ServiceSupervisor:
             self.system.database,
             breaker=CircuitBreaker(
                 name="mod",
-                failure_threshold=self.service.mod_failure_threshold,
-                recovery_seconds=self.service.mod_recovery_seconds,
+                failure_threshold=MOD_FAILURE_THRESHOLD,
+                recovery_seconds=MOD_RECOVERY_SECONDS,
             ),
-            policy=BackoffPolicy(
-                initial_seconds=self.service.mod_retry_initial_seconds,
-                multiplier=2.0,
-                max_seconds=1.0,
-                max_attempts=self.service.mod_retry_attempts,
-            ),
+            policy=MOD_RETRY,
             spill=spill,
         )
         self.system.database = guard
@@ -272,15 +277,36 @@ class ServiceSupervisor:
             )
         except asyncio.TimeoutError:
             self.forced_abort = True
-            if self._batcher_task is not None:
-                self._batcher_task.cancel()
-            self.batcher.abort()
-        # 3. Disconnect subscribers after the final lines are queued.
+            await self.abort()
+            return
+        await self._release()
+
+    async def abort(self) -> None:
+        """No-drain teardown: nothing further is flushed or finalized and
+        the journal keeps its segments for the next incarnation to replay.
+
+        What a drain past its deadline falls back to, and what the
+        cluster's crash hook calls to kill one runtime abruptly.
+        """
+        self._stopped = True
+        if self._watchdog_task is not None:
+            self._watchdog_task.cancel()
+        if self._batcher_task is not None:
+            self._batcher_task.cancel()
+            with contextlib.suppress(asyncio.CancelledError, Exception):
+                await self._batcher_task
+        self.batcher.abort()
+        await self.ingest.stop()
+        await self._release()
+
+    async def _release(self) -> None:
+        """Close the read surfaces, then the pipeline."""
+        # Disconnect subscribers after the final lines are queued.
         await self.feed.close()
         await self.http.stop()
-        # 4. Release the pipeline: shard workers and checkpoints first,
-        #    then the MOD connection (staging flushed by finalize above;
-        #    closing the guard also closes the spill queue).
+        # Shard workers and checkpoints first, then the MOD connection
+        # (staging flushed by finalize on a clean drain; closing the guard
+        # also closes the spill queue).
         self.system.close()
         obs.set_gauge("service.up", 0)
 

@@ -33,8 +33,6 @@ Positions rejected mid-run (out-of-sequence or off-course) break the
 consecutive-pair chain; the fused loop then recomputes that one pair
 inline against the true previous position and re-enters the precomputed
 stream at the next accepted tuple.
-
-Backend construction and selection live in :mod:`repro.tracking.backends`.
 """
 
 import math
@@ -147,12 +145,8 @@ class ColumnarTracker:
     Drop-in for :class:`~repro.tracking.tracker.MobilityTracker`: the same
     constructor, ``process`` / ``process_batch`` / ``finalize`` surface,
     the same :class:`TrackerStatistics`, and — the load-bearing property —
-    the same events in the same order for the same input.  Selected as the
-    ``"array"`` backend through
-    :func:`repro.tracking.backends.create_tracker`.
+    the same events in the same order for the same input.
     """
-
-    backend_name = "array"
 
     def __init__(self, parameters: TrackingParameters | None = None):
         self.parameters = parameters or TrackingParameters()

@@ -96,8 +96,6 @@ class MobilityTracker:
     partitioning the fleet across tracker instances.
     """
 
-    backend_name = "scalar"
-
     def __init__(self, parameters: TrackingParameters | None = None):
         self.parameters = parameters or TrackingParameters()
         self.statistics = TrackerStatistics()

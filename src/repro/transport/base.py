@@ -26,6 +26,7 @@ will carry: ``"ingest"`` sessions move client→server lines,
 """
 
 import abc
+import asyncio
 
 
 class TransportError(Exception):
@@ -80,6 +81,30 @@ class Transport(abc.ABC):
     async def connect(self, host: str, port: int, mode: str) -> TransportSession:
         """Client side: dial and handshake; raises ``OSError`` or
         :class:`TransportError` when the endpoint is unreachable."""
+
+
+async def read_http_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, dict] | None:
+    """One HTTP request/response head as ``(start_line, lowercased
+    headers)``; ``None`` when the peer hung up first or the head
+    outgrew the stream's read limit."""
+    try:
+        raw = await reader.readuntil(b"\r\n\r\n")
+    except (
+        asyncio.IncompleteReadError,
+        asyncio.LimitOverrunError,
+        ConnectionResetError,
+        OSError,
+    ):
+        return None
+    lines = raw.decode("latin-1").split("\r\n")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, sep, value = line.partition(":")
+        if sep:
+            headers[name.strip().lower()] = value.strip()
+    return lines[0], headers
 
 
 def check_mode(mode: str) -> str:

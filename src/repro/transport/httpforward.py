@@ -32,6 +32,7 @@ from repro.transport.base import (
     TransportError,
     TransportSession,
     check_mode,
+    read_http_head,
 )
 from repro.transport.tcp import CLIENT_READ_LIMIT
 
@@ -40,26 +41,6 @@ DEFAULT_BATCH_LINES = 256
 
 #: Largest request body the server will read (1 MiB of sentences).
 MAX_BODY_BYTES = 1 << 20
-
-
-async def _read_head(reader: asyncio.StreamReader) -> tuple[str, dict] | None:
-    """One request/response head, or ``None`` at EOF."""
-    try:
-        raw = await reader.readuntil(b"\r\n\r\n")
-    except (
-        asyncio.IncompleteReadError,
-        asyncio.LimitOverrunError,
-        ConnectionResetError,
-        OSError,
-    ):
-        return None
-    lines = raw.decode("latin-1").split("\r\n")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return lines[0], headers
 
 
 class HttpIngestServerSession(TransportSession):
@@ -80,7 +61,7 @@ class HttpIngestServerSession(TransportSession):
         return line
 
     async def _read_batch(self) -> bool:
-        head = await _read_head(self.reader)
+        head = await read_http_head(self.reader)
         if head is None:
             return False
         request, headers = head
@@ -160,7 +141,7 @@ class HttpIngestClientSession(TransportSession):
             + body
         )
         await writer.drain()
-        head = await _read_head(reader)
+        head = await read_http_head(reader)
         if head is None:
             raise TransportError("server closed mid-request")
         status = head[0]
@@ -224,7 +205,7 @@ class HttpFeedServerSession(TransportSession):
         self.resume_seq: int | None = None
 
     async def start(self) -> bool:
-        head = await _read_head(self.reader)
+        head = await read_http_head(self.reader)
         if head is None or not head[0].upper().startswith("GET"):
             return False
         target = head[0].split(" ")[1] if " " in head[0] else ""
@@ -383,7 +364,7 @@ class HttpForwardTransport(Transport):
             ).encode("ascii")
         )
         await writer.drain()
-        head = await _read_head(reader)
+        head = await read_http_head(reader)
         if head is None or " 200 " not in head[0] + " ":
             raise TransportError(
                 f"feed subscription refused: {head[0] if head else 'EOF'!r}"

@@ -1,10 +1,9 @@
 """The transport registry: names to adapter factories.
 
-Mirrors :mod:`repro.tracking.backends`: a flat name→factory map, a
-``create_transport`` lookup with a helpful error, and
-``available_transports`` for CLI choices.  Config objects store the
-*name* (``ServiceConfig.ingest_transport``), so a deployment's wire
-protocol is one flag, not code.
+A flat name→factory map, a ``create_transport`` lookup with a helpful
+error, and ``available_transports`` for CLI choices.  Config objects
+store the *name* (``ServiceConfig.ingest_transport``), so a deployment's
+wire protocol is one flag, not code.
 """
 
 from repro.transport.base import Transport

@@ -30,6 +30,7 @@ from repro.transport.base import (
     TransportError,
     TransportSession,
     check_mode,
+    read_http_head,
 )
 from repro.transport.tcp import CLIENT_READ_LIMIT
 
@@ -52,18 +53,6 @@ def accept_key(key: str) -> str:
     """The ``Sec-WebSocket-Accept`` value for a client's nonce."""
     digest = hashlib.sha1((key + GUID).encode("ascii")).digest()
     return base64.b64encode(digest).decode("ascii")
-
-
-async def _read_headers(reader: asyncio.StreamReader) -> tuple[str, dict]:
-    """One HTTP request/status head: ``(start_line, lowercased headers)``."""
-    raw = await reader.readuntil(b"\r\n\r\n")
-    lines = raw.decode("latin-1").split("\r\n")
-    headers: dict[str, str] = {}
-    for line in lines[1:]:
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    return lines[0], headers
 
 
 class WebSocketSession(TransportSession):
@@ -209,10 +198,10 @@ class WebSocketTransport(Transport):
 
     async def accept(self, reader, writer, mode: str):
         check_mode(mode)
-        try:
-            request, headers = await _read_headers(reader)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
+        head = await read_http_head(reader)
+        if head is None:
             return None
+        request, headers = head
         key = headers.get("sec-websocket-key")
         if (
             "websocket" not in headers.get("upgrade", "").lower()
@@ -259,10 +248,10 @@ class WebSocketTransport(Transport):
             ).encode("ascii")
         )
         await writer.drain()
-        try:
-            status, headers = await _read_headers(reader)
-        except asyncio.IncompleteReadError as exc:
-            raise TransportError("handshake cut short") from exc
+        head = await read_http_head(reader)
+        if head is None:
+            raise TransportError("handshake cut short")
+        status, headers = head
         if " 101 " not in status + " ":
             raise TransportError(f"upgrade refused: {status!r}")
         if headers.get("sec-websocket-accept") != accept_key(nonce):

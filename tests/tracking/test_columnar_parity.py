@@ -1,9 +1,9 @@
-"""The columnar kernels' hard invariant: byte-identical event streams.
+"""The columnar kernel's hard invariant: byte-identical event streams.
 
-The ``array`` backend reorganizes the Mobility Tracker's hot path around
+``ColumnarTracker`` reorganizes the Mobility Tracker's hot path around
 per-vessel columns, but it is a *kernel*, not an approximation: on any
 input, slide by slide, it must emit exactly the events the scalar
-reference emits — same order, same floats, same reprs.
+reference ``MobilityTracker`` emits — same order, same floats, same reprs.
 These tests pin that twin contract on a full simulator fleet (directly
 and through the sharded runtime at 1 and 2 shards) and on the adversarial
 per-batch shapes the columnar grouping has to get right: empty slides,
@@ -16,16 +16,9 @@ import pytest
 from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
-from repro.tracking import MobilityTracker, WindowSpec
-from repro.tracking.backends import (
-    available_backends,
-    backend_name,
-    create_tracker,
-)
+from repro.tracking import ColumnarTracker, MobilityTracker, WindowSpec
 from tests.parity import replay_transcript
 from tests.tracking.helpers import TraceBuilder
-
-COLUMNAR_BACKENDS = [name for name in available_backends() if name != "scalar"]
 
 
 def _slides(stream, slide_seconds=1800):
@@ -71,17 +64,15 @@ def scalar_transcript(sim_slides):
     return transcript
 
 
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
-def test_full_fleet_parity(backend, sim_slides, scalar_transcript):
-    """Every columnar kernel reproduces the scalar stream byte for byte."""
-    transcript = _transcript(create_tracker(backend=backend), sim_slides)
+def test_full_fleet_parity(sim_slides, scalar_transcript):
+    """The columnar kernel reproduces the scalar stream byte for byte."""
+    transcript = _transcript(ColumnarTracker(), sim_slides)
     assert transcript == scalar_transcript
 
 
-@pytest.mark.parametrize("backend", COLUMNAR_BACKENDS)
-def test_tagged_batch_parity(backend, sim_slides):
+def test_tagged_batch_parity(sim_slides):
     """The sharded runtime's tagged path agrees tag-by-tag with scalar."""
-    scalar, columnar = MobilityTracker(), create_tracker(backend=backend)
+    scalar, columnar = MobilityTracker(), ColumnarTracker()
     for batch in sim_slides[:8]:
         indexed = list(enumerate(batch))
         assert (
@@ -92,27 +83,23 @@ def test_tagged_batch_parity(backend, sim_slides):
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_sharded_parity_with_scalar_single_process(world, small_fleet, shards):
-    """End to end at 1 and 2 shards: array workers vs the scalar pipeline.
+    """End to end at 1 and 2 shards: columnar workers vs the scalar pipeline.
 
     The parallel runtime runs the columnar kernel inside its shard
-    workers (the default backend); the reference is the single-process
-    pipeline pinned to ``scalar``.  Alerts, critical points and event
-    counts must match exactly — the kernel swap and the sharding both
-    have to be invisible.
+    workers; the reference is the single-process pipeline with the scalar
+    tracker swapped in before the first slide.  Alerts, critical points
+    and event counts must match exactly — the kernel swap and the
+    sharding both have to be invisible.
     """
     from repro.runtime import ParallelSurveillanceSystem
 
-    window = WindowSpec.of_hours(2, 0.5)
-    with SurveillanceSystem(
-        world, small_fleet["specs"],
-        SystemConfig(window=window, tracking_backend="scalar"),
-    ) as system:
+    config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
+    with SurveillanceSystem(world, small_fleet["specs"], config) as system:
+        system.tracker = MobilityTracker(config.tracking)
         reference = replay_transcript(system, small_fleet["stream"])
     assert any(s["alerts"] for s in reference["slides"]), "no alerts raised"
     with ParallelSurveillanceSystem(
-        world, small_fleet["specs"],
-        SystemConfig(window=window, tracking_backend="array"),
-        shards=shards,
+        world, small_fleet["specs"], config, shards=shards
     ) as system:
         assert replay_transcript(system, small_fleet["stream"]) == reference
 
@@ -123,20 +110,17 @@ def test_sharded_parity_with_scalar_single_process(world, small_fleet, shards):
 
 
 def _assert_edge_parity(batches):
-    """All kernels agree with scalar on a hand-built batch sequence."""
-    reference = None
-    for backend in available_backends():
-        tracker = create_tracker(backend=backend)
-        transcript = (
+    """Both kernels agree on a hand-built batch sequence."""
+    transcripts = [
+        (
             [[repr(e) for e in tracker.process_batch(b)] for b in batches],
             [repr(e) for e in tracker.finalize()],
             tracker.vessel_count(),
         )
-        if reference is None:
-            reference = transcript
-        else:
-            assert transcript == reference, backend
-    return reference
+        for tracker in (MobilityTracker(), ColumnarTracker())
+    ]
+    assert transcripts[1] == transcripts[0]
+    return transcripts[0]
 
 
 def test_empty_slide():
@@ -155,7 +139,7 @@ def test_single_position_vessel():
     crowd = TraceBuilder(mmsi=9).cruise(45, 10, 6).build()
     reference = _assert_edge_parity([crowd + [lone]])
     assert reference[2] == 2
-    tracker = create_tracker(backend="array")
+    tracker = ColumnarTracker()
     tracker.process_batch(crowd + [lone])
     assert tracker.current_velocity(42) is None
     assert tracker.traveled_distance_meters(42) == 0.0
@@ -190,17 +174,3 @@ def test_all_stop_vessel():
     assert any("STOP_START" in e for e in emitted)
     assert any("STOP_END" in e for e in emitted)
 
-
-# ---------------------------------------------------------------------------
-# the registry surface
-# ---------------------------------------------------------------------------
-
-
-def test_registry_surface():
-    assert "scalar" in available_backends()
-    assert "array" in available_backends()
-    for name in available_backends():
-        assert backend_name(create_tracker(backend=name)) == name
-    assert backend_name(object()) == "scalar"
-    with pytest.raises(ValueError, match="unknown tracking backend"):
-        create_tracker(backend="fortran")

@@ -1,4 +1,4 @@
-"""Transport registry: names to factories, mirrors the tracking backends."""
+"""Transport registry: names to factories."""
 
 import pytest
 

@@ -154,3 +154,67 @@ class TestHandshake:
                 await server.wait_closed()
 
         asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /feed HTTP/1.1\r\nUpgrade: websoc",  # peer hangs up mid-head
+            b"GET /feed HTTP/1.1\r\nX-Pad: " + b"a" * 1024,  # outgrows the limit
+        ],
+        ids=["eof", "over-limit"],
+    )
+    def test_truncated_upgrade_is_a_failed_handshake_server_side(self, head):
+        """``accept`` answers ``None`` (the server counts it and closes)
+        instead of letting the stream error escape the connection task."""
+
+        async def run():
+            outcome: list = []
+            done = asyncio.Event()
+
+            async def handle(reader, writer):
+                try:
+                    outcome.append(
+                        await WebSocketTransport().accept(
+                            reader, writer, "ingest"
+                        )
+                    )
+                except Exception as exc:  # the failure under test
+                    outcome.append(exc)
+                writer.close()
+                done.set()
+
+            server = await asyncio.start_server(
+                handle, "127.0.0.1", 0, limit=256
+            )
+            port = server.sockets[0].getsockname()[1]
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(head)
+            await writer.drain()
+            writer.close()
+            await asyncio.wait_for(done.wait(), 10)
+            server.close()
+            await server.wait_closed()
+            return outcome
+
+        assert asyncio.run(run()) == [None]
+
+    def test_truncated_upgrade_reply_raises_client_side(self):
+        async def run():
+            async def handle(reader, writer):
+                await reader.read(1024)
+                writer.write(b"HTTP/1.1 101 Switching Pro")
+                await writer.drain()
+                writer.close()
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                with pytest.raises(TransportError, match="cut short"):
+                    await WebSocketTransport().connect(
+                        "127.0.0.1", port, "feed"
+                    )
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(run())
