@@ -7,10 +7,8 @@ temporal dimension is taken into consideration."
 
 The implementation builds an epsilon-neighbourhood graph over trips using a
 combined spatial + temporal distance and returns its connected components
-(single-linkage clustering), via networkx.
+(single-linkage clustering), via a union-find.
 """
-
-import networkx as nx
 
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.queries import trajectory_similarity
@@ -50,18 +48,27 @@ def cluster_trips(
     smaller than ``min_points`` are treated as noise and dropped.
     """
     trips = [trip for trip in mod.all_trips() if trip["point_count"] >= 2]
-    graph = nx.Graph()
-    graph.add_nodes_from(trip["trip_id"] for trip in trips)
+    parent = {trip["trip_id"]: trip["trip_id"] for trip in trips}
+
+    def root(trip_id: int) -> int:
+        while parent[trip_id] != trip_id:
+            parent[trip_id] = parent[parent[trip_id]]
+            trip_id = parent[trip_id]
+        return trip_id
+
     for i, trip_a in enumerate(trips):
         for trip_b in trips[i + 1 :]:
             distance = spatiotemporal_distance(
                 mod, trip_a, trip_b, time_scale_seconds
             )
             if distance <= epsilon_meters:
-                graph.add_edge(trip_a["trip_id"], trip_b["trip_id"])
+                parent[root(trip_a["trip_id"])] = root(trip_b["trip_id"])
+    components: dict[int, list[int]] = {}
+    for trip_id in parent:
+        components.setdefault(root(trip_id), []).append(trip_id)
     clusters = [
         sorted(component)
-        for component in nx.connected_components(graph)
+        for component in components.values()
         if len(component) >= min_points
     ]
     clusters.sort()

@@ -6,20 +6,49 @@ periodically converts each vessel's staged sequence into disjoint trip
 segments ("a long journey breaks up into smaller trips between ports"),
 leaving open-ended residues staged until a destination port is identified.
 Only the last segment per vessel ever receives updates, which is the
-property Hermes exploits to keep update costs low.
+property Hermes exploits to keep update costs low — and the one
+reconstruction exploits here.
+
+Maintenance is incremental.  Per staged vessel the database keeps its
+staging rows and the :class:`~repro.reconstruct.trips.OpenTrip` they fold
+into, plus one high-water mark on ``staging.id``.  A call reads only the
+rows above the mark, and advances only the vessels they belong to, in
+ascending MMSI (so trip ids follow the order a full scan would give).
+sqlite is touched only to read those rows, insert closed trips and delete
+what they covered.  The result is exactly that of re-segmenting every
+vessel's whole staged residue from scratch (``tests/mod`` keeps that
+version as the oracle) because two cases refold a vessel from an empty
+state over its kept rows:
+
+* **late rows** — a new row sorting before the vessel's last kept row in
+  (timestamp, id) order (late delta points, a spill drained after an
+  outage);
+* **a trip closed in the previous call** — the rows kept are those at or
+  after the cutoff timestamp, and rows tied with the open trip's first
+  point are re-segmented, with or without new rows.
+
+A reopened on-disk database starts at high-water 0: its first call folds
+the whole staging table, with the same code.  A failed call rolls back
+and leaves the mark and the kept state untouched; ``close()`` drops them.
 """
 
 import sqlite3
 import time
+from bisect import bisect_left
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro import obs
 from repro.mod.schema import SCHEMA_STATEMENTS
 from repro.resilience.faults import fault_point
-from repro.reconstruct.trips import Trip, TripSegmenter
+from repro.reconstruct.trips import OpenTrip, Trip, TripSegmenter
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import Port
 from repro.tracking.types import CriticalPoint, MovementEventType
+
+
+def _timestamp(point: CriticalPoint) -> int:
+    return point.timestamp
 
 
 def _encode_annotations(annotations: Iterable[MovementEventType]) -> str:
@@ -30,6 +59,17 @@ def _decode_annotations(encoded: str) -> frozenset[MovementEventType]:
     if not encoded:
         return frozenset()
     return frozenset(MovementEventType(value) for value in encoded.split(","))
+
+
+@dataclass
+class _StagedVessel:
+    """What reconstruction keeps of one vessel between calls."""
+
+    #: The vessel's staging rows, in (timestamp, id) order.
+    rows: list[CriticalPoint]
+    #: ``rows`` folded from an empty state — unless the vessel closed a
+    #: trip in the last call, which makes it refold from ``rows`` next.
+    open_trip: OpenTrip
 
 
 class MovingObjectDatabase:
@@ -57,10 +97,18 @@ class MovingObjectDatabase:
             self._connection.execute(statement)
         self._connection.commit()
         self._segmenter = TripSegmenter(ports)
+        #: Segmentation state per staged vessel; the staging rows with
+        #: ``id > _high_water`` are the ones not folded into it yet.
+        self._vessels: dict[int, _StagedVessel] = {}
+        self._high_water = 0
+        #: Vessels that closed a trip in the last call.
+        self._revisit: set[int] = set()
 
     def close(self) -> None:
-        """Close the underlying connection."""
+        """Close the underlying connection and drop the kept state."""
         self._connection.close()
+        self._vessels = {}
+        self._revisit = set()
 
     def __enter__(self) -> "MovingObjectDatabase":
         return self
@@ -139,7 +187,7 @@ class MovingObjectDatabase:
         cursor = self._connection.execute(
             "SELECT mmsi, lon, lat, timestamp, annotations, speed_mps, "
             "heading_degrees, duration_seconds FROM staging "
-            "WHERE mmsi = ? ORDER BY timestamp",
+            "WHERE mmsi = ? ORDER BY timestamp, id",
             (mmsi,),
         )
         return [self._row_to_point(row) for row in cursor.fetchall()]
@@ -149,8 +197,9 @@ class MovingObjectDatabase:
     # ------------------------------------------------------------------
 
     def reconstruct(self, timings: dict | None = None) -> int:
-        """Segment every vessel's staged points into trips; returns the
-        number of new trips loaded.
+        """Segment the staged points into trips; returns the number of new
+        trips loaded.  Only rows staged since the last call are read and
+        folded (module docstring).
 
         Points belonging to completed trips are removed from staging;
         open-ended residues stay staged, awaiting a destination port
@@ -171,32 +220,73 @@ class MovingObjectDatabase:
         # the two phases cover the whole call and a slide's timings add up
         # to the slide (tests/pipeline/test_observability.py).
         started = time.perf_counter()
-        cursor = self._connection.execute("SELECT DISTINCT mmsi FROM staging")
-        vessels = [row[0] for row in cursor.fetchall()]
-        new_trips = 0
+        # A rowid range search; ``ORDER BY mmsi, timestamp`` would make
+        # sqlite walk the whole staging index instead.  The stable sort
+        # keeps ties in id order: (mmsi, timestamp, id).
+        rows = self._connection.execute(
+            "SELECT id, mmsi, lon, lat, timestamp, annotations, speed_mps, "
+            "heading_degrees, duration_seconds FROM staging "
+            "WHERE id > ? ORDER BY id",
+            (self._high_water,),
+        ).fetchall()
+        fresh: dict[int, list[CriticalPoint]] = {}
+        for row in sorted(rows, key=lambda row: (row[1], row[4])):
+            fresh.setdefault(row[1], []).append(self._row_to_point(row[1:]))
+        visited = sorted(fresh.keys() | self._revisit)
+        kept: dict[int, _StagedVessel] = {}
+        revisit: set[int] = set()
+        new_trips = refolds = 0
         loading_seconds = 0.0
-        for mmsi in vessels:
-            points = self.staged_points(mmsi)
-            trips, residue = self._segmenter.segment(points)
-            if not trips:
-                continue
+        try:
+            for mmsi in visited:
+                vessel = self._vessels.get(mmsi) or _StagedVessel([], OpenTrip())
+                points = fresh.get(mmsi, [])
+                staged = vessel.rows + points
+                late = bool(vessel.rows and points) and (
+                    points[0].timestamp < vessel.rows[-1].timestamp
+                )
+                if late or mmsi in self._revisit:
+                    # Refold from an empty state.  New rows carry larger
+                    # ids than kept ones, so a stable sort by timestamp
+                    # restores (timestamp, id) order.
+                    if late:
+                        refolds += 1
+                    staged.sort(key=_timestamp)
+                    open_trip = OpenTrip()
+                    trips = self._segmenter.advance(open_trip, staged)
+                else:
+                    # A copy, so that a failed call leaves the state as it was.
+                    open_trip = OpenTrip(
+                        vessel.open_trip.origin_port, vessel.open_trip.points.copy()
+                    )
+                    trips = self._segmenter.advance(open_trip, points)
+                if trips:
+                    loading_started = time.perf_counter()
+                    for trip in trips:
+                        self._insert_trip(trip)
+                    new_trips += len(trips)
+                    # Everything before the open trip has been assigned to
+                    # a trip; rows tied with its first point stay staged
+                    # and are re-segmented on the next call.
+                    cutoff = open_trip.points[0].timestamp
+                    self._connection.execute(
+                        "DELETE FROM staging WHERE mmsi = ? AND timestamp < ?",
+                        (mmsi, cutoff),
+                    )
+                    loading_seconds += time.perf_counter() - loading_started
+                    staged = staged[bisect_left(staged, cutoff, key=_timestamp):]
+                    revisit.add(mmsi)
+                kept[mmsi] = _StagedVessel(staged, open_trip)
             loading_started = time.perf_counter()
-            for trip in trips:
-                self._insert_trip(trip)
-                new_trips += 1
-            # Everything before the residue has been assigned to a trip.
-            cutoff = min(
-                (p.timestamp for p in residue),
-                default=points[-1].timestamp + 1,
-            )
-            self._connection.execute(
-                "DELETE FROM staging WHERE mmsi = ? AND timestamp < ?",
-                (mmsi, cutoff),
-            )
-            loading_seconds += time.perf_counter() - loading_started
-        loading_started = time.perf_counter()
-        self._connection.commit()
+            self._connection.commit()
+        except BaseException:
+            self._connection.rollback()
+            raise
         finished = time.perf_counter()
+        self._vessels.update(kept)
+        self._revisit = revisit
+        if rows:
+            self._high_water = rows[-1][0]
         loading_seconds += finished - loading_started
         reconstruction_seconds = finished - started - loading_seconds
         if timings is not None:
@@ -206,6 +296,9 @@ class MovingObjectDatabase:
             timings["loading"] = timings.get("loading", 0.0) + loading_seconds
         obs.observe("mod.reconstruct.segmentation_seconds", reconstruction_seconds)
         obs.observe("mod.reconstruct.loading_seconds", loading_seconds)
+        obs.count("mod.reconstruct.rows_read", len(rows))
+        obs.count("mod.reconstruct.refolds", refolds)
+        obs.count("mod.reconstruct.vessels_visited", len(visited))
         obs.count("mod.trips_loaded", new_trips)
         return new_trips
 

@@ -9,10 +9,11 @@ RMSE of Figure 8).
 """
 
 from repro.reconstruct.error import ApproximationError, fleet_rmse, trajectory_rmse
-from repro.reconstruct.trips import Trip, TripSegmenter
+from repro.reconstruct.trips import OpenTrip, Trip, TripSegmenter
 
 __all__ = [
     "ApproximationError",
+    "OpenTrip",
     "Trip",
     "TripSegmenter",
     "fleet_rmse",

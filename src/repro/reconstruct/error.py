@@ -11,9 +11,9 @@ One RMSE value is computed per vessel trajectory over its entire motion
 history; the benchmark reports the average and maximum across vessels.
 """
 
+import math
+import statistics
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.ais.stream import PositionalTuple
 from repro.geo.haversine import haversine_meters
@@ -32,14 +32,14 @@ class ApproximationError:
         """Mean RMSE across vessels (the 'avg' series of Figure 8)."""
         if not self.per_vessel_rmse:
             return 0.0
-        return float(np.mean(list(self.per_vessel_rmse.values())))
+        return statistics.fmean(self.per_vessel_rmse.values())
 
     @property
     def maximum(self) -> float:
         """Worst vessel RMSE (the 'max' series of Figure 8)."""
         if not self.per_vessel_rmse:
             return 0.0
-        return float(np.max(list(self.per_vessel_rmse.values())))
+        return max(self.per_vessel_rmse.values())
 
 
 def trajectory_rmse(
@@ -76,7 +76,7 @@ def trajectory_rmse(
         haversine_meters(p.lon, p.lat, lon, lat) ** 2
         for p, (lon, lat) in zip(ordered, synchronized)
     ]
-    return float(np.sqrt(np.mean(squared)))
+    return math.sqrt(statistics.fmean(squared))
 
 
 def fleet_rmse(

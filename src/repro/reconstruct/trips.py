@@ -10,6 +10,7 @@ began; points of a vessel that has not yet reached a port pile up as an
 open-ended tail awaiting assignment.
 """
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.geo.haversine import haversine_meters
@@ -55,6 +56,16 @@ class Trip:
         return len(self.points)
 
 
+@dataclass
+class OpenTrip:
+    """Where one vessel's segmentation stands: the port it last stopped at
+    (``None`` until the first port call) and the points of the trip it is
+    on, starting at that stop."""
+
+    origin_port: str | None = None
+    points: list[CriticalPoint] = field(default_factory=list)
+
+
 class TripSegmenter:
     """Split per-vessel critical-point sequences into trips at port stops.
 
@@ -78,36 +89,31 @@ class TripSegmenter:
                 return port.name
         return None
 
-    def segment(
-        self, points: list[CriticalPoint]
-    ) -> tuple[list[Trip], list[CriticalPoint]]:
-        """Segment one vessel's ordered critical points into trips.
+    def advance(
+        self, open_trip: OpenTrip, points: Iterable[CriticalPoint]
+    ) -> list[Trip]:
+        """Fold one vessel's next points into its open trip.
 
-        Returns ``(trips, residue)`` where ``residue`` is the open-ended
-        tail after the last identified port stop (the vessel is still
-        sailing toward an unknown destination — about 25 % of critical
-        points in the paper's Table 4 fell in that category).
+        ``points`` are time-ordered and follow every point already folded
+        into ``open_trip``.  Returns the trips they close; ``open_trip`` is
+        left holding the origin port and points of the trip still open.
+        This is the only segmentation step: :meth:`segment` is this fold
+        from an empty state, and the MOD keeps one state per vessel.
         """
-        if not points:
-            return [], []
-        ordered = sorted(points, key=lambda p: p.timestamp)
-        mmsi = ordered[0].mmsi
         trips: list[Trip] = []
-        current: list[CriticalPoint] = []
-        origin: str | None = None
-        for point in ordered:
-            current.append(point)
-            is_stop = point.has(MovementEventType.STOP_END)
-            if not is_stop:
+        for point in points:
+            open_trip.points.append(point)
+            if not point.has(MovementEventType.STOP_END):
                 continue
             port_name = self.port_of_stop(point)
             if port_name is None:
                 continue
+            origin = open_trip.origin_port
             candidate = Trip(
-                mmsi=mmsi,
+                mmsi=point.mmsi,
                 origin_port=origin,
                 destination_port=port_name,
-                points=current,
+                points=open_trip.points,
             )
             distinct_ports = origin is not None and origin != port_name
             if distinct_ports or (
@@ -115,13 +121,24 @@ class TripSegmenter:
             ):
                 trips.append(candidate)
             # Whether a voyage or just pier drift, the vessel is now at this
-            # port: restart accumulation from the stop.
-            origin = port_name
-            current = [point]
-        # The residue is the open-ended tail after the last port call.  The
-        # anchor stop itself doubles as the departure point of the next
-        # (open) trip, so it stays in the residue — unless nothing followed.
-        residue = current
-        if trips and len(residue) == 1 and residue[0] is trips[-1].points[-1]:
-            residue = []
-        return trips, residue
+            # port: the stop anchors the next trip as its departure point.
+            open_trip.origin_port = port_name
+            open_trip.points = [point]
+        return trips
+
+    def segment(
+        self, points: list[CriticalPoint]
+    ) -> tuple[list[Trip], list[CriticalPoint]]:
+        """Segment one vessel's critical points into trips.
+
+        Returns ``(trips, residue)`` where ``residue`` is the open-ended
+        tail from the last identified port stop on (the vessel is still
+        sailing toward an unknown destination — about 25 % of critical
+        points in the paper's Table 4 fell in that category).  The anchor
+        stop heads the residue even when nothing followed it: it is the
+        next trip's departure point, and dropping it would lose that
+        trip's origin.
+        """
+        open_trip = OpenTrip()
+        trips = self.advance(open_trip, sorted(points, key=lambda p: p.timestamp))
+        return trips, open_trip.points

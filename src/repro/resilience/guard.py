@@ -7,9 +7,11 @@ that staging writes run under retry + circuit breaker, and when both
 give up the batch lands in a WAL-backed :class:`SpillQueue` instead of
 being lost — recognition keeps running on degraded archival.  The first
 successful write after recovery drains the backlog in arrival order, so
-the staging table converges to exactly what an unfailed run would hold
-(trip reconstruction is order-insensitive per vessel because staging
-reads sort by timestamp).
+the staging table converges to exactly what an unfailed run would hold.
+The trips do too: a drained row older than what a vessel already has
+staged makes reconstruction refold that vessel from its kept rows
+(:mod:`repro.mod.database`, "late rows"), and a failed reconstruction
+rolls back, so a retry archives nothing twice.
 
 Everything that degrades is counted in the obs registry; nothing is
 silently dropped.

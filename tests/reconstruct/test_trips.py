@@ -59,7 +59,8 @@ class TestSegmentation:
         assert trip.origin_port == "alpha"
         assert trip.destination_port == "beta"
         assert trip.point_count == 4
-        assert residue == []
+        # The closing stop stays as the departure point of the next trip.
+        assert residue == [points[-1]]
 
     def test_unknown_origin_trip(self, segmenter):
         # Tracking starts mid-voyage: the first port call closes a trip
@@ -122,7 +123,7 @@ class TestSegmentation:
             ("alpha", "beta"),
             ("beta", "alpha"),
         ]
-        assert residue == []
+        assert residue == [points[-1]]
 
     def test_unordered_input_sorted(self, segmenter):
         points = [

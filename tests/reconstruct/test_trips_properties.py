@@ -1,8 +1,9 @@
 """Property-based tests for trip segmentation."""
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.geo.polygon import GeoPolygon
+from repro.mod.database import MovingObjectDatabase
 from repro.reconstruct.trips import TripSegmenter
 from repro.simulator.world import Port
 from repro.tracking.types import CriticalPoint, MovementEventType
@@ -99,3 +100,43 @@ class TestSegmentationProperties:
         for trip in trips:
             assert trip.distance_meters >= 0.0
             assert trip.travel_time_seconds >= 0
+
+
+def archived_trips(batches) -> list[dict]:
+    """Trips a MOD archives when each batch is staged then reconstructed."""
+    with MovingObjectDatabase(PORTS) as mod:
+        for batch in batches:
+            mod.stage_points(batch)
+            mod.reconstruct()
+        return [
+            {key: value for key, value in trip.items() if key != "trip_id"}
+            for trip in mod.all_trips()
+        ]
+
+
+#: A -> B, reconstruct, B -> A: the closing stop at beta must stay staged
+#: as the second voyage's origin.
+THERE_AND_BACK = [
+    ("alpha", True, 0), ("sea", False, 1000), ("sea", False, 2000),
+    ("beta", True, 3000), ("sea", False, 4000), ("sea", False, 5000),
+    ("alpha", True, 6000),
+]
+
+
+class TestReconstructionSplits:
+    @given(
+        raw=st.lists(point_strategy, max_size=40, unique_by=lambda r: r[2]),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=5),
+    )
+    @example(raw=THERE_AND_BACK, cuts=[4])
+    def test_any_split_into_reconstruct_calls_yields_the_same_trips(
+        self, raw, cuts
+    ):
+        # Strictly time-ordered rows: unique timestamps, staged in order.
+        points = sorted(materialize(raw), key=lambda p: p.timestamp)
+        bounds = sorted(set(cuts))
+        batches = [
+            points[start:end]
+            for start, end in zip([0, *bounds], [*bounds, len(points)])
+        ]
+        assert archived_trips(batches) == archived_trips([points])

@@ -30,6 +30,17 @@ def make_point(i: int, mmsi: int = 244660001) -> CriticalPoint:
     )
 
 
+def port_stop(port, timestamp: int, mmsi: int = 244660001) -> CriticalPoint:
+    return CriticalPoint(
+        mmsi=mmsi,
+        lon=port.lon,
+        lat=port.lat,
+        timestamp=timestamp,
+        annotations=frozenset({MovementEventType.STOP_END}),
+        duration_seconds=600,
+    )
+
+
 class FakeClock:
     def __init__(self):
         self.now = 0.0
@@ -152,6 +163,38 @@ class TestGuardedDatabase:
         with inject(FaultPlan.from_spec("mod.reconstruct:error@1")):
             assert guard.reconstruct() == 0
         assert guard.breaker.consecutive_failures == 1
+        guard.close()
+
+    def test_failed_reconstruct_is_rolled_back_not_archived_twice(
+        self, world, monkeypatch
+    ):
+        guard, _ = self._guarded(world)
+        home, away = world.ports[:2]
+        guard.stage_points([
+            port_stop(home, 0), port_stop(away, 3600), port_stop(home, 7200),
+        ])
+        database = guard._database
+        insert_trip = database._insert_trip
+        inserted = []
+
+        def fail_on_second_trip(trip):
+            inserted.append(trip)
+            if len(inserted) == 2:
+                raise RuntimeError("disk full")
+            insert_trip(trip)
+
+        monkeypatch.setattr(database, "_insert_trip", fail_on_second_trip)
+        assert guard.reconstruct() == 0  # counted, not raised
+        assert guard.trip_count() == 0  # the first trip was rolled back
+        monkeypatch.setattr(database, "_insert_trip", insert_trip)
+        # A later commit must not persist anything of the failed call.
+        guard.stage_points([port_stop(home, 9000)])
+        assert guard.reconstruct() == 2
+        itineraries = [
+            (trip["origin_port"], trip["destination_port"])
+            for trip in guard.all_trips()
+        ]
+        assert itineraries == [(home.name, away.name), (away.name, home.name)]
         guard.close()
 
     def test_snapshot_shape(self, world):
