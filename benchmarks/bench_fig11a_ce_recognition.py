@@ -5,12 +5,25 @@ Paper setup: slide beta = 1 h; window range omega in {1, 2, 6, 9} hours;
 processors each owning the west/east half of the monitored area.  Metric:
 average CE recognition time per query.
 
-Expected shape: recognition time grows with omega (more MEs in the working
-memory), and the two-processor partitioning yields a significant speedup
-(each engine sees fewer MEs and maintains fewer CE intervals).  An extra
-4-partition column shows the trend continuing, as the paper suggests
-("one may further distribute CE recognition by dividing further the
-monitored area").
+Two engines are timed side by side on the same ME batches:
+
+* ``oracle`` — the paper's algorithm, re-deriving every CE over the whole
+  working memory at each query time (``tests/rtec/oracle.py``).  The
+  paper's shape assertions apply to it: recognition time grows with omega
+  (more MEs in the working memory), and the two-processor partitioning
+  yields a significant speedup (each engine sees fewer MEs and maintains
+  fewer CE intervals).  An extra 4-partition column shows the trend
+  continuing, as the paper suggests ("one may further distribute CE
+  recognition by dividing further the monitored area").
+* ``incremental`` — the shipped engine, which folds each query's new and
+  invalidated rule triggers into what earlier queries derived, so its cost
+  follows the new MEs (beta) rather than the window (omega).  It must be at
+  least 3x faster than the oracle at omega = 9 h on one processor, and
+  recognize the same CEs everywhere.
+
+Each configuration keeps the fastest of :data:`ROUNDS` replays: the times
+are raw wall-clock on a shared host, and a slow regime during one replay
+must not decide a shape assertion.
 """
 
 import pytest
@@ -22,11 +35,14 @@ from harness import (
     record_result,
 )
 from repro.maritime import PartitionedRecognizer
+from tests.rtec.oracle import OracleRTEC
 
 WINDOW_HOURS = (1, 2, 6, 9)
 PARTITIONS = (1, 2, 4)
+ENGINES = ("oracle", "incremental")
+ROUNDS = 3
 
-_results: dict[tuple[int, int], dict] = {}
+_results: dict[tuple[int, int, str], dict] = {}
 
 
 def _me_batches():
@@ -38,37 +54,57 @@ def _me_batches():
 def emit_report():
     """Write the Figure 11(a) series once the sweep completes."""
     yield
-    if len(_results) < len(WINDOW_HOURS) * len(PARTITIONS):
+    if len(_results) < len(WINDOW_HOURS) * len(PARTITIONS) * len(ENGINES):
         return
     lines = [
-        "omega_hours  partitions  avg_recognition_seconds  "
-        "window_MEs  recognized_CEs"
+        "omega_hours  partitions  oracle_seconds  incremental_seconds  "
+        "speedup  window_MEs  recognized_CEs"
     ]
-    for (hours, partitions), stats in sorted(_results.items()):
-        lines.append(
-            f"{hours:>11}  {partitions:>10}  {stats['avg_seconds']:>23.4f}  "
-            f"{stats['window_mes']:>10}  {stats['ces']:>13}"
-        )
+    for hours in WINDOW_HOURS:
+        for partitions in PARTITIONS:
+            oracle = _results[(hours, partitions, "oracle")]
+            incremental = _results[(hours, partitions, "incremental")]
+            lines.append(
+                f"{hours:>11}  {partitions:>10}  "
+                f"{oracle['avg_seconds']:>14.4f}  "
+                f"{incremental['avg_seconds']:>19.4f}  "
+                f"{oracle['avg_seconds'] / incremental['avg_seconds']:>7.1f}  "
+                f"{oracle['window_mes']:>10}  {oracle['ces']:>14}"
+            )
+            # Both engines recognize the same CEs.
+            assert incremental["ces"] == oracle["ces"], (hours, partitions)
     record_result("fig11a_ce_recognition", lines)
-    # Shape 1: recognition time grows with the window range.
+
+    def seconds(hours, partitions, engine):
+        return _results[(hours, partitions, engine)]["avg_seconds"]
+
+    # Shape 1 (the paper's algorithm): recognition time grows with omega.
     for partitions in PARTITIONS:
-        series = [_results[(h, partitions)]["avg_seconds"] for h in WINDOW_HOURS]
+        series = [seconds(h, partitions, "oracle") for h in WINDOW_HOURS]
         assert series[-1] > series[0], series
     # Shape 2: two processors beat one at the largest window.
-    assert (
-        _results[(9, 2)]["avg_seconds"] < _results[(9, 1)]["avg_seconds"]
-    ), "partitioning should reduce per-query recognition time"
+    assert seconds(9, 2, "oracle") < seconds(9, 1, "oracle"), (
+        "partitioning should reduce per-query recognition time"
+    )
+    # The shipped engine re-derives only what changed.
+    assert seconds(9, 1, "oracle") >= 3 * seconds(9, 1, "incremental"), (
+        "incremental recognition should be at least 3x the from-scratch oracle"
+    )
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("partitions", PARTITIONS)
 @pytest.mark.parametrize("hours", WINDOW_HOURS)
-def test_ce_recognition(benchmark, hours, partitions):
+def test_ce_recognition(benchmark, hours, partitions, engine):
     specs, batches = _me_batches()
 
-    def run():
+    def replay():
         recognizer = PartitionedRecognizer(
             benchmark_world(), specs, hours * 3600, partitions=partitions
         )
+        if engine == "oracle":
+            for band in recognizer.recognizers:
+                band.engine = OracleRTEC.like(band.engine)
         step_seconds = []
         total_ces = 0
         window_mes = 0
@@ -79,8 +115,8 @@ def test_ce_recognition(benchmark, hours, partitions):
             step_seconds.append(timing.parallel_seconds)
             total_ces = sum(result.complex_event_count() for result in results)
             window_mes = sum(
-                engine.engine.working_memory.event_count()
-                for engine in recognizer.recognizers
+                band.engine.working_memory.event_count()
+                for band in recognizer.recognizers
             )
         return {
             "avg_seconds": sum(step_seconds) / len(step_seconds),
@@ -88,8 +124,13 @@ def test_ce_recognition(benchmark, hours, partitions):
             "window_mes": window_mes,
         }
 
+    def run():
+        return min(
+            (replay() for _ in range(ROUNDS)), key=lambda stats: stats["avg_seconds"]
+        )
+
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    _results[(hours, partitions)] = stats
+    _results[(hours, partitions, engine)] = stats
     benchmark.extra_info.update(
         {
             "avg_recognition_seconds": round(stats["avg_seconds"], 4),

@@ -9,6 +9,15 @@ substantially" — and the recognized CEs do not change.
 The bench reproduces both halves: the spatial-facts mode must be at least
 as fast as on-demand spatial reasoning at the largest window despite its
 larger input, and the recognized CE counts must match across modes.
+
+Two engines are timed side by side, as in Fig. 11(a): ``oracle``, the
+paper's algorithm re-deriving the whole window at each query
+(``tests/rtec/oracle.py``), and ``incremental``, the shipped engine.  Both
+halves are asserted on both engines.  The shipped engine runs each
+on-demand geometry join once per new trigger rather than once per query,
+so its gap between the modes is far smaller than the oracle's
+(EXPERIMENTS.md).  Each configuration keeps the fastest of :data:`ROUNDS`
+replays, as in Fig. 11(a).
 """
 
 import pytest
@@ -20,11 +29,15 @@ from harness import (
     record_result,
 )
 from repro.maritime import PartitionedRecognizer
+from tests.rtec.oracle import OracleRTEC
 
 WINDOW_HOURS = (1, 2, 6, 9)
 PARTITIONS = (1, 2)
+ENGINES = ("oracle", "incremental")
+MODES = ("sf", "ondemand")
+ROUNDS = 3
 
-_results: dict[tuple[int, int], dict] = {}
+_results: dict[tuple[int, int, str], dict] = {}
 
 
 def _me_batches():
@@ -32,11 +45,14 @@ def _me_batches():
     return specs, collect_movement_events(stream)
 
 
-def _run_mode(specs, batches, hours, partitions, spatial_facts):
+def _replay(specs, batches, hours, partitions, spatial_facts, engine):
     recognizer = PartitionedRecognizer(
         benchmark_world(), specs, hours * 3600,
         partitions=partitions, spatial_facts=spatial_facts,
     )
+    if engine == "oracle":
+        for band in recognizer.recognizers:
+            band.engine = OracleRTEC.like(band.engine)
     step_seconds = []
     total_ces = 0
     input_facts = 0
@@ -56,48 +72,69 @@ def _run_mode(specs, batches, hours, partitions, spatial_facts):
 def emit_report():
     """Write the Figure 11(b) series once the sweep completes."""
     yield
-    if len(_results) < len(WINDOW_HOURS) * len(PARTITIONS):
+    if len(_results) < len(WINDOW_HOURS) * len(PARTITIONS) * len(ENGINES):
         return
     lines = [
-        "omega_hours  partitions  avg_seconds_SF  avg_seconds_ondemand  "
-        "input_items_SF  input_items_ondemand"
+        "omega_hours  partitions  oracle_SF  oracle_ondemand  "
+        "incremental_SF  incremental_ondemand  input_items_SF  "
+        "input_items_ondemand"
     ]
-    for (hours, partitions), stats in sorted(_results.items()):
-        lines.append(
-            f"{hours:>11}  {partitions:>10}  {stats['sf']['avg_seconds']:>14.4f}  "
-            f"{stats['ondemand']['avg_seconds']:>20.4f}  "
-            f"{stats['sf']['input_items']:>14}  "
-            f"{stats['ondemand']['input_items']:>20}"
-        )
+    for hours in WINDOW_HOURS:
+        for partitions in PARTITIONS:
+            oracle = _results[(hours, partitions, "oracle")]
+            incremental = _results[(hours, partitions, "incremental")]
+            lines.append(
+                f"{hours:>11}  {partitions:>10}  "
+                f"{oracle['sf']['avg_seconds']:>9.4f}  "
+                f"{oracle['ondemand']['avg_seconds']:>15.4f}  "
+                f"{incremental['sf']['avg_seconds']:>14.4f}  "
+                f"{incremental['ondemand']['avg_seconds']:>20.4f}  "
+                f"{oracle['sf']['input_items']:>14}  "
+                f"{oracle['ondemand']['input_items']:>20}"
+            )
     record_result("fig11b_spatial_facts", lines)
-    for (hours, partitions), stats in _results.items():
+    for (hours, partitions, engine), stats in _results.items():
         # The SF stream is strictly larger (MEs + facts)...
         assert stats["sf"]["input_items"] > stats["ondemand"]["input_items"]
-        # ...and recognition agrees across modes.
-        assert stats["sf"]["ces"] == stats["ondemand"]["ces"], (hours, partitions)
+        # ...and recognition agrees across modes and engines.
+        oracle = _results[(hours, partitions, "oracle")]
+        for mode in MODES:
+            assert stats[mode]["ces"] == oracle["sf"]["ces"], (
+                hours, partitions, engine, mode,
+            )
     # At the largest windows, precomputed facts beat on-demand geometry.
-    large = [
-        (_results[(h, p)]["sf"]["avg_seconds"],
-         _results[(h, p)]["ondemand"]["avg_seconds"])
-        for h in WINDOW_HOURS[-2:]
-        for p in PARTITIONS
-    ]
-    assert sum(sf for sf, _ in large) <= sum(od for _, od in large) * 1.1
+    for engine in ENGINES:
+        large = [
+            (_results[(h, p, engine)]["sf"]["avg_seconds"],
+             _results[(h, p, engine)]["ondemand"]["avg_seconds"])
+            for h in WINDOW_HOURS[-2:]
+            for p in PARTITIONS
+        ]
+        assert sum(sf for sf, _ in large) <= sum(od for _, od in large) * 1.1, (
+            engine, large,
+        )
 
 
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("partitions", PARTITIONS)
 @pytest.mark.parametrize("hours", WINDOW_HOURS)
-def test_spatial_facts_mode(benchmark, hours, partitions):
+def test_spatial_facts_mode(benchmark, hours, partitions, engine):
     specs, batches = _me_batches()
 
+    def best(spatial_facts):
+        return min(
+            (
+                _replay(specs, batches, hours, partitions, spatial_facts, engine)
+                for _ in range(ROUNDS)
+            ),
+            key=lambda stats: stats["avg_seconds"],
+        )
+
     def run():
-        return {
-            "sf": _run_mode(specs, batches, hours, partitions, True),
-            "ondemand": _run_mode(specs, batches, hours, partitions, False),
-        }
+        return {"sf": best(True), "ondemand": best(False)}
 
     stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    _results[(hours, partitions)] = stats
+    _results[(hours, partitions, engine)] = stats
     benchmark.extra_info.update(
         {
             "avg_seconds_spatial_facts": round(stats["sf"]["avg_seconds"], 4),

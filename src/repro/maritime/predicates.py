@@ -142,8 +142,8 @@ class _StoppedCounter(ComputedFluent):
         if self._fact_functor is not None:
             areas = [
                 args[1]
-                for args, timepoint in view.occurrences(self._fact_functor)
-                if args[0] == vessel and timepoint == ts
+                for args in view.inputs_at(self._fact_functor, ts)
+                if args[0] == vessel
             ]
             if areas or ts > view.window_start:
                 return areas

@@ -12,6 +12,7 @@ non-adjacent (maximality).  All functions below preserve that normal form.
 """
 
 import math
+from bisect import bisect_right
 
 #: Sentinel right endpoint of an interval that has not been terminated.
 OPEN = math.inf
@@ -60,8 +61,6 @@ def intervals_from_points(
 
 def _first_term_after(terms: list[int], ts: int) -> int | None:
     """First termination point strictly after ts (rule (1): Ts < Tf)."""
-    from bisect import bisect_right
-
     index = bisect_right(terms, ts)
     if index == len(terms):
         return None
@@ -84,12 +83,13 @@ def normalize(intervals: list[Interval]) -> list[Interval]:
     return merged
 
 
+def _start(interval: Interval) -> int:
+    return interval[0]
+
+
 def holds_at(intervals: list[Interval], timepoint: int) -> bool:
     """Whether the value holds at a timepoint: any ts < T <= tf."""
-    from bisect import bisect_right
-
-    starts = [interval[0] for interval in intervals]
-    index = bisect_right(starts, timepoint) - 1
+    index = bisect_right(intervals, timepoint, key=_start) - 1
     # An interval starting exactly at T does not cover T (open left end),
     # but the previous one might.
     for i in (index, index - 1):

@@ -12,6 +12,12 @@ left-to-right over variable bindings:
   enumerating the areas near a coordinate);
 * :class:`Guard` — a boolean test over bound variables (e.g. ``N > 3``).
 
+Static predicates and guards must be *pure*: the same inputs give the same
+answer at every step.  The engine caches what each trigger occurrence
+derived and re-runs a body only when an event or fluent it read changed
+(``engine.py``, rule (d)), so a predicate that consults mutable state —
+a clock, a table edited between steps — would leave stale results.
+
 Example — rule-set (3) of the paper::
 
     initiated(
@@ -103,6 +109,7 @@ class StaticJoin:
     ``callable(*input_values)`` must return either a boolean (when
     ``outputs`` is empty) or an iterable of output-value tuples, one per
     solution.  All ``inputs`` must be bound when the literal is reached.
+    The callable must be pure (see the module docstring).
     """
 
     predicate: Callable
@@ -119,7 +126,7 @@ class StaticJoin:
 
 @dataclass(frozen=True)
 class Guard:
-    """A boolean filter over bound variables."""
+    """A boolean filter over bound variables; the test must be pure."""
 
     test: Callable[..., bool]
     variables: tuple[str, ...]

@@ -17,7 +17,10 @@ Recovery protocol (see :mod:`repro.runtime.checkpoint`):
   already delivered (and will discard again);
 * commands with ``seq <= cursor`` (replays of work already captured by the
   restored checkpoint) are acknowledged as ``ignored`` without being
-  re-applied.
+  re-applied;
+* a checkpoint whose engine state has another layout (written before
+  :data:`~repro.rtec.engine.SNAPSHOT_FORMAT` last changed) is unusable, like
+  an unreadable file: the worker starts fresh.
 
 The worker never touches the process-global metrics registry — it reports
 raw seconds in its replies and the parent records them under per-shard
@@ -149,12 +152,10 @@ class ShardWorker:
 
     def snapshot(self) -> dict:
         """Everything needed to resurrect this worker after a crash."""
-        engine = self.recognizer.engine
         return {
             "tracker": self.tracker,
             "compressor": self.compressor,
-            "memory": engine.working_memory,
-            "persisted": dict(engine._persisted_open),
+            "rtec": self.recognizer.engine.snapshot(),
             "tracks_applied": self.tracks_applied,
             "last_reply": self.last_reply,
         }
@@ -163,15 +164,15 @@ class ShardWorker:
         """Adopt a snapshot; rules/engines stay freshly constructed.
 
         The RTEC rule set contains closures and is rebuilt by
-        ``__init__``; only the windowed working memory and the engine's
-        open-interval persistence carry over.
+        ``__init__``; only the engine's snapshot (windowed working memory
+        and open-interval persistence) carries over.  A snapshot whose
+        engine state has another layout (e.g. written by an older version)
+        raises ``ValueError`` and leaves the worker untouched.
         """
+        engine = self.recognizer.engine
+        engine.restore(state.get("rtec", {}))
         self.tracker = state["tracker"]
         self.compressor = state["compressor"]
-        engine = self.recognizer.engine
-        engine.working_memory = state["memory"]
-        engine._persisted_open = dict(state["persisted"])
-        engine.last_result = None
         self.recognizer.adapter.memory = engine.working_memory
         self.tracks_applied = state["tracks_applied"]
         self.last_reply = state.get("last_reply")
@@ -195,7 +196,11 @@ def worker_main(
     if store is not None:
         snapshot = store.load(shard_id)
         if snapshot is not None:
-            worker.restore(snapshot.state, snapshot.cursor)
+            try:
+                worker.restore(snapshot.state, snapshot.cursor)
+            except ValueError:
+                # Another state layout: unusable, like an unreadable file.
+                pass
     die_on_next_track = False
 
     while True:

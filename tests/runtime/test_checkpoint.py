@@ -1,10 +1,17 @@
 """Checkpoint durability and the worker snapshot/restore contract."""
 
+import queue
+
+import pytest
+
 from repro.ais.stream import StreamReplayer, TimedArrival
+from repro.maritime.pairwise.monitor import PairwiseMonitor
 from repro.pipeline.config import SystemConfig
+from repro.rtec.working_memory import WorkingMemory
 from repro.runtime.checkpoint import CheckpointStore
-from repro.runtime.worker import ShardWorker
+from repro.runtime.worker import ShardWorker, worker_main
 from repro.tracking import WindowSpec
+from repro.tracking.columnar import ColumnarTracker
 from tests.parity import canonical_points
 
 
@@ -59,7 +66,13 @@ class TestCheckpointStore:
 
 class TestWorkerSnapshotRestore:
     def _config(self):
-        return SystemConfig(window=WindowSpec.of_minutes(120, 30))
+        # A recognition window of one slide: every interval still open at
+        # a step is carried only by the engine's persisted open intervals.
+        return SystemConfig(
+            window=WindowSpec.of_minutes(120, 30),
+            pairwise=True,
+            recognition_window_seconds=1800,
+        )
 
     def _routed_slides(self, world, small_fleet):
         arrivals = [
@@ -76,19 +89,32 @@ class TestWorkerSnapshotRestore:
         self, world, small_fleet, tmp_path
     ):
         """Snapshot after slide k, restore into a fresh worker, and the
-        remaining slides must produce byte-identical outputs."""
+        remaining slides must produce byte-identical tracking outputs and
+        identical alerts — including the intervals only the checkpointed
+        RTEC persistence keeps open."""
         slides = self._routed_slides(world, small_fleet)
-        split = len(slides) // 2
+        # After the second slide two encounters are open in this fleet.
+        split = 2
+        # The parent's pairwise monitor, run once: its facts are the same
+        # for every worker because the tracked events are.
+        monitor = PairwiseMonitor(world, self._config().pairwise_config)
+        facts: dict[int, list] = {}
 
         def outputs(worker, subset):
             out = []
             for query_time, indexed in subset:
                 reply = worker.track(query_time, indexed)
+                events = [e for _, e in reply["events"]]
+                if query_time not in facts:
+                    facts[query_time] = monitor.observe(events, query_time)
+                recognized = worker.recognize(query_time, events, facts[query_time])
                 out.append(
                     (
                         [repr(e) for _, e in reply["events"]],
                         canonical_points(reply["fresh"]),
                         canonical_points(reply["expired"]),
+                        recognized["alerts"],
+                        recognized["recognized"],
                     )
                 )
             return out
@@ -99,6 +125,8 @@ class TestWorkerSnapshotRestore:
 
         crashed = ShardWorker(0, 1, world, small_fleet["specs"], self._config())
         outputs(crashed, slides[:split])
+        persisted = crashed.recognizer.engine.snapshot()["persisted"]
+        assert persisted.get("stopped") or persisted.get("encounter")
         store = CheckpointStore(tmp_path)
         store.save(0, cursor=split - 1, state=crashed.snapshot())
         del crashed
@@ -108,6 +136,49 @@ class TestWorkerSnapshotRestore:
         revived.restore(snapshot.state, snapshot.cursor)
         assert revived.cursor == split - 1
         assert outputs(revived, slides[split:]) == expected
+        assert any(alerts for *_, alerts, _ in expected)
+        assert (
+            revived.recognizer.engine.snapshot()["persisted"]
+            == baseline.recognizer.engine.snapshot()["persisted"]
+        )
+
+    def test_state_of_another_layout_starts_fresh(self, world, small_fleet, tmp_path):
+        """A checkpoint written before the engine had a snapshot (working
+        memory under ``memory``, open intervals under ``persisted``) is
+        unusable: ``restore`` refuses it without touching the worker, and
+        ``worker_main`` starts fresh as for an unreadable file."""
+        specs = small_fleet["specs"]
+        worker = ShardWorker(0, 1, world, specs, self._config())
+        tracker = worker.tracker
+        engine_memory = worker.recognizer.engine.working_memory
+        old_state = {
+            "tracker": ColumnarTracker(self._config().tracking),
+            "compressor": worker.compressor,
+            "memory": WorkingMemory(),
+            "persisted": {"stopped": {(1,): 100}},
+            "tracks_applied": 3,
+            "last_reply": None,
+        }
+        with pytest.raises(ValueError):
+            worker.restore(old_state, cursor=5)
+        assert worker.tracker is tracker and worker.cursor == -1
+        assert worker.recognizer.engine.working_memory is engine_memory
+
+        def cursor_reply(state):
+            store = CheckpointStore(tmp_path)
+            store.save(0, cursor=5, state=state)
+            commands, replies = queue.Queue(), queue.Queue()
+            commands.put(("cursor", 0))
+            commands.put(("stop", 1))
+            worker_main(
+                0, 1, world, specs, self._config(), str(tmp_path), 0,
+                commands, replies,
+            )
+            return replies.get_nowait()[2]
+
+        assert cursor_reply(old_state) == {"cursor": -1}
+        # The current layout restores: command 0 is already applied.
+        assert cursor_reply(worker.snapshot()) == {"ignored": True}
 
 
 class TestStreamResume:
