@@ -15,7 +15,7 @@ from harness import benchmark_world, record_result
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.maritime import MaritimeRecognizer
 from repro.simulator import FleetSimulator
-from repro.tracking import Compressor, MobilityTracker, WindowSpec
+from repro.tracking import ColumnarTracker, Compressor, WindowSpec
 
 FLEET_SIZES = (50, 100, 200)
 DURATION = 8 * 3600
@@ -63,7 +63,7 @@ def test_fleet_scaling(benchmark, size):
     def run():
         import time
 
-        tracker = MobilityTracker()
+        tracker = ColumnarTracker()
         compressor = Compressor(window)
         recognizer = MaritimeRecognizer(
             benchmark_world(), specs, window_seconds=2 * 3600

@@ -26,6 +26,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 import tempfile
 import time
 from datetime import datetime, timezone
@@ -48,15 +49,12 @@ from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.resilience import IngestJournal
 from repro.runtime import ParallelSurveillanceSystem
 from repro.service import ResumableFeedReader, ServiceConfig, ServiceSupervisor
-from repro.tracking import ColumnarTracker, MobilityTracker, WindowSpec
+from repro.tracking import ColumnarTracker, WindowSpec
 from repro.transport import chaosnet
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Every drill runs the pipeline under the paper's default window.
 WINDOW = WindowSpec.of_minutes(120, 30)
-#: The two Mobility Tracker kernels the tracking sweep compares: the one
-#: every pipeline runs and the scalar reference it must agree with.
-KERNELS = {"array": ColumnarTracker, "scalar": MobilityTracker}
 
 
 def _slide_batches(stream):
@@ -80,7 +78,12 @@ def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
     docs/TRACKING.md): a speedup can never come from dropped or reordered
     work.
     """
-    backends = tuple(KERNELS)
+    # The scalar reference is a test-suite oracle (tests/tracking/oracle.py).
+    sys.path.insert(1, str(REPO_ROOT))
+    from tests.tracking.oracle import MobilityTracker
+
+    kernels = {"array": ColumnarTracker, "scalar": MobilityTracker}
+    backends = tuple(kernels)
     _, _, stream = benchmark_fleet(fleet_size, duration)
     batches = [batch for _, batch in _slide_batches(stream)]
 
@@ -88,7 +91,7 @@ def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
     event_streams: dict[str, list] = {}
     for _ in range(rounds):
         for name in backends:
-            tracker = KERNELS[name]()
+            tracker = kernels[name]()
             events = []
             elapsed = 0.0
             for batch in batches:

@@ -22,8 +22,8 @@ from repro.ais import PositionReport, encode_position_report, wrap_aivdm
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.simulator import FleetSimulator, build_aegean_world
 from repro.tracking import (
+    ColumnarTracker,
     Compressor,
-    MobilityTracker,
     TrackingParameters,
     WindowSpec,
 )
@@ -87,7 +87,7 @@ def replay_tracking(
     detecting trajectory events and reporting critical points) plus stream
     and compression statistics.
     """
-    tracker = MobilityTracker(parameters or TrackingParameters())
+    tracker = ColumnarTracker(parameters or TrackingParameters())
     compressor = Compressor(window)
     arrivals = [TimedArrival(p.timestamp, p) for p in stream]
     replayer = StreamReplayer(arrivals, window.slide_seconds)
@@ -125,7 +125,7 @@ def collect_movement_events(stream, parameters=None):
     Returns ``[(query_time, events)]`` with an hourly slide — the ME feed
     the CE recognition benchmarks replay into RTEC.
     """
-    tracker = MobilityTracker(parameters or TrackingParameters())
+    tracker = ColumnarTracker(parameters or TrackingParameters())
     arrivals = [TimedArrival(p.timestamp, p) for p in stream]
     batches = []
     query_time = 0
@@ -154,7 +154,7 @@ def per_vessel_synopses(stream, parameters=None):
     from repro.tracking.compressor import merge_events_into_critical_points
     from repro.tracking.types import CriticalPoint, MovementEventType
 
-    tracker = MobilityTracker(parameters or TrackingParameters())
+    tracker = ColumnarTracker(parameters or TrackingParameters())
     events = tracker.process_batch(stream) + tracker.finalize()
     points = merge_events_into_critical_points(events)
     synopses = defaultdict(list)

@@ -16,12 +16,12 @@ from pathlib import Path
 
 from repro import (
     FleetSimulator,
-    MobilityTracker,
     TrackingParameters,
     TrajectoryExporter,
     build_aegean_world,
     fleet_rmse,
 )
+from repro.tracking import ColumnarTracker
 from repro.tracking.compressor import merge_events_into_critical_points
 
 OUTPUT_DIR = Path(__file__).parent / "out"
@@ -29,7 +29,7 @@ OUTPUT_DIR = Path(__file__).parent / "out"
 
 def compress(stream, threshold):
     """Full-history critical points per vessel at one turn threshold."""
-    tracker = MobilityTracker(
+    tracker = ColumnarTracker(
         TrackingParameters(turn_threshold_degrees=threshold)
     )
     events = tracker.process_batch(stream) + tracker.finalize()

@@ -14,12 +14,12 @@ Run::
 
 from repro import (
     FleetSimulator,
-    MobilityTracker,
     PartitionedRecognizer,
     StreamReplayer,
     TimedArrival,
     build_aegean_world,
 )
+from repro.tracking import ColumnarTracker
 
 
 def review(world, specs, batches, partitions):
@@ -45,7 +45,7 @@ def main() -> None:
 
     # Phase 1 (during the day): tracking ran online; the critical MEs were
     # logged per hourly slide.
-    tracker = MobilityTracker()
+    tracker = ColumnarTracker()
     batches = []
     replayer = StreamReplayer(
         [TimedArrival(p.timestamp, p) for p in stream], slide_seconds=3600

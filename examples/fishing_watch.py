@@ -13,11 +13,11 @@ Run::
 from repro import (
     FleetSimulator,
     MaritimeRecognizer,
-    MobilityTracker,
     StreamReplayer,
     TimedArrival,
     build_aegean_world,
 )
+from repro.tracking import ColumnarTracker
 
 
 def main() -> None:
@@ -36,7 +36,7 @@ def main() -> None:
             f"  vessel {vessel.mmsi}: {role}, draft {vessel.spec.draft_meters:.1f} m"
         )
 
-    tracker = MobilityTracker()
+    tracker = ColumnarTracker()
     recognizer = MaritimeRecognizer(world, specs, window_seconds=8 * 3600)
     stream = simulator.positions(fleet)
     replayer = StreamReplayer(

@@ -14,12 +14,12 @@ Run::
 from repro import (
     FleetSimulator,
     MaritimeRecognizer,
-    MobilityTracker,
     MovementEventType,
     StreamReplayer,
     TimedArrival,
     build_aegean_world,
 )
+from repro.tracking import ColumnarTracker
 
 
 def main() -> None:
@@ -32,7 +32,7 @@ def main() -> None:
     specs = {vessel.mmsi: vessel.spec for vessel in fleet}
     print("deviant tankers:", [vessel.mmsi for vessel in offenders])
 
-    tracker = MobilityTracker()
+    tracker = ColumnarTracker()
     recognizer = MaritimeRecognizer(world, specs, window_seconds=5 * 3600)
 
     stream = simulator.positions(fleet)

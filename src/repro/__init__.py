@@ -53,7 +53,6 @@ from repro.simulator import FleetSimulator, build_aegean_world
 from repro.tracking import (
     Compressor,
     CriticalPoint,
-    MobilityTracker,
     MovementEvent,
     MovementEventType,
     TrackingParameters,
@@ -73,7 +72,6 @@ __all__ = [
     "MaritimeConfig",
     "MaritimeRecognizer",
     "MetricsRegistry",
-    "MobilityTracker",
     "MovementEvent",
     "MovementEventType",
     "MovingObjectDatabase",

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro [--vessels N] [--hours H] [--seed S]
                     [--window-hours W] [--slide-minutes B]
-                    [--spatial-facts] [--pairwise]
+                    [--pairwise]
                     [--shards N] [--checkpoint-dir PATH]
                     [--kml PATH] [--metrics-json PATH]
     python -m repro --serve [--port P] [--host H]
@@ -90,8 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sliding-window range omega (default: 2)")
     parser.add_argument("--slide-minutes", type=float, default=30.0,
                         help="window slide beta (default: 30)")
-    parser.add_argument("--spatial-facts", action="store_true",
-                        help="use the precomputed-spatial-facts CE mode")
     parser.add_argument("--pairwise", action="store_true",
                         help="recognize pairwise CEs (encounter, rendezvous, "
                              "cpaRisk, darkShip); see docs/SPATIAL.md")
@@ -167,7 +165,6 @@ def _build_pipeline_inputs(args: argparse.Namespace):
     specs = {vessel.mmsi: vessel.spec for vessel in fleet}
     config = SystemConfig(
         window=WindowSpec.of_minutes(args.window_hours * 60, args.slide_minutes),
-        spatial_facts=args.spatial_facts,
         pairwise=args.pairwise,
     )
     return world, simulator, fleet, specs, config
@@ -286,7 +283,6 @@ def _run(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "window_hours": args.window_hours,
                 "slide_minutes": args.slide_minutes,
-                "spatial_facts": args.spatial_facts,
                 "pairwise": args.pairwise,
                 "shards": args.shards,
             },

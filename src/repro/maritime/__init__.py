@@ -14,10 +14,12 @@ are correlated with static geographical and vessel data to recognize
 * ``dangerousShipping(Area)`` — slow motion through waters too shallow for
   the vessel (Scenario 4, rule (6)).
 
-Two operation modes reproduce Figure 11: on-demand *spatial reasoning*
-(RTEC computes vessel-area proximity with Haversine geometry inside rule
-bodies) and precomputed *spatial facts* (the ME stream is augmented with
-timestamped ``close_to`` facts and rules join on them directly).
+Vessel-area proximity is *spatial reasoning* on demand: RTEC computes it
+with Haversine geometry inside rule bodies.  The paper's alternative for
+Figure 11(b), precomputed ``close_to`` facts joined by rewritten rules, is
+not shipped: the incremental engine evaluates each geometry join once per
+new trigger, so the facts never win (EXPERIMENTS.md).  It survives as a
+test-side reference under ``tests/maritime/``.
 """
 
 from repro.maritime.adapter import MovementEventAdapter
@@ -31,7 +33,6 @@ from repro.maritime.predicates import (
     make_shallow_predicate,
 )
 from repro.maritime.recognizer import Alert, MaritimeRecognizer
-from repro.maritime.spatial_facts import build_spatial_fact_rules, spatial_facts_for
 
 __all__ = [
     "Alert",
@@ -42,9 +43,7 @@ __all__ = [
     "PartitionedRecognizer",
     "VesselsStoppedIn",
     "build_maritime_rules",
-    "build_spatial_fact_rules",
     "make_close_predicate",
     "make_shallow_predicate",
     "partition_world",
-    "spatial_facts_for",
 ]

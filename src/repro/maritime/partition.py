@@ -110,13 +110,10 @@ class PartitionedRecognizer:
         window_seconds: int,
         partitions: int = 2,
         config: MaritimeConfig | None = None,
-        spatial_facts: bool = False,
     ):
         self.bands = partition_world(world, partitions)
         self.recognizers = [
-            MaritimeRecognizer(
-                band, specs, window_seconds, config, spatial_facts=spatial_facts
-            )
+            MaritimeRecognizer(band, specs, window_seconds, config)
             for band in self.bands
         ]
 

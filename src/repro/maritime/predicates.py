@@ -100,16 +100,12 @@ class _StoppedCounter(ComputedFluent):
         close: Callable[[float, float], list[tuple[str]]],
         eligible: Callable[[int], bool] | None = None,
         area_names: list[str] | None = None,
-        fact_functor: str | None = None,
     ):
         self._close = close
         self._eligible = eligible
         # Areas that always carry a count instance (value 0 when idle), so
         # rules can test "the count is zero" rather than failing on lookup.
         self._area_names = list(area_names or [])
-        # In spatial-facts mode, areas come from close_to facts at the stop
-        # start instead of geometric computation.
-        self._fact_functor = fact_functor
 
     def compute(
         self, view: EngineView
@@ -139,18 +135,6 @@ class _StoppedCounter(ComputedFluent):
         self, view: EngineView, vessel: int, ts: int
     ) -> list[str]:
         """Areas a vessel's stop counts toward."""
-        if self._fact_functor is not None:
-            areas = [
-                args[1]
-                for args in view.inputs_at(self._fact_functor, ts)
-                if args[0] == vessel
-            ]
-            if areas or ts > view.window_start:
-                return areas
-            # The stop persisted from before the window: its close_to fact
-            # has been forgotten, so place it geometrically (this is the
-            # only geometry the spatial-facts mode ever computes, and only
-            # for long-persisting stops).
         coord = view.value_at("coord", (vessel,), max(ts, view.window_start))
         if coord is None:
             # No position known for the stop: cannot place it.
@@ -207,11 +191,5 @@ class FishingStoppedIn(_StoppedCounter):
         close,
         fishing: Callable[[int], bool],
         area_names: list[str] | None = None,
-        fact_functor: str | None = None,
     ):
-        super().__init__(
-            close,
-            eligible=fishing,
-            area_names=area_names,
-            fact_functor=fact_functor,
-        )
+        super().__init__(close, eligible=fishing, area_names=area_names)

@@ -26,7 +26,6 @@ from repro.maritime.pairwise.rules import (
     PAIRWISE_VESSEL_CES,
     build_pairwise_rules,
 )
-from repro.maritime.spatial_facts import build_spatial_fact_rules
 from repro.rtec.engine import RTEC, RecognitionResult
 from repro.rtec.intervals import OPEN
 from repro.simulator.vessel import VesselSpec
@@ -89,34 +88,23 @@ class MaritimeRecognizer:
         window_seconds: int,
         config: MaritimeConfig | None = None,
         watch_areas: list[Area] | None = None,
-        spatial_facts: bool = False,
         pairwise: bool = False,
         pairwise_config: PairwiseConfig | None = None,
         ce_scope: str = "full",
     ):
         self.world = world
         self.config = config or MaritimeConfig()
-        self.spatial_facts = spatial_facts
         self.pairwise = pairwise
         self.pairwise_config = pairwise_config or PairwiseConfig()
         self.ce_scope = ce_scope
-        if ce_scope != "full" and (spatial_facts or pairwise):
-            # Spatial facts feed the aggregate rule-sets and pairwise CEs
-            # span two vessels: neither is MMSI-decomposable, so neither
-            # composes with the vessel scope (docs/GATEWAY.md).
-            raise ValueError(
-                "ce_scope='vessel' excludes spatial_facts and pairwise "
-                "recognition"
-            )
+        if ce_scope != "full" and pairwise:
+            # Pairwise CEs span two vessels: they are not MMSI-decomposable,
+            # so they do not compose with the vessel scope (docs/GATEWAY.md).
+            raise ValueError("ce_scope='vessel' excludes pairwise recognition")
         self.engine = RTEC(window_seconds)
-        if spatial_facts:
-            rules, computed = build_spatial_fact_rules(
-                self.world, specs, self.config, watch_areas
-            )
-        else:
-            rules, computed = build_maritime_rules(
-                self.world, specs, self.config, watch_areas, scope=ce_scope
-            )
+        rules, computed = build_maritime_rules(
+            self.world, specs, self.config, watch_areas, scope=ce_scope
+        )
         if ce_scope == "full":
             output_fluents = list(OUTPUT_FLUENTS)
         else:
@@ -140,16 +128,6 @@ class MaritimeRecognizer:
     ) -> int:
         """Feed one slide's movement events; returns the ME count asserted."""
         count = self.adapter.ingest_events(events, arrival_time)
-        if self.spatial_facts:
-            from repro.maritime.spatial_facts import assert_spatial_facts
-
-            count += assert_spatial_facts(
-                self.engine.working_memory,
-                events,
-                self.world,
-                self.config.close_threshold_meters,
-                arrival_time,
-            )
         obs.count("recognition.ingested_events", count)
         return count
 

@@ -24,8 +24,6 @@ class SystemConfig:
     tracking: TrackingParameters = field(default_factory=TrackingParameters)
     maritime: MaritimeConfig = field(default_factory=MaritimeConfig)
     recognition_window_seconds: int | None = None
-    #: Run CE recognition with the spatial-facts stream of Figure 11(b).
-    spatial_facts: bool = False
     #: Recognize pairwise (vessel-vs-vessel) complex events — encounter,
     #: rendezvous, CPA risk, dark ship.  See :mod:`repro.maritime.pairwise`.
     pairwise: bool = False

@@ -86,7 +86,6 @@ class SurveillanceSystem:
             specs,
             window_seconds=self.config.effective_recognition_window,
             config=self.config.maritime,
-            spatial_facts=self.config.spatial_facts,
             pairwise=self.config.pairwise,
             pairwise_config=self.config.pairwise_config,
             ce_scope=self.config.ce_scope,

@@ -138,13 +138,6 @@ class EngineView:
         """Event occurrences (args, time) visible in the window."""
         return self.event_list(functor)
 
-    def inputs_at(self, functor: str, timepoint: int) -> list[tuple]:
-        """Arguments of the input events of one type visible in the window
-        at exactly one timepoint (a bisection, not a window scan)."""
-        if not self.window_start < timepoint <= self.query_time:
-            return []
-        return self.memory.arrived_at(functor, timepoint, self.query_time)
-
 
 @dataclass
 class RecognitionResult:

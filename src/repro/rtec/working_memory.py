@@ -4,16 +4,14 @@
 ('working memory' in the terminology of RTEC) are taken into consideration.
 All MEs that took place before or at Qi - omega are discarded." — Section 4.2.
 
-Three input families are stored:
+Two input families are stored:
 
 * **events** — instantaneous occurrences (``gap``, ``turn``, ``stop_start``…)
   with both an occurrence time and an arrival time, so delayed events are
   visible only at query times after they arrive (Figure 5);
 * **valued fluents** — step functions such as ``coord(Vessel)``, where each
   assertion sets the value from its timestamp until the next assertion; the
-  last assignment before the window is retained so values persist into it;
-* **facts** — timestamped context facts used by the spatial-facts experiment
-  of Figure 11(b), stored like events.
+  last assignment before the window is retained so values persist into it.
 
 Events are kept per type sorted by occurrence time, so the engine looks
 up what occurred at a timepoint by bisection.  The memory also keeps the

@@ -7,7 +7,7 @@ the worker replies:
 * **movement events** carry ``(batch_index, k)`` tags assigned by the
   workers (position *batch_index* of the slide emitted this as its *k*-th
   event).  Sorting by tag reconstructs *exactly* the event sequence a
-  single-process :class:`~repro.tracking.tracker.MobilityTracker` produces
+  single-process :class:`~repro.tracking.ColumnarTracker` produces
   when it scans the whole batch in arrival order — vessels are disjoint
   across shards, so the per-shard event lists interleave without conflict;
 * **critical points** (fresh, expired, synopses) merge under the

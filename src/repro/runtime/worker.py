@@ -71,7 +71,6 @@ class ShardWorker:
             specs,
             window_seconds=config.effective_recognition_window,
             config=config.maritime,
-            spatial_facts=config.spatial_facts,
             pairwise=config.pairwise,
             pairwise_config=config.pairwise_config,
             ce_scope=config.ce_scope,

@@ -4,21 +4,18 @@ The Mobility Tracker consumes the cleaned positional stream and maintains
 one velocity vector per vessel, detecting *instantaneous* trajectory
 events (pause, speed change, turn, off-course outliers) in O(1) per tuple
 and *long-lasting* events (communication gap, smooth turn, long-term stop,
-slow motion) in O(m) over the last m positions.  Two kernels implement
-that contract with byte-identical event streams: the batch/columnar
-:class:`ColumnarTracker`, which every pipeline constructs, and the scalar
-:class:`MobilityTracker`, the per-tuple reference the parity tests and
-``benchmarks/drills.py tracking-sweep`` compare it against.  The
-:class:`Compressor` filters those events at each window slide and emits
-annotated *critical points* — the ~6 % of input locations that suffice to
-reconstruct each vessel's course.
+slow motion) in O(m) over the last m positions.  One kernel implements
+that contract: the batch/columnar :class:`ColumnarTracker`, held
+byte-identical to the scalar per-tuple reference in
+``tests/tracking/oracle.py``.  The :class:`Compressor` filters those
+events at each window slide and emits annotated *critical points* — the
+~6 % of input locations that suffice to reconstruct each vessel's course.
 """
 
 from repro.tracking.columnar import ColumnarTracker
 from repro.tracking.compressor import Compressor
 from repro.tracking.config import TrackingParameters
 from repro.tracking.exporter import TrajectoryExporter
-from repro.tracking.tracker import MobilityTracker
 from repro.tracking.types import (
     CriticalPoint,
     MovementEvent,
@@ -31,7 +28,6 @@ __all__ = [
     "ColumnarTracker",
     "Compressor",
     "CriticalPoint",
-    "MobilityTracker",
     "MovementEvent",
     "MovementEventType",
     "SlidingWindow",

@@ -1,13 +1,13 @@
 """Batch/columnar tracking kernel: the Mobility Tracker's hot path, fused.
 
-:class:`~repro.tracking.tracker.MobilityTracker` examines one tuple at a
-time through a stack of per-detector method calls — clear, but the method
-dispatch, parameter-property recomputation and throwaway
-:class:`VelocityVector` allocations dominate the per-slide tracking cost
-(a whole-pipeline replay showed tracking at ~29 ms mean per slide
-against ~1.4 ms reconstruction).  :class:`ColumnarTracker` keeps the
-exact same event semantics but restructures each slide's work around
-data instead of tuples:
+The scalar reference tracker (``tests/tracking/oracle.py``) examines
+one tuple at a time through a stack of per-detector method calls —
+clear, but the method dispatch, parameter-property recomputation and
+throwaway :class:`VelocityVector` allocations dominate the per-slide
+tracking cost (a whole-pipeline replay showed tracking at ~29 ms mean
+per slide against ~1.4 ms reconstruction).  :class:`ColumnarTracker`
+keeps the exact same event semantics but restructures each slide's work
+around data instead of tuples:
 
 1. the batch is grouped into **per-MMSI shards** of parallel columns —
    ``lon``/``lat`` plus derived τ / ``cos(lat)`` / ``sin(lat)`` columns
@@ -49,11 +49,6 @@ from repro.geo.haversine import (
     initial_bearing_degrees,
 )
 from repro.tracking.config import TrackingParameters
-from repro.tracking.tracker import (
-    _EPSILON_SPEED,
-    _centroid,
-    _circular_mean_degrees,
-)
 from repro.tracking.types import (
     MovementEvent,
     MovementEventType,
@@ -86,6 +81,31 @@ _TWO_RADII = 2.0 * EARTH_RADIUS_METERS
 #: common case.  Only booleans derived from these distances are observable,
 #: so the screen cannot perturb parity.
 _WITHIN_BOUND = math.pi * EARTH_RADIUS_METERS / 2.0
+
+
+#: Floor of the speed-change ratio's denominator (a halted vessel).
+_EPSILON_SPEED = 1e-9
+
+
+def _centroid(points: list[PositionalTuple]) -> tuple[float, float]:
+    """Plain coordinate centroid; adequate over a stop radius of ~200 m."""
+    n = len(points)
+    return (sum(p.lon for p in points) / n, sum(p.lat for p in points) / n)
+
+
+def _circular_mean_degrees(headings: Iterable[float]) -> float:
+    """Mean of angles in degrees, correct across the 0/360 wrap."""
+    sum_sin = 0.0
+    sum_cos = 0.0
+    count = 0
+    for heading in headings:
+        radians = math.radians(heading)
+        sum_sin += math.sin(radians)
+        sum_cos += math.cos(radians)
+        count += 1
+    if count == 0 or (abs(sum_sin) < 1e-12 and abs(sum_cos) < 1e-12):
+        return 0.0
+    return math.degrees(math.atan2(sum_sin, sum_cos)) % 360.0
 
 
 class _ColumnarVesselState:
@@ -142,10 +162,10 @@ class _ColumnarVesselState:
 class ColumnarTracker:
     """Batch/columnar trajectory-event detection, scalar-parity guaranteed.
 
-    Drop-in for :class:`~repro.tracking.tracker.MobilityTracker`: the same
-    constructor, ``process`` / ``process_batch`` / ``finalize`` surface,
-    the same :class:`TrackerStatistics`, and — the load-bearing property —
-    the same events in the same order for the same input.
+    Held to the scalar reference tracker of ``tests/tracking/oracle.py``:
+    the same constructor, ``process`` / ``process_batch`` / ``finalize``
+    surface, the same :class:`TrackerStatistics`, and — the load-bearing
+    property — the same events in the same order for the same input.
     """
 
     def __init__(self, parameters: TrackingParameters | None = None):
@@ -169,7 +189,7 @@ class ColumnarTracker:
         self._max_outliers = p.max_consecutive_outliers
 
     # ------------------------------------------------------------------
-    # public API (mirrors MobilityTracker)
+    # public API
     # ------------------------------------------------------------------
 
     def process(self, position: PositionalTuple) -> list[MovementEvent]:

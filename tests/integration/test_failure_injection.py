@@ -10,7 +10,7 @@ from repro.ais.stream import (
 from repro.maritime import MaritimeRecognizer
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
-from repro.tracking import MobilityTracker, WindowSpec
+from repro.tracking import ColumnarTracker, WindowSpec
 from tests.parity import replay_transcript
 
 
@@ -36,7 +36,7 @@ class TestDegenerateStreams:
     def test_single_report_vessels(self, world):
         # Vessels that report exactly once (the paper notes many cargo
         # ships were tracked for hours only) must flow through harmlessly.
-        tracker = MobilityTracker()
+        tracker = ColumnarTracker()
         positions = [
             PositionalTuple(mmsi, 23.0 + mmsi * 0.01, 38.0, 100)
             for mmsi in range(1, 50)
@@ -57,14 +57,14 @@ class TestDegenerateStreams:
 
     def test_duplicated_stream(self, world, small_fleet):
         # Every tuple delivered twice: duplicates are dropped as stale.
-        tracker = MobilityTracker()
+        tracker = ColumnarTracker()
         stream = small_fleet["stream"][:500]
         doubled = [p for position in stream for p in (position, position)]
         tracker.process_batch(doubled)
         assert tracker.statistics.positions_out_of_sequence >= len(stream) / 2
 
     def test_reversed_stream(self, small_fleet):
-        tracker = MobilityTracker()
+        tracker = ColumnarTracker()
         events = tracker.process_batch(list(reversed(small_fleet["stream"][:500])))
         # Only each vessel's first-seen (latest) report contributes state;
         # everything else is out of sequence.  No crash, no bogus events.
@@ -82,7 +82,7 @@ class TestDelayedStreams:
             delay_probability=0.3, max_delay_seconds=900, seed=5
         ).apply(stream)
 
-        tracker = MobilityTracker()
+        tracker = ColumnarTracker()
         recognizer = MaritimeRecognizer(world, specs, window_seconds=4 * 3600)
         query_time = 0
         for query_time, batch in StreamReplayer(delayed, 1800).batches():

@@ -10,7 +10,8 @@ import pytest
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.maritime import MaritimeRecognizer
 from repro.simulator import FleetSimulator
-from repro.tracking import MobilityTracker
+from repro.tracking import ColumnarTracker
+from tests.maritime.spatial_facts import SpatialFactsRecognizer
 
 DURATION = 6 * 3600
 SLIDE = 1800
@@ -22,10 +23,9 @@ def run_pipeline(world, fleet, spatial_facts=False):
     for vessel in fleet:
         simulator_stream.extend(vessel.positions)
     simulator_stream.sort(key=lambda p: p.timestamp)
-    tracker = MobilityTracker()
-    recognizer = MaritimeRecognizer(
-        world, specs, window_seconds=DURATION, spatial_facts=spatial_facts
-    )
+    tracker = ColumnarTracker()
+    recognizer_class = SpatialFactsRecognizer if spatial_facts else MaritimeRecognizer
+    recognizer = recognizer_class(world, specs, window_seconds=DURATION)
     arrivals = [TimedArrival(p.timestamp, p) for p in simulator_stream]
     query_time = 0
     for query_time, batch in StreamReplayer(arrivals, SLIDE).batches():

@@ -11,6 +11,7 @@ from repro.maritime import MaritimeConfig, MaritimeRecognizer
 from repro.simulator.vessel import VesselSpec, VesselType
 from repro.simulator.world import Area, AreaKind, BoundingBox, Port, WorldModel
 from repro.tracking.types import MovementEvent, MovementEventType
+from tests.maritime.spatial_facts import SpatialFactsRecognizer
 
 PROTECTED_CENTER = (24.0, 38.0)
 FORBIDDEN_CENTER = (25.0, 38.0)
@@ -57,15 +58,17 @@ def event(kind, mmsi, timestamp, where):
     return MovementEvent(kind, mmsi, where[0], where[1], timestamp)
 
 
-@pytest.fixture(params=[False, True], ids=["spatial-reasoning", "spatial-facts"])
+@pytest.fixture(
+    params=[MaritimeRecognizer, SpatialFactsRecognizer],
+    ids=["spatial-reasoning", "spatial-facts"],
+)
 def recognizer(request):
     """Both operation modes must recognize the same CEs (Figure 11)."""
-    return MaritimeRecognizer(
+    return request.param(
         make_world(),
         SPECS,
         window_seconds=10_000,
         config=MaritimeConfig(close_threshold_meters=3000.0),
-        spatial_facts=request.param,
     )
 
 

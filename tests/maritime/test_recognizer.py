@@ -7,6 +7,7 @@ from repro.maritime import MaritimeConfig, MaritimeRecognizer
 from repro.simulator.vessel import VesselSpec, VesselType
 from repro.simulator.world import Area, AreaKind, BoundingBox, Port, WorldModel
 from repro.tracking.types import MovementEvent, MovementEventType
+from tests.maritime.spatial_facts import SpatialFactsRecognizer
 
 CENTER = (24.0, 38.0)
 
@@ -80,9 +81,7 @@ class TestFacade:
         assert count == 1  # pauses are not critical MEs
 
     def test_spatial_facts_count_includes_facts(self):
-        recognizer = MaritimeRecognizer(
-            tiny_world(), SPECS, window_seconds=1000, spatial_facts=True
-        )
+        recognizer = SpatialFactsRecognizer(tiny_world(), SPECS, window_seconds=1000)
         count = recognizer.ingest(
             [MovementEvent(MovementEventType.TURN, 7, *CENTER, 10)],
             arrival_time=100,

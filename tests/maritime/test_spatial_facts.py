@@ -1,7 +1,10 @@
-"""Tests for the spatial-facts augmentation (Figure 11(b))."""
+"""Tests for the spatial-facts reference of Figure 11(b)."""
 
 from repro.maritime.config import MaritimeConfig
-from repro.maritime.spatial_facts import (
+from repro.rtec.working_memory import WorkingMemory
+from repro.simulator.world import AreaKind
+from repro.tracking.types import MovementEvent, MovementEventType
+from tests.maritime.spatial_facts import (
     FACT_FORBIDDEN,
     FACT_PROTECTED,
     FACT_SHALLOW,
@@ -9,9 +12,6 @@ from repro.maritime.spatial_facts import (
     assert_spatial_facts,
     spatial_facts_for,
 )
-from repro.rtec.working_memory import WorkingMemory
-from repro.simulator.world import AreaKind
-from repro.tracking.types import MovementEvent, MovementEventType
 
 
 def make_event(world, kind=MovementEventType.TURN, area_index=0, timestamp=100):

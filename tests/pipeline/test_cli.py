@@ -10,15 +10,15 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.vessels == 50
         assert args.hours == 6.0
-        assert not args.spatial_facts
+        assert not args.pairwise
 
     def test_custom_arguments(self):
         args = build_parser().parse_args(
-            ["--vessels", "10", "--hours", "2", "--spatial-facts"]
+            ["--vessels", "10", "--hours", "2", "--pairwise"]
         )
         assert args.vessels == 10
         assert args.hours == 2.0
-        assert args.spatial_facts
+        assert args.pairwise
 
     @pytest.mark.parametrize("path", ["", "no-such-directory/metrics.json"])
     def test_unwritable_metrics_json_is_a_usage_error(

@@ -9,7 +9,6 @@ class TestSystemConfig:
         config = SystemConfig()
         assert config.window.range_seconds == 3600
         assert config.window.slide_seconds == 600
-        assert not config.spatial_facts
         assert config.reconstruct_each_slide
         assert config.database_path == ":memory:"
 

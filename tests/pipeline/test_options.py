@@ -38,7 +38,7 @@ def _parameters(function) -> int:
 @pytest.mark.parametrize(
     "layer, count, pinned",
     [
-        ("SystemConfig", len(dataclasses.fields(SystemConfig)), 11),
+        ("SystemConfig", len(dataclasses.fields(SystemConfig)), 10),
         ("ServiceConfig", len(dataclasses.fields(ServiceConfig)), 18),
         (
             "GatewayClusterConfig",
@@ -51,8 +51,8 @@ def _parameters(function) -> int:
             _parameters(ParallelSurveillanceSystem.__init__),
             6,
         ),
-        # 20 flags plus argparse's own --help.
-        ("python -m repro", len(build_parser()._actions), 21),
+        # 19 flags plus argparse's own --help.
+        ("python -m repro", len(build_parser()._actions), 20),
     ],
 )
 def test_settable_values_are_pinned(layer, count, pinned):

@@ -4,9 +4,20 @@
 ``_record_slide_metrics``; ``ParallelSurveillanceSystem`` inherits them
 untouched.  ``finalize`` is the same skeleton run once more, so its report
 is timed like a slide — without being counted as one.
+
+The package also ships one implementation per job: the scalar tracker and
+the spatial-facts CE mode are references under ``tests/``, and importing
+``repro`` loads neither.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
@@ -58,3 +69,22 @@ def test_close_is_idempotent_and_leaves_the_database_closable(
     system.close()
     system.close()
     system.database.close()  # what callers written before close() existed do
+
+
+#: Modules that held the second implementation of a job before it moved
+#: to ``tests/`` (``tests/tracking/oracle.py``,
+#: ``tests/maritime/spatial_facts.py``).
+RETIRED_MODULES = ("repro.tracking.tracker", "repro.maritime.spatial_facts")
+
+
+def test_importing_the_package_loads_no_reference_implementation():
+    code = (
+        "import repro, sys; "
+        f"print(','.join(m for m in {RETIRED_MODULES!r} if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    assert loaded == ""

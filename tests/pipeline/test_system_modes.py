@@ -1,8 +1,13 @@
-"""Pipeline operation modes: spatial facts, recognition off, disk-backed MOD."""
+"""Pipeline operation modes: spatial facts, recognition off, disk-backed MOD.
+
+The spatial-facts mode is the test-side reference of
+``tests/maritime/spatial_facts.py``, swapped into the pipeline.
+"""
 
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.tracking import WindowSpec
+from tests.maritime.spatial_facts import use_spatial_facts
 
 
 def run_stream(system, stream, slide=900):
@@ -16,10 +21,10 @@ def run_stream(system, stream, slide=900):
 class TestSpatialFactsMode:
     def test_pipeline_recognizes_in_both_modes(self, world, small_fleet):
         def alerts_with(spatial_facts):
-            config = SystemConfig(
-                window=WindowSpec.of_hours(4, 0.5), spatial_facts=spatial_facts
-            )
+            config = SystemConfig(window=WindowSpec.of_hours(4, 0.5))
             system = SurveillanceSystem(world, small_fleet["specs"], config)
+            if spatial_facts:
+                use_spatial_facts(system, small_fleet["specs"])
             run_stream(system, small_fleet["stream"], slide=1800)
             return {
                 (a.kind, a.area, a.since) for a in system.alerts()

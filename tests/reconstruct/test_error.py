@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.reconstruct.error import ApproximationError, fleet_rmse, trajectory_rmse
-from repro.tracking import Compressor, MobilityTracker, TrackingParameters, WindowSpec
+from repro.tracking import ColumnarTracker, Compressor, TrackingParameters, WindowSpec
 from repro.tracking.types import CriticalPoint, MovementEventType
 from tests.tracking.helpers import TraceBuilder
 
@@ -77,7 +77,7 @@ class TestTrajectoryRmse:
         original = builder.build()
 
         def rmse_for(threshold):
-            tracker = MobilityTracker(
+            tracker = ColumnarTracker(
                 TrackingParameters(turn_threshold_degrees=threshold)
             )
             events = tracker.process_batch(original) + tracker.finalize()

@@ -41,6 +41,7 @@ from repro.rtec.rules import (
 )
 from repro.rtec.terms import Var
 from repro.rtec.working_memory import WorkingMemory
+from tests.maritime.spatial_facts import use_spatial_facts
 from tests.rtec.fleet import (
     RECOGNITION_REPLAY,
     recognition_fleet,
@@ -342,7 +343,8 @@ class TestCheckpoint:
 
 #: The maritime rule sets: the paper's full set plus the pairwise layer
 #: over a 9 h window (``recognition_replay``), the MMSI-decomposable vessel
-#: scope and the spatial-facts variant over the pipeline's 2 h window.
+#: scope and the spatial-facts variant over the pipeline's 2 h window (the
+#: test-side reference recognizer, swapped in by :func:`use_spatial_facts`).
 MARITIME = {
     "full+pairwise": RECOGNITION_REPLAY,
     "vessel": dataclasses.replace(
@@ -351,7 +353,6 @@ MARITIME = {
     ),
     "spatial-facts": dataclasses.replace(
         RECOGNITION_REPLAY, pairwise=False, recognition_window_seconds=None,
-        spatial_facts=True,
     ),
 }
 
@@ -362,6 +363,8 @@ def test_maritime_rule_sets_on_the_fleet(rule_set, seed):
     """Every step of a ``recognition_replay`` fleet run, against an oracle
     fed the same assertions."""
     system = system_for(seed, MARITIME[rule_set])
+    if rule_set == "spatial-facts":
+        use_spatial_facts(system, recognition_fleet(seed)[1])
     engine = system.recognizer.engine
     oracle = OracleRTEC.like(engine)
     oracle.working_memory = WorkingMemory()

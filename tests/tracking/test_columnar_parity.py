@@ -3,12 +3,13 @@
 ``ColumnarTracker`` reorganizes the Mobility Tracker's hot path around
 per-vessel columns, but it is a *kernel*, not an approximation: on any
 input, slide by slide, it must emit exactly the events the scalar
-reference ``MobilityTracker`` emits — same order, same floats, same reprs.
-These tests pin that twin contract on a full simulator fleet (directly
-and through the sharded runtime at 1 and 2 shards) and on the adversarial
-per-batch shapes the columnar grouping has to get right: empty slides,
-single-position vessels, out-of-order timestamps within a batch, and a
-vessel whose whole history is one stop run.
+reference ``MobilityTracker`` (``tests/tracking/oracle.py``) emits — same
+order, same floats, same reprs.  These tests pin that twin contract on a
+full simulator fleet (directly and through the sharded runtime at 1 and 2
+shards) and on the adversarial per-batch shapes the columnar grouping
+has to get right: empty slides, single-position vessels, out-of-order
+timestamps within a batch, and a vessel whose whole history is one stop
+run.
 """
 
 import pytest
@@ -16,9 +17,10 @@ import pytest
 from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
-from repro.tracking import ColumnarTracker, MobilityTracker, WindowSpec
+from repro.tracking import ColumnarTracker, WindowSpec
 from tests.parity import replay_transcript
 from tests.tracking.helpers import TraceBuilder
+from tests.tracking.oracle import MobilityTracker
 
 
 def _slides(stream, slide_seconds=1800):

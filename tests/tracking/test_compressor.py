@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.tracking import Compressor, MobilityTracker, MovementEventType, WindowSpec
+from repro.tracking import Compressor, MovementEventType, WindowSpec
 from repro.tracking.compressor import merge_events_into_critical_points
 from repro.tracking.types import MovementEvent
 from tests.tracking.helpers import TraceBuilder
+from tests.tracking.oracle import MobilityTracker
 
 
 def make_event(kind, mmsi=1, timestamp=0, duration=0, lon=24.0, lat=38.0):
@@ -124,9 +125,9 @@ class TestCompressorWindow:
 
 
 class TestEndToEndCompression:
-    def test_high_compression_on_realistic_trace(self):
+    def test_high_compression_on_realistic_trace(self, tracker_class):
         # A ferry-like trace: cruise, turn, stop, cruise -> few critical pts.
-        tracker = MobilityTracker()
+        tracker = tracker_class()
         trace = (
             TraceBuilder()
             .cruise(90.0, 14.0, 40)
@@ -147,3 +148,8 @@ class TestEndToEndCompression:
         assert MovementEventType.TURN in kinds
         assert MovementEventType.STOP_START in kinds
         assert MovementEventType.STOP_END in kinds
+
+
+# The same tests on the scalar reference kernel.
+class TestEndToEndCompressionOnOracle(TestEndToEndCompression):
+    kernel = MobilityTracker

@@ -4,21 +4,21 @@ import pytest
 
 from repro.ais.stream import PositionalTuple
 from repro.geo.units import knots_to_mps
-from repro.tracking import MobilityTracker
 from tests.tracking.helpers import TraceBuilder
+from tests.tracking.oracle import MobilityTracker
 
 
 class TestTraveledDistance:
-    def test_unknown_vessel_is_zero(self):
-        assert MobilityTracker().traveled_distance_meters(42) == 0.0
+    def test_unknown_vessel_is_zero(self, tracker_class):
+        assert tracker_class().traveled_distance_meters(42) == 0.0
 
-    def test_single_report_is_zero(self):
-        tracker = MobilityTracker()
+    def test_single_report_is_zero(self, tracker_class):
+        tracker = tracker_class()
         tracker.process(PositionalTuple(1, 24.0, 38.0, 0))
         assert tracker.traveled_distance_meters(1) == 0.0
 
-    def test_straight_cruise_matches_speed_times_time(self):
-        tracker = MobilityTracker()
+    def test_straight_cruise_matches_speed_times_time(self, tracker_class):
+        tracker = tracker_class()
         # 10 knots for 30 minutes = ~9.26 km.
         tracker.process_batch(TraceBuilder().cruise(90.0, 10.0, 30).build())
         expected = knots_to_mps(10.0) * 30 * 60
@@ -26,10 +26,10 @@ class TestTraveledDistance:
             expected, rel=0.01
         )
 
-    def test_outliers_do_not_inflate_distance(self):
-        clean = MobilityTracker()
+    def test_outliers_do_not_inflate_distance(self, tracker_class):
+        clean = tracker_class()
         clean.process_batch(TraceBuilder().cruise(90.0, 10.0, 20).build())
-        noisy = MobilityTracker()
+        noisy = tracker_class()
         noisy.process_batch(
             TraceBuilder()
             .cruise(90.0, 10.0, 10)
@@ -42,8 +42,8 @@ class TestTraveledDistance:
             clean.traveled_distance_meters(1), rel=0.05
         )
 
-    def test_gap_contributes_straight_line_lower_bound(self):
-        tracker = MobilityTracker()
+    def test_gap_contributes_straight_line_lower_bound(self, tracker_class):
+        tracker = tracker_class()
         trace = (
             TraceBuilder()
             .cruise(90.0, 10.0, 5)
@@ -59,10 +59,15 @@ class TestTraveledDistance:
             expected, rel=0.02
         )
 
-    def test_per_vessel_isolation(self):
-        tracker = MobilityTracker()
+    def test_per_vessel_isolation(self, tracker_class):
+        tracker = tracker_class()
         tracker.process_batch(TraceBuilder(mmsi=1).cruise(90.0, 10.0, 10).build())
         tracker.process_batch(TraceBuilder(mmsi=2).cruise(90.0, 20.0, 10).build())
         assert tracker.traveled_distance_meters(2) == pytest.approx(
             2 * tracker.traveled_distance_meters(1), rel=0.01
         )
+
+
+# The same tests on the scalar reference kernel.
+class TestTraveledDistanceOnOracle(TestTraveledDistance):
+    kernel = MobilityTracker
