@@ -1,15 +1,16 @@
 """AIS substrate: message encoding/decoding and the stream Data Scanner.
 
 The Automatic Identification System relays VHF messages wrapped in NMEA 0183
-``!AIVDM`` sentences whose payload is a 6-bit-ASCII-armored bit vector.  The
+``!AIVDM`` sentences whose payload is a 6-bit-ASCII-armored bit string.  The
 paper's system consumes message types 1, 2, 3 (Class A position reports),
 18 and 19 (Class B), extracting ``(MMSI, Lon, Lat, tau)`` tuples and dropping
 corrupt messages (bad checksum, out-of-range coordinates) before tracking.
 
 This package implements that substrate from scratch:
 
-* :mod:`repro.ais.sixbit` — bit-level packing and the 6-bit ASCII armor;
-* :mod:`repro.ais.messages` — binary layout of the supported message types;
+* :mod:`repro.ais.sixbit` — the 6-bit ASCII armor, payload ↔ one integer;
+* :mod:`repro.ais.messages` — one field table per message class, walked
+  by encode, decode and the gateway's MMSI read;
 * :mod:`repro.ais.nmea` — AIVDM sentence framing and checksums;
 * :mod:`repro.ais.scanner` — the Data Scanner of Figure 1 (decode + clean);
 * :mod:`repro.ais.stream` — positional tuples and stream replay with the

@@ -5,18 +5,19 @@ The paper considers AIS messages of types 1, 2, 3 (Class A position reports),
 decodes those layouts per ITU-R M.1371: positions in 1/10000 arc-minute,
 speed over ground in 1/10 knot, course over ground in 1/10 degree.
 
-Only the fields the surveillance system uses (MMSI, longitude, latitude, plus
-speed/course metadata useful for validation) are surfaced; remaining layout
-bits are encoded as defaults and skipped on decode, keeping the wire format
-faithful so that corrupt-message tests exercise realistic payloads.
+Each layout is declared once, as a table of :class:`Field` rows in wire
+order; encode, decode and the router's MMSI read all walk those tables
+over one integer per payload (:mod:`repro.ais.sixbit`).  Only the fields
+the surveillance system uses (MMSI, longitude, latitude, plus speed/course
+metadata useful for validation) are surfaced; the rest are constants,
+written on encode and skipped on decode, keeping the wire format faithful
+so that corrupt-message tests exercise realistic payloads.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.ais.sixbit import BitReader, BitWriter, bits_to_payload, payload_to_bits
-
-#: Message types carrying position reports that the Data Scanner accepts.
-POSITION_REPORT_TYPES = frozenset({1, 2, 3, 18, 19})
+from repro.ais.sixbit import armor, unarmor
 
 #: Sentinel "not available" values from the AIS specification.
 LON_NOT_AVAILABLE = 181.0
@@ -48,140 +49,64 @@ class PositionReport:
         )
 
 
-def encode_position_report(report: PositionReport) -> tuple[str, int]:
-    """Encode a position report into an armored payload.
+class Field(NamedTuple):
+    """One row of a layout: a :class:`PositionReport` attribute, or a
+    constant when ``constant`` is set (``name`` then only documents it)."""
 
-    Returns ``(payload, fill_bits)`` ready for AIVDM framing.
-    """
-    if report.message_type not in POSITION_REPORT_TYPES:
-        raise ValueError(f"unsupported message type: {report.message_type}")
-    if report.message_type in (1, 2, 3):
-        bits = _encode_class_a(report)
-    elif report.message_type == 18:
-        bits = _encode_class_b(report, extended=False)
-    else:
-        bits = _encode_class_b(report, extended=True)
-    return bits_to_payload(bits)
+    name: str
+    width: int
+    signed: bool = False
+    constant: int | None = None
 
 
-def decode_payload(payload: str, fill_bits: int = 0) -> PositionReport | None:
-    """Decode an armored payload into a :class:`PositionReport`.
+_HEADER = (
+    Field("message_type", 6),
+    Field("repeat indicator", 2, constant=0),
+    Field("mmsi", 30),
+)
+#: Armored characters that hold the header.
+_HEADER_CHARS = -(-sum(field.width for field in _HEADER) // 6)
+_MOTION = (
+    Field("speed_knots", 10),
+    Field("position accuracy", 1, constant=0),
+    Field("lon", 28, signed=True),
+    Field("lat", 27, signed=True),
+    Field("course_degrees", 12),
+    Field("true heading: not available", 9, constant=511),
+    Field("second_of_minute", 6),
+)
+_CLASS_A = _HEADER + (
+    Field("navigation status: not defined", 4, constant=15),
+    Field("rate of turn: not available", 8, signed=True, constant=-128),
+) + _MOTION + (
+    Field("maneuver indicator", 2, constant=0),
+    Field("spare", 3, constant=0),
+    Field("RAIM", 1, constant=0),
+    Field("radio status", 19, constant=0),
+)
+_CLASS_B = _HEADER + (Field("regional reserved", 8, constant=0),) + _MOTION
+_CLASS_B_STANDARD = _CLASS_B + (
+    Field("regional reserved", 2, constant=0),
+    Field("CS unit: carrier-sense Class B", 1, constant=1),
+    Field("display, DSC, band, message-22, assigned flags", 5, constant=0),
+    Field("RAIM", 1, constant=0),
+    Field("radio status", 20, constant=0),
+)
+_CLASS_B_EXTENDED = _CLASS_B + (
+    Field("regional reserved", 4, constant=0),
+    Field("ship name: 20 chars of '@'", 120, constant=0),
+    Field("ship type: not available", 8, constant=0),
+    Field("dimensions to bow, stern, port, starboard", 30, constant=0),
+    Field("EPFD type", 4, constant=0),
+    Field("RAIM, DTE and assigned-mode flags", 3, constant=0),
+    Field("spare", 4, constant=0),
+)
 
-    Returns ``None`` for message types the system does not consume (the Data
-    Scanner ignores them) and raises ``ValueError`` on malformed payloads of
-    a supported type.
-    """
-    bits = payload_to_bits(payload, fill_bits)
-    if len(bits) < 6:
-        raise ValueError("payload too short to carry a message type")
-    reader = BitReader(bits)
-    message_type = reader.read_uint(6)
-    if message_type not in POSITION_REPORT_TYPES:
-        return None
-    if message_type in (1, 2, 3):
-        return _decode_class_a(message_type, reader)
-    if message_type == 18:
-        return _decode_class_b(message_type, reader, extended=False)
-    return _decode_class_b(message_type, reader, extended=True)
-
-
-def _encode_common_header(writer: BitWriter, report: PositionReport) -> None:
-    writer.write_uint(report.message_type, 6)
-    writer.write_uint(0, 2)  # repeat indicator
-    writer.write_uint(report.mmsi, 30)
-
-
-def _encode_class_a(report: PositionReport) -> list[int]:
-    """Types 1/2/3: 168-bit Class A position report."""
-    writer = BitWriter()
-    _encode_common_header(writer, report)
-    writer.write_uint(15, 4)  # navigation status: not defined
-    writer.write_int(-128, 8)  # rate of turn: not available
-    writer.write_uint(_encode_speed(report.speed_knots), 10)
-    writer.write_uint(0, 1)  # position accuracy
-    writer.write_int(round(report.lon * _LON_SCALE), 28)
-    writer.write_int(round(report.lat * _LAT_SCALE), 27)
-    writer.write_uint(_encode_course(report.course_degrees), 12)
-    writer.write_uint(511, 9)  # true heading: not available
-    writer.write_uint(report.second_of_minute % 64, 6)
-    writer.write_uint(0, 2)  # maneuver indicator
-    writer.write_uint(0, 3)  # spare
-    writer.write_uint(0, 1)  # RAIM
-    writer.write_uint(0, 19)  # radio status
-    return writer.bits()
-
-
-def _decode_class_a(message_type: int, reader: BitReader) -> PositionReport:
-    reader.skip(2)  # repeat indicator
-    mmsi = reader.read_uint(30)
-    reader.skip(4)  # navigation status
-    reader.skip(8)  # rate of turn
-    speed = _decode_speed(reader.read_uint(10))
-    reader.skip(1)  # position accuracy
-    lon = reader.read_int(28) / _LON_SCALE
-    lat = reader.read_int(27) / _LAT_SCALE
-    course = _decode_course(reader.read_uint(12))
-    reader.skip(9)  # true heading
-    second = reader.read_uint(6)
-    # Remaining: maneuver (2) + spare (3) + RAIM (1) + radio (19); tolerate
-    # truncation there since none of it is consumed downstream.
-    return PositionReport(message_type, mmsi, lon, lat, speed, course, second)
-
-
-def _encode_class_b(report: PositionReport, extended: bool) -> list[int]:
-    """Type 18 (168-bit) or type 19 (312-bit) Class B position report."""
-    writer = BitWriter()
-    _encode_common_header(writer, report)
-    writer.write_uint(0, 8)  # regional reserved
-    writer.write_uint(_encode_speed(report.speed_knots), 10)
-    writer.write_uint(0, 1)  # position accuracy
-    writer.write_int(round(report.lon * _LON_SCALE), 28)
-    writer.write_int(round(report.lat * _LAT_SCALE), 27)
-    writer.write_uint(_encode_course(report.course_degrees), 12)
-    writer.write_uint(511, 9)  # true heading: not available
-    writer.write_uint(report.second_of_minute % 64, 6)
-    if not extended:
-        writer.write_uint(0, 2)  # regional reserved
-        writer.write_uint(1, 1)  # CS unit: carrier-sense Class B
-        writer.write_uint(0, 1)  # display flag
-        writer.write_uint(0, 1)  # DSC flag
-        writer.write_uint(0, 1)  # band flag
-        writer.write_uint(0, 1)  # message-22 flag
-        writer.write_uint(0, 1)  # assigned-mode flag
-        writer.write_uint(0, 1)  # RAIM
-        writer.write_uint(0, 20)  # radio status
-    else:
-        writer.write_uint(0, 4)  # regional reserved
-        for _ in range(20):
-            writer.write_uint(0, 6)  # ship name: 20 chars of '@'
-        writer.write_uint(0, 8)  # ship type: not available
-        writer.write_uint(0, 9)  # dimension to bow
-        writer.write_uint(0, 9)  # dimension to stern
-        writer.write_uint(0, 6)  # dimension to port
-        writer.write_uint(0, 6)  # dimension to starboard
-        writer.write_uint(0, 4)  # EPFD type
-        writer.write_uint(0, 1)  # RAIM
-        writer.write_uint(0, 1)  # data-terminal-equipment flag
-        writer.write_uint(0, 1)  # assigned-mode flag
-        writer.write_uint(0, 4)  # spare
-    return writer.bits()
-
-
-def _decode_class_b(
-    message_type: int, reader: BitReader, extended: bool
-) -> PositionReport:
-    reader.skip(2)  # repeat indicator
-    mmsi = reader.read_uint(30)
-    reader.skip(8)  # regional reserved
-    speed = _decode_speed(reader.read_uint(10))
-    reader.skip(1)  # position accuracy
-    lon = reader.read_int(28) / _LON_SCALE
-    lat = reader.read_int(27) / _LAT_SCALE
-    course = _decode_course(reader.read_uint(12))
-    reader.skip(9)  # true heading
-    second = reader.read_uint(6)
-    del extended  # trailing fields are not consumed downstream
-    return PositionReport(message_type, mmsi, lon, lat, speed, course, second)
+#: Wire layout of each message type the Data Scanner accepts: types
+#: 1/2/3 are 168-bit Class A reports, 18 the 168-bit and 19 the 312-bit
+#: Class B reports.
+_LAYOUTS = {1: _CLASS_A, 2: _CLASS_A, 3: _CLASS_A, 18: _CLASS_B_STANDARD, 19: _CLASS_B_EXTENDED}
+POSITION_REPORT_TYPES = frozenset(_LAYOUTS)
 
 
 def _encode_speed(speed_knots: float) -> int:
@@ -191,18 +116,89 @@ def _encode_speed(speed_knots: float) -> int:
     return min(1022, round(speed_knots * 10))
 
 
-def _decode_speed(raw: int) -> float:
-    if raw == 1023:
-        return SPEED_NOT_AVAILABLE
-    return raw / 10.0
-
-
-def _encode_course(course_degrees: float) -> int:
+#: Report value → wire integer, where they differ.
+_TO_WIRE = {
+    "speed_knots": _encode_speed,
+    "lon": lambda lon: round(lon * _LON_SCALE),
+    "lat": lambda lat: round(lat * _LAT_SCALE),
     # 3600 = not available.
-    return round((course_degrees % 360.0) * 10) % 3600
+    "course_degrees": lambda course: round((course % 360.0) * 10) % 3600,
+    "second_of_minute": lambda second: second % 64,
+}
+#: Wire integer → report value, where they differ.
+_FROM_WIRE = {
+    "speed_knots": lambda raw: SPEED_NOT_AVAILABLE if raw == 1023 else raw / 10.0,
+    "lon": lambda raw: raw / _LON_SCALE,
+    "lat": lambda raw: raw / _LAT_SCALE,
+    "course_degrees": lambda raw: COURSE_NOT_AVAILABLE if raw >= 3600 else raw / 10.0,
+}
 
 
-def _decode_course(raw: int) -> float:
-    if raw >= 3600:
-        return COURSE_NOT_AVAILABLE
-    return raw / 10.0
+def encode_position_report(report: PositionReport) -> tuple[str, int]:
+    """Encode a position report into an armored payload.
+
+    Returns ``(payload, fill_bits)`` ready for AIVDM framing.
+    """
+    layout = _LAYOUTS.get(report.message_type)
+    if layout is None:
+        raise ValueError(f"unsupported message type: {report.message_type}")
+    value = bits = 0
+    for name, width, signed, constant in layout:
+        raw = constant
+        if raw is None:
+            raw = getattr(report, name)
+            if name in _TO_WIRE:
+                raw = _TO_WIRE[name](raw)
+        low = -(1 << (width - 1)) if signed else 0
+        if not low <= raw < low + (1 << width):
+            raise ValueError(f"{name} {raw} does not fit in {width} bits")
+        value = value << width | raw & ((1 << width) - 1)
+        bits += width
+    return armor(value, bits)
+
+
+def decode_payload(payload: str, fill_bits: int = 0) -> PositionReport | None:
+    """Decode an armored payload into a :class:`PositionReport`.
+
+    Returns ``None`` for message types the system does not consume (the Data
+    Scanner ignores them) and raises ``ValueError`` on malformed payloads of
+    a supported type.  Fields after second-of-minute may be truncated:
+    none of them is consumed downstream.
+    """
+    value, bits = unarmor(payload, fill_bits)
+    layout = _LAYOUTS.get(_read(_HEADER[:1], value, bits)["message_type"])
+    if layout is None:
+        return None
+    return PositionReport(**_read(layout, value, bits))
+
+
+def decode_mmsi(payload: str, fill_bits: int = 0) -> int:
+    """The MMSI of an armored payload, read from its header characters only.
+
+    The rest of the payload is not unarmored, so an invalid character
+    past the header goes unnoticed here (the Data Scanner rejects it).
+    Raises ``ValueError`` on an invalid header character or a payload
+    shorter than the header.
+    """
+    # Fill bits pad the last character, so they reach the header only
+    # when the header characters are the whole payload.
+    fill_bits = fill_bits if len(payload) <= _HEADER_CHARS else 0
+    value, bits = unarmor(payload[:_HEADER_CHARS], fill_bits)
+    return _read(_HEADER, value, bits)["mmsi"]
+
+
+def _read(layout: tuple[Field, ...], value: int, bits: int) -> dict:
+    """The attributes ``layout`` assigns, read from the ``bits``-bit ``value``."""
+    fields = {}
+    end = 0
+    for name, width, signed, constant in layout:
+        end += width
+        if constant is not None:
+            continue
+        if end > bits:
+            raise ValueError(f"payload too short: {bits} bits, {name} ends at {end}")
+        raw = value >> (bits - end) & ((1 << width) - 1)
+        if signed and raw >> (width - 1):
+            raw -= 1 << width
+        fields[name] = _FROM_WIRE[name](raw) if name in _FROM_WIRE else raw
+    return fields

@@ -47,6 +47,13 @@ class AivdmSentence:
         """Whether this sentence is one piece of a multi-sentence message."""
         return self.fragment_count > 1
 
+    @property
+    def group_key(self) -> tuple[str, str, int]:
+        """What the fragments of one message share: ``(channel, message
+        id, fragment count)`` — the scanner's assembler and the gateway
+        router both key open groups by it."""
+        return (self.channel, self.message_id, self.fragment_count)
+
 
 def nmea_checksum(body: str) -> str:
     """XOR checksum of a sentence body, as two uppercase hex digits."""
@@ -126,6 +133,8 @@ def unwrap_aivdm(sentence: str) -> AivdmSentence:
         raise NmeaFormatError(
             f"inconsistent fragment framing: {fragment_number}/{fragment_count}"
         )
+    if not 0 <= fill_bits <= 5:
+        raise NmeaFormatError(f"fill bits out of range 0-5: {fill_bits}")
     payload = fields[5]
     if not payload:
         raise NmeaFormatError("empty payload")

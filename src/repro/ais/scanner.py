@@ -64,10 +64,10 @@ class ScannerStatistics:
 class FragmentAssembler:
     """Reassembly buffer for multi-fragment AIVDM sentence groups.
 
-    Fragments of one message share ``(channel, message_id,
-    fragment_count)``; the assembler holds partial groups until every
-    fragment has arrived, then hands back a joined single-fragment
-    sentence.  A bounded number of partial groups is kept: the oldest is
+    Fragments of one message share
+    :attr:`~repro.ais.nmea.AivdmSentence.group_key`; the assembler holds
+    partial groups until every fragment has arrived, then hands back a
+    joined single-fragment sentence.  A bounded number of partial groups is kept: the oldest is
     discarded (its sentences counted) when ``max_pending`` is exceeded,
     so a stream of orphans cannot grow memory without bound.
     """
@@ -86,7 +86,7 @@ class FragmentAssembler:
         sentences count as dropped): sequential message ids are only two
         bits on the wire, so collisions simply mean the old group died.
         """
-        key = (parsed.channel, parsed.message_id, parsed.fragment_count)
+        key = parsed.group_key
         group = self._pending.get(key)
         if group is not None and parsed.fragment_number in group:
             self.dropped_sentences += len(group)

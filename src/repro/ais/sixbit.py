@@ -1,119 +1,37 @@
-"""Bit-vector packing and the AIS 6-bit ASCII payload armor.
+"""The AIS 6-bit ASCII payload armor.
 
 AIVDM payloads encode each group of 6 bits as one printable character: the
 6-bit value 0..63 maps to ASCII 48..87 for values below 40 and 96..119 for
-values 40 and above (ITU-R M.1371 table armoring).
+values 40 and above (ITU-R M.1371 table armoring).  A payload's bits are
+carried as one big-endian integer plus its bit count; the fill bits that
+pad the last character to six are added by :func:`armor` and stripped by
+:func:`unarmor`.
 """
 
-
-class BitWriter:
-    """Append-only big-endian bit buffer for composing AIS payloads."""
-
-    def __init__(self) -> None:
-        self._bits: list[int] = []
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def write_uint(self, value: int, width: int) -> None:
-        """Append an unsigned integer using ``width`` bits (big-endian)."""
-        if value < 0 or value >= (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} unsigned bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
-
-    def write_int(self, value: int, width: int) -> None:
-        """Append a signed integer (two's complement) using ``width`` bits."""
-        bound = 1 << (width - 1)
-        if value < -bound or value >= bound:
-            raise ValueError(f"value {value} does not fit in {width} signed bits")
-        self.write_uint(value & ((1 << width) - 1), width)
-
-    def bits(self) -> list[int]:
-        """The accumulated bits as a list of 0/1 integers."""
-        return list(self._bits)
+#: The armor character of each 6-bit value.
+_CHARS = "".join(chr(value + 48 if value < 40 else value + 56) for value in range(64))
+#: Armor character → its 6-bit value as two octal digits.
+_OCTAL = {ord(char): f"{value:02o}" for value, char in enumerate(_CHARS)}
 
 
-class BitReader:
-    """Sequential reader over a bit vector produced by :class:`BitWriter`."""
-
-    def __init__(self, bits: list[int]):
-        self._bits = bits
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        """Number of unread bits."""
-        return len(self._bits) - self._pos
-
-    def read_uint(self, width: int) -> int:
-        """Read an unsigned integer of ``width`` bits."""
-        if width > self.remaining:
-            raise ValueError(
-                f"cannot read {width} bits, only {self.remaining} remaining"
-            )
-        value = 0
-        for _ in range(width):
-            value = (value << 1) | self._bits[self._pos]
-            self._pos += 1
-        return value
-
-    def read_int(self, width: int) -> int:
-        """Read a signed (two's complement) integer of ``width`` bits."""
-        value = self.read_uint(width)
-        if value >= (1 << (width - 1)):
-            value -= 1 << width
-        return value
-
-    def skip(self, width: int) -> None:
-        """Discard ``width`` bits."""
-        self.read_uint(width)
-
-
-def bits_to_payload(bits: list[int]) -> tuple[str, int]:
-    """Armor a bit vector into a 6-bit ASCII payload string.
-
-    Returns ``(payload, fill_bits)`` where ``fill_bits`` is the number of
-    padding zero bits appended to reach a multiple of six (reported in the
-    AIVDM sentence so the decoder can strip them).
-    """
-    fill = (-len(bits)) % 6
-    padded = bits + [0] * fill
-    chars = []
-    for i in range(0, len(padded), 6):
-        value = 0
-        for bit in padded[i : i + 6]:
-            value = (value << 1) | bit
-        chars.append(_value_to_char(value))
+def armor(value: int, bits: int) -> tuple[str, int]:
+    """``(payload, fill_bits)`` carrying the ``bits``-bit integer ``value``."""
+    fill = -bits % 6
+    value <<= fill
+    chars = [_CHARS[value >> shift & 63] for shift in range(bits + fill - 6, -1, -6)]
     return "".join(chars), fill
 
 
-def payload_to_bits(payload: str, fill_bits: int = 0) -> list[int]:
-    """Strip the 6-bit ASCII armor back into a bit vector."""
-    bits: list[int] = []
-    for char in payload:
-        value = _char_to_value(char)
-        for shift in range(5, -1, -1):
-            bits.append((value >> shift) & 1)
-    if fill_bits:
-        if fill_bits > len(bits):
-            raise ValueError("fill_bits exceeds payload length")
-        bits = bits[: len(bits) - fill_bits]
-    return bits
+def unarmor(payload: str, fill_bits: int = 0) -> tuple[int, int]:
+    """``(value, bits)`` of an armored payload, its fill bits stripped.
 
-
-def _value_to_char(value: int) -> str:
-    if not 0 <= value <= 63:
-        raise ValueError(f"6-bit value out of range: {value}")
-    if value < 40:
-        return chr(value + 48)
-    return chr(value + 56)
-
-
-def _char_to_value(char: str) -> int:
-    code = ord(char)
-    if 48 <= code <= 87:
-        return code - 48
-    if 96 <= code <= 119:
-        return code - 56
-    raise ValueError(f"invalid 6-bit ASCII character: {char!r}")
+    Raises ``ValueError`` on a character outside the armor alphabet, or
+    on fill bits outside 0–5 or longer than the payload.
+    """
+    if not 0 <= fill_bits <= min(5, 6 * len(payload)):
+        raise ValueError(f"fill bits out of range: {fill_bits}")
+    digits = payload.translate(_OCTAL)
+    # Every armor character became two digits; any other is still one.
+    if len(digits) != 2 * len(payload):
+        raise ValueError(f"invalid 6-bit ASCII character in {payload!r}")
+    return int(digits or "0", 8) >> fill_bits, 6 * len(payload) - fill_bits

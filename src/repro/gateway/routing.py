@@ -2,22 +2,27 @@
 
 The cluster's byte-identity contract rests on one invariant: every
 sentence of a vessel reaches the *same* backend runtime, in order.  The
-router decides ownership from the MMSI carried in bits 8–38 of any AIS
-payload, without decoding the rest of the message, and hashes it with
-the sharded runtime's own :func:`~repro.runtime.shard.shard_for_mmsi`.
+router decides ownership from the MMSI in the header of any AIS payload
+(its first 7 armored characters, read through the layout table of
+:mod:`repro.ais.messages`) without decoding the rest of the message, and
+hashes it with the sharded runtime's own
+:func:`~repro.runtime.shard.shard_for_mmsi`.  A payload with an invalid
+character past the header still routes by its MMSI; the owning
+backend's scanner rejects it exactly as a single node's would.
 
 Multi-fragment messages only carry the MMSI in their first fragment, so
-the router remembers ``(channel, message id)`` of an opened fragment
+the router remembers the group key
+(:attr:`~repro.ais.nmea.AivdmSentence.group_key`) of an opened fragment
 group and steers the continuation fragments to the same backend — the
-backend's own fragment assembler then sees the complete group, exactly
-as a single node would.  Anything unroutable (bad checksum, truncated
-payload, an orphan continuation) goes deterministically to backend 0,
-counted, where the backend's dead-letter machinery classifies it just
-like a single node's would.
+backend's own fragment assembler keys groups the same way, so it sees
+the complete group exactly as a single node would.  Anything unroutable
+(bad checksum, truncated payload, an orphan continuation) goes
+deterministically to backend 0, counted, where the backend's dead-letter
+machinery classifies it just like a single node's would.
 """
 
+from repro.ais.messages import decode_mmsi
 from repro.ais.nmea import unwrap_aivdm
-from repro.ais.sixbit import payload_to_bits
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.shard import shard_for_mmsi
 
@@ -27,17 +32,11 @@ PENDING_FRAGMENT_CAPACITY = 1024
 
 
 def mmsi_of_payload(payload: str, fill_bits: int) -> int | None:
-    """MMSI from bits 8–38 of an AIS payload, or ``None`` if truncated."""
+    """MMSI from the header of an AIS payload, or ``None`` if unreadable."""
     try:
-        bits = payload_to_bits(payload, fill_bits)
+        return decode_mmsi(payload, fill_bits)
     except ValueError:
         return None
-    if len(bits) < 38:
-        return None
-    value = 0
-    for bit in bits[8:38]:
-        value = (value << 1) | bit
-    return value
 
 
 class SentenceRouter:
@@ -48,8 +47,8 @@ class SentenceRouter:
             raise ValueError(f"backends must be >= 1: {backends}")
         self.backends = backends
         self.registry = registry
-        #: (channel, message id) → backend of an open fragment group.
-        self._pending: dict[tuple[str, str], int] = {}
+        #: Group key → backend of an open fragment group.
+        self._pending: dict[tuple[str, str, int], int] = {}
 
     def route(self, sentence: str) -> int:
         """The backend index owning this sentence (0 when unroutable)."""
@@ -58,7 +57,7 @@ class SentenceRouter:
         except ValueError:
             return self._unroutable("unparseable")
         if parsed.fragment_count > 1 and parsed.fragment_number > 1:
-            key = (parsed.channel, parsed.message_id)
+            key = parsed.group_key
             if parsed.fragment_number == parsed.fragment_count:
                 backend = self._pending.pop(key, None)
             else:
@@ -71,12 +70,10 @@ class SentenceRouter:
             return self._unroutable("short_payload")
         backend = shard_for_mmsi(mmsi, self.backends)
         if parsed.fragment_count > 1:
-            self._remember(
-                (parsed.channel, parsed.message_id), backend
-            )
+            self._remember(parsed.group_key, backend)
         return backend
 
-    def _remember(self, key: tuple[str, str], backend: int) -> None:
+    def _remember(self, key: tuple[str, str, int], backend: int) -> None:
         self._pending[key] = backend
         if len(self._pending) > PENDING_FRAGMENT_CAPACITY:
             # Drop the stalest abandoned group — counted, never silent.

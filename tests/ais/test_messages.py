@@ -11,7 +11,7 @@ from repro.ais.messages import (
     decode_payload,
     encode_position_report,
 )
-from repro.ais.sixbit import BitWriter, bits_to_payload
+from tests.ais.oracle import BitWriter, bits_to_payload
 
 
 def make_report(message_type=1, **overrides) -> PositionReport:

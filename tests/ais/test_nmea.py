@@ -105,3 +105,9 @@ class TestRejection:
         body = "AIVDM,1,1,,A,,0"
         with pytest.raises(NmeaFormatError, match="empty payload"):
             unwrap_aivdm(f"!{body}*{nmea_checksum(body)}")
+
+    @pytest.mark.parametrize("fill", ["-1", "-7", "6", "63"])
+    def test_fill_bits_outside_0_to_5_rejected(self, fill):
+        body = f"AIVDM,1,1,,A,13u?etPv2;0n:dDPwUM1U1Cb069D,{fill}"
+        with pytest.raises(NmeaFormatError, match="fill bits"):
+            unwrap_aivdm(f"!{body}*{nmea_checksum(body)}")

@@ -52,6 +52,14 @@ class TestReject:
         assert scanner.scan(0, "garbage") is None
         assert scanner.statistics.bad_format == 1
 
+    @pytest.mark.parametrize("fill", ["-1", "-7", "6"])
+    def test_fill_bits_outside_0_to_5_are_bad_format(self, fill):
+        payload = make_sentence().split(",")[5]
+        body = f"AIVDM,1,1,,A,{payload},{fill}"
+        scanner = DataScanner()
+        assert scanner.scan(0, f"!{body}*{nmea_checksum(body)}") is None
+        assert scanner.statistics.bad_format == 1
+
     def test_bad_payload(self):
         scanner = DataScanner()
         # Valid framing/checksum, truncated type-1 payload.

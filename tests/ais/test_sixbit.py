@@ -1,9 +1,10 @@
-"""Tests for bit packing and the 6-bit ASCII armor."""
+"""Tests for the 6-bit ASCII armor, and the bit lists of the reference codec."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ais.sixbit import (
+from repro.ais.sixbit import armor, unarmor
+from tests.ais.oracle import (
     BitReader,
     BitWriter,
     bits_to_payload,
@@ -115,3 +116,36 @@ class TestArmor:
     def test_round_trip_property(self, bits):
         payload, fill = bits_to_payload(bits)
         assert payload_to_bits(payload, fill) == bits
+
+
+class TestIntegerArmor:
+    def test_known_values(self):
+        assert armor(0, 6) == ("0", 0)
+        assert armor(39, 6) == ("W", 0)
+        assert armor(40, 6) == ("`", 0)
+        assert armor(63, 6) == ("w", 0)
+
+    def test_fill_bits_pad_the_last_character(self):
+        assert armor(0b1010, 4) == ("`", 2)  # 101000 = 40
+        assert unarmor("`", 2) == (0b1010, 4)
+
+    @pytest.mark.parametrize("char", ["~", "X", "_", " ", "\u0660", "\x7f"])
+    def test_invalid_character_is_a_value_error(self, char):
+        with pytest.raises(ValueError, match="invalid 6-bit"):
+            unarmor(f"00{char}0")
+
+    @pytest.mark.parametrize("fill", [-1, 6, 7])
+    def test_fill_bits_outside_0_to_5_rejected(self, fill):
+        with pytest.raises(ValueError, match="fill bits"):
+            unarmor("0000", fill)
+
+    def test_fill_bits_longer_than_the_payload_rejected(self):
+        with pytest.raises(ValueError, match="fill bits"):
+            unarmor("", 1)
+
+    @given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=400))
+    def test_matches_the_bit_list_armor(self, bits):
+        value = int("".join(map(str, bits)) or "0", 2)
+        payload, fill = armor(value, len(bits))
+        assert (payload, fill) == bits_to_payload(bits)
+        assert unarmor(payload, fill) == (value, len(bits))

@@ -1,9 +1,11 @@
-"""Routing units: MMSI sharding and fragment-group affinity."""
+"""Routing units: MMSI sharding, fragment-group affinity, and agreement
+with the runtime's Data Scanner on who owns each sentence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ais import PositionReport, encode_position_report
-from repro.ais.nmea import wrap_aivdm, wrap_aivdm_fragments
+from repro.ais import DataScanner, PositionReport, encode_position_report
+from repro.ais.nmea import nmea_checksum, unwrap_aivdm, wrap_aivdm, wrap_aivdm_fragments
 from repro.gateway.routing import (
     PENDING_FRAGMENT_CAPACITY,
     SentenceRouter,
@@ -50,6 +52,15 @@ class TestMmsiOfPayload:
 
     def test_invalid_armor_is_none(self):
         assert mmsi_of_payload("\x7f\x7f\x7f\x7f\x7f\x7f\x7f", 0) is None
+
+    def test_invalid_character_past_the_header_still_reads(self):
+        payload, fill = _sentence(237006500)
+        assert mmsi_of_payload(payload[:10] + "~" + payload[11:], fill) == 237006500
+
+    def test_fill_bits_can_cut_into_the_header(self):
+        payload, _ = _sentence(237006500)
+        assert mmsi_of_payload(payload[:7], 4) == 237006500  # 38 bits
+        assert mmsi_of_payload(payload[:7], 5) is None  # 37 bits
 
 
 class TestSentenceRouter:
@@ -103,3 +114,122 @@ class TestSentenceRouter:
     def test_rejects_zero_backends(self):
         with pytest.raises(ValueError):
             SentenceRouter(0, self.registry)
+
+    @pytest.mark.parametrize("fill", ["-1", "-7", "6"])
+    def test_fill_bits_outside_0_to_5_are_unparseable(self, fill):
+        payload, _ = _sentence(237006500)
+        body = f"AIVDM,1,1,,A,{payload},{fill}"
+        assert self.router.route(f"!{body}*{nmea_checksum(body)}") == 0
+        assert (
+            self.registry.counter("gateway.route.unroutable.unparseable").value == 1
+        )
+
+    def test_invalid_character_past_the_header_routes_to_its_owner(self):
+        # The owner's scanner quarantines it exactly as one node would.
+        payload, fill = _sentence(237006501)
+        sentence = wrap_aivdm(payload[:10] + "~" + payload[11:], fill)
+        assert self.router.route(sentence) == shard_for_mmsi(237006501, 4) == 1
+        scanner = DataScanner()
+        assert scanner.scan(0, sentence) is None
+        assert scanner.last_rejection == "bad_payload"
+
+    def test_groups_of_different_sizes_sharing_an_id_stay_apart(self):
+        # A 2-fragment and a 3-fragment group with the same id on the same
+        # channel are two groups to the scanner, so they are to the router.
+        mmsi_a, mmsi_b = (
+            next(m for m in range(237_000_000, 237_001_000) if shard_for_mmsi(m, 4) == shard)
+            for shard in (1, 2)
+        )
+        a1, a2 = wrap_aivdm_fragments(*_sentence(mmsi_a, 19), message_id=5)
+        b1, b2, b3 = wrap_aivdm_fragments(
+            *_sentence(mmsi_b, 19), message_id=5, fragments=3
+        )
+        arrivals = [a1, b1, a2, b2, b3]
+        routes = [self.router.route(sentence) for sentence in arrivals]
+        assert routes == [1, 2, 1, 2, 2]
+        single = DataScanner()
+        backends = [DataScanner() for _ in range(4)]
+        expected = [single.scan(t, s) for t, s in enumerate(arrivals)]
+        got = [backends[r].scan(t, s) for t, (r, s) in enumerate(zip(routes, arrivals))]
+        assert got == expected
+        assert sorted(p.mmsi for p in got if p) == sorted([mmsi_a, mmsi_b])
+
+
+#: Reports the Data Scanner accepts, of all five position types.
+accepted_reports = st.builds(
+    PositionReport,
+    message_type=st.sampled_from([1, 2, 3, 18, 19]),
+    mmsi=st.integers(min_value=0, max_value=2**30 - 1),
+    lon=st.floats(min_value=-180.0, max_value=180.0),
+    lat=st.floats(min_value=-90.0, max_value=90.0),
+    speed_knots=st.floats(min_value=0.0, max_value=102.2),
+    course_degrees=st.floats(min_value=0.0, max_value=359.9),
+    second_of_minute=st.integers(min_value=0, max_value=59),
+)
+
+
+def _framed(report: PositionReport, fragmented: bool, message_id: int) -> list[str]:
+    payload, fill = encode_position_report(report)
+    if fragmented and report.message_type == 19:
+        return wrap_aivdm_fragments(payload, fill, message_id=message_id % 10)
+    return [wrap_aivdm(payload, fill)]
+
+
+def _checksummed(fields: list[str]) -> str:
+    """An AIVDM sentence of arbitrary fields that passes the checksum."""
+    body = ",".join(["AIVDM", *fields])
+    return f"!{body}*{nmea_checksum(body)}"
+
+
+class TestRouterAgreesWithTheScanner:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        reports=st.lists(
+            st.tuples(accepted_reports, st.booleans()), min_size=1, max_size=6
+        ),
+        backends=st.integers(min_value=1, max_value=8),
+    )
+    def test_every_accepted_sentence_goes_to_its_owner(self, reports, backends):
+        router = SentenceRouter(backends, MetricsRegistry())
+        scanner = DataScanner()
+        for message_id, (report, fragmented) in enumerate(reports):
+            sentences = _framed(report, fragmented, message_id)
+            routes = [router.route(sentence) for sentence in sentences]
+            scanned = [scanner.scan(0, sentence) for sentence in sentences][-1]
+            assert scanned is not None
+            assert routes == [shard_for_mmsi(scanned.mmsi, backends)] * len(sentences)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.text(max_size=80)
+            | st.builds(wrap_aivdm, st.text(max_size=40), st.integers(-9, 9))
+            | st.lists(
+                st.text(alphabet="01235ABC-~", max_size=8), min_size=6, max_size=6
+            ).map(_checksummed),
+            max_size=10,
+        ),
+        backends=st.integers(min_value=1, max_value=8),
+    )
+    def test_arbitrary_text_never_raises_and_every_fallback_is_counted(
+        self, lines, backends
+    ):
+        registry = MetricsRegistry()
+        router = SentenceRouter(backends, registry)
+        for line in lines:
+            before = registry.counter("gateway.route.unroutable").value
+            backend = router.route(line)
+            fallbacks = registry.counter("gateway.route.unroutable").value - before
+            assert 0 <= backend < backends
+            assert fallbacks in (0, 1)
+            if fallbacks:
+                assert backend == 0
+            try:
+                parsed = unwrap_aivdm(line)
+            except ValueError:
+                assert fallbacks == 1
+                continue
+            if parsed.fragment_number == 1 and (
+                mmsi_of_payload(parsed.payload, parsed.fill_bits) is None
+            ):
+                assert fallbacks == 1

@@ -5,9 +5,9 @@
 untouched.  ``finalize`` is the same skeleton run once more, so its report
 is timed like a slide — without being counted as one.
 
-The package also ships one implementation per job: the scalar tracker and
-the spatial-facts CE mode are references under ``tests/``, and importing
-``repro`` loads neither.
+The package also ships one implementation per job: the scalar tracker,
+the spatial-facts CE mode and the bit-list AIS codec are references under
+``tests/``, and importing ``repro`` loads none of them.
 """
 
 import os
@@ -19,6 +19,7 @@ import pytest
 
 import repro
 
+from repro.ais import messages, sixbit
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.pipeline.metrics import PHASES
@@ -72,15 +73,17 @@ def test_close_is_idempotent_and_leaves_the_database_closable(
 
 
 #: Modules that held the second implementation of a job before it moved
-#: to ``tests/`` (``tests/tracking/oracle.py``,
-#: ``tests/maritime/spatial_facts.py``).
+#: to ``tests/``.  The references themselves (``tests/tracking/oracle.py``,
+#: ``tests/maritime/spatial_facts.py``, ``tests/ais/oracle.py``) are
+#: ``tests`` modules, which ``import repro`` must not load either.
 RETIRED_MODULES = ("repro.tracking.tracker", "repro.maritime.spatial_facts")
 
 
 def test_importing_the_package_loads_no_reference_implementation():
     code = (
         "import repro, sys; "
-        f"print(','.join(m for m in {RETIRED_MODULES!r} if m in sys.modules))"
+        f"print(','.join(m for m in sys.modules if m in {RETIRED_MODULES!r} "
+        "or m.partition('.')[0] == 'tests'))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
     loaded = subprocess.run(
@@ -88,3 +91,11 @@ def test_importing_the_package_loads_no_reference_implementation():
         env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
     assert loaded == ""
+
+
+@pytest.mark.parametrize(
+    "name", ["BitReader", "BitWriter", "bits_to_payload", "payload_to_bits"]
+)
+def test_the_ais_codec_has_no_bit_list_path(name):
+    assert not hasattr(sixbit, name)
+    assert not hasattr(messages, name)

@@ -2,12 +2,24 @@
 
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from repro.maritime.recognizer import Alert
 from repro.pipeline.metrics import SlideReport
 from repro.service import (
     format_ingest_line,
     parse_ingest_line,
     slide_feed_line,
+)
+from repro.service.protocol import (
+    format_heartbeat,
+    format_resume,
+    format_stamped_line,
+    format_watermark,
+    parse_heartbeat,
+    parse_resume,
+    parse_stamped_line,
+    parse_watermark,
 )
 from repro.tracking.types import CriticalPoint, MovementEventType
 
@@ -37,6 +49,65 @@ class TestParseIngestLine:
     def test_round_trip_with_format(self):
         line = format_ingest_line(456, "!AIVDM,1,1,,A,x,0*00")
         assert parse_ingest_line(line, 0) == (456, "!AIVDM,1,1,,A,x,0*00")
+
+
+#: Gateway / runtime names as they appear inside control lines.
+sources = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.:", min_size=1, max_size=20
+)
+#: Sentences as an ingest line carries them: no surrounding whitespace,
+#: no tab or newline inside.
+sentences = st.text(
+    alphabet=st.characters(exclude_categories=("Cc", "Zs", "Zl", "Zp", "Cs")),
+    min_size=1,
+    max_size=80,
+)
+FUZZ = settings(max_examples=300, deadline=None)
+
+
+class TestControlLineFuzz:
+    """Control lines arrive from sockets: the parsers never raise on any
+    text, and each reads back exactly what its ``format_*`` twin wrote."""
+
+    @FUZZ
+    @given(line=st.text(max_size=120), default_time=st.integers())
+    def test_parsers_never_raise(self, line, default_time):
+        parsed = parse_ingest_line(line, default_time)
+        assert parsed is None or isinstance(parsed[1], str)
+        assert parse_watermark(line) is None or parse_watermark(line)[0]
+        assert parse_heartbeat(line) is None or parse_heartbeat(line)[0]
+        assert parse_resume(line) is None or parse_resume(line) >= 0
+        assert parse_stamped_line(line) is None or parse_stamped_line(line)[0] > 0
+
+    @FUZZ
+    @given(receive_time=st.integers(), sentence=sentences)
+    def test_ingest_line_round_trip(self, receive_time, sentence):
+        line = format_ingest_line(receive_time, sentence)
+        assert parse_ingest_line(line, 0) == (receive_time, sentence)
+
+    @FUZZ
+    @given(receive_time=st.integers(), source=sources, final=st.booleans())
+    def test_watermark_round_trip(self, receive_time, source, final):
+        line = format_watermark(receive_time, source, final)
+        stamped, sentence = parse_ingest_line(line, 0)
+        assert stamped == receive_time
+        assert parse_watermark(sentence) == (source, final)
+
+    @FUZZ
+    @given(source=sources, seq=st.integers())
+    def test_heartbeat_round_trip(self, source, seq):
+        _, sentence = parse_ingest_line(format_heartbeat(source, seq), 0)
+        assert parse_heartbeat(sentence) == (source, seq)
+
+    @FUZZ
+    @given(last_seq=st.integers(min_value=0))
+    def test_resume_round_trip(self, last_seq):
+        assert parse_resume(format_resume(last_seq)) == last_seq
+
+    @FUZZ
+    @given(seq=st.integers(min_value=1), payload=st.text(max_size=80))
+    def test_stamped_line_round_trip(self, seq, payload):
+        assert parse_stamped_line(format_stamped_line(seq, payload)) == (seq, payload)
 
 
 class TestSlideFeedLine:
