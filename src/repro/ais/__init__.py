@@ -17,11 +17,17 @@ This package implements that substrate from scratch:
   delay / out-of-order behaviour discussed in Sections 2 and 4.2.
 """
 
-from repro.ais.messages import PositionReport, decode_payload, encode_position_report
+from repro.ais.messages import (
+    PositionReport,
+    decode_fix,
+    decode_payload,
+    encode_position_report,
+)
 from repro.ais.nmea import (
     AivdmSentence,
     ChecksumError,
     NmeaFormatError,
+    frame_aivdm,
     nmea_checksum,
     unwrap_aivdm,
     wrap_aivdm,
@@ -41,8 +47,10 @@ __all__ = [
     "PositionalTuple",
     "ScannerStatistics",
     "StreamReplayer",
+    "decode_fix",
     "decode_payload",
     "encode_position_report",
+    "frame_aivdm",
     "nmea_checksum",
     "unwrap_aivdm",
     "wrap_aivdm",

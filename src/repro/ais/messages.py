@@ -6,15 +6,19 @@ decodes those layouts per ITU-R M.1371: positions in 1/10000 arc-minute,
 speed over ground in 1/10 knot, course over ground in 1/10 degree.
 
 Each layout is declared once, as a table of :class:`Field` rows in wire
-order; encode, decode and the router's MMSI read all walk those tables
-over one integer per payload (:mod:`repro.ais.sixbit`).  Only the fields
+order, over one integer per payload (:mod:`repro.ais.sixbit`).  Encode
+walks the tables; at import each is also compiled into extraction rows
+(end bit, mask, sign bit, converter) in :class:`PositionReport` order,
+which decode, the Data Scanner's :func:`decode_fix` and the router's
+MMSI read walk without re-deriving offsets per payload.  Only the fields
 the surveillance system uses (MMSI, longitude, latitude, plus speed/course
 metadata useful for validation) are surfaced; the rest are constants,
 written on encode and skipped on decode, keeping the wire format faithful
 so that corrupt-message tests exercise realistic payloads.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from repro.ais.sixbit import armor, unarmor
@@ -43,10 +47,13 @@ class PositionReport:
 
     def has_valid_position(self) -> bool:
         """Whether lon/lat carry an actual fix (not the sentinel values)."""
-        return (
-            -180.0 <= self.lon <= 180.0
-            and -90.0 <= self.lat <= 90.0
-        )
+        return valid_fix(self.lon, self.lat)
+
+
+def valid_fix(lon: float, lat: float) -> bool:
+    """Whether ``(lon, lat)`` is an actual fix, not a "not available"
+    sentinel (181°, 91°) or another out-of-range value."""
+    return -180.0 <= lon <= 180.0 and -90.0 <= lat <= 90.0
 
 
 class Field(NamedTuple):
@@ -157,6 +164,72 @@ def encode_position_report(report: PositionReport) -> tuple[str, int]:
     return armor(value, bits)
 
 
+class _Row(NamedTuple):
+    """A compiled :class:`Field`: where its bits end, and how to read them."""
+
+    name: str
+    end: int
+    mask: int
+    #: The field's sign bit, or 0 when it is unsigned.
+    sign: int
+    convert: Callable[[int], float] | None
+
+
+class _Compiled(NamedTuple):
+    """One layout's non-constant fields as rows in :class:`PositionReport`
+    order, and the bits a payload needs for all of them."""
+
+    rows: tuple[_Row, ...]
+    bits: int
+
+
+def _compile(layout: tuple[Field, ...], names: tuple[str, ...]) -> _Compiled:
+    rows = {}
+    end = 0
+    for name, width, signed, constant in layout:
+        end += width
+        if constant is None:
+            sign = 1 << (width - 1) if signed else 0
+            rows[name] = _Row(name, end, (1 << width) - 1, sign, _FROM_WIRE.get(name))
+    ordered = tuple(rows[name] for name in names)
+    return _Compiled(ordered, max(row.end for row in ordered))
+
+
+_REPORT_FIELDS = tuple(field.name for field in fields(PositionReport))
+_COMPILED = {
+    message_type: _compile(layout, _REPORT_FIELDS)
+    for message_type, layout in _LAYOUTS.items()
+}
+_TYPE_ROW, _MMSI_ROW = _compile(_HEADER, ("message_type", "mmsi")).rows
+#: Where :func:`decode_fix` finds MMSI, lon and lat in ``_Compiled.rows``.
+_FIX = slice(_REPORT_FIELDS.index("mmsi"), _REPORT_FIELDS.index("lat") + 1)
+
+
+def _read(row: _Row, value: int, bits: int):
+    """The field ``row`` describes, read from the ``bits``-bit ``value``."""
+    _, end, mask, sign, convert = row
+    raw = value >> (bits - end) & mask
+    if raw & sign:
+        raw -= sign << 1
+    return raw if convert is None else convert(raw)
+
+
+def _rows(value: int, bits: int) -> tuple[_Row, ...] | None:
+    """The rows of the payload's message type; ``None`` when unsupported.
+
+    The type is checked before the length, and every field up to
+    second-of-minute must be present.
+    """
+    if bits < _TYPE_ROW.end:
+        raise ValueError(f"payload too short: {bits} bits, no message type")
+    compiled = _COMPILED.get(_read(_TYPE_ROW, value, bits))
+    if compiled is None:
+        return None
+    if bits < compiled.bits:
+        raise ValueError(f"payload too short: {bits} bits, needs {compiled.bits}")
+    return compiled.rows
+
+
 def decode_payload(payload: str, fill_bits: int = 0) -> PositionReport | None:
     """Decode an armored payload into a :class:`PositionReport`.
 
@@ -166,10 +239,22 @@ def decode_payload(payload: str, fill_bits: int = 0) -> PositionReport | None:
     none of them is consumed downstream.
     """
     value, bits = unarmor(payload, fill_bits)
-    layout = _LAYOUTS.get(_read(_HEADER[:1], value, bits)["message_type"])
-    if layout is None:
+    rows = _rows(value, bits)
+    if rows is None:
         return None
-    return PositionReport(**_read(layout, value, bits))
+    return PositionReport(*[_read(row, value, bits) for row in rows])
+
+
+def decode_fix(payload: str, fill_bits: int = 0) -> tuple[int, float, float] | None:
+    """``(mmsi, lon, lat)`` of an armored payload — the Data Scanner's
+    three fields, with every check of :func:`decode_payload` and without
+    building the report."""
+    value, bits = unarmor(payload, fill_bits)
+    rows = _rows(value, bits)
+    if rows is None:
+        return None
+    mmsi, lon, lat = rows[_FIX]
+    return _read(mmsi, value, bits), _read(lon, value, bits), _read(lat, value, bits)
 
 
 def decode_mmsi(payload: str, fill_bits: int = 0) -> int:
@@ -184,21 +269,6 @@ def decode_mmsi(payload: str, fill_bits: int = 0) -> int:
     # when the header characters are the whole payload.
     fill_bits = fill_bits if len(payload) <= _HEADER_CHARS else 0
     value, bits = unarmor(payload[:_HEADER_CHARS], fill_bits)
-    return _read(_HEADER, value, bits)["mmsi"]
-
-
-def _read(layout: tuple[Field, ...], value: int, bits: int) -> dict:
-    """The attributes ``layout`` assigns, read from the ``bits``-bit ``value``."""
-    fields = {}
-    end = 0
-    for name, width, signed, constant in layout:
-        end += width
-        if constant is not None:
-            continue
-        if end > bits:
-            raise ValueError(f"payload too short: {bits} bits, {name} ends at {end}")
-        raw = value >> (bits - end) & ((1 << width) - 1)
-        if signed and raw >> (width - 1):
-            raw -= 1 << width
-        fields[name] = _FROM_WIRE[name](raw) if name in _FROM_WIRE else raw
-    return fields
+    if bits < _MMSI_ROW.end:
+        raise ValueError(f"payload too short: {bits} bits, mmsi ends at {_MMSI_ROW.end}")
+    return _read(_MMSI_ROW, value, bits)

@@ -11,9 +11,14 @@ XOR checksum over everything between ``!`` and ``*``.
 The Data Scanner discards sentences with bad checksums ("clean them from
 distortions caused during transmission — e.g., discard messages with bad
 checksum", Section 2), so checksum handling is implemented faithfully.
+Framing and checksum are separate steps: :func:`unwrap_aivdm` does both
+(the scanner), :func:`frame_aivdm` only the framing (the gateway router,
+which forwards the sentence to the scanner that checks it).
 """
 
-from dataclasses import dataclass
+from functools import reduce
+from operator import xor
+from typing import NamedTuple
 
 
 class NmeaFormatError(ValueError):
@@ -24,15 +29,15 @@ class ChecksumError(ValueError):
     """The sentence checksum does not match its contents."""
 
 
-@dataclass(frozen=True)
-class AivdmSentence:
+class AivdmSentence(NamedTuple):
     """Parsed fields of one AIVDM sentence (possibly one fragment of many).
 
     Long messages (e.g. the 312-bit type 19) may be split across sentences;
     ``fragment_count``/``fragment_number`` carry the 1-based framing and
     ``message_id`` the sequential id shared by fragments of one message
     (empty for single-fragment sentences).  ``fill_bits`` is only
-    meaningful on the final fragment.
+    meaningful on the final fragment.  A tuple, so building one per
+    sentence costs one allocation.
     """
 
     payload: str
@@ -56,11 +61,16 @@ class AivdmSentence:
 
 
 def nmea_checksum(body: str) -> str:
-    """XOR checksum of a sentence body, as two uppercase hex digits."""
-    value = 0
-    for char in body:
-        value ^= ord(char)
-    return f"{value:02X}"
+    """XOR checksum of a sentence body, as two uppercase hex digits.
+
+    The fold runs over the body's code points (more than two digits
+    when one is past 255, so such a body never matches a declared sum).
+    """
+    try:
+        codes = body.encode("latin-1")
+    except UnicodeEncodeError:
+        codes = map(ord, body)
+    return f"{reduce(xor, codes, 0):02X}"
 
 
 def wrap_aivdm(payload: str, fill_bits: int, channel: str = "A") -> str:
@@ -103,23 +113,44 @@ def wrap_aivdm_fragments(
 
 
 def unwrap_aivdm(sentence: str) -> AivdmSentence:
-    """Parse and validate a single-fragment AIVDM sentence.
+    """Parse and validate one AIVDM sentence: its framing and checksum.
 
     Raises :class:`NmeaFormatError` on structural problems and
-    :class:`ChecksumError` when the checksum does not match.
+    :class:`ChecksumError` when the checksum does not match; a sentence
+    that has both is a checksum error.
     """
+    body, declared = _split(sentence)
+    computed = nmea_checksum(body)
+    if computed != declared.upper():
+        raise ChecksumError(
+            f"checksum mismatch: computed {computed}, declared {declared.upper()}"
+        )
+    return _fields(body)
+
+
+def frame_aivdm(sentence: str) -> AivdmSentence:
+    """Parse one AIVDM sentence's framing without verifying its checksum.
+
+    The gateway router needs only the framing; the owning runtime's
+    :func:`unwrap_aivdm` is the one checksum.  Raises
+    :class:`NmeaFormatError` exactly where :func:`unwrap_aivdm` would.
+    """
+    return _fields(_split(sentence)[0])
+
+
+def _split(sentence: str) -> tuple[str, str]:
+    """``(body, declared checksum)`` of a ``!body*hh`` sentence."""
     sentence = sentence.strip()
     if not sentence.startswith("!"):
         raise NmeaFormatError("sentence must start with '!'")
     star = sentence.rfind("*")
     if star == -1 or star + 3 != len(sentence):
         raise NmeaFormatError("missing or malformed checksum suffix")
-    body = sentence[1:star]
-    declared = sentence[star + 1 :].upper()
-    if nmea_checksum(body) != declared:
-        raise ChecksumError(
-            f"checksum mismatch: computed {nmea_checksum(body)}, declared {declared}"
-        )
+    return sentence[1:star], sentence[star + 1 :]
+
+
+def _fields(body: str) -> AivdmSentence:
+    """The framing fields of a sentence body."""
     fields = body.split(",")
     if len(fields) != 7 or fields[0] not in ("AIVDM", "AIVDO"):
         raise NmeaFormatError(f"not an AIVDM sentence: {body!r}")
@@ -138,11 +169,7 @@ def unwrap_aivdm(sentence: str) -> AivdmSentence:
     payload = fields[5]
     if not payload:
         raise NmeaFormatError("empty payload")
-    return AivdmSentence(
-        payload=payload,
-        fill_bits=fill_bits,
-        channel=fields[4],
-        fragment_count=fragment_count,
-        fragment_number=fragment_number,
-        message_id=fields[3],
-    )
+    # tuple.__new__ skips the keyword-handling constructor: same tuple.
+    return tuple.__new__(AivdmSentence, (
+        payload, fill_bits, fields[4], fragment_count, fragment_number, fields[3]
+    ))

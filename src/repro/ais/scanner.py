@@ -17,7 +17,7 @@ never completed, which are *counted*, never silently lost.
 from dataclasses import dataclass
 
 from repro import obs
-from repro.ais.messages import decode_payload
+from repro.ais.messages import decode_fix, valid_fix
 from repro.ais.nmea import (
     AivdmSentence,
     ChecksumError,
@@ -161,20 +161,16 @@ class DataScanner:
                 return None
             stats.reassembled += 1
         try:
-            report = decode_payload(parsed.payload, parsed.fill_bits)
+            fix = decode_fix(parsed.payload, parsed.fill_bits)
         except ValueError:
             return self._reject("bad_payload")
-        if report is None:
+        if fix is None:
             return self._reject("unsupported_type")
-        if not report.has_valid_position():
+        mmsi, lon, lat = fix
+        if not valid_fix(lon, lat):
             return self._reject("invalid_position")
         stats.accepted += 1
-        return PositionalTuple(
-            mmsi=report.mmsi,
-            lon=report.lon,
-            lat=report.lat,
-            timestamp=receive_time,
-        )
+        return PositionalTuple(mmsi, lon, lat, receive_time)
 
     def _reject(self, cause: str) -> None:
         """Count one discarded sentence under ``cause`` and name it."""

@@ -6,12 +6,24 @@ values 40 and above (ITU-R M.1371 table armoring).  A payload's bits are
 carried as one big-endian integer plus its bit count; the fill bits that
 pad the last character to six are added by :func:`armor` and stripped by
 :func:`unarmor`.
+
+Base64 is the same 6-bits-per-character scheme over another alphabet, so
+:func:`unarmor` renames each armor character to the base64 character of
+the same value and lets :func:`binascii.a2b_base64` pack the bits.
 """
+
+import binascii
 
 #: The armor character of each 6-bit value.
 _CHARS = "".join(chr(value + 48 if value < 40 else value + 56) for value in range(64))
-#: Armor character → its 6-bit value as two octal digits.
-_OCTAL = {ord(char): f"{value:02o}" for value, char in enumerate(_CHARS)}
+_ARMOR_BYTES = _CHARS.encode("ascii")
+#: Armor byte → the base64 byte of the same 6-bit value.
+_TO_BASE64 = bytes.maketrans(
+    _ARMOR_BYTES,
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+)
+#: Zero characters that round a payload up to whole base64 quanta.
+_PAD = (b"", b"A", b"AA", b"AAA")
 
 
 def armor(value: int, bits: int) -> tuple[str, int]:
@@ -30,8 +42,14 @@ def unarmor(payload: str, fill_bits: int = 0) -> tuple[int, int]:
     """
     if not 0 <= fill_bits <= min(5, 6 * len(payload)):
         raise ValueError(f"fill bits out of range: {fill_bits}")
-    digits = payload.translate(_OCTAL)
-    # Every armor character became two digits; any other is still one.
-    if len(digits) != 2 * len(payload):
+    try:
+        raw = payload.encode("latin-1")
+        # Deleting every armor byte leaves exactly the invalid ones.
+        invalid = raw.translate(None, _ARMOR_BYTES)
+    except UnicodeEncodeError:
+        invalid = True
+    if invalid:
         raise ValueError(f"invalid 6-bit ASCII character in {payload!r}")
-    return int(digits or "0", 8) >> fill_bits, 6 * len(payload) - fill_bits
+    pad = -len(raw) % 4
+    packed = binascii.a2b_base64(raw.translate(_TO_BASE64) + _PAD[pad])
+    return int.from_bytes(packed, "big") >> (6 * pad + fill_bits), 6 * len(raw) - fill_bits

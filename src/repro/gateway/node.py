@@ -11,11 +11,16 @@ Sentences travel to runtimes over :class:`RuntimeLink`\\ s — bounded
 send queues with the same shed-oldest contract as the ingest queue, a
 ``gateway.link`` fault site for chaos drills, and deterministic
 reconnect backoff so a restarted runtime is rejoined transparently.
+Both ends move batches: a node reads what a client has sent with one
+``receive_many``, and a link sends its queued lines with one
+``send_many`` per wakeup; fault sites, shedding and counters still act
+per line, and a line stays queued — bounded, sheddable — until it is sent.
 """
 
 import asyncio
 import time
 from collections import deque
+from itertools import islice
 
 from repro.gateway.health import LinkFailureDetector
 from repro.gateway.routing import SentenceRouter
@@ -39,6 +44,11 @@ from repro.transport.tcp import CLIENT_READ_LIMIT
 LINK_BACKOFF = BackoffPolicy(
     initial_seconds=0.05, multiplier=2.0, max_seconds=2.0, max_attempts=8
 )
+
+#: Most lines one ``send_many`` carries.  Lines being written are out of
+#: shedding's reach, so the cap keeps a stalled write from pinning the
+#: whole queue; it is about what a 64 KiB transport write buffer holds.
+LINK_BATCH_LINES = 1024
 
 #: A queued line awaiting transmission: ``(line, enqueued_at, control)``.
 #: Control lines (watermarks) bypass shedding and fault injection —
@@ -74,7 +84,13 @@ class RuntimeLink:
         )
         #: Re-dials attempted over this link's lifetime (also a counter).
         self.redials = 0
+        #: Lines not yet sent, oldest first; a batch leaves only once sent.
         self._items: deque[_QueuedLine] = deque()
+        #: Data lines in ``_items``: with none, shedding need not look.
+        self._data_lines = 0
+        #: The oldest ``_writing`` lines are in a ``send_many`` under way
+        #: and may be on the wire, so shedding passes over them.
+        self._writing = 0
         self._wakeup = asyncio.Event()
         #: Set to cut a re-dial backoff sleep short (endpoint moved, or
         #: the link is draining and must stop waiting on a dead runtime).
@@ -107,7 +123,7 @@ class RuntimeLink:
 
     @property
     def depth(self) -> int:
-        """Lines currently queued."""
+        """Lines not yet sent, the batch being delivered included."""
         return len(self._items)
 
     def send(self, line: str, control: bool = False) -> None:
@@ -118,18 +134,22 @@ class RuntimeLink:
             if spec is not None and spec.kind == "drop":
                 self.registry.inc("gateway.link.injected_drops")
                 return
+            self._data_lines += 1
         self._items.append((line, time.perf_counter(), control))
-        if len(self._items) > self.queue_size:
+        if len(self._items) > self.queue_size and self._data_lines:
             self._shed_oldest()
-        self.registry.set_gauge("gateway.link.depth", len(self._items))
         self._wakeup.set()
 
     def _shed_oldest(self) -> None:
         """Backpressure contract of the ingest tier: shed the *oldest*
-        data line, counted — control lines are never shed."""
-        for index, (_, _, control) in enumerate(self._items):
+        data line not being written, counted — control lines are never
+        shed.  A batch waiting out a re-dial backoff is still queued, so
+        its oldest lines go first."""
+        start = self._writing
+        for index, (_, _, control) in enumerate(islice(self._items, start, None), start):
             if not control:
                 del self._items[index]
+                self._data_lines -= 1
                 self.registry.inc("gateway.link.shed")
                 return
 
@@ -141,24 +161,37 @@ class RuntimeLink:
                     return
                 self._wakeup.clear()
                 await self._wakeup.wait()
-            line, enqueued_at, _ = self._items.popleft()
-            self.registry.observe(
-                "gateway.ingest.latency_seconds",
-                time.perf_counter() - enqueued_at,
-            )
             self.registry.set_gauge("gateway.link.depth", len(self._items))
-            await self._deliver(line)
+            await self._deliver()
 
-    async def _deliver(self, line: str) -> None:
-        """Deliver one line, re-dialing with capped backoff until it lands.
+    def _sent(self, count: int) -> None:
+        """Dequeue the ``count`` oldest lines, sent; each one's wait from
+        enqueue to sent is one histogram observation."""
+        self._writing = 0
+        now = time.perf_counter()
+        for _ in range(count):
+            _, enqueued_at, control = self._items.popleft()
+            if not control:
+                self._data_lines -= 1
+            self.registry.observe("gateway.ingest.latency_seconds", now - enqueued_at)
+        if count:
+            self.registry.inc("gateway.link.lines", count)
 
-        A live link never gives a line up: delivery failures feed the
-        detector, the backoff delay is capped at the policy ceiling, and
-        data loss happens only through the bounded queue's counted
-        shed-oldest.  Only while the link is *draining* does the attempt
-        budget apply — a dead runtime must not hang shutdown forever."""
+    async def _deliver(self) -> None:
+        """Deliver the oldest queued lines, at most :data:`LINK_BATCH_LINES`
+        in one ``send_many``, re-dialing with capped backoff until they land.
+
+        The batch is the unit of retry, resent from the first line the
+        failed ``send_many`` did not send (its error's ``sent``) and
+        re-taken from the queue on every attempt, so lines shed during a
+        backoff are not resent.  A live link never gives a batch up:
+        delivery failures feed the detector, the backoff delay is capped
+        at the policy ceiling, and data loss happens only through the
+        bounded queue's counted shed-oldest.  Only while the link is
+        *draining* does the attempt budget apply — a dead runtime must
+        not hang shutdown forever."""
         attempt = 0
-        while True:
+        while self._items:
             if self._reset:
                 self._reset = False
                 await self._disconnect()
@@ -167,14 +200,20 @@ class RuntimeLink:
                     self._session = await self.transport.connect(
                         self.host, self.port, "ingest"
                     )
-                await self._session.send(line)
-            except (TransportError, ConnectionError, OSError):
+                batch = [line for line, _, _ in islice(self._items, LINK_BATCH_LINES)]
+                self._writing = len(batch)
+                await self._session.send_many(batch)
+            except (TransportError, ConnectionError, OSError) as exc:
+                self._sent(exc.sent if isinstance(exc, TransportError) else 0)
                 await self._disconnect()
                 attempt += 1
                 self.detector.record_failure()
                 if self._closing and attempt >= self.policy.max_attempts:
-                    # Drain-time budget spent: the line is lost, and says so.
-                    self.registry.inc("gateway.link.lines_dropped")
+                    # Drain-time budget spent: what is still queued is
+                    # lost, and says so.
+                    self.registry.inc("gateway.link.lines_dropped", len(self._items))
+                    self._items.clear()
+                    self._data_lines = 0
                     return
                 self.redials += 1
                 self.registry.inc("gateway.link.redials")
@@ -193,8 +232,8 @@ class RuntimeLink:
                     pass
                 self._redial_wakeup.clear()
                 continue
+            self._sent(len(batch))
             self.detector.record_success()
-            self.registry.inc("gateway.link.lines")
             return
 
     async def _disconnect(self) -> None:
@@ -282,16 +321,27 @@ class GatewayNode:
         try:
             while True:
                 try:
-                    line = await session.receive()
+                    lines = await session.receive_many()
                 except TransportError:
                     self.registry.inc("gateway.ingest.protocol_errors")
                     break
-                if line is None:
+                if not lines:
                     break
-                parsed = parse_ingest_line(line, int(time.time()))
-                if parsed is None:
-                    continue
-                self._forward(*parsed)
+                now = int(time.time())
+                forwarded = 0
+                for line in lines:
+                    parsed = parse_ingest_line(line, now)
+                    if parsed is not None:
+                        self._forward(*parsed)
+                        forwarded += 1
+                if forwarded:
+                    self.registry.inc("gateway.ingest.lines", forwarded)
+                if forwarded < len(lines):
+                    # Blank/comment lines are skipped, as on a single
+                    # node (service.ingest.ignored) — never invisibly.
+                    self.registry.inc(
+                        "gateway.ingest.ignored", len(lines) - forwarded
+                    )
         finally:
             await session.close()
             self.open_connections -= 1
@@ -304,7 +354,6 @@ class GatewayNode:
         index = self.router.route(sentence)
         self._advance_watermarks(receive_time)
         self.links[index].send(format_ingest_line(receive_time, sentence))
-        self.registry.inc("gateway.ingest.lines")
 
     def _advance_watermarks(self, receive_time: int) -> None:
         slide = self.slide_seconds

@@ -10,19 +10,25 @@ hashes it with the sharded runtime's own
 character past the header still routes by its MMSI; the owning
 backend's scanner rejects it exactly as a single node's would.
 
+The router reads the framing (:func:`~repro.ais.nmea.frame_aivdm`) but
+does not verify the checksum: the owning backend's scanner is the one
+checksum per sentence, so the runtime still trusts nothing it receives.
+A sentence with a bad checksum therefore routes by the MMSI its header
+carries, and that backend quarantines it as ``bad_checksum``.
+
 Multi-fragment messages only carry the MMSI in their first fragment, so
 the router remembers the group key
 (:attr:`~repro.ais.nmea.AivdmSentence.group_key`) of an opened fragment
 group and steers the continuation fragments to the same backend — the
 backend's own fragment assembler keys groups the same way, so it sees
 the complete group exactly as a single node would.  Anything unroutable
-(bad checksum, truncated payload, an orphan continuation) goes
+(broken framing, truncated payload, an orphan continuation) goes
 deterministically to backend 0, counted, where the backend's dead-letter
 machinery classifies it just like a single node's would.
 """
 
 from repro.ais.messages import decode_mmsi
-from repro.ais.nmea import unwrap_aivdm
+from repro.ais.nmea import frame_aivdm
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.shard import shard_for_mmsi
 
@@ -53,7 +59,7 @@ class SentenceRouter:
     def route(self, sentence: str) -> int:
         """The backend index owning this sentence (0 when unroutable)."""
         try:
-            parsed = unwrap_aivdm(sentence)
+            parsed = frame_aivdm(sentence)
         except ValueError:
             return self._unroutable("unparseable")
         if parsed.fragment_count > 1 and parsed.fragment_number > 1:

@@ -5,7 +5,10 @@ see :mod:`repro.service.protocol`) from any number of concurrent
 connections and pushes them into one :class:`IngestQueue` shared with the
 slide batcher.  Line framing is delegated to a pluggable
 :class:`~repro.transport.base.Transport` (newline TCP by default,
-WebSocket or HTTP-forward via ``ServiceConfig.ingest_transport``).  The queue is strictly bounded: when producers outrun the
+WebSocket or HTTP-forward via ``ServiceConfig.ingest_transport``), read
+a batch per wakeup (:meth:`~repro.transport.base.TransportSession.receive_many`:
+one socket read, split once) and handled line by line — the fault site,
+the counters and the queue see every line as before.  The queue is strictly bounded: when producers outrun the
 pipeline the *oldest* buffered sentence is dropped — fresh positions are
 worth more than stale ones for surveillance — and every shed sentence is
 counted in the observability registry (``service.ingest.shed``).  Nothing
@@ -138,35 +141,49 @@ class IngestServer:
         try:
             while True:
                 try:
-                    line = await session.receive()
+                    lines = await session.receive_many()
                 except TransportError:
                     # A protocol violation mid-stream is indistinguishable
                     # from a corrupted link: counted, connection dropped.
                     obs.count("service.ingest.protocol_errors")
                     break
-                if line is None:
+                if not lines or not self._take(lines, stats):
                     break
-                spec = fault_point("service.ingest.socket")
-                if spec is not None and spec.kind == "drop":
-                    # Injected connection drop: sever mid-stream, exactly
-                    # like an upstream feed dying.  The client sees EOF
-                    # and is expected to reconnect and resend.
-                    obs.count("service.ingest.injected_drops")
-                    break
-                stats.lines += 1
-                stats.bytes += len(line) + 1
-                parsed = parse_ingest_line(line, self._clock())
-                if parsed is None:
-                    # Blank/comment/garbled lines are skipped by design,
-                    # but never invisibly: operators distinguish a quiet
-                    # feed from one sending junk by this counter.
-                    obs.count("service.ingest.ignored")
-                    continue
-                obs.count("service.ingest.lines")
-                self.queue.put(*parsed)
         finally:
             stats.closed = True
             await session.close()
+
+    def _take(self, lines: list[str], stats: ConnectionStats) -> bool:
+        """Queue one batch of lines; ``False`` when an injected drop
+        severed the connection partway."""
+        now = self._clock()
+        queued = ignored = 0
+        severed = False
+        for line in lines:
+            spec = fault_point("service.ingest.socket")
+            if spec is not None and spec.kind == "drop":
+                # Injected connection drop: sever mid-stream, exactly
+                # like an upstream feed dying.  The client sees EOF
+                # and is expected to reconnect and resend.
+                obs.count("service.ingest.injected_drops")
+                severed = True
+                break
+            stats.lines += 1
+            stats.bytes += len(line) + 1
+            parsed = parse_ingest_line(line, now)
+            if parsed is None:
+                ignored += 1
+                continue
+            queued += 1
+            self.queue.put(*parsed)
+        if ignored:
+            # Blank/comment/garbled lines are skipped by design, but never
+            # invisibly: operators distinguish a quiet feed from one
+            # sending junk by this counter.
+            obs.count("service.ingest.ignored", ignored)
+        if queued:
+            obs.count("service.ingest.lines", queued)
+        return not severed
 
     async def stop(self) -> None:
         """Stop accepting and close the listening socket."""

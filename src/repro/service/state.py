@@ -49,10 +49,16 @@ class VesselStateStore:
     distance over elapsed time, initial bearing as heading) — the same
     derivation the Mobility Tracker applies, kept separate here so the
     store works identically over the single-process and sharded systems.
+    A position later than the vessel's latest timestamp sets the pair
+    the velocity comes from; the trigonometry runs in :meth:`get`, so
+    the per-position fold on the event loop stays a few assignments.
     """
 
     def __init__(self) -> None:
         self._snapshots: dict[int, VesselSnapshot] = {}
+        #: MMSI -> ``(lon0, lat0, lon1, lat1, dt)``: the latest move
+        #: forward in time, from the previous position to that one.
+        self._moves: dict[int, tuple[float, float, float, float, int]] = {}
 
     def update(self, positions: list[PositionalTuple]) -> None:
         """Fold one batch of scanned positions into the snapshots."""
@@ -69,21 +75,23 @@ class VesselStateStore:
                 continue
             dt = position.timestamp - snapshot.timestamp
             if dt > 0:
-                meters = haversine_meters(
-                    snapshot.lon, snapshot.lat, position.lon, position.lat
+                self._moves[position.mmsi] = (
+                    snapshot.lon, snapshot.lat, position.lon, position.lat, dt
                 )
-                snapshot.speed_mps = meters / dt
-                snapshot.heading_degrees = initial_bearing_degrees(
-                    snapshot.lon, snapshot.lat, position.lon, position.lat
-                )
+                snapshot.timestamp = position.timestamp
             snapshot.lon = position.lon
             snapshot.lat = position.lat
-            snapshot.timestamp = max(snapshot.timestamp, position.timestamp)
             snapshot.positions_seen += 1
 
     def get(self, mmsi: int) -> VesselSnapshot | None:
         """Snapshot of one vessel, or ``None`` if never seen."""
-        return self._snapshots.get(mmsi)
+        snapshot = self._snapshots.get(mmsi)
+        move = self._moves.get(mmsi)
+        if move is not None:
+            lon0, lat0, lon1, lat1, dt = move
+            snapshot.speed_mps = haversine_meters(lon0, lat0, lon1, lat1) / dt
+            snapshot.heading_degrees = initial_bearing_degrees(lon0, lat0, lon1, lat1)
+        return snapshot
 
     def mmsis(self) -> list[int]:
         """All vessels seen so far, sorted."""

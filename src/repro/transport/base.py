@@ -5,7 +5,11 @@ lines leave it.  Both directions move discrete text messages — one
 ``!AIVDM`` ingest line or one JSON feed line per message — and every
 adapter must preserve message boundaries and payload bytes exactly, so
 the service's byte-identity contract (docs/SERVICE.md) survives any
-choice of wire protocol.
+choice of wire protocol.  Messages move one at a time
+(:meth:`TransportSession.receive` / :meth:`~TransportSession.send`) or
+in batches (:meth:`~TransportSession.receive_many` /
+:meth:`~TransportSession.send_many`), which the live ingest path uses so
+that one wakeup costs one read or one write, not one per sentence.
 
 Two call sites, two roles:
 
@@ -36,6 +40,10 @@ class TransportError(Exception):
     budget (the HTTP-forward adapter, the gateway links) may reconnect.
     """
 
+    #: From :meth:`TransportSession.send_many`: how many of its messages,
+    #: from the first, were sent before the failure.
+    sent = 0
+
 
 #: Session directions — which way application messages flow.
 MODES = ("ingest", "feed")
@@ -52,10 +60,37 @@ class TransportSession(abc.ABC):
         violations raise :class:`TransportError`.
         """
 
+    async def receive_many(self) -> list[str]:
+        """Every message already arrived (at least one, waiting for it),
+        in order; ``[]`` once the peer is done.
+
+        Errors as :meth:`receive`.  The default wraps one
+        :meth:`receive`; an adapter framing a byte stream overrides it to
+        split one read.  Read a session one way: an override may hold a
+        partial message that :meth:`receive` would not see.
+        """
+        text = await self.receive()
+        return [] if text is None else [text]
+
     @abc.abstractmethod
     async def send(self, text: str) -> None:
         """Send one text message; raises :class:`TransportError` when
         the peer is gone."""
+
+    async def send_many(self, texts: list[str]) -> None:
+        """Send messages in order, as :meth:`send` would one by one.
+
+        On :class:`TransportError`, its ``sent`` leading messages went
+        out as :meth:`send` sends one; a caller retrying resends from
+        there.  The default loops :meth:`send`; an adapter over a byte
+        stream overrides it with one write.
+        """
+        for sent, text in enumerate(texts):
+            try:
+                await self.send(text)
+            except TransportError as exc:
+                exc.sent = sent
+                raise
 
     @abc.abstractmethod
     async def close(self) -> None:

@@ -15,6 +15,9 @@ is exercised for real):
 * **Drops** — the ``chaosnet.connect`` / ``chaosnet.send`` /
   ``chaosnet.receive`` fault sites (:mod:`repro.resilience.faults`) fail
   the n-th dial, outbound message, or inbound read deterministically.
+  A batch send fails at the message that hits the send site, after
+  writing the messages before it, as a loop of single sends would; the
+  error's ``sent`` tells the caller where to resume.
 * **Partitions** — a module-level partition table keyed by endpoint
   ``(host, port)``: :func:`sever` makes every dial *and* every send on
   existing sessions to that endpoint fail until :func:`heal` (or an
@@ -138,18 +141,35 @@ class ChaosSession(TransportSession):
         return await self.inner.receive()
 
     async def send(self, text: str) -> None:
+        await self.send_many([text])
+
+    async def send_many(self, texts: list[str]) -> None:
+        """As :meth:`send` one message after another: a partition fails
+        the batch before any of it is written; a ``chaosnet.send`` drop
+        fails it at that message, after writing the ones before it (the
+        error's ``sent``).  The profile delays are slept as one."""
         if self.endpoint is not None and is_severed(*self.endpoint):
             obs.count("chaosnet.sends_partitioned")
             raise TransportError(
                 f"chaosnet: partitioned from {self.endpoint[0]}:"
                 f"{self.endpoint[1]}"
             )
-        spec = fault_point("chaosnet.send")
-        if spec is not None and spec.kind == "drop":
-            obs.count("chaosnet.sends_dropped")
-            raise TransportError("chaosnet: injected send failure")
-        await self.profile.delay()
-        await self.inner.send(text)
+        delay = 0.0
+        dropped = None
+        for index in range(len(texts)):
+            spec = fault_point("chaosnet.send")
+            if spec is not None and spec.kind == "drop":
+                obs.count("chaosnet.sends_dropped")
+                dropped = index
+                break
+            delay += self.profile.delay_seconds()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        await self.inner.send_many(texts[:dropped])
+        if dropped is not None:
+            error = TransportError("chaosnet: injected send failure")
+            error.sent = dropped
+            raise error
 
     async def close(self) -> None:
         await self.inner.close()

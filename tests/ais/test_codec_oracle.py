@@ -3,12 +3,18 @@
 Encode, decode and the router's MMSI read must give the same outcome as
 the reference on generated inputs — the same bytes, the same report, or
 the same error from both — including out-of-range values, invalid
-characters and payloads truncated anywhere.
+characters and payloads truncated anywhere.  The scanner's
+``decode_fix`` must agree with ``decode_payload`` the same way.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ais.messages import PositionReport, decode_payload, encode_position_report
+from repro.ais.messages import (
+    PositionReport,
+    decode_fix,
+    decode_payload,
+    encode_position_report,
+)
 from repro.gateway.routing import mmsi_of_payload
 from tests.ais import oracle
 
@@ -103,6 +109,30 @@ def test_decode_of_truncated_reports_matches_the_oracle(report, cut, fill):
     payload = oracle.encode_position_report(report)[0][:cut]
     assert outcome(decode_payload, payload, fill) == outcome(
         oracle.decode_payload, payload, fill
+    )
+
+
+def _fix(report):
+    """What ``decode_fix`` owes for a ``decode_payload`` outcome."""
+    if isinstance(report, PositionReport):
+        return report.mmsi, report.lon, report.lat
+    return report
+
+
+@EXAMPLES
+@given(
+    payload=payloads
+    | st.builds(
+        lambda report, cut: oracle.encode_position_report(report)[0][:cut],
+        valid_reports,
+        st.integers(min_value=0, max_value=60),
+    ),
+    fill=fills,
+)
+def test_decode_fix_agrees_with_decode(payload, fill):
+    # The same (mmsi, lon, lat), both None, or both ValueError.
+    assert outcome(decode_fix, payload, fill) == _fix(
+        outcome(decode_payload, payload, fill)
     )
 
 

@@ -1,0 +1,381 @@
+"""Gateway nodes and their runtime links: ingest accounting, the link's
+batches, shedding, and a link severed mid-batch."""
+
+import asyncio
+import time
+
+from hypothesis import given, settings, strategies as st
+
+from repro.gateway import GatewayNode, RuntimeLink
+from repro.obs.registry import MetricsRegistry
+from repro.resilience import faults
+from repro.resilience.faults import FaultPlan
+from repro.resilience.retry import BackoffPolicy
+from repro.service import ServiceConfig, ServiceSupervisor
+from repro.service.protocol import format_ingest_line
+from repro.transport import chaosnet, create_transport
+from repro.gateway import node as node_module
+from repro.transport.base import Transport, TransportError, TransportSession
+from tests.parity import offline_oracle
+from tests.service.conftest import to_sentences
+
+FAST = BackoffPolicy(initial_seconds=0.01, multiplier=2.0, max_seconds=0.05)
+
+
+class RecordingSession(TransportSession):
+    """Records every ``send_many`` batch it sends into its transport."""
+
+    def __init__(self, transport: "RecordingTransport"):
+        self.transport = transport
+
+    async def receive(self) -> str | None:
+        return None
+
+    async def send(self, text: str) -> None:
+        await self.send_many([text])
+
+    async def send_many(self, texts: list[str]) -> None:
+        transport = self.transport
+        if transport.stall is not None:
+            await transport.stall.wait()
+        if transport.down:
+            raise TransportError("runtime down")
+        if transport.cut_at is not None:
+            cut, transport.cut_at = transport.cut_at, None
+            transport.batches.append(texts[:cut])
+            error = TransportError("connection lost mid-batch")
+            error.sent = cut
+            raise error
+        transport.batches.append(list(texts))
+
+    async def close(self) -> None:
+        pass
+
+
+class RecordingTransport(Transport):
+    """A transport whose every dial records into :attr:`batches`.
+
+    ``stall`` (an event) holds every ``send_many`` until it is set;
+    ``down`` fails every ``send_many`` before it sends anything;
+    ``cut_at`` makes the next one send that many lines, then fail."""
+
+    name = "recording"
+
+    def __init__(self) -> None:
+        self.batches: list[list[str]] = []
+        self.stall: asyncio.Event | None = None
+        self.down = False
+        self.cut_at: int | None = None
+
+    async def accept(self, reader, writer, mode):
+        raise NotImplementedError
+
+    async def connect(self, host, port, mode):
+        return RecordingSession(self)
+
+
+async def _poll(predicate, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "poll timed out"
+        await asyncio.sleep(0.002)
+
+
+class TestGatewayIngest:
+    def test_ignored_lines_are_counted(self):
+        """Blank, comment and garbled lines are skipped, as on a single
+        node, and counted as ``gateway.ingest.ignored``."""
+
+        async def run():
+            transport = RecordingTransport()
+            registry = MetricsRegistry()
+            link = RuntimeLink("l0", "127.0.0.1", 1, transport, registry)
+            node = GatewayNode(
+                "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], 60, registry
+            )
+            await node.start()
+            _, writer = await asyncio.open_connection("127.0.0.1", node.port)
+            writer.write(b"# comment\n\n   \n100\t!AIVDM,1,1,,A,0,0*00\n")
+            await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            await _poll(lambda: node.open_connections == 0)
+            await node.drain()
+            return registry, transport.batches
+
+        registry, batches = asyncio.run(run())
+        assert registry.counter("gateway.ingest.ignored").value == 3
+        assert registry.counter("gateway.ingest.lines").value == 1
+        delivered = [line for batch in batches for line in batch]
+        assert format_ingest_line(100, "!AIVDM,1,1,,A,0,0*00") in delivered
+
+
+def _reference_delivery(sends, queue_size, pinned=0):
+    """The lines a link delivers when ``sends`` are queued while it is not
+    sending, or while a write holds the oldest ``pinned`` lines:
+    shed-oldest by scanning for the first data line past them, as the
+    queue contract states it."""
+    items, shed = [], 0
+    for line, control in sends:
+        items.append((line, control))
+        if len(items) > queue_size:
+            for index in range(pinned, len(items)):
+                if not items[index][1]:
+                    del items[index]
+                    shed += 1
+                    break
+    return [line for line, _ in items], shed
+
+
+#: Phases of sends, each drained as one batch before the next: data lines
+#: and control lines (watermarks) interleaved.
+phases = st.lists(
+    st.lists(st.booleans(), max_size=12).map(
+        lambda controls: [
+            (f"{'wm' if control else 'data'}-{index}", control)
+            for index, control in enumerate(controls)
+        ]
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestLinkBatches:
+    @settings(max_examples=100, deadline=None)
+    @given(phases=phases, queue_size=st.integers(min_value=1, max_value=5))
+    def test_shedding_with_control_lines_interleaved(self, phases, queue_size):
+        async def run():
+            transport = RecordingTransport()
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", 1, transport, registry, queue_size=queue_size
+            )
+            link.start()
+            for phase in phases:
+                for line, control in phase:
+                    link.send(line, control=control)
+                await _poll(lambda: link.depth == 0)
+            await link.close()
+            return registry, transport.batches
+
+        registry, batches = asyncio.run(run())
+        expected = [_reference_delivery(phase, queue_size) for phase in phases]
+        # One send_many per phase that left anything to send.
+        assert batches == [lines for lines, _ in expected if lines]
+        delivered = sum(len(lines) for lines, _ in expected)
+        assert registry.counter("gateway.link.shed").value == sum(
+            shed for _, shed in expected
+        )
+        assert registry.counter("gateway.link.lines").value == delivered
+        # One queue-wait observation per line, not per batch.
+        assert (
+            registry.histogram("gateway.ingest.latency_seconds").count == delivered
+        )
+
+    def test_depth_counts_the_batch_in_flight(self):
+        async def run():
+            transport = RecordingTransport()
+            transport.stall = asyncio.Event()
+            link = RuntimeLink("l0", "127.0.0.1", 1, transport, MetricsRegistry())
+            link.start()
+            for index in range(5):
+                link.send(f"line-{index}")
+            await asyncio.sleep(0.01)
+            in_flight = link.depth
+            transport.stall.set()
+            await _poll(lambda: link.depth == 0)
+            await link.close()
+            return in_flight, transport.batches
+
+        in_flight, batches = asyncio.run(run())
+        assert in_flight == 5
+        assert batches == [[f"line-{index}" for index in range(5)]]
+
+    def test_a_stalled_write_keeps_the_queue_bounded(self, monkeypatch):
+        """While a write stalls, every shed line leaves the queue at once:
+        it never holds more than its bound plus the control lines.  Only
+        the lines being written are out of shedding's reach."""
+        monkeypatch.setattr(node_module, "LINK_BATCH_LINES", 3)
+        queue_size = 8
+        first = [(f"first-{index}", False) for index in range(3)]
+        rest = [
+            (f"wm-{index}", True) if index % 7 == 0 else (f"data-{index}", False)
+            for index in range(80)
+        ]
+
+        async def run():
+            transport = RecordingTransport()
+            transport.stall = asyncio.Event()
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", 1, transport, registry, queue_size=queue_size
+            )
+            link.start()
+            for line, control in first:
+                link.send(line, control=control)
+            await _poll(lambda: link._writing == len(first))
+            controls = 0
+            for line, control in rest:
+                link.send(line, control=control)
+                controls += control
+                assert len(link._items) <= queue_size + controls
+            transport.stall.set()
+            await _poll(lambda: link.depth == 0)
+            await link.close()
+            return registry, transport.batches
+
+        registry, batches = asyncio.run(run())
+        expected, shed = _reference_delivery(first + rest, queue_size, pinned=len(first))
+        assert batches[0] == [line for line, _ in first]
+        assert all(len(batch) <= 3 for batch in batches)
+        assert [line for batch in batches for line in batch] == expected
+        assert registry.counter("gateway.link.shed").value == shed
+
+    def test_an_outage_sheds_the_retried_batch_oldest_first(self):
+        """A batch the link keeps retrying through an outage stays queued,
+        so lines sent meanwhile shed its oldest lines first: the runtime,
+        back, gets the freshest lines, never more than the bound."""
+        queue_size = 8
+        early = [(f"early-{index}", False) for index in range(5)]
+        late = [
+            (f"wm-{index}", True) if index % 6 == 0 else (f"late-{index}", False)
+            for index in range(20)
+        ]
+
+        async def run():
+            transport = RecordingTransport()
+            transport.down = True
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", 1, transport, registry,
+                queue_size=queue_size, policy=FAST,
+            )
+            link.start()
+            for line, control in early:
+                link.send(line, control=control)
+            await _poll(lambda: link.redials >= 2)
+            controls = 0
+            for line, control in late:
+                link.send(line, control=control)
+                controls += control
+                assert len(link._items) <= queue_size + controls
+            transport.down = False
+            await _poll(lambda: link.depth == 0)
+            await link.close()
+            return registry, transport.batches
+
+        registry, batches = asyncio.run(run())
+        expected, shed = _reference_delivery(early + late, queue_size)
+        delivered = [line for batch in batches for line in batch]
+        assert delivered == expected
+        assert not any(line.startswith("early") for line in delivered)
+        assert registry.counter("gateway.link.shed").value == shed
+        assert registry.counter("gateway.link.lines").value == len(delivered)
+
+    def test_a_partly_sent_batch_is_resent_from_where_it_stopped(self):
+        """``send_many`` fails after sending part of the batch: the link
+        resends from its error's ``sent``, so no line goes twice."""
+        lines = [f"line-{index}" for index in range(10)]
+
+        async def run():
+            transport = RecordingTransport()
+            transport.cut_at = 4
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", 1, transport, registry, policy=FAST
+            )
+            link.start()
+            for line in lines:
+                link.send(line)
+            await _poll(lambda: link.depth == 0)
+            await link.close()
+            return registry, link, transport.batches
+
+        registry, link, batches = asyncio.run(run())
+        assert batches == [lines[:4], lines[4:]]
+        assert link.redials == 1
+        assert registry.counter("gateway.link.lines").value == len(lines)
+        assert registry.histogram("gateway.ingest.latency_seconds").count == len(lines)
+
+
+async def _subscribe(supervisor):
+    """A socket subscribed to the supervisor's feed."""
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", supervisor.ports()["feed"], limit=1 << 24
+    )
+    await _poll(lambda: supervisor.feed.subscriber_count == 1)
+    return reader, writer
+
+
+class TestLinkSeveredMidBatch:
+    def test_runtime_feed_is_byte_identical(self, world, small_fleet):
+        """A ``chaos+tcp`` link has one batch cut by an injected send drop
+        in its middle, after half of it reached the runtime, and another
+        lost to a partition; each is resent from where it stopped, and
+        the runtime's feed equals the offline replay: no line lost, none
+        duplicated."""
+        sentences = to_sentences(small_fleet["stream"], fragment_every=40)
+        oracle = offline_oracle(sentences, world, small_fleet["specs"])
+        lines = [format_ingest_line(t, s) for t, s in sentences]
+        cut = len(lines) // 3
+        thirds = [lines[:cut], lines[cut : 2 * cut], lines[2 * cut :]]
+
+        async def run():
+            supervisor = ServiceSupervisor(
+                world, small_fleet["specs"], None,
+                ServiceConfig(ingest_port=0, feed_port=0, http_port=0),
+            )
+            await supervisor.start()
+            port = supervisor.ports()["ingest"]
+            feed_reader, feed_writer = await _subscribe(supervisor)
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", port, create_transport("chaos+tcp"), registry,
+                policy=FAST,
+            )
+            link.start()
+            delivered = 0
+
+            # 1. The first batch fails at its middle line after writing the
+            #    lines before it, and is resent from that line.
+            plan = FaultPlan.from_spec(f"chaosnet.send:drop@{len(thirds[0]) // 2}")
+            with faults.inject(plan) as injector:
+                for line in thirds[0]:
+                    link.send(line)
+                delivered += len(thirds[0])
+                await _poll(lambda: supervisor.queue.put_count == delivered)
+            assert len(injector.fired) == 1
+            assert link.redials == 1
+
+            # 2. The endpoint is severed with the next batch in flight and
+            #    more lines queued behind it; healed, all of it lands once.
+            chaosnet.sever("127.0.0.1", port)
+            try:
+                for line in thirds[1]:
+                    link.send(line)
+                await asyncio.sleep(0)
+                for line in thirds[2]:
+                    link.send(line)
+                await _poll(lambda: link.redials >= 3)
+                assert link.depth == len(thirds[1]) + len(thirds[2])
+            finally:
+                chaosnet.heal("127.0.0.1", port)
+            delivered += len(thirds[1]) + len(thirds[2])
+            await _poll(lambda: supervisor.queue.put_count == delivered)
+            await link.close()
+            await supervisor.drain_and_stop()
+
+            feed = []
+            while raw := await feed_reader.readline():
+                feed.append(raw.decode("utf-8").rstrip("\n"))
+            feed_writer.close()
+            return registry, link, feed
+
+        try:
+            registry, link, feed = asyncio.run(run())
+        finally:
+            chaosnet.clear_partitions()
+        assert feed == oracle
+        assert registry.counter("gateway.link.lines").value == len(lines)
+        assert registry.counter("gateway.link.lines_dropped").value == 0

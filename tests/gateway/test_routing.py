@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ais import DataScanner, PositionReport, encode_position_report
-from repro.ais.nmea import nmea_checksum, unwrap_aivdm, wrap_aivdm, wrap_aivdm_fragments
+from repro.ais.nmea import frame_aivdm, nmea_checksum, wrap_aivdm, wrap_aivdm_fragments
 from repro.gateway.routing import (
     PENDING_FRAGMENT_CAPACITY,
     SentenceRouter,
@@ -133,6 +133,18 @@ class TestSentenceRouter:
         assert scanner.scan(0, sentence) is None
         assert scanner.last_rejection == "bad_payload"
 
+    def test_bad_checksum_routes_to_its_owner_which_quarantines_it(self):
+        # The router frames without checksumming; the owner's scanner is
+        # the one checksum and counts the sentence there.
+        payload, fill = _sentence(237006501)
+        sentence = wrap_aivdm(payload, fill)
+        corrupted = f"{sentence[:-2]}{int(sentence[-2:], 16) ^ 1:02X}"
+        assert self.router.route(corrupted) == shard_for_mmsi(237006501, 4) == 1
+        assert self.registry.counter("gateway.route.unroutable").value == 0
+        scanner = DataScanner()
+        assert scanner.scan(0, corrupted) is None
+        assert scanner.last_rejection == "bad_checksum"
+
     def test_groups_of_different_sizes_sharing_an_id_stay_apart(self):
         # A 2-fragment and a 3-fragment group with the same id on the same
         # channel are two groups to the scanner, so they are to the router.
@@ -206,7 +218,11 @@ class TestRouterAgreesWithTheScanner:
             | st.builds(wrap_aivdm, st.text(max_size=40), st.integers(-9, 9))
             | st.lists(
                 st.text(alphabet="01235ABC-~", max_size=8), min_size=6, max_size=6
-            ).map(_checksummed),
+            ).map(_checksummed)
+            # The same with a wrong checksum, which routing does not read.
+            | st.lists(
+                st.text(alphabet="01235ABC-~", max_size=8), min_size=6, max_size=6
+            ).map(lambda fields: _checksummed(fields)[:-2] + "ZZ"),
             max_size=10,
         ),
         backends=st.integers(min_value=1, max_value=8),
@@ -225,7 +241,7 @@ class TestRouterAgreesWithTheScanner:
             if fallbacks:
                 assert backend == 0
             try:
-                parsed = unwrap_aivdm(line)
+                parsed = frame_aivdm(line)
             except ValueError:
                 assert fallbacks == 1
                 continue

@@ -1,10 +1,12 @@
 """Vessel snapshot store and alert ring tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ais.stream import PositionalTuple
+from repro.geo.haversine import haversine_meters, initial_bearing_degrees
 from repro.maritime.recognizer import Alert
-from repro.service import AlertRing, VesselStateStore
+from repro.service import AlertRing, VesselSnapshot, VesselStateStore
 
 
 class TestVesselStateStore:
@@ -46,6 +48,63 @@ class TestVesselStateStore:
             "lon", "lat", "timestamp", "speed_mps", "speed_knots",
             "heading_degrees", "positions_seen",
         }
+
+
+class EagerVesselStateStore:
+    """The reference: velocity computed on every position as it is folded."""
+
+    def __init__(self) -> None:
+        self.snapshots: dict[int, VesselSnapshot] = {}
+
+    def update(self, positions) -> None:
+        for position in positions:
+            snapshot = self.snapshots.get(position.mmsi)
+            if snapshot is None:
+                self.snapshots[position.mmsi] = VesselSnapshot(
+                    mmsi=position.mmsi,
+                    lon=position.lon,
+                    lat=position.lat,
+                    timestamp=position.timestamp,
+                    positions_seen=1,
+                )
+                continue
+            dt = position.timestamp - snapshot.timestamp
+            if dt > 0:
+                meters = haversine_meters(
+                    snapshot.lon, snapshot.lat, position.lon, position.lat
+                )
+                snapshot.speed_mps = meters / dt
+                snapshot.heading_degrees = initial_bearing_degrees(
+                    snapshot.lon, snapshot.lat, position.lon, position.lat
+                )
+            snapshot.lon = position.lon
+            snapshot.lat = position.lat
+            snapshot.timestamp = max(snapshot.timestamp, position.timestamp)
+            snapshot.positions_seen += 1
+
+
+#: Positions of three vessels whose timestamps repeat, go backwards and
+#: jump ahead, with fixes that often repeat too.
+positions = st.builds(
+    PositionalTuple,
+    mmsi=st.sampled_from([1, 2, 3]),
+    lon=st.sampled_from([24.0, 24.01]) | st.floats(min_value=-180, max_value=180),
+    lat=st.sampled_from([37.0]) | st.floats(min_value=-90, max_value=90),
+    timestamp=st.integers(min_value=0, max_value=12),
+)
+
+
+class TestVelocityOnRead:
+    @settings(max_examples=150, deadline=None)
+    @given(batches=st.lists(st.lists(positions, max_size=6), max_size=8))
+    def test_vessel_dicts_match_the_eager_fold(self, batches):
+        store, eager = VesselStateStore(), EagerVesselStateStore()
+        for batch in batches:
+            store.update(batch)
+            eager.update(batch)
+            assert store.mmsis() == sorted(eager.snapshots)
+            for mmsi in store.mmsis():
+                assert store.get(mmsi).to_dict() == eager.snapshots[mmsi].to_dict()
 
 
 class TestAlertRing:

@@ -75,6 +75,33 @@ async def _ingest_roundtrip(transport, messages):
     return received
 
 
+async def _batch_roundtrip(transport, batches):
+    """Client sends each of ``batches`` with one ``send_many``; returns
+    every message the server-side ``receive_many`` calls yielded."""
+    received: list[str] = []
+    done = asyncio.Event()
+
+    async def handle(reader, writer):
+        session = await transport.accept(reader, writer, "ingest")
+        if session is None:
+            writer.close()
+            return
+        while lines := await session.receive_many():
+            received.extend(lines)
+        await session.close()
+        done.set()
+
+    server, port = await _serve(handle)
+    client = await transport.connect("127.0.0.1", port, "ingest")
+    for batch in batches:
+        await client.send_many(batch)
+    await client.close()
+    await asyncio.wait_for(done.wait(), 10)
+    server.close()
+    await server.wait_closed()
+    return received
+
+
 async def _feed_roundtrip(transport, messages):
     """Server sends ``messages`` over a feed session; returns what the
     client-side session yielded."""
@@ -114,6 +141,14 @@ class TestConformance:
     def test_message_order_survives_volume(self, transport):
         messages = [f"line-{index:05d}" for index in range(1000)]
         assert asyncio.run(_ingest_roundtrip(transport, messages)) == messages
+
+    def test_batches_roundtrip_exactly(self, transport):
+        """``send_many`` → ``receive_many`` carries the same messages, in
+        order, as one ``send`` → ``receive`` at a time."""
+        volume = [f"line-{index:05d}" for index in range(1000)]
+        batches = [MESSAGES, [], volume[:1], volume[1:], MESSAGES[::-1]]
+        expected = [message for batch in batches for message in batch]
+        assert asyncio.run(_batch_roundtrip(transport, batches)) == expected
 
     def test_clean_goodbye_is_eof_not_error(self, transport):
         # A client that connects and hangs up without sending anything is
