@@ -9,8 +9,8 @@ Each layout is declared once, as a table of :class:`Field` rows in wire
 order, over one integer per payload (:mod:`repro.ais.sixbit`).  Encode
 walks the tables; at import each is also compiled into extraction rows
 (end bit, mask, sign bit, converter) in :class:`PositionReport` order,
-which decode, the Data Scanner's :func:`decode_fix` and the router's
-MMSI read walk without re-deriving offsets per payload.  Only the fields
+which decode, the Data Scanner's batch read :func:`decode_fixes` and the
+router's MMSI read walk without re-deriving offsets per payload.  Only the fields
 the surveillance system uses (MMSI, longitude, latitude, plus speed/course
 metadata useful for validation) are surfaced; the rest are constants,
 written on encode and skipped on decode, keeping the wire format faithful
@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from repro.ais.sixbit import armor, unarmor
+from repro.ais.sixbit import armor, unarmor, unarmor_many
 
 #: Sentinel "not available" values from the AIS specification.
 LON_NOT_AVAILABLE = 181.0
@@ -201,8 +201,40 @@ _COMPILED = {
     for message_type, layout in _LAYOUTS.items()
 }
 _TYPE_ROW, _MMSI_ROW = _compile(_HEADER, ("message_type", "mmsi")).rows
-#: Where :func:`decode_fix` finds MMSI, lon and lat in ``_Compiled.rows``.
-_FIX = slice(_REPORT_FIELDS.index("mmsi"), _REPORT_FIELDS.index("lat") + 1)
+
+
+class _FixLayout(NamedTuple):
+    """One layout's MMSI, lon and lat rows, flattened for
+    :func:`decode_fixes`: the MMSI is unsigned and read as is, lon and
+    lat are signed and converted.  ``bits`` stays what the payload needs
+    for every field up to second-of-minute."""
+
+    bits: int
+    mmsi_end: int
+    mmsi_mask: int
+    lon_end: int
+    lon_mask: int
+    lon_sign: int
+    to_lon: Callable[[int], float]
+    lat_end: int
+    lat_mask: int
+    lat_sign: int
+    to_lat: Callable[[int], float]
+
+
+def _fix_layout(compiled: _Compiled) -> _FixLayout:
+    mmsi, lon, lat = (
+        compiled.rows[_REPORT_FIELDS.index(name)] for name in ("mmsi", "lon", "lat")
+    )
+    assert lon.convert is not None and lat.convert is not None
+    return _FixLayout(
+        compiled.bits, mmsi.end, mmsi.mask,
+        lon.end, lon.mask, lon.sign, lon.convert,
+        lat.end, lat.mask, lat.sign, lat.convert,
+    )
+
+
+_FIXES = {message_type: _fix_layout(compiled) for message_type, compiled in _COMPILED.items()}
 
 
 def _read(row: _Row, value: int, bits: int):
@@ -249,12 +281,54 @@ def decode_fix(payload: str, fill_bits: int = 0) -> tuple[int, float, float] | N
     """``(mmsi, lon, lat)`` of an armored payload — the Data Scanner's
     three fields, with every check of :func:`decode_payload` and without
     building the report."""
-    value, bits = unarmor(payload, fill_bits)
-    rows = _rows(value, bits)
-    if rows is None:
-        return None
-    mmsi, lon, lat = rows[_FIX]
-    return _read(mmsi, value, bits), _read(lon, value, bits), _read(lat, value, bits)
+    fix = decode_fixes([(payload, fill_bits)])[0]
+    if isinstance(fix, ValueError):
+        raise fix
+    return fix
+
+
+def decode_fixes(
+    payloads: list[tuple[str, int]],
+) -> list[tuple[int, float, float] | ValueError | None]:
+    """:func:`decode_fix` of each ``(payload, fill_bits)``: its ``(mmsi,
+    lon, lat)``, ``None``, or the ``ValueError`` it would raise (returned,
+    not raised) — the Data Scanner's batch read.
+
+    The payloads are unarmored together (:func:`~repro.ais.sixbit.unarmor_many`)
+    and the three fields are read through their compiled rows.  A batch
+    holding a payload that cannot be unarmored is decoded one payload at
+    a time.
+    """
+    values = unarmor_many(payloads)
+    if values is None:
+        if len(payloads) == 1:
+            payload, fill_bits = payloads[0]
+            return [ValueError(f"invalid armor or fill bits {fill_bits}: {payload!r}")]
+        return [fix for payload in payloads for fix in decode_fixes([payload])]
+    fixes: list[tuple[int, float, float] | ValueError | None] = []
+    type_end, type_mask = _TYPE_ROW.end, _TYPE_ROW.mask
+    for (payload, fill_bits), value in zip(payloads, values):
+        bits = 6 * len(payload) - fill_bits
+        if bits < type_end:
+            fixes.append(ValueError(f"payload too short: {bits} bits, no message type"))
+            continue
+        layout = _FIXES.get(value >> (bits - type_end) & type_mask)
+        if layout is None:
+            fixes.append(None)
+            continue
+        (needed, mmsi_end, mmsi_mask, lon_end, lon_mask, lon_sign, to_lon,
+         lat_end, lat_mask, lat_sign, to_lat) = layout
+        if bits < needed:
+            fixes.append(ValueError(f"payload too short: {bits} bits, needs {needed}"))
+            continue
+        lon = value >> (bits - lon_end) & lon_mask
+        lat = value >> (bits - lat_end) & lat_mask
+        fixes.append((
+            value >> (bits - mmsi_end) & mmsi_mask,
+            to_lon(lon - ((lon & lon_sign) << 1)),
+            to_lat(lat - ((lat & lat_sign) << 1)),
+        ))
+    return fixes
 
 
 def decode_mmsi(payload: str, fill_bits: int = 0) -> int:

@@ -11,11 +11,13 @@ XOR checksum over everything between ``!`` and ``*``.
 The Data Scanner discards sentences with bad checksums ("clean them from
 distortions caused during transmission — e.g., discard messages with bad
 checksum", Section 2), so checksum handling is implemented faithfully.
-Framing and checksum are separate steps: :func:`unwrap_aivdm` does both
-(the scanner), :func:`frame_aivdm` only the framing (the gateway router,
-which forwards the sentence to the scanner that checks it).
+Framing and checksum are separate steps: :func:`unwrap_aivdm` does both,
+:func:`unwrap_many` does both for a batch (the scanner), and
+:func:`frame_aivdm` only the framing (the gateway router, which forwards
+the sentence to the scanner that checks it).
 """
 
+import re
 from functools import reduce
 from operator import xor
 from typing import NamedTuple
@@ -126,6 +128,85 @@ def unwrap_aivdm(sentence: str) -> AivdmSentence:
             f"checksum mismatch: computed {computed}, declared {declared.upper()}"
         )
     return _fields(body)
+
+
+#: The usual shape of a sentence: one-digit fragment fields, a fill digit
+#: and two hex checksum digits.  For a sentence of this shape the checks
+#: of :func:`unwrap_aivdm` reduce to the checksum and the fragment order;
+#: every other sentence goes through :func:`unwrap_aivdm` itself.
+_USUAL = re.compile(
+    r"!AIVD[MO],([1-9]),([1-9]),([^,]*),([^,]*),([^,]+),([0-5])\*([0-9A-Fa-f]{2})"
+).fullmatch
+#: Declared checksum digits → the XOR of ``!``, ``*``, the two digits and
+#: the value they declare: what the XOR of a whole matching sentence is.
+_SENTENCE_SUMS = {
+    high + low: 0x21 ^ 0x2A ^ ord(high) ^ ord(low) ^ int(high + low, 16)
+    for high in "0123456789ABCDEFabcdef"
+    for low in "0123456789ABCDEFabcdef"
+}
+#: A one-digit framing field's value, without ``int()``.
+_DIGITS = {str(digit): digit for digit in range(10)}
+#: Longest sentence whose checksum :func:`_xor_sums` folds in a lane.
+_LANE_CHARS = 128
+
+
+def unwrap_many(sentences: list[str]) -> list[AivdmSentence | ValueError]:
+    """:func:`unwrap_aivdm` of each sentence: its fields, or the
+    :class:`ChecksumError` or :class:`NmeaFormatError` it would raise
+    (returned, not raised).
+
+    The checksums of the whole batch are folded at once
+    (:func:`_xor_sums`), and a sentence of the usual shape is framed by
+    one regular-expression match.
+    """
+    stripped = [sentence.strip() for sentence in sentences]
+    frames: list[AivdmSentence | ValueError] = []
+    for sentence, total in zip(stripped, _xor_sums(stripped)):
+        match = _USUAL(sentence)
+        if match is None:
+            try:
+                frames.append(unwrap_aivdm(sentence))
+            except ValueError as error:
+                frames.append(error)
+            continue
+        count, number, message_id, channel, payload, fill, declared = match.groups()
+        if total != _SENTENCE_SUMS[declared]:
+            frames.append(ChecksumError(f"checksum mismatch, declared {declared.upper()}"))
+        elif number > count:
+            frames.append(
+                NmeaFormatError(f"inconsistent fragment framing: {number}/{count}")
+            )
+        else:
+            frames.append(tuple.__new__(AivdmSentence, (
+                payload, _DIGITS[fill], channel, _DIGITS[count], _DIGITS[number], message_id
+            )))
+    return frames
+
+
+def _xor_sums(sentences: list[str]) -> list[int]:
+    """The XOR of every character code of each sentence.
+
+    Sentences of latin-1 characters, none longer than :data:`_LANE_CHARS`,
+    are folded together: each is zero-padded to a power-of-two lane of
+    one integer, and halving shifts fold every lane into its first byte.
+    """
+    width = max(map(len, sentences), default=0)
+    if width <= _LANE_CHARS:
+        lane = 1 << max(width - 1, 0).bit_length()
+        try:
+            blob = "".join(
+                sentence.ljust(lane, "\0") for sentence in sentences
+            ).encode("latin-1")
+        except UnicodeEncodeError:
+            pass
+        else:
+            value = int.from_bytes(blob, "little")
+            shift = lane // 2
+            while shift:
+                value ^= value >> (8 * shift)
+                shift //= 2
+            return list(value.to_bytes(len(blob), "little")[::lane])
+    return [reduce(xor, map(ord, sentence), 0) for sentence in sentences]
 
 
 def frame_aivdm(sentence: str) -> AivdmSentence:

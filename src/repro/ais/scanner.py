@@ -4,27 +4,29 @@
 [MMSI, Lon, Lat, tau], and cleans them from distortions caused during
 transmission (e.g., discard messages with bad checksum)." — Section 2.
 
-The scanner accepts raw ``(receive_time, sentence)`` pairs, validates the
-NMEA framing and checksum, reassembles multi-fragment sentence groups
-(long type-19 reports are commonly split in two on the wire), decodes the
-payload, filters to position-report types 1/2/3/18/19, rejects
-sentinel/out-of-range coordinates, and emits
+The scanner accepts batches of raw ``(receive_time, sentence)`` pairs,
+validates the NMEA framing and checksum, reassembles multi-fragment
+sentence groups (long type-19 reports are commonly split in two on the
+wire), decodes the payload, filters to position-report types
+1/2/3/18/19, rejects sentinel/out-of-range coordinates, and emits
 :class:`~repro.ais.stream.PositionalTuple` values.  Counters of every
 rejection cause are kept for observability — including fragments that
-never completed, which are *counted*, never silently lost.
+never completed, which are *counted*, never silently lost — and each
+batch names the cause of every sentence it discarded.
 """
 
 from dataclasses import dataclass
 
 from repro import obs
-from repro.ais.messages import decode_fix, valid_fix
-from repro.ais.nmea import (
-    AivdmSentence,
-    ChecksumError,
-    NmeaFormatError,
-    unwrap_aivdm,
-)
+from repro.ais.messages import decode_fixes, valid_fix
+from repro.ais.nmea import AivdmSentence, ChecksumError, unwrap_many
 from repro.ais.stream import PositionalTuple
+
+
+#: Sentences :meth:`DataScanner.scan_many` frames and decodes together.
+#: Bounds the transient memory of a long batch (an offline replay scans
+#: its whole stream in one call) and keeps the checksum fold in cache.
+SCAN_CHUNK = 1024
 
 
 @dataclass
@@ -125,69 +127,98 @@ class FragmentAssembler:
 
 
 class DataScanner:
-    """Decode and clean raw AIVDM sentences into positional tuples."""
+    """Decode and clean raw AIVDM sentences into positional tuples.
+
+    :meth:`scan_many` is the one path: a batch is framed and checksummed
+    together (:func:`~repro.ais.nmea.unwrap_many`), fragments go through
+    the :class:`FragmentAssembler` in arrival order, and every completed
+    message's MMSI, lon and lat are read together through the compiled
+    field tables (:func:`~repro.ais.messages.decode_fixes`).  How the
+    batch is cut changes nothing: the tuples, the statistics and the
+    rejections equal those of one sentence at a time.
+    """
 
     def __init__(self, max_pending_fragments: int = 64) -> None:
         self.statistics = ScannerStatistics()
-        #: Why the latest :meth:`scan` call discarded its sentence — the
-        #: name of the :class:`ScannerStatistics` counter it bumped — or
+        #: ``(index, cause)`` of each sentence the latest :meth:`scan_many`
+        #: discarded, in input order; the cause is the name of the
+        #: :class:`ScannerStatistics` counter it bumped.  Fragments still
+        #: waiting for their group are not discarded.
+        self.rejections: list[tuple[int, str]] = []
+        #: The cause of the latest :meth:`scan` call's rejection, or
         #: ``None`` when it emitted a tuple or buffered a fragment.
         self.last_rejection: str | None = None
         self._assembler = FragmentAssembler(max_pending_fragments)
 
     def scan(self, receive_time: int, sentence: str) -> PositionalTuple | None:
-        """Process one sentence; return its positional tuple or ``None``.
-
-        The timestamp of the emitted tuple is the receiver timestamp (AIS
-        messages only carry the second-of-minute, so receivers stamp full
-        timestamps, which is what the dataset of Section 5 records).  For
-        multi-fragment messages that is the final fragment's receive time.
-        """
-        stats = self.statistics
-        self.last_rejection = None
-        try:
-            parsed = unwrap_aivdm(sentence)
-        except ChecksumError:
-            return self._reject("bad_checksum")
-        except NmeaFormatError:
-            return self._reject("bad_format")
-        if parsed.is_fragmented:
-            before = self._assembler.dropped_sentences
-            parsed = self._assembler.add(parsed)
-            stats.fragmented_dropped += (
-                self._assembler.dropped_sentences - before
-            )
-            if parsed is None:
-                return None
-            stats.reassembled += 1
-        try:
-            fix = decode_fix(parsed.payload, parsed.fill_bits)
-        except ValueError:
-            return self._reject("bad_payload")
-        if fix is None:
-            return self._reject("unsupported_type")
-        mmsi, lon, lat = fix
-        if not valid_fix(lon, lat):
-            return self._reject("invalid_position")
-        stats.accepted += 1
-        return PositionalTuple(mmsi, lon, lat, receive_time)
-
-    def _reject(self, cause: str) -> None:
-        """Count one discarded sentence under ``cause`` and name it."""
-        stats = self.statistics
-        setattr(stats, cause, getattr(stats, cause) + 1)
-        self.last_rejection = cause
+        """Process one sentence; return its positional tuple or ``None``."""
+        positions = self.scan_many([(receive_time, sentence)])
+        self.last_rejection = self.rejections[0][1] if self.rejections else None
+        return positions[0] if positions else None
 
     def scan_many(
         self, sentences: list[tuple[int, str]]
     ) -> list[PositionalTuple]:
-        """Scan a batch of ``(receive_time, sentence)`` pairs."""
-        tuples = []
-        for receive_time, sentence in sentences:
-            position = self.scan(receive_time, sentence)
-            if position is not None:
-                tuples.append(position)
-        return tuples
+        """Scan a batch of ``(receive_time, sentence)`` pairs, in order.
+
+        The timestamp of an emitted tuple is the receiver timestamp (AIS
+        messages only carry the second-of-minute, so receivers stamp full
+        timestamps, which is what the dataset of Section 5 records).  For
+        a multi-fragment message that is the final fragment's receive time.
+        """
+        positions: list[PositionalTuple] = []
+        rejections: list[tuple[int, str]] = []
+        for start in range(0, len(sentences), SCAN_CHUNK):
+            scanned, rejected = self._scan_chunk(sentences[start : start + SCAN_CHUNK])
+            positions += scanned
+            rejections += [(start + index, cause) for index, cause in rejected]
+        stats = self.statistics
+        stats.accepted += len(positions)
+        for _, cause in rejections:
+            setattr(stats, cause, getattr(stats, cause) + 1)
+        self.rejections = rejections
+        return positions
+
+    def _scan_chunk(
+        self, chunk: list[tuple[int, str]]
+    ) -> tuple[list[PositionalTuple], list[tuple[int, str]]]:
+        """The tuples of ``chunk`` and its ``(index, cause)`` rejections."""
+        stats = self.statistics
+        assembler = self._assembler
+        rejected: list[tuple[int, str]] = []
+        # (payload, fill bits) of each completed message, and the index
+        # of the sentence that completed it.
+        messages: list[tuple[str, int]] = []
+        owners: list[int] = []
+        for index, frame in enumerate(unwrap_many([sentence for _, sentence in chunk])):
+            if frame.__class__ is not AivdmSentence:
+                bad = "bad_checksum" if isinstance(frame, ChecksumError) else "bad_format"
+                rejected.append((index, bad))
+                continue
+            if frame.fragment_count > 1:
+                before = assembler.dropped_sentences
+                frame = assembler.add(frame)
+                stats.fragmented_dropped += assembler.dropped_sentences - before
+                if frame is None:
+                    continue
+                stats.reassembled += 1
+            messages.append(frame[:2])  # (payload, fill bits)
+            owners.append(index)
+        framing = len(rejected)
+        positions = []
+        for index, fix in zip(owners, decode_fixes(messages)):
+            if fix.__class__ is tuple and valid_fix(fix[1], fix[2]):
+                # tuple.__new__ skips the keyword-handling constructor.
+                positions.append(tuple.__new__(PositionalTuple, (*fix, chunk[index][0])))
+            elif fix is None:
+                rejected.append((index, "unsupported_type"))
+            elif isinstance(fix, ValueError):
+                rejected.append((index, "bad_payload"))
+            else:
+                rejected.append((index, "invalid_position"))
+        if framing and len(rejected) > framing:
+            rejected.sort()
+        return positions, rejected
 
     def flush(self) -> int:
         """End-of-stream: count still-pending fragments as dropped.

@@ -10,6 +10,8 @@ pad the last character to six are added by :func:`armor` and stripped by
 Base64 is the same 6-bits-per-character scheme over another alphabet, so
 :func:`unarmor` renames each armor character to the base64 character of
 the same value and lets :func:`binascii.a2b_base64` pack the bits.
+:func:`unarmor_many` does that once for a whole batch of payloads, each
+padded to whole base64 quanta so it owns a known slice of the bytes.
 """
 
 import binascii
@@ -24,6 +26,8 @@ _TO_BASE64 = bytes.maketrans(
 )
 #: Zero characters that round a payload up to whole base64 quanta.
 _PAD = (b"", b"A", b"AA", b"AAA")
+#: The same zeros before renaming: the armor character of value 0.
+_ARMOR_PAD = ("", "0", "00", "000")
 
 
 def armor(value: int, bits: int) -> tuple[str, int]:
@@ -53,3 +57,33 @@ def unarmor(payload: str, fill_bits: int = 0) -> tuple[int, int]:
     pad = -len(raw) % 4
     packed = binascii.a2b_base64(raw.translate(_TO_BASE64) + _PAD[pad])
     return int.from_bytes(packed, "big") >> (6 * pad + fill_bits), 6 * len(raw) - fill_bits
+
+
+def unarmor_many(payloads: list[tuple[str, int]]) -> list[int] | None:
+    """The value :func:`unarmor` gives each ``(payload, fill_bits)`` (its
+    bit count is ``6 * len(payload) - fill_bits``), or ``None`` when any
+    of them would raise.
+
+    One validation, one renaming and one base64 decode serve the whole
+    batch.
+    """
+    try:
+        raw = "".join(
+            payload + _ARMOR_PAD[-len(payload) % 4] for payload, _ in payloads
+        ).encode("latin-1")
+    except UnicodeEncodeError:
+        return None
+    if raw.translate(None, _ARMOR_BYTES):
+        return None
+    packed = binascii.a2b_base64(raw.translate(_TO_BASE64))
+    values = []
+    start = 0
+    for payload, fill_bits in payloads:
+        chars = len(payload)
+        if not 0 <= fill_bits <= 5 or fill_bits > 6 * chars:
+            return None
+        pad = -chars % 4
+        end = start + (chars + pad) // 4 * 3
+        values.append(int.from_bytes(packed[start:end], "big") >> (6 * pad + fill_bits))
+        start = end
+    return values

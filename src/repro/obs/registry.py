@@ -17,11 +17,15 @@ A registry can be *disabled*: the convenience recorders (:meth:`inc`,
 instrumented hot paths pay only one attribute check.  The registry is
 deliberately lock-free — like the paper's main-memory tracker it assumes a
 single-threaded pipeline; use one registry per worker when partitioning.
+The one exception is the span stack, kept per thread: the live service
+records from its event loop and its pipeline thread, and a cluster's
+runtimes slide on several threads of one process.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -152,8 +156,19 @@ class MetricsRegistry:
         self._histograms: dict[str, Histogram] = {}
         #: span-path -> duration histogram, kept apart from user histograms
         self._span_histograms: dict[str, Histogram] = {}
-        #: stack of currently open Span objects (innermost last)
-        self._span_stack: list[Span] = []
+        #: per thread, the stack of its open Span objects (innermost last)
+        self._threads = threading.local()
+
+    @property
+    def _span_stack(self) -> list[Span]:
+        """The calling thread's open spans: threads that slide at once
+        (one pipeline thread per runtime of a cluster) nest only their
+        own spans."""
+        try:
+            stack: list[Span] = self._threads.span_stack
+        except AttributeError:
+            stack = self._threads.span_stack = []
+        return stack
 
     # -- instrument access ----------------------------------------------
 
@@ -233,7 +248,8 @@ class MetricsRegistry:
     # -- lifecycle -------------------------------------------------------
 
     def reset(self) -> None:
-        """Drop every instrument and recorded span (keeps enablement)."""
+        """Drop every instrument and recorded span, and the calling
+        thread's open spans (keeps enablement)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()

@@ -9,6 +9,14 @@ and expired tuples must still be evicted).  The soak-parity tests lean on
 this: a TCP-ingested stream must produce *byte-identical* feed output to
 an offline replay of the same sentences.
 
+Sentences move in batches: each wakeup takes everything the queue holds,
+the hand-over is split only at ``!REPRO,`` control lines, and each run
+of data lines between them is scanned in one
+:meth:`~repro.ais.scanner.DataScanner.scan_many`; journal recovery
+replays through the same path.  The scanned positions then join the
+pending batch one by one, so the slide cadence is that of one sentence
+at a time, however the stream was cut.
+
 Durability hooks (all optional; see docs/RESILIENCE.md):
 
 * every dequeued sentence is appended to the write-ahead ``journal``
@@ -47,7 +55,7 @@ from repro import obs
 from repro.ais.scanner import DataScanner
 from repro.pipeline.metrics import SlideReport
 from repro.resilience.faults import InjectedFault, SimulatedCrash, fault_point
-from repro.service.protocol import parse_heartbeat, parse_watermark
+from repro.service.protocol import CONTROL_PREFIX, parse_heartbeat, parse_watermark
 
 
 class SlideBatcher:
@@ -59,7 +67,7 @@ class SlideBatcher:
         queue,
         slide_seconds: int,
         on_report=None,
-        on_position=None,
+        on_positions=None,
         record_ingest: bool = False,
         journal=None,
         deadletter=None,
@@ -73,7 +81,7 @@ class SlideBatcher:
         self.slide_seconds = slide_seconds
         self.scanner = DataScanner()
         self._on_report = on_report or (lambda report, kind: None)
-        self._on_position = on_position or (lambda position: None)
+        self._on_positions = on_positions or (lambda positions: None)
         self._record_ingest = record_ingest
         self.journal = journal
         self.deadletter = deadletter
@@ -104,103 +112,120 @@ class SlideBatcher:
     async def replay(self, records: list[tuple[int, str]]) -> int:
         """Re-feed journal records recovered from a previous incarnation.
 
-        Runs before any live traffic.  The records are *not* re-journaled
-        (they are already durable) and every slide they complete is
-        republished — at-least-once delivery: feed lines are deterministic
-        and keyed by their ``query_time``, so a consumer that saw some of
-        them before the crash deduplicates trivially.  The final partial
-        slide stays pending, and live ingest continues it seamlessly.
+        Runs before any live traffic, through the same batch path as
+        live ingest.  The records are *not* re-journaled (they are
+        already durable) and every slide they complete is republished —
+        at-least-once delivery: feed lines are deterministic and keyed by
+        their ``query_time``, so a consumer that saw some of them before
+        the crash deduplicates trivially.  The final partial slide stays
+        pending, and live ingest continues it seamlessly.
         """
-        for receive_time, sentence in records:
-            await self._ingest(receive_time, sentence, journal=False)
+        await self._ingest(records, journal=False)
         self.replayed_records += len(records)
         if records:
             obs.count("resilience.recovery.replayed_records", len(records))
         return len(records)
 
     async def run(self) -> None:
-        """Main loop; returns once the queue is closed and fully drained."""
-        while True:
-            item = await self.queue.get()
-            if item is None:
-                break
-            receive_time, sentence, enqueued_at = item
-            obs.observe(
-                "service.ingest.latency_seconds",
-                time.perf_counter() - enqueued_at,
-            )
-            await self._ingest(receive_time, sentence, journal=True)
+        """Main loop; returns once the queue is closed and fully drained.
 
-    async def _ingest(
-        self, receive_time: int, sentence: str, journal: bool
-    ) -> None:
-        """One sentence through journal → scanner → batch → slides."""
-        if parse_heartbeat(sentence) is not None:
-            # A liveness probe from the gateway tier: counted, then
-            # discarded *before* the journal and the watermark clocks —
-            # heartbeats carry no data and must never perturb the slide
-            # cadence or a replay (docs/RESILIENCE.md).
-            obs.count("service.ingest.heartbeats")
+        Each wakeup takes everything buffered in one hand-over."""
+        while items := await self.queue.get_many():
+            if obs.is_enabled():
+                now = time.perf_counter()
+                for *_, enqueued_at in items:
+                    obs.observe("service.ingest.latency_seconds", now - enqueued_at)
+            await self._ingest([item[:2] for item in items], journal=True)
+
+    async def _ingest(self, records: list[tuple[int, str]], journal: bool) -> None:
+        """``(receive_time, sentence)`` records through journal → scanner
+        → batch → slides, in order: each run of data lines between
+        control lines is journaled, then scanned in one
+        :meth:`~repro.ais.scanner.DataScanner.scan_many`."""
+        data: list[tuple[int, str]] = []
+        for record in records:
+            sentence = record[1]
+            if sentence.startswith(CONTROL_PREFIX):
+                if parse_heartbeat(sentence) is not None:
+                    # A liveness probe from the gateway tier: counted, then
+                    # discarded *before* the journal and the watermark
+                    # clocks — heartbeats carry no data and must never
+                    # perturb the slide cadence or a replay
+                    # (docs/RESILIENCE.md).
+                    obs.count("service.ingest.heartbeats")
+                    continue
+                watermark = parse_watermark(sentence)
+                if watermark is not None:
+                    await self._ingest_data(data, journal)
+                    data = []
+                    # Journaled (a replay must rebuild the source clocks)
+                    # but never scanned, recorded, or quarantined:
+                    # watermarks are control flow, not data.
+                    if journal and self.journal is not None:
+                        self.journal.append(*record)
+                    await self._handle_watermark(record[0], *watermark)
+                    continue
+            data.append(record)
+        await self._ingest_data(data, journal)
+
+    async def _ingest_data(self, records: list[tuple[int, str]], journal: bool) -> None:
+        """One run of data lines: journal, scan, quarantine, then slide."""
+        if not records:
             return
         if journal and self.journal is not None:
             # Journal *before* scanning: anything the pipeline has seen is
             # on disk first (under `always` even fsynced; under `batch`
-            # the slide-boundary sync below bounds the exposure).
-            self.journal.append(receive_time, sentence)
-        watermark = parse_watermark(sentence)
-        if watermark is not None:
-            # Journaled (a replay must rebuild the source clocks) but
-            # never scanned, recorded, or quarantined: watermarks are
-            # control flow, not data.
-            await self._handle_watermark(receive_time, *watermark)
-            return
+            # the slide-boundary sync bounds the exposure).
+            for receive_time, sentence in records:
+                self.journal.append(receive_time, sentence)
         if self._record_ingest:
-            self.ingested.append((receive_time, sentence))
-        position = self.scanner.scan(receive_time, sentence)
-        if position is None:
-            reason = self.scanner.last_rejection
-            # None = a fragment still waiting for the rest of its group.
-            if reason is not None and self.deadletter is not None:
-                self.deadletter.quarantine(receive_time, sentence, reason)
-            return
-        self._on_position(position)
-        arrival = receive_time
+            self.ingested.extend(records)
+        positions = self.scanner.scan_many(records)
+        if self.deadletter is not None:
+            for index, reason in self.scanner.rejections:
+                self.deadletter.quarantine(*records[index], reason)
+        if positions:
+            self._on_positions(positions)
+            await self._admit(positions)
+
+    async def _admit(self, positions: list) -> None:
+        """Add scanned positions to the pending batch, running every
+        slide an arrival closes."""
         slide = self.slide_seconds
-        if self._max_ts is None or arrival > self._max_ts:
-            self._max_ts = arrival
-        boundary = ((arrival + slide - 1) // slide) * slide
-        if boundary == arrival == 0:
-            boundary = slide
-        if self._query_time is None:
-            # First boundary at or after the earliest arrival — the
-            # StreamReplayer rule, special case included.
-            self._query_time = boundary
-            if self.watermark_sources > 0:
-                # Watermarks may already be past this fresh boundary.
-                await self._advance_watermarked()
-        elif (
-            self.watermark_sources > 0
-            and not self._grid_locked
-            and boundary < self._query_time
-        ):
-            # A cross-link straggler: another gateway's link delivered a
-            # later position first, so the grid anchored too high.  Until
-            # the first slide runs this is safe to repair — the straggler
-            # source's clock is still at or below its timestamp, so the
-            # watermark barrier cannot have released any slide at or past
-            # this boundary.  The single node anchors at the earliest
-            # timestamp; now this shard does too.
-            self._query_time = boundary
-        if self.watermark_sources > 0:
-            # Watermark mode: arrivals never drive the cadence — slides
-            # run from :meth:`_handle_watermark` once every source has
-            # passed the boundary.
+        watermarked = self.watermark_sources > 0
+        for position in positions:
+            arrival = position.timestamp
+            if self._max_ts is None or arrival > self._max_ts:
+                self._max_ts = arrival
+            if self._query_time is None or (watermarked and not self._grid_locked):
+                boundary = ((arrival + slide - 1) // slide) * slide
+                if boundary == arrival == 0:
+                    boundary = slide
+                if self._query_time is None:
+                    # First boundary at or after the earliest arrival — the
+                    # StreamReplayer rule, special case included.
+                    self._query_time = boundary
+                    if watermarked:
+                        # Watermarks may already be past this fresh boundary.
+                        await self._advance_watermarked()
+                elif boundary < self._query_time:
+                    # A cross-link straggler: another gateway's link
+                    # delivered a later position first, so the grid
+                    # anchored too high.  Until the first slide runs this
+                    # is safe to repair — the straggler source's clock is
+                    # still at or below its timestamp, so the watermark
+                    # barrier cannot have released any slide at or past
+                    # this boundary.  The single node anchors at the
+                    # earliest timestamp; now this shard does too.
+                    self._query_time = boundary
+            if not watermarked:
+                # Watermark mode never slides on arrivals: slides run from
+                # :meth:`_handle_watermark` once every source has passed
+                # the boundary.
+                while arrival > self._query_time:
+                    await self._process_slide()
+                    self._query_time += slide
             self._batch.append(position)
-            return
-        while arrival > self._query_time:
-            await self._process_slide()
-            self._query_time += slide
-        self._batch.append(position)
 
     async def _handle_watermark(
         self, receive_time: int, source: str, final: bool

@@ -7,8 +7,9 @@ slide batcher.  Line framing is delegated to a pluggable
 :class:`~repro.transport.base.Transport` (newline TCP by default,
 WebSocket or HTTP-forward via ``ServiceConfig.ingest_transport``), read
 a batch per wakeup (:meth:`~repro.transport.base.TransportSession.receive_many`:
-one socket read, split once) and handled line by line — the fault site,
-the counters and the queue see every line as before.  The queue is strictly bounded: when producers outrun the
+one socket read, split once), parsed line by line — the fault site and
+the counters see every line — and queued with one
+:meth:`IngestQueue.put_many`.  The queue is strictly bounded: when producers outrun the
 pipeline the *oldest* buffered sentence is dropped — fresh positions are
 worth more than stale ones for surveillance — and every shed sentence is
 counted in the observability registry (``service.ingest.shed``).  Nothing
@@ -44,9 +45,12 @@ class ConnectionStats:
 class IngestQueue:
     """Bounded FIFO between socket readers and the pipeline.
 
-    ``put`` never blocks: beyond ``capacity`` the oldest item is shed and
-    counted.  ``get`` awaits the next item and returns ``None`` once the
-    queue is both closed and drained — the batcher's end-of-stream signal.
+    Puts never block: beyond ``capacity`` buffered items the oldest are
+    shed and counted.  A socket read's lines arrive in one
+    :meth:`put_many`, and the batcher takes everything buffered in one
+    :meth:`get_many`, which returns ``[]`` once the queue is both closed
+    and drained — the end-of-stream signal.  :meth:`put` and :meth:`get`
+    are the one-item forms.
     """
 
     def __init__(self, capacity: int):
@@ -54,6 +58,8 @@ class IngestQueue:
             raise ValueError(f"queue capacity must be positive: {capacity}")
         self.capacity = capacity
         self._items: deque[IngestItem] = deque()
+        #: Items the latest :meth:`get_many` handed over.
+        self._in_hand = 0
         self._ready = asyncio.Event()
         self._closed = False
         self.shed_count = 0
@@ -61,29 +67,59 @@ class IngestQueue:
 
     def put(self, receive_time: int, sentence: str) -> None:
         """Enqueue one sentence, shedding the oldest on overflow."""
+        self.put_many([(receive_time, sentence)])
+
+    def put_many(self, sentences: list[tuple[int, str]]) -> None:
+        """Enqueue ``(receive_time, sentence)`` pairs in order, shedding
+        the oldest on overflow exactly as one :meth:`put` each would."""
+        if not sentences:
+            return
         if self._closed:
             # A draining service refuses new input — counted, not silent.
-            obs.count("service.ingest.dropped_after_close")
+            obs.count("service.ingest.dropped_after_close", len(sentences))
             return
-        self._items.append((receive_time, sentence, time.perf_counter()))
-        self.put_count += 1
-        if len(self._items) > self.capacity:
-            self._items.popleft()
-            self.shed_count += 1
-            obs.count("service.ingest.shed")
+        enqueued_at = time.perf_counter()
+        self._items.extend(
+            [(receive_time, sentence, enqueued_at) for receive_time, sentence in sentences]
+        )
+        self.put_count += len(sentences)
+        overflow = len(self._items) - self.capacity
+        if overflow > 0:
+            for _ in range(overflow):
+                self._items.popleft()
+            self.shed_count += overflow
+            obs.count("service.ingest.shed", overflow)
         self._ready.set()
 
     async def get(self) -> IngestItem | None:
         """The next buffered item, or ``None`` at end-of-stream."""
-        while True:
-            if self._items:
-                item = self._items.popleft()
-                if not self._items:
-                    self._ready.clear()
-                return item
+        while not self._items:
             if self._closed:
                 return None
             await self._ready.wait()
+        item = self._items.popleft()
+        if not self._items:
+            self._ready.clear()
+        return item
+
+    async def get_many(self) -> list[IngestItem]:
+        """Every buffered item, oldest first, once there is one; ``[]``
+        at end-of-stream.
+
+        The items count in ``len()`` until the next call: the batcher
+        asks again only once it has consumed them, so a depth of 0 means
+        the pipeline has taken in every queued sentence.
+        """
+        self._in_hand = 0
+        while not self._items:
+            if self._closed:
+                return []
+            await self._ready.wait()
+        items = list(self._items)
+        self._items.clear()
+        self._ready.clear()
+        self._in_hand = len(items)
+        return items
 
     def close(self) -> None:
         """No more puts; pending items still drain through ``get``."""
@@ -91,7 +127,9 @@ class IngestQueue:
         self._ready.set()
 
     def __len__(self) -> int:
-        return len(self._items)
+        """Sentences not yet consumed: buffered, plus the hand-over the
+        batcher is still working through."""
+        return len(self._items) + self._in_hand
 
 
 class IngestServer:
@@ -154,11 +192,11 @@ class IngestServer:
             await session.close()
 
     def _take(self, lines: list[str], stats: ConnectionStats) -> bool:
-        """Queue one batch of lines; ``False`` when an injected drop
-        severed the connection partway."""
+        """Queue one batch of lines with one put; ``False`` when an
+        injected drop severed the connection partway."""
         now = self._clock()
-        queued = ignored = 0
-        severed = False
+        parsed = []
+        taken = 0
         for line in lines:
             spec = fault_point("service.ingest.socket")
             if spec is not None and spec.kind == "drop":
@@ -166,24 +204,22 @@ class IngestServer:
                 # like an upstream feed dying.  The client sees EOF
                 # and is expected to reconnect and resend.
                 obs.count("service.ingest.injected_drops")
-                severed = True
                 break
-            stats.lines += 1
+            taken += 1
             stats.bytes += len(line) + 1
-            parsed = parse_ingest_line(line, now)
-            if parsed is None:
-                ignored += 1
-                continue
-            queued += 1
-            self.queue.put(*parsed)
-        if ignored:
+            item = parse_ingest_line(line, now)
+            if item is not None:
+                parsed.append(item)
+        stats.lines += taken
+        self.queue.put_many(parsed)
+        if taken > len(parsed):
             # Blank/comment/garbled lines are skipped by design, but never
             # invisibly: operators distinguish a quiet feed from one
             # sending junk by this counter.
-            obs.count("service.ingest.ignored", ignored)
-        if queued:
-            obs.count("service.ingest.lines", queued)
-        return not severed
+            obs.count("service.ingest.ignored", taken - len(parsed))
+        if parsed:
+            obs.count("service.ingest.lines", len(parsed))
+        return taken == len(lines)
 
     async def stop(self) -> None:
         """Stop accepting and close the listening socket."""

@@ -50,11 +50,16 @@ def format_ingest_line(receive_time: int, sentence: str) -> str:
     return f"{receive_time}\t{sentence}"
 
 
+#: Sentence prefix of every in-band control line.  Deliberately
+#: ``!``-prefixed so :func:`parse_ingest_line` passes it through
+#: untouched, and deliberately not ``!AIVDM`` so the AIS scanner would
+#: reject it — the batcher intercepts it first (docs/GATEWAY.md).  A
+#: ``!REPRO,`` line that is neither a watermark nor a heartbeat is data,
+#: and the scanner rejects it.
+CONTROL_PREFIX = "!REPRO,"
+
 #: Sentence prefix of an in-band watermark (``!REPRO,WM,<source>[,final]``).
-#: Deliberately ``!``-prefixed so :func:`parse_ingest_line` passes it
-#: through untouched, and deliberately not ``!AIVDM`` so the AIS scanner
-#: would reject it — the batcher intercepts it first (docs/GATEWAY.md).
-WATERMARK_PREFIX = "!REPRO,WM,"
+WATERMARK_PREFIX = CONTROL_PREFIX + "WM,"
 
 
 def format_watermark(receive_time: int, source: str, final: bool = False) -> str:
@@ -78,13 +83,12 @@ def parse_watermark(sentence: str) -> tuple[str, bool] | None:
 
 
 #: Sentence prefix of an in-band heartbeat (``!REPRO,HB,<source>,<seq>``).
-#: Rides the same control-line channel as watermarks: ``!``-prefixed so
-#: :func:`parse_ingest_line` passes it through, intercepted by the
+#: Rides the same control-line channel as watermarks, intercepted by the
 #: batcher before the scanner.  Heartbeats are pure liveness probes — a
 #: runtime counts and discards them, and they never advance watermark
 #: clocks, so the slide cadence (and the byte-identity contract) is
 #: untouched by however often the supervisor probes.
-HEARTBEAT_PREFIX = "!REPRO,HB,"
+HEARTBEAT_PREFIX = CONTROL_PREFIX + "HB,"
 
 
 def format_heartbeat(source: str, seq: int) -> str:

@@ -19,8 +19,8 @@ from repro import obs
 
 @dataclass(frozen=True)
 class DeadLetter:
-    """One quarantined sentence; ``reason`` is the scanner's
-    :attr:`~repro.ais.scanner.DataScanner.last_rejection`."""
+    """One quarantined sentence; ``reason`` is the cause the scanner
+    named for it (:attr:`~repro.ais.scanner.DataScanner.rejections`)."""
 
     receive_time: int
     sentence: str

@@ -129,7 +129,7 @@ class ServiceSupervisor:
             self.queue,
             slide_seconds=self.config.window.slide_seconds,
             on_report=self._on_report,
-            on_position=lambda position: self.vessels.update([position]),
+            on_positions=self.vessels.update,
             record_ingest=self.service.record_ingest,
             journal=self.journal,
             deadletter=self.deadletter,

@@ -1,11 +1,17 @@
-"""The bit-list AIS codec: the reference the shipped integer codec must match.
+"""The references the shipped AIS code must match.
 
-This is the codec ``repro.ais`` shipped before payloads became one integer
-walked through per-class field tables: ``BitWriter``/``BitReader`` over a
-``list[int]`` of bits, one hand-written encode and decode per message
-class, and the gateway router's bit loop over bits 8–38.  It is kept,
-unchanged, so ``tests/ais/test_codec_oracle.py`` can require identical
-outcomes from both codecs on generated inputs.
+* **The bit-list codec** ``repro.ais`` shipped before payloads became one
+  integer walked through per-class field tables: ``BitWriter``/``BitReader``
+  over a ``list[int]`` of bits, one hand-written encode and decode per
+  message class, and the gateway router's bit loop over bits 8–38.  It is
+  kept, unchanged, so ``tests/ais/test_codec_oracle.py`` can require
+  identical outcomes from both codecs on generated inputs.
+* **The per-sentence Data Scanner** (:class:`OracleScanner`) the live path
+  called once per sentence before ``DataScanner.scan_many`` became the
+  one batch path: frame and checksum with ``unwrap_aivdm``, reassemble,
+  decode with the bit-list codec.  ``tests/ais/test_scanner_oracle.py``
+  requires the same tuples, statistics and rejection causes from the
+  batch scanner however a stream is cut into batches.
 """
 
 from repro.ais.messages import (
@@ -14,6 +20,9 @@ from repro.ais.messages import (
     SPEED_NOT_AVAILABLE,
     PositionReport,
 )
+from repro.ais.nmea import ChecksumError, NmeaFormatError, unwrap_aivdm
+from repro.ais.scanner import FragmentAssembler, ScannerStatistics
+from repro.ais.stream import PositionalTuple
 
 _LON_SCALE = 600_000  # 1/10000 arc-minute
 _LAT_SCALE = 600_000
@@ -304,3 +313,50 @@ def mmsi_of_payload(payload: str, fill_bits: int) -> int | None:
     for bit in bits[8:38]:
         value = (value << 1) | bit
     return value
+
+
+class OracleScanner:
+    """The Data Scanner one sentence at a time, with the bit-list decoder."""
+
+    def __init__(self, max_pending_fragments: int = 64) -> None:
+        self.statistics = ScannerStatistics()
+        #: Why the latest :meth:`scan` discarded its sentence, or ``None``.
+        self.last_rejection: str | None = None
+        self._assembler = FragmentAssembler(max_pending_fragments)
+
+    def scan(self, receive_time: int, sentence: str) -> PositionalTuple | None:
+        stats = self.statistics
+        self.last_rejection = None
+        try:
+            parsed = unwrap_aivdm(sentence)
+        except ChecksumError:
+            return self._reject("bad_checksum")
+        except NmeaFormatError:
+            return self._reject("bad_format")
+        if parsed.is_fragmented:
+            before = self._assembler.dropped_sentences
+            parsed = self._assembler.add(parsed)
+            stats.fragmented_dropped += self._assembler.dropped_sentences - before
+            if parsed is None:
+                return None
+            stats.reassembled += 1
+        try:
+            report = decode_payload(parsed.payload, parsed.fill_bits)
+        except ValueError:
+            return self._reject("bad_payload")
+        if report is None:
+            return self._reject("unsupported_type")
+        if not report.has_valid_position():
+            return self._reject("invalid_position")
+        stats.accepted += 1
+        return PositionalTuple(report.mmsi, report.lon, report.lat, receive_time)
+
+    def _reject(self, cause: str) -> None:
+        stats = self.statistics
+        setattr(stats, cause, getattr(stats, cause) + 1)
+        self.last_rejection = cause
+
+    def flush(self) -> int:
+        dropped = self._assembler.flush()
+        self.statistics.fragmented_dropped += dropped
+        return dropped

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ais.sixbit import armor, unarmor
+from repro.ais.sixbit import armor, unarmor, unarmor_many
 from tests.ais.oracle import (
     BitReader,
     BitWriter,
@@ -149,3 +149,29 @@ class TestIntegerArmor:
         payload, fill = armor(value, len(bits))
         assert (payload, fill) == bits_to_payload(bits)
         assert unarmor(payload, fill) == (value, len(bits))
+
+    @given(
+        payloads=st.lists(
+            st.tuples(
+                st.text(
+                    alphabet=st.sampled_from(
+                        [chr(code) for code in range(48, 88)]
+                        + [chr(code) for code in range(96, 120)]
+                        + ["~", "\u0660"]
+                    ),
+                    max_size=12,
+                ),
+                st.integers(min_value=-1, max_value=7),
+            ),
+            max_size=6,
+        )
+    )
+    def test_unarmor_many_is_unarmor_of_each_or_none(self, payloads):
+        values = []
+        for payload, fill in payloads:
+            try:
+                values.append(unarmor(payload, fill)[0])
+            except ValueError:
+                values = None
+                break
+        assert unarmor_many(payloads) == values

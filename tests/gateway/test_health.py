@@ -122,7 +122,7 @@ class TestHeartbeatProtocol:
             )
             with obs.activate(obs.MetricsRegistry()) as registry:
                 _, _, sentence = format_heartbeat("gw0", 7).partition("\t")
-                await batcher._ingest(0, sentence, journal=True)
+                await batcher._ingest([(0, sentence)], journal=True)
                 return (
                     registry.counter("service.ingest.heartbeats").value,
                     batcher.ingested,

@@ -1,10 +1,12 @@
 """Tests for hierarchical timing spans and the global registry helpers."""
 
+import threading
+
 import pytest
 
 from repro import obs
 from repro.obs import MetricsRegistry
-from repro.obs.spans import NULL_SPAN
+from repro.obs.spans import NULL_SPAN, Span
 
 
 class TestSpanTiming:
@@ -59,6 +61,54 @@ class TestSpanNesting:
             raise RuntimeError("boom")
         assert registry.current_span() is None
         assert registry.span_histogram("fails").count == 1
+
+
+def _interleaved(registry: MetricsRegistry, always: bool) -> list[Span | None]:
+    """Two threads open spans in turn, ``a`` holding ``a1`` on one and
+    ``b`` on the other, and close them out of stack order, as four
+    pipeline threads of one process do; returns each thread's innermost
+    span at the end."""
+    steps = [threading.Event() for _ in range(4)]
+    left: list = []
+
+    def first():
+        with registry.span("a", always):
+            steps[0].set()
+            steps[1].wait()
+            with registry.span("a1", always):
+                pass
+        steps[2].set()
+        steps[3].wait()
+        left.append(registry.current_span())
+
+    def second():
+        steps[0].wait()
+        with registry.span("b", always):
+            steps[1].set()
+            steps[2].wait()
+        steps[3].set()
+        left.append(registry.current_span())
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    return [*left, registry.current_span()]
+
+
+class TestSpanThreads:
+    def test_interleaved_threads_nest_only_their_own_spans(self):
+        registry = MetricsRegistry()
+        assert _interleaved(registry, always=False) == [None, None, None]
+        assert registry.span_paths() == ["a", "a/a1", "b"]
+
+    def test_disabled_timed_spans_leave_no_stack_behind(self):
+        # Timed spans tick with the registry off, so they are stacked too.
+        registry = MetricsRegistry(enabled=False)
+        assert _interleaved(registry, always=True) == [None, None, None]
+        assert registry.span_paths() == []
 
 
 class TestDisabledSpans:

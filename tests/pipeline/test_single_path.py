@@ -6,8 +6,9 @@ untouched.  ``finalize`` is the same skeleton run once more, so its report
 is timed like a slide — without being counted as one.
 
 The package also ships one implementation per job: the scalar tracker,
-the spatial-facts CE mode and the bit-list AIS codec are references under
-``tests/``, and importing ``repro`` loads none of them.
+the spatial-facts CE mode, the bit-list AIS codec and the per-sentence
+Data Scanner are references under ``tests/``, and importing ``repro``
+loads none of them.
 """
 
 import os

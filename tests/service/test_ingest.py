@@ -78,6 +78,50 @@ class TestIngestQueue:
 
         assert run(scenario()) == ((5, "later"))
 
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7])
+    def test_put_many_sheds_exactly_as_puts_one_by_one(self, batch):
+        items = [(index, f"s{index}") for index in range(20)]
+
+        async def scenario(put):
+            with obs.activate(obs.MetricsRegistry()) as registry:
+                queue = IngestQueue(capacity=5)
+                put(queue)
+                kept = [(await queue.get())[:2] for _ in range(len(queue))]
+                return kept, queue.shed_count, queue.put_count, registry.counter(
+                    "service.ingest.shed"
+                ).value
+
+        def one_by_one(queue):
+            for item in items:
+                queue.put(*item)
+
+        def batched(queue):
+            for start in range(0, len(items), batch):
+                queue.put_many(items[start : start + batch])
+
+        assert run(scenario(batched)) == run(scenario(one_by_one))
+
+    def test_get_many_hands_over_everything_and_counts_it_until_asked_again(self):
+        async def scenario():
+            queue = IngestQueue(capacity=10)
+            queue.put_many([(1, "a"), (2, "b")])
+            first = await queue.get_many()
+            depth_in_hand = len(queue)
+            queue.put(3, "c")
+            depth_with_more = len(queue)
+            second = await queue.get_many()
+            depth_after = len(queue)
+            queue.close()
+            third = await queue.get_many()
+            return (
+                [item[:2] for item in first], depth_in_hand, depth_with_more,
+                [item[:2] for item in second], depth_after, third, len(queue),
+            )
+
+        assert run(scenario()) == (
+            [(1, "a"), (2, "b")], 2, 3, [(3, "c")], 1, [], 0,
+        )
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             IngestQueue(0)
