@@ -1,13 +1,11 @@
 """The sweeps and fault drills no gated benchmark workload covers.
 
 "How fast is it?" has one answer, ``benchmarks/e2e`` (docs/PERFORMANCE.md).
-These five drills ask something else — which tracking kernel earns its
-place, what the sharded runtime's IPC costs, what the write-ahead journal
-costs and how fast it recovers, whether a partitioned cluster heals to a
+These four drills ask something else — which tracking kernel earns its
+place, what the write-ahead journal costs and how fast it recovers, whether a partitioned cluster heals to a
 byte-identical feed, how long the project's own lint takes::
 
     PYTHONPATH=src python benchmarks/drills.py tracking-sweep
-    PYTHONPATH=src python benchmarks/drills.py shard-sweep
     PYTHONPATH=src python benchmarks/drills.py chaos
     PYTHONPATH=src python benchmarks/drills.py partition-drill
     PYTHONPATH=src python benchmarks/drills.py lint
@@ -44,10 +42,9 @@ from repro import obs
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.analysis import run_analysis
 from repro.gateway import GatewayCluster, GatewayClusterConfig
-from repro.obs.report import build_pipeline_report, write_report
-from repro.pipeline import SurveillanceSystem, SystemConfig
+from repro.obs.report import write_report
+from repro.pipeline import SystemConfig
 from repro.resilience import IngestJournal
-from repro.runtime import ParallelSurveillanceSystem
 from repro.service import ResumableFeedReader, ServiceConfig, ServiceSupervisor
 from repro.tracking import ColumnarTracker, WindowSpec
 from repro.transport import chaosnet
@@ -127,66 +124,6 @@ def run_tracking_sweep(fleet_size: int, duration: int, rounds: int = 4) -> dict:
                 "speedup_vs_scalar": scalar_seconds / best[name],
             }
             for name in backends
-        ],
-    }
-
-
-def _run_pipeline(fleet_size: int, duration: int, shards: int | None) -> dict:
-    """One whole-pipeline replay under a fresh registry; its obs report.
-
-    ``shards=None`` runs the in-process system; any explicit count —
-    *including 1* — runs the sharded runtime with that many workers, so a
-    1-shard run measures the runtime's IPC floor.
-    """
-    _, specs, stream = benchmark_fleet(fleet_size, duration)
-    config = SystemConfig(window=WINDOW)
-    with obs.activate(obs.MetricsRegistry()) as registry:
-        if shards is None:
-            system = SurveillanceSystem(benchmark_world(), specs, config)
-        else:
-            system = ParallelSurveillanceSystem(
-                benchmark_world(), specs, config, shards=shards
-            )
-        with system:
-            for query_time, batch in _slide_batches(stream):
-                system.process_slide(batch, query_time)
-            system.finalize()
-            return build_pipeline_report(system, registry)
-
-
-def run_shard_sweep(
-    fleet_size: int, duration: int, shard_counts: tuple[int, ...] = (1, 2, 4)
-) -> dict:
-    """Pipeline throughput under the process-parallel runtime, per shard count.
-
-    Every shard count runs on the sharded runtime, so the speedup column
-    isolates parallelism from IPC overhead: it divides each run's
-    processing time into the 1-shard *runtime* baseline (the
-    single-process system's figure is reported separately as
-    ``single_process_seconds``).  See docs/RUNTIME.md.
-    """
-    single = _run_pipeline(fleet_size, duration, shards=None)
-    reports = {
-        count: _run_pipeline(fleet_size, duration, shards=count)
-        for count in shard_counts
-    }
-    baseline = reports[shard_counts[0]]["throughput"]["processing_seconds"]
-    return {
-        "fleet_size": fleet_size,
-        "duration_seconds": duration,
-        "shard_counts": list(shard_counts),
-        "single_process_seconds": single["throughput"]["processing_seconds"],
-        "runs": [
-            {
-                "shards": count,
-                "processing_seconds": report["throughput"]["processing_seconds"],
-                "positions_per_sec": report["throughput"]["positions_per_sec"],
-                "speedup_vs_1shard": (
-                    baseline / report["throughput"]["processing_seconds"]
-                ),
-                "restarts": report["runtime"]["restarts"],
-            }
-            for count, report in reports.items()
         ],
     }
 
@@ -516,7 +453,6 @@ def run_lint_drill(paths: tuple[str, ...] = ("src", "tests")) -> dict:
 #: Subcommand -> drill; the section's JSON key is the name with underscores.
 DRILLS = {
     "tracking-sweep": run_tracking_sweep,
-    "shard-sweep": run_shard_sweep,
     "chaos": run_chaos_drill,
     "partition-drill": run_partition_drill,
     "lint": lambda fleet_size, duration: run_lint_drill(),

@@ -10,8 +10,8 @@ processors — are the reproduction targets (see EXPERIMENTS.md).
 The module caches the expensive artifacts (fleet, stream, movement events)
 per configuration so the parameter sweeps share them.  How fast the
 assembled system runs is ``benchmarks/e2e``'s question
-(docs/PERFORMANCE.md); the sweeps and fault drills that need a sharded
-runtime, a live service or a gateway cluster are ``benchmarks/drills.py``.
+(docs/PERFORMANCE.md); the sweeps and fault drills that need a live
+service or a gateway cluster are ``benchmarks/drills.py``.
 """
 
 import time

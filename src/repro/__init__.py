@@ -48,7 +48,6 @@ from repro.obs import MetricsRegistry
 from repro.pipeline import SlideReport, SurveillanceSystem, SystemConfig
 from repro.reconstruct import TripSegmenter, fleet_rmse, trajectory_rmse
 from repro.rtec import RTEC
-from repro.runtime import ParallelSurveillanceSystem
 from repro.simulator import FleetSimulator, build_aegean_world
 from repro.tracking import (
     Compressor,
@@ -75,7 +74,6 @@ __all__ = [
     "MovementEvent",
     "MovementEventType",
     "MovingObjectDatabase",
-    "ParallelSurveillanceSystem",
     "PartitionedRecognizer",
     "PositionalTuple",
     "RTEC",

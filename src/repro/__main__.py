@@ -5,7 +5,6 @@ Usage::
     python -m repro [--vessels N] [--hours H] [--seed S]
                     [--window-hours W] [--slide-minutes B]
                     [--pairwise]
-                    [--shards N] [--checkpoint-dir PATH]
                     [--kml PATH] [--metrics-json PATH]
     python -m repro --serve [--port P] [--host H]
                     [--wal-dir PATH] [--fsync always|batch|never]
@@ -18,11 +17,6 @@ metrics registry is enabled for the run and a machine-readable report
 (per-phase p50/p95 latencies, events/sec throughput, compression ratio,
 full registry snapshot) is written to the given path — see
 docs/OBSERVABILITY.md for the format.
-
-``--shards N`` with ``N > 1`` runs the same pipeline with its stages on
-the sharded, process-parallel runtime (:mod:`repro.runtime`) — identical
-alerts and synopses, with per-shard runtime metrics added to the report;
-see docs/RUNTIME.md.
 
 ``--serve`` starts the always-on live service instead of a batch replay:
 a TCP ingest listener for raw ``!AIVDM`` lines on ``--port`` (default
@@ -53,13 +47,13 @@ from repro import obs
 from repro import (
     FleetSimulator,
     StreamReplayer,
+    SurveillanceSystem,
     SystemConfig,
     TimedArrival,
     WindowSpec,
     build_aegean_world,
     compute_trip_statistics,
 )
-from repro.runtime import build_system
 from repro.transport import DEFAULT_TRANSPORT, available_transports
 
 
@@ -93,12 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pairwise", action="store_true",
                         help="recognize pairwise CEs (encounter, rendezvous, "
                              "cpaRisk, darkShip); see docs/SPATIAL.md")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="worker shards; >1 selects the process-parallel "
-                             "runtime (default: 1, single-process)")
-    parser.add_argument("--checkpoint-dir", metavar="PATH",
-                        help="shard checkpoint directory (with --shards > 1; "
-                             "default: a private temporary directory)")
     parser.add_argument("--serve", action="store_true",
                         help="run the live service (TCP ingest + feed + "
                              "HTTP API) instead of a batch replay; see "
@@ -184,8 +172,6 @@ def _serve(args: argparse.Namespace) -> int:
         http_port=args.port + 2 if args.port else 0,
         ingest_transport=args.ingest_transport,
         feed_transport=args.feed_transport,
-        shards=args.shards,
-        checkpoint_dir=args.checkpoint_dir,
         wal_dir=args.wal_dir,
         wal_fsync=args.fsync,
     )
@@ -206,7 +192,6 @@ def _serve(args: argparse.Namespace) -> int:
                 "seed": args.seed,
                 "window_hours": args.window_hours,
                 "slide_minutes": args.slide_minutes,
-                "shards": args.shards,
             },
         )
         write_report(report, args.metrics_json)
@@ -230,15 +215,12 @@ def _install_chaos(args: argparse.Namespace) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     world, simulator, fleet, specs, config = _build_pipeline_inputs(args)
-    system = build_system(
-        world, specs, config, args.shards, args.checkpoint_dir
-    )
+    system = SurveillanceSystem(world, specs, config)
     stream = simulator.positions(fleet)
-    sharding = f", {args.shards} shards" if args.shards > 1 else ""
     print(
         f"simulating {len(fleet)} vessels / {len(stream)} positions over "
         f"{args.hours:g} h (omega={args.window_hours:g} h, "
-        f"beta={args.slide_minutes:g} min{sharding})"
+        f"beta={args.slide_minutes:g} min)"
     )
 
     replayer = StreamReplayer(
@@ -284,7 +266,6 @@ def _run(args: argparse.Namespace) -> int:
                 "window_hours": args.window_hours,
                 "slide_minutes": args.slide_minutes,
                 "pairwise": args.pairwise,
-                "shards": args.shards,
             },
         )
         write_report(report, args.metrics_json)

@@ -95,22 +95,13 @@ class StreamReplayer:
         self._arrivals = sorted(arrivals, key=lambda item: item.arrival)
         self.slide_seconds = slide_seconds
 
-    def batches(
-        self, start_after: int | None = None
-    ) -> Iterator[tuple[int, list[PositionalTuple]]]:
+    def batches(self) -> Iterator[tuple[int, list[PositionalTuple]]]:
         """Yield ``(query_time, positions)`` batches in arrival order.
 
         Query times are consecutive multiples of the slide step starting from
         the first slide boundary at or after the earliest arrival.  Empty
         batches (no arrivals in a slide) are yielded too, since the window
         still slides and expired tuples must still be evicted.
-
-        ``start_after`` skips every slide with ``query_time <= start_after``
-        — the replay cursor for drivers resuming a recorded stream from a
-        checkpointed query time (see docs/RUNTIME.md): slides at or before
-        the cursor are already reflected in the restored state, and the
-        remaining slide boundaries land exactly where an uninterrupted
-        replay would have put them.
         """
         if not self._arrivals:
             return
@@ -127,8 +118,7 @@ class StreamReplayer:
             while index < total and self._arrivals[index].arrival <= query_time:
                 batch.append(self._arrivals[index].position)
                 index += 1
-            if start_after is None or query_time > start_after:
-                yield query_time, batch
+            yield query_time, batch
             query_time += slide
 
 

@@ -1,14 +1,14 @@
 """Project-invariant static analysis for the deterministic pipeline.
 
-The architecture's hard guarantees — byte-identical output at any shard
-count, WAL replay parity, no silent drops — are behavioral invariants
-that one stray ``time.time()`` or unordered-``dict`` merge silently
+The architecture's hard guarantees — byte-identical output at any
+gateway count, WAL replay parity, no silent drops — are behavioral
+invariants that one stray ``time.time()`` or uncounted shed silently
 breaks.  This package encodes those repo-specific rules as code and
 gates CI on them (see docs/STATIC_ANALYSIS.md for the rule catalog):
 
 ==========  ============================================================
 ``RPR001``  no wall-clock / unseeded randomness in deterministic
-            packages (tracking, rtec, runtime, maritime, pipeline)
+            packages (tracking, rtec, maritime, pipeline)
 ``RPR002``  no blocking calls (``time.sleep``, ``open``, sqlite,
             sockets, subprocesses) inside ``async def`` in the service
 ``RPR003``  every ``fault_point("…")`` literal is declared in the
@@ -17,8 +17,6 @@ gates CI on them (see docs/STATIC_ANALYSIS.md for the rule catalog):
 ``RPR004``  load-shedding branches (``get_nowait`` / evict / shed /
             drop) must increment an observability counter in the same
             function — nothing is ever lost silently
-``RPR005``  shard-merge code must not iterate a bare ``set``/``dict``
-            without an explicit ``sorted(...)``
 ==========  ============================================================
 
 The engine is pure stdlib-``ast``: no third-party dependency, so the

@@ -11,7 +11,6 @@ from repro.analysis.rules import (  # noqa: F401  (registration side effects)
     rpr002_async_blocking,
     rpr003_fault_sites,
     rpr004_silent_drop,
-    rpr005_ordered_merge,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "rpr002_async_blocking",
     "rpr003_fault_sites",
     "rpr004_silent_drop",
-    "rpr005_ordered_merge",
 ]

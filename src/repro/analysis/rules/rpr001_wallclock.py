@@ -1,8 +1,8 @@
 """RPR001 — no wall-clock or unseeded randomness in deterministic paths.
 
 The Mobility Tracker and RTEC must produce the same critical points and
-CE intervals for the same input (the byte-identity guarantee of
-``tests/runtime/test_determinism.py`` and the WAL replay parity of
+CE intervals for the same input (the byte-identity guarantee of the
+gateway cluster tests and the WAL replay parity of
 ``tests/service/test_recovery.py``).  Any read of the real clock or of
 the process-global random generator inside the deterministic packages
 makes output depend on *when* and *where* the code ran:
@@ -31,7 +31,6 @@ from repro.analysis.registry import Rule, register
 DETERMINISTIC_PACKAGES = (
     "repro.tracking",
     "repro.rtec",
-    "repro.runtime",
     "repro.maritime",
     "repro.pipeline",
 )
@@ -65,8 +64,7 @@ class WallclockRule(Rule):
     code = "RPR001"
     summary = (
         "no time.time()/datetime.now()/module-level random in "
-        "deterministic packages (tracking, rtec, runtime, maritime, "
-        "pipeline)"
+        "deterministic packages (tracking, rtec, maritime, pipeline)"
     )
 
     def check_module(self, module: ModuleContext) -> Iterator[Diagnostic]:

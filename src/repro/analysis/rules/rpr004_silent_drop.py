@@ -7,7 +7,7 @@ observability registry, so operators can tell load shedding from data
 loss.  The contract decays one forgotten counter at a time — this rule
 pins it structurally.
 
-A function in the queueing layers (``repro.service``, ``repro.runtime``,
+A function in the queueing layers (``repro.service``,
 ``repro.resilience``, ``repro.ais``, ``repro.transport``,
 ``repro.gateway``) is a *drop site* when it
 
@@ -42,7 +42,6 @@ from repro.analysis.registry import Rule, register
 #: Packages whose drop paths must be counted.
 QUEUEING_PACKAGES = (
     "repro.service",
-    "repro.runtime",
     "repro.resilience",
     "repro.ais",
     "repro.transport",

@@ -5,8 +5,7 @@ sentence of a vessel reaches the *same* backend runtime, in order.  The
 router decides ownership from the MMSI in the header of any AIS payload
 (its first 7 armored characters, read through the layout table of
 :mod:`repro.ais.messages`) without decoding the rest of the message, and
-hashes it with the sharded runtime's own
-:func:`~repro.runtime.shard.shard_for_mmsi`.  A payload with an invalid
+hashes it with :func:`shard_for_mmsi`.  A payload with an invalid
 character past the header still routes by its MMSI; the owning
 backend's scanner rejects it exactly as a single node's would.
 
@@ -30,11 +29,23 @@ machinery classifies it just like a single node's would.
 from repro.ais.messages import decode_mmsi
 from repro.ais.nmea import frame_aivdm
 from repro.obs.registry import MetricsRegistry
-from repro.runtime.shard import shard_for_mmsi
 
 #: Open fragment groups remembered at once; beyond this the oldest is
 #: evicted (and counted) — an abandoned group must not leak memory.
 PENDING_FRAGMENT_CAPACITY = 1024
+
+#: Knuth's multiplicative constant (2^32 / phi), for MMSI mixing; spreads
+#: consecutive MMSIs (fleets are often numbered in blocks) evenly.
+_MIX = 2654435761
+_MASK = 0xFFFFFFFF
+
+
+def shard_for_mmsi(mmsi: int, shards: int) -> int:
+    """The backend runtime owning a vessel in a gateway cluster;
+    deterministic across processes."""
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    return ((mmsi * _MIX) & _MASK) % shards
 
 
 def mmsi_of_payload(payload: str, fill_bits: int) -> int | None:

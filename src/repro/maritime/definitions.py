@@ -56,8 +56,8 @@ OUTPUT_EVENTS = ["illegalShipping", "dangerousShipping"]
 #: per-area counter fluents (``vesselsStoppedIn``, ``fishingStoppedIn``)
 #: aggregate over *every* vessel near an area, so the ``suspicious`` and
 #: ``illegalFishing`` rule-sets are not MMSI-decomposable and are gated
-#: out when recognition is sharded across independent runtimes
-#: (docs/GATEWAY.md).
+#: out when recognition is partitioned across a gateway cluster's
+#: independent runtimes (docs/GATEWAY.md).
 CE_SCOPES = ("full", "vessel")
 
 #: The full CE vocabulary, vessel-vs-area plus the pairwise layer

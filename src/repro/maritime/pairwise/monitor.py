@@ -1,10 +1,8 @@
 """The pairwise monitor: movement events in, amalgamated pair facts out.
 
-The monitor runs once per slide in the *parent* process, over the merged
-(deterministically ordered) movement-event stream — the same stream both
-the single-process pipeline and the sharded runtime produce byte-for-byte
-identically.  All pairwise geometry happens here: last-seen tracks per
-vessel, a fresh :class:`~repro.spatial.grid.SlideGridIndex` per slide,
+The monitor runs once per slide, over the slide's movement-event stream.
+All pairwise geometry happens here: last-seen tracks per vessel, a fresh
+:class:`~repro.spatial.grid.SlideGridIndex` per slide,
 closest-point-of-approach projection, offshore tests, and gap pairing.
 What leaves is a flat, canonically sorted list of :class:`PairFact`
 records; the RTEC rules (:mod:`repro.maritime.pairwise.rules`) never see
@@ -15,10 +13,9 @@ Episode anchoring
 Every proximity episode fixes an ``anchor_lon`` — the midpoint longitude
 of the pair when it first came within range.  Every subsequent fact of
 that episode (including the closing ``pair_far``) carries the same
-anchor, and the runtime routes each fact to the longitude band owning
-its anchor.  Initiation and termination of a pair's fluents therefore
-always land in the same recognition partition, which is what keeps the
-sharded output byte-identical to the single-process run.
+anchor, so a longitude-partitioned recognizer that routes each fact by
+its anchor sees the initiation and termination of a pair's fluents in
+the same partition.
 """
 
 from dataclasses import dataclass
@@ -136,10 +133,9 @@ class PairwiseMonitor:
 
         Determinism contract: the returned facts are a pure function of
         the event *multiset* and the query time — the fold below sorts
-        the events canonically first (the single-process pipeline and
-        the runtime's finalize path order same-timestamp events
-        differently), and all later iteration is over sorted MMSIs and
-        sorted pair keys.
+        the events canonically first, so the order the tracker emitted
+        them in does not matter, and all later iteration is over sorted
+        MMSIs and sorted pair keys.
         """
         facts: list[PairFact] = []
         updated: set[int] = set()

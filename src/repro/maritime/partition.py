@@ -10,21 +10,13 @@ are forwarded to the appropriate processor (according to vessel location)."
 :class:`PartitionedRecognizer` runs one engine per band, routes each ME by
 its longitude, and reports per-partition recognition times.
 
-Two very different "parallel" figures exist, and they must not be
-conflated:
-
-* **Simulated** — :class:`PartitionedRecognizer` runs its engines
-  *sequentially* in one process; the
-  :attr:`PartitionStepTiming.parallel_seconds` it reports is the maximum
-  over partitions, i.e. the wall-clock an ideal deployment *would* see.
-  This matches the paper's per-processor measurement but involves no
-  actual concurrency.
-* **Measured** — under :mod:`repro.runtime`, each band engine runs on its
-  own worker process and
-  :attr:`PartitionStepTiming.measured_parallel_seconds` is the true
-  wall-clock of the concurrent recognition step, inter-process overheads
-  included.  :class:`~repro.runtime.system.ParallelSurveillanceSystem`
-  fills it in on every slide (``last_partition_timing``).
+The "parallel" figure is *simulated*: :class:`PartitionedRecognizer` runs
+its engines sequentially in one process, and the
+:attr:`PartitionStepTiming.parallel_seconds` it reports is the maximum
+over partitions, i.e. the wall-clock an ideal deployment *would* see.
+This matches the paper's per-processor measurement but involves no
+actual concurrency (docs/PERFORMANCE.md records why no measured
+multi-process figure stands next to it).
 """
 
 from dataclasses import dataclass
@@ -70,17 +62,9 @@ def partition_world(world: WorldModel, partitions: int) -> list[WorldModel]:
 
 @dataclass
 class PartitionStepTiming:
-    """Per-partition recognition cost of one query step.
-
-    ``measured_parallel_seconds`` stays ``None`` when the partitions ran
-    sequentially in-process (the :class:`PartitionedRecognizer` default);
-    the process-parallel runtime sets it to the real wall-clock of the
-    concurrent step, which includes routing and IPC and therefore upper-
-    bounds the simulated :attr:`parallel_seconds`.
-    """
+    """Per-partition recognition cost of one query step."""
 
     per_partition_seconds: list[float]
-    measured_parallel_seconds: float | None = None
 
     @property
     def sequential_seconds(self) -> float:
@@ -98,9 +82,6 @@ class PartitionedRecognizer:
 
     The engines run sequentially in the calling process; the "parallel"
     figure of :meth:`step` is therefore *simulated* (max over partitions).
-    For genuinely concurrent band recognition — with the measured
-    wall-clock reported alongside the simulation — run the pipeline under
-    :class:`repro.runtime.ParallelSurveillanceSystem`.
     """
 
     def __init__(

@@ -62,7 +62,7 @@ class Alert:
 
 
 def alert_sort_key(alert: Alert) -> tuple:
-    """The canonical report order, shared with the runtime's alert merge.
+    """The canonical report order of alerts.
 
     The vessel tiebreakers are no-ops for the historical vessel-vs-area
     alerts (event occurrences already arrive sorted by ``(time, args)``,

@@ -14,8 +14,7 @@ that ``--metrics-json`` writes::
       "tracking": {"positions_per_sec": ...},
       "throughput": {"positions_per_sec": ..., "events_per_sec": ..., ...},
       "compression_ratio": 0.94,
-      "metrics": {... full registry snapshot ...},
-      "runtime": {... shards/restarts/stalls, only for sharded runs ...}
+      "metrics": {... full registry snapshot ...}
     }
 
 ``phases`` keys follow :data:`repro.pipeline.metrics.PHASES`;
@@ -94,7 +93,7 @@ def build_pipeline_report(
 
     tracking_seconds = phases.get("tracking", {}).get("total_s", 0.0)
 
-    report: dict[str, Any] = {
+    return {
         "schema": SCHEMA,
         "config": dict(config or {}),
         "slides": system.timings.slides,
@@ -117,47 +116,6 @@ def build_pipeline_report(
         },
         "compression_ratio": statistics.compression_ratio,
         "metrics": registry.snapshot(),
-    }
-    runtime = _runtime_summary(registry)
-    if runtime:
-        report["runtime"] = runtime
-    return report
-
-
-def _runtime_summary(registry: MetricsRegistry) -> dict[str, Any]:
-    """Condense the process-parallel runtime's instruments, if any ran.
-
-    Present only for sharded (:mod:`repro.runtime`) runs: shard count,
-    supervisor restarts, backpressure stalls, and the per-shard
-    tracking/recognition latency summaries recorded from the workers' own
-    measurements, one sample per worker request (IPC excluded — the
-    inclusive figures are the ``pipeline.phase.*`` histograms).
-    """
-    gauges = {name: g.value for name, g in registry._gauges.items()}
-    if "runtime.shards" not in gauges:
-        return {}
-    counters = {name: c.value for name, c in registry._counters.items()}
-    shards = int(gauges["runtime.shards"])
-    per_shard: dict[str, dict[str, Any]] = {}
-    for shard_id in range(shards):
-        prefix = f"runtime.shard.{shard_id}."
-        entry: dict[str, Any] = {}
-        for phase in ("tracking", "recognition"):
-            histogram = registry._histograms.get(prefix + phase)
-            if histogram is not None:
-                entry[phase] = _phase_summary(histogram)
-        entry["restarts"] = int(counters.get(prefix + "restarts", 0))
-        entry["backpressure_stalls"] = int(
-            counters.get(prefix + "backpressure_stalls", 0)
-        )
-        per_shard[str(shard_id)] = entry
-    return {
-        "shards": shards,
-        "restarts": int(counters.get("runtime.restarts", 0)),
-        "backpressure_stalls": int(
-            counters.get("runtime.backpressure_stalls", 0)
-        ),
-        "per_shard": per_shard,
     }
 
 

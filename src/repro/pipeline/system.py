@@ -15,10 +15,9 @@ timing each phase.  Call :meth:`finalize` at end-of-stream to flush open
 stops and drain the synopsis into the archive: the same skeleton, run once
 more with ``final=True``.
 
-This is the only slide path.  Steps 1–2 and 4 go through three small stage
-operations (``_track``, ``_finalize_track``, ``_recognize``); the sharded
-:class:`~repro.runtime.system.ParallelSurveillanceSystem` overrides those
-to run on worker processes and inherits everything else.
+This is the only slide path, and every stage runs in this process: area
+and pairwise CEs are not MMSI-decomposable, so the one scale-out (the
+gateway tier, docs/GATEWAY.md) partitions whole pipelines by vessel.
 
 Phases are timed with :mod:`repro.obs` spans.  The measured seconds always
 feed :class:`~repro.pipeline.metrics.PhaseTimings` and the
@@ -54,8 +53,6 @@ class SurveillanceSystem:
     ):
         self.world = world
         self.config = config or SystemConfig()
-        # The pairwise monitor always runs here, over the full (merged)
-        # event stream, so its facts are the same at any shard count.
         self.monitor = (
             PairwiseMonitor(world, self.config.pairwise_config)
             if self.config.pairwise
@@ -68,21 +65,12 @@ class SurveillanceSystem:
         self.exporter = TrajectoryExporter()
         self.timings = PhaseTimings()
         self._last_query_time: int | None = None
-        self._start_stages(specs)
-
-    # ------------------------------------------------------------------
-    # stage operations — everything that differs when the stages run on
-    # shard workers (repro.runtime.system overrides exactly this block)
-    # ------------------------------------------------------------------
-
-    def _start_stages(self, specs: dict[int, VesselSpec]) -> None:
-        """Build what tracks, compresses and recognizes."""
         self.tracker = ColumnarTracker(self.config.tracking)
         self.compressor = Compressor(self.config.window)
         #: Fleet-wide compression accounting, as the reports read it.
         self.statistics = self.compressor.statistics
         self.recognizer = MaritimeRecognizer(
-            self.world,
+            world,
             specs,
             window_seconds=self.config.effective_recognition_window,
             config=self.config.maritime,
@@ -90,28 +78,6 @@ class SurveillanceSystem:
             pairwise_config=self.config.pairwise_config,
             ce_scope=self.config.ce_scope,
         )
-
-    def _track(self, batch: list[PositionalTuple], query_time: int):
-        """One slide of tracking + compression: (events, fresh, expired)."""
-        events = self.tracker.process_batch(batch)
-        fresh, expired = self.compressor.slide(
-            events, query_time, raw_position_count=len(batch)
-        )
-        return events, fresh, expired
-
-    def _finalize_track(self, query_time: int):
-        """End of stream: (events, fresh, expired, still-in-window)."""
-        events = self.tracker.finalize()
-        fresh, expired = self.compressor.slide(events, query_time)
-        return events, fresh, expired, self.compressor.synopsis()
-
-    def _recognize(self, events, pair_facts, query_time: int):
-        """One recognition step: (recognized CE count, alerts)."""
-        if pair_facts is not None:
-            self.recognizer.ingest_facts(pair_facts, arrival_time=query_time)
-        self.recognizer.ingest(events, arrival_time=query_time)
-        result = self.recognizer.step(query_time)
-        return result.complex_event_count(), self.recognizer.alerts(result)
 
     def current_synopsis(self, mmsi: int | None = None) -> list[CriticalPoint]:
         """Critical points currently in the sliding window."""
@@ -124,15 +90,6 @@ class SurveillanceSystem:
     def vessel_count(self) -> int:
         """Vessels currently tracked."""
         return self.tracker.vessel_count()
-
-    def restart_count(self) -> int:
-        """Worker restarts so far (there are no workers to restart)."""
-        return 0
-
-    def terminate_workers(self) -> int:
-        """Hard-kill the stage workers, the watchdog's lever on a wedged
-        slide; returns how many were killed (none run inline)."""
-        return 0
 
     def close(self) -> None:
         """Release the MOD connection (idempotent)."""
@@ -176,13 +133,15 @@ class SurveillanceSystem:
         with obs.timed_span("pipeline.finalize" if final else "pipeline.slide"):
             with obs.timed_span("tracking") as phase:
                 if final:
-                    events, fresh, expired, remaining = self._finalize_track(
-                        query_time
-                    )
+                    events = self.tracker.finalize()
+                    fresh, expired = self.compressor.slide(events, query_time)
                     # Evict everything still in the window into the archive.
-                    expired = expired + remaining
+                    expired = expired + self.compressor.synopsis()
                 else:
-                    events, fresh, expired = self._track(batch, query_time)
+                    events = self.tracker.process_batch(batch)
+                    fresh, expired = self.compressor.slide(
+                        events, query_time, raw_position_count=len(batch)
+                    )
             slide_timings["tracking"] = phase.seconds
 
             with obs.timed_span("staging") as phase:
@@ -199,16 +158,16 @@ class SurveillanceSystem:
             alerts: tuple = ()
             if self.config.enable_recognition:
                 with obs.timed_span("recognition") as phase:
-                    facts = (
-                        self.monitor.observe(events, query_time)
-                        if self.monitor is not None
-                        else None
-                    )
-                    recognized, found = self._recognize(
-                        events, facts, query_time
-                    )
+                    if self.monitor is not None:
+                        self.recognizer.ingest_facts(
+                            self.monitor.observe(events, query_time),
+                            arrival_time=query_time,
+                        )
+                    self.recognizer.ingest(events, arrival_time=query_time)
+                    result = self.recognizer.step(query_time)
+                    recognized = result.complex_event_count()
+                    alerts = tuple(self.recognizer.alerts(result))
                 slide_timings["recognition"] = phase.seconds
-                alerts = tuple(found)
 
         if not final:
             self.timings.record(slide_timings)

@@ -12,7 +12,7 @@ survive that reality — and *prove* it under injected failure:
   truncated-tail-tolerant recovery;
 * :mod:`repro.resilience.faults` — deterministic, seeded, replayable
   fault injection at named sites (socket drop, MOD write failure,
-  shard-worker kill, slow slide, corrupt WAL segment);
+  slow or crashed slide, corrupt WAL segment);
 * :mod:`repro.resilience.retry` — deterministic exponential backoff with
   a bounded attempt budget;
 * :mod:`repro.resilience.breaker` — a circuit breaker protecting the MOD
@@ -20,8 +20,8 @@ survive that reality — and *prove* it under injected failure:
 * :mod:`repro.resilience.guard` — graceful degradation: when the MOD is
   down, critical points spill to a WAL-backed queue and recognition
   keeps running; the backlog drains on recovery;
-* :mod:`repro.resilience.watchdog` — stalled-slide detection with
-  backoff-limited supervised restart.
+* :mod:`repro.resilience.watchdog` — stalled-slide detection, counted
+  and reported on ``/healthz``.
 
 Guarantees, fault sites and trade-offs: docs/RESILIENCE.md.
 """

@@ -21,7 +21,6 @@ Named sites wired through the tree (see docs/RESILIENCE.md):
 ``mod.write``              one MOD staging write (kinds: ``error``)
 ``mod.reconstruct``        one trip reconstruction pass (kinds: ``error``)
 ``wal.append``             one WAL record append (kinds: ``corrupt``)
-``runtime.worker``         one shard worker (kinds: ``kill``)
 ``chaosnet.connect``       one chaos-wrapped transport dial (kinds:
                            ``drop`` — the dial fails with TransportError)
 ``chaosnet.send``          one chaos-wrapped outbound message (kinds:
@@ -38,8 +37,8 @@ Spec string grammar (``--chaos``)::
     site:kind@hit[:arg][,site:kind@hit[:arg]...]
 
 ``hit`` is 1-based ("the 3rd time this site is reached"); ``arg`` is the
-delay in seconds for ``delay`` faults and the shard id for ``kill``
-faults.  Example: ``mod.write:error@3,service.slide:delay@2:0.5``.
+delay in seconds for ``delay`` faults and the heal delay for
+``chaosnet.partition``.  Example: ``mod.write:error@3,service.slide:delay@2:0.5``.
 """
 
 import random
@@ -52,10 +51,9 @@ from repro import obs
 
 #: Fault kinds understood by the injector itself (``error`` raises,
 #: ``delay`` sleeps); every other kind is returned to the fault point's
-#: caller, which interprets it (``drop``, ``crash``, ``corrupt``,
-#: ``kill``).
+#: caller, which interprets it (``drop``, ``crash``, ``corrupt``).
 HANDLED_KINDS = ("error", "delay")
-KNOWN_KINDS = ("error", "delay", "drop", "crash", "corrupt", "kill")
+KNOWN_KINDS = ("error", "delay", "drop", "crash", "corrupt")
 
 #: The central fault-site registry: every ``fault_point("…")`` literal in
 #: the tree maps here to the kinds meaningful at that site, and static
@@ -69,7 +67,6 @@ SITES: dict[str, tuple[str, ...]] = {
     "mod.write": ("error",),
     "mod.reconstruct": ("error",),
     "wal.append": ("corrupt",),
-    "runtime.worker": ("kill",),
     "chaosnet.connect": ("drop",),
     "chaosnet.send": ("drop",),
     "chaosnet.receive": ("drop",),
@@ -77,8 +74,7 @@ SITES: dict[str, tuple[str, ...]] = {
 }
 
 #: Kinds safe to draw blindly into a seeded plan: they perturb timing or
-#: sever connections but never require a kind-specific argument (``kill``
-#: wants a shard id) and never violate the durability contract a smoke
+#: sever connections and never violate the durability contract a smoke
 #: run asserts afterwards (``corrupt``, ``crash`` are for targeted
 #: drills, not blind sampling).
 SEEDABLE_KINDS = ("drop", "delay", "error")
@@ -95,7 +91,7 @@ def seedable_sites() -> dict[str, tuple[str, ...]]:
     """The :data:`SITES` subset usable by ``FaultPlan.seeded``.
 
     Sites keep only their :data:`SEEDABLE_KINDS`; sites with none left
-    (``wal.append``, ``runtime.worker``) and the explicitly excluded
+    (``wal.append``) and the explicitly excluded
     :data:`UNSEEDED_SITES` are omitted entirely.
     """
     filtered = {
@@ -133,7 +129,8 @@ class FaultSpec:
     site: str
     kind: str
     at: int = 1
-    #: Kind-specific argument: seconds for ``delay``, shard id for ``kill``.
+    #: Kind-specific argument: seconds for ``delay``, heal seconds for
+    #: ``chaosnet.partition``.
     arg: float = 0.0
 
     def __post_init__(self) -> None:

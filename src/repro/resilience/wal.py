@@ -11,11 +11,15 @@ appends to a file that might carry a torn tail from a previous crash.
 
 Recovery is truncated-tail tolerant and prefix-consistent: replay stops
 at the first record that is short, oversized or fails its CRC, and
-everything up to that point is returned.  For the ingest journal that
-prefix is exactly the durable stream — the slide batcher journals each
-sentence *before* scanning it, so replaying the journal through a fresh
-pipeline deterministically reproduces every slide the crashed process
-had produced, byte for byte (docs/RESILIENCE.md).
+everything up to that point is returned.  A writer opening a damaged
+journal repairs it to that prefix (the torn segment is cut back to its
+last valid record and fsynced, later segments are deleted, the repair is
+counted), so what it appends next is reachable to the next recovery.
+For the ingest journal that prefix is exactly the durable stream — the
+slide batcher journals each sentence *before* scanning it, so replaying
+the journal through a fresh pipeline deterministically reproduces every
+slide the crashed process had produced, byte for byte
+(docs/RESILIENCE.md).
 
 Fsync policy trades durability for throughput:
 
@@ -63,6 +67,8 @@ class RecoveryStats:
     #: Bytes skipped after the first corruption (prefix semantics).
     dropped_bytes: int = 0
     last_seq: int = -1
+    #: Damaged journals a writer cut back to the recovered prefix at open.
+    repaired_segments: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -71,6 +77,7 @@ class RecoveryStats:
             "corrupt_segments": self.corrupt_segments,
             "dropped_bytes": self.dropped_bytes,
             "last_seq": self.last_seq,
+            "repaired_segments": self.repaired_segments,
         }
 
 
@@ -121,9 +128,18 @@ def read_wal(
     relationship to the lost ones, so a prefix is the only sound
     recovery.  Everything dropped is counted in the stats.
     """
-    directory = Path(directory)
+    records, stats, _ = _recover(Path(directory), name)
+    return records, stats
+
+
+def _recover(
+    directory: Path, name: str
+) -> tuple[list[WalRecord], RecoveryStats, tuple[Path, int] | None]:
+    """:func:`read_wal`, plus where the damage starts: the first corrupt
+    segment and its count of valid bytes (``None`` for a clean journal)."""
     stats = RecoveryStats()
     records: list[WalRecord] = []
+    damage = None
     segments = _segment_files(directory, name)
     for index, path in enumerate(segments):
         stats.segments += 1
@@ -137,10 +153,11 @@ def read_wal(
             for later in segments[index + 1:]:
                 stats.dropped_bytes += later.stat().st_size
             stats.segments = len(segments)
+            damage = (path, path.stat().st_size - dropped)
             break
     stats.records = len(records)
     stats.last_seq = records[-1].seq if records else -1
-    return records, stats
+    return records, stats, damage
 
 
 #: WAL segment rotation threshold, bytes.
@@ -192,7 +209,11 @@ class WriteAheadLog:
         self.retention_segments = retention_segments
         self.name = name
         #: Records recovered from disk at open (see :func:`read_wal`).
-        self.recovered, self.recovery_stats = read_wal(self.directory, name)
+        self.recovered, self.recovery_stats, damage = _recover(
+            self.directory, name
+        )
+        if damage is not None:
+            self._repair(*damage)
         self._next_seq = self.recovery_stats.last_seq + 1
         self._handle = None
         self._segment_path: Path | None = None
@@ -204,6 +225,25 @@ class WriteAheadLog:
         self.synced_count = 0
         self.retired_segments = 0
         self._closed = False
+
+    def _repair(self, damaged: Path, valid_bytes: int) -> None:
+        """Cut the journal back to the prefix just recovered.
+
+        Without this, the damage outlives the incarnation that found it:
+        every later recovery would stop there again and lose whatever was
+        appended after it.
+        """
+        for later in _segment_files(self.directory, self.name):
+            if later > damaged:
+                later.unlink()
+        if valid_bytes == 0:
+            damaged.unlink()
+        else:
+            with open(damaged, "r+b") as handle:
+                handle.truncate(valid_bytes)
+                os.fsync(handle.fileno())
+        self.recovery_stats.repaired_segments += 1
+        obs.count("resilience.wal.repaired_segments")
 
     def _index_existing_segments(self) -> None:
         seq = -1

@@ -1,24 +1,19 @@
 """Stalled-slide detection for the live service.
 
 A pipeline slide runs on a single-worker executor thread; if it wedges
-(a hung sqlite call, an injected ``service.slide:delay``, a shard worker
-that stopped answering), the batcher's await never returns and — without
-a watchdog — the whole service silently stops producing slides while
-still accepting ingest.  :class:`SlideWatchdog` tracks slide start/finish
-beats from the event loop and, when a slide overruns its deadline, fires
-``on_stall`` (the supervisor kills the shard workers, which converts the
-wedge into an ordinary :class:`~repro.runtime.supervisor.WorkerCrash`
-that the checkpoint machinery already recovers from).
-
-Refiring is backoff-limited: a stall that persists is re-fired on an
-exponential schedule rather than every check tick, and a bounded number
-of interventions guards against a kill/stall livelock.
+(a hung sqlite call, an injected ``service.slide:delay``), the batcher's
+await never returns and — without a watchdog — the whole service
+silently stops producing slides while still accepting ingest.
+:class:`SlideWatchdog` tracks slide start/finish beats from the event
+loop and counts a slide that overruns its deadline, once per slide, so
+``/healthz`` shows the stall.  It only detects: the whole pipeline runs
+in this process, so there is nothing to kill, and the drain deadline
+(``drain_timeout_seconds``) is what bounds a wedge at shutdown.
 """
 
 import time
 
 from repro import obs
-from repro.resilience.retry import BackoffPolicy
 
 
 class SlideWatchdog:
@@ -28,51 +23,29 @@ class SlideWatchdog:
     ----------
     timeout_seconds:
         A slide running longer than this is considered stalled.
-    on_stall:
-        Callback fired on detection (given the stalled ``query_time``
-        and the elapsed seconds).  Exceptions from it are counted, not
-        propagated — the watchdog itself must not die.
-    backoff:
-        Schedule limiting how often a *persisting* stall re-fires, and
-        (via ``max_attempts``) how many interventions are allowed per
-        stall before the watchdog gives up and only counts.
     clock:
         Injectable monotonic clock for sleep-free tests.
     """
 
-    def __init__(
-        self,
-        timeout_seconds: float,
-        on_stall=None,
-        backoff: BackoffPolicy | None = None,
-        clock=time.monotonic,
-    ):
+    def __init__(self, timeout_seconds: float, clock=time.monotonic):
         if timeout_seconds <= 0:
             raise ValueError(
                 f"timeout_seconds must be positive: {timeout_seconds}"
             )
         self.timeout_seconds = timeout_seconds
-        self.on_stall = on_stall
-        self.backoff = backoff if backoff is not None else BackoffPolicy(
-            initial_seconds=1.0, multiplier=2.0, max_seconds=30.0,
-            max_attempts=3,
-        )
         self._clock = clock
         self._started_at: float | None = None
         self._query_time: int | None = None
-        self._fired_for_current: int = 0
-        self._next_fire_at: float = 0.0
+        self._counted = False
         self.slides_seen = 0
         self.stalls_detected = 0
-        self.interventions = 0
 
     # -- beats (called from the batcher) --------------------------------
 
     def slide_started(self, query_time: int) -> None:
         self._started_at = self._clock()
         self._query_time = query_time
-        self._fired_for_current = 0
-        self._next_fire_at = self._started_at + self.timeout_seconds
+        self._counted = False
 
     def slide_finished(self) -> None:
         self._started_at = None
@@ -82,39 +55,21 @@ class SlideWatchdog:
     # -- the periodic check ---------------------------------------------
 
     def check(self) -> bool:
-        """One watchdog tick; returns True when a stall fired."""
-        if self._started_at is None:
+        """One watchdog tick; returns True when it detects a new stall."""
+        if self._started_at is None or self._counted:
             return False
-        now = self._clock()
-        elapsed = now - self._started_at
-        if elapsed < self.timeout_seconds or now < self._next_fire_at:
+        if self._clock() - self._started_at < self.timeout_seconds:
             return False
+        self._counted = True
         self.stalls_detected += 1
         obs.count("resilience.watchdog.stalls")
-        if self._fired_for_current >= self.backoff.max_attempts:
-            # Intervention budget spent: keep counting, stop killing.
-            self._next_fire_at = now + self.backoff.max_seconds
-            return False
-        self._fired_for_current += 1
-        self._next_fire_at = now + self.backoff.delay_for(
-            self._fired_for_current
-        )
-        self.interventions += 1
-        obs.count("resilience.watchdog.interventions")
-        if self.on_stall is not None:
-            try:
-                self.on_stall(self._query_time, elapsed)
-            except Exception:
-                obs.count("resilience.watchdog.on_stall_errors")
         return True
 
     def snapshot(self) -> dict:
-        running = self._started_at is not None
         return {
             "timeout_seconds": self.timeout_seconds,
-            "slide_running": running,
+            "slide_running": self._started_at is not None,
             "current_query_time": self._query_time,
             "slides_seen": self.slides_seen,
             "stalls_detected": self.stalls_detected,
-            "interventions": self.interventions,
         }

@@ -52,8 +52,8 @@ Exactness rules:
     (b).  Static predicates and guards are pure (``rules.py``).
 (e) *Cold start is the same code with empty caches*: on the first step, on
     a query time below the previous one, after ``declare_rules`` /
-    ``declare_computed``, after the working memory is replaced, after a
-    failed step, and after :meth:`RTEC.restore`.
+    ``declare_computed``, after the working memory is replaced, and after
+    a failed step.
 """
 
 from collections import defaultdict
@@ -90,10 +90,6 @@ from repro.rtec.working_memory import WorkingMemory
 FluentStore = dict[str, dict[tuple, dict[object, list[Interval]]]]
 #: event store layout: functor -> list of (args, time)
 EventStore = dict[str, list[tuple[tuple, int]]]
-
-#: Layout version of :meth:`RTEC.snapshot`; bump it whenever the snapshot
-#: or the :class:`WorkingMemory` it carries changes shape.
-SNAPSHOT_FORMAT = 1
 
 
 class ComputedFluent:
@@ -254,41 +250,6 @@ class RTEC:
         self._outputs_events.update(events or [])
 
     # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """What a restored engine needs: the working memory and the open
-        intervals persisted across the window, tagged with
-        :data:`SNAPSHOT_FORMAT`.
-
-        The working memory is shared, not copied — pickle the snapshot (as
-        :class:`~repro.runtime.checkpoint.CheckpointStore` does) to keep it.
-        """
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "memory": self.working_memory,
-            "persisted": _copy_persisted(self._persisted_open),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Adopt a :meth:`snapshot`; the next step cold-starts (rule (e)).
-
-        Rules, computed fluents and outputs are not part of the state: the
-        engine keeps the ones declared on it.  Raises ``ValueError``, and
-        changes nothing, for a state of another :data:`SNAPSHOT_FORMAT`.
-        """
-        if state.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(
-                f"RTEC snapshot format {state.get('format')!r} is not "
-                f"{SNAPSHOT_FORMAT}"
-            )
-        self.working_memory = state["memory"]
-        self._persisted_open = _copy_persisted(state["persisted"])
-        self._fold = None
-        self.last_result = None
-
-    # ------------------------------------------------------------------
     # recognition
     # ------------------------------------------------------------------
 
@@ -420,15 +381,6 @@ class RTEC:
             visit(node)
         self._order = order
         return order
-
-
-def _copy_persisted(
-    persisted: dict[str, dict[tuple, dict[object, int]]],
-) -> dict[str, dict[tuple, dict[object, int]]]:
-    return {
-        functor: {args: dict(values) for args, values in instances.items()}
-        for functor, instances in persisted.items()
-    }
 
 
 # ----------------------------------------------------------------------

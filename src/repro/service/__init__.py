@@ -2,9 +2,8 @@
 
 The paper's system is an *online* monitor — AIVDM sentences arrive over
 the wire and critical points / complex events are emitted as they happen
-(Sections 2–4).  This package wraps the batch pipeline (single-process or
-the sharded runtime of docs/RUNTIME.md) behind three stdlib-only asyncio
-surfaces:
+(Sections 2–4).  This package wraps the batch pipeline behind three
+stdlib-only asyncio surfaces:
 
 * :mod:`repro.service.ingest` — a TCP listener for raw ``!AIVDM`` lines
   from many concurrent feeds, with a bounded queue and counted

@@ -363,10 +363,9 @@ class SlideBatcher:
     async def _call_pipeline(self, fn, *args) -> SlideReport | None:
         """Run one pipeline call off-loop; errors are counted, not fatal.
 
-        The embedded sharded runtime already restarts crashed workers and
-        replays from checkpoints underneath this call; anything that still
-        escapes is a slide lost to an unrecoverable fault, which the
-        service survives and counts (``service.pipeline.errors``).
+        Anything that escapes the pipeline is a slide lost to an
+        unrecoverable fault, which the service survives and counts
+        (``service.pipeline.errors``).
         """
         loop = asyncio.get_running_loop()
         try:

@@ -47,11 +47,6 @@ class ServiceConfig:
     #: replays: how far back an evicted or disconnected subscriber can
     #: reconnect gapless (docs/SERVICE.md).
     feed_replay_ring: int = 1024
-    #: Worker shards; >1 embeds the process-parallel runtime
-    #: (:class:`repro.runtime.ParallelSurveillanceSystem`).
-    shards: int = 1
-    #: Shard checkpoint directory (``None`` = private temporary dir).
-    checkpoint_dir: str | None = None
     #: Keep a log of every ``(receive_time, sentence)`` actually handed
     #: to the scanner — lets tests replay exactly the post-shedding
     #: stream offline.  Off in production: it grows without bound.
@@ -70,8 +65,8 @@ class ServiceConfig:
     drain_timeout_seconds: float = 30.0
     #: Malformed sentences kept for the ``/deadletter`` endpoint.
     deadletter_capacity: int = 256
-    #: A pipeline slide running longer than this is declared stalled and
-    #: the watchdog intervenes (0 = watchdog disabled).
+    #: A pipeline slide running longer than this is declared stalled,
+    #: counted and reported on ``/healthz`` (0 = watchdog disabled).
     watchdog_timeout_seconds: float = 0.0
 
     def __post_init__(self) -> None:
@@ -90,8 +85,6 @@ class ServiceConfig:
                 f"feed_replay_ring must hold at least one line: "
                 f"{self.feed_replay_ring}"
             )
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1: {self.shards}")
         for role, name in (
             ("ingest_transport", self.ingest_transport),
             ("feed_transport", self.feed_transport),

@@ -2,18 +2,18 @@
 
 :func:`offline_feed_lines` pushes a recorded sentence stream through the
 exact components the live path uses — :class:`~repro.ais.scanner.DataScanner`,
-:class:`~repro.ais.stream.StreamReplayer` batching and the same pipeline
-system — and serializes each slide with the same
-:func:`~repro.service.protocol.slide_feed_line`.  The soak tests assert
-that a stream ingested over real TCP sockets yields *these bytes*,
-shard-for-shard; the acceptance criterion of the live subsystem is that
-the network added nothing and lost nothing (anything shed is counted).
+:class:`~repro.ais.stream.StreamReplayer` batching and the same
+:class:`~repro.pipeline.system.SurveillanceSystem` — and serializes each
+slide with the same :func:`~repro.service.protocol.slide_feed_line`.  The
+soak tests assert that a stream ingested over real TCP sockets yields
+*these bytes*; the acceptance criterion of the live subsystem is that the
+network added nothing and lost nothing (anything shed is counted).
 """
 
 from repro.ais.scanner import DataScanner
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline.config import SystemConfig
-from repro.runtime.system import build_system
+from repro.pipeline.system import SurveillanceSystem
 from repro.service.protocol import slide_feed_line
 
 
@@ -22,20 +22,14 @@ def offline_feed_lines(
     world,
     specs,
     config: SystemConfig | None = None,
-    shards: int = 1,
 ) -> list[str]:
-    """Feed lines an offline replay of ``sentences`` produces.
-
-    ``shards > 1`` replays on the process-parallel runtime — its output
-    is deterministic and identical to the single-process system's, so the
-    live-vs-offline comparison composes with the shard count.
-    """
+    """Feed lines an offline replay of ``sentences`` produces."""
     config = config or SystemConfig()
     scanner = DataScanner()
     positions = scanner.scan_many(sentences)
     scanner.flush()
     lines = []
-    with build_system(world, specs, config, shards) as system:
+    with SurveillanceSystem(world, specs, config) as system:
         replayer = StreamReplayer(
             [TimedArrival(p.timestamp, p) for p in positions],
             config.window.slide_seconds,

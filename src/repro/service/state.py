@@ -48,7 +48,7 @@ class VesselStateStore:
     Velocity is derived from the two most recent positions (great-circle
     distance over elapsed time, initial bearing as heading) — the same
     derivation the Mobility Tracker applies, kept separate here so the
-    store works identically over the single-process and sharded systems.
+    store reads only the positions the service ingested.
     A position later than the vessel's latest timestamp sets the pair
     the velocity comes from; the trigonometry runs in :meth:`get`, so
     the per-position fold on the event loop stays a few assignments.

@@ -1,12 +1,9 @@
 """The service supervisor: one object that owns the whole live deployment.
 
 :class:`ServiceSupervisor` assembles the three network surfaces (ingest
-listener, subscription feed, HTTP API) around one embedded pipeline, a
-:class:`~repro.pipeline.system.SurveillanceSystem` built by
-:func:`repro.runtime.build_system`.  With ``shards > 1`` its stages run on
-worker processes whose own supervisor already handles crash-restart with
-exactly-once checkpoint recovery (docs/RUNTIME.md); this layer surfaces
-the restart counts on ``/healthz`` and keeps serving through recoveries.
+listener, subscription feed, HTTP API) around one embedded
+:class:`~repro.pipeline.system.SurveillanceSystem`, which runs every
+stage and every CE in this process.
 
 On top of that sits the durability layer (docs/RESILIENCE.md), active
 when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set:
@@ -19,15 +16,14 @@ when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set:
 * MOD writes run behind a retry + circuit-breaker guard with a
   WAL-backed spill queue, so archival failures degrade instead of
   stalling recognition;
-* a slide watchdog detects a wedged pipeline slide and hard-kills the
-  shard workers, converting the stall into an ordinary checkpointed
-  worker restart.
+* a slide watchdog detects a wedged pipeline slide and counts the
+  stall, which ``/healthz`` reports.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already
 buffered through the pipeline, flushes the final partial slide plus the
 end-of-stream ``finalize``, publishes the last feed lines, disconnects
-subscribers, and only then closes the MOD and the sharded runtime.  If
+subscribers, and only then closes the pipeline and its MOD.  If
 the pipeline wedges past ``drain_timeout_seconds`` the drain is
 force-aborted (counted, journal preserved for replay) instead of hanging
 the host's shutdown forever.
@@ -40,12 +36,12 @@ from pathlib import Path
 
 from repro import obs
 from repro.pipeline.config import SystemConfig
+from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.guard import GuardedDatabase, SpillQueue
 from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import IngestJournal
 from repro.resilience.watchdog import SlideWatchdog
-from repro.runtime.system import build_system
 from repro.service.batcher import SlideBatcher
 from repro.service.config import ServiceConfig
 from repro.service.feed import FeedHub
@@ -80,9 +76,9 @@ class ServiceSupervisor:
         Network, backpressure and durability knobs
         (:class:`ServiceConfig`).
     system_factory:
-        Test hook: replaces :func:`repro.runtime.build_system` (same
-        arguments) to slow or wedge the embedded pipeline (the
-        load-shedding soak test injects delays).
+        Test hook: replaces the :class:`SurveillanceSystem` constructor
+        (called with ``world, specs, config``) to slow or wedge the
+        embedded pipeline (the load-shedding soak test injects delays).
     """
 
     def __init__(
@@ -95,14 +91,8 @@ class ServiceSupervisor:
     ):
         self.config = config or SystemConfig()
         self.service = service or ServiceConfig()
-        factory = system_factory or build_system
-        self.system = factory(
-            world,
-            specs,
-            self.config,
-            self.service.shards,
-            self.service.checkpoint_dir,
-        )
+        factory = system_factory or SurveillanceSystem
+        self.system = factory(world, specs, self.config)
         self.vessels = VesselStateStore()
         self.alert_ring = AlertRing(ALERT_RING_SIZE)
         self.queue = IngestQueue(self.service.ingest_queue_size)
@@ -186,17 +176,7 @@ class ServiceSupervisor:
     def _build_watchdog(self) -> SlideWatchdog | None:
         if self.service.watchdog_timeout_seconds <= 0:
             return None
-        return SlideWatchdog(
-            self.service.watchdog_timeout_seconds, on_stall=self._on_stall
-        )
-
-    def _on_stall(self, query_time, elapsed: float) -> None:
-        """A pipeline slide overran its deadline: kill the shard workers
-        so the stall becomes a WorkerCrash the checkpoint machinery
-        recovers from (inline there is nothing to kill — the stall is
-        counted and surfaced on ``/healthz`` instead)."""
-        obs.count("service.watchdog.stalls")
-        self.system.terminate_workers()
+        return SlideWatchdog(self.service.watchdog_timeout_seconds)
 
     # ------------------------------------------------------------------
     # slide fan-out
@@ -304,9 +284,8 @@ class ServiceSupervisor:
         # Disconnect subscribers after the final lines are queued.
         await self.feed.close()
         await self.http.stop()
-        # Shard workers and checkpoints first, then the MOD connection
-        # (staging flushed by finalize on a clean drain; closing the guard
-        # also closes the spill queue).
+        # The MOD connection (staging flushed by finalize on a clean
+        # drain; closing the guard also closes the spill queue).
         self.system.close()
         obs.set_gauge("service.up", 0)
 
@@ -360,7 +339,6 @@ class ServiceSupervisor:
             "feed_evicted": self.feed.evicted_count,
             "feed_resumed": self.feed.resumed_count,
             "feed_next_seq": self.feed.next_seq,
-            "shards": self.service.shards,
             "transports": {
                 "ingest": self.service.ingest_transport,
                 "feed": self.service.feed_transport,
@@ -391,8 +369,6 @@ class ServiceSupervisor:
         payload["mod_guard"] = self.guard.snapshot()
         if self.watchdog is not None:
             payload["watchdog"] = self.watchdog.snapshot()
-        if self.service.shards > 1:
-            payload["runtime_restarts"] = self.system.restart_count()
         return payload
 
     def ports(self) -> dict:
@@ -427,8 +403,7 @@ async def run_service(
     ports = supervisor.ports()
     announce(
         f"live service up: ingest={ports['ingest']} feed={ports['feed']} "
-        f"http={ports['http']} (slide={supervisor.config.window.slide_seconds}s, "
-        f"shards={supervisor.service.shards})"
+        f"http={ports['http']} (slide={supervisor.config.window.slide_seconds}s)"
     )
     stop_event = asyncio.Event()
     loop = asyncio.get_running_loop()

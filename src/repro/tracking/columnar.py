@@ -114,8 +114,7 @@ class _ColumnarVesselState:
     The same bookkeeping as the scalar tracker's ``_VesselState``, but the
     velocity vector is unpacked into ``(has_velocity, v_speed, v_heading)``
     and the last position carries its precomputed latitude trigonometry so
-    cross-slide pairs reuse it.  Everything is picklable — the runtime
-    checkpoints trackers wholesale.
+    cross-slide pairs reuse it.
     """
 
     __slots__ = (
@@ -150,13 +149,6 @@ class _ColumnarVesselState:
         self.slow_run: list[tuple[PositionalTuple, float]] = []
         self.consecutive_outliers = 0
         self.traveled_meters = 0.0
-
-    def __getstate__(self):
-        return {slot: getattr(self, slot) for slot in self.__slots__}
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
 
 
 class ColumnarTracker:
@@ -209,30 +201,6 @@ class ColumnarTracker:
             obs.count("tracking.movement_events", len(events))
             return events
 
-    def process_batch_tagged(
-        self, indexed_positions: list
-    ) -> list[tuple[tuple[int, int], MovementEvent]]:
-        """Batch entry point for the shard runtime.
-
-        Takes ``(global_index, position)`` pairs, returns
-        ``((global_index, k), event)`` tagged events with ``k``
-        enumerating each position's events in emission order — the same
-        tags the scalar per-position loop produces, so the supervisor's
-        merge stays byte-identical.
-        """
-        positions = [position for _, position in indexed_positions]
-        pending = self._collect_batch(positions)
-        count_event = self.statistics.count_event
-        tagged: list[tuple[tuple[int, int], MovementEvent]] = []
-        previous_index = -1
-        k = 0
-        for local_index, event in pending:
-            count_event(event.event_type)
-            k = k + 1 if local_index == previous_index else 0
-            previous_index = local_index
-            tagged.append(((indexed_positions[local_index][0], k), event))
-        return tagged
-
     def finalize(self) -> list[MovementEvent]:
         """Close open long-lasting events at end-of-stream."""
         events: list[MovementEvent] = []
@@ -279,21 +247,10 @@ class ColumnarTracker:
     # ------------------------------------------------------------------
 
     def _run_batch(self, batch: list) -> list[MovementEvent]:
-        events = [event for _, event in self._collect_batch(batch)]
-        count_event = self.statistics.count_event
-        for event in events:
-            count_event(event.event_type)
-        return events
-
-    def _collect_batch(
-        self, batch: list
-    ) -> list[tuple[int, MovementEvent]]:
         """Run the kernel over one batch.
 
-        Returns ``(batch_index, event)`` pairs in exact scalar emission
-        order: grouped per vessel, then spliced back by arrival index.
-        Leaves event-type statistics to the caller (tagged and untagged
-        entry points count identically, in spliced order).
+        Returns the events in exact scalar emission order: grouped per
+        vessel, then spliced back by arrival index.
         """
         self.statistics.positions_seen += len(batch)
         if not batch:
@@ -322,7 +279,11 @@ class ColumnarTracker:
         # each position's own events in emission order.
         if not single_vessel:
             emit.sort(key=_emit_key)
-        return emit
+        events = [event for _, event in emit]
+        count_event = self.statistics.count_event
+        for event in events:
+            count_event(event.event_type)
+        return events
 
     def _vessel_columns(self, state, points):
         """One vessel run as parallel columns plus pair geometry.

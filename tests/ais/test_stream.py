@@ -113,77 +113,6 @@ class TestStreamReplayer:
                 assert query_time - slide < position.timestamp <= query_time
 
 
-class TestResumeCursor:
-    """``batches(start_after)`` — the checkpoint-resume cursor contract:
-    skipped slides are exactly those at or before the cursor, and the
-    surviving slides are bit-identical to the uninterrupted replay's."""
-
-    def _replayer(self, timestamps, slide=10):
-        positions = make_positions(sorted(timestamps))
-        arrivals = [TimedArrival(p.timestamp, p) for p in positions]
-        return StreamReplayer(arrivals, slide)
-
-    def test_cursor_on_exact_boundary_excludes_that_slide(self):
-        replayer = self._replayer([5, 15, 25, 35])
-        resumed = list(replayer.batches(start_after=20))
-        assert [q for q, _ in resumed] == [30, 40]
-
-    def test_cursor_between_boundaries_rounds_down(self):
-        replayer = self._replayer([5, 15, 25, 35])
-        # 24 is mid-slide: slide 20 is covered, slide 30 is not.
-        resumed = list(replayer.batches(start_after=24))
-        assert [q for q, _ in resumed] == [30, 40]
-
-    def test_cursor_before_first_boundary_resumes_everything(self):
-        replayer = self._replayer([15, 25])
-        full = list(replayer.batches())
-        assert list(replayer.batches(start_after=0)) == full
-        assert list(replayer.batches(start_after=19)) == full
-
-    def test_cursor_at_or_past_last_boundary_yields_nothing(self):
-        replayer = self._replayer([5, 15])
-        assert list(replayer.batches(start_after=20)) == []
-        assert list(replayer.batches(start_after=10_000)) == []
-
-    def test_resumed_batches_equal_the_suffix_of_a_full_replay(self):
-        replayer = self._replayer(range(3, 200, 7), slide=25)
-        full = list(replayer.batches())
-        for cursor in [0, 25, 26, 49, 50, 99, 175, 200, 300]:
-            resumed = list(replayer.batches(start_after=cursor))
-            expected = [(q, b) for q, b in full if q > cursor]
-            assert resumed == expected, f"cursor={cursor}"
-
-    def test_skipped_and_resumed_slides_partition_the_stream(self):
-        replayer = self._replayer(range(1, 100, 3), slide=10)
-        full = list(replayer.batches())
-        cursor = 40
-        resumed = list(replayer.batches(start_after=cursor))
-        skipped = [(q, b) for q, b in full if q <= cursor]
-        assert skipped + resumed == full
-
-    def test_empty_slides_survive_resumption(self):
-        replayer = self._replayer([5, 95])
-        resumed = list(replayer.batches(start_after=30))
-        assert [q for q, _ in resumed] == [40, 50, 60, 70, 80, 90, 100]
-        assert [len(b) for _, b in resumed] == [0, 0, 0, 0, 0, 0, 1]
-
-    @given(
-        timestamps=st.lists(
-            st.integers(min_value=1, max_value=5_000), min_size=1,
-            max_size=100,
-        ),
-        slide=st.integers(min_value=1, max_value=300),
-        cursor=st.integers(min_value=0, max_value=6_000),
-    )
-    def test_resume_is_always_a_clean_suffix(self, timestamps, slide, cursor):
-        positions = make_positions(sorted(timestamps))
-        arrivals = [TimedArrival(p.timestamp, p) for p in positions]
-        replayer = StreamReplayer(arrivals, slide)
-        full = list(replayer.batches())
-        resumed = list(replayer.batches(start_after=cursor))
-        assert resumed == [(q, b) for q, b in full if q > cursor]
-
-
 class TestMergeStreams:
     def test_merges_by_timestamp(self):
         stream_a = make_positions([10, 30], mmsi=1)

@@ -35,21 +35,21 @@ class TestSelectIgnore:
         assert main(["--select", "RPR001", FIXTURES]) == EXIT_FINDINGS
         out = capsys.readouterr().out
         assert "RPR001" in out
-        assert "RPR005" not in out
+        assert "RPR004" not in out
 
     def test_ignore_removes_rules(self, capsys):
         code = main(
-            ["--ignore", "RPR001,RPR002,RPR003,RPR004,RPR005", FIXTURES]
+            ["--ignore", "RPR001,RPR002,RPR003,RPR004", FIXTURES]
         )
         assert code == EXIT_CLEAN
         capsys.readouterr()
 
     def test_repeatable_and_comma_separated(self, capsys):
         assert main(
-            ["--select", "RPR004", "--select", "RPR005", FIXTURES]
+            ["--select", "RPR004", "--select", "RPR002", FIXTURES]
         ) == EXIT_FINDINGS
         out = capsys.readouterr().out
-        assert "RPR004" in out and "RPR005" in out and "RPR001" not in out
+        assert "RPR004" in out and "RPR002" in out and "RPR001" not in out
 
 
 class TestJsonOutput:

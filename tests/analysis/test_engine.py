@@ -29,8 +29,8 @@ class TestModuleNameInference:
         assert module_name_for(Path("scripts/tool.py")) == "tool"
 
     def test_last_anchor_wins(self):
-        path = Path("tests/analysis/fixtures/repro/runtime/bad_merge.py")
-        assert module_name_for(path) == "repro.runtime.bad_merge"
+        path = Path("tests/analysis/fixtures/repro/tracking/bad_wallclock.py")
+        assert module_name_for(path) == "repro.tracking.bad_wallclock"
 
 
 class TestDiscovery:
@@ -52,7 +52,7 @@ class TestDiscovery:
         assert any(p.name == "bad_wallclock.py" for p in found)
 
     def test_explicit_file_always_scanned(self):
-        target = FIXTURES / "repro" / "runtime" / "bad_merge.py"
+        target = FIXTURES / "repro" / "tracking" / "bad_wallclock.py"
         assert discover_files([target]) == [target]
 
     def test_pycache_pruned(self, tmp_path):
@@ -64,24 +64,24 @@ class TestDiscovery:
 
 class TestSuppressionComments:
     def test_single_code(self):
-        allowed = suppressed_lines("x = 1  # repro: allow[RPR005]\n")
-        assert allowed == {1: {"RPR005"}}
+        allowed = suppressed_lines("x = 1  # repro: allow[RPR003]\n")
+        assert allowed == {1: {"RPR003"}}
 
     def test_comma_separated_codes(self):
         allowed = suppressed_lines("x = 1  # repro: allow[RPR001, RPR004]\n")
         assert allowed == {1: {"RPR001", "RPR004"}}
 
     def test_line_scoped_only(self):
-        source = "# repro: allow[RPR005]\nx = 1\n"
+        source = "# repro: allow[RPR003]\nx = 1\n"
         allowed = suppressed_lines(source)
         assert 1 in allowed and 2 not in allowed
 
     def test_suppression_reduces_findings_and_is_counted(self):
-        target = FIXTURES / "repro" / "runtime" / "suppressed.py"
-        result = run_analysis([target], select=["RPR005"])
+        target = FIXTURES / "repro" / "tracking" / "suppressed.py"
+        result = run_analysis([target], select=["RPR001"])
         assert result.suppressed == 1
         assert len(result.diagnostics) == 1
-        assert result.diagnostics[0].line == 12
+        assert result.diagnostics[0].line == 11
 
 
 class TestParseErrors:

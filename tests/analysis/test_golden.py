@@ -24,11 +24,8 @@ GOLDEN = [
     ("RPR003", "repro/resilience/faults.py", 10),
     ("RPR003", "repro/service/bad_faults.py", 7),
     ("RPR004", "repro/service/bad_drop.py", 8),
+    ("RPR001", "repro/tracking/suppressed.py", 11),
     ("RPR004", "repro/service/bad_drop.py", 12),
-    ("RPR005", "repro/runtime/bad_merge.py", 6),
-    ("RPR005", "repro/runtime/bad_merge.py", 8),
-    ("RPR005", "repro/runtime/bad_merge.py", 10),
-    ("RPR005", "repro/runtime/suppressed.py", 12),
 ]
 
 

@@ -105,25 +105,6 @@ class TestRPR004SilentDrop:
         assert findings([target], "RPR004") == []
 
 
-class TestRPR005OrderedMerge:
-    def test_flags_views_set_literals_and_constructors(self):
-        target = FIXTURES / "repro" / "runtime" / "bad_merge.py"
-        results = findings([target], "RPR005")
-        assert [d.line for d in results] == [6, 8, 10]
-
-    def test_sorted_wrapper_escapes(self):
-        target = FIXTURES / "repro" / "runtime" / "bad_merge.py"
-        # merge_ordered iterates sorted(...) — no finding on line 16.
-        assert all(d.line != 16 for d in findings([target], "RPR005"))
-
-    def test_scope_is_repro_runtime(self, tmp_path):
-        pkg = tmp_path / "repro" / "service"
-        pkg.mkdir(parents=True)
-        target = pkg / "free_iteration.py"
-        target.write_text("def f(d):\n    return [k for k in d.items()]\n")
-        assert findings([target], "RPR005") == []
-
-
 class TestWholeTree:
     def test_src_is_clean(self):
         result = run_analysis(["src"])

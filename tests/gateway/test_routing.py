@@ -1,5 +1,5 @@
 """Routing units: MMSI sharding, fragment-group affinity, and agreement
-with the runtime's Data Scanner on who owns each sentence."""
+with the backend's Data Scanner on who owns each sentence."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,28 @@ def _sentence(mmsi: int, message_type: int = 1):
     return payload, fill
 
 
+#: ``shard_for_mmsi`` outputs for :data:`GOLDEN_MMSIS` at 1, 2, 4 and 7
+#: backends.  The hash decides which backend's journal holds a vessel, so
+#: it must not change silently.
+GOLDEN_MMSIS = (
+    0, 1, 2, 7, 123456789, 200000000, 237000001, 237000002, 237000003,
+    240123456, 311000042, 538007777, 999999999,
+)
+GOLDEN_BACKENDS = {
+    1: (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    2: (0, 1, 0, 1, 1, 0, 1, 0, 1, 0, 0, 1, 1),
+    4: (0, 1, 2, 3, 1, 0, 1, 2, 3, 0, 2, 1, 3),
+    7: (0, 5, 6, 5, 1, 3, 0, 1, 6, 0, 2, 2, 6),
+}
+
+
 class TestShardForMmsi:
+    @pytest.mark.parametrize("backends", sorted(GOLDEN_BACKENDS))
+    def test_known_values_pinned(self, backends):
+        assert tuple(
+            shard_for_mmsi(mmsi, backends) for mmsi in GOLDEN_MMSIS
+        ) == GOLDEN_BACKENDS[backends]
+
     def test_deterministic_and_in_range(self):
         for mmsi in (0, 1, 111111111, 999999999):
             for shards in (1, 2, 4, 7):
@@ -40,6 +61,23 @@ class TestShardForMmsi:
         # A fleet numbered in a block must not all land on one runtime.
         indices = {shard_for_mmsi(237000000 + i, 4) for i in range(16)}
         assert len(indices) == 4
+
+    def test_deterministic_across_calls(self):
+        for mmsi in range(200_000_000, 200_000_500):
+            assert shard_for_mmsi(mmsi, 4) == shard_for_mmsi(mmsi, 4)
+
+    def test_in_range(self):
+        for shards in (1, 2, 3, 4, 8):
+            for mmsi in range(200_000_000, 200_001_000, 7):
+                assert 0 <= shard_for_mmsi(mmsi, shards) < shards
+
+    def test_spreads_sequential_mmsis(self):
+        # Fleet MMSIs are near-sequential; the multiplicative hash must
+        # not funnel them all into one backend.
+        counts = [0, 0, 0, 0]
+        for mmsi in range(200_000_000, 200_000_100):
+            counts[shard_for_mmsi(mmsi, 4)] += 1
+        assert min(counts) > 0
 
 
 class TestMmsiOfPayload:

@@ -5,13 +5,11 @@ from repro.ais.stream import (
     DelayModel,
     PositionalTuple,
     StreamReplayer,
-    TimedArrival,
 )
 from repro.maritime import MaritimeRecognizer
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
 from repro.tracking import ColumnarTracker, WindowSpec
-from tests.parity import replay_transcript
 
 
 class TestCorruptSentences:
@@ -94,56 +92,6 @@ class TestDelayedStreams:
         # The deliberate transponder gap is still recognized despite the
         # random transmission delays.
         assert "illegalShipping" in kinds
-
-
-class TestWorkerCrashRecovery:
-    """Kill a runtime worker mid-slide; the supervisor must restore it
-    from its last checkpoint with no lost and no duplicated output."""
-
-    @staticmethod
-    def _replay(system, small_fleet, poison_slides=()):
-        def poison(index):
-            if index in poison_slides:
-                system.supervisor.inject_failure(index % system.shards)
-
-        return replay_transcript(
-            system, small_fleet["stream"], before_slide=poison
-        )
-
-    def test_restart_recovers_without_losing_output(self, world, small_fleet):
-        from repro.runtime import ParallelSurveillanceSystem
-
-        config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
-        with ParallelSurveillanceSystem(
-            world, small_fleet["specs"], config, shards=2, checkpoint_every=2
-        ) as system:
-            clean = self._replay(system, small_fleet)
-            assert system.restart_count() == 0
-        with ParallelSurveillanceSystem(
-            world, small_fleet["specs"], config, shards=2, checkpoint_every=2
-        ) as system:
-            # Kill a worker twice, mid-run, between checkpoints.
-            crashed = self._replay(system, small_fleet, poison_slides=(2, 5))
-            assert system.restart_count() == 2
-        assert crashed == clean
-
-    def test_unrecoverable_after_restart_budget(self, world, small_fleet):
-        import pytest
-
-        from repro.runtime import ParallelSurveillanceSystem, WorkerUnrecoverable
-
-        config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
-        with ParallelSurveillanceSystem(
-            world, small_fleet["specs"], config, shards=2
-        ) as system:
-            system.supervisor.max_restarts = 0
-            system.supervisor.inject_failure(0)
-            arrivals = [
-                TimedArrival(p.timestamp, p) for p in small_fleet["stream"]
-            ]
-            query_time, batch = next(iter(StreamReplayer(arrivals, 1800).batches()))
-            with pytest.raises(WorkerUnrecoverable):
-                system.process_slide(batch, query_time)
 
 
 class TestRecognizerRobustness:

@@ -2,15 +2,12 @@
 
 Two simulated vessels meet offshore, loiter together (one silencing its
 transponder mid-stay), then part.  The full pipeline must recognize the
-``encounter``/``rendezvous`` intervals and the ``darkShip`` event — and
-the sharded runtime must reproduce the single-process alert transcript
-byte for byte, because pair facts are routed by episode anchor.
+``encounter``/``rendezvous`` intervals and the ``darkShip`` event.
 """
 
 import pytest
 
 from repro.pipeline import SurveillanceSystem, SystemConfig
-from repro.runtime import ParallelSurveillanceSystem
 from repro.simulator.fleet import FleetSimulator
 from repro.tracking import WindowSpec
 from tests.parity import replay_transcript
@@ -95,15 +92,6 @@ class TestRendezvousRecognition:
         meet = min(a.since for a in alerts if a.kind == "rendezvous")
         first_close = min(a.since for a in alerts if a.kind == "encounter")
         assert first_close <= meet
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_sharded_transcript_is_byte_identical(
-        self, world, rendezvous_fleet, shards, single_process
-    ):
-        system = ParallelSurveillanceSystem(
-            world, rendezvous_fleet["specs"], _config(), shards=shards
-        )
-        assert _replay(system, rendezvous_fleet["stream"]) == single_process
 
     def test_pairwise_off_by_default_emits_no_pair_alerts(
         self, world, rendezvous_fleet

@@ -5,10 +5,10 @@ reports, the finalize report, the final synopsis, the latest alerts and
 the archived trips — in *canonical form*: critical points go through
 :func:`repro.service.protocol.point_to_dict`, which sorts the annotation
 set exactly as feed lines, the MOD and the exporters do.  ``repr()`` of a
-:class:`~repro.tracking.types.CriticalPoint` is not canonical: a
-frozenset that crossed a worker queue by pickle may iterate in another
-order when its members' hashes collide under the process's hash seed
-(``PYTHONHASHSEED=19`` reproduces it), although the set is equal.
+:class:`~repro.tracking.types.CriticalPoint` is not canonical: two equal
+frozensets built in another insertion order may iterate in another order
+when their members' hashes collide under the process's hash seed
+(``PYTHONHASHSEED=19`` reproduces it).
 Alerts and movement events hold only scalars, so they compare as they are.
 """
 
@@ -68,20 +68,17 @@ def replay_transcript(system, stream, slide_seconds=1800, before_slide=None):
 _ORACLE_LINES: dict[tuple, tuple[str, ...]] = {}
 
 
-def offline_oracle(sentences, world, specs, config=None, shards=1) -> list[str]:
+def offline_oracle(sentences, world, specs, config=None) -> list[str]:
     """:func:`~repro.service.offline_feed_lines`, replayed once per input.
 
     The live-service, recovery and gateway suites all compare against the
     offline replay of the same few sentence streams; the replay is
-    deterministic, so each (sentences, fleet, config, shard count) runs
-    once per session and every caller gets its own copy of the lines.
+    deterministic, so each (sentences, fleet, config) runs once per
+    session and every caller gets its own copy of the lines.
     """
-    key = (
-        tuple(sentences), id(world), tuple(specs),
-        config or SystemConfig(), shards,
-    )
+    key = (tuple(sentences), id(world), tuple(specs), config or SystemConfig())
     if key not in _ORACLE_LINES:
         _ORACLE_LINES[key] = tuple(
-            offline_feed_lines(sentences, world, specs, config, shards)
+            offline_feed_lines(sentences, world, specs, config)
         )
     return list(_ORACLE_LINES[key])

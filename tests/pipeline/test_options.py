@@ -9,15 +9,12 @@ tests and the benchmark would have to cover.
 """
 
 import dataclasses
-import inspect
 
 import pytest
 
 from repro.__main__ import build_parser
 from repro.gateway import GatewayClusterConfig
 from repro.pipeline import SystemConfig
-from repro.runtime import ParallelSurveillanceSystem
-from repro.runtime.supervisor import Supervisor
 from repro.service import ServiceConfig
 
 RULE = (
@@ -30,29 +27,18 @@ RULE = (
 )
 
 
-def _parameters(function) -> int:
-    """Constructor parameters a caller can pass (``self`` excluded)."""
-    return len(inspect.signature(function).parameters) - 1
-
-
 @pytest.mark.parametrize(
     "layer, count, pinned",
     [
         ("SystemConfig", len(dataclasses.fields(SystemConfig)), 10),
-        ("ServiceConfig", len(dataclasses.fields(ServiceConfig)), 18),
+        ("ServiceConfig", len(dataclasses.fields(ServiceConfig)), 16),
         (
             "GatewayClusterConfig",
             len(dataclasses.fields(GatewayClusterConfig)),
             11,
         ),
-        ("Supervisor.__init__", _parameters(Supervisor.__init__), 4),
-        (
-            "ParallelSurveillanceSystem.__init__",
-            _parameters(ParallelSurveillanceSystem.__init__),
-            6,
-        ),
-        # 19 flags plus argparse's own --help.
-        ("python -m repro", len(build_parser()._actions), 20),
+        # 17 flags plus argparse's own --help.
+        ("python -m repro", len(build_parser()._actions), 18),
     ],
 )
 def test_settable_values_are_pinned(layer, count, pinned):

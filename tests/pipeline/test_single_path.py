@@ -1,9 +1,9 @@
-"""There is one slide path: the sharded system only swaps stage operations.
+"""There is one slide path, and one process runs all of it.
 
-``SurveillanceSystem`` owns ``process_slide``, ``finalize`` and
-``_record_slide_metrics``; ``ParallelSurveillanceSystem`` inherits them
-untouched.  ``finalize`` is the same skeleton run once more, so its report
-is timed like a slide — without being counted as one.
+``SurveillanceSystem`` is the one pipeline class: no worker-process
+runtime exists, and importing ``repro`` starts no process machinery.
+``finalize`` is the slide skeleton run once more, so its report is timed
+like a slide — without being counted as one.
 
 The package also ships one implementation per job: the scalar tracker,
 the spatial-facts CE mode, the bit-list AIS codec and the per-sentence
@@ -24,35 +24,13 @@ from repro.ais import messages, sixbit
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.pipeline.metrics import PHASES
-from repro.runtime import ParallelSurveillanceSystem, build_system
 from repro.tracking import WindowSpec
 
 
-@pytest.mark.parametrize(
-    "name", ["process_slide", "finalize", "_run_slide", "_record_slide_metrics"]
-)
-def test_sharded_system_inherits_the_skeleton(name):
-    assert name not in vars(ParallelSurveillanceSystem)
-    assert getattr(ParallelSurveillanceSystem, name) is getattr(
-        SurveillanceSystem, name
-    )
-
-
-def test_build_system_is_inline_at_one_shard(world, small_fleet):
-    with build_system(world, small_fleet["specs"]) as system:
-        assert type(system) is SurveillanceSystem
-        assert system.restart_count() == 0
-        assert system.terminate_workers() == 0
-
-
-@pytest.mark.parametrize("shards", [1, 2])
-def test_finalize_is_timed_but_not_counted_as_a_slide(
-    world, small_fleet, shards
-):
+def test_finalize_is_timed_but_not_counted_as_a_slide(world, small_fleet):
     config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
     arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
-    with build_system(world, small_fleet["specs"], config, shards) as system:
-        assert isinstance(system, ParallelSurveillanceSystem) == (shards > 1)
+    with SurveillanceSystem(world, small_fleet["specs"], config) as system:
         for query_time, batch in StreamReplayer(arrivals, 1800).batches():
             system.process_slide(batch, query_time)
         slides = system.timings.slides
@@ -80,18 +58,30 @@ def test_close_is_idempotent_and_leaves_the_database_closable(
 RETIRED_MODULES = ("repro.tracking.tracker", "repro.maritime.spatial_facts")
 
 
-def test_importing_the_package_loads_no_reference_implementation():
+def _loaded_by_import_repro(wanted: str) -> str:
+    """Modules a fresh interpreter has loaded after ``import repro``,
+    filtered by the expression ``wanted`` over the module name ``m``."""
     code = (
         "import repro, sys; "
-        f"print(','.join(m for m in sys.modules if m in {RETIRED_MODULES!r} "
-        "or m.partition('.')[0] == 'tests'))"
+        f"print(','.join(m for m in sys.modules if {wanted}))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
-    loaded = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, check=True,
     ).stdout.strip()
-    assert loaded == ""
+
+
+def test_importing_the_package_loads_no_reference_implementation():
+    assert _loaded_by_import_repro(
+        f"m in {RETIRED_MODULES!r} or m.partition('.')[0] == 'tests'"
+    ) == ""
+
+
+def test_importing_the_package_loads_no_worker_process_runtime():
+    assert _loaded_by_import_repro(
+        "m.partition('.')[0] == 'multiprocessing' or m == 'repro.runtime'"
+    ) == ""
 
 
 @pytest.mark.parametrize(

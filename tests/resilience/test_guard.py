@@ -79,6 +79,20 @@ class TestSpillQueue:
         # Drain truncated the backing segments: a third open is empty.
         assert len(SpillQueue(tmp_path)) == 0
 
+    def test_torn_spill_journal_is_repaired_at_open(self, tmp_path):
+        points = [make_point(i) for i in range(6)]
+        queue = SpillQueue(tmp_path)
+        queue.spill(points[:4])
+        queue.close()
+        (segment,) = tmp_path.glob("spill-*.wal")
+        segment.write_bytes(segment.read_bytes()[:-3])
+
+        reopened = SpillQueue(tmp_path)
+        assert len(reopened) == 3
+        reopened.spill(points[4:])
+        reopened.close()
+        assert SpillQueue(tmp_path).drain() == [*points[:3], *points[4:]]
+
 
 class TestGuardedDatabase:
     def _guarded(self, world, tmp_path=None, threshold=2, attempts=2):

@@ -1,5 +1,6 @@
-"""Write-ahead log: framing, rotation, recovery, truncation."""
+"""Write-ahead log: framing, rotation, recovery, repair, truncation."""
 
+import shutil
 import struct
 
 import pytest
@@ -142,6 +143,125 @@ class TestTruncatedTailRecovery:
         assert stats.dropped_bytes >= sum(
             s.stat().st_size for s in segments[2:]
         )
+
+
+class TestRepairAtOpen:
+    """A writer opening a damaged journal cuts it back to the recovered
+    prefix, so what it appends next survives the following recovery."""
+
+    def test_records_journaled_after_a_torn_tail_survive_the_next_recovery(
+        self, tmp_path
+    ):
+        with WriteAheadLog(tmp_path) as wal:
+            for i in range(5):
+                wal.append(f"first-{i}".encode())
+        (segment,) = tmp_path.glob("wal-*.wal")
+        segment.write_bytes(segment.read_bytes()[:-3])
+
+        reopened = WriteAheadLog(tmp_path)
+        assert len(reopened.recovered) == 4
+        assert reopened.recovery_stats.repaired_segments == 1
+        reopened.append(b"second-0")
+        reopened.append(b"second-1")
+        reopened.close()  # a crash: no clean drain truncates the journal
+
+        records, stats = read_wal(tmp_path)
+        assert [r.payload for r in records] == [
+            *(f"first-{i}".encode() for i in range(4)),
+            b"second-0",
+            b"second-1",
+        ]
+        assert [r.seq for r in records] == list(range(6))
+        assert stats.corrupt_segments == 0
+
+    def test_segments_past_the_damage_are_deleted(self, tmp_path):
+        with WriteAheadLog(tmp_path, segment_max_bytes=64) as wal:
+            for i in range(20):
+                wal.append(f"payload-{i:04d}".encode())
+        segments = sorted(tmp_path.glob("wal-*.wal"))
+        segments[1].write_bytes(segments[1].read_bytes()[:-2])
+        prefix, _ = read_wal(tmp_path)
+
+        reopened = WriteAheadLog(tmp_path)
+        reopened.close()
+        assert sorted(tmp_path.glob("wal-*.wal")) == segments[:2]
+        assert reopened.recovered == prefix
+        records, stats = read_wal(tmp_path)
+        assert records == prefix
+        assert stats.corrupt_segments == 0
+
+
+class TestRecoveryFuzz:
+    """Cut or flip one byte at every offset of the last segment of a
+    two-segment journal: recovery never raises, returns exactly the
+    records wholly before the damage and counts the damage, and a reopen
+    followed by an append recovers that prefix plus the new records."""
+
+    PAYLOADS = [f"record-{i:02d}".encode() for i in range(7)]
+
+    @pytest.fixture(scope="class")
+    def journal(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("journal")
+        with WriteAheadLog(directory, segment_max_bytes=64) as wal:
+            for payload in self.PAYLOADS:
+                wal.append(payload)
+        segments = sorted(directory.glob("wal-*.wal"))
+        assert len(segments) == 2
+        last = segments[1].read_bytes()
+        # Records in the first segment: the last one's name is its first seq.
+        before = int(segments[1].stem.rsplit("-", 1)[1])
+        # Byte offset at which each record of the last segment ends.
+        ends, offset = [], 0
+        while offset < len(last):
+            (length,) = struct.unpack_from("<I", last, offset)
+            offset += 8 + length
+            ends.append(offset)
+        return directory, segments[1].name, last, before, ends
+
+    def _damaged(self, journal, tmp_path, data):
+        source, name, _, _, _ = journal
+        target = tmp_path / "wal"
+        shutil.copytree(source, target)
+        (target / name).write_bytes(data)
+        return target
+
+    def _check(self, directory, expected, dropped_bytes):
+        damaged = dropped_bytes > 0
+        records, stats = read_wal(directory)
+        assert [r.payload for r in records] == self.PAYLOADS[:expected]
+        assert stats.corrupt_segments == int(damaged)
+        assert stats.dropped_bytes == dropped_bytes
+        wal = WriteAheadLog(directory)
+        assert wal.recovery_stats.repaired_segments == int(damaged)
+        wal.append(b"after-0")
+        wal.append(b"after-1")
+        wal.close()
+        records, stats = read_wal(directory)
+        assert [r.payload for r in records] == [
+            *self.PAYLOADS[:expected], b"after-0", b"after-1"
+        ]
+        assert [r.seq for r in records] == list(range(expected + 2))
+        assert stats.corrupt_segments == 0
+
+    def test_every_cut(self, journal, tmp_path):
+        _, _, last, before, ends = journal
+        for cut in range(len(last)):
+            case = tmp_path / f"cut{cut}"
+            case.mkdir()
+            directory = self._damaged(journal, case, last[:cut])
+            whole = sum(end <= cut for end in ends)
+            self._check(directory, before + whole, cut - [0, *ends][whole])
+
+    def test_every_flip(self, journal, tmp_path):
+        _, _, last, before, ends = journal
+        for offset in range(len(last)):
+            case = tmp_path / f"flip{offset}"
+            case.mkdir()
+            data = bytearray(last)
+            data[offset] ^= 0xFF
+            directory = self._damaged(journal, case, bytes(data))
+            whole = sum(end <= offset for end in ends)
+            self._check(directory, before + whole, len(last) - [0, *ends][whole])
 
 
 class TestTruncation:

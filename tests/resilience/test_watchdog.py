@@ -1,8 +1,8 @@
-"""Slide watchdog: stall detection, backoff-limited intervention."""
+"""Slide watchdog: stall detection, counted once per stalled slide."""
 
 import pytest
 
-from repro.resilience.retry import BackoffPolicy
+from repro import obs
 from repro.resilience.watchdog import SlideWatchdog
 
 
@@ -14,26 +14,10 @@ class FakeClock:
         return self.now
 
 
-def make_watchdog(clock, timeout=10.0, max_attempts=3):
-    stalls = []
-    watchdog = SlideWatchdog(
-        timeout_seconds=timeout,
-        on_stall=lambda query_time, elapsed: stalls.append(
-            (query_time, elapsed)
-        ),
-        backoff=BackoffPolicy(
-            initial_seconds=5.0, multiplier=2.0, max_seconds=60.0,
-            max_attempts=max_attempts,
-        ),
-        clock=clock,
-    )
-    return watchdog, stalls
-
-
 class TestSlideWatchdog:
     def test_no_stall_while_idle_or_fast(self):
         clock = FakeClock()
-        watchdog, stalls = make_watchdog(clock)
+        watchdog = SlideWatchdog(10.0, clock=clock)
         assert not watchdog.check()  # nothing running
         watchdog.slide_started(1800)
         clock.now = 5.0
@@ -41,40 +25,39 @@ class TestSlideWatchdog:
         watchdog.slide_finished()
         clock.now = 100.0
         assert not watchdog.check()  # finished slides can't stall
-        assert stalls == []
+        assert watchdog.stalls_detected == 0
         assert watchdog.slides_seen == 1
 
     def test_overrun_fires_with_query_time_and_elapsed(self):
         clock = FakeClock()
-        watchdog, stalls = make_watchdog(clock)
+        watchdog = SlideWatchdog(10.0, clock=clock)
         watchdog.slide_started(3600)
         clock.now = 12.0
-        assert watchdog.check()
-        assert stalls == [(3600, 12.0)]
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            assert watchdog.check()
+        assert registry.counter("resilience.watchdog.stalls").value == 1
+        assert watchdog.snapshot() == {
+            "timeout_seconds": 10.0,
+            "slide_running": True,
+            "current_query_time": 3600,
+            "slides_seen": 0,
+            "stalls_detected": 1,
+        }
+
+    def test_persisting_stall_is_counted_once(self):
+        clock = FakeClock()
+        watchdog = SlideWatchdog(10.0, clock=clock)
+        watchdog.slide_started(3600)
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            for now in (10.0, 15.0, 25.0, 500.0):
+                clock.now = now
+                assert watchdog.check() == (now == 10.0)
         assert watchdog.stalls_detected == 1
+        assert registry.counter("resilience.watchdog.stalls").value == 1
 
-    def test_persisting_stall_refires_on_backoff_schedule(self):
+    def test_each_stalled_slide_counts(self):
         clock = FakeClock()
-        watchdog, stalls = make_watchdog(clock)
-        watchdog.slide_started(3600)
-        clock.now = 10.0
-        assert watchdog.check()       # fire 1; next at +5s
-        clock.now = 12.0
-        assert not watchdog.check()   # inside the backoff window
-        clock.now = 15.0
-        assert watchdog.check()       # fire 2; next at +10s
-        clock.now = 20.0
-        assert not watchdog.check()
-        clock.now = 25.0
-        assert watchdog.check()       # fire 3: budget spent
-        clock.now = 500.0
-        assert not watchdog.check()   # still counted, no more kills
-        assert watchdog.stalls_detected == 4
-        assert watchdog.interventions == 3
-
-    def test_new_slide_resets_the_intervention_budget(self):
-        clock = FakeClock()
-        watchdog, stalls = make_watchdog(clock, max_attempts=1)
+        watchdog = SlideWatchdog(10.0, clock=clock)
         watchdog.slide_started(3600)
         clock.now = 11.0
         assert watchdog.check()
@@ -82,18 +65,7 @@ class TestSlideWatchdog:
         watchdog.slide_started(5400)
         clock.now = 25.0
         assert watchdog.check()
-        assert len(stalls) == 2
-
-    def test_on_stall_errors_are_contained(self):
-        clock = FakeClock()
-        watchdog = SlideWatchdog(
-            timeout_seconds=1.0,
-            on_stall=lambda *_: (_ for _ in ()).throw(RuntimeError("boom")),
-            clock=clock,
-        )
-        watchdog.slide_started(60)
-        clock.now = 2.0
-        assert watchdog.check()  # the callback error must not propagate
+        assert watchdog.stalls_detected == 2
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,11 @@ previous steps derived.  Both must return identical
   diffs of fluents and derived events including persisted open intervals
   (b), a forget anchor that has not arrived (c), broad reads, a second
   time variable and a computed fluent (d), and repeated / decreasing query
-  times and snapshot/restore, which cold-start (e);
-* the maritime rule sets over the ``recognition_replay`` fleet;
-* a checkpoint taken mid-stream.
+  times, which cold-start (e);
+* the maritime rule sets over the ``recognition_replay`` fleet.
 """
 
 import dataclasses
-import pickle
 from collections import defaultdict
 
 import pytest
@@ -184,7 +182,6 @@ steps = st.lists(
         # query-time advance: mostly forward, sometimes repeated or back
         st.sampled_from([10, 10, 20, 30, 0, -15]),
         st.lists(assertions, max_size=6),
-        st.booleans(),  # checkpoint the engine after this step
     ),
     min_size=1,
     max_size=12,
@@ -209,13 +206,6 @@ def _engines(names, window):
     return engine, OracleRTEC.like(engine)
 
 
-def _restored(engine, names, window):
-    """A fresh engine adopting a pickled checkpoint of ``engine``."""
-    fresh, _ = _engines(names, window)
-    fresh.restore(pickle.loads(pickle.dumps(engine.snapshot())))
-    return fresh
-
-
 def _assert_same(got, want, context):
     assert got.fluents == want.fluents, context
     assert got.events == want.events, context
@@ -231,7 +221,7 @@ def test_generated_rules_and_streams(names, window, plan):
     engine, oracle = _engines(names, window)
     oracle.working_memory = WorkingMemory()
     query_time = 100
-    for number, (advance, batch, checkpoint) in enumerate(plan):
+    for number, (advance, batch) in enumerate(plan):
         query_time += advance
         for assertion in batch:
             _assert(engine.working_memory, assertion, query_time)
@@ -239,8 +229,6 @@ def test_generated_rules_and_streams(names, window, plan):
         got = engine.step(query_time)
         want = oracle.step(query_time)
         _assert_same(got, want, (number, query_time))
-        if checkpoint:
-            engine = _restored(engine, names, window)
 
 
 def _stepped_pair(window=100):
@@ -324,21 +312,6 @@ class TestExactnessRules:
         _both(engine, oracle, "assert_value", "pos", ("a",), 1, 100)
         _both(engine, oracle, "assert_event", "e3", ("a",), 105)
         _assert_same(engine.step(120), oracle.step(120), 120)
-
-
-class TestCheckpoint:
-    def test_restore_mid_stream_keeps_open_intervals(self):
-        engine, oracle = _stepped_pair(window=30)
-        _both(engine, oracle, "assert_event", "e1", ("a",), 10)
-        _both(engine, oracle, "assert_event", "e3", ("a",), 15)
-        _assert_same(engine.step(20), oracle.step(20), 20)
-        assert engine.last_result.intervals("f", ("a",)) == [(10, OPEN)]
-        restored = _restored(engine, TEMPLATES, 30)
-        # The initiation at 10 has left the window by 60: only the
-        # persisted open interval, carried by the checkpoint, keeps f.
-        for query_time in (60, 90):
-            _assert_same(restored.step(query_time), oracle.step(query_time), query_time)
-        assert restored.last_result.intervals("f", ("a",)) == [(10, OPEN)]
 
 
 #: The maritime rule sets: the paper's full set plus the pairwise layer

@@ -17,8 +17,6 @@ import asyncio
 import threading
 import time
 
-import pytest
-
 from repro.resilience import FaultPlan, SimulatedCrash, inject
 from repro.resilience.wal import read_journal
 from repro.service import ServiceConfig, ServiceSupervisor
@@ -96,13 +94,11 @@ async def run_recovered(tail, world, specs, service):
 
 
 class TestCrashRecoveryParity:
-    @pytest.mark.parametrize("shards", [1, 2])
     def test_crash_restart_replay_is_byte_identical(
-        self, tmp_path, world, small_fleet, soak_sentences, shards
+        self, tmp_path, world, small_fleet, soak_sentences
     ):
         wal_dir = tmp_path / "wal"
         service = ServiceConfig(
-            shards=shards,
             wal_dir=str(wal_dir),
             ingest_queue_size=len(soak_sentences) + 1,  # no shed: full WAL
             **EPHEMERAL,
@@ -116,9 +112,7 @@ class TestCrashRecoveryParity:
         assert fired == ["service.slide:crash@3"]
         assert crashed.queue.shed_count == 0
 
-        offline = offline_oracle(
-            soak_sentences, world, small_fleet["specs"], shards=shards
-        )
+        offline = offline_oracle(soak_sentences, world, small_fleet["specs"])
         # Everything published before the crash is a clean prefix of the
         # uninterrupted run — no corrupt or partial slide escaped.
         assert run1_lines == offline[: len(run1_lines)]
@@ -158,29 +152,6 @@ class TestCrashRecoveryParity:
         supervisor.system.database.close()
 
 
-class TestWorkerKillChaos:
-    def test_injected_worker_kill_recovers_with_parity(
-        self, world, small_fleet, soak_sentences
-    ):
-        """A shard worker killed mid-run is restarted from checkpoint and
-        the live feed still equals the offline replay byte for byte."""
-        from tests.service.test_soak_parity import run_live
-
-        service = ServiceConfig(shards=2, **EPHEMERAL)
-        plan = FaultPlan.from_spec("runtime.worker:kill@3:1")
-        with inject(plan) as injector:
-            supervisor, live = asyncio.run(
-                run_live(soak_sentences, world, small_fleet["specs"],
-                         service=service)
-            )
-            assert injector.snapshot()["fired"] == ["runtime.worker:kill@3:1"]
-        assert supervisor.system.restart_count() >= 1
-        offline = offline_oracle(
-            soak_sentences, world, small_fleet["specs"], shards=2
-        )
-        assert live == offline
-
-
 class TestDrainDeadline:
     def test_wedged_slide_forces_abort_instead_of_hanging(
         self, world, small_fleet, soak_sentences
@@ -196,13 +167,11 @@ class TestDrainDeadline:
                 return super().process_slide(batch, query_time)
 
         service = ServiceConfig(drain_timeout_seconds=0.5, **EPHEMERAL)
-        def factory(world, specs, config, shards, checkpoint_dir):
-            return WedgedSystem(world, specs, config)
 
         async def scenario():
             supervisor = ServiceSupervisor(
                 world, small_fleet["specs"], service=service,
-                system_factory=factory,
+                system_factory=WedgedSystem,
             )
             await supervisor.start()
             # Enough sentences to start (and wedge inside) slide one.

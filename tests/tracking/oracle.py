@@ -195,23 +195,6 @@ class MobilityTracker:
             obs.count("tracking.movement_events", len(events))
             return events
 
-    def process_batch_tagged(
-        self, indexed_positions: list
-    ) -> list[tuple[tuple[int, int], MovementEvent]]:
-        """Batch entry point for the shard runtime.
-
-        Takes ``(global_index, position)`` pairs, returns
-        ``((global_index, k), event)`` tagged events with ``k``
-        enumerating each position's events in emission order, so the
-        supervisor can splice per-shard outputs back into the exact
-        order a single-process tracker would have produced.
-        """
-        tagged: list[tuple[tuple[int, int], MovementEvent]] = []
-        for global_index, position in indexed_positions:
-            for k, event in enumerate(self.process(position)):
-                tagged.append(((global_index, k), event))
-        return tagged
-
     def finalize(self) -> list[MovementEvent]:
         """Close open long-lasting events at end-of-stream."""
         events: list[MovementEvent] = []

@@ -5,11 +5,10 @@ per-vessel columns, but it is a *kernel*, not an approximation: on any
 input, slide by slide, it must emit exactly the events the scalar
 reference ``MobilityTracker`` (``tests/tracking/oracle.py``) emits — same
 order, same floats, same reprs.  These tests pin that twin contract on a
-full simulator fleet (directly and through the sharded runtime at 1 and 2
-shards) and on the adversarial per-batch shapes the columnar grouping
-has to get right: empty slides, single-position vessels, out-of-order
-timestamps within a batch, and a vessel whose whole history is one stop
-run.
+full simulator fleet (directly and through the whole pipeline) and on the
+adversarial per-batch shapes the columnar grouping has to get right: empty
+slides, single-position vessels, out-of-order timestamps within a batch,
+and a vessel whose whole history is one stop run.
 """
 
 import pytest
@@ -72,37 +71,19 @@ def test_full_fleet_parity(sim_slides, scalar_transcript):
     assert transcript == scalar_transcript
 
 
-def test_tagged_batch_parity(sim_slides):
-    """The sharded runtime's tagged path agrees tag-by-tag with scalar."""
-    scalar, columnar = MobilityTracker(), ColumnarTracker()
-    for batch in sim_slides[:8]:
-        indexed = list(enumerate(batch))
-        assert (
-            repr(columnar.process_batch_tagged(indexed))
-            == repr(scalar.process_batch_tagged(indexed))
-        )
+def test_pipeline_parity_with_scalar_single_process(world, small_fleet):
+    """End to end: the shipped pipeline vs the scalar pipeline.
 
-
-@pytest.mark.parametrize("shards", [1, 2])
-def test_sharded_parity_with_scalar_single_process(world, small_fleet, shards):
-    """End to end at 1 and 2 shards: columnar workers vs the scalar pipeline.
-
-    The parallel runtime runs the columnar kernel inside its shard
-    workers; the reference is the single-process pipeline with the scalar
-    tracker swapped in before the first slide.  Alerts, critical points
-    and event counts must match exactly — the kernel swap and the
-    sharding both have to be invisible.
+    The reference is the same pipeline with the scalar tracker swapped in
+    before the first slide.  Alerts, critical points and event counts
+    must match exactly — the kernel swap has to be invisible.
     """
-    from repro.runtime import ParallelSurveillanceSystem
-
     config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
     with SurveillanceSystem(world, small_fleet["specs"], config) as system:
         system.tracker = MobilityTracker(config.tracking)
         reference = replay_transcript(system, small_fleet["stream"])
     assert any(s["alerts"] for s in reference["slides"]), "no alerts raised"
-    with ParallelSurveillanceSystem(
-        world, small_fleet["specs"], config, shards=shards
-    ) as system:
+    with SurveillanceSystem(world, small_fleet["specs"], config) as system:
         assert replay_transcript(system, small_fleet["stream"]) == reference
 
 
