@@ -324,8 +324,7 @@ def run_partition_drill(
                 gateways=gateways,
                 runtimes=runtimes,
                 backend_transport="chaos+tcp",
-                link_queue_size=len(sentences) + 1,
-                ingest_queue_size=len(sentences) + 1,
+                queue_size=len(sentences) + 1,
                 wal_root=wal_root,
                 link_down_seconds=0.25,
             ),

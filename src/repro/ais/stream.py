@@ -80,6 +80,20 @@ class DelayModel:
         return arrivals
 
 
+def first_query_time(earliest: int, slide_seconds: int) -> int:
+    """The first slide boundary of a stream whose earliest time is
+    ``earliest``: the smallest multiple of the slide at or after it,
+    except that a stream starting at 0 first slides at ``slide_seconds``.
+
+    The one rule behind :class:`StreamReplayer`, the live slide batcher
+    and the gateway's watermark grid, so all three cut the same slides.
+    """
+    boundary = ((earliest + slide_seconds - 1) // slide_seconds) * slide_seconds
+    if boundary == earliest == 0:
+        return slide_seconds
+    return boundary
+
+
 class StreamReplayer:
     """Replay a positional stream in per-slide batches.
 
@@ -105,12 +119,8 @@ class StreamReplayer:
         """
         if not self._arrivals:
             return
-        first = self._arrivals[0].arrival
         slide = self.slide_seconds
-        # First query time: the smallest multiple of the slide >= first.
-        query_time = ((first + slide - 1) // slide) * slide
-        if query_time == first == 0:
-            query_time = slide
+        query_time = first_query_time(self._arrivals[0].arrival, slide)
         index = 0
         total = len(self._arrivals)
         while index < total:

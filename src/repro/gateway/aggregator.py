@@ -27,9 +27,8 @@ from repro.service.feed import FeedHub
 from repro.service.http import serve_request
 from repro.transport.base import Transport, TransportSession
 
-#: Published lines the merged feed (and each runtime feed) keeps for
-#: ``RESUME`` replays — how far back a subscriber can reconnect gapless
-#: (docs/SERVICE.md).
+#: Published lines the merged feed keeps for ``RESUME`` replays — how far
+#: back a cluster subscriber can reconnect gapless (docs/SERVICE.md).
 FEED_REPLAY_RING = 4096
 
 

@@ -23,7 +23,7 @@ merged stream resumes without holes or duplicates.
 
 from pathlib import Path
 
-from repro.gateway.aggregator import FEED_REPLAY_RING, GatewayAggregator
+from repro.gateway.aggregator import GatewayAggregator
 from repro.gateway.config import GatewayClusterConfig
 from repro.gateway.health import ClusterSupervisor, LinkFailureDetector
 from repro.gateway.node import GatewayNode, RuntimeLink
@@ -80,9 +80,8 @@ class GatewayCluster:
             ingest_transport=cfg.backend_transport,
             feed_transport=cfg.backend_transport,
             watermark_sources=cfg.gateways,
-            ingest_queue_size=cfg.ingest_queue_size,
+            ingest_queue_size=cfg.queue_size,
             wal_dir=wal_dir,
-            feed_replay_ring=FEED_REPLAY_RING,
         )
 
     # ------------------------------------------------------------------
@@ -103,7 +102,7 @@ class GatewayCluster:
                     supervisor.ingest.port,
                     create_transport(cfg.backend_transport),
                     registry,
-                    queue_size=cfg.link_queue_size,
+                    queue_size=cfg.queue_size,
                     detector=LinkFailureDetector(
                         down_after_seconds=cfg.link_down_seconds
                     ),

@@ -23,12 +23,10 @@ class GatewayClusterConfig:
     transport: str = DEFAULT_TRANSPORT
     #: Wire protocol of the gateway→runtime links and the feed fan-in.
     backend_transport: str = DEFAULT_TRANSPORT
-    #: Sentences buffered per gateway→runtime link before the oldest is
-    #: shed (and counted), mirroring the ingest queue contract.
-    link_queue_size: int = 8192
-    #: Per-runtime ingest queue capacity (the benchmark sizes this to the
-    #: whole stream so an unpaced replay measures overhead, not shedding).
-    ingest_queue_size: int = 8192
+    #: Sentences buffered at each bounded hop — every gateway→runtime
+    #: link and every runtime's ingest queue — before the oldest is shed
+    #: (and counted), the single node's ingest queue contract.
+    queue_size: int = 8192
     #: Merged-subscription feed port of the aggregator.
     feed_port: int = 0
     #: Cluster ``/healthz`` + federated ``/metrics`` port.
@@ -55,14 +53,8 @@ class GatewayClusterConfig:
                 raise ValueError(
                     f"{role} must be one of {available_transports()}: {name!r}"
                 )
-        if self.link_queue_size <= 0:
-            raise ValueError(
-                f"link_queue_size must be positive: {self.link_queue_size}"
-            )
-        if self.ingest_queue_size <= 0:
-            raise ValueError(
-                f"ingest_queue_size must be positive: {self.ingest_queue_size}"
-            )
+        if self.queue_size <= 0:
+            raise ValueError(f"queue_size must be positive: {self.queue_size}")
         if self.link_down_seconds <= 0:
             raise ValueError(
                 f"link_down_seconds must be positive: {self.link_down_seconds}"

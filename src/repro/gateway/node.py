@@ -22,6 +22,7 @@ import time
 from collections import deque
 from itertools import islice
 
+from repro.ais.stream import first_query_time
 from repro.gateway.health import LinkFailureDetector
 from repro.gateway.routing import SentenceRouter
 from repro.obs.registry import MetricsRegistry
@@ -361,10 +362,7 @@ class GatewayNode:
             # First sentence: announce this source to every runtime so
             # quiet shards still learn the cluster has N gateways.
             self._broadcast(format_watermark(receive_time, self.name))
-            boundary = ((receive_time + slide - 1) // slide) * slide
-            if boundary == receive_time:
-                boundary += slide
-            self._next_boundary = boundary
+            self._next_boundary = first_query_time(receive_time, slide)
         elif receive_time > self._next_boundary:
             self._broadcast(format_watermark(receive_time, self.name))
             while self._next_boundary < receive_time:

@@ -6,9 +6,10 @@ await never returns and — without a watchdog — the whole service
 silently stops producing slides while still accepting ingest.
 :class:`SlideWatchdog` tracks slide start/finish beats from the event
 loop and counts a slide that overruns its deadline, once per slide, so
-``/healthz`` shows the stall.  It only detects: the whole pipeline runs
-in this process, so there is nothing to kill, and the drain deadline
-(``drain_timeout_seconds``) is what bounds a wedge at shutdown.
+``/healthz`` shows the stall.  Every slide batcher owns one.  It only
+detects: the whole pipeline runs in this process, so there is nothing
+to kill, and the supervisor's drain deadline is what bounds a wedge at
+shutdown.
 """
 
 import time

@@ -17,17 +17,19 @@ replays through the same path.  The scanned positions then join the
 pending batch one by one, so the slide cadence is that of one sentence
 at a time, however the stream was cut.
 
-Durability hooks (all optional; see docs/RESILIENCE.md):
+Durability and diagnostics (docs/RESILIENCE.md):
 
-* every dequeued sentence is appended to the write-ahead ``journal``
-  *before* it is scanned, and the journal is fsynced at each slide
+* with a write-ahead ``journal``, every dequeued sentence is appended to
+  it *before* it is scanned, and the journal is fsynced at each slide
   boundary — so the journal holds exactly the post-shedding stream the
   pipeline has consumed, which is what :meth:`SlideBatcher.replay` feeds
   back after a crash to reproduce every slide byte-for-byte;
 * sentences the scanner rejects are classified and quarantined in the
-  ``deadletter`` buffer instead of vanishing into a counter;
-* the ``watchdog`` gets a beat when a pipeline slide starts and
-  finishes, so a wedged slide is detected from the event loop.
+  batcher's :class:`~repro.service.quarantine.DeadLetterBuffer` instead
+  of vanishing into a counter;
+* the batcher's :class:`~repro.resilience.watchdog.SlideWatchdog` gets a
+  beat when a pipeline slide starts and finishes, so a wedged slide is
+  detected from the event loop.
 
 Pipeline slides execute on a worker thread (``run_in_executor``) so the
 event loop keeps reading sockets while a slide is being processed —
@@ -53,9 +55,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.ais.scanner import DataScanner
+from repro.ais.stream import first_query_time
 from repro.pipeline.metrics import SlideReport
 from repro.resilience.faults import InjectedFault, SimulatedCrash, fault_point
+from repro.resilience.watchdog import SlideWatchdog
 from repro.service.protocol import CONTROL_PREFIX, parse_heartbeat, parse_watermark
+from repro.service.quarantine import DeadLetterBuffer
+
+#: A pipeline slide running longer than this is counted as stalled
+#: (``resilience.watchdog.stalls``, ``/healthz``): well above the slowest
+#: slide of any benchmark workload, so a count means a wedge.
+SLIDE_STALL_SECONDS = 10.0
 
 
 class SlideBatcher:
@@ -70,8 +80,6 @@ class SlideBatcher:
         on_positions=None,
         record_ingest: bool = False,
         journal=None,
-        deadletter=None,
-        watchdog=None,
         watermark_sources: int = 0,
     ):
         if slide_seconds <= 0:
@@ -82,10 +90,14 @@ class SlideBatcher:
         self.scanner = DataScanner()
         self._on_report = on_report or (lambda report, kind: None)
         self._on_positions = on_positions or (lambda positions: None)
-        self._record_ingest = record_ingest
+        #: Test tap: keep every scanned record in :attr:`ingested`.  Off
+        #: in production: the log grows without bound.
+        self.record_ingest = record_ingest
         self.journal = journal
-        self.deadletter = deadletter
-        self.watchdog = watchdog
+        #: Sentences the scanner rejected, with their causes.
+        self.deadletter = DeadLetterBuffer()
+        #: Beaten around every pipeline slide; the owner ticks it.
+        self.watchdog = SlideWatchdog(SLIDE_STALL_SECONDS)
         self.watermark_sources = watermark_sources
         #: Latest watermark timestamp per source (watermark mode only).
         self._wm_clocks: dict[str, int] = {}
@@ -178,12 +190,11 @@ class SlideBatcher:
             # the slide-boundary sync bounds the exposure).
             for receive_time, sentence in records:
                 self.journal.append(receive_time, sentence)
-        if self._record_ingest:
+        if self.record_ingest:
             self.ingested.extend(records)
         positions = self.scanner.scan_many(records)
-        if self.deadletter is not None:
-            for index, reason in self.scanner.rejections:
-                self.deadletter.quarantine(*records[index], reason)
+        for index, reason in self.scanner.rejections:
+            self.deadletter.quarantine(*records[index], reason)
         if positions:
             self._on_positions(positions)
             await self._admit(positions)
@@ -198,12 +209,8 @@ class SlideBatcher:
             if self._max_ts is None or arrival > self._max_ts:
                 self._max_ts = arrival
             if self._query_time is None or (watermarked and not self._grid_locked):
-                boundary = ((arrival + slide - 1) // slide) * slide
-                if boundary == arrival == 0:
-                    boundary = slide
+                boundary = first_query_time(arrival, slide)
                 if self._query_time is None:
-                    # First boundary at or after the earliest arrival — the
-                    # StreamReplayer rule, special case included.
                     self._query_time = boundary
                     if watermarked:
                         # Watermarks may already be past this fresh boundary.
@@ -347,13 +354,11 @@ class SlideBatcher:
                 (p for p in batch if p.timestamp <= qt),
                 key=lambda p: (p.timestamp, p.mmsi),
             )
-        if self.watchdog is not None:
-            self.watchdog.slide_started(self._query_time)
+        self.watchdog.slide_started(self._query_time)
         report = await self._call_pipeline(
             self.system.process_slide, batch, self._query_time
         )
-        if self.watchdog is not None:
-            self.watchdog.slide_finished()
+        self.watchdog.slide_finished()
         if report is None:
             return
         self.slides_processed += 1

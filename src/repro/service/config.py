@@ -8,11 +8,13 @@ from repro.transport.registry import DEFAULT_TRANSPORT, available_transports
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Every knob of the network-facing service.
+    """The deployment settings of the network-facing service.
 
     Ports set to ``0`` bind ephemerally (the supervisor reports the actual
     port after :meth:`~repro.service.supervisor.ServiceSupervisor.start`),
-    which is what the tests and the benchmarks use.
+    which is what the tests and the benchmarks use.  Everything else the
+    service sizes or times is a named constant next to the code that
+    reads it (docs/SERVICE.md).
     """
 
     host: str = "127.0.0.1"
@@ -39,18 +41,6 @@ class ServiceConfig:
     #: Sentences buffered between the socket readers and the pipeline;
     #: beyond this the *oldest* buffered sentence is shed (and counted).
     ingest_queue_size: int = 8192
-    #: Slide payload lines buffered per feed subscriber; a subscriber
-    #: that falls this far behind is evicted rather than stalling the
-    #: pipeline.
-    subscriber_queue_size: int = 256
-    #: Published feed lines kept (with sequence numbers) for ``RESUME``
-    #: replays: how far back an evicted or disconnected subscriber can
-    #: reconnect gapless (docs/SERVICE.md).
-    feed_replay_ring: int = 1024
-    #: Keep a log of every ``(receive_time, sentence)`` actually handed
-    #: to the scanner — lets tests replay exactly the post-shedding
-    #: stream offline.  Off in production: it grows without bound.
-    record_ingest: bool = False
     #: Write-ahead ingest journal directory (``None`` = no durability:
     #: a crash loses everything in flight, exactly the paper's
     #: main-memory behaviour).  With a directory, every post-shedding
@@ -60,30 +50,12 @@ class ServiceConfig:
     #: WAL fsync policy: ``always`` | ``batch`` (fsync at each slide
     #: boundary) | ``never``.
     wal_fsync: str = "batch"
-    #: Graceful-drain deadline; past it the supervisor force-aborts the
-    #: in-flight pipeline slide instead of hanging on shutdown.
-    drain_timeout_seconds: float = 30.0
-    #: Malformed sentences kept for the ``/deadletter`` endpoint.
-    deadletter_capacity: int = 256
-    #: A pipeline slide running longer than this is declared stalled,
-    #: counted and reported on ``/healthz`` (0 = watchdog disabled).
-    watchdog_timeout_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.ingest_queue_size <= 0:
             raise ValueError(
                 f"ingest queue must hold at least one sentence: "
                 f"{self.ingest_queue_size}"
-            )
-        if self.subscriber_queue_size <= 0:
-            raise ValueError(
-                f"subscriber queue must hold at least one line: "
-                f"{self.subscriber_queue_size}"
-            )
-        if self.feed_replay_ring <= 0:
-            raise ValueError(
-                f"feed_replay_ring must hold at least one line: "
-                f"{self.feed_replay_ring}"
             )
         for role, name in (
             ("ingest_transport", self.ingest_transport),
@@ -101,19 +73,4 @@ class ServiceConfig:
             raise ValueError(
                 f"wal_fsync must be one of {FSYNC_POLICIES}: "
                 f"{self.wal_fsync!r}"
-            )
-        if self.drain_timeout_seconds <= 0:
-            raise ValueError(
-                f"drain_timeout_seconds must be positive: "
-                f"{self.drain_timeout_seconds}"
-            )
-        if self.deadletter_capacity <= 0:
-            raise ValueError(
-                f"deadletter_capacity must be positive: "
-                f"{self.deadletter_capacity}"
-            )
-        if self.watchdog_timeout_seconds < 0:
-            raise ValueError(
-                f"watchdog_timeout_seconds must be >= 0: "
-                f"{self.watchdog_timeout_seconds}"
             )

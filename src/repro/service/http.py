@@ -157,7 +157,7 @@ class HttpApi:
             return 400, {"error": "limit must be >= 0"}, "application/json"
         return (
             200,
-            self.supervisor.deadletter.snapshot(limit),
+            self.supervisor.batcher.deadletter.snapshot(limit),
             "application/json",
         )
 

@@ -213,10 +213,3 @@ def slide_feed_line(report: SlideReport, kind: str = "slide") -> str:
             key=point_sort_key,
         ),
     })
-
-
-def feed_lines_for(report: SlideReport | None, kind: str = "slide") -> list[str]:
-    """Feed lines one report contributes (none for a ``None`` finalize)."""
-    if report is None:
-        return []
-    return [slide_feed_line(report, kind)]

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 
 from repro import obs
 
+#: Rejected sentences held for ``/deadletter``; past it the oldest are
+#: evicted (and counted).
+DEADLETTER_CAPACITY = 256
+
 
 @dataclass(frozen=True)
 class DeadLetter:
@@ -39,7 +43,7 @@ class DeadLetter:
 class DeadLetterBuffer:
     """Bounded ring of recently rejected sentences, by reason."""
 
-    def __init__(self, capacity: int, clock=time.time):
+    def __init__(self, capacity: int = DEADLETTER_CAPACITY, clock=time.time):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity

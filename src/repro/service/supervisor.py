@@ -15,16 +15,17 @@ when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set:
   mid-slide;
 * MOD writes run behind a retry + circuit-breaker guard with a
   WAL-backed spill queue, so archival failures degrade instead of
-  stalling recognition;
-* a slide watchdog detects a wedged pipeline slide and counts the
-  stall, which ``/healthz`` reports.
+  stalling recognition.
+
+In every deployment the batcher's slide watchdog detects a wedged
+pipeline slide and counts the stall, which ``/healthz`` reports.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already
 buffered through the pipeline, flushes the final partial slide plus the
 end-of-stream ``finalize``, publishes the last feed lines, disconnects
 subscribers, and only then closes the pipeline and its MOD.  If
-the pipeline wedges past ``drain_timeout_seconds`` the drain is
+the pipeline wedges past :data:`DRAIN_TIMEOUT_SECONDS` the drain is
 force-aborted (counted, journal preserved for replay) instead of hanging
 the host's shutdown forever.
 """
@@ -41,14 +42,12 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.guard import GuardedDatabase, SpillQueue
 from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import IngestJournal
-from repro.resilience.watchdog import SlideWatchdog
 from repro.service.batcher import SlideBatcher
 from repro.service.config import ServiceConfig
 from repro.service.feed import FeedHub
 from repro.service.http import HttpApi
 from repro.service.ingest import IngestQueue, IngestServer
 from repro.service.protocol import slide_feed_line
-from repro.service.quarantine import DeadLetterBuffer
 from repro.service.state import AlertRing, VesselStateStore
 from repro.transport.registry import create_transport
 
@@ -63,6 +62,9 @@ MOD_RECOVERY_SECONDS = 5.0
 MOD_RETRY = BackoffPolicy(
     initial_seconds=0.02, multiplier=2.0, max_seconds=1.0, max_attempts=3
 )
+#: Graceful-drain deadline; past it the in-flight pipeline slide is
+#: force-aborted instead of hanging shutdown.
+DRAIN_TIMEOUT_SECONDS = 30.0
 
 
 class ServiceSupervisor:
@@ -73,8 +75,7 @@ class ServiceSupervisor:
     world, specs, config:
         Exactly as for :class:`~repro.pipeline.system.SurveillanceSystem`.
     service:
-        Network, backpressure and durability knobs
-        (:class:`ServiceConfig`).
+        Deployment settings (:class:`ServiceConfig`).
     system_factory:
         Test hook: replaces the :class:`SurveillanceSystem` constructor
         (called with ``world, specs, config``) to slow or wedge the
@@ -105,31 +106,27 @@ class ServiceSupervisor:
         self.feed = FeedHub(
             self.service.host,
             self.service.feed_port,
-            self.service.subscriber_queue_size,
             transport=create_transport(self.service.feed_transport),
-            replay_ring=self.service.feed_replay_ring,
         )
         self.http = HttpApi(self, self.service.host, self.service.http_port)
-        self.deadletter = DeadLetterBuffer(self.service.deadletter_capacity)
         self.journal = self._build_journal()
         self.guard = self._guard_database()
-        self.watchdog = self._build_watchdog()
         self.batcher = SlideBatcher(
             self.system,
             self.queue,
             slide_seconds=self.config.window.slide_seconds,
             on_report=self._on_report,
             on_positions=self.vessels.update,
-            record_ingest=self.service.record_ingest,
             journal=self.journal,
-            deadletter=self.deadletter,
-            watchdog=self.watchdog,
             watermark_sources=self.service.watermark_sources,
         )
         #: Journal records replayed from a previous incarnation at start.
         self.recovered_records = (
             len(self.journal.recovered) if self.journal is not None else 0
         )
+        #: The drain deadline, :data:`DRAIN_TIMEOUT_SECONDS` unless a
+        #: test shortens it.
+        self.drain_timeout_seconds = DRAIN_TIMEOUT_SECONDS
         self.forced_abort = False
         self._batcher_task: asyncio.Task | None = None
         self._watchdog_task: asyncio.Task | None = None
@@ -173,11 +170,6 @@ class ServiceSupervisor:
         self.system.database = guard
         return guard
 
-    def _build_watchdog(self) -> SlideWatchdog | None:
-        if self.service.watchdog_timeout_seconds <= 0:
-            return None
-        return SlideWatchdog(self.service.watchdog_timeout_seconds)
-
     # ------------------------------------------------------------------
     # slide fan-out
     # ------------------------------------------------------------------
@@ -207,15 +199,15 @@ class ServiceSupervisor:
         await self.feed.start()
         await self.http.start()
         self._batcher_task = asyncio.ensure_future(self.batcher.run())
-        if self.watchdog is not None:
-            self._watchdog_task = asyncio.ensure_future(self._watch())
+        self._watchdog_task = asyncio.ensure_future(self._watch())
         obs.set_gauge("service.up", 1)
 
     async def _watch(self) -> None:
-        interval = max(0.05, self.service.watchdog_timeout_seconds / 4)
+        watchdog = self.batcher.watchdog
+        interval = max(0.05, watchdog.timeout_seconds / 4)
         while True:
             await asyncio.sleep(interval)
-            self.watchdog.check()
+            watchdog.check()
 
     async def _drain_pipeline(self) -> None:
         """Join the batcher, then flush the final slide and finalize."""
@@ -253,7 +245,7 @@ class ServiceSupervisor:
         try:
             await asyncio.wait_for(
                 self._drain_pipeline(),
-                timeout=self.service.drain_timeout_seconds,
+                timeout=self.drain_timeout_seconds,
             )
         except asyncio.TimeoutError:
             self.forced_abort = True
@@ -354,8 +346,8 @@ class ServiceSupervisor:
             "recovered_records": self.recovered_records,
             "forced_abort": self.forced_abort,
             "deadletter": {
-                "total": self.deadletter.total,
-                "held": len(self.deadletter),
+                "total": self.batcher.deadletter.total,
+                "held": len(self.batcher.deadletter),
             },
             "ports": self.ports(),
         }
@@ -367,8 +359,7 @@ class ServiceSupervisor:
         if self.journal is not None:
             payload["wal"] = self.journal.snapshot()
         payload["mod_guard"] = self.guard.snapshot()
-        if self.watchdog is not None:
-            payload["watchdog"] = self.watchdog.snapshot()
+        payload["watchdog"] = self.batcher.watchdog.snapshot()
         return payload
 
     def ports(self) -> dict:

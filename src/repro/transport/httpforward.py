@@ -66,12 +66,18 @@ class HttpIngestServerSession(TransportSession):
             return False
         request, headers = head
         method = request.split(" ", 1)[0].upper()
-        length = int(headers.get("content-length", "0") or "0")
+        try:
+            length = int(headers.get("content-length", "0") or "0")
+        except ValueError:
+            raise TransportError("Content-Length is not an integer") from None
+        if length < 0:
+            raise TransportError(f"negative Content-Length: {length}")
         if length > MAX_BODY_BYTES:
             raise TransportError(f"request body of {length} bytes too large")
-        body = (
-            await self.reader.readexactly(length) if length else b""
-        )
+        try:
+            body = await self.reader.readexactly(length) if length else b""
+        except (asyncio.IncompleteReadError, OSError) as exc:
+            raise TransportError(f"request body cut short: {exc}") from exc
         if method != "POST":
             await self._respond("405 Method Not Allowed")
             return True

@@ -4,31 +4,23 @@ subscription, across transports, and across a runtime crash/restart."""
 
 import asyncio
 import json
-import time
 
 import pytest
 
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.pipeline.config import SystemConfig
 from tests.gateway.conftest import feed_gateways, http_get, split_round_robin
-from tests.parity import offline_oracle
+from tests.parity import offline_oracle, poll
 from tests.service.conftest import to_sentences
-
-
-async def _poll(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "poll timed out"
-        await asyncio.sleep(0.005)
 
 
 async def _quiesce(cluster) -> None:
     """Wait until every link and runtime queue is empty, plus a breath
     for the batchers to finish the line in flight."""
-    await _poll(lambda: all(
+    await poll(lambda: all(
         link.depth == 0 for node in cluster.nodes for link in node.links
     ))
-    await _poll(lambda: all(
+    await poll(lambda: all(
         len(supervisor.queue) == 0 for supervisor in cluster.supervisors
     ))
     await asyncio.sleep(0.05)
@@ -74,7 +66,7 @@ class TestClusterParity:
             feed_reader, feed_writer = await asyncio.open_connection(
                 "127.0.0.1", ports["feed"], limit=1 << 24
             )
-            await _poll(
+            await poll(
                 lambda: cluster.aggregator.hub.subscriber_count == 1
             )
 

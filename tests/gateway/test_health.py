@@ -21,7 +21,7 @@ from repro.service.batcher import SlideBatcher
 from repro.service.protocol import format_heartbeat, parse_heartbeat
 from repro.transport import chaosnet
 from tests.gateway.conftest import http_get, split_round_robin
-from tests.parity import offline_oracle
+from tests.parity import offline_oracle, poll
 from tests.service.conftest import to_sentences
 
 
@@ -278,18 +278,11 @@ class TestClusterSupervisor:
         assert snapshot["incidents"] == []
 
 
-async def _poll(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "poll timed out"
-        await asyncio.sleep(0.005)
-
-
 async def _quiesce(cluster) -> None:
-    await _poll(lambda: all(
+    await poll(lambda: all(
         link.depth == 0 for node in cluster.nodes for link in node.links
     ))
-    await _poll(lambda: all(
+    await poll(lambda: all(
         len(supervisor.queue) == 0
         for index, supervisor in enumerate(cluster.supervisors)
         if not cluster.is_crashed(index)

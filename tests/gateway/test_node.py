@@ -2,7 +2,6 @@
 batches, shedding, and a link severed mid-batch."""
 
 import asyncio
-import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,11 +11,11 @@ from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import BackoffPolicy
 from repro.service import ServiceConfig, ServiceSupervisor
-from repro.service.protocol import format_ingest_line
+from repro.service.protocol import format_ingest_line, format_watermark
 from repro.transport import chaosnet, create_transport
 from repro.gateway import node as node_module
 from repro.transport.base import Transport, TransportError, TransportSession
-from tests.parity import offline_oracle
+from tests.parity import offline_oracle, poll
 from tests.service.conftest import to_sentences
 
 FAST = BackoffPolicy(initial_seconds=0.01, multiplier=2.0, max_seconds=0.05)
@@ -74,13 +73,6 @@ class RecordingTransport(Transport):
         return RecordingSession(self)
 
 
-async def _poll(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "poll timed out"
-        await asyncio.sleep(0.002)
-
-
 class TestGatewayIngest:
     def test_ignored_lines_are_counted(self):
         """Blank, comment and garbled lines are skipped, as on a single
@@ -99,7 +91,7 @@ class TestGatewayIngest:
             await writer.drain()
             writer.close()
             await writer.wait_closed()
-            await _poll(lambda: node.open_connections == 0)
+            await poll(lambda: node.open_connections == 0)
             await node.drain()
             return registry, transport.batches
 
@@ -108,6 +100,26 @@ class TestGatewayIngest:
         assert registry.counter("gateway.ingest.lines").value == 1
         delivered = [line for batch in batches for line in batch]
         assert format_ingest_line(100, "!AIVDM,1,1,,A,0,0*00") in delivered
+
+
+class TestWatermarkGrid:
+    def test_a_first_sentence_on_a_boundary_opens_that_slide(self):
+        """The grid starts where the runtime's does: at the first boundary
+        at or after the first sentence.  A first sentence at 2·slide
+        leaves slide 2·slide open, so the next sentence past it
+        watermarks it instead of waiting for 3·slide."""
+        slide = 60
+        link = RuntimeLink("l0", "127.0.0.1", 1, RecordingTransport(), MetricsRegistry())
+        node = GatewayNode(
+            "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], slide
+        )
+        for receive_time in (2 * slide, 2 * slide + 1):
+            node._forward(receive_time, "!AIVDM,1,1,,A,0,0*00")
+        watermarks = [line for line, _, control in link._items if control]
+        assert watermarks == [
+            format_watermark(2 * slide, "gw0"),
+            format_watermark(2 * slide + 1, "gw0"),
+        ]
 
 
 def _reference_delivery(sends, queue_size, pinned=0):
@@ -155,7 +167,7 @@ class TestLinkBatches:
             for phase in phases:
                 for line, control in phase:
                     link.send(line, control=control)
-                await _poll(lambda: link.depth == 0)
+                await poll(lambda: link.depth == 0)
             await link.close()
             return registry, transport.batches
 
@@ -184,7 +196,7 @@ class TestLinkBatches:
             await asyncio.sleep(0.01)
             in_flight = link.depth
             transport.stall.set()
-            await _poll(lambda: link.depth == 0)
+            await poll(lambda: link.depth == 0)
             await link.close()
             return in_flight, transport.batches
 
@@ -214,14 +226,14 @@ class TestLinkBatches:
             link.start()
             for line, control in first:
                 link.send(line, control=control)
-            await _poll(lambda: link._writing == len(first))
+            await poll(lambda: link._writing == len(first))
             controls = 0
             for line, control in rest:
                 link.send(line, control=control)
                 controls += control
                 assert len(link._items) <= queue_size + controls
             transport.stall.set()
-            await _poll(lambda: link.depth == 0)
+            await poll(lambda: link.depth == 0)
             await link.close()
             return registry, transport.batches
 
@@ -254,14 +266,14 @@ class TestLinkBatches:
             link.start()
             for line, control in early:
                 link.send(line, control=control)
-            await _poll(lambda: link.redials >= 2)
+            await poll(lambda: link.redials >= 2)
             controls = 0
             for line, control in late:
                 link.send(line, control=control)
                 controls += control
                 assert len(link._items) <= queue_size + controls
             transport.down = False
-            await _poll(lambda: link.depth == 0)
+            await poll(lambda: link.depth == 0)
             await link.close()
             return registry, transport.batches
 
@@ -288,7 +300,7 @@ class TestLinkBatches:
             link.start()
             for line in lines:
                 link.send(line)
-            await _poll(lambda: link.depth == 0)
+            await poll(lambda: link.depth == 0)
             await link.close()
             return registry, link, transport.batches
 
@@ -304,7 +316,7 @@ async def _subscribe(supervisor):
     reader, writer = await asyncio.open_connection(
         "127.0.0.1", supervisor.ports()["feed"], limit=1 << 24
     )
-    await _poll(lambda: supervisor.feed.subscriber_count == 1)
+    await poll(lambda: supervisor.feed.subscriber_count == 1)
     return reader, writer
 
 
@@ -344,7 +356,7 @@ class TestLinkSeveredMidBatch:
                 for line in thirds[0]:
                     link.send(line)
                 delivered += len(thirds[0])
-                await _poll(lambda: supervisor.queue.put_count == delivered)
+                await poll(lambda: supervisor.queue.put_count == delivered)
             assert len(injector.fired) == 1
             assert link.redials == 1
 
@@ -357,12 +369,12 @@ class TestLinkSeveredMidBatch:
                 await asyncio.sleep(0)
                 for line in thirds[2]:
                     link.send(line)
-                await _poll(lambda: link.redials >= 3)
+                await poll(lambda: link.redials >= 3)
                 assert link.depth == len(thirds[1]) + len(thirds[2])
             finally:
                 chaosnet.heal("127.0.0.1", port)
             delivered += len(thirds[1]) + len(thirds[2])
-            await _poll(lambda: supervisor.queue.put_count == delivered)
+            await poll(lambda: supervisor.queue.put_count == delivered)
             await link.close()
             await supervisor.drain_and_stop()
 

@@ -1,4 +1,5 @@
-"""The one transcript builder and offline oracle behind every byte-parity suite.
+"""The one transcript builder and offline oracle behind every byte-parity
+suite, and the live-service tests' driver helpers.
 
 A transcript is everything a system emits over a stream — per-slide
 reports, the finalize report, the final synopsis, the latest alerts and
@@ -12,10 +13,24 @@ when their members' hashes collide under the process's hash seed
 Alerts and movement events hold only scalars, so they compare as they are.
 """
 
+import asyncio
+import time
+
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline.config import SystemConfig
 from repro.service import offline_feed_lines
 from repro.service.protocol import point_to_dict
+
+#: ``ServiceConfig`` ports of a test service: every listener ephemeral.
+EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
+
+
+async def poll(predicate, timeout: float = 30.0) -> None:
+    """Wait until ``predicate()`` holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "poll timed out"
+        await asyncio.sleep(0.005)
 
 
 def canonical_points(points) -> list[dict]:

@@ -31,11 +31,11 @@ RULE = (
     "layer, count, pinned",
     [
         ("SystemConfig", len(dataclasses.fields(SystemConfig)), 10),
-        ("ServiceConfig", len(dataclasses.fields(ServiceConfig)), 16),
+        ("ServiceConfig", len(dataclasses.fields(ServiceConfig)), 10),
         (
             "GatewayClusterConfig",
             len(dataclasses.fields(GatewayClusterConfig)),
-            11,
+            10,
         ),
         # 17 flags plus argparse's own --help.
         ("python -m repro", len(build_parser()._actions), 18),

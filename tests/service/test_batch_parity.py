@@ -28,7 +28,6 @@ from repro.service.protocol import (
     parse_watermark,
     slide_feed_line,
 )
-from repro.service.quarantine import DeadLetterBuffer
 from repro.tracking import WindowSpec
 from tests.ais.oracle import OracleScanner
 from tests.parity import offline_oracle
@@ -104,7 +103,6 @@ def _batcher(world, specs, queue, feed, journal=None):
         slide_seconds=CONFIG.window.slide_seconds,
         on_report=lambda report, kind: feed.append(slide_feed_line(report, kind)),
         journal=journal,
-        deadletter=DeadLetterBuffer(capacity=1000),
     )
 
 

@@ -20,16 +20,7 @@ import time
 from repro.resilience import FaultPlan, SimulatedCrash, inject
 from repro.resilience.wal import read_journal
 from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import offline_oracle
-
-EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
-
-
-async def _poll(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "poll timed out"
-        await asyncio.sleep(0.005)
+from tests.parity import EPHEMERAL, offline_oracle, poll
 
 
 def _tap_feed(supervisor):
@@ -65,7 +56,7 @@ async def run_until_crash(sentences, world, specs, service, plan):
     with inject(plan) as injector:
         await supervisor.start()
         await _send_sentences(supervisor.ports()["ingest"], sentences)
-        await _poll(lambda: supervisor._batcher_task.done())
+        await poll(lambda: supervisor._batcher_task.done())
         assert isinstance(
             supervisor._batcher_task.exception(), SimulatedCrash
         ), "the planned crash must be what killed the batcher"
@@ -88,7 +79,7 @@ async def run_recovered(tail, world, specs, service):
     lines = _tap_feed(supervisor)
     await supervisor.start()  # journal replay republishes in here
     await _send_sentences(supervisor.ports()["ingest"], tail)
-    await _poll(lambda: supervisor.ingest.open_connections == 0)
+    await poll(lambda: supervisor.ingest.open_connections == 0)
     await supervisor.drain_and_stop()
     return supervisor, lines
 
@@ -166,19 +157,20 @@ class TestDrainDeadline:
                 release.wait(timeout=30.0)  # wedge until the test releases
                 return super().process_slide(batch, query_time)
 
-        service = ServiceConfig(drain_timeout_seconds=0.5, **EPHEMERAL)
+        service = ServiceConfig(**EPHEMERAL)
 
         async def scenario():
             supervisor = ServiceSupervisor(
                 world, small_fleet["specs"], service=service,
                 system_factory=WedgedSystem,
             )
+            supervisor.drain_timeout_seconds = 0.5
             await supervisor.start()
             # Enough sentences to start (and wedge inside) slide one.
             await _send_sentences(
                 supervisor.ports()["ingest"], soak_sentences[:2000]
             )
-            await _poll(lambda: supervisor.ingest.open_connections == 0)
+            await poll(lambda: supervisor.ingest.open_connections == 0)
             started = time.monotonic()
             await supervisor.drain_and_stop()
             elapsed = time.monotonic() - started
@@ -200,20 +192,32 @@ class TestDeadLetterQuarantine:
         polluted = list(soak_sentences[:300])
         polluted.insert(50, (polluted[50][0], "!AIVDM,1,1,,A,garbage,0*00"))
         polluted.insert(100, (polluted[100][0], "!AIVDM,notanumber*7F"))
-        service = ServiceConfig(deadletter_capacity=16, **EPHEMERAL)
         supervisor, _ = asyncio.run(
-            run_live(polluted, world, small_fleet["specs"], service=service)
+            run_live(polluted, world, small_fleet["specs"])
         )
-        assert supervisor.deadletter.total >= 2
-        snapshot = supervisor.deadletter.snapshot(limit=10)
+        deadletter = supervisor.batcher.deadletter
+        assert deadletter.total >= 2
+        snapshot = deadletter.snapshot(limit=10)
         assert sum(snapshot["by_reason"].values()) == snapshot["total"]
         quarantined = {entry["sentence"] for entry in snapshot["recent"]}
         assert "!AIVDM,1,1,,A,garbage,0*00" in quarantined
         # The debug endpoint serves the same view.
         status, payload, _ = supervisor.http._route("/deadletter?limit=5")
         assert status == 200
-        assert payload["total"] == supervisor.deadletter.total
+        assert payload["total"] == deadletter.total
         assert len(payload["recent"]) <= 5
+
+    def test_a_bare_batcher_quarantines_what_the_scanner_rejects(self):
+        """The buffer is the batcher's own: one built with no hooks at
+        all still quarantines a rejected sentence with its cause."""
+        from repro.service.batcher import SlideBatcher
+
+        batcher = SlideBatcher(system=None, queue=None, slide_seconds=60)
+        sentence = "!AIVDM,1,1,,A,garbage,0*00"
+        asyncio.run(batcher._ingest([(5, sentence)], journal=False))
+        (letter,) = batcher.deadletter.recent()
+        assert (letter["receive_time"], letter["sentence"]) == (5, sentence)
+        assert letter["reason"] == "bad_checksum"
 
     def test_capacity_bounds_the_buffer(self, world, small_fleet):
         from repro.service.quarantine import DeadLetterBuffer

@@ -15,22 +15,17 @@ from repro import obs
 from repro.obs.registry import render_prometheus
 from repro.pipeline.system import SurveillanceSystem
 from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import offline_oracle
-
-EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
-
-
-async def _poll(predicate, timeout: float = 30.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not predicate():
-        assert time.monotonic() < deadline, "poll timed out"
-        await asyncio.sleep(0.005)
+from tests.parity import EPHEMERAL, offline_oracle, poll
 
 
 async def run_live(
-    sentences, world, specs, config=None, service=None, system_factory=None
+    sentences, world, specs, config=None, service=None, system_factory=None,
+    record_ingest=False,
 ):
-    """Stream ``sentences`` over real TCP, collect the feed, drain cleanly."""
+    """Stream ``sentences`` over real TCP, collect the feed, drain cleanly.
+
+    ``record_ingest`` switches on the batcher's tap of every scanned
+    record (``supervisor.batcher.ingested``)."""
     supervisor = ServiceSupervisor(
         world,
         specs,
@@ -38,6 +33,7 @@ async def run_live(
         service or ServiceConfig(**EPHEMERAL),
         system_factory=system_factory,
     )
+    supervisor.batcher.record_ingest = record_ingest
     await supervisor.start()
     ports = supervisor.ports()
 
@@ -45,7 +41,7 @@ async def run_live(
     feed_reader, feed_writer = await asyncio.open_connection(
         "127.0.0.1", ports["feed"], limit=1 << 24
     )
-    await _poll(lambda: supervisor.feed.subscriber_count == 1)
+    await poll(lambda: supervisor.feed.subscriber_count == 1)
 
     _, ingest_writer = await asyncio.open_connection(
         "127.0.0.1", ports["ingest"]
@@ -59,7 +55,7 @@ async def run_live(
     await ingest_writer.wait_closed()
 
     # All lines are enqueued once the server side has seen the EOF.
-    await _poll(lambda: supervisor.ingest.open_connections == 0)
+    await poll(lambda: supervisor.ingest.open_connections == 0)
     await supervisor.drain_and_stop()
 
     lines = []
@@ -105,9 +101,7 @@ class TestSoakParity:
                 time.sleep(0.05)
                 return super().process_slide(batch, query_time)
 
-        service = ServiceConfig(
-            ingest_queue_size=64, record_ingest=True, **EPHEMERAL
-        )
+        service = ServiceConfig(ingest_queue_size=64, **EPHEMERAL)
         with obs.activate(obs.MetricsRegistry()) as registry:
             supervisor, live = asyncio.run(
                 run_live(
@@ -116,6 +110,7 @@ class TestSoakParity:
                     small_fleet["specs"],
                     service=service,
                     system_factory=SlowSystem,
+                    record_ingest=True,
                 )
             )
             exposition = render_prometheus(registry)

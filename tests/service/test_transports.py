@@ -14,19 +14,12 @@ import pytest
 from repro import obs
 from repro.service import FeedHub, IngestQueue, IngestServer
 from repro.transport import available_transports, create_transport
+from tests.parity import poll
 
 
 @pytest.fixture(params=available_transports())
 def transport(request):
     return create_transport(request.param)
-
-
-async def _poll(predicate, timeout: float = 5.0) -> None:
-    for _ in range(int(timeout / 0.005)):
-        if predicate():
-            return
-        await asyncio.sleep(0.005)
-    assert predicate(), "poll timed out"
 
 
 class TestIngestSheddingThroughTransports:
@@ -45,7 +38,7 @@ class TestIngestSheddingThroughTransports:
                 for index in range(20):
                     await client.send(f"{index}\tS{index}")
                 await client.close()
-                await _poll(lambda: queue.put_count == 20)
+                await poll(lambda: queue.put_count == 20)
                 await server.stop()
                 kept = []
                 queue.close()
@@ -71,14 +64,14 @@ class TestFeedEvictionThroughTransports:
                 stalled = await transport.connect(
                     "127.0.0.1", hub.port, "feed"
                 )
-                await _poll(lambda: hub.subscriber_count == 1)
+                await poll(lambda: hub.subscriber_count == 1)
                 # Publish synchronously, more than the queue holds: the
                 # writer task never gets the loop, so the bounded queue
                 # must fill and the subscriber must be evicted.
                 for index in range(6):
                     hub.publish(f"line-{index}")
                 assert hub.evicted_count == 1
-                await _poll(lambda: hub.subscriber_count == 0)
+                await poll(lambda: hub.subscriber_count == 0)
                 # The evicted side sees its stream end, not hang.
                 while await stalled.receive() is not None:
                     pass
@@ -102,12 +95,12 @@ class TestFeedEvictionThroughTransports:
                     received.append(line)
 
             consumer = asyncio.ensure_future(consume())
-            await _poll(lambda: hub.subscriber_count == 1)
+            await poll(lambda: hub.subscriber_count == 1)
             for index in range(50):
                 hub.publish(f"line-{index}")
                 # A reading consumer keeps draining between publishes.
                 await asyncio.sleep(0.001)
-            await _poll(lambda: len(received) == 50)
+            await poll(lambda: len(received) == 50)
             await hub.close()
             await consumer
             await healthy.close()

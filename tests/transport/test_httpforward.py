@@ -13,6 +13,7 @@ from repro.transport.httpforward import (
     HttpForwardTransport,
 )
 from repro.transport.tcp import CLIENT_READ_LIMIT
+from tests.parity import poll
 
 FAST_RETRY = BackoffPolicy(
     initial_seconds=0.001, multiplier=1.0, max_seconds=0.001, max_attempts=3
@@ -39,14 +40,6 @@ async def _ingest_server(transport, received, errors):
     return server, server.sockets[0].getsockname()[1]
 
 
-async def _poll(predicate, timeout: float = 5.0) -> None:
-    for _ in range(int(timeout / 0.005)):
-        if predicate():
-            return
-        await asyncio.sleep(0.005)
-    assert predicate(), "poll timed out"
-
-
 class TestIngestBatching:
     def test_lines_flush_per_batch_and_on_close(self):
         async def run():
@@ -58,9 +51,9 @@ class TestIngestBatching:
                 await client.send(f"line-{index}")
             # Two full batches are on the wire; the seventh line is still
             # buffered client-side until close() flushes it.
-            await _poll(lambda: len(received) == 6)
+            await poll(lambda: len(received) == 6)
             await client.close()
-            await _poll(lambda: len(received) == 7)
+            await poll(lambda: len(received) == 7)
             server.close()
             await server.wait_closed()
             return received
@@ -110,7 +103,7 @@ class TestIngestBatching:
                 + body
             )
             await writer.drain()
-            await _poll(lambda: received == ["recovered"])
+            await poll(lambda: received == ["recovered"])
             writer.close()
             server.close()
             await server.wait_closed()
@@ -131,7 +124,7 @@ class TestIngestBatching:
                 )
             )
             await writer.drain()
-            await _poll(lambda: len(errors) == 1)
+            await poll(lambda: len(errors) == 1)
             writer.close()
             server.close()
             await server.wait_closed()
@@ -174,7 +167,7 @@ class TestRetryThenRecover:
                 await client.send("a")
                 await client.send("b")  # second line flushes the batch
                 await client.close()
-            await _poll(lambda: len(received) == 2)
+            await poll(lambda: len(received) == 2)
             server.close()
             await server.wait_closed()
             return received, registry
@@ -239,7 +232,7 @@ class TestFeedResumeQuery:
                 await session.close()
             except Exception:
                 pass  # the stub server hangs up; only the request matters
-            await _poll(lambda: requests)
+            await poll(lambda: requests)
             server.close()
             await server.wait_closed()
             return requests
