@@ -10,7 +10,8 @@ order, over one integer per payload (:mod:`repro.ais.sixbit`).  Encode
 walks the tables; at import each is also compiled into extraction rows
 (end bit, mask, sign bit, converter) in :class:`PositionReport` order,
 which decode, the Data Scanner's batch read :func:`decode_fixes` and the
-router's MMSI read walk without re-deriving offsets per payload.  Only the fields
+router's MMSI reads (:func:`decode_mmsi`, and :func:`decode_mmsis` for a
+batch) walk without re-deriving offsets per payload.  Only the fields
 the surveillance system uses (MMSI, longitude, latitude, plus speed/course
 metadata useful for validation) are surfaced; the rest are constants,
 written on encode and skipped on decode, keeping the wire format faithful
@@ -346,3 +347,26 @@ def decode_mmsi(payload: str, fill_bits: int = 0) -> int:
     if bits < _MMSI_ROW.end:
         raise ValueError(f"payload too short: {bits} bits, mmsi ends at {_MMSI_ROW.end}")
     return _read(_MMSI_ROW, value, bits)
+
+
+def decode_mmsis(payloads: list[str]) -> list[int | None]:
+    """:func:`decode_mmsi` of each payload without fill bits: its MMSI,
+    or ``None`` where :func:`decode_mmsi` would raise.
+
+    The headers are unarmored together
+    (:func:`~repro.ais.sixbit.unarmor_many`); a batch holding a payload
+    shorter than the header, or a header that is not armor, is read one
+    payload at a time.
+    """
+    headers = [(payload[:_HEADER_CHARS], 0) for payload in payloads]
+    values = unarmor_many(headers)
+    if values is None or any(len(header) < _HEADER_CHARS for header, _ in headers):
+        mmsis: list[int | None] = []
+        for payload in payloads:
+            try:
+                mmsis.append(decode_mmsi(payload))
+            except ValueError:
+                mmsis.append(None)
+        return mmsis
+    shift = 6 * _HEADER_CHARS - _MMSI_ROW.end
+    return [value >> shift & _MMSI_ROW.mask for value in values]

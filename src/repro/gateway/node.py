@@ -12,9 +12,13 @@ send queues with the same shed-oldest contract as the ingest queue, a
 ``gateway.link`` fault site for chaos drills, and deterministic
 reconnect backoff so a restarted runtime is rejoined transparently.
 Both ends move batches: a node reads what a client has sent with one
-``receive_many``, and a link sends its queued lines with one
-``send_many`` per wakeup; fault sites, shedding and counters still act
-per line, and a line stays queued — bounded, sheddable — until it is sent.
+``receive_many``, parses it with one
+:func:`~repro.service.protocol.parse_ingest_lines`, routes it with one
+:meth:`~repro.gateway.routing.SentenceRouter.route_many` and queues each
+link's run with one :meth:`RuntimeLink.send_many`, cut only where a
+watermark is due; a link sends its queued lines with one ``send_many``
+per wakeup.  Fault sites, shedding and counters still act per line, and
+a line stays queued — bounded, sheddable — until it is sent.
 """
 
 import asyncio
@@ -26,12 +30,12 @@ from repro.ais.stream import first_query_time
 from repro.gateway.health import LinkFailureDetector
 from repro.gateway.routing import SentenceRouter
 from repro.obs.registry import MetricsRegistry
-from repro.resilience.faults import fault_point
+from repro.resilience.faults import fault_point, get_injector
 from repro.resilience.retry import BackoffPolicy
 from repro.service.protocol import (
     format_ingest_line,
     format_watermark,
-    parse_ingest_line,
+    parse_ingest_lines,
 )
 from repro.transport.base import Transport, TransportError, TransportSession
 from repro.transport.tcp import CLIENT_READ_LIMIT
@@ -128,31 +132,58 @@ class RuntimeLink:
         return len(self._items)
 
     def send(self, line: str, control: bool = False) -> None:
-        """Queue one ingest line (synchronous: called per sentence on the
-        accept path, so it must never await)."""
+        """Queue one ingest line: the one-item :meth:`send_many`."""
+        self.send_many([line], control)
+
+    def send_many(self, lines: list[str], control: bool = False) -> None:
+        """Queue lines in order, exactly as one :meth:`send` each would:
+        the same fault-site hits, the same lines shed (synchronous: called
+        on the accept path, so it must never await).
+
+        One clock read stamps them all and one ``extend`` queues them;
+        then as many of the oldest data lines are shed as the sends one
+        by one would have shed, one per line that found the queue full.
+        """
+        if not control and get_injector() is not None:
+            lines = [line for line in lines if not self._injected_drop()]
+        if not lines:
+            return
+        enqueued_at = time.perf_counter()
+        items = self._items
+        items.extend([(line, enqueued_at, control) for line in lines])
         if not control:
-            spec = fault_point("gateway.link")
-            if spec is not None and spec.kind == "drop":
-                self.registry.inc("gateway.link.injected_drops")
-                return
-            self._data_lines += 1
-        self._items.append((line, time.perf_counter(), control))
-        if len(self._items) > self.queue_size and self._data_lines:
-            self._shed_oldest()
+            self._data_lines += len(lines)
+        excess = min(len(lines), len(items) - self.queue_size)
+        if excess > 0 and self._data_lines:
+            self._shed_oldest(excess)
         self._wakeup.set()
 
-    def _shed_oldest(self) -> None:
-        """Backpressure contract of the ingest tier: shed the *oldest*
-        data line not being written, counted — control lines are never
-        shed.  A batch waiting out a re-dial backoff is still queued, so
-        its oldest lines go first."""
-        start = self._writing
-        for index, (_, _, control) in enumerate(islice(self._items, start, None), start):
-            if not control:
-                del self._items[index]
-                self._data_lines -= 1
-                self.registry.inc("gateway.link.shed")
-                return
+    def _injected_drop(self) -> bool:
+        """One hit of the ``gateway.link`` fault site; ``True`` when it
+        drops the line (counted)."""
+        spec = fault_point("gateway.link")
+        if spec is not None and spec.kind == "drop":
+            self.registry.inc("gateway.link.injected_drops")
+            return True
+        return False
+
+    def _shed_oldest(self, count: int) -> None:
+        """Backpressure contract of the ingest tier: shed the ``count``
+        *oldest* data lines not being written (fewer if there are fewer),
+        counted — control lines are never shed.  A batch waiting out a
+        re-dial backoff is still queued, so its oldest lines go first."""
+        items = self._items
+        index = self._writing
+        shed = 0
+        while shed < count and index < len(items):
+            if items[index][2]:
+                index += 1
+            else:
+                del items[index]
+                shed += 1
+        if shed:
+            self._data_lines -= shed
+            self.registry.inc("gateway.link.shed", shed)
 
     async def _run(self) -> None:
         while True:
@@ -169,14 +200,22 @@ class RuntimeLink:
         """Dequeue the ``count`` oldest lines, sent; each one's wait from
         enqueue to sent is one histogram observation."""
         self._writing = 0
+        if not count:
+            return
         now = time.perf_counter()
+        registry = self.registry
+        latency = (
+            registry.histogram("gateway.ingest.latency_seconds")
+            if registry.enabled else None
+        )
+        controls = 0
         for _ in range(count):
             _, enqueued_at, control = self._items.popleft()
-            if not control:
-                self._data_lines -= 1
-            self.registry.observe("gateway.ingest.latency_seconds", now - enqueued_at)
-        if count:
-            self.registry.inc("gateway.link.lines", count)
+            controls += control
+            if latency is not None:
+                latency.observe(now - enqueued_at)
+        self._data_lines -= count - controls
+        registry.inc("gateway.link.lines", count)
 
     async def _deliver(self) -> None:
         """Deliver the oldest queued lines, at most :data:`LINK_BATCH_LINES`
@@ -328,33 +367,56 @@ class GatewayNode:
                     break
                 if not lines:
                     break
-                now = int(time.time())
-                forwarded = 0
-                for line in lines:
-                    parsed = parse_ingest_line(line, now)
-                    if parsed is not None:
-                        self._forward(*parsed)
-                        forwarded += 1
-                if forwarded:
-                    self.registry.inc("gateway.ingest.lines", forwarded)
-                if forwarded < len(lines):
-                    # Blank/comment lines are skipped, as on a single
-                    # node (service.ingest.ignored) — never invisibly.
-                    self.registry.inc(
-                        "gateway.ingest.ignored", len(lines) - forwarded
-                    )
+                self._take(lines)
         finally:
             await session.close()
             self.open_connections -= 1
             if self.open_connections == 0:
                 self._idle.set()
 
-    def _forward(self, receive_time: int, sentence: str) -> None:
-        """Route one sentence; advance the watermark grid first so every
-        runtime sees the boundary watermark before post-boundary traffic."""
-        index = self.router.route(sentence)
-        self._advance_watermarks(receive_time)
-        self.links[index].send(format_ingest_line(receive_time, sentence))
+    def _take(self, lines: list[str]) -> None:
+        """Parse, route and queue one read of lines, as one line at a
+        time would: the same lines on every link, in the same order.
+
+        Each link's run of lines is queued with one ``send_many``.  A line
+        that is late, or past the next slide boundary, cuts the read: the
+        runs so far are queued first, then :meth:`_advance_watermarks`
+        counts it or broadcasts the watermark, so every runtime sees a
+        watermark after the lines before it and before the lines after."""
+        parsed = parse_ingest_lines(lines, int(time.time()))
+        if parsed:
+            self.registry.inc("gateway.ingest.lines", len(parsed))
+        if len(parsed) < len(lines):
+            # Blank/comment lines are skipped, as on a single node
+            # (service.ingest.ignored) — never invisibly.
+            self.registry.inc("gateway.ingest.ignored", len(lines) - len(parsed))
+        routes = self.router.route_many([sentence for _, sentence in parsed])
+        # The gateway.link fault site must be hit in arrival order for a
+        # chaos plan to replay exactly, so under an injector each line is
+        # queued on its own.
+        one_by_one = get_injector() is not None
+        runs: list[list[str]] = [[] for _ in self.links]
+        boundary, last = self._next_boundary, self._last_time
+        for (receive_time, sentence), index in zip(parsed, routes):
+            if last is None or boundary is None or not last <= receive_time <= boundary:
+                self._flush(runs)
+                self._last_time = last
+                self._advance_watermarks(receive_time)
+                boundary, last = self._next_boundary, self._last_time
+            else:
+                last = receive_time
+            runs[index].append(format_ingest_line(receive_time, sentence))
+            if one_by_one:
+                self._flush(runs)
+        self._last_time = last
+        self._flush(runs)
+
+    def _flush(self, runs: list[list[str]]) -> None:
+        """Queue each link's run with one ``send_many``, and empty it."""
+        for link, run in zip(self.links, runs):
+            if run:
+                link.send_many(run)
+                run.clear()
 
     def _advance_watermarks(self, receive_time: int) -> None:
         slide = self.slide_seconds
@@ -365,8 +427,9 @@ class GatewayNode:
             self._next_boundary = first_query_time(receive_time, slide)
         elif receive_time > self._next_boundary:
             self._broadcast(format_watermark(receive_time, self.name))
-            while self._next_boundary < receive_time:
-                self._next_boundary += slide
+            # The first grid boundary at or after it, in one step: a
+            # far-future time must not cost one iteration per slide.
+            self._next_boundary -= (self._next_boundary - receive_time) // slide * slide
         if self._last_time is None or receive_time > self._last_time:
             self._last_time = receive_time
         elif receive_time < self._last_time:

@@ -15,6 +15,13 @@ checksum per sentence, so the runtime still trusts nothing it receives.
 A sentence with a bad checksum therefore routes by the MMSI its header
 carries, and that backend quarantines it as ``bad_checksum``.
 
+The router moves batches: :meth:`SentenceRouter.route_many` frames every
+single-fragment sentence of the usual shape with one regular-expression
+match and reads all of their MMSI headers together
+(:func:`~repro.ais.messages.decode_mmsis`); fragments, fill bits and any
+other framing go through the per-sentence path, in order.
+:meth:`SentenceRouter.route` is the one-item form.
+
 Multi-fragment messages only carry the MMSI in their first fragment, so
 the router remembers the group key
 (:attr:`~repro.ais.nmea.AivdmSentence.group_key`) of an opened fragment
@@ -26,7 +33,9 @@ deterministically to backend 0, counted, where the backend's dead-letter
 machinery classifies it just like a single node's would.
 """
 
-from repro.ais.messages import decode_mmsi
+import re
+
+from repro.ais.messages import decode_mmsi, decode_mmsis
 from repro.ais.nmea import frame_aivdm
 from repro.obs.registry import MetricsRegistry
 
@@ -38,6 +47,15 @@ PENDING_FRAGMENT_CAPACITY = 1024
 #: consecutive MMSIs (fleets are often numbered in blocks) evenly.
 _MIX = 2654435761
 _MASK = 0xFFFFFFFF
+
+#: A single-fragment sentence of the usual shape: ``1,1`` framing, a
+#: payload without fill bits and two hex checksum digits, with no ``*``
+#: and no surrounding whitespace.  :func:`~repro.ais.nmea.frame_aivdm`
+#: reads such a sentence as exactly this payload and fill 0; every other
+#: sentence is framed by it one at a time.
+_SINGLE = re.compile(
+    r"!AIVD[MO],1,1,[^,*]*,[^,*]*,([^,*]+),0\*[0-9A-Fa-f]{2}", re.ASCII
+).fullmatch
 
 
 def shard_for_mmsi(mmsi: int, shards: int) -> int:
@@ -69,6 +87,31 @@ class SentenceRouter:
 
     def route(self, sentence: str) -> int:
         """The backend index owning this sentence (0 when unroutable)."""
+        return self.route_many([sentence])[0]
+
+    def route_many(self, sentences: list[str]) -> list[int]:
+        """:meth:`route` of each sentence, in order, with the same
+        counters: single-fragment sentences are framed by one match each
+        and their MMSIs read together; the rest take :meth:`_route_one`."""
+        routes = [0] * len(sentences)
+        singles: list[int] = []
+        payloads: list[str] = []
+        for index, sentence in enumerate(sentences):
+            match = _SINGLE(sentence)
+            if match is None:
+                routes[index] = self._route_one(sentence)
+            else:
+                singles.append(index)
+                payloads.append(match[1])
+        for index, mmsi in zip(singles, decode_mmsis(payloads)):
+            if mmsi is None:
+                routes[index] = self._unroutable("short_payload")
+            else:
+                routes[index] = shard_for_mmsi(mmsi, self.backends)
+        return routes
+
+    def _route_one(self, sentence: str) -> int:
+        """One sentence, framed by :func:`~repro.ais.nmea.frame_aivdm`."""
         try:
             parsed = frame_aivdm(sentence)
         except ValueError:

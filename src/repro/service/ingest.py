@@ -7,8 +7,9 @@ slide batcher.  Line framing is delegated to a pluggable
 :class:`~repro.transport.base.Transport` (newline TCP by default,
 WebSocket or HTTP-forward via ``ServiceConfig.ingest_transport``), read
 a batch per wakeup (:meth:`~repro.transport.base.TransportSession.receive_many`:
-one socket read, split once), parsed line by line — the fault site and
-the counters see every line — and queued with one
+one socket read, split once), parsed with one
+:func:`~repro.service.protocol.parse_ingest_lines` — the fault site and
+the counters still see every line — and queued with one
 :meth:`IngestQueue.put_many`.  The queue is strictly bounded: when producers outrun the
 pipeline the *oldest* buffered sentence is dropped — fresh positions are
 worth more than stale ones for surveillance — and every shed sentence is
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.resilience.faults import fault_point
-from repro.service.protocol import parse_ingest_line
+from repro.service.protocol import parse_ingest_lines
 from repro.transport.base import Transport, TransportError
 from repro.transport.tcp import CLIENT_READ_LIMIT, TcpTransport
 
@@ -195,22 +196,20 @@ class IngestServer:
         """Queue one batch of lines with one put; ``False`` when an
         injected drop severed the connection partway."""
         now = self._clock()
-        parsed = []
-        taken = 0
-        for line in lines:
+        taken = len(lines)
+        for index in range(taken):
             spec = fault_point("service.ingest.socket")
             if spec is not None and spec.kind == "drop":
                 # Injected connection drop: sever mid-stream, exactly
                 # like an upstream feed dying.  The client sees EOF
                 # and is expected to reconnect and resend.
                 obs.count("service.ingest.injected_drops")
+                taken = index
                 break
-            taken += 1
-            stats.bytes += len(line) + 1
-            item = parse_ingest_line(line, now)
-            if item is not None:
-                parsed.append(item)
+        read = lines[:taken]
         stats.lines += taken
+        stats.bytes += sum(map(len, read)) + taken
+        parsed = parse_ingest_lines(read, now)
         self.queue.put_many(parsed)
         if taken > len(parsed):
             # Blank/comment/garbled lines are skipped by design, but never

@@ -45,6 +45,14 @@ def parse_ingest_line(line: str, default_time: int) -> tuple[int, str] | None:
     return default_time, line
 
 
+def parse_ingest_lines(lines: list[str], default_time: int) -> list[tuple[int, str]]:
+    """:func:`parse_ingest_line` of each line, ``None`` results dropped."""
+    return [
+        item for line in lines
+        if (item := parse_ingest_line(line, default_time)) is not None
+    ]
+
+
 def format_ingest_line(receive_time: int, sentence: str) -> str:
     """The timestamped ingest form: ``<epoch-seconds>\\t<sentence>``."""
     return f"{receive_time}\t{sentence}"

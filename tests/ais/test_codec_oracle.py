@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ais.messages import (
     PositionReport,
     decode_fix,
+    decode_mmsis,
     decode_payload,
     encode_position_report,
 )
@@ -146,3 +147,11 @@ def test_routing_reads_the_oracle_mmsi(payload, fill):
         char if char in ARMOR else "0" for char in payload[7:]
     )
     assert mmsi_of_payload(payload, fill) == oracle.mmsi_of_payload(repaired, fill)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads=st.lists(payloads, max_size=6))
+def test_the_batch_mmsi_read_is_the_one_payload_read(payloads):
+    # Headers of one batch are unarmored together; a short or invalid
+    # header sends the batch through the one-payload read.
+    assert decode_mmsis(payloads) == [mmsi_of_payload(payload, 0) for payload in payloads]

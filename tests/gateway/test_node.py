@@ -1,16 +1,21 @@
 """Gateway nodes and their runtime links: ingest accounting, the link's
-batches, shedding, and a link severed mid-batch."""
+batches, shedding, the batch accept path against one line at a time,
+and a link severed mid-batch."""
 
 import asyncio
 
 from hypothesis import given, settings, strategies as st
 
+from repro import obs
+from repro.ais import PositionReport, encode_position_report
+from repro.ais.nmea import wrap_aivdm, wrap_aivdm_fragments
 from repro.gateway import GatewayNode, RuntimeLink
 from repro.obs.registry import MetricsRegistry
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import BackoffPolicy
 from repro.service import ServiceConfig, ServiceSupervisor
+from repro.service.ingest import ConnectionStats, IngestQueue, IngestServer
 from repro.service.protocol import format_ingest_line, format_watermark
 from repro.transport import chaosnet, create_transport
 from repro.gateway import node as node_module
@@ -113,22 +118,44 @@ class TestWatermarkGrid:
         node = GatewayNode(
             "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], slide
         )
-        for receive_time in (2 * slide, 2 * slide + 1):
-            node._forward(receive_time, "!AIVDM,1,1,,A,0,0*00")
+        node._take([
+            format_ingest_line(receive_time, "!AIVDM,1,1,,A,0,0*00")
+            for receive_time in (2 * slide, 2 * slide + 1)
+        ])
         watermarks = [line for line, _, control in link._items if control]
         assert watermarks == [
             format_watermark(2 * slide, "gw0"),
             format_watermark(2 * slide + 1, "gw0"),
         ]
 
+    def test_a_far_future_line_moves_the_grid_in_one_step(self):
+        """A line ``10**13`` s ahead (a flipped timestamp bit) watermarks
+        once and moves the grid to the first boundary at or after it,
+        without stepping through every slide in between."""
+        slide = 60
+        link = RuntimeLink("l0", "127.0.0.1", 1, RecordingTransport(), MetricsRegistry())
+        node = GatewayNode(
+            "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], slide
+        )
+        node._take([
+            format_ingest_line(receive_time, "!AIVDM,1,1,,A,0,0*00")
+            for receive_time in (100, 10**13 + 1)
+        ])
+        assert node._next_boundary == (10**13 // slide + 1) * slide
+        watermarks = [line for line, _, control in link._items if control]
+        assert watermarks[-1] == format_watermark(10**13 + 1, "gw0")
 
-def _reference_delivery(sends, queue_size, pinned=0):
+
+def _reference_delivery(sends, queue_size, pinned=0, released_after=None):
     """The lines a link delivers when ``sends`` are queued while it is not
-    sending, or while a write holds the oldest ``pinned`` lines:
+    sending, or while a write holds the oldest ``pinned`` lines (until
+    ``released_after`` sends, when the write fails):
     shed-oldest by scanning for the first data line past them, as the
     queue contract states it."""
     items, shed = [], 0
-    for line, control in sends:
+    for sent, (line, control) in enumerate(sends):
+        if sent == released_after:
+            pinned = 0
         items.append((line, control))
         if len(items) > queue_size:
             for index in range(pinned, len(items)):
@@ -309,6 +336,197 @@ class TestLinkBatches:
         assert link.redials == 1
         assert registry.counter("gateway.link.lines").value == len(lines)
         assert registry.histogram("gateway.ingest.latency_seconds").count == len(lines)
+
+
+def _plan(site: str, hits: list[int]) -> FaultPlan:
+    """Drops at the given hits of ``site``."""
+    return FaultPlan.from_spec(",".join(f"{site}:drop@{hit}" for hit in hits))
+
+
+def _queued(link: RuntimeLink) -> list[tuple[str, bool]]:
+    return [(line, control) for line, _, control in link._items]
+
+
+#: What the accept path hands a link: runs of data lines and single
+#: control lines (watermarks), interleaved.
+link_ops = st.lists(
+    st.integers(min_value=0, max_value=6) | st.just(-1),
+    max_size=10,
+).map(lambda sizes: [
+    [(f"wm-{index}", True)] if size < 0
+    else [(f"data-{index}-{line}", False) for line in range(size)]
+    for index, size in enumerate(sizes)
+])
+
+
+class TestSendMany:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ops=link_ops,
+        after=link_ops,
+        pinned=st.integers(min_value=0, max_value=4),
+        queue_size=st.integers(min_value=1, max_value=6),
+        drops=st.lists(st.integers(min_value=1, max_value=30), max_size=3, unique=True),
+    )
+    def test_equals_one_send_per_line(self, ops, after, pinned, queue_size, drops):
+        """Twin links, one queuing each run with ``send_many`` and one
+        line by line, behind a pinned writing region and then after a
+        failed write released it: the same queued lines, data-line
+        count, sheds and fault-site hits."""
+        pinned = min(pinned, queue_size)
+        writing = [(f"writing-{index}", index % 2 == 1) for index in range(pinned)]
+        after = [[(f"after-{line}", control) for line, control in op] for op in after]
+        twins = []
+        for batched in (True, False):
+            registry = MetricsRegistry()
+            link = RuntimeLink(
+                "l0", "127.0.0.1", 1, RecordingTransport(), registry,
+                queue_size=queue_size,
+            )
+            with faults.inject(_plan("gateway.link", drops)) as injector:
+                for line, control in writing:
+                    link.send(line, control=control)
+                link._writing = len(link._items)
+                for phase in (ops, after):
+                    for op in phase:
+                        if batched and not any(control for _, control in op):
+                            link.send_many([line for line, _ in op])
+                        else:
+                            for line, control in op:
+                                link.send(line, control=control)
+                    # The write failed having sent nothing: its lines
+                    # are queued and sheddable again.
+                    link._writing = 0
+            counters = registry.snapshot()["counters"]
+            twins.append((
+                _queued(link), link._data_lines, injector.snapshot(),
+                counters.get("gateway.link.shed"),
+                counters.get("gateway.link.injected_drops"),
+            ))
+            assert link._data_lines == sum(
+                not control for _, control in _queued(link)
+            )
+        assert twins[0] == twins[1]
+        if not drops:
+            before = writing + [item for op in ops for item in op]
+            expected, shed = _reference_delivery(
+                before + [item for op in after for item in op],
+                queue_size, pinned, released_after=len(before),
+            )
+            assert [line for line, _ in twins[0][0]] == expected
+            assert (twins[0][3] or 0) == shed
+
+
+#: Ingest lines a listener reads: canonical, bare, blank, comments, junk.
+ingest_lines = st.lists(
+    st.sampled_from([
+        "100\t!AIVDM,1,1,,A,13u?etPv2;0n:dDPwUM1U1Cb069D,0*24",
+        "101 !AIVDM,1,1,,B,0,0*00",
+        "!AIVDM,1,1,,A,0,0*00",
+        "",
+        "  ",
+        "# comment",
+        "junk line",
+        "0102\t!x\r",
+    ]),
+    max_size=12,
+)
+
+
+class TestIngestTake:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=ingest_lines,
+        drops=st.lists(st.integers(min_value=1, max_value=14), max_size=2, unique=True),
+    )
+    def test_equals_one_take_per_line(self, lines, drops):
+        """``IngestServer._take`` of a read against one ``_take`` per
+        line, stopping where an injected drop severs the connection:
+        the same queued sentences, accounting and fault-site hits."""
+        twins = []
+        for batched in (True, False):
+            queue = IngestQueue(capacity=1000)
+            server = IngestServer(queue, "127.0.0.1", 0, clock=lambda: 7)
+            stats = ConnectionStats(peer="twin")
+            with (
+                obs.activate(MetricsRegistry()) as registry,
+                faults.inject(_plan("service.ingest.socket", drops)) as injector,
+            ):
+                if batched:
+                    kept = server._take(lines, stats)
+                else:
+                    kept = all(server._take([line], stats) for line in lines)
+            twins.append((
+                kept,
+                [(receive_time, sentence) for receive_time, sentence, _ in queue._items],
+                stats.lines, stats.bytes, injector.snapshot(),
+                registry.snapshot()["counters"],
+            ))
+        assert twins[0] == twins[1]
+
+
+@st.composite
+def gateway_reads(draw) -> list[str]:
+    """A client's ingest lines: sentences of a few vessels, fragment
+    groups among them, with times that cross slide boundaries, repeat
+    and now and then run late; blank, comment and garbled lines too."""
+    reports = [
+        encode_position_report(PositionReport(
+            message_type=message_type, mmsi=237_000_000 + vessel, lon=23.5,
+            lat=37.9, speed_knots=10.0, course_degrees=90.0, second_of_minute=0,
+        ))
+        for vessel, message_type in enumerate((1, 3, 18, 19, 19, 1))
+    ]
+    receive_time = draw(st.integers(min_value=0, max_value=600))
+    lines = []
+    for message_id in range(draw(st.integers(min_value=0, max_value=30))):
+        receive_time += draw(st.sampled_from([0, 0, 1, 7, 59, 60, 61, 150, -1, -75]))
+        kind = draw(st.integers(min_value=0, max_value=len(reports) + 2))
+        if kind < len(reports):
+            payload, fill = reports[kind]
+            sentences = (
+                wrap_aivdm_fragments(payload, fill, message_id=message_id % 10)
+                if kind in (3, 4) else [wrap_aivdm(payload, fill)]
+            )
+        elif kind == len(reports):
+            sentences = ["!AIVDM,garbage*00"]
+        else:
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+            continue
+        lines += [format_ingest_line(receive_time, sentence) for sentence in sentences]
+    return lines
+
+
+class TestReadCuts:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lines=gateway_reads(),
+        drops=st.lists(st.integers(min_value=1, max_value=40), max_size=3, unique=True),
+    )
+    def test_how_the_read_is_cut_changes_nothing(self, lines, drops):
+        """Reads of 1, 7 and all lines put the same lines, watermarks
+        included, on every link, and count the same late lines; a
+        ``gateway.link`` plan drops the same sentences, since its hits
+        follow arrival order."""
+        results = []
+        for size in (1, 7, max(len(lines), 1)):
+            registry = MetricsRegistry()
+            links = [
+                RuntimeLink(f"l{index}", "127.0.0.1", 1, RecordingTransport(), registry)
+                for index in range(3)
+            ]
+            node = GatewayNode(
+                "gw0", "127.0.0.1", 0, create_transport("tcp"), links, 60, registry
+            )
+            with faults.inject(_plan("gateway.link", drops)) as injector:
+                for start in range(0, len(lines), size):
+                    node._take(lines[start : start + size])
+            results.append((
+                [_queued(link) for link in links],
+                registry.snapshot()["counters"],
+                node._next_boundary, node._last_time, injector.snapshot(),
+            ))
+        assert results[0] == results[1] == results[2]
 
 
 async def _subscribe(supervisor):

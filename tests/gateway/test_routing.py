@@ -1,11 +1,14 @@
 """Routing units: MMSI sharding, fragment-group affinity, and agreement
 with the backend's Data Scanner on who owns each sentence."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ais import DataScanner, PositionReport, encode_position_report
 from repro.ais.nmea import frame_aivdm, nmea_checksum, wrap_aivdm, wrap_aivdm_fragments
+from repro.gateway import routing
 from repro.gateway.routing import (
     PENDING_FRAGMENT_CAPACITY,
     SentenceRouter,
@@ -287,3 +290,104 @@ class TestRouterAgreesWithTheScanner:
                 mmsi_of_payload(parsed.payload, parsed.fill_bits) is None
             ):
                 assert fallbacks == 1
+
+
+@st.composite
+def routed_sentences(draw) -> list[str]:
+    """Sentences as a gateway reads them: whole fragment groups, orphan
+    continuations, many open groups at once, and framing the fast path
+    must leave to the per-sentence path."""
+    sentences: list[str] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        report = draw(accepted_reports)
+        payload, fill = encode_position_report(report)
+        kind = draw(st.sampled_from([
+            "single", "group", "opened", "orphan", "bad_checksum", "star",
+            "non_hex", "bad_header", "short", "whitespace", "odd_digits",
+        ]))
+        sentence = wrap_aivdm(payload, fill)
+        if kind in ("group", "opened", "orphan"):
+            group = wrap_aivdm_fragments(
+                payload, fill, message_id=draw(st.integers(0, 3)),
+                fragments=draw(st.integers(min_value=2, max_value=3)),
+            )
+            sentences += {"group": group, "opened": group[:1], "orphan": group[1:]}[kind]
+            continue
+        if kind == "bad_checksum":
+            sentence = f"{sentence[:-2]}{int(sentence[-2:], 16) ^ 1:02X}"
+        elif kind == "star":
+            sentence = wrap_aivdm(payload[:9] + "*" + payload[9:], fill)
+        elif kind == "non_hex":
+            digits = draw(st.sampled_from(["ZZ", "G1", "0g", "١٢", "5 ", "\t\t"]))
+            sentence = sentence[:-2] + digits
+        elif kind == "bad_header":
+            at = draw(st.integers(0, 6))
+            bad = draw(st.sampled_from(["~", "\x7f", "\xe9", " ", "!"]))
+            sentence = wrap_aivdm(payload[:at] + bad + payload[at + 1:], fill)
+        elif kind == "short":
+            sentence = wrap_aivdm(payload[:draw(st.integers(1, 8))], draw(st.integers(0, 5)))
+        elif kind == "whitespace":
+            pad = draw(st.sampled_from(["\r", "\t", " ", "\r\n"]))
+            sentence = draw(st.sampled_from([sentence + pad, pad + sentence]))
+        elif kind == "odd_digits":
+            sentence = _checksummed([
+                draw(st.sampled_from(["01", "١", " 1", "+1"])), "1", "", "A",
+                payload, str(fill),
+            ])
+        sentences.append(sentence)
+    return sentences
+
+
+def _twin_routes(sentences, backends, capacity):
+    """Routes and counters of one ``route_many``, of ``route`` per
+    sentence, and of the per-sentence framing path, on three routers."""
+    results = []
+    with patch.object(routing, "PENDING_FRAGMENT_CAPACITY", capacity):
+        for route in (
+            lambda router: router.route_many(sentences),
+            lambda router: [router.route(sentence) for sentence in sentences],
+            lambda router: [router._route_one(sentence) for sentence in sentences],
+        ):
+            registry = MetricsRegistry()
+            router = SentenceRouter(backends, registry)
+            results.append((
+                route(router),
+                registry.snapshot()["counters"],
+                list(router._pending.items()),
+            ))
+    return results
+
+
+class TestRouteMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batches=st.lists(routed_sentences(), min_size=1, max_size=4),
+        backends=st.integers(min_value=1, max_value=8),
+        capacity=st.integers(min_value=1, max_value=4),
+    )
+    def test_equals_route_per_sentence(self, batches, backends, capacity):
+        sentences = [sentence for batch in batches for sentence in batch]
+        batch, one_by_one, framed = _twin_routes(sentences, backends, capacity)
+        assert batch == one_by_one == framed
+
+    def test_fill_bits_that_cut_into_the_header(self):
+        # Seven characters with 5 fill bits leave 37 bits: no MMSI.
+        payload, _ = _sentence(237006500)
+        sentences = [wrap_aivdm(payload[:7], fill) for fill in range(6)]
+        batch, one_by_one, framed = _twin_routes(sentences, 4, PENDING_FRAGMENT_CAPACITY)
+        assert batch == one_by_one == framed
+        assert batch[0] == [shard_for_mmsi(237006500, 4)] * 5 + [0]
+
+    def test_more_open_groups_than_the_capacity(self):
+        payload, fill = _sentence(237006500, message_type=19)
+        groups = [
+            wrap_aivdm_fragments(payload, fill, message_id=message_id)
+            for message_id in range(PENDING_FRAGMENT_CAPACITY + 8)
+        ]
+        sentences = [first for first, _ in groups] + [second for _, second in groups]
+        batch, one_by_one, framed = _twin_routes(
+            sentences, 4, PENDING_FRAGMENT_CAPACITY
+        )
+        assert batch == one_by_one == framed
+        assert batch[1]["gateway.route.fragment_groups_dropped"] == 8
+        assert batch[1]["gateway.route.unroutable.orphan_fragment"] == 8

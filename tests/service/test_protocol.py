@@ -17,6 +17,7 @@ from repro.service.protocol import (
     format_stamped_line,
     format_watermark,
     parse_heartbeat,
+    parse_ingest_lines,
     parse_resume,
     parse_stamped_line,
     parse_watermark,
@@ -148,3 +149,8 @@ class TestSlideFeedLine:
     def test_finalize_kind(self):
         payload = json.loads(slide_feed_line(self.report(), "finalize"))
         assert payload["type"] == "finalize"
+
+
+def test_parse_ingest_lines_drops_blank_and_comment_lines_in_order():
+    lines = ["100\t!A", "", "# comment", "!B", "0102 !C\r", "   ", "\u0661\u0662\t!D"]
+    assert parse_ingest_lines(lines, 7) == [(100, "!A"), (7, "!B"), (102, "!C"), (12, "!D")]
