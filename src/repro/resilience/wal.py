@@ -88,8 +88,7 @@ def _segment_files(directory: Path, name: str) -> list[Path]:
 
 
 def _first_seq_of(path: Path) -> int:
-    """The segment's base sequence number, encoded in its filename —
-    survives retirement of older segments, unlike positional counting."""
+    """The segment's base sequence number, encoded in its filename."""
     return int(path.stem.rsplit("-", 1)[1])
 
 
@@ -162,9 +161,6 @@ def _recover(
 
 #: WAL segment rotation threshold, bytes.
 SEGMENT_MAX_BYTES = 4 * 1024 * 1024
-#: Closed WAL segments kept on disk (0 = unlimited).  Bounds disk use at
-#: the cost of how far back a restart can replay.
-RETENTION_SEGMENTS = 0
 
 
 class WriteAheadLog:
@@ -178,10 +174,6 @@ class WriteAheadLog:
         One of :data:`FSYNC_POLICIES` (see module docstring).
     segment_max_bytes:
         Rotation threshold; a segment is closed once it exceeds this.
-    retention_segments:
-        Keep at most this many *closed* segments (0 = unlimited).
-        Retiring segments bounds disk use but also bounds how far back
-        recovery can replay — a deliberate, counted trade-off.
     name:
         Segment filename prefix (the spill queue uses ``"spill"``).
     """
@@ -191,7 +183,6 @@ class WriteAheadLog:
         directory: str | Path,
         fsync: str = "batch",
         segment_max_bytes: int = SEGMENT_MAX_BYTES,
-        retention_segments: int = RETENTION_SEGMENTS,
         name: str = "wal",
     ):
         if fsync not in FSYNC_POLICIES:
@@ -206,7 +197,6 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_max_bytes = segment_max_bytes
-        self.retention_segments = retention_segments
         self.name = name
         #: Records recovered from disk at open (see :func:`read_wal`).
         self.recovered, self.recovery_stats, damage = _recover(
@@ -218,12 +208,10 @@ class WriteAheadLog:
         self._handle = None
         self._segment_path: Path | None = None
         self._segment_bytes = 0
-        #: path -> last seq it holds, for retention/truncation decisions.
-        self._closed_segments: dict[Path, int] = {}
-        self._index_existing_segments()
+        #: Segments on disk that take no more appends, oldest first.
+        self._closed_segments = _segment_files(self.directory, name)
         self.appended_count = 0
         self.synced_count = 0
-        self.retired_segments = 0
         self._closed = False
 
     def _repair(self, damaged: Path, valid_bytes: int) -> None:
@@ -244,13 +232,6 @@ class WriteAheadLog:
                 os.fsync(handle.fileno())
         self.recovery_stats.repaired_segments += 1
         obs.count("resilience.wal.repaired_segments")
-
-    def _index_existing_segments(self) -> None:
-        seq = -1
-        for path in _segment_files(self.directory, self.name):
-            segment_records, _, _ = _read_segment(path, _first_seq_of(path))
-            seq = segment_records[-1].seq if segment_records else seq
-            self._closed_segments[path] = seq
 
     # -- appending ------------------------------------------------------
 
@@ -277,7 +258,7 @@ class WriteAheadLog:
             # host/OS crash can lose it under batch/never.
             self._handle.flush()
         if self._segment_bytes >= self.segment_max_bytes:
-            self._rotate(last_seq=seq)
+            self._rotate()
         return seq
 
     def sync(self) -> None:
@@ -307,43 +288,19 @@ class WriteAheadLog:
         self._segment_path = (
             self.directory / f"{self.name}-{self._next_seq:012d}.wal"
         )
+        if self._segment_path in self._closed_segments:
+            # An empty segment left by a crash takes the appends again.
+            self._closed_segments.remove(self._segment_path)
         self._handle = open(self._segment_path, "ab")
         self._segment_bytes = 0
         obs.count("resilience.wal.segments_opened")
 
-    def _rotate(self, last_seq: int) -> None:
+    def _rotate(self) -> None:
         self._flush(fsync=self.fsync != "never")
         self._handle.close()
-        self._closed_segments[self._segment_path] = last_seq
+        self._closed_segments.append(self._segment_path)
         self._handle = None
         self._segment_path = None
-        self._apply_retention()
-
-    def _apply_retention(self) -> None:
-        if self.retention_segments <= 0:
-            return
-        while len(self._closed_segments) > self.retention_segments:
-            oldest = next(iter(self._closed_segments))
-            self._closed_segments.pop(oldest)
-            oldest.unlink(missing_ok=True)
-            self.retired_segments += 1
-            obs.count("resilience.wal.segments_retired")
-
-    def truncate_through(self, seq: int) -> int:
-        """Delete closed segments holding only records ``<= seq``.
-
-        The caller declares those records applied (checkpointed past, or
-        archived); returns the number of segments removed.
-        """
-        removed = 0
-        for path, last in list(self._closed_segments.items()):
-            if last <= seq:
-                self._closed_segments.pop(path)
-                path.unlink(missing_ok=True)
-                removed += 1
-        if removed:
-            obs.count("resilience.wal.segments_truncated", removed)
-        return removed
 
     def truncate_all(self) -> int:
         """Delete every segment — the journal's obligation is met (the
@@ -372,7 +329,7 @@ class WriteAheadLog:
         if self._handle is not None:
             self._flush(fsync=self.fsync != "never")
             self._handle.close()
-            self._closed_segments[self._segment_path] = self._next_seq - 1
+            self._closed_segments.append(self._segment_path)
             self._handle = None
 
     def __enter__(self) -> "WriteAheadLog":
@@ -397,7 +354,6 @@ class WriteAheadLog:
             "segments": self.segment_count(),
             "appended": self.appended_count,
             "synced": self.synced_count,
-            "retired_segments": self.retired_segments,
             "next_seq": self._next_seq,
             "recovered": self.recovery_stats.to_dict(),
         }

@@ -38,7 +38,6 @@ stream at the next accepted tuple.
 import math
 from collections import defaultdict, deque
 from collections.abc import Iterable
-from itertools import islice as _islice
 from operator import itemgetter as _itemgetter, sub as _sub, truediv as _truediv
 
 from repro import obs
@@ -392,9 +391,8 @@ class ColumnarTracker:
         same left-to-right float accumulation, ``deque.extend`` the same
         trailing window, and the final velocity is simply the last pair's.
 
-        Returns how many leading positions were committed: the whole run
-        on a clean pass, a :meth:`_quiet_prefix` count when a fold trips
-        somewhere inside it, zero when the loop must replay from the top.
+        Returns whether the run was committed.  On ``False`` the state is
+        untouched and the caller replays the whole run exactly.
         """
         if (
             state.last is None
@@ -404,23 +402,23 @@ class ColumnarTracker:
             or state.stop_active
             or state.v_speed <= self._min_speed
         ):
-            return 0
+            return False
         dts = [taus[0] - state.last.timestamp]
         dts += map(_sub, taus[1:], taus)
         min_dt = min(dts)
         if min_dt <= 0 or max(dts) > self._gap_period:
-            return self._quiet_prefix(state, points, taus, dist, head_col)
+            return False
         speeds = list(map(_truediv, dist, dts))
         low = min(speeds)
         if low <= self._slow_speed or low <= self._min_speed:
-            return self._quiet_prefix(state, points, taus, dist, head_col)
+            return False
         # A sub-meter pair would carry the previous heading instead of
         # the precomputed bearing; let the loop sort it out.  With every
         # speed above the slow threshold, ``low * min_dt`` already bounds
         # every distance from below (up to a division rounding), so the
         # extra fold only runs for sub-second report intervals.
         if low * min_dt <= 1.01 and min(dist) <= 1.0:
-            return self._quiet_prefix(state, points, taus, dist, head_col)
+            return False
         high = max(speeds)
         recent_speeds = state.recent_speeds
         if high >= self._outlier_min_speed:
@@ -434,27 +432,7 @@ class ColumnarTracker:
             if floor < self._min_speed:
                 floor = self._min_speed
             if high > 0.99 * (self._outlier_factor * floor):
-                # The cheap bound is min-based and trips on vessels
-                # accelerating out of a slow window; settle it exactly by
-                # replaying the scalar speed-jump test over a throwaway
-                # copy of the rolling window (same deque order, same
-                # ``sum``, so the same float mean).  Any jump means
-                # ``_is_off_course`` could fire: bail to the loop.
-                window = deque(recent_speeds, recent_speeds.maxlen)
-                window_append = window.append
-                factor = self._outlier_factor
-                gate = self._outlier_min_speed
-                min_speed = self._min_speed
-                for s in speeds:
-                    if s >= gate and len(window) >= 3:
-                        mean = sum(window) / len(window)
-                        if s > factor * (
-                            mean if mean > min_speed else min_speed
-                        ):
-                            return self._quiet_prefix(
-                                state, points, taus, dist, head_col
-                            )
-                    window_append(s)
+                return False
         v0 = state.v_speed
         lo_band = low if low <= v0 else v0
         hi_band = high if high >= v0 else v0
@@ -462,19 +440,7 @@ class ColumnarTracker:
         # steady band proves no SPEED_CHANGE in O(1); the 1e-6 haircut
         # absorbs the fold's few ulps of division rounding.
         if (hi_band - lo_band) / low > self._speed_change_frac * 0.999999:
-            ext_speeds = [v0]
-            ext_speeds += speeds[:-1]
-            # Denominator is the current speed (all above the epsilon
-            # floor); ``abs(b - a)`` equals the scalar's branch-negated
-            # delta bit for bit, so the whole ratio screen folds at C
-            # level and its maximum crossing the threshold is exactly
-            # "some event fires".
-            if max(map(
-                _truediv, map(abs, map(_sub, speeds, ext_speeds)), speeds
-            )) > self._speed_change_frac:
-                return self._quiet_prefix(
-                    state, points, taus, dist, head_col
-                )
+            return False
         turn_threshold = self._turn_threshold
         neg_threshold = -turn_threshold
         # One pass settles both turn detectors.  Headings live in
@@ -487,7 +453,7 @@ class ColumnarTracker:
         # accumulation is inherently sequential (sign flips reset it)
         # and is the scalar update verbatim, minus emission.  Either
         # threshold crossing means an event would fire: bail with the
-        # state untouched and let the prefix scan replay exactly.
+        # state untouched and let the loop replay the run exactly.
         limit = turn_threshold - 1e-9
         neg_limit = -limit
         total_turn = state.cumulative_turn
@@ -499,13 +465,13 @@ class ColumnarTracker:
             if s > 180.0:
                 s -= 360.0
             if s > limit or s < neg_limit:
-                return self._quiet_prefix(state, points, taus, dist, head_col)
+                return False
             if total_turn * s < 0:
                 total_turn = s
             else:
                 total_turn += s
             if total_turn > turn_threshold or total_turn < neg_threshold:
-                return self._quiet_prefix(state, points, taus, dist, head_col)
+                return False
             prev_head = b
 
         state.last = points[-1]
@@ -519,100 +485,13 @@ class ColumnarTracker:
         last_rlat = math.radians(state.last.lat)
         state.last_cos = math.cos(last_rlat)
         state.last_sin = math.sin(last_rlat)
-        return len(taus)
-
-    def _quiet_prefix(self, state, points, taus, dist, head_col):
-        """Commit the longest provably-quiet prefix of a noisy run.
-
-        A fold in :meth:`_quiet_run` flags *some* position; the ones
-        before it are still plain cruising that the loop would replay one
-        attribute access at a time.  This scan walks the columns with the
-        scalar's own per-position tests — the exact ``max(speed, ε)``
-        ratio, the folded absolute turn, the signed smooth-turn
-        accumulation, the rolling-window speed-jump — and stops at the
-        first position where any event could fire or any acceptance is in
-        doubt (out-of-sequence, gap, halt/slow, sub-meter pair).  Every
-        scanned-past position is therefore committed with the same floats
-        the loop would produce; the caller replays only the tail.
-        """
-        gap_period = self._gap_period
-        min_speed = self._min_speed
-        slow_speed = self._slow_speed
-        speed_change_frac = self._speed_change_frac
-        turn_threshold = self._turn_threshold
-        neg_threshold = -turn_threshold
-        outlier_factor = self._outlier_factor
-        outlier_gate = self._outlier_min_speed
-        recent_speeds = state.recent_speeds
-        window = deque(recent_speeds, recent_speeds.maxlen)
-        window_append = window.append
-        run_speeds = []
-        run_speeds_append = run_speeds.append
-        prev_tau = state.last.timestamp
-        prev_speed = state.v_speed
-        prev_head = state.v_heading
-        total_turn = state.cumulative_turn
-        traveled = state.traveled_meters
-        for tau, d, h in zip(taus, dist, head_col):
-            dt = tau - prev_tau
-            if dt <= 0 or dt > gap_period:
-                break
-            s = d / dt
-            if s <= slow_speed or s <= min_speed or d <= 1.0:
-                break
-            if s >= outlier_gate and len(window) >= 3:
-                mean = sum(window) / len(window)
-                if s > outlier_factor * (
-                    mean if mean > min_speed else min_speed
-                ):
-                    break
-            if abs(s - prev_speed) / (
-                s if s > _EPSILON_SPEED else _EPSILON_SPEED
-            ) > speed_change_frac:
-                break
-            change = abs(h - prev_head) % 360.0
-            if change > 180.0:
-                change = 360.0 - change
-            if change > turn_threshold:
-                break
-            signed = (h - prev_head) % 360.0
-            if signed > 180.0:
-                signed -= 360.0
-            if total_turn * signed < 0:
-                new_total = signed
-            else:
-                new_total = total_turn + signed
-            if new_total > turn_threshold or new_total < neg_threshold:
-                break
-            total_turn = new_total
-            window_append(s)
-            run_speeds_append(s)
-            traveled += d
-            prev_tau = tau
-            prev_speed = s
-            prev_head = h
-        count = len(run_speeds)
-        if count == 0:
-            return 0
-        state.last = points[count - 1]
-        state.v_speed = prev_speed
-        state.v_heading = prev_head
-        state.cumulative_turn = total_turn
-        state.consecutive_outliers = 0
-        recent_speeds.extend(run_speeds)
-        state.recent_headings.extend(head_col[:count])
-        state.traveled_meters = traveled
-        last_rlat = math.radians(state.last.lat)
-        state.last_cos = math.cos(last_rlat)
-        state.last_sin = math.sin(last_rlat)
-        return count
+        return True
 
     def _track_vessel(self, state, points, indices, emit):
         # Locals for everything the loop touches — threshold hoisting and
         # attribute-to-local conversion are where the batch layout wins.
         taus, dist, head_col = self._vessel_columns(state, points)
-        committed = self._quiet_run(state, points, taus, dist, head_col)
-        if committed == len(points):
+        if self._quiet_run(state, points, taus, dist, head_col):
             return
         min_speed = self._min_speed
         gap_period = self._gap_period
@@ -632,11 +511,6 @@ class ColumnarTracker:
         within_bound = _WITHIN_BOUND
 
         stream = zip(indices, points, taus, dist, head_col)
-        if committed:
-            # The quiet prefix is already folded into the state; replay
-            # only the tail (the pair chain stays consecutive: the last
-            # committed position is the tail's predecessor).
-            stream = _islice(stream, committed, None)
         if state.last is None:
             # First position ever seen for this vessel seeds the state.
             _, last, _, _, _ = next(stream)

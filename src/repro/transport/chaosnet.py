@@ -17,7 +17,9 @@ is exercised for real):
   the n-th dial, outbound message, or inbound read deterministically.
   A batch send fails at the message that hits the send site, after
   writing the messages before it, as a loop of single sends would; the
-  error's ``sent`` tells the caller where to resume.
+  error's ``sent`` tells the caller where to resume.  A batch read
+  returns the messages before the one that hits the receive site and
+  fails on the next call.
 * **Partitions** — a module-level partition table keyed by endpoint
   ``(host, port)``: :func:`sever` makes every dial *and* every send on
   existing sessions to that endpoint fail until :func:`heal` (or an
@@ -114,6 +116,15 @@ class ChaosProfile:
             await asyncio.sleep(seconds)
 
 
+def _receive_drop() -> TransportError | None:
+    """One ``chaosnet.receive`` hit: the injected failure, if it drops."""
+    spec = fault_point("chaosnet.receive")
+    if spec is None or spec.kind != "drop":
+        return None
+    obs.count("chaosnet.receives_dropped")
+    return TransportError("chaosnet: injected receive failure")
+
+
 class ChaosSession(TransportSession):
     """One wrapped session: fault sites + profile delays + partitions.
 
@@ -131,14 +142,38 @@ class ChaosSession(TransportSession):
         self.inner = inner
         self.profile = profile
         self.endpoint = endpoint
+        #: Raised by the next :meth:`receive_many`: a ``chaosnet.receive``
+        #: drop that hit behind messages returned first.
+        self._dropped: TransportError | None = None
 
     async def receive(self) -> str | None:
-        spec = fault_point("chaosnet.receive")
-        if spec is not None and spec.kind == "drop":
-            obs.count("chaosnet.receives_dropped")
-            raise TransportError("chaosnet: injected receive failure")
+        error = _receive_drop()
+        if error is not None:
+            raise error
         await self.profile.delay()
         return await self.inner.receive()
+
+    async def receive_many(self) -> list[str]:
+        """As :meth:`receive` one message after another: the
+        ``chaosnet.receive`` site is hit once before the read and once
+        per further message; a drop there returns the messages before
+        it and raises on the next call.  The profile delays are slept
+        as one."""
+        error = self._dropped or _receive_drop()
+        self._dropped = None
+        if error is not None:
+            raise error
+        delay = self.profile.delay_seconds()
+        texts = await self.inner.receive_many()
+        for index in range(1, len(texts)):
+            self._dropped = _receive_drop()
+            if self._dropped is not None:
+                del texts[index:]
+                break
+            delay += self.profile.delay_seconds()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        return texts
 
     async def send(self, text: str) -> None:
         await self.send_many([text])

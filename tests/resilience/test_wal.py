@@ -61,19 +61,6 @@ class TestRotationAndRetention:
         records, _ = read_wal(tmp_path)
         assert [r.seq for r in records] == list(range(20))
 
-    def test_retention_retires_oldest_closed_segments(self, tmp_path):
-        with WriteAheadLog(
-            tmp_path, segment_max_bytes=64, retention_segments=2
-        ) as wal:
-            for i in range(40):
-                wal.append(f"payload-{i:04d}".encode())
-            assert wal.retired_segments > 0
-        assert len(list(tmp_path.glob("wal-*.wal"))) <= 3  # 2 closed + active
-        # What survives is a contiguous *suffix* — never a gappy middle.
-        records, _ = read_wal(tmp_path)
-        seqs = [r.seq for r in records]
-        assert seqs == list(range(seqs[0], 40))
-
     def test_reopen_continues_sequence_in_new_segment(self, tmp_path):
         with WriteAheadLog(tmp_path) as wal:
             for i in range(5):
@@ -274,20 +261,19 @@ class TestTruncation:
         records, _ = read_wal(tmp_path)
         assert records == []
 
-    def test_truncate_through_removes_only_applied_segments(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, segment_max_bytes=64)
-        for i in range(20):
-            wal.append(f"payload-{i:04d}".encode())
-        removed = wal.truncate_through(5)
-        assert removed >= 1
+    def test_an_empty_leftover_segment_is_reopened_once(self, tmp_path):
+        """A crash between opening a segment and writing to it leaves an
+        empty file named for the next seq; the reopened log appends to it
+        and counts it once."""
+        with WriteAheadLog(tmp_path) as wal:
+            wal.append(b"first")
+        (tmp_path / "wal-000000000001.wal").touch()
+        wal = WriteAheadLog(tmp_path)
+        assert wal.append(b"second") == 1
         wal.close()
-        records, _ = read_wal(tmp_path)
-        assert records, "later segments must survive"
-        # Survivors keep their original seqs (encoded in the filenames)
-        # and form a contiguous run ending at the newest record.
-        seqs = [r.seq for r in records]
-        assert seqs == list(range(seqs[0], 20))
-        assert seqs[0] > 0  # the applied prefix is gone
+        assert wal.segment_count() == 2
+        wal.truncate_all()
+        assert list(tmp_path.glob("wal-*.wal")) == []
 
 
 class TestIngestJournal:

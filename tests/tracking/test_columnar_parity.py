@@ -8,15 +8,19 @@ order, same floats, same reprs.  These tests pin that twin contract on a
 full simulator fleet (directly and through the whole pipeline) and on the
 adversarial per-batch shapes the columnar grouping has to get right: empty
 slides, single-position vessels, out-of-order timestamps within a batch,
-and a vessel whose whole history is one stop run.
+and a vessel whose whole history is one stop run — and, as a property, on
+generated fleets whose every step sits near a detector threshold.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
+from repro.geo.haversine import destination_point
+from repro.geo.units import knots_to_mps
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator import FleetSimulator
-from repro.tracking import ColumnarTracker, WindowSpec
+from repro.tracking import ColumnarTracker, TrackingParameters, WindowSpec
 from tests.parity import replay_transcript
 from tests.tracking.helpers import TraceBuilder
 from tests.tracking.oracle import MobilityTracker
@@ -157,3 +161,129 @@ def test_all_stop_vessel():
     assert any("STOP_START" in e for e in emitted)
     assert any("STOP_END" in e for e in emitted)
 
+
+# ---------------------------------------------------------------------------
+# generated fleets: every step near a threshold, cut into random slides
+# ---------------------------------------------------------------------------
+
+_PARAMS = TrackingParameters()
+_ALPHA = _PARAMS.speed_change_percent / 100.0
+_TURN = _PARAMS.turn_threshold_degrees
+_RADIUS = _PARAMS.stop_radius_meters
+_GAP = _PARAMS.gap_period_seconds
+_SLOW_KNOTS = _PARAMS.slow_speed_knots
+
+#: A speed change fires when |v' - v| / v' > alpha, i.e. past a factor of
+#: 1 / (1 - alpha) up or 1 / (1 + alpha) down: land 3 % either side.
+_SPEED_STEP = st.sampled_from(
+    [f * edge for edge in (1 / (1 - _ALPHA), 1 / (1 + _ALPHA)) for f in (0.97, 1.03)]
+)
+_TURN_STEP = st.sampled_from(
+    [f * _TURN for f in (0.9, 1.1, 1.8, -0.9, -1.1, -1.8)]
+)
+#: What opens a leg; the leg then cruises on, drifting.  Speed steps are
+#: listed twice: the band screen needs a quiet run around one to be tested.
+_FEATURE = st.one_of(
+    st.tuples(st.just("none")),
+    st.tuples(st.just("speed"), _SPEED_STEP),
+    st.tuples(st.just("speed"), _SPEED_STEP),
+    st.tuples(st.just("turn"), _TURN_STEP),
+    st.tuples(st.just("gap"), st.sampled_from([-60, 0, 1, 30, 60, 90])),
+    st.tuples(st.just("stale"), st.sampled_from([0, 0, 30, 120])),
+    st.tuples(st.just("jump"), st.floats(500.0, 8000.0), st.sampled_from([0, 90, 180])),
+    st.tuples(
+        st.just("halt"),
+        st.integers(1, 12),
+        st.sampled_from([0.5, 0.9, 1.1, 1.5]),  # jitter, in stop radii
+    ),
+)
+_LEG = st.tuples(
+    _FEATURE,
+    st.integers(1, 15),  # cruise reports after the feature
+    st.sampled_from([10, 30, 60, 90]),  # report interval, s
+    st.sampled_from([0.0, 0.0, 0.05, -0.05, 0.3, -0.3]),  # turn per report, in Δθ
+    st.sampled_from([1.0, 1.0, 0.98, 1.02]),  # speed factor per report
+)
+#: Cruise speeds either side of the slow-motion threshold, and well above.
+_SPEED_KNOTS = st.sampled_from(
+    [0.6 * _SLOW_KNOTS, 0.9 * _SLOW_KNOTS, 1.1 * _SLOW_KNOTS, 1.3 * _SLOW_KNOTS,
+     2 * _SLOW_KNOTS, 4 * _SLOW_KNOTS]
+)
+
+
+def _vessel_reports(mmsi, start, speed_knots, heading, legs):
+    """One vessel's ``(arrival, position)`` reports, in arrival order.
+
+    Each leg opens with one feature — a speed or heading step, a gap the
+    vessel sails through silently, a stale re-report, a displaced report
+    (after which it resumes its course), or a jittered halt — then cruises
+    on with a steady heading and speed drift.
+    """
+    lon, lat = 24.0 + mmsi * 0.05, 38.0
+    time = start
+    speed = knots_to_mps(speed_knots)
+    reports = [(time, PositionalTuple(mmsi, lon, lat, time))]
+
+    def sail(dt):
+        nonlocal lon, lat, time
+        lon, lat = destination_point(lon, lat, heading, speed * dt)
+        time += dt
+        reports.append((time, PositionalTuple(mmsi, lon, lat, time)))
+
+    for feature, count, interval, drift, speed_drift in legs:
+        kind = feature[0]
+        if kind == "speed":
+            speed *= feature[1]
+        elif kind == "turn":
+            heading = (heading + feature[1]) % 360.0
+        elif kind == "gap":
+            sail(_GAP + feature[1])
+        elif kind == "stale":
+            last = reports[-1][1]
+            reports.append((time, last._replace(timestamp=last.timestamp - feature[1])))
+        elif kind == "jump":
+            _, distance, bearing = feature
+            j_lon, j_lat = destination_point(lon, lat, (heading + bearing) % 360.0, distance)
+            sail(60)
+            reports[-1] = (time, PositionalTuple(mmsi, j_lon, j_lat, time))
+        elif kind == "halt":
+            _, halts, jitter = feature
+            for index in range(halts):
+                j_lon, j_lat = destination_point(
+                    lon, lat, (index * 73) % 360, jitter * _RADIUS * (index % 3) / 2
+                )
+                time += 120
+                reports.append((time, PositionalTuple(mmsi, j_lon, j_lat, time)))
+        for _ in range(count):
+            heading = (heading + drift * _TURN) % 360.0
+            speed *= speed_drift
+            sail(interval)
+    return reports
+
+
+@st.composite
+def _fleet_slides(draw):
+    """Interleaved generated vessels, cut into random slides."""
+    arrivals = []
+    for mmsi in range(1, draw(st.integers(1, 3)) + 1):
+        arrivals += _vessel_reports(
+            mmsi,
+            draw(st.integers(0, 300)),
+            draw(_SPEED_KNOTS),
+            draw(st.floats(0.0, 359.0)),
+            draw(st.lists(_LEG, min_size=1, max_size=6)),
+        )
+    arrivals.sort(key=lambda item: item[0])
+    stream = [position for _, position in arrivals]
+    cuts = draw(st.sets(st.integers(1, len(stream) - 1), max_size=12))
+    bounds = [0, *sorted(cuts), len(stream)]
+    return [stream[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fleet_slides())
+def test_generated_fleet_parity(slides):
+    """Any fleet, any slide cut: the columnar transcript is the scalar one."""
+    assert _transcript(ColumnarTracker(), slides) == _transcript(
+        MobilityTracker(), slides
+    )

@@ -5,15 +5,17 @@ import asyncio
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.resilience import faults
 from repro.resilience.faults import SITES, UNSEEDED_SITES, FaultPlan
 from repro.transport import available_transports, create_transport
-from repro.transport.base import TransportError
+from repro.transport.base import TransportError, TransportSession
 from repro.transport.chaosnet import (
     ChaosNetTransport,
     ChaosProfile,
+    ChaosSession,
     clear_partitions,
     heal,
     is_severed,
@@ -237,6 +239,100 @@ class TestFaultSites:
             await server.wait_closed()
 
         asyncio.run(run())
+
+
+class CutSession(TransportSession):
+    """Serves ``messages`` one per :meth:`receive`, or as ``cuts`` says
+    one read would cut them per :meth:`receive_many`."""
+
+    def __init__(self, messages: list[str], cuts: list[int]):
+        self.messages = list(messages)
+        self.cuts = list(cuts)
+
+    async def receive(self) -> str | None:
+        return self.messages.pop(0) if self.messages else None
+
+    async def receive_many(self) -> list[str]:
+        size = self.cuts.pop(0) if self.cuts else len(self.messages)
+        batch, self.messages = self.messages[:size], self.messages[size:]
+        return batch
+
+    async def send(self, text: str) -> None:
+        pass
+
+    async def close(self) -> None:
+        pass
+
+
+async def _read_all(session, batched: bool):
+    """Every message until EOF or the first failure, and whether it failed."""
+    received: list[str] = []
+    try:
+        if batched:
+            while texts := await session.receive_many():
+                received += texts
+        else:
+            while (text := await session.receive()) is not None:
+                received.append(text)
+    except TransportError:
+        return received, True
+    return received, False
+
+
+class TestReceiveMany:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        messages=st.lists(st.text(alphabet="ab!", max_size=4), max_size=10),
+        cuts=st.lists(st.integers(1, 4), max_size=10),
+        drop_at=st.integers(1, 12),
+    )
+    def test_a_drop_fails_at_the_same_message_under_any_read_cut(
+        self, messages, cuts, drop_at
+    ):
+        """``chaosnet.receive:drop@k`` fails the batch reader after the
+        same messages as the per-message reader, with the same hits."""
+        outcomes = []
+        for batched in (False, True):
+            session = ChaosSession(CutSession(messages, cuts), ChaosProfile())
+            plan = FaultPlan.from_spec(f"chaosnet.receive:drop@{drop_at}")
+            with faults.inject(plan) as injector:
+                result = asyncio.run(_read_all(session, batched))
+            outcomes.append((result, injector.snapshot()))
+        assert outcomes[1] == outcomes[0]
+        (received, failed), _ = outcomes[0]
+        assert failed == (drop_at <= len(messages) + 1)
+        assert received == messages[: drop_at - 1]
+
+    def test_unarmed_chaos_tcp_batches_equal_tcp_batches(self):
+        """With no plan, ``chaos+tcp`` reads the same batches as ``tcp``."""
+        payload = b"alpha\nbeta\r\n\ngamma\npartial"
+
+        async def batches(name):
+            transport = create_transport(name)
+            read = asyncio.get_running_loop().create_future()
+
+            async def handle(reader, writer):
+                session = await transport.accept(reader, writer, "ingest")
+                got = []
+                while texts := await session.receive_many():
+                    got.append(texts)
+                await session.close()
+                read.set_result(got)
+
+            server = await asyncio.start_server(handle, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            _, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(payload)
+            await writer.drain()
+            writer.close()
+            got = await read
+            server.close()
+            await server.wait_closed()
+            return got
+
+        tcp = asyncio.run(batches("tcp"))
+        assert tcp[0][:2] == ["alpha", "beta"]
+        assert asyncio.run(batches("chaos+tcp")) == tcp
 
 
 class TestSiteRegistry:
