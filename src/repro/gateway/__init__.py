@@ -2,8 +2,8 @@
 
 One surveillance runtime tops out at one process's pipeline throughput.
 This package scales *out* instead of up (docs/GATEWAY.md): N
-:class:`GatewayNode` listeners accept client connections on any
-registered transport (:mod:`repro.transport`), hash each ``!AIVDM``
+:class:`GatewayNode` listeners accept client connections on either
+transport (:mod:`repro.transport`), hash each ``!AIVDM``
 sentence's MMSI to the runtime that owns the vessel, and keep the
 cluster's slide cadence aligned with in-band watermarks; a
 :class:`GatewayAggregator` federates the per-node ``/metrics``

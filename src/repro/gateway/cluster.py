@@ -31,8 +31,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.pipeline.config import SystemConfig
 from repro.service.config import ServiceConfig
 from repro.service.supervisor import ServiceSupervisor
+from repro.transport import create_transport
 from repro.transport.base import TransportSession
-from repro.transport.registry import create_transport
 
 
 class GatewayCluster:

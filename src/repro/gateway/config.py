@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from repro.transport.registry import DEFAULT_TRANSPORT, available_transports
+from repro.transport import DEFAULT_TRANSPORT, available_transports
 
 
 @dataclass(frozen=True)

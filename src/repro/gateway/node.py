@@ -1,7 +1,7 @@
 """One gateway node: accept clients, shard sentences, emit watermarks.
 
 A :class:`GatewayNode` is the cluster's front door.  It accepts client
-connections on any registered transport, routes each sentence to the
+connections on either transport, routes each sentence to the
 backend runtime owning its MMSI (:mod:`repro.gateway.routing`), and
 broadcasts in-band watermarks (:func:`repro.service.protocol.format_watermark`)
 to *every* runtime so their slide cadence stays aligned even though each

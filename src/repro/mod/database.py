@@ -21,8 +21,7 @@ version as the oracle) because two cases refold a vessel from an empty
 state over its kept rows:
 
 * **late rows** — a new row sorting before the vessel's last kept row in
-  (timestamp, id) order (late delta points, a spill drained after an
-  outage);
+  (timestamp, id) order (late delta points);
 * **a trip closed in the previous call** — the rows kept are those at or
   after the cutoff timestamp, and rows tied with the open trip's first
   point are re-segmented, with or without new rows.

@@ -13,20 +13,15 @@ survive that reality — and *prove* it under injected failure:
 * :mod:`repro.resilience.faults` — deterministic, seeded, replayable
   fault injection at named sites (socket drop, MOD write failure,
   slow or crashed slide, corrupt WAL segment);
-* :mod:`repro.resilience.retry` — deterministic exponential backoff with
-  a bounded attempt budget;
-* :mod:`repro.resilience.breaker` — a circuit breaker protecting the MOD
-  sqlite write path;
-* :mod:`repro.resilience.guard` — graceful degradation: when the MOD is
-  down, critical points spill to a WAL-backed queue and recognition
-  keeps running; the backlog drains on recovery;
+* :mod:`repro.resilience.retry` — the deterministic exponential backoff
+  schedule behind gateway re-dials, runtime restarts and the feed
+  client's reconnects;
 * :mod:`repro.resilience.watchdog` — stalled-slide detection, counted
   and reported on ``/healthz``.
 
 Guarantees, fault sites and trade-offs: docs/RESILIENCE.md.
 """
 
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import (
     SITES,
     FaultInjector,
@@ -41,8 +36,7 @@ from repro.resilience.faults import (
     seedable_sites,
     uninstall,
 )
-from repro.resilience.guard import GuardedDatabase, SpillQueue
-from repro.resilience.retry import BackoffPolicy, retry_call
+from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import (
     IngestJournal,
     RecoveryStats,
@@ -55,17 +49,14 @@ from repro.resilience.watchdog import SlideWatchdog
 __all__ = [
     "SITES",
     "BackoffPolicy",
-    "CircuitBreaker",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",
-    "GuardedDatabase",
     "IngestJournal",
     "InjectedFault",
     "RecoveryStats",
     "SimulatedCrash",
     "SlideWatchdog",
-    "SpillQueue",
     "WalRecord",
     "WriteAheadLog",
     "fault_point",
@@ -73,7 +64,6 @@ __all__ = [
     "inject",
     "install",
     "read_wal",
-    "retry_call",
     "seedable_sites",
     "uninstall",
 ]

@@ -1,21 +1,17 @@
-"""Deterministic retry with exponential backoff and a bounded budget.
+"""Deterministic exponential backoff with a bounded attempt budget.
 
-Randomized jitter is the usual advice for backoff, but this tree's whole
-testing story is determinism — the same seed, the same fault plan, the
-same transcript.  Backoff here is therefore a pure function of the
-attempt number: ``initial * multiplier**(attempt-1)`` capped at
-``max_seconds``.  The thundering-herd argument for jitter does not apply
-to a single supervisor retrying its own sqlite handle.
+The schedule behind gateway link re-dials, runtime restarts and the
+feed client's reconnects.  Randomized jitter is the usual advice for
+backoff, but this tree's whole testing story is determinism — the same
+seed, the same fault plan, the same transcript.  Backoff here is
+therefore a pure function of the attempt number:
+``initial * multiplier**(attempt-1)`` capped at ``max_seconds``.
 
 The budget is attempts, not wall-clock: a caller can compute the exact
-worst-case stall from the policy (``sum(policy.delays())``) and size its
-watchdog accordingly.
+worst-case stall from the policy (``sum(policy.delays())``).
 """
 
-import time
 from dataclasses import dataclass
-
-from repro import obs
 
 
 @dataclass(frozen=True)
@@ -50,32 +46,3 @@ class BackoffPolicy:
         """Every inter-attempt delay the policy will ever sleep — its
         worst-case total stall is ``sum(policy.delays())``."""
         return [self.delay_for(n) for n in range(1, self.max_attempts)]
-
-
-def retry_call(
-    func,
-    policy: BackoffPolicy,
-    site: str = "call",
-    retry_on: tuple = (Exception,),
-    sleep=time.sleep,
-):
-    """Call ``func`` under ``policy``, retrying on ``retry_on``.
-
-    Counts attempts/retries/exhaustion per site in the obs registry.
-    Re-raises the final exception once the attempt budget is spent —
-    degradation decisions (spill, breaker) belong to the caller.
-    ``sleep`` is injectable so tests run at full speed.
-    """
-    last_exc = None
-    for attempt in range(1, policy.max_attempts + 1):
-        obs.count(f"resilience.retry.{site}.attempts")
-        try:
-            return func()
-        except retry_on as exc:
-            last_exc = exc
-            if attempt == policy.max_attempts:
-                break
-            obs.count(f"resilience.retry.{site}.retries")
-            sleep(policy.delay_for(attempt))
-    obs.count(f"resilience.retry.{site}.exhausted")
-    raise last_exc

@@ -5,7 +5,7 @@ Segmented append-only files of CRC-framed records.  Each record is::
     <length:u32 LE> <crc32:u32 LE> <payload bytes>
 
 with the CRC taken over the payload.  A segment is named
-``<name>-<first_seq:012d>.wal`` so lexicographic order equals replay
+``wal-<first_seq:012d>.wal`` so lexicographic order equals replay
 order.  The writer always starts a *new* segment on open — it never
 appends to a file that might carry a torn tail from a previous crash.
 
@@ -34,7 +34,7 @@ Fsync policy trades durability for throughput:
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -46,6 +46,9 @@ _HEADER = struct.Struct("<II")
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "batch", "never")
+
+#: Segment filename prefix.
+SEGMENT_PREFIX = "wal"
 
 
 @dataclass(frozen=True)
@@ -81,10 +84,10 @@ class RecoveryStats:
         }
 
 
-def _segment_files(directory: Path, name: str) -> list[Path]:
+def _segment_files(directory: Path) -> list[Path]:
     if not directory.is_dir():
         return []
-    return sorted(directory.glob(f"{name}-*.wal"))
+    return sorted(directory.glob(f"{SEGMENT_PREFIX}-*.wal"))
 
 
 def _first_seq_of(path: Path) -> int:
@@ -117,9 +120,7 @@ def _read_segment(path: Path, next_seq: int) -> tuple[list[WalRecord], bool, int
     return records, True, 0
 
 
-def read_wal(
-    directory: str | Path, name: str = "wal"
-) -> tuple[list[WalRecord], RecoveryStats]:
+def read_wal(directory: str | Path) -> tuple[list[WalRecord], RecoveryStats]:
     """Replay every record under ``directory``, prefix-consistently.
 
     Replay stops entirely at the first corruption (even mid-directory):
@@ -127,19 +128,19 @@ def read_wal(
     relationship to the lost ones, so a prefix is the only sound
     recovery.  Everything dropped is counted in the stats.
     """
-    records, stats, _ = _recover(Path(directory), name)
+    records, stats, _ = _recover(Path(directory))
     return records, stats
 
 
 def _recover(
-    directory: Path, name: str
+    directory: Path,
 ) -> tuple[list[WalRecord], RecoveryStats, tuple[Path, int] | None]:
     """:func:`read_wal`, plus where the damage starts: the first corrupt
     segment and its count of valid bytes (``None`` for a clean journal)."""
     stats = RecoveryStats()
     records: list[WalRecord] = []
     damage = None
-    segments = _segment_files(directory, name)
+    segments = _segment_files(directory)
     for index, path in enumerate(segments):
         stats.segments += 1
         segment_records, clean, dropped = _read_segment(
@@ -174,8 +175,6 @@ class WriteAheadLog:
         One of :data:`FSYNC_POLICIES` (see module docstring).
     segment_max_bytes:
         Rotation threshold; a segment is closed once it exceeds this.
-    name:
-        Segment filename prefix (the spill queue uses ``"spill"``).
     """
 
     def __init__(
@@ -183,7 +182,6 @@ class WriteAheadLog:
         directory: str | Path,
         fsync: str = "batch",
         segment_max_bytes: int = SEGMENT_MAX_BYTES,
-        name: str = "wal",
     ):
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
@@ -197,11 +195,8 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync = fsync
         self.segment_max_bytes = segment_max_bytes
-        self.name = name
         #: Records recovered from disk at open (see :func:`read_wal`).
-        self.recovered, self.recovery_stats, damage = _recover(
-            self.directory, name
-        )
+        self.recovered, self.recovery_stats, damage = _recover(self.directory)
         if damage is not None:
             self._repair(*damage)
         self._next_seq = self.recovery_stats.last_seq + 1
@@ -209,7 +204,7 @@ class WriteAheadLog:
         self._segment_path: Path | None = None
         self._segment_bytes = 0
         #: Segments on disk that take no more appends, oldest first.
-        self._closed_segments = _segment_files(self.directory, name)
+        self._closed_segments = _segment_files(self.directory)
         self.appended_count = 0
         self.synced_count = 0
         self._closed = False
@@ -221,7 +216,7 @@ class WriteAheadLog:
         every later recovery would stop there again and lose whatever was
         appended after it.
         """
-        for later in _segment_files(self.directory, self.name):
+        for later in _segment_files(self.directory):
             if later > damaged:
                 later.unlink()
         if valid_bytes == 0:
@@ -286,7 +281,7 @@ class WriteAheadLog:
 
     def _open_segment(self) -> None:
         self._segment_path = (
-            self.directory / f"{self.name}-{self._next_seq:012d}.wal"
+            self.directory / f"{SEGMENT_PREFIX}-{self._next_seq:012d}.wal"
         )
         if self._segment_path in self._closed_segments:
             # An empty segment left by a crash takes the appends again.
@@ -372,7 +367,7 @@ class IngestJournal:
         directory: str | Path,
         fsync: str = "batch",
     ):
-        self.wal = WriteAheadLog(directory, fsync=fsync, name="wal")
+        self.wal = WriteAheadLog(directory, fsync=fsync)
         #: The sentences recovered from a previous incarnation, in order.
         self.recovered: list[tuple[int, str]] = [
             self._decode(record.payload) for record in self.wal.recovered
@@ -405,5 +400,5 @@ def read_journal(
     directory: str | Path,
 ) -> tuple[list[tuple[int, str]], RecoveryStats]:
     """Read an ingest journal without opening a writer (drills, tests)."""
-    records, stats = read_wal(directory, "wal")
+    records, stats = read_wal(directory)
     return [IngestJournal._decode(r.payload) for r in records], stats

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from repro.resilience.wal import FSYNC_POLICIES
-from repro.transport.registry import DEFAULT_TRANSPORT, available_transports
+from repro.transport import DEFAULT_TRANSPORT, available_transports
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class ServiceConfig:
     feed_port: int = 10111
     #: HTTP query/metrics API.
     http_port: int = 10112
-    #: Wire protocol of the ingest listener (``tcp`` | ``websocket`` |
-    #: ``http``; see :mod:`repro.transport`).  The default is
+    #: Wire protocol of the ingest listener (``tcp`` | ``websocket``;
+    #: see :mod:`repro.transport`).  The default is
     #: byte-compatible with the pre-transport newline-over-TCP wire.
     ingest_transport: str = DEFAULT_TRANSPORT
     #: Wire protocol of the subscription feed.

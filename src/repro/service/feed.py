@@ -12,16 +12,16 @@ memory. The paper's monitor is push-based for exactly this surface:
 Message framing is delegated to a pluggable
 :class:`~repro.transport.base.Transport`: the default newline-over-TCP
 wire is byte-compatible with the pre-transport feed, while WebSocket
-subscribers get one text frame per line and HTTP subscribers a chunked
-``GET /feed`` stream (``ServiceConfig.feed_transport``).
+subscribers get one text frame per line
+(``ServiceConfig.feed_transport``).
 
 **Resumable subscriptions** (docs/SERVICE.md): every published line gets
 a monotonic sequence number backed by a bounded replay ring.  A
 subscriber that opens with the ``RESUME <last-seq>`` handshake (sent as
-its first line on TCP/WebSocket, or as ``GET /feed?resume=<n>`` over
-HTTP) is switched to *stamped* delivery — ``<seq>\\t<payload>`` — and
-first receives every ring-held line after ``last-seq``, so a client that
-reconnects after an eviction or a network fault resumes gapless.  Lines
+its first line) is switched to *stamped* delivery —
+``<seq>\\t<payload>`` — and first receives every ring-held line after
+``last-seq``, so a client that reconnects after an eviction or a
+network fault resumes gapless.  Lines
 evicted from the ring before the resume are counted
 (``service.feed.resume_gap_lines``), never silently skipped.
 Subscribers that send nothing get the classic unstamped feed, byte for
@@ -128,18 +128,12 @@ class FeedHub:
         obs.count("service.feed.subscribers")
         obs.set_gauge("service.feed.active_subscribers", len(self._subscribers))
         subscriber.task = asyncio.current_task()
-        resume_seq = getattr(session, "resume_seq", None)
-        if resume_seq is not None:
-            # HTTP carries the handshake in the request line itself
-            # (``GET /feed?resume=<n>``) — the accept already parsed it.
-            self._resume(subscriber, resume_seq)
-        else:
-            # TCP/WebSocket subscribers may send one ``RESUME <seq>``
-            # line; a subscriber that never writes stays on the classic
-            # unstamped feed (the watcher then idles until disconnect).
-            subscriber.watcher = asyncio.ensure_future(
-                self._watch_resume(subscriber)
-            )
+        # A subscriber may send one ``RESUME <seq>`` line; one that never
+        # writes stays on the classic unstamped feed (the watcher then
+        # idles until disconnect).
+        subscriber.watcher = asyncio.ensure_future(
+            self._watch_resume(subscriber)
+        )
         try:
             # The handler itself is the writer task; aside from the
             # optional resume handshake, subscribers never send

@@ -2,15 +2,14 @@
 
 :class:`ResumableFeedReader` is the consumer-side counterpart of the
 feed hub's replay ring (:mod:`repro.service.feed`): it subscribes over
-any registered transport, performs the ``RESUME <last-seq>`` handshake
-(as the first line on TCP/WebSocket, or via ``GET /feed?resume=<n>``
-when the transport exposes ``set_feed_resume``), tracks the highest
-sequence number seen, and on *any* disconnect — eviction, network fault,
-server failover — re-dials with deterministic capped backoff and resumes
-from where it left off.  Replay overlap is deduplicated by sequence
-number, so the payload stream the caller iterates is gapless and
-duplicate-free: byte-identical to an uninterrupted subscription as long
-as the hub's ring still holds the lines missed while away.
+any transport, sends the ``RESUME <last-seq>`` handshake as its first
+line, tracks the highest sequence number seen, and on *any* disconnect —
+eviction, network fault, server failover — re-dials with deterministic
+capped backoff and resumes from where it left off.  Replay overlap is
+deduplicated by sequence number, so the payload stream the caller
+iterates is gapless and duplicate-free: byte-identical to an
+uninterrupted subscription as long as the hub's ring still holds the
+lines missed while away.
 
 Used by ``examples/live_feed.py --resume``, the partition drill
 (``benchmarks/drills.py partition-drill``) and the feed-resume tests.
@@ -21,8 +20,8 @@ import asyncio
 from repro import obs
 from repro.resilience.retry import BackoffPolicy
 from repro.service.protocol import format_resume, parse_stamped_line
+from repro.transport import create_transport
 from repro.transport.base import TransportError
-from repro.transport.registry import create_transport
 
 #: Re-dial schedule after a lost subscription: 0.05 s doubling to a 1 s
 #: cap; the generator ends once ``max_attempts`` *consecutive* dials
@@ -59,11 +58,6 @@ class ResumableFeedReader:
 
     async def _connect(self):
         transport = create_transport(self.transport_name)
-        if hasattr(transport, "set_feed_resume"):
-            # HTTP (and chaos-wrapped HTTP): the handshake rides the
-            # request line, because the chunked feed is send-only.
-            transport.set_feed_resume(self.last_seq)
-            return await transport.connect(self.host, self.port, "feed")
         session = await transport.connect(self.host, self.port, "feed")
         await session.send(format_resume(self.last_seq))
         return session

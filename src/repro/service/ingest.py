@@ -5,7 +5,7 @@ see :mod:`repro.service.protocol`) from any number of concurrent
 connections and pushes them into one :class:`IngestQueue` shared with the
 slide batcher.  Line framing is delegated to a pluggable
 :class:`~repro.transport.base.Transport` (newline TCP by default,
-WebSocket or HTTP-forward via ``ServiceConfig.ingest_transport``), read
+or WebSocket via ``ServiceConfig.ingest_transport``), read
 a batch per wakeup (:meth:`~repro.transport.base.TransportSession.receive_many`:
 one socket read, split once), parsed with one
 :func:`~repro.service.protocol.parse_ingest_lines` — the fault site and

@@ -6,19 +6,16 @@ listener, subscription feed, HTTP API) around one embedded
 stage and every CE in this process.
 
 On top of that sits the durability layer (docs/RESILIENCE.md), active
-when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set:
+when :attr:`~repro.service.config.ServiceConfig.wal_dir` is set: every
+post-shedding sentence is journaled to a write-ahead log before
+processing, and :meth:`start` *replays* a previous incarnation's journal
+through a fresh pipeline before accepting live traffic — the restarted
+service republishes byte-identical slides and resumes mid-slide.
 
-* every post-shedding sentence is journaled to a write-ahead log before
-  processing, and :meth:`start` *replays* a previous incarnation's
-  journal through a fresh pipeline before accepting live traffic — the
-  restarted service republishes byte-identical slides and resumes
-  mid-slide;
-* MOD writes run behind a retry + circuit-breaker guard with a
-  WAL-backed spill queue, so archival failures degrade instead of
-  stalling recognition.
-
-In every deployment the batcher's slide watchdog detects a wedged
-pipeline slide and counts the stall, which ``/healthz`` reports.
+In every deployment a pipeline exception (a failed MOD write included)
+costs its slide and is counted (``pipeline_errors`` on ``/healthz``),
+and the batcher's slide watchdog detects a wedged pipeline slide and
+counts the stall, which ``/healthz`` reports.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already
@@ -33,14 +30,10 @@ the host's shutdown forever.
 import asyncio
 import contextlib
 import signal
-from pathlib import Path
 
 from repro import obs
 from repro.pipeline.config import SystemConfig
 from repro.pipeline.system import SurveillanceSystem
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.guard import GuardedDatabase, SpillQueue
-from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import IngestJournal
 from repro.service.batcher import SlideBatcher
 from repro.service.config import ServiceConfig
@@ -49,19 +42,10 @@ from repro.service.http import HttpApi
 from repro.service.ingest import IngestQueue, IngestServer
 from repro.service.protocol import slide_feed_line
 from repro.service.state import AlertRing, VesselStateStore
-from repro.transport.registry import create_transport
+from repro.transport import create_transport
 
 #: Recent complex events kept for ``/alerts?since=``.
 ALERT_RING_SIZE = 1024
-#: MOD circuit breaker: consecutive write failures before opening.
-MOD_FAILURE_THRESHOLD = 3
-#: MOD circuit breaker: seconds open before admitting a probe.
-MOD_RECOVERY_SECONDS = 5.0
-#: MOD write retry budget: three attempts including the first; the first
-#: retry waits 20 ms, doubling per attempt, capped at 1 s.
-MOD_RETRY = BackoffPolicy(
-    initial_seconds=0.02, multiplier=2.0, max_seconds=1.0, max_attempts=3
-)
 #: Graceful-drain deadline; past it the in-flight pipeline slide is
 #: force-aborted instead of hanging shutdown.
 DRAIN_TIMEOUT_SECONDS = 30.0
@@ -110,7 +94,6 @@ class ServiceSupervisor:
         )
         self.http = HttpApi(self, self.service.host, self.service.http_port)
         self.journal = self._build_journal()
-        self.guard = self._guard_database()
         self.batcher = SlideBatcher(
             self.system,
             self.queue,
@@ -132,43 +115,12 @@ class ServiceSupervisor:
         self._watchdog_task: asyncio.Task | None = None
         self._stopped = False
 
-    # ------------------------------------------------------------------
-    # resilience assembly
-    # ------------------------------------------------------------------
-
     def _build_journal(self) -> IngestJournal | None:
         if self.service.wal_dir is None:
             return None
         return IngestJournal(
             self.service.wal_dir, fsync=self.service.wal_fsync
         )
-
-    def _guard_database(self) -> GuardedDatabase:
-        """Put the MOD behind retry + breaker + spill, transparently.
-
-        The pipeline looks ``system.database`` up at call time, so
-        swapping the attribute for the guard covers every staging write
-        and reconstruction pass without touching the pipeline itself.
-        """
-        if self.service.wal_dir is not None:
-            spill = SpillQueue(
-                Path(self.service.wal_dir) / "spill",
-                fsync=self.service.wal_fsync,
-            )
-        else:
-            spill = SpillQueue()
-        guard = GuardedDatabase(
-            self.system.database,
-            breaker=CircuitBreaker(
-                name="mod",
-                failure_threshold=MOD_FAILURE_THRESHOLD,
-                recovery_seconds=MOD_RECOVERY_SECONDS,
-            ),
-            policy=MOD_RETRY,
-            spill=spill,
-        )
-        self.system.database = guard
-        return guard
 
     # ------------------------------------------------------------------
     # slide fan-out
@@ -277,7 +229,7 @@ class ServiceSupervisor:
         await self.feed.close()
         await self.http.stop()
         # The MOD connection (staging flushed by finalize on a clean
-        # drain; closing the guard also closes the spill queue).
+        # drain).
         self.system.close()
         obs.set_gauge("service.up", 0)
 
@@ -290,36 +242,14 @@ class ServiceSupervisor:
     # introspection
     # ------------------------------------------------------------------
 
-    def degraded_reasons(self) -> list[str]:
-        """Why this service is ``degraded`` (empty = fully healthy).
-
-        The service still serves while degraded — these are the "up but
-        impaired" conditions a two-state health check could not express:
-        an open (or probing) MOD breaker, a non-empty spill backlog, or
-        a drain that had to be force-aborted.
-        """
-        reasons = []
-        breaker = self.guard.breaker
-        if breaker.state != "closed":
-            reasons.append(f"mod breaker {breaker.state}")
-        if len(self.guard.spill) > 0:
-            reasons.append(f"spill backlog of {len(self.guard.spill)}")
-        if self.forced_abort:
-            reasons.append("drain force-aborted")
-        return reasons
-
     def health(self) -> dict:
-        """The ``/healthz`` payload (``status``: ``ok|degraded|down``)."""
-        reasons = self.degraded_reasons()
-        if self._stopped:
-            status = "down"
-        elif reasons:
-            status = "degraded"
-        else:
-            status = "ok"
+        """The ``/healthz`` payload (``status``: ``ok|down``).
+
+        A lost slide does not make the service unhealthy: it is counted
+        in ``pipeline_errors``, and the service keeps serving.
+        """
         payload = {
-            "status": status,
-            "degraded_reasons": reasons,
+            "status": "down" if self._stopped else "ok",
             "slides": self.batcher.slides_processed,
             "queue_depth": len(self.queue),
             "ingested": self.queue.put_count,
@@ -358,7 +288,6 @@ class ServiceSupervisor:
             }
         if self.journal is not None:
             payload["wal"] = self.journal.snapshot()
-        payload["mod_guard"] = self.guard.snapshot()
         payload["watchdog"] = self.batcher.watchdog.snapshot()
         return payload
 

@@ -130,7 +130,6 @@ class _ColumnarVesselState:
         "stop_active",
         "slow_run",
         "consecutive_outliers",
-        "traveled_meters",
     )
 
     def __init__(self, history_length: int):
@@ -147,7 +146,6 @@ class _ColumnarVesselState:
         self.stop_active = False
         self.slow_run: list[tuple[PositionalTuple, float]] = []
         self.consecutive_outliers = 0
-        self.traveled_meters = 0.0
 
 
 class ColumnarTracker:
@@ -235,11 +233,6 @@ class ColumnarTracker:
         if state is None or not state.has_velocity:
             return None
         return VelocityVector(state.v_speed, state.v_heading)
-
-    def traveled_distance_meters(self, mmsi: int) -> float:
-        """Cumulative distance sailed since the vessel was first seen."""
-        state = self._vessels.get(mmsi)
-        return state.traveled_meters if state else 0.0
 
     # ------------------------------------------------------------------
     # the kernel
@@ -481,7 +474,6 @@ class ColumnarTracker:
         state.consecutive_outliers = 0
         recent_speeds.extend(speeds)
         state.recent_headings.extend(head_col)
-        state.traveled_meters = sum(dist, state.traveled_meters)
         last_rlat = math.radians(state.last.lat)
         state.last_cos = math.cos(last_rlat)
         state.last_sin = math.sin(last_rlat)
@@ -527,7 +519,6 @@ class ColumnarTracker:
         stop_active = state.stop_active
         slow_run = state.slow_run
         consecutive_outliers = state.consecutive_outliers
-        traveled = state.traveled_meters
         out_of_sequence = 0
         discarded = 0
         # Whether the current tuple's precomputed pair entry is valid —
@@ -583,18 +574,10 @@ class ColumnarTracker:
                     position.lat,
                     timestamp,
                 )))
-                # Stale motion features must not leak across the silence;
-                # the straight-line distance is the lower bound on what
-                # was sailed.
+                # Stale motion features must not leak across the silence.
                 has_velocity = False
                 recent_speeds.clear()
                 recent_headings.clear()
-                if consecutive:
-                    traveled += p_dist
-                else:
-                    traveled += haversine_meters(
-                        last.lon, last.lat, position.lon, position.lat
-                    )
                 last = position
                 last_tau = timestamp
                 consecutive = True
@@ -871,7 +854,6 @@ class ColumnarTracker:
             last = position
             last_tau = timestamp
             consecutive = True
-            traveled += distance
 
         if out_of_sequence:
             self.statistics.positions_out_of_sequence += out_of_sequence
@@ -891,7 +873,6 @@ class ColumnarTracker:
         state.cumulative_turn = cumulative_turn
         state.stop_active = stop_active
         state.consecutive_outliers = consecutive_outliers
-        state.traveled_meters = traveled
 
 
 #: C-level sort key for the arrival-order splice (tuples would compare

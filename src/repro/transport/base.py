@@ -17,16 +17,16 @@ Two call sites, two roles:
   :class:`~repro.service.feed.FeedHub`) accept raw asyncio streams and
   hand them to :meth:`Transport.accept`, which performs whatever
   handshake the protocol needs (none for TCP, the RFC 6455 upgrade for
-  WebSocket, the HTTP request exchange for HTTP-forward) and returns a
+  WebSocket) and returns a
   :class:`TransportSession` — or ``None`` when the handshake fails,
   which the server counts and closes.
 * **Clients** (``examples/live_feed.py``, the gateway's runtime links
   and alert fan-in) call :meth:`Transport.connect`.
 
-``mode`` tells request/response transports which direction the session
-will carry: ``"ingest"`` sessions move client→server lines,
-``"feed"`` sessions move server→client lines.  Symmetric transports
-(TCP, WebSocket) ignore it.
+``mode`` names the direction the session will carry: ``"ingest"``
+sessions move client→server lines, ``"feed"`` sessions move
+server→client lines.  Both wires are symmetric: TCP only validates it,
+WebSocket turns it into the upgrade path.
 """
 
 import abc
@@ -37,7 +37,7 @@ class TransportError(Exception):
     """The connection failed mid-message or violated the wire protocol.
 
     Servers treat it like EOF (the peer is gone); clients with a retry
-    budget (the HTTP-forward adapter, the gateway links) may reconnect.
+    budget (the gateway links, the feed client) may reconnect.
     """
 
     #: From :meth:`TransportSession.send_many`: how many of its messages,
@@ -101,7 +101,7 @@ class TransportSession(abc.ABC):
 class Transport(abc.ABC):
     """Factory for sessions of one wire protocol (see module docstring)."""
 
-    #: Registry key (``tcp``, ``websocket``, ``http``).
+    #: Transport name (``tcp``, ``websocket``).
     name: str = ""
 
     @abc.abstractmethod

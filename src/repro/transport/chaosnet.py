@@ -1,6 +1,6 @@
 """Network chaos at the session layer: latency, jitter, drops, partitions.
 
-:class:`ChaosNetTransport` wraps any registered transport and perturbs
+:class:`ChaosNetTransport` wraps a transport and perturbs
 it *between* the adapter and the network — the wrapped protocol is
 untouched, so a ``chaos+tcp`` session speaks bytes identical to ``tcp``.
 Four deterministic fault surfaces, all visible to callers as ordinary
@@ -29,9 +29,9 @@ is exercised for real):
   runtime binds a fresh ephemeral port, so self-healing escapes a
   partition the way a real failover does: by moving the endpoint.
 
-Registered as ``chaos+tcp`` / ``chaos+websocket`` / ``chaos+http`` in
-:mod:`repro.transport.registry`; a cluster flips its
-``backend_transport`` to stage wire-level chaos with zero other changes.
+Registered as ``chaos+tcp`` / ``chaos+websocket`` in
+:mod:`repro.transport`; a cluster flips its ``backend_transport`` to
+stage wire-level chaos with zero other changes.
 """
 
 import asyncio
@@ -209,14 +209,9 @@ class ChaosSession(TransportSession):
     async def close(self) -> None:
         await self.inner.close()
 
-    def __getattr__(self, name: str):
-        # Session extras (e.g. the HTTP feed session's parsed
-        # ``resume_seq``) pass through to the wrapped session.
-        return getattr(self.inner, name)
-
 
 class ChaosNetTransport(Transport):
-    """Any registered transport, wrapped in deterministic network chaos."""
+    """A transport wrapped in deterministic network chaos."""
 
     def __init__(self, inner: Transport, profile: ChaosProfile | None = None):
         self.inner = inner
@@ -249,8 +244,3 @@ class ChaosNetTransport(Transport):
             raise TransportError("chaosnet: injected dial failure")
         session = await self.inner.connect(host, port, mode)
         return ChaosSession(session, self.profile, endpoint=(host, port))
-
-    def __getattr__(self, name: str):
-        # Transport-specific extras (e.g. HttpForwardTransport's
-        # set_feed_resume) pass through so chaos+http keeps full fidelity.
-        return getattr(self.inner, name)

@@ -137,3 +137,32 @@ class TestReconstruction:
         assert len(mod.trips_of_vessel(1)) == 1
         assert len(mod.trips_of_vessel(2)) == 1
         assert mod.trips_of_vessel(2)[0]["destination_port"] == "alpha"
+
+    def test_failed_reconstruct_is_rolled_back_not_archived_twice(
+        self, mod, monkeypatch
+    ):
+        mod.stage_points([
+            stop_at(PORT_A, 0), stop_at(PORT_B, 3600), stop_at(PORT_A, 7200),
+        ])
+        insert_trip = mod._insert_trip
+        inserted = []
+
+        def fail_on_second_trip(trip):
+            inserted.append(trip)
+            if len(inserted) == 2:
+                raise RuntimeError("disk full")
+            insert_trip(trip)
+
+        monkeypatch.setattr(mod, "_insert_trip", fail_on_second_trip)
+        with pytest.raises(RuntimeError, match="disk full"):
+            mod.reconstruct()
+        assert mod.trip_count() == 0  # the first trip was rolled back
+        monkeypatch.setattr(mod, "_insert_trip", insert_trip)
+        # A later commit must not persist anything of the failed call.
+        mod.stage_points([stop_at(PORT_A, 9000)])
+        assert mod.reconstruct() == 2
+        itineraries = [
+            (trip["origin_port"], trip["destination_port"])
+            for trip in mod.all_trips()
+        ]
+        assert itineraries == [("alpha", "beta"), ("beta", "alpha")]

@@ -7,8 +7,8 @@ re-segments every vessel's whole staged residue.  Both run over the same
 staging rows (ids included) and must leave identical ``trips``,
 ``trip_points`` and ``staging`` tables after every call — on the
 ``archive_replay`` fleet, on generated streams with late rows, ties at
-the cutoff, pier drift and unknown origins, under spill/drain faults, and
-across a close/reopen of an on-disk MOD.
+the cutoff, pier drift and unknown origins, after injected reconstruct
+faults, and across a close/reopen of an on-disk MOD.
 """
 
 import random
@@ -24,10 +24,7 @@ from repro.mod.database import MovingObjectDatabase
 from repro.obs import MetricsRegistry
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.reconstruct.trips import TripSegmenter
-from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultPlan, inject
-from repro.resilience.guard import GuardedDatabase
-from repro.resilience.retry import BackoffPolicy
+from repro.resilience.faults import FaultPlan, InjectedFault, inject
 from repro.simulator import FleetSimulator, build_aegean_world
 from repro.simulator.noise import NO_NOISE, NoiseModel
 from repro.simulator.world import Port
@@ -88,10 +85,11 @@ class Twin:
 
     Staging goes to the incremental database only; each ``reconstruct``
     first copies the rows staged since the last one (ids included) into
-    the oracle's staging table, so a fault injected at ``mod.write``
-    fires once per batch, exactly as without the twin.  Mismatches are
-    recorded, not raised, because :class:`GuardedDatabase` swallows
-    reconstruct exceptions.
+    the oracle's staging table, so an injected fault fires once per
+    call, exactly as without the twin.  A failing call raises before the
+    oracle runs, and its rows are copied by the next call that succeeds.
+    Mismatches are recorded, not raised, so a run reports every call
+    that diverged.
     """
 
     def __init__(self, incremental: MovingObjectDatabase, ports: list[Port]):
@@ -218,26 +216,38 @@ def test_archive_fleet_matches_oracle(archive, seed):
     twin.close()
 
 
-def test_spill_and_drain_under_write_faults_match_oracle(archive):
+def test_failed_reconstructs_leave_no_trace_and_later_calls_match_oracle(
+    archive,
+):
+    """A reconstruct that fails is caught by the caller, as the live
+    service's slide-error path does; the next call folds its rows too and
+    must still match the oracle."""
     ports, calls = archive
     twin = Twin(MovingObjectDatabase(ports), ports)
-    guard = GuardedDatabase(
-        twin,
-        breaker=CircuitBreaker(failure_threshold=1, recovery_seconds=0.0),
-        policy=BackoffPolicy(initial_seconds=0.0, max_attempts=1),
-        sleep=lambda _: None,
-    )
+    # Calls 9, 10, 13 and 19 are ones that would close trips.
     plan = FaultPlan.from_spec(
-        "mod.write:error@4,mod.write:error@5,mod.write:error@6,"
-        "mod.write:error@12,mod.reconstruct:error@14"
+        "mod.reconstruct:error@10,mod.reconstruct:error@11,"
+        "mod.reconstruct:error@14,mod.reconstruct:error@20"
     )
+    failed = []
     with inject(plan):
-        play(guard, calls[2015])
-    assert guard.spill.drained_count > 0
-    assert len(guard.spill) == 0
+        for index, batch in enumerate(calls[2015]):
+            if batch:
+                twin.stage_points(batch)
+            database = twin.incremental
+            before = (database._high_water, dict(database._vessels),
+                      set(database._revisit), tables(database))
+            try:
+                twin.reconstruct()
+            except InjectedFault:
+                failed.append(index)
+                assert (database._high_water, database._vessels,
+                        database._revisit, tables(database)) == before
+    assert failed == [9, 10, 13, 19]
+    assert twin.calls == len(calls[2015]) - len(failed)
     assert twin.trips > 0
     assert twin.mismatches == []
-    guard.close()
+    twin.close()
 
 
 def test_reopened_on_disk_mod_matches_oracle(archive, tmp_path):

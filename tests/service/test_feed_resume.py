@@ -63,9 +63,6 @@ class TestWireFormat:
 async def _subscribe(host, port, transport_name="tcp", resume=None):
     """One feed subscriber session, optionally sending the handshake."""
     transport = create_transport(transport_name)
-    if resume is not None and hasattr(transport, "set_feed_resume"):
-        transport.set_feed_resume(resume)
-        return await transport.connect(host, port, "feed")
     session = await transport.connect(host, port, "feed")
     if resume is not None:
         await session.send(format_resume(resume))
@@ -84,7 +81,7 @@ async def _drain(session, count):
 
 class TestResumeHandshake:
     @pytest.mark.parametrize(
-        "transport_name", ("tcp", "websocket", "http", "chaos+tcp")
+        "transport_name", ("tcp", "websocket", "chaos+tcp")
     )
     def test_resume_zero_replays_the_whole_ring_stamped(
         self, transport_name
@@ -273,38 +270,3 @@ class TestResumableFeedReader:
             return [payload async for payload in reader.lines()]
 
         assert asyncio.run(scenario()) == []
-
-    def test_http_reader_resumes_via_query_parameter(self):
-        """Over chaos+http the resume rides ``GET /feed?resume=<n>`` —
-        the reader must find ``set_feed_resume`` through the wrapper."""
-        async def scenario():
-            hub = FeedHub(
-                "127.0.0.1", 0, transport=create_transport("http")
-            )
-            await hub.start()
-            for index in range(4):
-                hub.publish(f"line-{index}")
-            reader = ResumableFeedReader(
-                "chaos+http", "127.0.0.1", hub.port, policy=FAST_RECONNECT
-            )
-            received: list[str] = []
-
-            async def consume():
-                async for payload in reader.lines():
-                    received.append(payload)
-
-            consumer = asyncio.ensure_future(consume())
-            while len(received) < 4:
-                await asyncio.sleep(0.005)
-            await hub.close()
-            reader.stop()
-            consumer.cancel()
-            try:
-                await consumer
-            except asyncio.CancelledError:
-                pass
-            return received
-
-        assert asyncio.run(scenario()) == [
-            f"line-{index}" for index in range(4)
-        ]

@@ -61,7 +61,6 @@ class _VesselState:
         "stop_active",
         "slow_run",
         "consecutive_outliers",
-        "traveled_meters",
     )
 
     def __init__(self, history_length: int):
@@ -79,9 +78,6 @@ class _VesselState:
         # Run of consecutive low-speed positions for slow-motion detection.
         self.slow_run: list[tuple[PositionalTuple, float]] = []
         self.consecutive_outliers = 0
-        # Cumulative traveled distance over accepted transitions (the
-        # "traveled distance from a given origin" feature of Section 3.1).
-        self.traveled_meters = 0.0
 
 
 class MobilityTracker:
@@ -177,7 +173,6 @@ class MobilityTracker:
         state.recent_headings.append(heading)
         state.velocity = velocity_now
         state.last = position
-        state.traveled_meters += distance
         return self._count(events)
 
     def process_batch(
@@ -211,18 +206,6 @@ class MobilityTracker:
         """Latest velocity vector of a vessel, if any."""
         state = self._vessels.get(mmsi)
         return state.velocity if state else None
-
-    def traveled_distance_meters(self, mmsi: int) -> float:
-        """Cumulative distance sailed since the vessel was first seen.
-
-        Sums the Haversine lengths of all accepted transitions (discarded
-        off-course outliers contribute nothing).  Section 3.1 lists this
-        "traveled distance from a given origin" as a planned tracker
-        feature; it supports aggregates like per-trip distance at query
-        time without touching the archive.
-        """
-        state = self._vessels.get(mmsi)
-        return state.traveled_meters if state else 0.0
 
     # ------------------------------------------------------------------
     # detectors
@@ -262,11 +245,6 @@ class MobilityTracker:
         state.velocity = None
         state.recent_speeds.clear()
         state.recent_headings.clear()
-        # The course during the silence is unknown; the straight-line
-        # distance is the lower bound on what was sailed.
-        state.traveled_meters += haversine_meters(
-            state.last.lon, state.last.lat, position.lon, position.lat
-        )
         return events
 
     def _is_off_course(self, state: _VesselState, now: VelocityVector) -> bool:

@@ -38,11 +38,7 @@ def _transcript(tracker, slides):
     final = [repr(e) for e in tracker.finalize()]
     mmsis = {p.mmsi for batch in slides for p in batch}
     vessels = {
-        mmsi: (
-            repr(tracker.current_velocity(mmsi)),
-            repr(tracker.traveled_distance_meters(mmsi)),
-        )
-        for mmsi in sorted(mmsis)
+        mmsi: repr(tracker.current_velocity(mmsi)) for mmsi in sorted(mmsis)
     }
     return {
         "slides": per_slide,
@@ -129,7 +125,6 @@ def test_single_position_vessel():
     tracker = ColumnarTracker()
     tracker.process_batch(crowd + [lone])
     assert tracker.current_velocity(42) is None
-    assert tracker.traveled_distance_meters(42) == 0.0
 
 
 def test_out_of_order_timestamps_within_batch():

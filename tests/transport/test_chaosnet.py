@@ -21,7 +21,6 @@ from repro.transport.chaosnet import (
     is_severed,
     sever,
 )
-from repro.transport.httpforward import HttpForwardTransport
 from repro.transport.tcp import CLIENT_READ_LIMIT, TcpTransport
 
 
@@ -58,16 +57,9 @@ async def _collector_server(transport):
 class TestRegistration:
     def test_chaos_variants_are_registered(self):
         names = available_transports()
-        for name in ("chaos+tcp", "chaos+websocket", "chaos+http"):
+        for name in ("chaos+tcp", "chaos+websocket"):
             assert name in names
             assert create_transport(name).name == name
-
-    def test_transport_extras_pass_through(self):
-        """chaos+http keeps the HTTP transport's resume extra — the
-        wrapper must not cost a transport any of its surface."""
-        transport = create_transport("chaos+http")
-        transport.set_feed_resume(7)
-        assert transport.inner._feed_resume == 7
 
     def test_unknown_inner_attribute_still_raises(self):
         with pytest.raises(AttributeError):

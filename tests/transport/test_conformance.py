@@ -1,10 +1,10 @@
 """The transport conformance suite.
 
-Every adapter in the registry — present and future — must move discrete
-text messages with boundaries and bytes preserved exactly, in both the
-``ingest`` (client→server) and ``feed`` (server→client) direction.  The
-suite is parameterized over :func:`available_transports`, so registering
-a new transport automatically holds it to the same contract.
+Every adapter — present and future — must move discrete text messages
+with boundaries and bytes preserved exactly, in both the ``ingest``
+(client→server) and ``feed`` (server→client) direction.  The suite is
+parameterized over :func:`available_transports`, so adding a transport
+automatically holds it to the same contract.
 """
 
 import asyncio
@@ -153,8 +153,6 @@ class TestConformance:
     def test_clean_goodbye_is_eof_not_error(self, transport):
         # A client that connects and hangs up without sending anything is
         # ordinary teardown: the server session sees end-of-stream.
-        if _base_name(transport) == "http":
-            pytest.skip("POST-batch ingest dials lazily: no lines, no socket")
         assert asyncio.run(_ingest_roundtrip(transport, [])) == []
 
     def test_connect_rejects_unknown_mode(self, transport):
@@ -175,8 +173,9 @@ class TestConformance:
             done = asyncio.Event()
 
             async def handle(reader, writer):
-                mode = "feed" if _base_name(transport) == "http" else "ingest"
-                outcome.append(await transport.accept(reader, writer, mode))
+                outcome.append(
+                    await transport.accept(reader, writer, "ingest")
+                )
                 writer.close()
                 done.set()
 

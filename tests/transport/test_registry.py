@@ -1,4 +1,4 @@
-"""Transport registry: names to factories."""
+"""The transport names: two wires, each also chaos-wrapped."""
 
 import pytest
 
@@ -6,15 +6,15 @@ from repro.transport import (
     DEFAULT_TRANSPORT,
     available_transports,
     create_transport,
-    register,
 )
 from repro.transport.base import MODES, Transport, check_mode
-from repro.transport.registry import _FACTORIES
 
 
 class TestRegistry:
     def test_builtin_adapters_are_registered(self):
-        assert set(available_transports()) >= {"tcp", "websocket", "http"}
+        assert available_transports() == (
+            "chaos+tcp", "chaos+websocket", "tcp", "websocket",
+        )
 
     def test_names_are_sorted_for_stable_cli_help(self):
         names = available_transports()
@@ -33,27 +33,6 @@ class TestRegistry:
     def test_unknown_name_lists_the_alternatives(self):
         with pytest.raises(ValueError, match="websocket"):
             create_transport("carrier-pigeon")
-
-    def test_register_custom_factory(self):
-        class NullTransport(Transport):
-            name = "null"
-
-            async def accept(self, reader, writer, mode):
-                return None
-
-            async def connect(self, host, port, mode):
-                raise OSError("null transport never connects")
-
-        register("null", NullTransport)
-        try:
-            assert "null" in available_transports()
-            assert isinstance(create_transport("null"), NullTransport)
-        finally:
-            del _FACTORIES["null"]
-
-    def test_register_rejects_empty_name(self):
-        with pytest.raises(ValueError):
-            register("", object)
 
 
 class TestCheckMode:
