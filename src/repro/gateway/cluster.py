@@ -3,9 +3,10 @@
 :class:`GatewayCluster` wires the full scale-out topology inside one
 process (every tier is asyncio, so one event loop hosts it all — the
 same trick the service soak tests use): M backend runtimes — each a
-complete :class:`~repro.service.supervisor.ServiceSupervisor` running in
-watermark mode — fronted by N :class:`~repro.gateway.node.GatewayNode`
-listeners and one :class:`~repro.gateway.aggregator.GatewayAggregator`.
+complete :class:`~repro.service.supervisor.ServiceSupervisor` whose
+slides wait for every gateway's watermark — fronted by N
+:class:`~repro.gateway.node.GatewayNode` listeners and one
+:class:`~repro.gateway.aggregator.GatewayAggregator`.
 
 The constructor *enforces* the deployment contract: backend recognition
 must run with ``ce_scope = "vessel"``, because MMSI-hash sharding is

@@ -36,22 +36,26 @@ event loop keeps reading sockets while a slide is being processed —
 that's what lets the bounded ingest queue shed (with counters) instead of
 the whole service seizing up when producers outrun the pipeline.
 
-**Watermark mode** (``watermark_sources > 0``, docs/GATEWAY.md): when the
-service is one shard of a gateway cluster, arrivals from different
-gateway nodes interleave nondeterministically, so the arrival-driven
-cadence above would smear sentences across slides differently on every
-run.  Instead each gateway emits in-band ``!REPRO,WM,<source>`` watermark
-lines; a slide at query time ``qt`` runs only once *every* source's
-watermark has passed ``qt``, its batch is the pending positions with
-``timestamp <= qt`` sorted by ``(timestamp, mmsi)``, and the slide grid
-itself (first boundary at or after the earliest position) is unchanged —
-which makes the cluster's slide cadence byte-identical to a single
-node's, independent of arrival interleaving.
+**One cadence** (docs/GATEWAY.md): the window keeps pace with the
+*reported* timestamps, so a slide holds every position stamped inside it
+whatever order the sockets delivered them in.  A slide at query time
+``qt`` runs once the stream has provably passed ``qt``: every upstream
+source's ``!REPRO,WM,<source>`` watermark is past it (``final`` exempts
+a source), and some position or watermark is stamped after it.  A node
+with no upstream sources is its own source: its arrivals are its
+watermark, and it ignores (and counts) watermark lines.  Every
+deployment then cuts slides the same way: the batch is the pending
+positions with ``timestamp <= qt`` sorted by ``(timestamp, mmsi)``, and
+the grid re-anchors downward on an early straggler until the first
+slide runs — so a single node, a gateway-cluster shard and the offline
+replay agree byte for byte, however clients or gateway links
+interleave.
 """
 
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
+from operator import itemgetter
 
 from repro import obs
 from repro.ais.scanner import DataScanner
@@ -66,6 +70,10 @@ from repro.service.quarantine import DeadLetterBuffer
 #: (``resilience.watchdog.stalls``, ``/healthz``): well above the slowest
 #: slide of any benchmark workload, so a count means a wedge.
 SLIDE_STALL_SECONDS = 10.0
+
+#: The deterministic order of a slide's batch: ``(timestamp, mmsi)`` of a
+#: :class:`~repro.ais.stream.PositionalTuple`.
+_SLIDE_ORDER = itemgetter(3, 0)
 
 
 class SlideBatcher:
@@ -98,8 +106,10 @@ class SlideBatcher:
         self.deadletter = DeadLetterBuffer()
         #: Beaten around every pipeline slide; the owner ticks it.
         self.watchdog = SlideWatchdog(SLIDE_STALL_SECONDS)
+        #: Upstream sources whose watermarks gate a slide; ``0``: the
+        #: node's own arrivals are its watermark.
         self.watermark_sources = watermark_sources
-        #: Latest watermark timestamp per source (watermark mode only).
+        #: Latest watermark timestamp per upstream source.
         self._wm_clocks: dict[str, int] = {}
         self._wm_final: set[str] = set()
         #: Max over every position and watermark timestamp seen.
@@ -200,48 +210,33 @@ class SlideBatcher:
             await self._admit(positions)
 
     async def _admit(self, positions: list) -> None:
-        """Add scanned positions to the pending batch, running every
-        slide an arrival closes."""
-        slide = self.slide_seconds
-        watermarked = self.watermark_sources > 0
+        """Add scanned positions to the pending batch; a position stamped
+        past the current boundary may release slides."""
         for position in positions:
             arrival = position.timestamp
             if self._max_ts is None or arrival > self._max_ts:
                 self._max_ts = arrival
-            if self._query_time is None or (watermarked and not self._grid_locked):
-                boundary = first_query_time(arrival, slide)
-                if self._query_time is None:
+            if not self._grid_locked:
+                # Until the first slide runs, an early straggler (another
+                # client's or gateway link's older line, delivered after a
+                # later one) re-anchors the grid downward: no slide at or
+                # past its boundary can have run, so the grid ends up
+                # anchored at the earliest timestamp, as offline.
+                boundary = first_query_time(arrival, self.slide_seconds)
+                if self._query_time is None or boundary < self._query_time:
                     self._query_time = boundary
-                    if watermarked:
-                        # Watermarks may already be past this fresh boundary.
-                        await self._advance_watermarked()
-                elif boundary < self._query_time:
-                    # A cross-link straggler: another gateway's link
-                    # delivered a later position first, so the grid
-                    # anchored too high.  Until the first slide runs this
-                    # is safe to repair — the straggler source's clock is
-                    # still at or below its timestamp, so the watermark
-                    # barrier cannot have released any slide at or past
-                    # this boundary.  The single node anchors at the
-                    # earliest timestamp; now this shard does too.
-                    self._query_time = boundary
-            if not watermarked:
-                # Watermark mode never slides on arrivals: slides run from
-                # :meth:`_handle_watermark` once every source has passed
-                # the boundary.
-                while arrival > self._query_time:
-                    await self._process_slide()
-                    self._query_time += slide
             self._batch.append(position)
+            if arrival > self._query_time:
+                await self._advance()
 
     async def _handle_watermark(
         self, receive_time: int, source: str, final: bool
     ) -> None:
         """Advance one source's clock and run every slide now unblocked."""
         if self.watermark_sources <= 0:
-            # A legacy (non-clustered) service fed gateway traffic:
+            # A node with no upstream sources fed gateway traffic:
             # counted so the misconfiguration is visible, then ignored —
-            # the arrival-driven cadence needs no watermarks.
+            # its own arrivals are its watermark.
             obs.count("service.ingest.watermarks_ignored")
             return
         obs.count("service.ingest.watermarks")
@@ -252,13 +247,13 @@ class SlideBatcher:
             self._wm_final.add(source)
         if self._max_ts is None or receive_time > self._max_ts:
             self._max_ts = receive_time
-        await self._advance_watermarked()
+        await self._advance()
 
-    async def _advance_watermarked(self) -> None:
-        """Run slides while every source's watermark has passed the
-        boundary and at least one later timestamp proves the slide grid
-        extends past it (the single-node cadence never runs a trailing
-        slide with nothing after it — drain handles the last one)."""
+    async def _advance(self) -> None:
+        """Run slides while every upstream source's watermark has passed
+        the boundary and at least one later timestamp proves the slide
+        grid extends past it (a trailing slide with nothing after it
+        waits for drain)."""
         while True:
             qt = self._query_time
             if qt is None or len(self._wm_clocks) < self.watermark_sources:
@@ -284,21 +279,17 @@ class SlideBatcher:
 
     async def drain(self) -> None:
         """Flush the last partial slide and run end-of-stream finalize."""
-        if self.watermark_sources > 0:
-            if self._query_time is not None:
-                # The trailing slide runs even when this shard's batch is
-                # empty: every shard must finalize at the same query time
-                # for the fan-in merge to line up, and the single-node
-                # trailing batch is never empty (its max-ts position is
-                # in it).  After final watermarks the batch drains in one
-                # slide; a forced stop mid-stream keeps sliding until
-                # nothing is pending rather than stranding positions.
-                await self._process_slide()
-                while self._batch:
-                    self._query_time += self.slide_seconds
-                    await self._process_slide()
-        elif self._batch:
+        if self._query_time is not None:
+            # The trailing slide runs even when this node's batch is
+            # empty: every cluster shard must finalize at the same query
+            # time for the fan-in merge to line up.  Without a final
+            # watermark (a forced stop mid-stream, or a node whose
+            # arrivals are its watermark) positions may be pending past
+            # it: keep sliding until none is left rather than strand them.
             await self._process_slide()
+            while self._batch:
+                self._query_time += self.slide_seconds
+                await self._process_slide()
         dropped = self.scanner.flush()
         if dropped:
             obs.count("service.ingest.fragments_dropped_at_drain", dropped)
@@ -329,6 +320,15 @@ class SlideBatcher:
             # sentence this slide consumed is on disk before the pipeline
             # (or an injected crash) can act on it.
             self.journal.sync()
+        # Only positions due at this boundary; later ones (delivered
+        # before a lagging source or client caught up, or the arrival
+        # that closed this slide) wait for their slide.  The (timestamp,
+        # mmsi) sort erases the arrival interleaving — per-vessel order
+        # is already timestamped, so this is a pure determinism step.
+        qt = self._query_time
+        pending = self._batch
+        self._batch = [p for p in pending if p.timestamp > qt]
+        batch = sorted((p for p in pending if p.timestamp <= qt), key=_SLIDE_ORDER)
         try:
             spec = fault_point("service.slide")
         except InjectedFault:
@@ -336,28 +336,12 @@ class SlideBatcher:
             # pipeline fault: the slide is lost and counted, service lives.
             self.pipeline_errors += 1
             obs.count("service.pipeline.errors")
-            self._batch = []
             return
         if spec is not None and spec.kind == "crash":
             # The in-process stand-in for kill -9: abandon everything.
             raise SimulatedCrash("service.slide", spec.at)
-        batch, self._batch = self._batch, []
-        if self.watermark_sources > 0:
-            # Only positions due at this boundary; later ones (already
-            # delivered because another source lagged) wait for their
-            # slide.  The (timestamp, mmsi) sort erases the arrival
-            # interleaving across gateway links — per-vessel order is
-            # already timestamped, so this is a pure determinism step.
-            qt = self._query_time
-            self._batch = [p for p in batch if p.timestamp > qt]
-            batch = sorted(
-                (p for p in batch if p.timestamp <= qt),
-                key=lambda p: (p.timestamp, p.mmsi),
-            )
-        self.watchdog.slide_started(self._query_time)
-        report = await self._call_pipeline(
-            self.system.process_slide, batch, self._query_time
-        )
+        self.watchdog.slide_started(qt)
+        report = await self._call_pipeline(self.system.process_slide, batch, qt)
         self.watchdog.slide_finished()
         if report is None:
             return

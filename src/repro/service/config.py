@@ -31,12 +31,12 @@ class ServiceConfig:
     ingest_transport: str = DEFAULT_TRANSPORT
     #: Wire protocol of the subscription feed.
     feed_transport: str = DEFAULT_TRANSPORT
-    #: Upstream watermark sources (gateway nodes).  ``0`` (the default)
-    #: keeps the arrival-driven slide cadence of a single-feed service;
-    #: ``N > 0`` switches the batcher to watermark-aligned slides: it
-    #: advances a slide only once *every* source's watermark has passed
-    #: the boundary, which is what keeps a sharded gateway deployment's
-    #: slide grid byte-identical to a single node's (docs/GATEWAY.md).
+    #: Upstream watermark sources (gateway nodes) whose watermarks gate
+    #: a slide: it runs only once *every* source's watermark has passed
+    #: its boundary, which keeps a sharded gateway deployment's slides
+    #: byte-identical to a single node's (docs/GATEWAY.md).  ``0`` (the
+    #: default): the node's own arrivals are its watermark.  The slide
+    #: cadence is the same either way.
     watermark_sources: int = 0
     #: Sentences buffered between the socket readers and the pipeline;
     #: beyond this the *oldest* buffered sentence is shed (and counted).

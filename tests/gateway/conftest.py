@@ -31,22 +31,6 @@ def split_round_robin(sentences, ways: int):
     return streams
 
 
-async def feed_gateways(cluster, streams) -> None:
-    """Pump one sentence stream into each gateway, concurrently."""
-
-    async def pump(gateway: int, stream) -> None:
-        session = await cluster.connect_ingest(gateway)
-        try:
-            for receive_time, sentence in stream:
-                await session.send(f"{receive_time}\t{sentence}")
-        finally:
-            await session.close()
-
-    await asyncio.gather(
-        *(pump(g, stream) for g, stream in enumerate(streams))
-    )
-
-
 async def http_get(host: str, port: int, path: str) -> tuple[int, str]:
     """Minimal HTTP GET against the aggregator, returning (status, body)."""
     reader, writer = await asyncio.open_connection(host, port)

@@ -9,21 +9,9 @@ import pytest
 
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.pipeline.config import SystemConfig
-from tests.gateway.conftest import feed_gateways, http_get, split_round_robin
-from tests.parity import offline_oracle, poll
+from tests.gateway.conftest import http_get, split_round_robin
+from tests.parity import feed_gateways, offline_oracle, poll, run_cluster, subscribe
 from tests.service.conftest import to_sentences
-
-
-async def _quiesce(cluster) -> None:
-    """Wait until every link and runtime queue is empty, plus a breath
-    for the batchers to finish the line in flight."""
-    await poll(lambda: all(
-        link.depth == 0 for node in cluster.nodes for link in node.links
-    ))
-    await poll(lambda: all(
-        len(supervisor.queue) == 0 for supervisor in cluster.supervisors
-    ))
-    await asyncio.sleep(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +40,21 @@ class TestClusterParity:
     def test_two_by_four_matches_single_node_byte_for_byte(
         self, world, small_fleet, vessel_config, cluster_sentences, oracle
     ):
+        async def subscribe_merged(cluster):
+            # An external consumer of the merged feed, over the socket.
+            feed = await subscribe(cluster.ports()["feed"])
+            await poll(lambda: cluster.aggregator.hub.subscriber_count == 1)
+            return feed
+
+        async def probe(cluster):
+            # Cluster vitals while live: /healthz and federated /metrics.
+            port = cluster.ports()["http"]
+            status, health_body = await http_get("127.0.0.1", port, "/healthz")
+            assert status == 200
+            mstatus, metrics_body = await http_get("127.0.0.1", port, "/metrics")
+            assert mstatus == 200
+            return json.loads(health_body), metrics_body
+
         async def run():
             cluster = GatewayCluster(
                 world,
@@ -59,47 +62,13 @@ class TestClusterParity:
                 vessel_config,
                 GatewayClusterConfig(gateways=2, runtimes=4),
             )
-            await cluster.start()
-            ports = cluster.ports()
-
-            # An external consumer of the merged feed, over the socket.
-            feed_reader, feed_writer = await asyncio.open_connection(
-                "127.0.0.1", ports["feed"], limit=1 << 24
+            feed, (health, metrics_body) = await run_cluster(
+                cluster,
+                split_round_robin(cluster_sentences, 2),
+                started=subscribe_merged,
+                fed=probe,
             )
-            await poll(
-                lambda: cluster.aggregator.hub.subscriber_count == 1
-            )
-
-            await feed_gateways(
-                cluster, split_round_robin(cluster_sentences, 2)
-            )
-            await _quiesce(cluster)
-
-            # Cluster vitals while live: /healthz and federated /metrics.
-            status, health_body = await http_get(
-                "127.0.0.1", ports["http"], "/healthz"
-            )
-            assert status == 200
-            health = json.loads(health_body)
-            mstatus, metrics_body = await http_get(
-                "127.0.0.1", ports["http"], "/metrics"
-            )
-            assert mstatus == 200
-
-            await cluster.drain_and_stop()
-
-            subscribed = []
-            while True:
-                raw = await feed_reader.readline()
-                if not raw:
-                    break
-                subscribed.append(raw.decode("utf-8").rstrip("\n"))
-            feed_writer.close()
-            try:
-                await feed_writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return cluster, health, metrics_body, subscribed
+            return cluster, health, metrics_body, await feed
 
         cluster, health, metrics, subscribed = asyncio.run(run())
 
@@ -149,11 +118,7 @@ class TestClusterParity:
                     gateways=2, runtimes=2, transport="websocket"
                 ),
             )
-            await cluster.start()
-            await feed_gateways(
-                cluster, split_round_robin(cluster_sentences, 2)
-            )
-            await cluster.drain_and_stop()
+            await run_cluster(cluster, split_round_robin(cluster_sentences, 2))
             return cluster
 
         cluster = asyncio.run(run())
@@ -173,6 +138,24 @@ class TestClusterChaos:
         first = [[p for p in s if p[0] <= midpoint] for s in streams]
         second = [[p for p in s if p[0] > midpoint] for s in streams]
 
+        async def crash_and_restart(cluster):
+            port = cluster.ports()["http"]
+            victim = 2
+            await cluster.crash_runtime(victim)
+            status, body = await http_get("127.0.0.1", port, "/healthz")
+            assert status == 200
+            health = json.loads(body)
+            assert health["status"] == "degraded"
+            assert health["runtimes"][victim]["status"] == "down"
+
+            await cluster.restart_runtime(victim)
+            recovered = cluster.supervisors[victim].recovered_records
+            _, body = await http_get("127.0.0.1", port, "/healthz")
+            assert json.loads(body)["status"] == "ok"
+
+            await feed_gateways(cluster, second)
+            return recovered
+
         async def run():
             cluster = GatewayCluster(
                 world,
@@ -182,29 +165,7 @@ class TestClusterChaos:
                     gateways=2, runtimes=4, wal_root=str(tmp_path)
                 ),
             )
-            await cluster.start()
-            ports = cluster.ports()
-
-            await feed_gateways(cluster, first)
-            await _quiesce(cluster)
-
-            victim = 2
-            await cluster.crash_runtime(victim)
-            status, body = await http_get(
-                "127.0.0.1", ports["http"], "/healthz"
-            )
-            assert status == 200
-            health = json.loads(body)
-            assert health["status"] == "degraded"
-            assert health["runtimes"][victim]["status"] == "down"
-
-            await cluster.restart_runtime(victim)
-            recovered = cluster.supervisors[victim].recovered_records
-            _, body = await http_get("127.0.0.1", ports["http"], "/healthz")
-            assert json.loads(body)["status"] == "ok"
-
-            await feed_gateways(cluster, second)
-            await cluster.drain_and_stop()
+            _, recovered = await run_cluster(cluster, first, fed=crash_and_restart)
             return cluster, recovered
 
         cluster, recovered = asyncio.run(run())

@@ -21,7 +21,7 @@ from repro.service.batcher import SlideBatcher
 from repro.service.protocol import format_heartbeat, parse_heartbeat
 from repro.transport import chaosnet
 from tests.gateway.conftest import http_get, split_round_robin
-from tests.parity import offline_oracle, poll
+from tests.parity import feed_gateways, offline_oracle, run_cluster
 from tests.service.conftest import to_sentences
 
 
@@ -278,18 +278,6 @@ class TestClusterSupervisor:
         assert snapshot["incidents"] == []
 
 
-async def _quiesce(cluster) -> None:
-    await poll(lambda: all(
-        link.depth == 0 for node in cluster.nodes for link in node.links
-    ))
-    await poll(lambda: all(
-        len(supervisor.queue) == 0
-        for index, supervisor in enumerate(cluster.supervisors)
-        if not cluster.is_crashed(index)
-    ))
-    await asyncio.sleep(0.05)
-
-
 class TestSupervisedFailover:
     def test_partition_heals_end_to_end_byte_identical(
         self, world, small_fleet, tmp_path
@@ -308,16 +296,29 @@ class TestSupervisedFailover:
         first = [[p for p in s if p[0] <= midpoint] for s in streams]
         second = [[p for p in s if p[0] > midpoint] for s in streams]
 
-        async def pump(cluster, halves):
-            async def one(gateway, half):
-                session = await cluster.connect_ingest(gateway)
-                try:
-                    for receive_time, sentence in half:
-                        await session.send(f"{receive_time}\t{sentence}")
-                finally:
-                    await session.close()
+        async def arm(cluster):
+            return cluster.start_supervisor(run=False)
 
-            await asyncio.gather(*(one(g, h) for g, h in enumerate(halves)))
+        async def partition_and_heal(cluster):
+            supervisor = cluster.health_supervisor
+            chaosnet.sever("127.0.0.1", cluster.supervisors[0].ingest.port)
+            deadline = time.monotonic() + 30.0
+            while not supervisor.incidents:
+                assert time.monotonic() < deadline, "heal timed out"
+                supervisor.tick()
+                await supervisor.check_once()
+                await asyncio.sleep(0.02)
+
+            # Mid-incident vitals: the supervisor's incident log is on
+            # the cluster /healthz, and the healed links are back up.
+            status, body = await http_get(
+                "127.0.0.1", cluster.ports()["http"], "/healthz"
+            )
+            assert status == 200
+            health = json.loads(body)
+            assert len(health["supervisor"]["incidents"]) == 1
+            await feed_gateways(cluster, second)
+            return health
 
         async def run():
             cluster = GatewayCluster(
@@ -329,31 +330,10 @@ class TestSupervisedFailover:
                     link_down_seconds=0.2,
                 ),
             )
-            await cluster.start()
-            supervisor = cluster.start_supervisor(run=False)
-            ports = cluster.ports()
             try:
-                await pump(cluster, first)
-                await _quiesce(cluster)
-
-                chaosnet.sever("127.0.0.1", cluster.supervisors[0].ingest.port)
-                deadline = time.monotonic() + 30.0
-                while not supervisor.incidents:
-                    assert time.monotonic() < deadline, "heal timed out"
-                    supervisor.tick()
-                    await supervisor.check_once()
-                    await asyncio.sleep(0.02)
-
-                # Mid-incident vitals: the supervisor's incident log is on
-                # the cluster /healthz, and the healed links are back up.
-                status, body = await http_get(
-                    "127.0.0.1", ports["http"], "/healthz"
+                supervisor, health = await run_cluster(
+                    cluster, first, started=arm, fed=partition_and_heal
                 )
-                assert status == 200
-                health = json.loads(body)
-                assert len(health["supervisor"]["incidents"]) == 1
-                await pump(cluster, second)
-                await cluster.drain_and_stop()
             finally:
                 chaosnet.clear_partitions()
             return cluster, supervisor, health

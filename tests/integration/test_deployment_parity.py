@@ -1,0 +1,124 @@
+"""One parity matrix: every deployment cuts the offline replay's slides.
+
+The window keeps pace with the *reported* timestamps (Section 5), so a
+slide holds every position stamped inside it, whatever order the sockets
+delivered them in.  Three deployments run the same sentences — the slide
+batcher fed by a hand-over queue, one node over TCP, and a 2-gateway ×
+4-runtime cluster over TCP — on two streams: the small fleet's stream in
+timestamp order, and the same stream with same-vessel pairs swapped
+inside a slide (two receivers, or two clients, whose lines interleave).
+Every cell must equal the offline replay (:func:`tests.parity.offline_oracle`)
+byte for byte.
+"""
+
+import asyncio
+
+import pytest
+
+from repro.ais.nmea import unwrap_aivdm
+from repro.ais.scanner import DataScanner
+from repro.gateway import GatewayCluster, GatewayClusterConfig
+from repro.pipeline.config import SystemConfig
+from repro.pipeline.system import SurveillanceSystem
+from repro.service.batcher import SlideBatcher
+from repro.service.protocol import slide_feed_line
+from tests.gateway.conftest import split_round_robin
+from tests.parity import HandOver, offline_oracle, run_cluster, run_live
+from tests.service.conftest import to_sentences
+
+#: Vessel scope, so the cluster is exact (docs/GATEWAY.md), and the
+#: default 10-minute slides: inside a one-minute slide a vessel's first
+#: and last reports are too close for their swap to change any line.
+CONFIG = SystemConfig(ce_scope="vessel")
+
+#: Same-vessel pairs swapped in the disordered stream, one per slide.
+SWAPS = 12
+
+
+def swap_within_slides(sentences, slide_seconds: int, swaps: int) -> list:
+    """``sentences`` with ``swaps`` same-vessel pairs swapped: in each of
+    ``swaps`` slides spread over the stream, one vessel's first and last
+    single-fragment report of the slide trade places."""
+    slide_of = [-(-receive_time // slide_seconds) for receive_time, _ in sentences]
+    scanner = DataScanner()
+    reports: dict[tuple[int, int], list[int]] = {}
+    for index, record in enumerate(sentences):
+        positions = scanner.scan_many([record])
+        if positions and unwrap_aivdm(record[1]).fragment_count == 1:
+            key = (slide_of[index], positions[0].mmsi)
+            reports.setdefault(key, []).append(index)
+    stride = max(1, (slide_of[-1] - slide_of[0]) // swaps)
+    pairs, next_slide = [], slide_of[0]
+    for (slide, _), indices in sorted(reports.items()):
+        earliest, latest = sentences[indices[0]][0], sentences[indices[-1]][0]
+        if slide >= next_slide and earliest < latest and len(pairs) < swaps:
+            pairs.append((indices[0], indices[-1]))
+            next_slide = slide + stride
+    assert len(pairs) == swaps, "the stream has too few same-vessel pairs"
+    swapped = list(sentences)
+    for first, last in pairs:
+        swapped[first], swapped[last] = swapped[last], swapped[first]
+    return swapped
+
+
+@pytest.fixture(scope="module")
+def streams(small_fleet):
+    in_order = to_sentences(small_fleet["stream"], fragment_every=40)
+    return {
+        "in_order": in_order,
+        "disordered": swap_within_slides(
+            in_order, CONFIG.window.slide_seconds, SWAPS
+        ),
+    }
+
+
+def hand_over(sentences, world, specs) -> list[str]:
+    """The slide batcher alone, handed seven sentences at a time."""
+    feed = []
+    batcher = SlideBatcher(
+        SurveillanceSystem(world, specs, CONFIG),
+        HandOver(sentences, 7),
+        slide_seconds=CONFIG.window.slide_seconds,
+        on_report=lambda report, kind: feed.append(slide_feed_line(report, kind)),
+    )
+
+    async def serve():
+        await batcher.run()
+        await batcher.drain()
+
+    try:
+        asyncio.run(serve())
+    finally:
+        batcher.system.database.close()
+    return feed
+
+
+def node(sentences, world, specs) -> list[str]:
+    """One node over TCP, its feed read from the socket."""
+    _, lines = asyncio.run(run_live(sentences, world, specs, CONFIG))
+    return lines
+
+
+def cluster(sentences, world, specs) -> list[str]:
+    """2 gateways × 4 runtimes over TCP, the merged feed."""
+
+    async def run():
+        deployment = GatewayCluster(
+            world, specs, CONFIG, GatewayClusterConfig(gateways=2, runtimes=4)
+        )
+        await run_cluster(deployment, split_round_robin(sentences, 2))
+        return deployment.merged_lines
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize("stream", ["in_order", "disordered"])
+@pytest.mark.parametrize("deployment", [hand_over, node, cluster])
+def test_every_deployment_equals_the_offline_replay(
+    deployment, stream, streams, world, small_fleet
+):
+    sentences = streams[stream]
+    specs = small_fleet["specs"]
+    assert deployment(sentences, world, specs) == offline_oracle(
+        sentences, world, specs, CONFIG
+    )

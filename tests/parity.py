@@ -1,5 +1,8 @@
 """The one transcript builder and offline oracle behind every byte-parity
-suite, and the live-service tests' driver helpers.
+suite, and the live drivers the service, recovery and gateway suites
+share: :func:`send_sentences`, :func:`subscribe`, :func:`run_live`,
+:func:`feed_gateways`, :func:`quiesce`, :func:`run_cluster` and the
+:class:`HandOver` queue stand-in.
 
 A transcript is everything a system emits over a stream — per-slide
 reports, the finalize report, the final synopsis, the latest alerts and
@@ -18,7 +21,7 @@ import time
 
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.pipeline.config import SystemConfig
-from repro.service import offline_feed_lines
+from repro.service import ServiceConfig, ServiceSupervisor, offline_feed_lines
 from repro.service.protocol import point_to_dict
 
 #: ``ServiceConfig`` ports of a test service: every listener ephemeral.
@@ -97,3 +100,143 @@ def offline_oracle(sentences, world, specs, config=None) -> list[str]:
             offline_feed_lines(sentences, world, specs, config)
         )
     return list(_ORACLE_LINES[key])
+
+
+async def send_sentences(port: int, sentences) -> None:
+    """Write ``(receive_time, sentence)`` pairs to a TCP ingest port as
+    ``<ts>\t<sentence>`` lines, then hang up."""
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    for receive_time, sentence in sentences:
+        writer.write(f"{receive_time}\t{sentence}\n".encode("ascii"))
+        if writer.transport.get_write_buffer_size() > 1 << 16:
+            await writer.drain()
+    await writer.drain()
+    writer.close()
+    await writer.wait_closed()
+
+
+async def subscribe(port: int) -> asyncio.Task:
+    """Connect to a TCP feed; a task collecting its lines until EOF."""
+    # Slide lines can exceed the 64 KiB default StreamReader limit.
+    reader, writer = await asyncio.open_connection(
+        "127.0.0.1", port, limit=1 << 24
+    )
+
+    async def collect() -> list[str]:
+        lines = []
+        while raw := await reader.readline():
+            lines.append(raw.decode("utf-8").rstrip("\n"))
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        return lines
+
+    return asyncio.ensure_future(collect())
+
+
+def tap_feed(supervisor) -> list[str]:
+    """Capture every line ``supervisor`` publishes, recovery republish
+    included."""
+    lines = []
+    original = supervisor.feed.publish
+
+    def tap(line):
+        lines.append(line)
+        return original(line)
+
+    supervisor.feed.publish = tap
+    return lines
+
+
+async def run_live(
+    sentences, world, specs, config=None, service=None, system_factory=None,
+    record_ingest=False,
+):
+    """Stream ``sentences`` into one node over real TCP, collect its feed
+    over a socket, drain cleanly; ``(supervisor, feed lines)``.
+
+    ``record_ingest`` switches on the batcher's tap of every scanned
+    record (``supervisor.batcher.ingested``)."""
+    supervisor = ServiceSupervisor(
+        world,
+        specs,
+        config,
+        service or ServiceConfig(**EPHEMERAL),
+        system_factory=system_factory,
+    )
+    supervisor.batcher.record_ingest = record_ingest
+    await supervisor.start()
+    ports = supervisor.ports()
+    feed = await subscribe(ports["feed"])
+    await poll(lambda: supervisor.feed.subscriber_count == 1)
+    await send_sentences(ports["ingest"], sentences)
+    # All lines are enqueued once the server side has seen the EOF.
+    await poll(lambda: supervisor.ingest.open_connections == 0)
+    await supervisor.drain_and_stop()
+    return supervisor, await feed
+
+
+async def feed_gateways(cluster, streams) -> None:
+    """Pump ``streams[g]`` into gateway ``g`` of ``cluster``, concurrently."""
+
+    async def pump(gateway: int, stream) -> None:
+        session = await cluster.connect_ingest(gateway)
+        try:
+            for receive_time, sentence in stream:
+                await session.send(f"{receive_time}\t{sentence}")
+        finally:
+            await session.close()
+
+    await asyncio.gather(
+        *(pump(g, stream) for g, stream in enumerate(streams))
+    )
+
+
+async def quiesce(cluster) -> None:
+    """Wait until every link and every live runtime's queue is empty,
+    plus a breath for the batchers to finish the line in flight."""
+    await poll(lambda: all(
+        link.depth == 0 for node in cluster.nodes for link in node.links
+    ))
+    await poll(lambda: all(
+        len(supervisor.queue) == 0
+        for index, supervisor in enumerate(cluster.supervisors)
+        if not cluster.is_crashed(index)
+    ))
+    await asyncio.sleep(0.05)
+
+
+async def run_cluster(cluster, streams, *, started=None, fed=None):
+    """Start ``cluster``, pump ``streams[g]`` into gateway ``g``, drain.
+
+    ``started(cluster)`` runs once the cluster listens, before any line
+    (subscribe a consumer there); ``fed(cluster)`` runs once the streams
+    are in and the cluster is quiet (probe, crash or feed more there).
+    Returns both hooks' results."""
+    await cluster.start()
+    before = await started(cluster) if started is not None else None
+    await feed_gateways(cluster, streams)
+    after = None
+    if fed is not None:
+        await quiesce(cluster)
+        after = await fed(cluster)
+    await cluster.drain_and_stop()
+    return before, after
+
+
+class HandOver:
+    """An ingest queue stand-in that hands the batcher ``size`` items
+    per :meth:`get_many` — the cut a real queue makes by timing."""
+
+    def __init__(self, records, size: int):
+        self._items = [(receive_time, sentence, 0.0) for receive_time, sentence in records]
+        self.size = size
+
+    async def get_many(self):
+        batch, self._items = self._items[: self.size], self._items[self.size :]
+        return batch
+
+    def __len__(self) -> int:
+        return len(self._items)

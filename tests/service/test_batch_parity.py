@@ -30,7 +30,7 @@ from repro.service.protocol import (
 )
 from repro.tracking import WindowSpec
 from tests.ais.oracle import OracleScanner
-from tests.parity import offline_oracle
+from tests.parity import HandOver, offline_oracle
 
 #: One-minute slides, so a short stream crosses several boundaries.
 CONFIG = SystemConfig(window=WindowSpec.of_minutes(10, 1))
@@ -47,22 +47,6 @@ CONTROL = [
     "!AIVDM,1,1,,A,garbage,0*00",
     HEARTBEAT_PREFIX + "gw1,2",
 ]
-
-
-class HandOver:
-    """An ingest queue stand-in that hands the batcher ``size`` items
-    per :meth:`get_many` — the cut a real queue makes by timing."""
-
-    def __init__(self, records, size: int):
-        self._items = [(receive_time, sentence, 0.0) for receive_time, sentence in records]
-        self.size = size
-
-    async def get_many(self):
-        batch, self._items = self._items[: self.size], self._items[self.size :]
-        return batch
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,7 @@ from repro import obs
 from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.faults import FaultPlan, InjectedFault, inject
 from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import EPHEMERAL, offline_oracle, poll
-from tests.service.test_recovery import _send_sentences, _tap_feed
+from tests.parity import EPHEMERAL, offline_oracle, poll, send_sentences, tap_feed
 
 
 class RecordsFailedSlides(SurveillanceSystem):
@@ -45,10 +44,10 @@ def test_mod_write_fault_loses_exactly_one_counted_slide(
             world, small_fleet["specs"], service=ServiceConfig(**EPHEMERAL),
             system_factory=RecordsFailedSlides,
         )
-        published = _tap_feed(supervisor)
+        published = tap_feed(supervisor)
         with inject(FaultPlan.from_spec("mod.write:error@2")):
             await supervisor.start()
-            await _send_sentences(supervisor.ports()["ingest"], soak_sentences)
+            await send_sentences(supervisor.ports()["ingest"], soak_sentences)
             await poll(lambda: supervisor.queue.put_count == len(soak_sentences))
             await poll(lambda: supervisor.batcher.pipeline_errors == 1)
             health = supervisor.health()

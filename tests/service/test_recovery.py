@@ -20,31 +20,14 @@ import time
 from repro.resilience import FaultPlan, SimulatedCrash, inject
 from repro.resilience.wal import read_journal
 from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import EPHEMERAL, offline_oracle, poll
-
-
-def _tap_feed(supervisor):
-    """Capture every published feed line, including recovery republish."""
-    lines = []
-    original = supervisor.feed.publish
-
-    def tap(line):
-        lines.append(line)
-        return original(line)
-
-    supervisor.feed.publish = tap
-    return lines
-
-
-async def _send_sentences(port, sentences):
-    _, writer = await asyncio.open_connection("127.0.0.1", port)
-    for receive_time, sentence in sentences:
-        writer.write(f"{receive_time}\t{sentence}\n".encode("ascii"))
-        if writer.transport.get_write_buffer_size() > 1 << 16:
-            await writer.drain()
-    await writer.drain()
-    writer.close()
-    await writer.wait_closed()
+from tests.parity import (
+    EPHEMERAL,
+    offline_oracle,
+    poll,
+    run_live,
+    send_sentences,
+    tap_feed,
+)
 
 
 async def run_until_crash(sentences, world, specs, service, plan):
@@ -52,10 +35,10 @@ async def run_until_crash(sentences, world, specs, service, plan):
     injected crash kills the batcher; abandon everything un-drained,
     exactly like a process death."""
     supervisor = ServiceSupervisor(world, specs, service=service)
-    lines = _tap_feed(supervisor)
+    lines = tap_feed(supervisor)
     with inject(plan) as injector:
         await supervisor.start()
-        await _send_sentences(supervisor.ports()["ingest"], sentences)
+        await send_sentences(supervisor.ports()["ingest"], sentences)
         await poll(lambda: supervisor._batcher_task.done())
         assert isinstance(
             supervisor._batcher_task.exception(), SimulatedCrash
@@ -76,9 +59,9 @@ async def run_until_crash(sentences, world, specs, service, plan):
 async def run_recovered(tail, world, specs, service):
     """Restart on the same WAL dir, replay, then feed the tail and drain."""
     supervisor = ServiceSupervisor(world, specs, service=service)
-    lines = _tap_feed(supervisor)
+    lines = tap_feed(supervisor)
     await supervisor.start()  # journal replay republishes in here
-    await _send_sentences(supervisor.ports()["ingest"], tail)
+    await send_sentences(supervisor.ports()["ingest"], tail)
     await poll(lambda: supervisor.ingest.open_connections == 0)
     await supervisor.drain_and_stop()
     return supervisor, lines
@@ -167,7 +150,7 @@ class TestDrainDeadline:
             supervisor.drain_timeout_seconds = 0.5
             await supervisor.start()
             # Enough sentences to start (and wedge inside) slide one.
-            await _send_sentences(
+            await send_sentences(
                 supervisor.ports()["ingest"], soak_sentences[:2000]
             )
             await poll(lambda: supervisor.ingest.open_connections == 0)
@@ -187,8 +170,6 @@ class TestDeadLetterQuarantine:
     def test_malformed_sentences_are_quarantined_with_reasons(
         self, world, small_fleet, soak_sentences
     ):
-        from tests.service.test_soak_parity import run_live
-
         polluted = list(soak_sentences[:300])
         polluted.insert(50, (polluted[50][0], "!AIVDM,1,1,,A,garbage,0*00"))
         polluted.insert(100, (polluted[100][0], "!AIVDM,notanumber*7F"))

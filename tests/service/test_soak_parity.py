@@ -14,62 +14,8 @@ import time
 from repro import obs
 from repro.obs.registry import render_prometheus
 from repro.pipeline.system import SurveillanceSystem
-from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import EPHEMERAL, offline_oracle, poll
-
-
-async def run_live(
-    sentences, world, specs, config=None, service=None, system_factory=None,
-    record_ingest=False,
-):
-    """Stream ``sentences`` over real TCP, collect the feed, drain cleanly.
-
-    ``record_ingest`` switches on the batcher's tap of every scanned
-    record (``supervisor.batcher.ingested``)."""
-    supervisor = ServiceSupervisor(
-        world,
-        specs,
-        config,
-        service or ServiceConfig(**EPHEMERAL),
-        system_factory=system_factory,
-    )
-    supervisor.batcher.record_ingest = record_ingest
-    await supervisor.start()
-    ports = supervisor.ports()
-
-    # Slide lines can exceed the 64 KiB default StreamReader limit.
-    feed_reader, feed_writer = await asyncio.open_connection(
-        "127.0.0.1", ports["feed"], limit=1 << 24
-    )
-    await poll(lambda: supervisor.feed.subscriber_count == 1)
-
-    _, ingest_writer = await asyncio.open_connection(
-        "127.0.0.1", ports["ingest"]
-    )
-    for receive_time, sentence in sentences:
-        ingest_writer.write(f"{receive_time}\t{sentence}\n".encode("ascii"))
-        if ingest_writer.transport.get_write_buffer_size() > 1 << 16:
-            await ingest_writer.drain()
-    await ingest_writer.drain()
-    ingest_writer.close()
-    await ingest_writer.wait_closed()
-
-    # All lines are enqueued once the server side has seen the EOF.
-    await poll(lambda: supervisor.ingest.open_connections == 0)
-    await supervisor.drain_and_stop()
-
-    lines = []
-    while True:
-        raw = await feed_reader.readline()
-        if not raw:
-            break
-        lines.append(raw.decode("utf-8").rstrip("\n"))
-    feed_writer.close()
-    try:
-        await feed_writer.wait_closed()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-    return supervisor, lines
+from repro.service import ServiceConfig
+from tests.parity import EPHEMERAL, offline_oracle, run_live
 
 
 class TestSoakParity:

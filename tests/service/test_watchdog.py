@@ -16,9 +16,8 @@ from repro import obs
 from repro.pipeline.system import SurveillanceSystem
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.batcher import SLIDE_STALL_SECONDS
-from tests.parity import EPHEMERAL, offline_oracle, poll
+from tests.parity import EPHEMERAL, offline_oracle, poll, send_sentences, tap_feed
 from tests.service.test_http import http_request
-from tests.service.test_recovery import _send_sentences, _tap_feed
 
 
 class WedgedUntilReleased(SurveillanceSystem):
@@ -58,10 +57,10 @@ def test_stalled_slide_is_detected_counted_and_still_published(
         # The stall threshold is a constant far above a real slide; this
         # one watchdog gets a short one instead of a ten-second wedge.
         supervisor.batcher.watchdog.timeout_seconds = 0.05
-        published = _tap_feed(supervisor)
+        published = tap_feed(supervisor)
         await supervisor.start()
         ports = supervisor.ports()
-        await _send_sentences(ports["ingest"], soak_sentences)
+        await send_sentences(ports["ingest"], soak_sentences)
         await poll(lambda: supervisor.batcher.watchdog.stalls_detected >= 1)
         status, _, body = await http_request(ports["http"], "/healthz")
         assert status == 200

@@ -1,18 +1,23 @@
-"""Watermark-mode batching units: the cadence contract that makes a
-gateway-cluster shard's slides byte-identical to a single node's.
+"""The slide cadence, rule by rule: what makes a gateway-cluster shard,
+a single node and the offline replay cut the same slides.
 
-The cluster parity test (tests/gateway/test_cluster.py) proves the end
-result; these tests pin the individual rules — barrier advancement,
-final-watermark exemption, batch partition and sort, the empty trailing
-drain slide — so a regression names the broken rule, not just "bytes
-differ somewhere"."""
+The parity matrix (tests/integration/test_deployment_parity.py) proves
+the end result; these tests pin the individual rules — barrier
+advancement, final-watermark exemption, batch partition and sort, the
+empty trailing drain slide, and a node with no upstream sources taking
+its own arrivals as its watermark — so a regression names the broken
+rule, not just "bytes differ somewhere"."""
 
 import asyncio
+import functools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.ais import PositionReport, encode_position_report, wrap_aivdm
+from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
+from repro.resilience import FaultPlan, inject
 from repro.service.batcher import SlideBatcher
 from repro.service.ingest import IngestQueue
 from repro.service.protocol import (
@@ -20,8 +25,10 @@ from repro.service.protocol import (
     format_watermark,
     parse_watermark,
 )
+from tests.parity import HandOver
 
 
+@functools.cache
 def _sentence(mmsi: int) -> str:
     payload, fill = encode_position_report(PositionReport(
         message_type=1,
@@ -58,21 +65,35 @@ class FakeSystem:
         return None
 
 
-async def _drive(lines, watermark_sources=2, drain=False):
-    """Feed ``(receive_time, sentence)`` lines through a fresh batcher."""
-    queue = IngestQueue(capacity=10_000)
+async def _drive(lines, watermark_sources=2, drain=False, size=None):
+    """Feed ``(receive_time, sentence)`` lines through a fresh batcher,
+    ``size`` lines per hand-over (all at once by default)."""
     system = FakeSystem()
     batcher = SlideBatcher(
-        system, queue, slide_seconds=60,
+        system, HandOver(lines, size or len(lines)), slide_seconds=60,
         watermark_sources=watermark_sources,
     )
-    for receive_time, sentence in lines:
-        queue.put(receive_time, sentence)
-    queue.close()
     await batcher.run()
     if drain:
         await batcher.drain()
     return system, batcher
+
+
+def _offline_slides(reports) -> list:
+    """:class:`StreamReplayer`'s 60 s slides over ``(timestamp, mmsi)``
+    reports, each batch sorted by ``(timestamp, mmsi)``."""
+    arrivals = [
+        TimedArrival(ts, PositionalTuple(mmsi, 23.5, 37.9, ts)) for ts, mmsi in reports
+    ]
+    return [
+        (qt, sorted((p.timestamp, p.mmsi) for p in batch))
+        for qt, batch in StreamReplayer(arrivals, 60).batches()
+    ]
+
+
+def test_rejects_a_nonpositive_slide():
+    with pytest.raises(ValueError):
+        SlideBatcher(FakeSystem(), IngestQueue(10), slide_seconds=0)
 
 
 class TestWatermarkProtocol:
@@ -189,8 +210,24 @@ class TestWatermarkCadence:
             ("finalize", None),
         ]
 
+    def test_an_injected_slide_error_loses_only_that_slide(self):
+        # The lost slide takes its own positions with it, not the ones
+        # already pending for later slides.
+        with inject(FaultPlan.from_spec("service.slide:error@1")):
+            system, batcher = asyncio.run(_drive([
+                (10, _sentence(111)),
+                (70, _sentence(222)),
+                (130, _wm("gw0")),
+                (130, _wm("gw1")),
+            ]))
+        assert batcher.pipeline_errors == 1
+        assert system.calls == [(120, [(70, 222)])]
 
-class TestLegacyMode:
+
+class TestNodeWithoutSources:
+    """``watermark_sources = 0``: the node's own arrivals are its
+    watermark, and the cadence is the cluster shard's."""
+
     def test_watermarks_are_counted_and_ignored(self):
         async def run():
             with obs.activate(obs.MetricsRegistry()) as registry:
@@ -201,13 +238,70 @@ class TestLegacyMode:
                 return system, batcher, registry
 
         system, batcher, registry = asyncio.run(run())
-        # The arrival-driven cadence saw one position, no boundary cross.
+        # One position, stamped before the first boundary: nothing has
+        # passed it yet, whatever the watermark line claims.
         assert system.calls == []
         assert batcher.watermark_clocks == {}
         assert (
             registry.counter("service.ingest.watermarks_ignored").value == 1
         )
 
-    def test_rejects_watermark_mode_without_sources(self):
-        with pytest.raises(ValueError):
-            SlideBatcher(FakeSystem(), IngestQueue(10), slide_seconds=0)
+    def test_late_arrivals_are_sorted_into_their_slide(self):
+        # Two clients interleave: positions stamped inside one slide
+        # arrive out of order, and the slide still runs them in
+        # (timestamp, mmsi) order, once an arrival passes its boundary.
+        system, _ = asyncio.run(_drive([
+            (30, _sentence(200)),
+            (10, _sentence(111)),
+            (30, _sentence(100)),
+            (20, _sentence(300)),
+            (70, _sentence(111)),
+        ], watermark_sources=0, drain=True))
+        assert system.calls == [
+            (60, [(10, 111), (20, 300), (30, 100), (30, 200)]),
+            (120, [(70, 111)]),
+            ("finalize", None),
+        ]
+
+    def test_an_early_straggler_reanchors_the_grid(self):
+        # The first arrival anchors the grid at 120; a straggler stamped
+        # 30 moves it down to 60 before any slide ran, as offline.
+        system, _ = asyncio.run(_drive([
+            (100, _sentence(111)),
+            (30, _sentence(222)),
+        ], watermark_sources=0, drain=True))
+        assert system.calls == [
+            (60, [(30, 222)]),
+            (120, [(100, 111)]),
+            ("finalize", None),
+        ]
+        assert system.calls[:-1] == _offline_slides([(100, 111), (30, 222)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        reports=st.lists(
+            st.tuples(st.integers(1, 600), st.sampled_from([111, 222, 333])),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_in_slide_disorder_equals_the_offline_replay(self, reports, data):
+        # Any order inside a slide, cut into hand-overs of any size: the
+        # node's slides are the offline replay's, each sorted by
+        # (timestamp, mmsi).
+        by_slide: dict[int, list] = {}
+        for report in reports:
+            by_slide.setdefault(-(-report[0] // 60), []).append(report)
+        arrived = [
+            report
+            for slide in sorted(by_slide)
+            for report in data.draw(st.permutations(by_slide[slide]))
+        ]
+        system, _ = asyncio.run(_drive(
+            [(ts, _sentence(mmsi)) for ts, mmsi in arrived],
+            watermark_sources=0,
+            drain=True,
+            size=data.draw(st.integers(1, len(arrived))),
+        ))
+        assert system.calls == _offline_slides(reports) + [("finalize", None)]
