@@ -17,7 +17,6 @@ from repro.maritime.definitions import (
     OUTPUT_FLUENTS,
     build_maritime_rules,
 )
-from repro.maritime.pairwise.config import PairwiseConfig
 from repro.maritime.pairwise.monitor import PairFact
 from repro.maritime.pairwise.rules import (
     PAIRWISE_OUTPUT_EVENTS,
@@ -89,13 +88,11 @@ class MaritimeRecognizer:
         config: MaritimeConfig | None = None,
         watch_areas: list[Area] | None = None,
         pairwise: bool = False,
-        pairwise_config: PairwiseConfig | None = None,
         ce_scope: str = "full",
     ):
         self.world = world
         self.config = config or MaritimeConfig()
         self.pairwise = pairwise
-        self.pairwise_config = pairwise_config or PairwiseConfig()
         self.ce_scope = ce_scope
         if ce_scope != "full" and pairwise:
             # Pairwise CEs span two vessels: they are not MMSI-decomposable,

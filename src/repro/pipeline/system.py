@@ -75,7 +75,6 @@ class SurveillanceSystem:
             window_seconds=self.config.effective_recognition_window,
             config=self.config.maritime,
             pairwise=self.config.pairwise,
-            pairwise_config=self.config.pairwise_config,
             ce_scope=self.config.ce_scope,
         )
 

@@ -7,12 +7,12 @@ AIS feeds that are noisy, delayed and interrupted.  This package is the
 durability and chaos layer that makes the live service (docs/SERVICE.md)
 survive that reality — and *prove* it under injected failure:
 
-* :mod:`repro.resilience.wal` — a crash-safe, segmented write-ahead
-  ingest journal with per-record CRCs, configurable fsync policy and
+* :mod:`repro.resilience.wal` — a crash-safe write-ahead ingest
+  journal in one file with per-record CRCs, configurable fsync policy and
   truncated-tail-tolerant recovery;
 * :mod:`repro.resilience.faults` — deterministic, seeded, replayable
   fault injection at named sites (socket drop, MOD write failure,
-  slow or crashed slide, corrupt WAL segment);
+  slow or crashed slide, corrupt journal record);
 * :mod:`repro.resilience.retry` — the deterministic exponential backoff
   schedule behind gateway re-dials, runtime restarts and the feed
   client's reconnects;
@@ -40,9 +40,7 @@ from repro.resilience.retry import BackoffPolicy
 from repro.resilience.wal import (
     IngestJournal,
     RecoveryStats,
-    WalRecord,
-    WriteAheadLog,
-    read_wal,
+    read_journal,
 )
 from repro.resilience.watchdog import SlideWatchdog
 
@@ -57,13 +55,11 @@ __all__ = [
     "RecoveryStats",
     "SimulatedCrash",
     "SlideWatchdog",
-    "WalRecord",
-    "WriteAheadLog",
     "fault_point",
     "get_injector",
     "inject",
     "install",
-    "read_wal",
+    "read_journal",
     "seedable_sites",
     "uninstall",
 ]

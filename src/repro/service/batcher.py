@@ -86,7 +86,6 @@ class SlideBatcher:
         slide_seconds: int,
         on_report=None,
         on_positions=None,
-        record_ingest: bool = False,
         journal=None,
         watermark_sources: int = 0,
     ):
@@ -98,9 +97,6 @@ class SlideBatcher:
         self.scanner = DataScanner()
         self._on_report = on_report or (lambda report, kind: None)
         self._on_positions = on_positions or (lambda positions: None)
-        #: Test tap: keep every scanned record in :attr:`ingested`.  Off
-        #: in production: the log grows without bound.
-        self.record_ingest = record_ingest
         self.journal = journal
         #: Sentences the scanner rejected, with their causes.
         self.deadletter = DeadLetterBuffer()
@@ -114,9 +110,6 @@ class SlideBatcher:
         self._wm_final: set[str] = set()
         #: Max over every position and watermark timestamp seen.
         self._max_ts: int | None = None
-        #: Exactly the (receive_time, sentence) pairs handed to the
-        #: scanner, post-shedding — the offline-parity replay input.
-        self.ingested: list[tuple[int, str]] = []
         self._batch: list = []
         self._query_time: int | None = None
         #: True once the first slide ran — the grid anchor is then final.
@@ -181,7 +174,7 @@ class SlideBatcher:
                     await self._ingest_data(data, journal)
                     data = []
                     # Journaled (a replay must rebuild the source clocks)
-                    # but never scanned, recorded, or quarantined:
+                    # but never scanned or quarantined:
                     # watermarks are control flow, not data.
                     if journal and self.journal is not None:
                         self.journal.append(*record)
@@ -200,8 +193,6 @@ class SlideBatcher:
             # the slide-boundary sync bounds the exposure).
             for receive_time, sentence in records:
                 self.journal.append(receive_time, sentence)
-        if self.record_ingest:
-            self.ingested.extend(records)
         positions = self.scanner.scan_many(records)
         for index, reason in self.scanner.rejections:
             self.deadletter.quarantine(*records[index], reason)
@@ -306,7 +297,7 @@ class SlideBatcher:
     def abort(self) -> None:
         """Forced shutdown: the drain deadline passed with a slide still
         wedged on the executor.  Nothing further is flushed; the journal
-        keeps its segments so the next incarnation replays them."""
+        file stays so the next incarnation replays it."""
         self._aborted = True
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:

@@ -207,7 +207,7 @@ class ServiceSupervisor:
 
     async def abort(self) -> None:
         """No-drain teardown: nothing further is flushed or finalized and
-        the journal keeps its segments for the next incarnation to replay.
+        the journal file stays for the next incarnation to replay.
 
         What a drain past its deadline falls back to, and what the
         cluster's crash hook calls to kill one runtime abruptly.

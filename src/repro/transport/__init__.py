@@ -20,7 +20,7 @@ from repro.transport.base import (
     TransportError,
     TransportSession,
 )
-from repro.transport.chaosnet import ChaosNetTransport, ChaosProfile
+from repro.transport.chaosnet import ChaosNetTransport
 from repro.transport.tcp import TcpTransport
 from repro.transport.websocket import WebSocketTransport
 
@@ -59,7 +59,6 @@ __all__ = [
     "DEFAULT_TRANSPORT",
     "MODES",
     "ChaosNetTransport",
-    "ChaosProfile",
     "TcpTransport",
     "Transport",
     "TransportError",

@@ -1,17 +1,14 @@
-"""Network chaos at the session layer: latency, jitter, drops, partitions.
+"""Network chaos at the session layer: drops and partitions.
 
 :class:`ChaosNetTransport` wraps a transport and perturbs
 it *between* the adapter and the network — the wrapped protocol is
-untouched, so a ``chaos+tcp`` session speaks bytes identical to ``tcp``.
-Four deterministic fault surfaces, all visible to callers as ordinary
-:class:`~repro.transport.base.TransportError` failures (exactly what a
-flaky network produces, so every retry/redial/failover path in the tree
-is exercised for real):
+untouched, so a ``chaos+tcp`` session speaks bytes identical to ``tcp``,
+and a bare ``chaos+tcp`` is a pure pass-through until a fault plan arms
+it.  Two deterministic fault surfaces, both visible to callers as
+ordinary :class:`~repro.transport.base.TransportError` failures (exactly
+what a flaky network produces, so every retry/redial/failover path in
+the tree is exercised for real):
 
-* **Latency and jitter** — a seeded :class:`ChaosProfile` sleeps each
-  send/receive on the event loop (``asyncio.sleep``, never blocking).
-  The default profile is all zeros: a bare ``chaos+tcp`` is a pure
-  pass-through until a fault plan arms it.
 * **Drops** — the ``chaosnet.connect`` / ``chaosnet.send`` /
   ``chaosnet.receive`` fault sites (:mod:`repro.resilience.faults`) fail
   the n-th dial, outbound message, or inbound read deterministically.
@@ -34,8 +31,6 @@ Registered as ``chaos+tcp`` / ``chaos+websocket`` in
 stage wire-level chaos with zero other changes.
 """
 
-import asyncio
-import random
 import time
 
 from repro import obs
@@ -83,39 +78,6 @@ def is_severed(host: str, port: int) -> bool:
     return True
 
 
-class ChaosProfile:
-    """Seeded per-message latency: ``latency + U(0, jitter)`` seconds.
-
-    Deterministic for a given seed and call sequence; all-zero (the
-    default) costs nothing — not even a sleep(0) yield.
-    """
-
-    def __init__(
-        self,
-        latency_seconds: float = 0.0,
-        jitter_seconds: float = 0.0,
-        seed: int = 0,
-    ):
-        if latency_seconds < 0 or jitter_seconds < 0:
-            raise ValueError("latency and jitter must be >= 0")
-        self.latency_seconds = latency_seconds
-        self.jitter_seconds = jitter_seconds
-        self._rng = random.Random(seed)
-
-    def delay_seconds(self) -> float:
-        """The next message's injected delay."""
-        if self.jitter_seconds:
-            return self.latency_seconds + self._rng.uniform(
-                0.0, self.jitter_seconds
-            )
-        return self.latency_seconds
-
-    async def delay(self) -> None:
-        seconds = self.delay_seconds()
-        if seconds > 0:
-            await asyncio.sleep(seconds)
-
-
 def _receive_drop() -> TransportError | None:
     """One ``chaosnet.receive`` hit: the injected failure, if it drops."""
     spec = fault_point("chaosnet.receive")
@@ -126,7 +88,7 @@ def _receive_drop() -> TransportError | None:
 
 
 class ChaosSession(TransportSession):
-    """One wrapped session: fault sites + profile delays + partitions.
+    """One wrapped session: fault sites + partitions.
 
     ``endpoint`` is set on dialed (client) sessions only; accepted
     sessions skip the partition check — the partition is enforced where
@@ -136,11 +98,9 @@ class ChaosSession(TransportSession):
     def __init__(
         self,
         inner: TransportSession,
-        profile: ChaosProfile,
         endpoint: tuple[str, int] | None = None,
     ):
         self.inner = inner
-        self.profile = profile
         self.endpoint = endpoint
         #: Raised by the next :meth:`receive_many`: a ``chaosnet.receive``
         #: drop that hit behind messages returned first.
@@ -150,29 +110,23 @@ class ChaosSession(TransportSession):
         error = _receive_drop()
         if error is not None:
             raise error
-        await self.profile.delay()
         return await self.inner.receive()
 
     async def receive_many(self) -> list[str]:
         """As :meth:`receive` one message after another: the
         ``chaosnet.receive`` site is hit once before the read and once
         per further message; a drop there returns the messages before
-        it and raises on the next call.  The profile delays are slept
-        as one."""
+        it and raises on the next call."""
         error = self._dropped or _receive_drop()
         self._dropped = None
         if error is not None:
             raise error
-        delay = self.profile.delay_seconds()
         texts = await self.inner.receive_many()
         for index in range(1, len(texts)):
             self._dropped = _receive_drop()
             if self._dropped is not None:
                 del texts[index:]
                 break
-            delay += self.profile.delay_seconds()
-        if delay > 0:
-            await asyncio.sleep(delay)
         return texts
 
     async def send(self, text: str) -> None:
@@ -182,14 +136,13 @@ class ChaosSession(TransportSession):
         """As :meth:`send` one message after another: a partition fails
         the batch before any of it is written; a ``chaosnet.send`` drop
         fails it at that message, after writing the ones before it (the
-        error's ``sent``).  The profile delays are slept as one."""
+        error's ``sent``)."""
         if self.endpoint is not None and is_severed(*self.endpoint):
             obs.count("chaosnet.sends_partitioned")
             raise TransportError(
                 f"chaosnet: partitioned from {self.endpoint[0]}:"
                 f"{self.endpoint[1]}"
             )
-        delay = 0.0
         dropped = None
         for index in range(len(texts)):
             spec = fault_point("chaosnet.send")
@@ -197,9 +150,6 @@ class ChaosSession(TransportSession):
                 obs.count("chaosnet.sends_dropped")
                 dropped = index
                 break
-            delay += self.profile.delay_seconds()
-        if delay > 0:
-            await asyncio.sleep(delay)
         await self.inner.send_many(texts[:dropped])
         if dropped is not None:
             error = TransportError("chaosnet: injected send failure")
@@ -213,9 +163,8 @@ class ChaosSession(TransportSession):
 class ChaosNetTransport(Transport):
     """A transport wrapped in deterministic network chaos."""
 
-    def __init__(self, inner: Transport, profile: ChaosProfile | None = None):
+    def __init__(self, inner: Transport):
         self.inner = inner
-        self.profile = profile or ChaosProfile()
         self.name = f"chaos+{inner.name}"
 
     async def accept(self, reader, writer, mode: str):
@@ -223,7 +172,7 @@ class ChaosNetTransport(Transport):
         session = await self.inner.accept(reader, writer, mode)
         if session is None:
             return None
-        return ChaosSession(session, self.profile)
+        return ChaosSession(session)
 
     async def connect(self, host: str, port: int, mode: str):
         check_mode(mode)
@@ -243,4 +192,4 @@ class ChaosNetTransport(Transport):
             obs.count("chaosnet.dials_dropped")
             raise TransportError("chaosnet: injected dial failure")
         session = await self.inner.connect(host, port, mode)
-        return ChaosSession(session, self.profile, endpoint=(host, port))
+        return ChaosSession(session, endpoint=(host, port))

@@ -150,8 +150,14 @@ class TestClusterChaos:
 
             await cluster.restart_runtime(victim)
             recovered = cluster.supervisors[victim].recovered_records
-            _, body = await http_get("127.0.0.1", port, "/healthz")
-            assert json.loads(body)["status"] == "ok"
+
+            async def healthy():
+                _, body = await http_get("127.0.0.1", port, "/healthz")
+                return json.loads(body)["status"] == "ok"
+
+            # The gateway links re-dial the restarted runtime on their own
+            # schedule: wait for /healthz to read ok, not the first read.
+            await poll(healthy)
 
             await feed_gateways(cluster, second)
             return recovered

@@ -21,7 +21,7 @@ from repro.service.batcher import SlideBatcher
 from repro.service.protocol import format_heartbeat, parse_heartbeat
 from repro.transport import chaosnet
 from tests.gateway.conftest import http_get, split_round_robin
-from tests.parity import feed_gateways, offline_oracle, run_cluster
+from tests.parity import feed_gateways, offline_oracle, run_cluster, tap_ingest
 from tests.service.conftest import to_sentences
 
 
@@ -117,15 +117,15 @@ class TestHeartbeatProtocol:
         async def scenario():
             batcher = SlideBatcher(
                 system=None, queue=None, slide_seconds=60,
-                journal=ExplodingJournal(), record_ingest=True,
-                watermark_sources=1,
+                journal=ExplodingJournal(), watermark_sources=1,
             )
+            ingested = tap_ingest(batcher)
             with obs.activate(obs.MetricsRegistry()) as registry:
                 _, _, sentence = format_heartbeat("gw0", 7).partition("\t")
                 await batcher._ingest([(0, sentence)], journal=True)
                 return (
                     registry.counter("service.ingest.heartbeats").value,
-                    batcher.ingested,
+                    ingested,
                     batcher._wm_clocks,
                 )
 

@@ -1,6 +1,7 @@
 """The one transcript builder and offline oracle behind every byte-parity
 suite, and the live drivers the service, recovery and gateway suites
-share: :func:`send_sentences`, :func:`subscribe`, :func:`run_live`,
+share: :func:`send_sentences`, :func:`subscribe`, :func:`tap_feed`,
+:func:`tap_ingest`, :func:`run_live`,
 :func:`feed_gateways`, :func:`quiesce`, :func:`run_cluster` and the
 :class:`HandOver` queue stand-in.
 
@@ -17,6 +18,7 @@ Alerts and movement events hold only scalars, so they compare as they are.
 """
 
 import asyncio
+import inspect
 import time
 
 from repro.ais.stream import StreamReplayer, TimedArrival
@@ -29,9 +31,15 @@ EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
 
 
 async def poll(predicate, timeout: float = 30.0) -> None:
-    """Wait until ``predicate()`` holds; fail after ``timeout`` seconds."""
+    """Wait until ``predicate()`` holds, awaiting it when it returns an
+    awaitable; fail after ``timeout`` seconds."""
     deadline = time.monotonic() + timeout
-    while not predicate():
+    while True:
+        held = predicate()
+        if inspect.isawaitable(held):
+            held = await held
+        if held:
+            return
         assert time.monotonic() < deadline, "poll timed out"
         await asyncio.sleep(0.005)
 
@@ -150,15 +158,30 @@ def tap_feed(supervisor) -> list[str]:
     return lines
 
 
+def tap_ingest(batcher) -> list[tuple[int, str]]:
+    """Capture every ``(receive_time, sentence)`` record ``batcher``
+    hands its scanner — post-shedding, journal replay included: the
+    offline-parity replay input."""
+    records = []
+    original = batcher.scanner.scan_many
+
+    def tap(batch):
+        records.extend(batch)
+        return original(batch)
+
+    batcher.scanner.scan_many = tap
+    return records
+
+
 async def run_live(
     sentences, world, specs, config=None, service=None, system_factory=None,
-    record_ingest=False,
+    ingested=None,
 ):
     """Stream ``sentences`` into one node over real TCP, collect its feed
     over a socket, drain cleanly; ``(supervisor, feed lines)``.
 
-    ``record_ingest`` switches on the batcher's tap of every scanned
-    record (``supervisor.batcher.ingested``)."""
+    ``ingested``, a list, receives every record the batcher scanned
+    (:func:`tap_ingest`)."""
     supervisor = ServiceSupervisor(
         world,
         specs,
@@ -166,7 +189,7 @@ async def run_live(
         service or ServiceConfig(**EPHEMERAL),
         system_factory=system_factory,
     )
-    supervisor.batcher.record_ingest = record_ingest
+    tapped = tap_ingest(supervisor.batcher)
     await supervisor.start()
     ports = supervisor.ports()
     feed = await subscribe(ports["feed"])
@@ -175,6 +198,8 @@ async def run_live(
     # All lines are enqueued once the server side has seen the EOF.
     await poll(lambda: supervisor.ingest.open_connections == 0)
     await supervisor.drain_and_stop()
+    if ingested is not None:
+        ingested.extend(tapped)
     return supervisor, await feed
 
 
@@ -195,16 +220,31 @@ async def feed_gateways(cluster, streams) -> None:
 
 
 async def quiesce(cluster) -> None:
-    """Wait until every link and every live runtime's queue is empty,
-    plus a breath for the batchers to finish the line in flight."""
-    await poll(lambda: all(
-        link.depth == 0 for node in cluster.nodes for link in node.links
-    ))
-    await poll(lambda: all(
-        len(supervisor.queue) == 0
-        for index, supervisor in enumerate(cluster.supervisors)
-        if not cluster.is_crashed(index)
-    ))
+    """Wait until every link is empty and every line the links sent has
+    reached a live runtime and left its ingest queue, plus a breath for
+    the last feed lines to reach the fan-in.
+
+    Exact, unlike "all queues empty", which also holds while a line sits
+    in a socket buffer between a link and its runtime: a crash there
+    would lose a line the gateway counts as delivered."""
+
+    def settled() -> bool:
+        live = [
+            supervisor
+            for index, supervisor in enumerate(cluster.supervisors)
+            if not cluster.is_crashed(index)
+        ]
+        sent = sum(
+            node.registry.counter("gateway.link.lines").value
+            for node in cluster.nodes
+        )
+        return (
+            all(link.depth == 0 for node in cluster.nodes for link in node.links)
+            and sum(supervisor.queue.put_count for supervisor in live) == sent
+            and all(len(supervisor.queue) == 0 for supervisor in live)
+        )
+
+    await poll(settled)
     await asyncio.sleep(0.05)
 
 

@@ -1,135 +1,106 @@
-"""Write-ahead log: framing, rotation, recovery, repair, truncation."""
+"""Ingest journal: framing, recovery, repair, truncation, old format."""
 
-import shutil
 import struct
 
 import pytest
 
-from repro.resilience.wal import (
-    IngestJournal,
-    WriteAheadLog,
-    read_journal,
-    read_wal,
-)
+from repro.resilience.wal import JOURNAL_NAME, IngestJournal, read_journal
+
+
+def _write(directory, records):
+    journal = IngestJournal(directory)
+    for record in records:
+        journal.append(*record)
+    journal.close()  # a crash: no clean drain truncates the journal
+    return directory / JOURNAL_NAME
+
+
+def _ends(data: bytes) -> list[int]:
+    """The byte offset at which each framed record of ``data`` ends."""
+    ends, offset = [], 0
+    while offset < len(data):
+        (length,) = struct.unpack_from("<I", data, offset)
+        offset += 8 + length
+        ends.append(offset)
+    return ends
 
 
 class TestFraming:
     def test_roundtrip_preserves_payloads_and_order(self, tmp_path):
-        payloads = [f"record-{i}".encode() for i in range(50)]
-        with WriteAheadLog(tmp_path) as wal:
-            for payload in payloads:
-                wal.append(payload)
-        records, stats = read_wal(tmp_path)
-        assert [r.payload for r in records] == payloads
-        assert [r.seq for r in records] == list(range(50))
+        records = [(1000 + i, f"record-{i}") for i in range(50)]
+        _write(tmp_path, records)
+        recovered, stats = read_journal(tmp_path)
+        assert recovered == records
         assert stats.records == 50
-        assert stats.corrupt_segments == 0
+        assert stats.dropped_bytes == 0
 
     def test_empty_directory_recovers_nothing(self, tmp_path):
-        records, stats = read_wal(tmp_path / "missing")
-        assert records == []
-        assert stats.last_seq == -1
+        recovered, stats = read_journal(tmp_path / "missing")
+        assert recovered == []
+        assert stats.records == 0
 
     def test_binary_payloads_survive(self, tmp_path):
-        blob = bytes(range(256)) * 17
-        with WriteAheadLog(tmp_path) as wal:
-            wal.append(blob)
-            wal.append(b"")
-        records, _ = read_wal(tmp_path)
-        assert records[0].payload == blob
-        assert records[1].payload == b""
+        blob = "".join(map(chr, range(1, 256))) * 17 + "\t\n☃"
+        _write(tmp_path, [(7, blob), (8, "")])
+        recovered, _ = read_journal(tmp_path)
+        assert recovered == [(7, blob), (8, "")]
 
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
-            WriteAheadLog(tmp_path, fsync="sometimes")
+            IngestJournal(tmp_path, fsync="sometimes")
 
     def test_append_after_close_refused(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.close()
+        journal = IngestJournal(tmp_path)
+        journal.close()
         with pytest.raises(ValueError, match="closed"):
-            wal.append(b"late")
+            journal.append(1, "late")
 
 
-class TestRotationAndRetention:
-    def test_segments_rotate_at_size_threshold(self, tmp_path):
-        with WriteAheadLog(tmp_path, segment_max_bytes=64) as wal:
-            for i in range(20):
-                wal.append(f"payload-{i:04d}".encode())
-        segments = sorted(tmp_path.glob("wal-*.wal"))
-        assert len(segments) > 1
-        # Lexicographic segment order is replay order (zero-padded seqs).
-        records, _ = read_wal(tmp_path)
-        assert [r.seq for r in records] == list(range(20))
-
-    def test_reopen_continues_sequence_in_new_segment(self, tmp_path):
-        with WriteAheadLog(tmp_path) as wal:
-            for i in range(5):
-                wal.append(f"first-{i}".encode())
-        wal2 = WriteAheadLog(tmp_path)
-        assert len(wal2.recovered) == 5
-        assert wal2.next_seq == 5
-        wal2.append(b"second-0")
-        wal2.close()
-        records, _ = read_wal(tmp_path)
-        assert [r.seq for r in records] == list(range(6))
-        assert records[-1].payload == b"second-0"
+class TestReopen:
+    def test_reopen_appends_after_recovered_records(self, tmp_path):
+        path = _write(tmp_path, [(i, f"first-{i}") for i in range(5)])
+        reopened = IngestJournal(tmp_path)
+        assert reopened.recovered == [(i, f"first-{i}") for i in range(5)]
+        assert not reopened.recovery_stats.repaired
+        reopened.append(9, "second-0")
+        reopened.close()
+        assert list(tmp_path.iterdir()) == [path]
+        recovered, _ = read_journal(tmp_path)
+        assert recovered == [
+            *((i, f"first-{i}") for i in range(5)), (9, "second-0")
+        ]
 
 
 class TestTruncatedTailRecovery:
-    def _write(self, tmp_path, count=10):
-        with WriteAheadLog(tmp_path) as wal:
-            for i in range(count):
-                wal.append(f"record-{i}".encode())
-        return sorted(tmp_path.glob("wal-*.wal"))
+    RECORDS = [(i, f"record-{i}") for i in range(10)]
 
     def test_truncated_tail_yields_clean_prefix(self, tmp_path):
-        (segment,) = self._write(tmp_path)
-        data = segment.read_bytes()
-        segment.write_bytes(data[:-3])  # torn final record
-        records, stats = read_wal(tmp_path)
-        assert [r.payload for r in records] == [
-            f"record-{i}".encode() for i in range(9)
-        ]
-        assert stats.corrupt_segments == 1
-        assert stats.dropped_bytes > 0
+        path = _write(tmp_path, self.RECORDS)
+        data = path.read_bytes()
+        path.write_bytes(data[:-3])  # torn final record
+        recovered, stats = read_journal(tmp_path)
+        assert recovered == self.RECORDS[:9]
+        assert stats.dropped_bytes == len(data) - 3 - _ends(data)[8]
 
     def test_corrupt_crc_stops_replay_at_corruption(self, tmp_path):
-        (segment,) = self._write(tmp_path)
-        data = bytearray(segment.read_bytes())
+        path = _write(tmp_path, self.RECORDS)
+        data = bytearray(path.read_bytes())
         # Flip one payload byte of the 4th record (after 3 clean frames).
-        offset = sum(8 + len(f"record-{i}".encode()) for i in range(3))
+        offset = _ends(bytes(data))[2]
         data[offset + 8] ^= 0xFF
-        segment.write_bytes(bytes(data))
-        records, stats = read_wal(tmp_path)
-        assert len(records) == 3  # prefix only: nothing after the damage
-        assert stats.corrupt_segments == 1
+        path.write_bytes(bytes(data))
+        recovered, stats = read_journal(tmp_path)
+        assert recovered == self.RECORDS[:3]  # nothing after the damage
+        assert stats.dropped_bytes == len(data) - offset
 
     def test_oversized_length_header_treated_as_corruption(self, tmp_path):
-        (segment,) = self._write(tmp_path, count=2)
-        data = bytearray(segment.read_bytes())
+        path = _write(tmp_path, self.RECORDS[:2])
+        data = bytearray(path.read_bytes())
         struct.pack_into("<I", data, 0, 1 << 30)
-        segment.write_bytes(bytes(data))
-        records, stats = read_wal(tmp_path)
-        assert records == []
-        assert stats.corrupt_segments == 1
-
-    def test_corruption_mid_directory_drops_later_segments(self, tmp_path):
-        with WriteAheadLog(tmp_path, segment_max_bytes=64) as wal:
-            for i in range(20):
-                wal.append(f"payload-{i:04d}".encode())
-        segments = sorted(tmp_path.glob("wal-*.wal"))
-        assert len(segments) >= 3
-        middle = segments[1]
-        middle.write_bytes(middle.read_bytes()[:-2])
-        records, stats = read_wal(tmp_path)
-        # Everything after the corrupt segment has no sound ordering
-        # relationship to the lost records: prefix semantics drop it all.
-        first_counts, _, _ = (len(records), None, None)
-        assert first_counts < 20
-        assert all(r.seq == i for i, r in enumerate(records))
-        assert stats.dropped_bytes >= sum(
-            s.stat().st_size for s in segments[2:]
-        )
+        path.write_bytes(bytes(data))
+        recovered, stats = read_journal(tmp_path)
+        assert recovered == []
+        assert stats.dropped_bytes == len(data)
 
 
 class TestRepairAtOpen:
@@ -139,141 +110,95 @@ class TestRepairAtOpen:
     def test_records_journaled_after_a_torn_tail_survive_the_next_recovery(
         self, tmp_path
     ):
-        with WriteAheadLog(tmp_path) as wal:
-            for i in range(5):
-                wal.append(f"first-{i}".encode())
-        (segment,) = tmp_path.glob("wal-*.wal")
-        segment.write_bytes(segment.read_bytes()[:-3])
+        path = _write(tmp_path, [(i, f"first-{i}") for i in range(5)])
+        path.write_bytes(path.read_bytes()[:-3])
 
-        reopened = WriteAheadLog(tmp_path)
+        reopened = IngestJournal(tmp_path)
         assert len(reopened.recovered) == 4
-        assert reopened.recovery_stats.repaired_segments == 1
-        reopened.append(b"second-0")
-        reopened.append(b"second-1")
-        reopened.close()  # a crash: no clean drain truncates the journal
-
-        records, stats = read_wal(tmp_path)
-        assert [r.payload for r in records] == [
-            *(f"first-{i}".encode() for i in range(4)),
-            b"second-0",
-            b"second-1",
-        ]
-        assert [r.seq for r in records] == list(range(6))
-        assert stats.corrupt_segments == 0
-
-    def test_segments_past_the_damage_are_deleted(self, tmp_path):
-        with WriteAheadLog(tmp_path, segment_max_bytes=64) as wal:
-            for i in range(20):
-                wal.append(f"payload-{i:04d}".encode())
-        segments = sorted(tmp_path.glob("wal-*.wal"))
-        segments[1].write_bytes(segments[1].read_bytes()[:-2])
-        prefix, _ = read_wal(tmp_path)
-
-        reopened = WriteAheadLog(tmp_path)
+        assert reopened.recovery_stats.repaired
+        assert reopened.recovery_stats.dropped_bytes > 0
+        reopened.append(10, "second-0")
+        reopened.append(11, "second-1")
         reopened.close()
-        assert sorted(tmp_path.glob("wal-*.wal")) == segments[:2]
-        assert reopened.recovered == prefix
-        records, stats = read_wal(tmp_path)
-        assert records == prefix
-        assert stats.corrupt_segments == 0
+
+        recovered, stats = read_journal(tmp_path)
+        assert recovered == [
+            *((i, f"first-{i}") for i in range(4)),
+            (10, "second-0"),
+            (11, "second-1"),
+        ]
+        assert stats.dropped_bytes == 0
 
 
 class TestRecoveryFuzz:
-    """Cut or flip one byte at every offset of the last segment of a
-    two-segment journal: recovery never raises, returns exactly the
-    records wholly before the damage and counts the damage, and a reopen
-    followed by an append recovers that prefix plus the new records."""
+    """Cut or flip one byte at every offset of the journal file: recovery
+    never raises, returns exactly the records wholly before the damage
+    and counts the bytes after them, and a reopen followed by two
+    appends repairs the file and recovers that prefix plus both."""
 
-    PAYLOADS = [f"record-{i:02d}".encode() for i in range(7)]
+    RECORDS = [(100 + i, f"record-{i:02d}") for i in range(7)]
+    AFTER = [(200, "after-0"), (201, "after-1")]
 
     @pytest.fixture(scope="class")
     def journal(self, tmp_path_factory):
-        directory = tmp_path_factory.mktemp("journal")
-        with WriteAheadLog(directory, segment_max_bytes=64) as wal:
-            for payload in self.PAYLOADS:
-                wal.append(payload)
-        segments = sorted(directory.glob("wal-*.wal"))
-        assert len(segments) == 2
-        last = segments[1].read_bytes()
-        # Records in the first segment: the last one's name is its first seq.
-        before = int(segments[1].stem.rsplit("-", 1)[1])
-        # Byte offset at which each record of the last segment ends.
-        ends, offset = [], 0
-        while offset < len(last):
-            (length,) = struct.unpack_from("<I", last, offset)
-            offset += 8 + length
-            ends.append(offset)
-        return directory, segments[1].name, last, before, ends
+        data = _write(tmp_path_factory.mktemp("journal"), self.RECORDS).read_bytes()
+        return data, _ends(data)
 
-    def _damaged(self, journal, tmp_path, data):
-        source, name, _, _, _ = journal
-        target = tmp_path / "wal"
-        shutil.copytree(source, target)
-        (target / name).write_bytes(data)
-        return target
-
-    def _check(self, directory, expected, dropped_bytes):
-        damaged = dropped_bytes > 0
-        records, stats = read_wal(directory)
-        assert [r.payload for r in records] == self.PAYLOADS[:expected]
-        assert stats.corrupt_segments == int(damaged)
-        assert stats.dropped_bytes == dropped_bytes
-        wal = WriteAheadLog(directory)
-        assert wal.recovery_stats.repaired_segments == int(damaged)
-        wal.append(b"after-0")
-        wal.append(b"after-1")
-        wal.close()
-        records, stats = read_wal(directory)
-        assert [r.payload for r in records] == [
-            *self.PAYLOADS[:expected], b"after-0", b"after-1"
-        ]
-        assert [r.seq for r in records] == list(range(expected + 2))
-        assert stats.corrupt_segments == 0
+    def _check(self, directory, data, ends, damage_at):
+        """``damage_at``: the first damaged byte (a cut or a flip)."""
+        (directory / JOURNAL_NAME).write_bytes(data)
+        whole = sum(end <= damage_at for end in ends)
+        dropped = len(data) - [0, *ends][whole]
+        recovered, stats = read_journal(directory)
+        assert recovered == self.RECORDS[:whole]
+        assert stats.dropped_bytes == dropped
+        journal = IngestJournal(directory)
+        assert journal.recovered == recovered
+        assert journal.recovery_stats.repaired == (dropped > 0)
+        for record in self.AFTER:
+            journal.append(*record)
+        journal.close()
+        recovered, stats = read_journal(directory)
+        assert recovered == [*self.RECORDS[:whole], *self.AFTER]
+        assert stats.dropped_bytes == 0
 
     def test_every_cut(self, journal, tmp_path):
-        _, _, last, before, ends = journal
-        for cut in range(len(last)):
+        data, ends = journal
+        for cut in range(len(data)):
             case = tmp_path / f"cut{cut}"
             case.mkdir()
-            directory = self._damaged(journal, case, last[:cut])
-            whole = sum(end <= cut for end in ends)
-            self._check(directory, before + whole, cut - [0, *ends][whole])
+            self._check(case, data[:cut], ends, cut)
 
     def test_every_flip(self, journal, tmp_path):
-        _, _, last, before, ends = journal
-        for offset in range(len(last)):
+        data, ends = journal
+        for offset in range(len(data)):
             case = tmp_path / f"flip{offset}"
             case.mkdir()
-            data = bytearray(last)
-            data[offset] ^= 0xFF
-            directory = self._damaged(journal, case, bytes(data))
-            whole = sum(end <= offset for end in ends)
-            self._check(directory, before + whole, len(last) - [0, *ends][whole])
+            flipped = bytearray(data)
+            flipped[offset] ^= 0xFF
+            self._check(case, bytes(flipped), ends, offset)
 
 
 class TestTruncation:
-    def test_truncate_all_removes_every_segment(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, segment_max_bytes=64)
+    def test_truncate_all_removes_the_journal(self, tmp_path):
+        journal = IngestJournal(tmp_path)
         for i in range(20):
-            wal.append(f"payload-{i:04d}".encode())
-        wal.truncate_all()
-        assert list(tmp_path.glob("wal-*.wal")) == []
-        records, _ = read_wal(tmp_path)
-        assert records == []
+            journal.append(i, f"payload-{i:04d}")
+        journal.truncate_all()
+        assert list(tmp_path.iterdir()) == []
+        assert read_journal(tmp_path)[0] == []
+        with pytest.raises(ValueError, match="closed"):
+            journal.append(20, "after the drain")
 
-    def test_an_empty_leftover_segment_is_reopened_once(self, tmp_path):
-        """A crash between opening a segment and writing to it leaves an
-        empty file named for the next seq; the reopened log appends to it
-        and counts it once."""
-        with WriteAheadLog(tmp_path) as wal:
-            wal.append(b"first")
-        (tmp_path / "wal-000000000001.wal").touch()
-        wal = WriteAheadLog(tmp_path)
-        assert wal.append(b"second") == 1
-        wal.close()
-        assert wal.segment_count() == 2
-        wal.truncate_all()
-        assert list(tmp_path.glob("wal-*.wal")) == []
+
+class TestOldFormat:
+    def test_old_format_segments_are_refused(self, tmp_path):
+        """A directory of pre-single-file ``wal-*.wal`` segments is
+        refused by name, never silently journaled beside."""
+        (tmp_path / "wal-000000000000.wal").write_bytes(b"old")
+        with pytest.raises(ValueError, match="wal-000000000000.wal"):
+            IngestJournal(tmp_path)
+        assert not (tmp_path / JOURNAL_NAME).exists()
 
 
 class TestIngestJournal:
@@ -289,10 +214,7 @@ class TestIngestJournal:
         assert stats.records == 2
 
     def test_restart_recovers_then_clean_drain_truncates(self, tmp_path):
-        journal = IngestJournal(tmp_path)
-        for i in range(8):
-            journal.append(100 + i, f"sentence-{i}")
-        journal.close()
+        _write(tmp_path, [(100 + i, f"sentence-{i}") for i in range(8)])
 
         reopened = IngestJournal(tmp_path)
         assert reopened.recovered == [

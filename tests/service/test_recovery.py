@@ -94,7 +94,7 @@ class TestCrashRecoveryParity:
 
         # The journal holds exactly the consumed prefix of the stream.
         journaled, stats = read_journal(wal_dir)
-        assert stats.corrupt_segments == 0
+        assert stats.dropped_bytes == 0
         assert journaled == soak_sentences[: len(journaled)]
         assert len(journaled) >= len(run1_lines)
 

@@ -48,6 +48,7 @@ class TestSoakParity:
                 return super().process_slide(batch, query_time)
 
         service = ServiceConfig(ingest_queue_size=64, **EPHEMERAL)
+        recorded = []
         with obs.activate(obs.MetricsRegistry()) as registry:
             supervisor, live = asyncio.run(
                 run_live(
@@ -56,7 +57,7 @@ class TestSoakParity:
                     small_fleet["specs"],
                     service=service,
                     system_factory=SlowSystem,
-                    record_ingest=True,
+                    ingested=recorded,
                 )
             )
             exposition = render_prometheus(registry)
@@ -73,7 +74,6 @@ class TestSoakParity:
         )
         # The surviving stream is exactly what the batcher recorded, and
         # replaying it offline reproduces the live feed byte for byte.
-        recorded = supervisor.batcher.ingested
         assert len(recorded) == len(soak_sentences) - supervisor.queue.shed_count
         offline = offline_oracle(recorded, world, small_fleet["specs"])
         assert live == offline

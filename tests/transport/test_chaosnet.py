@@ -1,4 +1,4 @@
-"""Chaosnet specifics: partitions, seeded delays, fault sites, and the
+"""Chaosnet specifics: partitions, fault sites, and the
 pass-through contract (an unarmed chaos wrapper must be invisible)."""
 
 import asyncio
@@ -14,7 +14,6 @@ from repro.transport import available_transports, create_transport
 from repro.transport.base import TransportError, TransportSession
 from repro.transport.chaosnet import (
     ChaosNetTransport,
-    ChaosProfile,
     ChaosSession,
     clear_partitions,
     heal,
@@ -64,40 +63,6 @@ class TestRegistration:
     def test_unknown_inner_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             create_transport("chaos+tcp").no_such_extra
-
-
-class TestChaosProfile:
-    def test_same_seed_same_delays(self):
-        a = ChaosProfile(latency_seconds=0.01, jitter_seconds=0.02, seed=42)
-        b = ChaosProfile(latency_seconds=0.01, jitter_seconds=0.02, seed=42)
-        delays = [a.delay_seconds() for _ in range(16)]
-        assert delays == [b.delay_seconds() for _ in range(16)]
-        assert all(0.01 <= d <= 0.03 for d in delays)
-        assert len(set(delays)) > 1, "jitter must actually vary"
-
-    def test_zero_profile_costs_nothing(self):
-        assert ChaosProfile().delay_seconds() == 0.0
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            ChaosProfile(latency_seconds=-0.1)
-
-    def test_latency_is_applied_per_send(self):
-        async def run():
-            transport = ChaosNetTransport(
-                TcpTransport(), ChaosProfile(latency_seconds=0.02)
-            )
-            server, port, received = await _collector_server(transport)
-            session = await transport.connect("127.0.0.1", port, "ingest")
-            started = time.perf_counter()
-            await session.send("delayed")
-            elapsed = time.perf_counter() - started
-            await session.close()
-            server.close()
-            await server.wait_closed()
-            return elapsed
-
-        assert asyncio.run(run()) >= 0.02
 
 
 class TestPartitions:
@@ -285,7 +250,7 @@ class TestReceiveMany:
         same messages as the per-message reader, with the same hits."""
         outcomes = []
         for batched in (False, True):
-            session = ChaosSession(CutSession(messages, cuts), ChaosProfile())
+            session = ChaosSession(CutSession(messages, cuts))
             plan = FaultPlan.from_spec(f"chaosnet.receive:drop@{drop_at}")
             with faults.inject(plan) as injector:
                 result = asyncio.run(_read_all(session, batched))

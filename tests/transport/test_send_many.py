@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.transport.base import TransportError, TransportSession
-from repro.transport.chaosnet import ChaosProfile, ChaosSession
+from repro.transport.chaosnet import ChaosSession
 from repro.transport.tcp import TcpSession
 
 texts = st.lists(st.text(alphabet="abc!,*", max_size=8), min_size=1, max_size=12)
@@ -59,7 +59,7 @@ def test_chaos_drop_writes_the_messages_before_it(texts, data):
     fails with ``sent`` k, as k single sends and a failed one would."""
     drop_at = data.draw(st.integers(min_value=0, max_value=len(texts) - 1))
     inner = LoopSession()
-    session = ChaosSession(inner, ChaosProfile())
+    session = ChaosSession(inner)
     with faults.inject(FaultPlan.from_spec(f"chaosnet.send:drop@{drop_at + 1}")):
         with pytest.raises(TransportError) as info:
             asyncio.run(session.send_many(texts))
