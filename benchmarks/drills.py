@@ -294,14 +294,26 @@ def run_partition_drill(
             await asyncio.sleep(0.005)
 
     async def quiesce(cluster) -> None:
-        await poll(lambda: all(
-            link.depth == 0 for node in cluster.nodes for link in node.links
-        ))
-        await poll(lambda: all(
-            len(supervisor.queue) == 0
-            for index, supervisor in enumerate(cluster.supervisors)
-            if not cluster.is_crashed(index)
-        ))
+        # Exact, unlike "all queues empty", which also holds while a line
+        # sits in a socket buffer between a link and its runtime: the
+        # live runtimes must have received every line the links sent.
+        def settled() -> bool:
+            live = [
+                supervisor
+                for index, supervisor in enumerate(cluster.supervisors)
+                if not cluster.is_crashed(index)
+            ]
+            sent = sum(
+                node.registry.counter("gateway.link.lines").value
+                for node in cluster.nodes
+            )
+            return (
+                all(link.depth == 0 for node in cluster.nodes for link in node.links)
+                and sum(supervisor.queue.put_count for supervisor in live) == sent
+                and all(len(supervisor.queue) == 0 for supervisor in live)
+            )
+
+        await poll(settled)
         await asyncio.sleep(0.05)
 
     async def pump(cluster, halves) -> None:

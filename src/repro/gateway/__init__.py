@@ -26,7 +26,6 @@ from repro.gateway.health import ClusterSupervisor, LinkFailureDetector
 from repro.gateway.merge import (
     alert_dict_sort_key,
     merge_order_key,
-    merge_slide_payloads,
     merged_feed_line,
 )
 from repro.gateway.metrics import federate_prometheus
@@ -46,7 +45,6 @@ __all__ = [
     "alert_dict_sort_key",
     "federate_prometheus",
     "merge_order_key",
-    "merge_slide_payloads",
     "merged_feed_line",
     "shard_for_mmsi",
 ]

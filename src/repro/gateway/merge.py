@@ -6,13 +6,19 @@ under the ``ce_scope = "vessel"`` deployment contract (docs/GATEWAY.md):
 vessels are then disjoint across runtimes, every runtime emits its
 alerts and critical points in the same canonical order a single node
 would, and the cluster line for one query time is the concatenation of
-the shard lines re-sorted with the *same* keys the single node uses —
-hence byte-identical output.
+the shard lines re-sorted with the *same* keys the single node uses and
+laid out by the same :func:`repro.service.protocol.feed_line` — hence
+byte-identical output.  Each merged record is encoded once.
 """
 
 import json
 
-from repro.service.protocol import _dumps, point_sort_key
+from repro.service.protocol import (
+    alert_fragment,
+    feed_line,
+    point_fragment,
+    strings_json,
+)
 
 #: Feed-line types in emission order at one query time (a ``finalize``
 #: flush always follows the last ``slide`` of the same boundary).
@@ -46,10 +52,11 @@ def merge_order_key(payload: dict) -> tuple:
     return (payload["query_time"], _TYPE_ORDER[kind])
 
 
-def merge_slide_payloads(payloads: list[dict]) -> dict:
+def merged_feed_line(payloads: list[dict]) -> str:
     """Fold one feed line per runtime (same type, same query time) into
     the cluster line: counters sum, alerts and critical points re-sort
-    into the single node's canonical order."""
+    into the single node's canonical order, and each record is encoded
+    once by the single node's encoders."""
     if not payloads:
         raise ValueError("nothing to merge")
     first = payloads[0]
@@ -62,30 +69,32 @@ def merge_slide_payloads(payloads: list[dict]) -> dict:
                 "cannot merge feed lines across types or query times: "
                 f"{merge_order_key(first)} vs {merge_order_key(payload)}"
             )
-    alerts: list[dict] = []
-    points: list[dict] = []
-    for payload in payloads:
-        alerts.extend(payload["alerts"])
-        points.extend(payload["critical_points"])
-    # Stable sorts: same-key alerts only ever come from one runtime (one
+    alerts = [alert for payload in payloads for alert in payload["alerts"]]
+    # Stable sort: same-key alerts only ever come from one runtime (one
     # vessel lives on one shard), so their shard-local order — which is
     # the single node's order — survives.
     alerts.sort(key=alert_dict_sort_key)
-    points.sort(key=point_sort_key)
-    return {
-        "type": first["type"],
-        "query_time": first["query_time"],
-        "raw_positions": sum(p["raw_positions"] for p in payloads),
-        "movement_events": sum(p["movement_events"] for p in payloads),
-        "recognized": sum(p["recognized"] for p in payloads),
-        "alerts": alerts,
-        "critical_points": points,
-    }
-
-
-def merged_feed_line(payloads: list[dict]) -> str:
-    """The merged lines' wire form — same serializer as the single node."""
-    return _dumps(merge_slide_payloads(payloads))
+    return feed_line(
+        first["type"],
+        first["query_time"],
+        sum(p["raw_positions"] for p in payloads),
+        sum(p["movement_events"] for p in payloads),
+        sum(p["recognized"] for p in payloads),
+        [alert_fragment(**alert) for alert in alerts],
+        [
+            (
+                p["mmsi"],
+                p["timestamp"],
+                point_fragment(
+                    p["mmsi"], p["lon"], p["lat"], p["timestamp"],
+                    strings_json(p["annotations"]), p["speed_knots"],
+                    p["heading_degrees"], p["duration_seconds"],
+                ),
+            )
+            for payload in payloads
+            for p in payload["critical_points"]
+        ],
+    )
 
 
 def parse_feed_line(line: str) -> dict | None:

@@ -105,8 +105,9 @@ class MaritimeRecognizer:
         if ce_scope == "full":
             output_fluents = list(OUTPUT_FLUENTS)
         else:
-            # The aggregate fluents are gated out of the rule set; keeping
-            # them declared would only widen every query for nothing.
+            # The aggregate fluents are gated out of the rule set, so the
+            # vessel scope reports no fluent at all: the empty declaration
+            # keeps internal fluents (``stopped``, ...) out of the alerts.
             output_fluents = []
         output_events = list(OUTPUT_EVENTS)
         if pairwise:

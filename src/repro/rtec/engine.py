@@ -203,8 +203,9 @@ class RTEC:
         self._termination_rules: dict[str, list[Rule]] = defaultdict(list)
         self._event_rules: dict[str, list[Rule]] = defaultdict(list)
         self._computed: dict[str, ComputedFluent] = {}
-        self._outputs_fluents: set[str] = set()
-        self._outputs_events: set[str] = set()
+        # None until declared: an undeclared kind reports everything.
+        self._outputs_fluents: set[str] | None = None
+        self._outputs_events: set[str] | None = None
         # Open intervals persisted across steps: functor -> args -> value -> ts
         self._persisted_open: dict[str, dict[tuple, dict[object, int]]] = {}
         self._order: list[str] | None = None
@@ -244,10 +245,13 @@ class RTEC:
     ) -> None:
         """Name the CE fluents/events reported in recognition results.
 
-        Without a declaration, every derived fluent and event is reported.
+        Without a declaration (``None``), every derived fluent or event
+        is reported; a list, even an empty one, is the declaration.
         """
-        self._outputs_fluents.update(fluents or [])
-        self._outputs_events.update(events or [])
+        if fluents is not None:
+            self._outputs_fluents = (self._outputs_fluents or set()) | set(fluents)
+        if events is not None:
+            self._outputs_events = (self._outputs_events or set()) | set(events)
 
     # ------------------------------------------------------------------
     # recognition
@@ -288,10 +292,12 @@ class RTEC:
         obs.count("rtec.triggers_reused", fold.reused)
 
         result = RecognitionResult(query_time, window_start)
-        report_fluents = self._outputs_fluents or (
-            set(self._initiation_rules) | set(self._computed)
-        )
-        report_events = self._outputs_events or set(self._event_rules)
+        report_fluents = self._outputs_fluents
+        if report_fluents is None:
+            report_fluents = set(self._initiation_rules) | set(self._computed)
+        report_events = self._outputs_events
+        if report_events is None:
+            report_events = set(self._event_rules)
         result.fluents = {
             functor: dict(fold.fluents[functor])
             for functor in report_fluents

@@ -9,16 +9,21 @@ Three small, stable layers:
 * **Feed lines** — newline-delimited JSON.  One ``slide`` object per
   completed window slide carrying the alerts and fresh critical points,
   and one final ``finalize`` object when the service drains.
-* **JSON shapes** — :func:`alert_to_dict` / :func:`point_to_dict` define
-  the only serialization of alerts and critical points; the soak-parity
-  test compares the online and offline paths *byte for byte*, which only
-  means something because both sides call these functions.
+* **Feed encoding** — :func:`alert_fragment` and :func:`point_fragment`
+  encode each record once, as ``json.dumps(sort_keys=True)`` with compact
+  separators would, and :func:`feed_line` lays the fragments out; the
+  single node (:func:`slide_feed_line`) and the gateway merge
+  (:func:`repro.gateway.merge.merged_feed_line`) both go through them, so
+  the soak and deployment parity tests compare one encoding *byte for
+  byte*.  :func:`alert_to_dict` / :func:`point_to_dict` are the same
+  records as dicts, the ``/alerts`` shape.
 
 Everything here is pure and synchronous so the offline replay
 (:mod:`repro.service.replay`) produces identical bytes without sockets.
 """
 
-import json
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from repro.maritime.recognizer import Alert
 from repro.pipeline.metrics import SlideReport
@@ -189,35 +194,123 @@ def point_to_dict(point: CriticalPoint) -> dict:
     }
 
 
-def _dumps(payload: dict) -> str:
-    # Compact separators and sorted keys: the byte-identity contract.
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+def _float_json(value: float) -> str:
+    if value - value == 0.0:  # finite
+        return float.__repr__(value)
+    if value != value:
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
 
 
-def point_sort_key(point: dict) -> tuple:
-    """Canonical order of critical points within one feed line.
+#: How ``json.dumps`` spells each scalar type a feed record carries,
+#: keyed by exact type: a value of any other type (a subclass included)
+#: raises ``KeyError`` naming its type instead of being guessed at.
+_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    type(None): lambda value: "null",
+    bool: lambda value: "true" if value else "false",
+}
 
-    A total order over the serialized dicts: vessels are disjoint across
-    gateway-cluster shards, so sorting each shard's points and the
-    single-node pipeline's points with the same key makes the fan-in
-    merge byte-identical to the single node (docs/GATEWAY.md).  The
-    serialized-dict tiebreaker keeps the key total even for two points of
-    one vessel at the same instant.
+
+def strings_json(values) -> str:
+    """A JSON array of strings, in the order given."""
+    return "[" + ",".join(map(encode_basestring_ascii, values)) + "]"
+
+
+@cache
+def annotations_json(annotations: frozenset) -> str:
+    """The sorted annotation values of one point as a JSON array.
+
+    Memoised per set (at most one entry per subset of
+    :class:`~repro.tracking.types.MovementEventType`); sorting makes the
+    entry independent of the set's iteration order.
     """
-    return (point["mmsi"], point["timestamp"], _dumps(point))
+    return strings_json(sorted(a.value for a in annotations))
+
+
+def alert_fragment(kind, area, since, until, mmsi, mmsi2) -> str:
+    """One alert as JSON, keys sorted: :func:`alert_to_dict`'s shape."""
+    j = _JSON
+    return (
+        f'{{"area":{j[type(area)](area)},"kind":{j[type(kind)](kind)},'
+        f'"mmsi":{j[type(mmsi)](mmsi)},"mmsi2":{j[type(mmsi2)](mmsi2)},'
+        f'"since":{j[type(since)](since)},"until":{j[type(until)](until)}}}'
+    )
+
+
+def point_fragment(
+    mmsi, lon, lat, timestamp, annotations: str,
+    speed_knots, heading_degrees, duration_seconds,
+) -> str:
+    """One critical point as JSON, keys sorted: :func:`point_to_dict`'s
+    shape.  ``annotations`` is already a JSON array (:func:`annotations_json`)."""
+    j = _JSON
+    return (
+        f'{{"annotations":{annotations},'
+        f'"duration_seconds":{j[type(duration_seconds)](duration_seconds)},'
+        f'"heading_degrees":{j[type(heading_degrees)](heading_degrees)},'
+        f'"lat":{j[type(lat)](lat)},"lon":{j[type(lon)](lon)},'
+        f'"mmsi":{j[type(mmsi)](mmsi)},'
+        f'"speed_knots":{j[type(speed_knots)](speed_knots)},'
+        f'"timestamp":{j[type(timestamp)](timestamp)}}}'
+    )
+
+
+def feed_line(
+    kind: str,
+    query_time: int,
+    raw_positions: int,
+    movement_events: int,
+    recognized: int,
+    alerts: list[str],
+    points: list[tuple],
+) -> str:
+    """The one layout of a feed line: the outer keys in sorted order
+    around pre-encoded fragments.
+
+    ``alerts`` are fragments in emission order.  ``points`` are
+    ``(mmsi, timestamp, fragment)`` triples, sorted here: a total order
+    even for two points of one vessel at one instant.  Vessels are
+    disjoint across gateway-cluster shards, so sorting each shard's
+    points and the single node's points on the same key makes the fan-in
+    merge byte-identical to the single node (docs/GATEWAY.md).
+    """
+    j = _JSON
+    points = sorted(points)
+    return (
+        f'{{"alerts":[{",".join(alerts)}],'
+        f'"critical_points":[{",".join([point[2] for point in points])}],'
+        f'"movement_events":{j[type(movement_events)](movement_events)},'
+        f'"query_time":{j[type(query_time)](query_time)},'
+        f'"raw_positions":{j[type(raw_positions)](raw_positions)},'
+        f'"recognized":{j[type(recognized)](recognized)},"type":{j[type(kind)](kind)}}}'
+    )
 
 
 def slide_feed_line(report: SlideReport, kind: str = "slide") -> str:
     """One feed line for a completed slide (or the ``finalize`` flush)."""
-    return _dumps({
-        "type": kind,
-        "query_time": report.query_time,
-        "raw_positions": report.raw_positions,
-        "movement_events": report.movement_events,
-        "recognized": report.recognized_complex_events,
-        "alerts": [alert_to_dict(alert) for alert in report.alerts],
-        "critical_points": sorted(
-            (point_to_dict(point) for point in report.fresh_points),
-            key=point_sort_key,
-        ),
-    })
+    return feed_line(
+        kind,
+        report.query_time,
+        report.raw_positions,
+        report.movement_events,
+        report.recognized_complex_events,
+        [
+            alert_fragment(a.kind, a.area, a.since, a.until, a.mmsi, a.mmsi2)
+            for a in report.alerts
+        ],
+        [
+            (
+                p.mmsi,
+                p.timestamp,
+                point_fragment(
+                    p.mmsi, p.lon, p.lat, p.timestamp,
+                    annotations_json(p.annotations), p.speed_knots,
+                    p.heading_degrees, p.duration_seconds,
+                ),
+            )
+            for p in report.fresh_points
+        ],
+    )

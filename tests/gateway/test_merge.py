@@ -7,7 +7,6 @@ import pytest
 from repro.gateway.merge import (
     alert_dict_sort_key,
     merge_order_key,
-    merge_slide_payloads,
     merged_feed_line,
     parse_feed_line,
 )
@@ -25,6 +24,10 @@ def _payload(qt=60, kind="slide", alerts=(), points=(), raw=0, events=0, ces=0):
         "alerts": list(alerts),
         "critical_points": list(points),
     }
+
+
+def _merged(payloads):
+    return json.loads(merged_feed_line(payloads))
 
 
 def _point(mmsi, ts, lon=23.0):
@@ -73,7 +76,7 @@ class TestMergeSlidePayloads:
     def test_counters_sum_and_collections_resort(self):
         a1 = alert_to_dict(Alert("illegalShipping", "a2", 30, 40, 111, None))
         a2 = alert_to_dict(Alert("illegalShipping", "a1", 10, 20, 222, None))
-        merged = merge_slide_payloads([
+        merged = _merged([
             _payload(alerts=[a1], points=[_point(111, 55)], raw=3,
                      events=2, ces=1),
             _payload(alerts=[a2], points=[_point(222, 50)], raw=4,
@@ -99,17 +102,17 @@ class TestMergeSlidePayloads:
 
     def test_mismatched_query_times_raise(self):
         with pytest.raises(ValueError):
-            merge_slide_payloads([_payload(60), _payload(120)])
+            merged_feed_line([_payload(60), _payload(120)])
 
     def test_mismatched_types_raise(self):
         with pytest.raises(ValueError):
-            merge_slide_payloads([
+            merged_feed_line([
                 _payload(60, "slide"), _payload(60, "finalize")
             ])
 
     def test_empty_merge_raises(self):
         with pytest.raises(ValueError):
-            merge_slide_payloads([])
+            merged_feed_line([])
 
 
 class TestParseFeedLine:

@@ -4,10 +4,12 @@ import pytest
 
 from repro.geo.polygon import GeoPolygon
 from repro.maritime import MaritimeConfig, MaritimeRecognizer
+from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator.vessel import VesselSpec, VesselType
 from repro.simulator.world import Area, AreaKind, BoundingBox, Port, WorldModel
 from repro.tracking.types import MovementEvent, MovementEventType
 from tests.maritime.spatial_facts import SpatialFactsRecognizer
+from tests.parity import replay_transcript
 
 CENTER = (24.0, 38.0)
 
@@ -105,3 +107,25 @@ class TestFacade:
         recognizer.ingest(events, arrival_time=1000)
         result = recognizer.step(1000)
         assert result.fluents.get("suspicious", {}) == {}
+
+
+class TestVesselScope:
+    def test_reports_only_its_two_ces_each_with_an_area_name(
+        self, world, small_fleet
+    ):
+        # The vessel scope declares no output fluent; before that empty
+        # declaration counted, every internal fluent (``stopped`` keyed by
+        # MMSI) leaked into the feed as an alert.
+        system = SurveillanceSystem(
+            world, small_fleet["specs"], SystemConfig(ce_scope="vessel")
+        )
+        transcript = replay_transcript(system, small_fleet["stream"])
+        alerts = [
+            alert
+            for report in [*transcript["slides"], transcript["finalize"]]
+            for alert in report["alerts"]
+        ]
+        assert alerts
+        assert {a.kind for a in alerts} <= {"illegalShipping", "dangerousShipping"}
+        assert all(isinstance(a.area, str) for a in alerts)
+        assert transcript["alerts"] == []

@@ -59,8 +59,8 @@ class OracleRTEC(RTEC):
             for functor, rules in getattr(engine, table).items():
                 getattr(oracle, table)[functor] = list(rules)
         oracle._computed = dict(engine._computed)
-        oracle._outputs_fluents = set(engine._outputs_fluents)
-        oracle._outputs_events = set(engine._outputs_events)
+        oracle._outputs_fluents = engine._outputs_fluents
+        oracle._outputs_events = engine._outputs_events
         return oracle
 
     def _step(self, query_time: int) -> RecognitionResult:
@@ -103,10 +103,12 @@ class OracleRTEC(RTEC):
         obs.count("rtec.steps")
 
         result = RecognitionResult(query_time, window_start)
-        report_fluents = self._outputs_fluents or (
-            set(self._initiation_rules) | set(self._computed)
-        )
-        report_events = self._outputs_events or set(self._event_rules)
+        report_fluents = self._outputs_fluents
+        if report_fluents is None:
+            report_fluents = set(self._initiation_rules) | set(self._computed)
+        report_events = self._outputs_events
+        if report_events is None:
+            report_events = set(self._event_rules)
         result.fluents = {
             functor: fluent_store[functor]
             for functor in report_fluents

@@ -320,6 +320,21 @@ class TestOutputsAndValidation:
         assert "alerted" in result.fluents
         assert "stopped" not in result.fluents
 
+    def test_empty_fluent_declaration_reports_no_fluent(self):
+        # An empty list is a declaration, not "undeclared": no fluent is
+        # reported, while the declared event still is.
+        rules = STOPPED_RULES + [
+            happens_head(
+                "halted", (V,), [HappensAt(Start("stopped", (V,), True))]
+            ),
+        ]
+        engine = make_engine(rules)
+        engine.declare_outputs(fluents=[], events=["halted"])
+        engine.working_memory.assert_event("stop_start", ("v1",), 100)
+        result = engine.step(500)
+        assert result.fluents == {}
+        assert result.occurrences("halted") == [(("v1",), 100)]
+
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError, match="window range"):
             RTEC(window_seconds=0)
