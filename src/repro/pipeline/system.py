@@ -3,7 +3,9 @@
 Per window slide, :meth:`SurveillanceSystem.process_slide`:
 
 1. runs the Mobility Tracker over the fresh positional batch (detecting
-   trajectory events in O(1)/O(m) per tuple),
+   trajectory events in O(1)/O(m) per tuple) — or, on a live node that
+   handed it the slide's positions as they arrived (:meth:`track`), over
+   only what is not tracked yet,
 2. runs the Compressor, emitting fresh critical points into the window
    synopsis and collecting expired "delta" points,
 3. ships the delta points to the staging table and (optionally)
@@ -65,6 +67,8 @@ class SurveillanceSystem:
         self.exporter = TrajectoryExporter()
         self.timings = PhaseTimings()
         self._last_query_time: int | None = None
+        #: Seconds :meth:`track` spent on the open slide.
+        self._arrival_seconds = 0.0
         self.tracker = ColumnarTracker(self.config.tracking)
         self.compressor = Compressor(self.config.window)
         #: Fleet-wide compression accounting, as the reports read it.
@@ -110,6 +114,24 @@ class SurveillanceSystem:
         """Process one slide's worth of arrivals; returns the slide report."""
         return self._run_slide(batch, query_time, final=False)
 
+    def track(self, positions: list[PositionalTuple]) -> None:
+        """Track positions of the open slide as they arrive.
+
+        The slide's :meth:`process_slide` still receives the whole sorted
+        slide and returns what it would have without this call; it only
+        has less tracking left to do
+        (:meth:`~repro.tracking.ColumnarTracker.track`).  The seconds
+        spent here count toward that slide's ``tracking`` timing.
+        """
+        with obs.timed_span("tracking.arrival") as phase:
+            self.tracker.track(positions)
+        self._arrival_seconds += phase.seconds
+
+    def untrack(self) -> None:
+        """Undo every :meth:`track` of the open slide: the slide is lost."""
+        self.tracker.rollback()
+        self._arrival_seconds = 0.0
+
     def finalize(self) -> SlideReport | None:
         """Flush open long-lasting events and archive the whole synopsis.
 
@@ -128,6 +150,9 @@ class SurveillanceSystem:
         self, batch: list[PositionalTuple], query_time: int, final: bool
     ) -> SlideReport:
         slide_timings: dict[str, float] = {}
+        # Read before the tracker runs, so a slide lost to an error
+        # cannot carry its arrival seconds into the next report.
+        arrival_seconds, self._arrival_seconds = self._arrival_seconds, 0.0
 
         with obs.timed_span("pipeline.finalize" if final else "pipeline.slide"):
             with obs.timed_span("tracking") as phase:
@@ -141,7 +166,7 @@ class SurveillanceSystem:
                     fresh, expired = self.compressor.slide(
                         events, query_time, raw_position_count=len(batch)
                     )
-            slide_timings["tracking"] = phase.seconds
+            slide_timings["tracking"] = phase.seconds + arrival_seconds
 
             with obs.timed_span("staging") as phase:
                 if expired:

@@ -34,7 +34,10 @@ Durability and diagnostics (docs/RESILIENCE.md):
 Pipeline slides execute on a worker thread (``run_in_executor``) so the
 event loop keeps reading sockets while a slide is being processed —
 that's what lets the bounded ingest queue shed (with counters) instead of
-the whole service seizing up when producers outrun the pipeline.
+the whole service seizing up when producers outrun the pipeline.  A
+node whose arrivals are its watermark tracks each run of the open slide
+on the loop as it is scanned (``system.track``), so a slide's close
+pays only for what follows the Mobility Tracker.
 
 **One cadence** (docs/GATEWAY.md): the window keeps pace with the
 *reported* timestamps, so a slide holds every position stamped inside it
@@ -111,6 +114,9 @@ class SlideBatcher:
         #: Max over every position and watermark timestamp seen.
         self._max_ts: int | None = None
         self._batch: list = []
+        #: ``_batch[:_considered]`` was offered to ``system.track`` in
+        #: the open slide (:meth:`_track_arrivals`).
+        self._considered = 0
         self._query_time: int | None = None
         #: True once the first slide ran — the grid anchor is then final.
         self._grid_locked = False
@@ -202,7 +208,9 @@ class SlideBatcher:
 
     async def _admit(self, positions: list) -> None:
         """Add scanned positions to the pending batch; a position stamped
-        past the current boundary may release slides."""
+        past the current boundary may release slides.  A node whose
+        arrivals are its watermark then tracks the open slide's share of
+        them at once (:meth:`_track_arrivals`)."""
         for position in positions:
             arrival = position.timestamp
             if self._max_ts is None or arrival > self._max_ts:
@@ -218,7 +226,32 @@ class SlideBatcher:
                     self._query_time = boundary
             self._batch.append(position)
             if arrival > self._query_time:
+                self._track_arrivals()
                 await self._advance()
+        self._track_arrivals()
+
+    def _track_arrivals(self) -> None:
+        """Hand the pipeline the pending positions stamped at or before
+        the open slide's query time, on the loop that scanned them, so
+        closing the slide pays only for what follows tracking.
+
+        Only a node whose arrivals are its watermark does this, and only
+        once the grid is locked: a gateway shard's two links split every
+        vessel's sentences, and before the first slide the grid may
+        still re-anchor.  A position that arrives behind a later one of
+        its vessel rolls that vessel back to the close
+        (``tracking.arrival_rollbacks``); the feed does not change.
+        After a slide that rolled back too many of its vessels, as two
+        clients splitting each vessel's reports do, the tracker only
+        watches the next one (:meth:`ColumnarTracker.track`)."""
+        if self.watermark_sources > 0 or not self._grid_locked:
+            return
+        qt = self._query_time
+        fresh = self._batch[self._considered :]
+        self._considered += len(fresh)
+        due = [p for p in fresh if p.timestamp <= qt]
+        if due:
+            self.system.track(due)
 
     async def _handle_watermark(
         self, receive_time: int, source: str, final: bool
@@ -320,11 +353,16 @@ class SlideBatcher:
         pending = self._batch
         self._batch = [p for p in pending if p.timestamp > qt]
         batch = sorted((p for p in pending if p.timestamp <= qt), key=_SLIDE_ORDER)
+        self._considered = 0
         try:
             spec = fault_point("service.slide")
         except InjectedFault:
             # An injected slide error behaves like an unrecoverable
             # pipeline fault: the slide is lost and counted, service lives.
+            # What the slide tracked on arrival is undone first, so its
+            # positions never reach the tracker.
+            if self.watermark_sources <= 0:
+                self.system.untrack()
             self.pipeline_errors += 1
             obs.count("service.pipeline.errors")
             return

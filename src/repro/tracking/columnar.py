@@ -33,12 +33,25 @@ Positions rejected mid-run (out-of-sequence or off-course) break the
 consecutive-pair chain; the fused loop then recomputes that one pair
 inline against the true previous position and re-enters the precomputed
 stream at the next accepted tuple.
+
+A live node tracks a slide as it arrives (:meth:`ColumnarTracker.track`,
+the open-slide mode): per vessel, reads are tracked at once while they
+stay in timestamp order, against a snapshot taken when the slide first
+touched the vessel, and ``process_batch`` of the sorted slide closes it
+with the events one sorted batch would have emitted
+(``tests/tracking/test_arrival_parity.py``).
 """
 
 import math
 from collections import defaultdict, deque
 from collections.abc import Iterable
-from operator import itemgetter as _itemgetter, sub as _sub, truediv as _truediv
+from operator import (
+    gt as _gt,
+    is_ as _is,
+    itemgetter as _itemgetter,
+    sub as _sub,
+    truediv as _truediv,
+)
 
 from repro import obs
 from repro.ais.stream import PositionalTuple
@@ -147,6 +160,84 @@ class _ColumnarVesselState:
         self.slow_run: list[tuple[PositionalTuple, float]] = []
         self.consecutive_outliers = 0
 
+    def snapshot(self) -> tuple:
+        """The state, out of reach of the kernel's in-place updates."""
+        return (
+            self.last,
+            self.last_cos,
+            self.last_sin,
+            self.has_velocity,
+            self.v_speed,
+            self.v_heading,
+            tuple(self.recent_speeds),
+            tuple(self.recent_headings),
+            self.cumulative_turn,
+            tuple(self.stop_run),
+            self.stop_active,
+            tuple(self.slow_run),
+            self.consecutive_outliers,
+        )
+
+    def restore(self, snapshot: tuple) -> None:
+        """Go back to a :meth:`snapshot`."""
+        (
+            self.last,
+            self.last_cos,
+            self.last_sin,
+            self.has_velocity,
+            self.v_speed,
+            self.v_heading,
+            recent_speeds,
+            recent_headings,
+            self.cumulative_turn,
+            stop_run,
+            self.stop_active,
+            slow_run,
+            self.consecutive_outliers,
+        ) = snapshot
+        history = self.recent_speeds.maxlen
+        self.recent_speeds = deque(recent_speeds, maxlen=history)
+        self.recent_headings = deque(recent_headings, maxlen=history)
+        self.stop_run = list(stop_run)
+        self.slow_run = list(slow_run)
+
+
+class _OpenSlide:
+    """What :meth:`ColumnarTracker.track` did in the open slide.
+
+    Per vessel a snapshot and dictionary entries, no record object: the
+    bookkeeping runs for every vessel of every live slide, and objects
+    that live until the close cost the garbage collector extra passes.
+    """
+
+    __slots__ = (
+        "tracking", "snapshots", "latest", "points", "emit", "created", "skips",
+        "deferred", "rolled_back",
+    )
+
+    def __init__(self, tracking: bool) -> None:
+        #: Whether :meth:`ColumnarTracker.track` tracks this slide, or
+        #: only watches its arrival order.
+        self.tracking = tracking
+        #: Each touched vessel's state before the slide (a snapshot), or
+        #: ``None`` if the slide created the vessel.
+        self.snapshots: dict[int, tuple | None] = {}
+        #: Each touched vessel's latest tracked timestamp, or ``None``
+        #: once an inversion deferred it to the close.
+        self.latest: dict[int, int | None] = {}
+        #: Every tracked position, in tracking order.
+        self.points: list[PositionalTuple] = []
+        #: ``(index into points, event)`` of every event they raised.
+        self.emit: list[tuple[int, MovementEvent]] = []
+        #: ``(first timestamp, mmsi)`` of every vessel the slide created.
+        self.created: list[tuple[int, int]] = []
+        #: ``(out_of_sequence, discarded)`` of vessels with any.
+        self.skips: dict[int, tuple[int, int]] = {}
+        #: Whether an inversion deferred any vessel.
+        self.deferred = False
+        #: Vessels rolled back (or, watched, that arrived out of order).
+        self.rolled_back: set[int] = set()
+
 
 class ColumnarTracker:
     """Batch/columnar trajectory-event detection, scalar-parity guaranteed.
@@ -176,6 +267,11 @@ class ColumnarTracker:
         self._outlier_min_speed = p.outlier_min_speed_mps
         self._outlier_heading = p.outlier_heading_degrees
         self._max_outliers = p.max_consecutive_outliers
+        #: The open slide, once :meth:`track` has opened one.
+        self._open: _OpenSlide | None = None
+        #: Whether :meth:`track` tracks the next slide: the slide before
+        #: rolled back at most :data:`_MAX_ROLLBACK_SHARE` of its vessels.
+        self._track_next = True
 
     # ------------------------------------------------------------------
     # public API
@@ -188,15 +284,114 @@ class ColumnarTracker:
     def process_batch(
         self, positions: Iterable[PositionalTuple]
     ) -> list[MovementEvent]:
-        """Process a batch of tuples (one window slide worth of arrivals)."""
+        """Process a batch of tuples (one window slide worth of arrivals).
+
+        After :meth:`track`, this closes the open slide: ``positions`` is
+        the whole slide in ``(timestamp, mmsi)`` order, ties in the order
+        they arrived, and only what :meth:`track` has not tracked yet is
+        tracked now (all of it, if :meth:`track` only watched the slide).
+        """
         with obs.span("tracking.process_batch"):
             batch = (
                 positions if isinstance(positions, list) else list(positions)
             )
-            events = self._run_batch(batch)
+            open_slide, self._open = self._open, None
+            if open_slide is not None and open_slide.tracking:
+                events = self._close(open_slide, batch)
+            else:
+                events = self._run_batch(batch)
+            if open_slide is not None:
+                self._track_next = (
+                    len(open_slide.rolled_back)
+                    <= len(open_slide.latest) * _MAX_ROLLBACK_SHARE
+                )
+                if not open_slide.tracking:
+                    obs.count("tracking.arrival_skipped_slides")
             obs.count("tracking.positions", len(batch))
             obs.count("tracking.movement_events", len(events))
             return events
+
+    def track(self, positions: list[PositionalTuple]) -> None:
+        """Track arrivals of the open slide now; :meth:`process_batch` of
+        the whole slide closes it.
+
+        The slide is meant to be closed in ``(timestamp, mmsi)`` order, so
+        each vessel's positions are tracked here in arrival order only
+        while that is also timestamp order.  The first time the slide
+        touches a vessel, its state is snapshotted.  A position stamped
+        earlier than one its vessel has already tracked is an inversion:
+        the vessel goes back to its snapshot and is tracked at the close.
+        Events and statistics are held back until the close, which
+        returns exactly what one :meth:`process_batch` of the sorted
+        slide would.
+
+        A slide whose close follows one that rolled back more than
+        :data:`_MAX_ROLLBACK_SHARE` of its vessels is not tracked here,
+        only watched: its inversions decide whether the next one is.
+        """
+        if self._open is None:
+            self._open = _OpenSlide(self._track_next)
+        open_slide = self._open
+        latest = open_slide.latest
+        if not open_slide.tracking:
+            # Watched: the latest timestamp per vessel, and which
+            # vessels fell behind it.
+            seen = latest.get
+            for mmsi, stamp in zip(map(_first, positions), map(_stamp, positions)):
+                if stamp < seen(mmsi, stamp):
+                    open_slide.rolled_back.add(mmsi)
+                else:
+                    latest[mmsi] = stamp
+            return
+        grouped: dict[int, list[PositionalTuple]] = defaultdict(list)
+        for mmsi, position in zip(map(_first, positions), positions):
+            grouped[mmsi].append(position)
+        snapshots = open_slide.snapshots
+        open_points = open_slide.points
+        vessels = self._vessels
+        for mmsi, points in grouped.items():
+            previous = latest.get(mmsi, _UNSEEN)
+            if previous is _UNSEEN:
+                state = vessels.get(mmsi)
+                if state is None:
+                    vessels[mmsi] = _ColumnarVesselState(self._m_positions)
+                    snapshots[mmsi] = None
+                    open_slide.created.append((points[0].timestamp, mmsi))
+                else:
+                    snapshots[mmsi] = state.snapshot()
+            elif previous is None:
+                continue  # deferred to the close
+            if previous is not _UNSEEN and points[0].timestamp < previous:
+                skips = None
+            else:
+                start = len(open_points)
+                skips = self._track_vessel(
+                    vessels[mmsi],
+                    points,
+                    range(start, start + len(points)),
+                    open_slide.emit,
+                    in_order_only=True,
+                )
+            if skips is None:
+                self._restore(mmsi, snapshots[mmsi])
+                latest[mmsi] = None
+                open_slide.deferred = True
+                open_slide.rolled_back.add(mmsi)
+                obs.count("tracking.arrival_rollbacks")
+                continue
+            open_points += points
+            latest[mmsi] = points[-1].timestamp
+            if skips != (0, 0):
+                held = open_slide.skips.get(mmsi, (0, 0))
+                open_slide.skips[mmsi] = (held[0] + skips[0], held[1] + skips[1])
+
+    def rollback(self) -> None:
+        """Forget the open slide: every vessel :meth:`track` touched goes
+        back to its snapshot, as if the slide's positions never came."""
+        if self._open is not None:
+            for mmsi, snapshot in self._open.snapshots.items():
+                self._restore(mmsi, snapshot)
+            self._open = None
 
     def finalize(self) -> list[MovementEvent]:
         """Close open long-lasting events at end-of-stream."""
@@ -257,25 +452,127 @@ class ColumnarTracker:
         vessels = self._vessels
         history = self._m_positions
         single_vessel = len(grouped) == 1
+        out_of_sequence = discarded = 0
         for mmsi, indices in grouped.items():
             state = vessels.get(mmsi)
             if state is None:
                 state = _ColumnarVesselState(history)
                 vessels[mmsi] = state
             if single_vessel:
-                self._track_vessel(state, batch, indices, emit)
+                skipped, dropped = self._track_vessel(state, batch, indices, emit)
             else:
                 points = list(map(batch.__getitem__, indices))
-                self._track_vessel(state, points, indices, emit)
+                skipped, dropped = self._track_vessel(state, points, indices, emit)
+            out_of_sequence += skipped
+            discarded += dropped
         # Stable sort restores arrival order across vessels while keeping
         # each position's own events in emission order.
         if not single_vessel:
-            emit.sort(key=_emit_key)
+            emit.sort(key=_first)
+        return self._commit(emit, out_of_sequence, discarded)
+
+    def _commit(self, emit, out_of_sequence: int, discarded: int):
+        """The batch's events, in order, counted into the statistics."""
+        statistics = self.statistics
+        if out_of_sequence:
+            statistics.positions_out_of_sequence += out_of_sequence
+        if discarded:
+            statistics.positions_discarded_as_outliers += discarded
         events = [event for _, event in emit]
-        count_event = self.statistics.count_event
+        count_event = statistics.count_event
         for event in events:
             count_event(event.event_type)
         return events
+
+    def _restore(self, mmsi: int, snapshot: tuple | None) -> None:
+        """Put one vessel back as it was before the open slide."""
+        if snapshot is None:
+            self._vessels.pop(mmsi, None)
+        else:
+            self._vessels[mmsi].restore(snapshot)
+
+    def _close(self, open_slide: _OpenSlide, batch: list) -> list[MovementEvent]:
+        """Close the tracked open slide: ``batch`` is the whole slide.
+
+        If no vessel was deferred and ``batch`` is as long as what was
+        tracked, it holds exactly the tracked positions: the close only
+        orders the held events, by ``(timestamp, mmsi, tracking order)``
+        of the position that raised each, which is their place in a
+        ``batch`` sorted by ``(timestamp, mmsi)`` with ties in arrival
+        order.  Otherwise a vessel keeps what :meth:`track` did only if
+        its tracked positions are, object for object, the first of its
+        positions in ``batch``; the rest are tracked now, and any other
+        vessel goes back to its snapshot and is tracked whole.  Either
+        way, vessels the slide created end up at the end of the vessel
+        table in first-appearance order, where :meth:`_run_batch` would
+        have created them.
+        """
+        points = open_slide.points
+        self.statistics.positions_seen += len(batch)
+        vessels = self._vessels
+        if not open_slide.deferred and len(points) == len(batch):
+            out_of_sequence = sum(skips[0] for skips in open_slide.skips.values())
+            discarded = sum(skips[1] for skips in open_slide.skips.values())
+            emit: list = [
+                ((points[i].timestamp, points[i].mmsi, i), event)
+                for i, event in open_slide.emit
+            ]
+            for _, mmsi in sorted(open_slide.created):
+                vessels[mmsi] = vessels.pop(mmsi)
+            emit.sort(key=_first)
+            return self._commit(emit, out_of_sequence, discarded)
+
+        snapshots = open_slide.snapshots
+        tracked: dict[int, list[int]] = defaultdict(list)
+        for index, position in enumerate(points):
+            tracked[position.mmsi].append(index)
+        grouped: dict[int, list[int]] = defaultdict(list)
+        for index, position in enumerate(batch):
+            grouped[position.mmsi].append(index)
+        #: Index into ``points`` → index into ``batch``, for kept vessels.
+        kept: dict[int, int] = {}
+        emit = []
+        take = batch.__getitem__
+        out_of_sequence = discarded = 0
+        for mmsi, indices in grouped.items():
+            done = 0
+            if mmsi in snapshots:
+                snapshot = snapshots.pop(mmsi)
+                mine = tracked[mmsi]
+                if (
+                    open_slide.latest[mmsi] is not None
+                    and len(mine) <= len(indices)
+                    and all(map(_is, map(take, indices), map(points.__getitem__, mine)))
+                ):
+                    done = len(mine)
+                    kept.update(zip(mine, indices))
+                    skipped, dropped = open_slide.skips.get(mmsi, (0, 0))
+                    out_of_sequence += skipped
+                    discarded += dropped
+                    if snapshot is None:
+                        vessels[mmsi] = vessels.pop(mmsi)
+                else:
+                    if mine and open_slide.latest[mmsi] is not None:
+                        open_slide.rolled_back.add(mmsi)
+                        obs.count("tracking.arrival_rollbacks")
+                    self._restore(mmsi, snapshot)
+            if done < len(indices):
+                state = vessels.get(mmsi)
+                if state is None:
+                    state = _ColumnarVesselState(self._m_positions)
+                    vessels[mmsi] = state
+                rest = indices[done:]
+                skipped, dropped = self._track_vessel(
+                    state, list(map(take, rest)), rest, emit
+                )
+                out_of_sequence += skipped
+                discarded += dropped
+        # Tracked positions the slide does not hold were never closed.
+        for mmsi, snapshot in snapshots.items():
+            self._restore(mmsi, snapshot)
+        emit += [(kept[i], event) for i, event in open_slide.emit if i in kept]
+        emit.sort(key=_first)
+        return self._commit(emit, out_of_sequence, discarded)
 
     def _vessel_columns(self, state, points):
         """One vessel run as parallel columns plus pair geometry.
@@ -479,12 +776,20 @@ class ColumnarTracker:
         state.last_sin = math.sin(last_rlat)
         return True
 
-    def _track_vessel(self, state, points, indices, emit):
-        # Locals for everything the loop touches — threshold hoisting and
-        # attribute-to-local conversion are where the batch layout wins.
+    def _track_vessel(self, state, points, indices, emit, in_order_only=False):
+        """Track one vessel's run; ``(out_of_sequence, discarded)``.
+
+        With ``in_order_only``, a run not in timestamp order is left
+        untracked, state untouched, and ``None`` returned.  A committed
+        quiet run has proved its order already (every ``dt > 0``).
+        """
         taus, dist, head_col = self._vessel_columns(state, points)
         if self._quiet_run(state, points, taus, dist, head_col):
-            return
+            return 0, 0
+        if in_order_only and any(map(_gt, taus, taus[1:])):
+            return None
+        # Locals for everything the loop touches — threshold hoisting and
+        # attribute-to-local conversion are where the batch layout wins.
         min_speed = self._min_speed
         gap_period = self._gap_period
         speed_change_frac = self._speed_change_frac
@@ -855,10 +1160,6 @@ class ColumnarTracker:
             last_tau = timestamp
             consecutive = True
 
-        if out_of_sequence:
-            self.statistics.positions_out_of_sequence += out_of_sequence
-        if discarded:
-            self.statistics.positions_discarded_as_outliers += discarded
         state.last = last
         # The carried trigonometry is a pure function of the carried
         # position, so recomputing it once per run replaces two stores on
@@ -873,8 +1174,24 @@ class ColumnarTracker:
         state.cumulative_turn = cumulative_turn
         state.stop_active = stop_active
         state.consecutive_outliers = consecutive_outliers
+        return out_of_sequence, discarded
 
 
 #: C-level sort key for the arrival-order splice (tuples would compare
-#: their MovementEvent payloads on ties without it).
-_emit_key = _itemgetter(0)
+#: their MovementEvent payloads on ties without it); also the MMSI of a
+#: :class:`~repro.ais.stream.PositionalTuple`.
+_first = _itemgetter(0)
+
+#: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
+_stamp = _itemgetter(3)
+
+#: A vessel the open slide has not touched yet.
+_UNSEEN = object()
+
+#: The largest share of a slide's vessels that may roll back for the next
+#: slide to be tracked on arrival.  Past it (two clients splitting each
+#: vessel's reports roll back nearly every vessel) tracking on arrival
+#: costs more than it saves, so slides are closed whole, as a replay
+#: does, until a watched slide's arrivals come back in order.
+_MAX_ROLLBACK_SHARE = 0.1
+

@@ -2,28 +2,39 @@
 
 The window keeps pace with the *reported* timestamps (Section 5), so a
 slide holds every position stamped inside it, whatever order the sockets
-delivered them in.  Three deployments run the same sentences — the slide
-batcher fed by a hand-over queue, one node over TCP, and a 2-gateway ×
-4-runtime cluster over TCP — on two streams: the small fleet's stream in
-timestamp order, and the same stream with same-vessel pairs swapped
-inside a slide (two receivers, or two clients, whose lines interleave).
-Every cell must equal the offline replay (:func:`tests.parity.offline_oracle`)
-byte for byte.
+delivered them in.  Four deployments run the same sentences — the slide
+batcher fed by a hand-over queue, one node over TCP, one node over two
+TCP connections that each carry every other sentence of every vessel,
+and a 2-gateway × 4-runtime cluster over TCP — on two streams: the small
+fleet's stream in timestamp order, and the same stream with same-vessel
+pairs swapped inside a slide (two receivers, or two clients, whose lines
+interleave).  Every cell must equal the offline replay
+(:func:`tests.parity.offline_oracle`) byte for byte.
 """
 
 import asyncio
 
 import pytest
 
+from repro import obs
 from repro.ais.nmea import unwrap_aivdm
 from repro.ais.scanner import DataScanner
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.pipeline.config import SystemConfig
 from repro.pipeline.system import SurveillanceSystem
+from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.batcher import SlideBatcher
 from repro.service.protocol import slide_feed_line
 from tests.gateway.conftest import split_round_robin
-from tests.parity import HandOver, offline_oracle, run_cluster, run_live
+from tests.parity import (
+    EPHEMERAL,
+    HandOver,
+    offline_oracle,
+    poll,
+    run_cluster,
+    run_live,
+    subscribe,
+)
 from tests.service.conftest import to_sentences
 
 #: Vessel scope, so the cluster is exact (docs/GATEWAY.md), and the
@@ -99,6 +110,80 @@ def node(sentences, world, specs) -> list[str]:
     return lines
 
 
+def deal_vessels_alternately(sentences, slide_seconds: int) -> list:
+    """Per slide, ``(first, second)``: the slide's sentences with each
+    vessel's reports dealt alternately to two connections (a fragment
+    group stays whole)."""
+    scanner = DataScanner()
+    turn: dict[int, int] = {}
+    slides: dict[int, tuple[list, list]] = {}
+    group: list = []
+    for record in sentences:
+        group.append(record)
+        positions = scanner.scan_many([record])
+        if not positions:
+            continue  # the group's first fragment
+        mmsi = positions[0].mmsi
+        turn[mmsi] = 1 - turn.get(mmsi, 1)
+        slide = -(-record[0] // slide_seconds)
+        slides.setdefault(slide, ([], []))[turn[mmsi]].extend(group)
+        group = []
+    return [slides[slide] for slide in sorted(slides)]
+
+
+def node_two_connections(sentences, world, specs) -> list[str]:
+    """One node fed over two TCP connections, each vessel's reports
+    alternating between them.  Per slide the first connection's share
+    is ingested before the second's, so every vessel that reports
+    thrice in a slide arrives out of order: tracking on arrival must
+    roll it back, and does (``tracking.arrival_rollbacks``), and then
+    leaves the slides that follow to the close
+    (``tracking.arrival_skipped_slides``)."""
+
+    async def run():
+        supervisor = ServiceSupervisor(
+            world, specs, CONFIG, ServiceConfig(**EPHEMERAL)
+        )
+        await supervisor.start()
+        ports = supervisor.ports()
+        feed = await subscribe(ports["feed"])
+        await poll(lambda: supervisor.feed.subscriber_count == 1)
+        writers = [
+            (await asyncio.open_connection("127.0.0.1", ports["ingest"]))[1]
+            for _ in range(2)
+        ]
+        written = 0
+        for shares in deal_vessels_alternately(
+            sentences, CONFIG.window.slide_seconds
+        ):
+            for writer, share in zip(writers, shares):
+                writer.write(b"".join(
+                    f"{receive_time}\t{sentence}\n".encode("ascii")
+                    for receive_time, sentence in share
+                ))
+                await writer.drain()
+                written += len(share)
+                await poll(
+                    lambda count=written: supervisor.queue.put_count == count
+                )
+        for writer in writers:
+            writer.close()
+            await writer.wait_closed()
+        await poll(lambda: supervisor.ingest.open_connections == 0)
+        await supervisor.drain_and_stop()
+        return await feed
+
+    with obs.activate(obs.MetricsRegistry()) as registry:
+        lines = asyncio.run(run())
+    assert registry.counter("tracking.arrival_rollbacks").value > 0, (
+        "no vessel was rolled back: the rollback path did not run"
+    )
+    assert registry.counter("tracking.arrival_skipped_slides").value > 0, (
+        "every slide was tracked on arrival despite the rollbacks"
+    )
+    return lines
+
+
 def cluster(sentences, world, specs) -> list[str]:
     """2 gateways × 4 runtimes over TCP, the merged feed."""
 
@@ -113,7 +198,9 @@ def cluster(sentences, world, specs) -> list[str]:
 
 
 @pytest.mark.parametrize("stream", ["in_order", "disordered"])
-@pytest.mark.parametrize("deployment", [hand_over, node, cluster])
+@pytest.mark.parametrize(
+    "deployment", [hand_over, node, node_two_connections, cluster]
+)
 def test_every_deployment_equals_the_offline_replay(
     deployment, stream, streams, world, small_fleet
 ):

@@ -16,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import obs
 from repro.ais import PositionReport, encode_position_report, wrap_aivdm
+from repro.ais.scanner import DataScanner
 from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
+from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.resilience import FaultPlan, inject
 from repro.service.batcher import SlideBatcher
 from repro.service.ingest import IngestQueue
@@ -24,8 +26,10 @@ from repro.service.protocol import (
     WATERMARK_PREFIX,
     format_watermark,
     parse_watermark,
+    slide_feed_line,
 )
 from tests.parity import HandOver
+from tests.service.conftest import to_sentences
 
 
 @functools.cache
@@ -63,6 +67,9 @@ class FakeSystem:
     def finalize(self):
         self.calls.append(("finalize", None))
         return None
+
+    def track(self, positions):
+        pass
 
 
 async def _drive(lines, watermark_sources=2, drain=False, size=None):
@@ -305,3 +312,47 @@ class TestNodeWithoutSources:
             size=data.draw(st.integers(1, len(arrived))),
         ))
         assert system.calls == _offline_slides(reports) + [("finalize", None)]
+
+    def test_an_injected_slide_error_loses_only_that_slide(
+        self, world, small_fleet
+    ):
+        # The node has already tracked the lost slide's positions on
+        # arrival: they are rolled back before the slide is dropped, so
+        # every later line is that of a pipeline that never saw the
+        # slide — the lost slide skipped whole, as when the node tracked
+        # only at the close.
+        config = SystemConfig()
+        specs = small_fleet["specs"]
+        sentences = to_sentences(small_fleet["stream"])
+        lost = 3
+        feed = []
+
+        async def serve(batcher):
+            await batcher.run()
+            await batcher.drain()
+
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            with SurveillanceSystem(world, specs, config) as system:
+                batcher = SlideBatcher(
+                    system, HandOver(sentences, 7),
+                    slide_seconds=config.window.slide_seconds,
+                    on_report=lambda r, kind: feed.append(slide_feed_line(r, kind)),
+                )
+                with inject(FaultPlan.from_spec(f"service.slide:error@{lost}")):
+                    asyncio.run(serve(batcher))
+        assert batcher.pipeline_errors == 1
+        assert registry.counter("tracking.arrival_rollbacks").value == 0
+
+        positions = DataScanner().scan_many(sentences)
+        slides = StreamReplayer(
+            [TimedArrival(p.timestamp, p) for p in positions],
+            config.window.slide_seconds,
+        ).batches()
+        expected = []
+        with SurveillanceSystem(world, specs, config) as reference:
+            for index, (query_time, batch) in enumerate(slides, start=1):
+                if index != lost:
+                    report = reference.process_slide(batch, query_time)
+                    expected.append(slide_feed_line(report))
+            expected.append(slide_feed_line(reference.finalize(), "finalize"))
+        assert feed == expected
