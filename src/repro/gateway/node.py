@@ -334,6 +334,8 @@ class GatewayNode:
         #: first sentence fixes the grid.
         self._next_boundary: int | None = None
         self._last_time: int | None = None
+        #: Stamp of the last watermark broadcast.
+        self._watermark_time: int | None = None
         self._drained = False
         self.open_connections = 0
         self._idle = asyncio.Event()
@@ -382,7 +384,12 @@ class GatewayNode:
         that is late, or past the next slide boundary, cuts the read: the
         runs so far are queued first, then :meth:`_advance_watermarks`
         counts it or broadcasts the watermark, so every runtime sees a
-        watermark after the lines before it and before the lines after."""
+        watermark after the lines before it and before the lines after.
+
+        A read that moved this node's clock past its last watermark ends
+        with one more, the *frontier* watermark, stamped with the clock:
+        every runtime may then track what is stamped at or before it
+        without waiting for the slide boundary."""
         parsed = parse_ingest_lines(lines, int(time.time()))
         if parsed:
             self.registry.inc("gateway.ingest.lines", len(parsed))
@@ -410,6 +417,8 @@ class GatewayNode:
                 self._flush(runs)
         self._last_time = last
         self._flush(runs)
+        if last is not None and last > self._watermark_time:
+            self._broadcast(last)
 
     def _flush(self, runs: list[list[str]]) -> None:
         """Queue each link's run with one ``send_many``, and empty it."""
@@ -423,10 +432,10 @@ class GatewayNode:
         if self._next_boundary is None:
             # First sentence: announce this source to every runtime so
             # quiet shards still learn the cluster has N gateways.
-            self._broadcast(format_watermark(receive_time, self.name))
+            self._broadcast(receive_time)
             self._next_boundary = first_query_time(receive_time, slide)
         elif receive_time > self._next_boundary:
-            self._broadcast(format_watermark(receive_time, self.name))
+            self._broadcast(receive_time)
             # The first grid boundary at or after it, in one step: a
             # far-future time must not cost one iteration per slide.
             self._next_boundary -= (self._next_boundary - receive_time) // slide * slide
@@ -438,8 +447,11 @@ class GatewayNode:
             # watermarked ingest was violated upstream.
             self.registry.inc("gateway.ingest.late_lines")
 
-    def _broadcast(self, watermark_line: str) -> None:
+    def _broadcast(self, stamp: int, final: bool = False) -> None:
+        """Send every runtime this node's watermark at ``stamp``."""
+        self._watermark_time = stamp
         self.registry.inc("gateway.watermarks")
+        watermark_line = format_watermark(stamp, self.name, final)
         for link in self.links:
             link.send(watermark_line, control=True)
 
@@ -458,7 +470,7 @@ class GatewayNode:
             self._server = None
         await self._idle.wait()
         final_time = self._last_time if self._last_time is not None else 0
-        self._broadcast(format_watermark(final_time, self.name, final=True))
+        self._broadcast(final_time, final=True)
         for link in self.links:
             await link.close()
 

@@ -3,9 +3,9 @@
 Per window slide, :meth:`SurveillanceSystem.process_slide`:
 
 1. runs the Mobility Tracker over the fresh positional batch (detecting
-   trajectory events in O(1)/O(m) per tuple) — or, on a live node that
-   handed it the slide's positions as they arrived (:meth:`track`), over
-   only what is not tracked yet,
+   trajectory events in O(1)/O(m) per tuple) — or, on a live node or
+   shard that handed it the slide's positions as they arrived
+   (:meth:`track`), over only what is not tracked yet,
 2. runs the Compressor, emitting fresh critical points into the window
    synopsis and collecting expired "delta" points,
 3. ships the delta points to the staging table and (optionally)

@@ -34,10 +34,11 @@ Durability and diagnostics (docs/RESILIENCE.md):
 Pipeline slides execute on a worker thread (``run_in_executor``) so the
 event loop keeps reading sockets while a slide is being processed —
 that's what lets the bounded ingest queue shed (with counters) instead of
-the whole service seizing up when producers outrun the pipeline.  A
-node whose arrivals are its watermark tracks each run of the open slide
-on the loop as it is scanned (``system.track``), so a slide's close
-pays only for what follows the Mobility Tracker.
+the whole service seizing up when producers outrun the pipeline.  The
+open slide's positions are tracked on the loop as they arrive
+(``system.track``): on a node as each run is scanned, on a shard once
+every source's watermark has passed them.  A slide's close then pays
+only for what follows the Mobility Tracker.
 
 **One cadence** (docs/GATEWAY.md): the window keeps pace with the
 *reported* timestamps, so a slide holds every position stamped inside it
@@ -56,6 +57,7 @@ interleave.
 """
 
 import asyncio
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from operator import itemgetter
@@ -77,6 +79,9 @@ SLIDE_STALL_SECONDS = 10.0
 #: The deterministic order of a slide's batch: ``(timestamp, mmsi)`` of a
 #: :class:`~repro.ais.stream.PositionalTuple`.
 _SLIDE_ORDER = itemgetter(3, 0)
+
+#: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
+_TIMESTAMP = itemgetter(3)
 
 
 class SlideBatcher:
@@ -113,10 +118,11 @@ class SlideBatcher:
         self._wm_final: set[str] = set()
         #: Max over every position and watermark timestamp seen.
         self._max_ts: int | None = None
-        self._batch: list = []
-        #: ``_batch[:_considered]`` was offered to ``system.track`` in
-        #: the open slide (:meth:`_track_arrivals`).
-        self._considered = 0
+        #: Pending positions handed to ``system.track`` in the open
+        #: slide, and those held back (:meth:`_track_arrivals`), each in
+        #: the order it was handed or arrived.
+        self._released: list = []
+        self._held: list = []
         self._query_time: int | None = None
         #: True once the first slide ran — the grid anchor is then final.
         self._grid_locked = False
@@ -208,9 +214,9 @@ class SlideBatcher:
 
     async def _admit(self, positions: list) -> None:
         """Add scanned positions to the pending batch; a position stamped
-        past the current boundary may release slides.  A node whose
-        arrivals are its watermark then tracks the open slide's share of
-        them at once (:meth:`_track_arrivals`)."""
+        past the current boundary may release slides.  The open slide's
+        share of them is then tracked as far as the bound allows
+        (:meth:`_track_arrivals`)."""
         for position in positions:
             arrival = position.timestamp
             if self._max_ts is None or arrival > self._max_ts:
@@ -224,33 +230,38 @@ class SlideBatcher:
                 boundary = first_query_time(arrival, self.slide_seconds)
                 if self._query_time is None or boundary < self._query_time:
                     self._query_time = boundary
-            self._batch.append(position)
+            self._held.append(position)
             if arrival > self._query_time:
                 self._track_arrivals()
                 await self._advance()
         self._track_arrivals()
 
     def _track_arrivals(self) -> None:
-        """Hand the pipeline the pending positions stamped at or before
-        the open slide's query time, on the loop that scanned them, so
+        """Hand the pipeline the held positions stamped at or before a
+        bound, in timestamp order, on the loop that scanned them, so
         closing the slide pays only for what follows tracking.
 
-        Only a node whose arrivals are its watermark does this, and only
-        once the grid is locked: a gateway shard's two links split every
-        vessel's sentences, and before the first slide the grid may
-        still re-anchor.  A position that arrives behind a later one of
-        its vessel rolls that vessel back to the close
-        (``tracking.arrival_rollbacks``); the feed does not change.
-        After a slide that rolled back too many of its vessels, as two
-        clients splitting each vessel's reports do, the tracker only
-        watches the next one (:meth:`ColumnarTracker.track`)."""
-        if self.watermark_sources > 0 or not self._grid_locked:
+        The bound is the open slide's query time, and on a shard also
+        the lowest clock of its live sources: each gateway's stream is
+        time-ordered, so no position still to come is stamped below it,
+        and what is released is never overtaken.  Nothing is released
+        until the grid is locked: before the first slide it may still
+        re-anchor, and no slide runs before every source has announced
+        itself.  A position that arrives behind a later one of its
+        vessel (a client's or a source's late line) rolls that vessel
+        back to the close (``tracking.arrival_rollbacks``); the feed
+        does not change.  After a slide that rolled back too many of its
+        vessels, as two clients splitting each vessel's reports do, the
+        tracker only watches the next one (:meth:`ColumnarTracker.track`)."""
+        if not self._grid_locked or not self._held:
             return
-        qt = self._query_time
-        fresh = self._batch[self._considered :]
-        self._considered += len(fresh)
-        due = [p for p in fresh if p.timestamp <= qt]
+        bound = min(self._query_time, self._frontier())
+        held = self._held
+        due = [p for p in held if p.timestamp <= bound]
         if due:
+            self._held = [p for p in held if p.timestamp > bound]
+            due.sort(key=_TIMESTAMP)
+            self._released += due
             self.system.track(due)
 
     async def _handle_watermark(
@@ -272,6 +283,7 @@ class SlideBatcher:
         if self._max_ts is None or receive_time > self._max_ts:
             self._max_ts = receive_time
         await self._advance()
+        self._track_arrivals()
 
     async def _advance(self) -> None:
         """Run slides while every upstream source's watermark has passed
@@ -282,19 +294,22 @@ class SlideBatcher:
             qt = self._query_time
             if qt is None or len(self._wm_clocks) < self.watermark_sources:
                 return
-            live = [
-                ts
-                for src, ts in self._wm_clocks.items()
-                if src not in self._wm_final
-            ]
-            # A source that sent its final watermark can never hold a
-            # slide back; with every source final the low bound is +inf.
-            if live and min(live) <= qt:
+            if self._frontier() <= qt:
                 return
             if self._max_ts is None or self._max_ts <= qt:
                 return
             await self._process_slide()
             self._query_time = qt + self.slide_seconds
+
+    def _frontier(self) -> float:
+        """The lowest clock of the live upstream sources: no position
+        still to come from them is stamped below it.  A source that sent
+        its final watermark holds nothing back, so with every source
+        final, or none upstream, it is +inf."""
+        return min(
+            (ts for src, ts in self._wm_clocks.items() if src not in self._wm_final),
+            default=math.inf,
+        )
 
     @property
     def watermark_clocks(self) -> dict[str, int]:
@@ -311,7 +326,7 @@ class SlideBatcher:
             # arrivals are its watermark) positions may be pending past
             # it: keep sliding until none is left rather than strand them.
             await self._process_slide()
-            while self._batch:
+            while self._held:
                 self._query_time += self.slide_seconds
                 await self._process_slide()
         dropped = self.scanner.flush()
@@ -349,11 +364,15 @@ class SlideBatcher:
         # that closed this slide) wait for their slide.  The (timestamp,
         # mmsi) sort erases the arrival interleaving — per-vessel order
         # is already timestamped, so this is a pure determinism step.
+        # What was released is stamped at or before the query time, and
+        # ties keep their arrival order: a position held back arrived
+        # after every released one of its (timestamp, mmsi).
         qt = self._query_time
-        pending = self._batch
-        self._batch = [p for p in pending if p.timestamp > qt]
-        batch = sorted((p for p in pending if p.timestamp <= qt), key=_SLIDE_ORDER)
-        self._considered = 0
+        held = self._held
+        batch = self._released + [p for p in held if p.timestamp <= qt]
+        batch.sort(key=_SLIDE_ORDER)
+        self._held = [p for p in held if p.timestamp > qt]
+        self._released = []
         try:
             spec = fault_point("service.slide")
         except InjectedFault:
@@ -361,8 +380,7 @@ class SlideBatcher:
             # pipeline fault: the slide is lost and counted, service lives.
             # What the slide tracked on arrival is undone first, so its
             # positions never reach the tracker.
-            if self.watermark_sources <= 0:
-                self.system.untrack()
+            self.system.untrack()
             self.pipeline_errors += 1
             obs.count("service.pipeline.errors")
             return

@@ -1,6 +1,6 @@
 """Gateway nodes and their runtime links: ingest accounting, the link's
 batches, shedding, the batch accept path against one line at a time,
-and a link severed mid-batch."""
+read cuts and their frontier watermarks, and a link severed mid-batch."""
 
 import asyncio
 
@@ -9,18 +9,24 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.ais import PositionReport, encode_position_report
 from repro.ais.nmea import wrap_aivdm, wrap_aivdm_fragments
+from repro.ais.stream import first_query_time
 from repro.gateway import GatewayNode, RuntimeLink
 from repro.obs.registry import MetricsRegistry
+from repro.pipeline import SystemConfig
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import BackoffPolicy
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.ingest import ConnectionStats, IngestQueue, IngestServer
-from repro.service.protocol import format_ingest_line, format_watermark
+from repro.service.protocol import (
+    format_ingest_line,
+    format_watermark,
+    parse_ingest_lines,
+)
 from repro.transport import chaosnet, create_transport
 from repro.gateway import node as node_module
 from repro.transport.base import Transport, TransportError, TransportSession
-from tests.parity import offline_oracle, poll
+from tests.parity import gateway_records, offline_oracle, poll, run_shard
 from tests.service.conftest import to_sentences
 
 FAST = BackoffPolicy(initial_seconds=0.01, multiplier=2.0, max_seconds=0.05)
@@ -497,17 +503,43 @@ def gateway_reads(draw) -> list[str]:
     return lines
 
 
+def _boundary_stamps(lines: list[str], slide: int) -> set[int]:
+    """Stamps of the slide-boundary watermarks a node sends for
+    ``lines``, however they are cut: the first line's, then each one
+    past the first grid boundary at or after the last of them."""
+    stamps: set[int] = set()
+    boundary = None
+    for receive_time, _ in parse_ingest_lines(lines, 0):
+        if boundary is None or receive_time > boundary:
+            stamps.add(receive_time)
+            boundary = first_query_time(receive_time, slide)
+    return stamps
+
+
+def _stamp(line: str) -> int:
+    return int(line.partition("\t")[0])
+
+
 class TestReadCuts:
+    """Reads of 1, 7 and all lines differ only in their frontier
+    watermarks: a read that moved the node's clock past its last
+    watermark ends with one more, stamped with the clock."""
+
     @settings(max_examples=100, deadline=None)
     @given(
         lines=gateway_reads(),
         drops=st.lists(st.integers(min_value=1, max_value=40), max_size=3, unique=True),
     )
-    def test_how_the_read_is_cut_changes_nothing(self, lines, drops):
-        """Reads of 1, 7 and all lines put the same lines, watermarks
-        included, on every link, and count the same late lines; a
-        ``gateway.link`` plan drops the same sentences, since its hits
-        follow arrival order."""
+    def test_how_the_read_is_cut_changes_only_frontier_watermarks(self, lines, drops):
+        """Every cut puts the same data lines and slide-boundary
+        watermarks on every link, in the same order, counts the same
+        late lines and every other counter but ``gateway.watermarks``,
+        and a ``gateway.link`` plan drops the same sentences, since its
+        hits follow arrival order.  Frontier watermarks are strictly
+        increasing, at most one per read and last in it, each stamped
+        with the latest line before it; after every read, the last
+        watermark is the node's clock."""
+        boundaries = _boundary_stamps(lines, 60)
         results = []
         for size in (1, 7, max(len(lines), 1)):
             registry = MetricsRegistry()
@@ -518,15 +550,60 @@ class TestReadCuts:
             node = GatewayNode(
                 "gw0", "127.0.0.1", 0, create_transport("tcp"), links, 60, registry
             )
+            clock = None
+            watermarks: list[int] = []
             with faults.inject(_plan("gateway.link", drops)) as injector:
                 for start in range(0, len(lines), size):
-                    node._take(lines[start : start + size])
+                    read = lines[start : start + size]
+                    node._take(read)
+                    stamps = [stamp for stamp, _ in parse_ingest_lines(read, 0)]
+                    if stamps:
+                        clock = max(stamps if clock is None else [clock, *stamps])
+                    fresh = [
+                        _stamp(line) for line, control in _queued(links[0])
+                        if control
+                    ][len(watermarks):]
+                    frontier = [stamp for stamp in fresh if stamp not in boundaries]
+                    assert len(frontier) <= 1
+                    if frontier:
+                        assert fresh[-1] == frontier[0] == clock
+                    watermarks += fresh
+                    if clock is not None:
+                        assert watermarks[-1] == clock
+            assert watermarks == sorted(set(watermarks))
+            for link in links[1:]:
+                assert [line for line, control in _queued(link) if control] == [
+                    line for line, control in _queued(links[0]) if control
+                ]
+            counters = registry.snapshot()["counters"]
+            counters.pop("gateway.watermarks", None)
             results.append((
-                [_queued(link) for link in links],
-                registry.snapshot()["counters"],
+                [
+                    [
+                        (line, control) for line, control in _queued(link)
+                        if not control or _stamp(line) in boundaries
+                    ]
+                    for link in links
+                ],
+                counters,
                 node._next_boundary, node._last_time, injector.snapshot(),
             ))
         assert results[0] == results[1] == results[2]
+
+    def test_one_runtime_fed_each_cut_publishes_the_same_feed(self, world, small_fleet):
+        """A node's link carried to one runtime: reads of 1, 7 and all
+        lines give the offline replay's feed, byte for byte."""
+        specs = small_fleet["specs"]
+        sentences = to_sentences(small_fleet["stream"][:600], fragment_every=40)
+        config = SystemConfig()
+        slide = config.window.slide_seconds
+        oracle = offline_oracle(sentences, world, specs, config)
+        for size in (1, 7, len(sentences)):
+            forwarded, _ = gateway_records(
+                "gw0", sentences, range(0, len(sentences), size), slide
+            )
+            feed, _, _ = run_shard(forwarded, world, specs, config, 1)
+            assert feed == oracle, size
 
 
 async def _subscribe(supervisor):

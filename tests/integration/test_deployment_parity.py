@@ -9,7 +9,9 @@ and a 2-gateway × 4-runtime cluster over TCP — on two streams: the small
 fleet's stream in timestamp order, and the same stream with same-vessel
 pairs swapped inside a slide (two receivers, or two clients, whose lines
 interleave).  Every cell must equal the offline replay
-(:func:`tests.parity.offline_oracle`) byte for byte.
+(:func:`tests.parity.offline_oracle`) byte for byte.  The nodes and the
+cluster's shards track each slide on arrival; the columns assert that
+they did, and where a time-ordered stream must roll nothing back.
 """
 
 import asyncio
@@ -185,7 +187,10 @@ def node_two_connections(sentences, world, specs) -> list[str]:
 
 
 def cluster(sentences, world, specs) -> list[str]:
-    """2 gateways × 4 runtimes over TCP, the merged feed."""
+    """2 gateways × 4 runtimes over TCP, the merged feed.  The shards
+    track on arrival, behind their gateways' frontier watermarks; a
+    time-ordered stream never overtakes what they tracked, so nothing
+    rolls back (``tracking.arrival_rollbacks``)."""
 
     async def run():
         deployment = GatewayCluster(
@@ -194,7 +199,14 @@ def cluster(sentences, world, specs) -> list[str]:
         await run_cluster(deployment, split_round_robin(sentences, 2))
         return deployment.merged_lines
 
-    return asyncio.run(run())
+    with obs.activate(obs.MetricsRegistry()) as registry:
+        lines = asyncio.run(run())
+    assert registry.span_histogram("tracking.arrival").count > 0, (
+        "no shard tracked on arrival"
+    )
+    if all(a[0] <= b[0] for a, b in zip(sentences, sentences[1:])):
+        assert registry.counter("tracking.arrival_rollbacks").value == 0
+    return lines
 
 
 @pytest.mark.parametrize("stream", ["in_order", "disordered"])

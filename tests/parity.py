@@ -1,9 +1,10 @@
 """The one transcript builder and offline oracle behind every byte-parity
 suite, and the live drivers the service, recovery and gateway suites
 share: :func:`send_sentences`, :func:`subscribe`, :func:`tap_feed`,
-:func:`tap_ingest`, :func:`run_live`,
-:func:`feed_gateways`, :func:`quiesce`, :func:`run_cluster` and the
-:class:`HandOver` queue stand-in.
+:func:`tap_ingest`, :func:`run_live`, :func:`gateway_records`,
+:func:`first_watermark_at`, :func:`run_shard`, :func:`feed_gateways`,
+:func:`quiesce`, :func:`run_cluster` and the :class:`HandOver` queue
+stand-in.
 
 A transcript is everything a system emits over a stream — per-slide
 reports, the finalize report, the final synopsis, the latest alerts and
@@ -21,10 +22,23 @@ import asyncio
 import inspect
 import time
 
+from repro import obs
 from repro.ais.stream import StreamReplayer, TimedArrival
+from repro.gateway import GatewayNode, RuntimeLink
+from repro.obs.registry import MetricsRegistry
+from repro.pipeline import SurveillanceSystem
 from repro.pipeline.config import SystemConfig
+from repro.resilience import FaultPlan, inject
 from repro.service import ServiceConfig, ServiceSupervisor, offline_feed_lines
-from repro.service.protocol import point_to_dict
+from repro.service.batcher import SlideBatcher
+from repro.service.protocol import (
+    format_ingest_line,
+    parse_ingest_lines,
+    parse_watermark,
+    point_to_dict,
+    slide_feed_line,
+)
+from repro.transport import create_transport
 
 #: ``ServiceConfig`` ports of a test service: every listener ephemeral.
 EPHEMERAL = {"ingest_port": 0, "feed_port": 0, "http_port": 0}
@@ -264,6 +278,63 @@ async def run_cluster(cluster, streams, *, started=None, fed=None):
         after = await fed(cluster)
     await cluster.drain_and_stop()
     return before, after
+
+
+def gateway_records(name: str, sentences, cuts, slide_seconds: int):
+    """What gateway node ``name`` queues for one runtime when a client
+    sends it ``sentences`` in reads that end at each index in ``cuts``,
+    then hangs up and the node drains: ``(records, registry)``, the
+    ``(receive_time, line)`` records in link order (watermarks, frontier
+    ones included, and the final one) and the node's registry."""
+    registry = MetricsRegistry()
+    link = RuntimeLink(
+        "l0", "127.0.0.1", 1, create_transport("tcp"), MetricsRegistry()
+    )
+    node = GatewayNode(
+        name, "127.0.0.1", 0, create_transport("tcp"), [link], slide_seconds,
+        registry,
+    )
+    lines = [format_ingest_line(t, s) for t, s in sentences]
+    bounds = sorted({0, len(lines), *cuts})
+    for start, end in zip(bounds, bounds[1:]):
+        node._take(lines[start:end])
+    asyncio.run(node.drain())
+    return parse_ingest_lines([line for line, _, _ in link._items], 0), registry
+
+
+def first_watermark_at(records, stamp: int) -> int:
+    """Index of the first watermark among ``(receive_time, line)``
+    records stamped at or past ``stamp``, or of the final one."""
+    for index, (receive_time, line) in enumerate(records):
+        watermark = parse_watermark(line)
+        if watermark is not None and (receive_time >= stamp or watermark[1]):
+            return index
+    raise ValueError(f"no watermark at or past {stamp}")
+
+
+def run_shard(records, world, specs, config, sources: int, hand_over: int = 7,
+              faults: str = ""):
+    """One runtime of ``sources`` gateway sources: a slide batcher over a
+    real :class:`~repro.pipeline.SurveillanceSystem`, fed ``records``
+    ``hand_over`` at a time under the fault plan ``faults``, then
+    drained, with metrics on.  ``(feed lines, batcher, registry)``."""
+    feed = []
+
+    async def serve(batcher):
+        await batcher.run()
+        await batcher.drain()
+
+    with obs.activate(MetricsRegistry()) as registry:
+        with SurveillanceSystem(world, specs, config) as system:
+            batcher = SlideBatcher(
+                system, HandOver(records, hand_over),
+                slide_seconds=config.window.slide_seconds,
+                on_report=lambda r, kind: feed.append(slide_feed_line(r, kind)),
+                watermark_sources=sources,
+            )
+            with inject(FaultPlan.from_spec(faults)):
+                asyncio.run(serve(batcher))
+    return feed, batcher, registry
 
 
 class HandOver:

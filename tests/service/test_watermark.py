@@ -17,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 from repro import obs
 from repro.ais import PositionReport, encode_position_report, wrap_aivdm
 from repro.ais.scanner import DataScanner
-from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
+from repro.ais.stream import (
+    PositionalTuple,
+    StreamReplayer,
+    TimedArrival,
+    first_query_time,
+)
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.resilience import FaultPlan, inject
 from repro.service.batcher import SlideBatcher
@@ -28,7 +33,14 @@ from repro.service.protocol import (
     parse_watermark,
     slide_feed_line,
 )
-from tests.parity import HandOver
+from tests.gateway.conftest import split_round_robin
+from tests.parity import (
+    HandOver,
+    first_watermark_at,
+    gateway_records,
+    offline_oracle,
+    run_shard,
+)
 from tests.service.conftest import to_sentences
 
 
@@ -69,6 +81,9 @@ class FakeSystem:
         return None
 
     def track(self, positions):
+        pass
+
+    def untrack(self):
         pass
 
 
@@ -342,17 +357,100 @@ class TestNodeWithoutSources:
                     asyncio.run(serve(batcher))
         assert batcher.pipeline_errors == 1
         assert registry.counter("tracking.arrival_rollbacks").value == 0
+        assert feed == _replay_skipping(sentences, lost, world, specs, config)
 
-        positions = DataScanner().scan_many(sentences)
-        slides = StreamReplayer(
-            [TimedArrival(p.timestamp, p) for p in positions],
-            config.window.slide_seconds,
-        ).batches()
-        expected = []
-        with SurveillanceSystem(world, specs, config) as reference:
-            for index, (query_time, batch) in enumerate(slides, start=1):
-                if index != lost:
-                    report = reference.process_slide(batch, query_time)
-                    expected.append(slide_feed_line(report))
-            expected.append(slide_feed_line(reference.finalize(), "finalize"))
-        assert feed == expected
+
+def _replay_skipping(sentences, lost: int, world, specs, config) -> list[str]:
+    """The offline replay's feed with slide ``lost`` (1-based) skipped
+    whole, as if the pipeline never saw it."""
+    positions = DataScanner().scan_many(sentences)
+    slides = StreamReplayer(
+        [TimedArrival(p.timestamp, p) for p in positions],
+        config.window.slide_seconds,
+    ).batches()
+    expected = []
+    with SurveillanceSystem(world, specs, config) as reference:
+        for index, (query_time, batch) in enumerate(slides, start=1):
+            if index != lost:
+                report = reference.process_slide(batch, query_time)
+                expected.append(slide_feed_line(report))
+        expected.append(slide_feed_line(reference.finalize(), "finalize"))
+    return expected
+
+
+class TestShardTracksBehindTheFrontier:
+    """``watermark_sources = 2`` with a real pipeline: each vessel's
+    reports alternate between two gateways that read five lines at a
+    time, so the shard tracks most of every slide on arrival."""
+
+    SLIDE = SystemConfig().window.slide_seconds
+
+    def _sources(self, small_fleet):
+        sentences = to_sentences(small_fleet["stream"][:700])
+        return sentences, split_round_robin(sentences, 2)
+
+    def _forward(self, name, share, extra_cuts=()):
+        cuts = {*range(0, len(share), 5), *extra_cuts}
+        return gateway_records(name, share, cuts, self.SLIDE)
+
+    def test_an_injected_slide_error_loses_only_that_slide(
+        self, world, small_fleet
+    ):
+        # The lost slide was tracked on arrival: it is rolled back before
+        # it is dropped, so the feed is that of a pipeline that skipped
+        # the slide whole.
+        config = SystemConfig()
+        specs = small_fleet["specs"]
+        sentences, shares = self._sources(small_fleet)
+        links = [
+            self._forward(f"gw{index}", share)[0]
+            for index, share in enumerate(shares)
+        ]
+        merged = [
+            record
+            for start in range(0, max(map(len, links)), 8)
+            for link in links
+            for record in link[start : start + 8]
+        ]
+        lost = 3
+        feed, batcher, registry = run_shard(
+            merged, world, specs, config, 2, faults=f"service.slide:error@{lost}"
+        )
+        assert batcher.pipeline_errors == 1
+        assert registry.span_histogram("tracking.arrival").count > 0
+        assert registry.counter("tracking.arrival_rollbacks").value == 0
+        assert feed == _replay_skipping(sentences, lost, world, specs, config)
+
+    def test_a_late_line_rolls_back_and_keeps_the_replay(self, world, small_fleet):
+        # gw0 forwards a report after a later report of its vessel in the
+        # same slide, behind its own watermark.  The shard has tracked
+        # the later one by then: the vessel rolls back, and the feed is
+        # still the offline replay's.
+        config = SystemConfig()
+        specs = small_fleet["specs"]
+        sentences, (share, other) = self._sources(small_fleet)
+        slide_of = [first_query_time(t, self.SLIDE) for t, _ in share]
+        mmsi = [DataScanner().scan_many([pair])[0].mmsi for pair in share]
+        early, later = next(
+            (early, later)
+            for later in range(len(share))
+            for early in range(later)
+            if mmsi[early] == mmsi[later]
+            and slide_of[early] == slide_of[later] > slide_of[0]
+            and share[early][0] < share[later][0]
+        )
+        end = next(
+            (i for i, slide in enumerate(slide_of) if slide > slide_of[later]),
+            len(share),
+        )
+        share = list(share)
+        share.insert(end - 1, share.pop(early))
+        late, gateway = self._forward("gw0", share, extra_cuts={end - 1})
+        ahead, _ = self._forward("gw1", other)
+        ready = first_watermark_at(ahead, share[later - 1][0])
+        feed, _, registry = run_shard(
+            ahead[: ready + 1] + late + ahead[ready + 1 :], world, specs, config, 2
+        )
+        assert gateway.counter("gateway.ingest.late_lines").value == 1
+        assert registry.counter("tracking.arrival_rollbacks").value > 0
+        assert feed == offline_oracle(sentences, world, specs, config)
