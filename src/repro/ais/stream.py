@@ -85,8 +85,8 @@ def first_query_time(earliest: int, slide_seconds: int) -> int:
     ``earliest``: the smallest multiple of the slide at or after it,
     except that a stream starting at 0 first slides at ``slide_seconds``.
 
-    The one rule behind :class:`StreamReplayer`, the live slide batcher
-    and the gateway's watermark grid, so all three cut the same slides.
+    The one rule behind :class:`StreamReplayer` and the live slide
+    batcher, so both cut the same slides.
     """
     boundary = ((earliest + slide_seconds - 1) // slide_seconds) * slide_seconds
     if boundary == earliest == 0:

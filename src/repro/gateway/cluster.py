@@ -93,7 +93,6 @@ class GatewayCluster:
         cfg = self.cluster
         for supervisor in self.supervisors:
             await supervisor.start()
-        slide = self.config.window.slide_seconds
         for g in range(cfg.gateways):
             registry = MetricsRegistry()
             links = [
@@ -116,7 +115,6 @@ class GatewayCluster:
                 0,
                 create_transport(cfg.transport),
                 links,
-                slide,
                 registry=registry,
             )
             await node.start()

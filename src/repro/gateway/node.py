@@ -3,9 +3,11 @@
 A :class:`GatewayNode` is the cluster's front door.  It accepts client
 connections on either transport, routes each sentence to the
 backend runtime owning its MMSI (:mod:`repro.gateway.routing`), and
-broadcasts in-band watermarks (:func:`repro.service.protocol.format_watermark`)
-to *every* runtime so their slide cadence stays aligned even though each
-sees only a subset of the traffic.
+broadcasts its clock, the latest time it has forwarded, as an in-band
+watermark (:func:`repro.service.protocol.format_watermark`) to *every*
+runtime, so each can close a slide once every gateway has passed it even
+though it sees only a subset of the traffic.  The slide grid is the
+runtime's alone.
 
 Sentences travel to runtimes over :class:`RuntimeLink`\\ s — bounded
 send queues with the same shed-oldest contract as the ingest queue, a
@@ -15,10 +17,10 @@ Both ends move batches: a node reads what a client has sent with one
 ``receive_many``, parses it with one
 :func:`~repro.service.protocol.parse_ingest_lines`, routes it with one
 :meth:`~repro.gateway.routing.SentenceRouter.route_many` and queues each
-link's run with one :meth:`RuntimeLink.send_many`, cut only where a
-watermark is due; a link sends its queued lines with one ``send_many``
-per wakeup.  Fault sites, shedding and counters still act per line, and
-a line stays queued — bounded, sheddable — until it is sent.
+link's run with one :meth:`RuntimeLink.send_many`; a link sends its
+queued lines with one ``send_many`` per wakeup.  Fault sites, shedding
+and counters still act per line, and a line stays queued — bounded,
+sheddable — until it is sent.
 """
 
 import asyncio
@@ -26,7 +28,6 @@ import time
 from collections import deque
 from itertools import islice
 
-from repro.ais.stream import first_query_time
 from repro.gateway.health import LinkFailureDetector
 from repro.gateway.routing import SentenceRouter
 from repro.obs.registry import MetricsRegistry
@@ -314,25 +315,19 @@ class GatewayNode:
         port: int,
         transport: Transport,
         links: list[RuntimeLink],
-        slide_seconds: int,
         registry: MetricsRegistry | None = None,
     ):
         if not links:
             raise ValueError("a gateway node needs at least one runtime link")
-        if slide_seconds <= 0:
-            raise ValueError(f"slide_seconds must be positive: {slide_seconds}")
         self.name = name
         self.host = host
         self.port = port
         self.transport = transport
         self.links = links
-        self.slide_seconds = slide_seconds
         self.registry = registry if registry is not None else MetricsRegistry()
         self.router = SentenceRouter(len(links), self.registry)
         self._server: asyncio.AbstractServer | None = None
-        #: First slide boundary not yet watermarked; ``None`` until the
-        #: first sentence fixes the grid.
-        self._next_boundary: int | None = None
+        #: This node's clock: the latest receive time it has forwarded.
         self._last_time: int | None = None
         #: Stamp of the last watermark broadcast.
         self._watermark_time: int | None = None
@@ -378,18 +373,14 @@ class GatewayNode:
 
     def _take(self, lines: list[str]) -> None:
         """Parse, route and queue one read of lines, as one line at a
-        time would: the same lines on every link, in the same order.
-
-        Each link's run of lines is queued with one ``send_many``.  A line
-        that is late, or past the next slide boundary, cuts the read: the
-        runs so far are queued first, then :meth:`_advance_watermarks`
-        counts it or broadcasts the watermark, so every runtime sees a
-        watermark after the lines before it and before the lines after.
+        time would: the same lines on every link, in the same order, each
+        link's run queued with one ``send_many``.
 
         A read that moved this node's clock past its last watermark ends
-        with one more, the *frontier* watermark, stamped with the clock:
-        every runtime may then track what is stamped at or before it
-        without waiting for the slide boundary."""
+        with one more, stamped with the clock, after every line of the
+        read: every runtime may then close or track what is stamped at
+        or before it.  The first sentence's watermark also tells every
+        runtime, quiet shards included, that this source exists."""
         parsed = parse_ingest_lines(lines, int(time.time()))
         if parsed:
             self.registry.inc("gateway.ingest.lines", len(parsed))
@@ -403,22 +394,27 @@ class GatewayNode:
         # queued on its own.
         one_by_one = get_injector() is not None
         runs: list[list[str]] = [[] for _ in self.links]
-        boundary, last = self._next_boundary, self._last_time
+        clock = self._last_time
+        late = 0
         for (receive_time, sentence), index in zip(parsed, routes):
-            if last is None or boundary is None or not last <= receive_time <= boundary:
-                self._flush(runs)
-                self._last_time = last
-                self._advance_watermarks(receive_time)
-                boundary, last = self._next_boundary, self._last_time
-            else:
-                last = receive_time
+            if clock is None or receive_time > clock:
+                clock = receive_time
+            elif receive_time < clock:
+                late += 1
             runs[index].append(format_ingest_line(receive_time, sentence))
             if one_by_one:
                 self._flush(runs)
-        self._last_time = last
+        if late:
+            # Behind our own clock: forwarded anyway (the runtime batches
+            # it), but counted — the monotonicity contract of watermarked
+            # ingest was violated upstream.
+            self.registry.inc("gateway.ingest.late_lines", late)
+        self._last_time = clock
         self._flush(runs)
-        if last is not None and last > self._watermark_time:
-            self._broadcast(last)
+        # The clock never falls and every watermark but the drain's was
+        # stamped with it, so a clock unequal to the last stamp moved.
+        if clock != self._watermark_time:
+            self._broadcast(clock)
 
     def _flush(self, runs: list[list[str]]) -> None:
         """Queue each link's run with one ``send_many``, and empty it."""
@@ -426,26 +422,6 @@ class GatewayNode:
             if run:
                 link.send_many(run)
                 run.clear()
-
-    def _advance_watermarks(self, receive_time: int) -> None:
-        slide = self.slide_seconds
-        if self._next_boundary is None:
-            # First sentence: announce this source to every runtime so
-            # quiet shards still learn the cluster has N gateways.
-            self._broadcast(receive_time)
-            self._next_boundary = first_query_time(receive_time, slide)
-        elif receive_time > self._next_boundary:
-            self._broadcast(receive_time)
-            # The first grid boundary at or after it, in one step: a
-            # far-future time must not cost one iteration per slide.
-            self._next_boundary -= (self._next_boundary - receive_time) // slide * slide
-        if self._last_time is None or receive_time > self._last_time:
-            self._last_time = receive_time
-        elif receive_time < self._last_time:
-            # Behind our own watermark: forwarded anyway (the runtime
-            # batches it), but counted — the monotonicity contract of
-            # watermarked ingest was violated upstream.
-            self.registry.inc("gateway.ingest.late_lines")
 
     def _broadcast(self, stamp: int, final: bool = False) -> None:
         """Send every runtime this node's watermark at ``stamp``."""
@@ -480,7 +456,7 @@ class GatewayNode:
             "name": self.name,
             "port": self.port,
             "last_receive_time": self._last_time,
-            "next_boundary": self._next_boundary,
+            "watermark_time": self._watermark_time,
             "link_depths": [link.depth for link in self.links],
             "links": [link.snapshot() for link in self.links],
             "counters": dict(self.registry.snapshot()["counters"]),

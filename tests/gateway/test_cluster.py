@@ -86,6 +86,13 @@ class TestClusterParity:
             assert runtime["status"] == "ok"
             assert runtime["watermarks"]["sources"] == 2
             assert set(runtime["watermarks"]["clocks"]) == {"gw0", "gw1"}
+        # Quiet, each gateway's last watermark is its clock, and every
+        # runtime holds it.
+        for node in health["nodes"]:
+            assert node["watermark_time"] == node["last_receive_time"]
+            for runtime in health["runtimes"]:
+                clocks = runtime["watermarks"]["clocks"]
+                assert clocks[node["name"]] == node["watermark_time"]
 
         # Federated metrics: per-node sections plus the cluster sum.
         assert "repro_node_gw0_gateway_ingest_lines_total" in metrics

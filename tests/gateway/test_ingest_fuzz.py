@@ -106,7 +106,7 @@ def test_gateway_survives_and_accounts_for_every_line(data):
             for index in range(3)
         ]
         node = GatewayNode(
-            "gw0", "127.0.0.1", 0, create_transport("tcp"), links, 60, registry
+            "gw0", "127.0.0.1", 0, create_transport("tcp"), links, registry
         )
         await node._handle(reader, SinkWriter())
         return node, registry

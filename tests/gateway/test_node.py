@@ -1,6 +1,6 @@
 """Gateway nodes and their runtime links: ingest accounting, the link's
 batches, shedding, the batch accept path against one line at a time,
-read cuts and their frontier watermarks, and a link severed mid-batch."""
+read cuts and their watermarks, and a link severed mid-batch."""
 
 import asyncio
 
@@ -94,7 +94,7 @@ class TestGatewayIngest:
             registry = MetricsRegistry()
             link = RuntimeLink("l0", "127.0.0.1", 1, transport, registry)
             node = GatewayNode(
-                "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], 60, registry
+                "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], registry
             )
             await node.start()
             _, writer = await asyncio.open_connection("127.0.0.1", node.port)
@@ -112,44 +112,18 @@ class TestGatewayIngest:
         delivered = [line for batch in batches for line in batch]
         assert format_ingest_line(100, "!AIVDM,1,1,,A,0,0*00") in delivered
 
-
-class TestWatermarkGrid:
-    def test_a_first_sentence_on_a_boundary_opens_that_slide(self):
-        """The grid starts where the runtime's does: at the first boundary
-        at or after the first sentence.  A first sentence at 2·slide
-        leaves slide 2·slide open, so the next sentence past it
-        watermarks it instead of waiting for 3·slide."""
-        slide = 60
+    def test_a_far_future_line_costs_one_watermark(self):
+        """A line ``10**13`` s ahead (a flipped timestamp bit) costs one
+        watermark, stamped with it: the node holds no slide grid to step
+        through."""
         link = RuntimeLink("l0", "127.0.0.1", 1, RecordingTransport(), MetricsRegistry())
-        node = GatewayNode(
-            "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], slide
-        )
-        node._take([
-            format_ingest_line(receive_time, "!AIVDM,1,1,,A,0,0*00")
-            for receive_time in (2 * slide, 2 * slide + 1)
-        ])
-        watermarks = [line for line, _, control in link._items if control]
-        assert watermarks == [
-            format_watermark(2 * slide, "gw0"),
-            format_watermark(2 * slide + 1, "gw0"),
-        ]
-
-    def test_a_far_future_line_moves_the_grid_in_one_step(self):
-        """A line ``10**13`` s ahead (a flipped timestamp bit) watermarks
-        once and moves the grid to the first boundary at or after it,
-        without stepping through every slide in between."""
-        slide = 60
-        link = RuntimeLink("l0", "127.0.0.1", 1, RecordingTransport(), MetricsRegistry())
-        node = GatewayNode(
-            "gw0", "127.0.0.1", 0, create_transport("tcp"), [link], slide
-        )
+        node = GatewayNode("gw0", "127.0.0.1", 0, create_transport("tcp"), [link])
         node._take([
             format_ingest_line(receive_time, "!AIVDM,1,1,,A,0,0*00")
             for receive_time in (100, 10**13 + 1)
         ])
-        assert node._next_boundary == (10**13 // slide + 1) * slide
         watermarks = [line for line, _, control in link._items if control]
-        assert watermarks[-1] == format_watermark(10**13 + 1, "gw0")
+        assert watermarks == [format_watermark(10**13 + 1, "gw0")]
 
 
 def _reference_delivery(sends, queue_size, pinned=0, released_after=None):
@@ -503,43 +477,29 @@ def gateway_reads(draw) -> list[str]:
     return lines
 
 
-def _boundary_stamps(lines: list[str], slide: int) -> set[int]:
-    """Stamps of the slide-boundary watermarks a node sends for
-    ``lines``, however they are cut: the first line's, then each one
-    past the first grid boundary at or after the last of them."""
-    stamps: set[int] = set()
-    boundary = None
-    for receive_time, _ in parse_ingest_lines(lines, 0):
-        if boundary is None or receive_time > boundary:
-            stamps.add(receive_time)
-            boundary = first_query_time(receive_time, slide)
-    return stamps
-
-
 def _stamp(line: str) -> int:
     return int(line.partition("\t")[0])
 
 
 class TestReadCuts:
-    """Reads of 1, 7 and all lines differ only in their frontier
-    watermarks: a read that moved the node's clock past its last
-    watermark ends with one more, stamped with the clock."""
+    """Reads of 1, 7 and all lines differ only in their watermarks: a
+    read that moved the node's clock past its last watermark ends with
+    one, stamped with the clock."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         lines=gateway_reads(),
         drops=st.lists(st.integers(min_value=1, max_value=40), max_size=3, unique=True),
     )
-    def test_how_the_read_is_cut_changes_only_frontier_watermarks(self, lines, drops):
-        """Every cut puts the same data lines and slide-boundary
-        watermarks on every link, in the same order, counts the same
-        late lines and every other counter but ``gateway.watermarks``,
-        and a ``gateway.link`` plan drops the same sentences, since its
-        hits follow arrival order.  Frontier watermarks are strictly
-        increasing, at most one per read and last in it, each stamped
-        with the latest line before it; after every read, the last
-        watermark is the node's clock."""
-        boundaries = _boundary_stamps(lines, 60)
+    def test_how_the_read_is_cut_changes_only_watermarks(self, lines, drops):
+        """Every cut puts the same data lines on every link, in the same
+        order, counts the same late lines and every other counter but
+        ``gateway.watermarks``, and a ``gateway.link`` plan drops the
+        same sentences, since its hits follow arrival order.  Each read
+        that moved the clock ends with one watermark on every link,
+        stamped with the clock, and no other read adds one; so the
+        watermarks strictly increase, and ``gateway.watermarks`` counts
+        the control lines of each link."""
         results = []
         for size in (1, 7, max(len(lines), 1)):
             registry = MetricsRegistry()
@@ -548,7 +508,7 @@ class TestReadCuts:
                 for index in range(3)
             ]
             node = GatewayNode(
-                "gw0", "127.0.0.1", 0, create_transport("tcp"), links, 60, registry
+                "gw0", "127.0.0.1", 0, create_transport("tcp"), links, registry
             )
             clock = None
             watermarks: list[int] = []
@@ -557,53 +517,61 @@ class TestReadCuts:
                     read = lines[start : start + size]
                     node._take(read)
                     stamps = [stamp for stamp, _ in parse_ingest_lines(read, 0)]
-                    if stamps:
-                        clock = max(stamps if clock is None else [clock, *stamps])
-                    fresh = [
-                        _stamp(line) for line, control in _queued(links[0])
-                        if control
-                    ][len(watermarks):]
-                    frontier = [stamp for stamp in fresh if stamp not in boundaries]
-                    assert len(frontier) <= 1
-                    if frontier:
-                        assert fresh[-1] == frontier[0] == clock
-                    watermarks += fresh
-                    if clock is not None:
-                        assert watermarks[-1] == clock
+                    if stamps and (clock is None or max(stamps) > clock):
+                        clock = max(stamps)
+                        watermarks.append(clock)
+                        line = format_watermark(clock, "gw0")
+                        for link in links:
+                            assert _queued(link)[-1] == (line, True)
+                    for link in links:
+                        assert [
+                            _stamp(line) for line, control in _queued(link) if control
+                        ] == watermarks
             assert watermarks == sorted(set(watermarks))
-            for link in links[1:]:
-                assert [line for line, control in _queued(link) if control] == [
-                    line for line, control in _queued(links[0]) if control
-                ]
             counters = registry.snapshot()["counters"]
+            assert counters.get("gateway.watermarks", 0) == len(watermarks)
             counters.pop("gateway.watermarks", None)
             results.append((
                 [
-                    [
-                        (line, control) for line, control in _queued(link)
-                        if not control or _stamp(line) in boundaries
-                    ]
+                    [line for line, control in _queued(link) if not control]
                     for link in links
                 ],
-                counters,
-                node._next_boundary, node._last_time, injector.snapshot(),
+                counters, node._last_time, injector.snapshot(),
             ))
         assert results[0] == results[1] == results[2]
 
     def test_one_runtime_fed_each_cut_publishes_the_same_feed(self, world, small_fleet):
         """A node's link carried to one runtime: reads of 1, 7 and all
-        lines give the offline replay's feed, byte for byte."""
+        lines give the offline replay's feed, byte for byte.  So they do
+        when a late line follows, in its read, a line past a slide
+        boundary: the read's watermark comes after both, so the late
+        line lands in its own slide, as the offline replay puts it."""
         specs = small_fleet["specs"]
         sentences = to_sentences(small_fleet["stream"][:600], fragment_every=40)
         config = SystemConfig()
         slide = config.window.slide_seconds
-        oracle = offline_oracle(sentences, world, specs, config)
-        for size in (1, 7, len(sentences)):
-            forwarded, _ = gateway_records(
-                "gw0", sentences, range(0, len(sentences), size), slide
+        crossing = next(
+            index for index in range(1, len(sentences))
+            if first_query_time(sentences[index - 1][0], slide)
+            < first_query_time(sentences[index][0], slide)
+            and all(
+                sentence.startswith("!AIVDM,1,1,")
+                for _, sentence in sentences[index - 1 : index + 1]
             )
-            feed, _, _ = run_shard(forwarded, world, specs, config, 1)
-            assert feed == oracle, size
+        )
+        late = [
+            *sentences[: crossing - 1], sentences[crossing],
+            sentences[crossing - 1], *sentences[crossing + 1 :],
+        ]
+        # The late stream is never cut between the crossing line and
+        # the late line behind it.
+        for stream, together in ((sentences, None), (late, crossing)):
+            oracle = offline_oracle(stream, world, specs, config)
+            for size in (1, 7, len(stream)):
+                cuts = set(range(0, len(stream), size)) - {together}
+                forwarded, _ = gateway_records("gw0", stream, cuts)
+                feed, _, _ = run_shard(forwarded, world, specs, config, 1)
+                assert feed == oracle, (together, size)
 
 
 async def _subscribe(supervisor):

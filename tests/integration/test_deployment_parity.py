@@ -188,7 +188,7 @@ def node_two_connections(sentences, world, specs) -> list[str]:
 
 def cluster(sentences, world, specs) -> list[str]:
     """2 gateways × 4 runtimes over TCP, the merged feed.  The shards
-    track on arrival, behind their gateways' frontier watermarks; a
+    track on arrival, behind their gateways' watermarks; a
     time-ordered stream never overtakes what they tracked, so nothing
     rolls back (``tracking.arrival_rollbacks``)."""
 

@@ -280,19 +280,18 @@ async def run_cluster(cluster, streams, *, started=None, fed=None):
     return before, after
 
 
-def gateway_records(name: str, sentences, cuts, slide_seconds: int):
+def gateway_records(name: str, sentences, cuts):
     """What gateway node ``name`` queues for one runtime when a client
     sends it ``sentences`` in reads that end at each index in ``cuts``,
     then hangs up and the node drains: ``(records, registry)``, the
-    ``(receive_time, line)`` records in link order (watermarks, frontier
-    ones included, and the final one) and the node's registry."""
+    ``(receive_time, line)`` records in link order (watermarks, the
+    final one included) and the node's registry."""
     registry = MetricsRegistry()
     link = RuntimeLink(
         "l0", "127.0.0.1", 1, create_transport("tcp"), MetricsRegistry()
     )
     node = GatewayNode(
-        name, "127.0.0.1", 0, create_transport("tcp"), [link], slide_seconds,
-        registry,
+        name, "127.0.0.1", 0, create_transport("tcp"), [link], registry
     )
     lines = [format_ingest_line(t, s) for t, s in sentences]
     bounds = sorted({0, len(lines), *cuts})

@@ -3,7 +3,7 @@ sources' watermarks publishes the offline replay's feed.
 
 Two gateway nodes are the sources.  Each vessel's reports are dealt at
 random between them, each node takes its share in reads cut at random
-(so its frontier watermarks fall at random), and the two links'
+(so its watermarks fall at random), and the two links'
 lines reach one runtime shard in a random interleaving, handed over in
 random batches.  The shard (``watermark_sources=2``, a real
 :class:`~repro.pipeline.SurveillanceSystem`) tracks each position once
@@ -68,7 +68,7 @@ def _forward(name: str, sentences, rng, cuts=()) -> list[tuple[int, str]]:
     """What gateway node ``name`` forwards of ``sentences`` read in
     random cuts, and always cut before each index in ``cuts``."""
     cuts = {*cuts, *(i for i in range(len(sentences)) if rng.random() < 0.15)}
-    return gateway_records(name, sentences, cuts, SLIDE)[0]
+    return gateway_records(name, sentences, cuts)[0]
 
 
 def _interleave(links, rng, hold=None) -> list:

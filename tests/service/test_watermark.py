@@ -391,7 +391,7 @@ class TestShardTracksBehindTheFrontier:
 
     def _forward(self, name, share, extra_cuts=()):
         cuts = {*range(0, len(share), 5), *extra_cuts}
-        return gateway_records(name, share, cuts, self.SLIDE)
+        return gateway_records(name, share, cuts)
 
     def test_an_injected_slide_error_loses_only_that_slide(
         self, world, small_fleet
