@@ -376,11 +376,13 @@ class GatewayNode:
         time would: the same lines on every link, in the same order, each
         link's run queued with one ``send_many``.
 
-        A read that moved this node's clock past its last watermark ends
-        with one more, stamped with the clock, after every line of the
-        read: every runtime may then close or track what is stamped at
-        or before it.  The first sentence's watermark also tells every
-        runtime, quiet shards included, that this source exists."""
+        A read that moved this node's clock past its last watermark
+        leaves one more, stamped with the clock: at its end, or before
+        its first line behind the clock.  Every runtime may then close
+        or track what is stamped at or before it, and a late line lands
+        in the slide a single node would give it, however the read is
+        cut.  The first sentence's watermark also tells every runtime,
+        quiet shards included, that this source exists."""
         parsed = parse_ingest_lines(lines, int(time.time()))
         if parsed:
             self.registry.inc("gateway.ingest.lines", len(parsed))
@@ -401,6 +403,11 @@ class GatewayNode:
                 clock = receive_time
             elif receive_time < clock:
                 late += 1
+                if clock != self._watermark_time:
+                    # Every runtime may run the slides the clock passed
+                    # first, as a single node has before a late line.
+                    self._flush(runs)
+                    self._broadcast(clock)
             runs[index].append(format_ingest_line(receive_time, sentence))
             if one_by_one:
                 self._flush(runs)

@@ -481,10 +481,23 @@ def _stamp(line: str) -> int:
     return int(line.partition("\t")[0])
 
 
+def _placed(queued: list[tuple[str, bool]]) -> list[tuple[str, int]]:
+    """A link's data lines, each with the later of its own stamp and the
+    last watermark queued before it: no slide of a runtime that closes
+    before that time can take the line."""
+    placed, watermark = [], None
+    for line, control in queued:
+        if control:
+            watermark = _stamp(line)
+        else:
+            stamp = _stamp(line)
+            placed.append((line, stamp if watermark is None else max(stamp, watermark)))
+    return placed
+
+
 class TestReadCuts:
-    """Reads of 1, 7 and all lines differ only in their watermarks: a
-    read that moved the node's clock past its last watermark ends with
-    one, stamped with the clock."""
+    """Reads of 1, 7 and all lines differ only in how many watermarks
+    they queue, never in where a runtime's slides can place a line."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -493,11 +506,12 @@ class TestReadCuts:
     )
     def test_how_the_read_is_cut_changes_only_watermarks(self, lines, drops):
         """Every cut puts the same data lines on every link, in the same
-        order, counts the same late lines and every other counter but
+        order, each behind the same watermark time, counts the same
+        late lines and every other counter but
         ``gateway.watermarks``, and a ``gateway.link`` plan drops the
         same sentences, since its hits follow arrival order.  Each read
-        that moved the clock ends with one watermark on every link,
-        stamped with the clock, and no other read adds one; so the
+        that moved the clock leaves the last watermark on every link
+        stamped with the clock, and no other read adds one; the
         watermarks strictly increase, and ``gateway.watermarks`` counts
         the control lines of each link."""
         results = []
@@ -517,12 +531,15 @@ class TestReadCuts:
                     read = lines[start : start + size]
                     node._take(read)
                     stamps = [stamp for stamp, _ in parse_ingest_lines(read, 0)]
+                    fresh = [
+                        _stamp(line) for line, control in _queued(links[0]) if control
+                    ][len(watermarks):]
                     if stamps and (clock is None or max(stamps) > clock):
                         clock = max(stamps)
-                        watermarks.append(clock)
-                        line = format_watermark(clock, "gw0")
-                        for link in links:
-                            assert _queued(link)[-1] == (line, True)
+                        assert fresh[-1] == clock
+                    else:
+                        assert fresh == []
+                    watermarks += fresh
                     for link in links:
                         assert [
                             _stamp(line) for line, control in _queued(link) if control
@@ -532,20 +549,20 @@ class TestReadCuts:
             assert counters.get("gateway.watermarks", 0) == len(watermarks)
             counters.pop("gateway.watermarks", None)
             results.append((
-                [
-                    [line for line, control in _queued(link) if not control]
-                    for link in links
-                ],
+                [_placed(_queued(link)) for link in links],
                 counters, node._last_time, injector.snapshot(),
             ))
         assert results[0] == results[1] == results[2]
 
     def test_one_runtime_fed_each_cut_publishes_the_same_feed(self, world, small_fleet):
         """A node's link carried to one runtime: reads of 1, 7 and all
-        lines give the offline replay's feed, byte for byte.  So they do
-        when a late line follows, in its read, a line past a slide
-        boundary: the read's watermark comes after both, so the late
-        line lands in its own slide, as the offline replay puts it."""
+        lines, and one read cut only after a line past a slide boundary,
+        give a single node's feed, byte for byte; in time order that is
+        the offline replay's.  So they do when a late line follows that
+        line: it always comes after a watermark at the node's clock, so
+        the slide the line closed has run, and the late line lands in
+        the next one, as on a single node, not in its own, as in the
+        offline replay, which sorts by time."""
         specs = small_fleet["specs"]
         sentences = to_sentences(small_fleet["stream"][:600], fragment_every=40)
         config = SystemConfig()
@@ -563,15 +580,16 @@ class TestReadCuts:
             *sentences[: crossing - 1], sentences[crossing],
             sentences[crossing - 1], *sentences[crossing + 1 :],
         ]
-        # The late stream is never cut between the crossing line and
-        # the late line behind it.
-        for stream, together in ((sentences, None), (late, crossing)):
+        for stream in (sentences, late):
+            single, _, _ = run_shard(stream, world, specs, config, 0)
             oracle = offline_oracle(stream, world, specs, config)
-            for size in (1, 7, len(stream)):
-                cuts = set(range(0, len(stream), size)) - {together}
+            assert (single == oracle) == (stream is sentences)
+            for cuts in (
+                range(0, len(stream), 1), range(0, len(stream), 7), (), (crossing,),
+            ):
                 forwarded, _ = gateway_records("gw0", stream, cuts)
                 feed, _, _ = run_shard(forwarded, world, specs, config, 1)
-                assert feed == oracle, (together, size)
+                assert feed == single, (stream is late, cuts)
 
 
 async def _subscribe(supervisor):
