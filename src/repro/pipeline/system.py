@@ -1,21 +1,26 @@
 """The assembled maritime surveillance system (Figure 1).
 
-Per window slide, :meth:`SurveillanceSystem.process_slide`:
+A window slide has an online half and an archive, as Figure 1 does.
+:meth:`SurveillanceSystem.close_slide`, the online half:
 
 1. runs the Mobility Tracker over the fresh positional batch (detecting
    trajectory events in O(1)/O(m) per tuple) — or, on a live node or
    shard that handed it the slide's positions as they arrived
    (:meth:`track`), over only what is not tracked yet,
 2. runs the Compressor, emitting fresh critical points into the window
-   synopsis and collecting expired "delta" points,
-3. ships the delta points to the staging table and (optionally)
-   reconstructs/loads trips in the Moving Objects Database,
-4. feeds the critical movement events to the Complex Event Recognition
-   module and runs recognition at the slide's query time,
+   synopsis and collecting expired "delta" points, which stay pending,
+3. feeds the critical movement events to the Complex Event Recognition
+   module and runs recognition at the slide's query time (recognition
+   never reads the MOD),
 
-timing each phase.  Call :meth:`finalize` at end-of-stream to flush open
-stops and drain the synopsis into the archive: the same skeleton, run once
-more with ``final=True``.
+and returns the slide's report.  :meth:`archive` then ships the pending
+delta points to the staging table and (optionally) reconstructs/loads
+trips in the Moving Objects Database.  :meth:`process_slide` runs both,
+so an offline caller sees an up-to-date MOD after each call; a live
+deployment publishes the report in between, so no alert waits for the
+archive.  Call :meth:`finalize` at end-of-stream to flush open stops and
+drain the synopsis into the archive: the same skeleton, run once more
+with ``final=True``.
 
 This is the only slide path, and every stage runs in this process: area
 and pairwise CEs are not MMSI-decomposable, so the one scale-out (the
@@ -26,7 +31,8 @@ feed :class:`~repro.pipeline.metrics.PhaseTimings` and the
 :class:`~repro.pipeline.metrics.SlideReport` (as before); when the global
 metrics registry is enabled each phase additionally lands in a
 ``pipeline.phase.<name>`` histogram (per-slide p50/p95/p99) plus stream
-counters, which is what ``--metrics-json`` reports.
+counters, which is what ``--metrics-json`` reports.  A slide is recorded
+into both once its archive has run.
 """
 
 from repro import obs
@@ -35,7 +41,7 @@ from repro.maritime.pairwise.monitor import PairwiseMonitor
 from repro.maritime.recognizer import Alert, MaritimeRecognizer
 from repro.mod.database import MovingObjectDatabase
 from repro.pipeline.config import SystemConfig
-from repro.pipeline.metrics import PhaseTimings, SlideReport
+from repro.pipeline.metrics import PHASES, PhaseTimings, SlideReport
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import WorldModel
 from repro.tracking.columnar import ColumnarTracker
@@ -45,7 +51,11 @@ from repro.tracking.types import CriticalPoint
 
 
 class SurveillanceSystem:
-    """Streaming pipeline from positional tuples to alerts and archives."""
+    """Streaming pipeline from positional tuples to alerts and archives.
+
+    Each slide closes with its alerts (:meth:`close_slide`) before the
+    MOD archives it (:meth:`archive`); :meth:`process_slide` does both.
+    """
 
     def __init__(
         self,
@@ -67,6 +77,8 @@ class SurveillanceSystem:
         self.exporter = TrajectoryExporter()
         self.timings = PhaseTimings()
         self._last_query_time: int | None = None
+        #: What :meth:`archive` still owes the last closed slide.
+        self._pending: tuple | None = None
         #: Seconds :meth:`track` spent on the open slide.
         self._arrival_seconds = 0.0
         self.tracker = ColumnarTracker(self.config.tracking)
@@ -111,13 +123,28 @@ class SurveillanceSystem:
     def process_slide(
         self, batch: list[PositionalTuple], query_time: int
     ) -> SlideReport:
-        """Process one slide's worth of arrivals; returns the slide report."""
-        return self._run_slide(batch, query_time, final=False)
+        """Process one slide's worth of arrivals and archive it; returns
+        the slide report (:meth:`close_slide`, then :meth:`archive`)."""
+        report = self.close_slide(batch, query_time)
+        self.archive()
+        return report
+
+    def close_slide(
+        self, batch: list[PositionalTuple], query_time: int
+    ) -> SlideReport:
+        """The online half of one slide: track, compress, recognize.
+
+        The slide's expired points stay pending until :meth:`archive`,
+        which must run before the next slide; a live deployment publishes
+        the report in between.
+        """
+        with obs.timed_span("pipeline.slide"):
+            return self._run_slide(batch, query_time, final=False)
 
     def track(self, positions: list[PositionalTuple]) -> None:
         """Track positions of the open slide as they arrive.
 
-        The slide's :meth:`process_slide` still receives the whole sorted
+        The slide's :meth:`close_slide` still receives the whole sorted
         slide and returns what it would have without this call; it only
         has less tracking left to do
         (:meth:`~repro.tracking.ColumnarTracker.track`).  The seconds
@@ -144,63 +171,79 @@ class SurveillanceSystem:
         if self._last_query_time is None:
             return None
         query_time = self._last_query_time + self.config.window.slide_seconds
-        return self._run_slide([], query_time, final=True)
+        with obs.timed_span("pipeline.finalize"):
+            report = self._run_slide([], query_time, final=True)
+            self.archive()
+        return report
 
-    def _run_slide(
-        self, batch: list[PositionalTuple], query_time: int, final: bool
-    ) -> SlideReport:
-        slide_timings: dict[str, float] = {}
-        # Read before the tracker runs, so a slide lost to an error
-        # cannot carry its arrival seconds into the next report.
-        arrival_seconds, self._arrival_seconds = self._arrival_seconds, 0.0
+    def archive(self) -> None:
+        """The archive of the last closed slide: stage its expired points
+        and reconstruct trips in the MOD.
 
-        with obs.timed_span("pipeline.finalize" if final else "pipeline.slide"):
-            with obs.timed_span("tracking") as phase:
-                if final:
-                    events = self.tracker.finalize()
-                    fresh, expired = self.compressor.slide(events, query_time)
-                    # Evict everything still in the window into the archive.
-                    expired = expired + self.compressor.synopsis()
-                else:
-                    events = self.tracker.process_batch(batch)
-                    fresh, expired = self.compressor.slide(
-                        events, query_time, raw_position_count=len(batch)
-                    )
-            slide_timings["tracking"] = phase.seconds + arrival_seconds
-
+        Fills the slide's ``staging``, ``reconstruction`` and ``loading``
+        timings, and only then records the slide into :attr:`timings` and
+        the ``pipeline.phase.*`` histograms.  The pending points are
+        consumed whether or not this succeeds.
+        """
+        pending, self._pending = self._pending, None
+        if pending is None:
+            return
+        report, expired, final = pending
+        slide_timings = report.timings
+        with obs.timed_span("pipeline.archive"):
             with obs.timed_span("staging") as phase:
                 if expired:
                     self.database.stage_points(expired)
             slide_timings["staging"] = phase.seconds
-
-            slide_timings["reconstruction"] = 0.0
-            slide_timings["loading"] = 0.0
             if final or (self.config.reconstruct_each_slide and expired):
                 self.database.reconstruct(slide_timings)
-
-            recognized = 0
-            alerts: tuple = ()
-            if self.config.enable_recognition:
-                with obs.timed_span("recognition") as phase:
-                    if self.monitor is not None:
-                        self.recognizer.ingest_facts(
-                            self.monitor.observe(events, query_time),
-                            arrival_time=query_time,
-                        )
-                    self.recognizer.ingest(events, arrival_time=query_time)
-                    result = self.recognizer.step(query_time)
-                    recognized = result.complex_event_count()
-                    alerts = tuple(self.recognizer.alerts(result))
-                slide_timings["recognition"] = phase.seconds
-
         if not final:
             self.timings.record(slide_timings)
             self._record_slide_metrics(
-                slide_timings, len(batch), len(events), len(fresh),
-                len(expired), recognized,
+                slide_timings, report.raw_positions, report.movement_events,
+                report.fresh_critical_points, report.expired_critical_points,
+                report.recognized_complex_events,
             )
-            self._last_query_time = query_time
-        return SlideReport(
+
+    def _run_slide(
+        self, batch: list[PositionalTuple], query_time: int, final: bool
+    ) -> SlideReport:
+        # Staging, reconstruction and loading are filled by the archive;
+        # seeding them here keeps the phases in Figure 10's order.
+        slide_timings = dict.fromkeys(PHASES[:4], 0.0)
+        # Read before the tracker runs, so a slide lost to an error
+        # cannot carry its arrival seconds into the next report.
+        arrival_seconds, self._arrival_seconds = self._arrival_seconds, 0.0
+
+        with obs.timed_span("tracking") as phase:
+            if final:
+                events = self.tracker.finalize()
+                fresh, expired = self.compressor.slide(events, query_time)
+                # Evict everything still in the window into the archive.
+                expired = expired + self.compressor.synopsis()
+            else:
+                events = self.tracker.process_batch(batch)
+                fresh, expired = self.compressor.slide(
+                    events, query_time, raw_position_count=len(batch)
+                )
+        slide_timings["tracking"] = phase.seconds + arrival_seconds
+
+        recognized = 0
+        alerts: tuple = ()
+        if self.config.enable_recognition:
+            with obs.timed_span("recognition") as phase:
+                if self.monitor is not None:
+                    self.recognizer.ingest_facts(
+                        self.monitor.observe(events, query_time),
+                        arrival_time=query_time,
+                    )
+                self.recognizer.ingest(events, arrival_time=query_time)
+                result = self.recognizer.step(query_time)
+                recognized = result.complex_event_count()
+                alerts = tuple(self.recognizer.alerts(result))
+            slide_timings["recognition"] = phase.seconds
+
+        report = SlideReport(
             query_time=query_time,
             raw_positions=len(batch),
             movement_events=len(events),
@@ -211,6 +254,10 @@ class SurveillanceSystem:
             timings=slide_timings,
             fresh_points=tuple(fresh),
         )
+        self._pending = (report, expired, final)
+        if not final:
+            self._last_query_time = query_time
+        return report
 
     def _record_slide_metrics(
         self,

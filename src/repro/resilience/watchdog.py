@@ -38,6 +38,7 @@ class SlideWatchdog:
         self._started_at: float | None = None
         self._query_time: int | None = None
         self._counted = False
+        #: Finished beats: a live slide's close and its archive are one each.
         self.slides_seen = 0
         self.stalls_detected = 0
 

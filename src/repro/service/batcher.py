@@ -28,8 +28,8 @@ Durability and diagnostics (docs/RESILIENCE.md):
   batcher's :class:`~repro.service.quarantine.DeadLetterBuffer` instead
   of vanishing into a counter;
 * the batcher's :class:`~repro.resilience.watchdog.SlideWatchdog` gets a
-  beat when a pipeline slide starts and finishes, so a wedged slide is
-  detected from the event loop.
+  beat when a slide's close or its archive starts and finishes, so a
+  wedged slide or archive is detected from the event loop.
 
 Pipeline slides execute on a worker thread (``run_in_executor``) so the
 event loop keeps reading sockets while a slide is being processed —
@@ -38,7 +38,10 @@ the whole service seizing up when producers outrun the pipeline.  The
 open slide's positions are tracked on the loop as they arrive
 (``system.track``): on a node as each run is scanned, on a shard once
 every source's watermark has passed them.  A slide's close then pays
-only for what follows the Mobility Tracker.
+only for the Compressor and RTEC (``system.close_slide``): its feed line
+is published, and the executor stages and reconstructs its expired
+points in the MOD (``system.archive``) at the start of the batcher's
+next hand-over, slide or drain.
 
 **One cadence** (docs/GATEWAY.md): the window keeps pace with the
 *reported* timestamps, so a slide holds every position stamped inside it
@@ -126,6 +129,8 @@ class SlideBatcher:
         self._query_time: int | None = None
         #: True once the first slide ran — the grid anchor is then final.
         self._grid_locked = False
+        #: Query time of the last closed slide while its archive is due.
+        self._archive_due: int | None = None
         self.slides_processed = 0
         self.pipeline_errors = 0
         self.replayed_records = 0
@@ -163,12 +168,14 @@ class SlideBatcher:
                 for *_, enqueued_at in items:
                     obs.observe("service.ingest.latency_seconds", now - enqueued_at)
             await self._ingest([item[:2] for item in items], journal=True)
+        await self._archive()
 
     async def _ingest(self, records: list[tuple[int, str]], journal: bool) -> None:
         """``(receive_time, sentence)`` records through journal → scanner
         → batch → slides, in order: each run of data lines between
         control lines is journaled, then scanned in one
         :meth:`~repro.ais.scanner.DataScanner.scan_many`."""
+        await self._archive()
         data: list[tuple[int, str]] = []
         for record in records:
             sentence = record[1]
@@ -332,6 +339,7 @@ class SlideBatcher:
         dropped = self.scanner.flush()
         if dropped:
             obs.count("service.ingest.fragments_dropped_at_drain", dropped)
+        await self._archive()
         if self._query_time is not None:
             report = await self._call_pipeline(self.system.finalize)
             if report is not None:
@@ -353,6 +361,7 @@ class SlideBatcher:
         obs.count("service.drain.forced_aborts")
 
     async def _process_slide(self) -> None:
+        await self._archive()
         self._grid_locked = True
         if self.journal is not None:
             # Slide boundary = the batch-policy durability point: every
@@ -388,20 +397,38 @@ class SlideBatcher:
             # The in-process stand-in for kill -9: abandon everything.
             raise SimulatedCrash("service.slide", spec.at)
         self.watchdog.slide_started(qt)
-        report = await self._call_pipeline(self.system.process_slide, batch, qt)
+        report = await self._call_pipeline(self.system.close_slide, batch, qt)
         self.watchdog.slide_finished()
         if report is None:
             return
         self.slides_processed += 1
         obs.set_gauge("service.ingest.queue_depth", len(self.queue))
         self._on_report(report, "slide")
+        self._archive_due = qt
+
+    async def _archive(self) -> None:
+        """Run the last closed slide's archive if it is still due.
+
+        Called at the next hand-over, slide or drain, not right after
+        the publish: an archive started then holds the interpreter lock
+        while the loop is still delivering the slide's line.  The
+        batcher awaits it, so it never overlaps tracking on arrival and
+        pipeline calls stay serialized on the one pipeline thread.
+        """
+        if self._archive_due is None:
+            return
+        query_time, self._archive_due = self._archive_due, None
+        self.watchdog.slide_started(query_time)
+        await self._call_pipeline(self.system.archive)
+        self.watchdog.slide_finished()
 
     async def _call_pipeline(self, fn, *args) -> SlideReport | None:
         """Run one pipeline call off-loop; errors are counted, not fatal.
 
-        Anything that escapes the pipeline is a slide lost to an
-        unrecoverable fault, which the service survives and counts
-        (``service.pipeline.errors``).
+        Anything that escapes the pipeline is an unrecoverable fault,
+        which the service survives and counts
+        (``service.pipeline.errors``): from a slide's online half it
+        costs the slide, from its archive only the archive.
         """
         loop = asyncio.get_running_loop()
         try:

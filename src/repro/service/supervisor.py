@@ -12,10 +12,12 @@ processing, and :meth:`start` *replays* a previous incarnation's journal
 through a fresh pipeline before accepting live traffic — the restarted
 service republishes byte-identical slides and resumes mid-slide.
 
-In every deployment a pipeline exception (a failed MOD write included)
-costs its slide and is counted (``pipeline_errors`` on ``/healthz``),
-and the batcher's slide watchdog detects a wedged pipeline slide and
-counts the stall, which ``/healthz`` reports.
+In every deployment a pipeline exception is counted (``pipeline_errors``
+on ``/healthz``): raised while a slide closes, it costs the slide; a
+failed MOD write or reconstruction costs only the slide's archive,
+which runs after the slide's line is published.  The batcher's slide
+watchdog detects a wedged slide or archive and counts the stall, which
+``/healthz`` reports.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already

@@ -19,16 +19,19 @@ Alerts and movement events hold only scalars, so they compare as they are.
 """
 
 import asyncio
+import contextlib
 import inspect
 import time
+from collections import Counter
 
 from repro import obs
+from repro.ais.scanner import DataScanner
 from repro.ais.stream import StreamReplayer, TimedArrival
 from repro.gateway import GatewayNode, RuntimeLink
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline import SurveillanceSystem
 from repro.pipeline.config import SystemConfig
-from repro.resilience import FaultPlan, inject
+from repro.resilience import FaultPlan, InjectedFault, inject
 from repro.service import ServiceConfig, ServiceSupervisor, offline_feed_lines
 from repro.service.batcher import SlideBatcher
 from repro.service.protocol import (
@@ -122,6 +125,64 @@ def offline_oracle(sentences, world, specs, config=None) -> list[str]:
             offline_feed_lines(sentences, world, specs, config)
         )
     return list(_ORACLE_LINES[key])
+
+
+def offline_replay(sentences, world, specs, config=None) -> SurveillanceSystem:
+    """An offline replay of ``sentences``, slide by slide through
+    ``close_slide`` and ``archive``, then ``finalize``; left open.
+
+    An archive that raises an injected fault is passed over, as the live
+    batcher counts it and carries on: under a fault plan the replay
+    leaves the MOD that plan leaves a live node.
+    """
+    config = config or SystemConfig()
+    scanner = DataScanner()
+    positions = scanner.scan_many(sentences)
+    scanner.flush()
+    system = SurveillanceSystem(world, specs, config)
+    replayer = StreamReplayer(
+        [TimedArrival(p.timestamp, p) for p in positions],
+        config.window.slide_seconds,
+    )
+    for query_time, batch in replayer.batches():
+        system.close_slide(batch, query_time)
+        with contextlib.suppress(InjectedFault):
+            system.archive()
+    system.finalize()
+    return system
+
+
+def mod_contents(database) -> dict:
+    """Every row of the MOD's staging, trips and trip_points tables."""
+    connection = database.connection
+    return {
+        table: connection.execute(f"SELECT * FROM {table} ORDER BY {order}").fetchall()
+        for table, order in (
+            ("staging", "id"), ("trips", "trip_id"), ("trip_points", "trip_id, seq")
+        )
+    }
+
+
+def archived_points(contents: dict) -> Counter:
+    """``(mmsi, timestamp, lon, lat)`` of every point in :func:`mod_contents`,
+    staged or in a trip."""
+    vessel = {trip[0]: trip[1] for trip in contents["trips"]}
+    return Counter(
+        [(row[1], row[4], row[2], row[3]) for row in contents["staging"]]
+        + [(vessel[row[0]], row[4], row[2], row[3]) for row in contents["trip_points"]]
+    )
+
+
+class KeepsItsMod(SurveillanceSystem):
+    """The pipeline, keeping its MOD's :func:`mod_contents` in ``mod``
+    when the service closes it."""
+
+    mod: dict | None = None
+
+    def close(self) -> None:
+        if self.mod is None:
+            self.mod = mod_contents(self.database)
+        super().close()
 
 
 async def send_sentences(port: int, sentences) -> None:

@@ -1,51 +1,65 @@
-"""A failing MOD write in the live service costs one slide, counted.
+"""A failing MOD write in the live service costs its slide's archive, counted.
 
-The MOD is an in-process sqlite database with no guard in front of it: a
-staging write that raises takes the slide-error path every pipeline
-exception takes.  The slide's feed line is never published, the loss is
-counted (``pipeline_errors`` on ``/healthz``, ``service.pipeline.errors``
-in the metrics), and the service keeps publishing and drains clean.
+The MOD is an in-process sqlite database with no guard in front of it.  A
+slide's archive (staging, reconstruction) runs after its feed line is
+published, so a staging write that raises costs only that archive: every
+feed line still equals the offline replay, the loss is counted
+(``pipeline_errors`` on ``/healthz``, ``service.pipeline.errors`` in the
+metrics), the MOD lacks exactly the rows of the failed write, and the
+service keeps publishing and drains clean.
 """
 
 import asyncio
-import json
+from collections import Counter
 
 from repro import obs
-from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.faults import FaultPlan, InjectedFault, inject
 from repro.service import ServiceConfig, ServiceSupervisor
-from tests.parity import EPHEMERAL, offline_oracle, poll, send_sentences, tap_feed
+from tests.parity import (
+    EPHEMERAL,
+    KeepsItsMod,
+    archived_points,
+    mod_contents,
+    offline_oracle,
+    offline_replay,
+    poll,
+    send_sentences,
+    tap_feed,
+)
+
+FAULT = "mod.write:error@2"
 
 
-class RecordsFailedSlides(SurveillanceSystem):
-    """Notes the query time of every slide an injected fault aborted."""
+class RecordsFailedWrites(KeepsItsMod):
+    """Notes the points of every staging write an injected fault aborted."""
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.failed: list[int] = []
+        self.failed: list = []
+        stage_points = self.database.stage_points
 
-    def process_slide(self, batch, query_time):
-        try:
-            return super().process_slide(batch, query_time)
-        except InjectedFault:
-            self.failed.append(query_time)
-            raise
+        def recording(points):
+            try:
+                return stage_points(points)
+            except InjectedFault:
+                self.failed += points
+                raise
+
+        self.database.stage_points = recording
 
 
-def _query_times(lines):
-    return [json.loads(line)["query_time"] for line in lines]
-
-
-def test_mod_write_fault_loses_exactly_one_counted_slide(
+def test_mod_write_fault_costs_only_its_archive(
     world, small_fleet, soak_sentences
 ):
+    specs = small_fleet["specs"]
+
     async def scenario():
         supervisor = ServiceSupervisor(
-            world, small_fleet["specs"], service=ServiceConfig(**EPHEMERAL),
-            system_factory=RecordsFailedSlides,
+            world, specs, service=ServiceConfig(**EPHEMERAL),
+            system_factory=RecordsFailedWrites,
         )
         published = tap_feed(supervisor)
-        with inject(FaultPlan.from_spec("mod.write:error@2")):
+        with inject(FaultPlan.from_spec(FAULT)):
             await supervisor.start()
             await send_sentences(supervisor.ports()["ingest"], soak_sentences)
             await poll(lambda: supervisor.queue.put_count == len(soak_sentences))
@@ -60,21 +74,24 @@ def test_mod_write_fault_loses_exactly_one_counted_slide(
     assert supervisor.batcher.pipeline_errors == 1
     assert registry.snapshot()["counters"]["service.pipeline.errors"] == 1
     assert health["pipeline_errors"] == 1
-    assert "mod_guard" not in health
     assert health["status"] == "ok"
-    (lost,) = supervisor.system.failed
+    # Every feed line, the failed slide's included, is the offline one.
+    assert published == offline_oracle(soak_sentences, world, specs)
 
-    expected = offline_oracle(soak_sentences, world, small_fleet["specs"])
-    expected_times = _query_times(expected)
-    published_times = _query_times(published)
-    # The failed slide, and only it, has no feed line; every slide before
-    # it is byte-identical to the offline replay, and later ones publish.
-    assert lost in expected_times
-    assert lost not in published_times
-    assert published_times == [t for t in expected_times if t != lost]
-    cut = expected_times.index(lost)
-    assert published[:cut] == expected[:cut]
-    assert max(published_times) > lost
+    # The MOD is the offline replay's under the same fault, and lacks
+    # exactly the failed write's rows against a fault-free replay.
+    live = supervisor.system.mod
+    failed = Counter(
+        (p.mmsi, p.timestamp, p.lon, p.lat) for p in supervisor.system.failed
+    )
+    assert failed
+    with inject(FaultPlan.from_spec(FAULT)), offline_replay(
+        soak_sentences, world, specs
+    ) as faulted:
+        assert live == mod_contents(faulted.database)
+    with offline_replay(soak_sentences, world, specs) as clean:
+        expected = archived_points(mod_contents(clean.database))
+    assert archived_points(live) + failed == expected
 
     # drain_and_stop exited clean: no forced abort, the service is down.
     assert not supervisor.forced_abort

@@ -132,13 +132,15 @@ class TestDrainDeadline:
     ):
         """The satellite bugfix: drain used to await the batcher forever."""
         release = threading.Event()
+        wedged = threading.Event()
 
         from repro.pipeline.system import SurveillanceSystem
 
         class WedgedSystem(SurveillanceSystem):
-            def process_slide(self, batch, query_time):
+            def close_slide(self, batch, query_time):
+                wedged.set()
                 release.wait(timeout=30.0)  # wedge until the test releases
-                return super().process_slide(batch, query_time)
+                return super().close_slide(batch, query_time)
 
         service = ServiceConfig(**EPHEMERAL)
 
@@ -161,6 +163,7 @@ class TestDrainDeadline:
             return supervisor, elapsed
 
         supervisor, elapsed = asyncio.run(scenario())
+        assert wedged.is_set(), "the slide never reached the wedge"
         assert supervisor.forced_abort, "deadline must force the abort"
         assert elapsed < 10.0, f"drain hung for {elapsed:.1f}s"
         assert supervisor.health()["forced_abort"] is True

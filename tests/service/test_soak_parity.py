@@ -43,9 +43,12 @@ class TestSoakParity:
             """The real pipeline, stalling each slide so the socket reader
             outruns the batcher and the bounded queue must shed."""
 
-            def process_slide(self, batch, query_time):
+            stalls = 0
+
+            def close_slide(self, batch, query_time):
+                self.stalls += 1
                 time.sleep(0.05)
-                return super().process_slide(batch, query_time)
+                return super().close_slide(batch, query_time)
 
         service = ServiceConfig(ingest_queue_size=64, **EPHEMERAL)
         recorded = []
@@ -62,6 +65,7 @@ class TestSoakParity:
             )
             exposition = render_prometheus(registry)
 
+        assert supervisor.system.stalls == supervisor.batcher.slides_processed > 0
         assert supervisor.queue.shed_count > 0, "test failed to induce shedding"
         # Shed events are counted, never silent — and visible on /metrics.
         assert (

@@ -26,11 +26,13 @@ class WedgedUntilReleased(SurveillanceSystem):
     def __init__(self, *args):
         super().__init__(*args)
         self.released = threading.Event()
+        self.slides_closed = 0
 
-    def process_slide(self, batch, query_time):
+    def close_slide(self, batch, query_time):
+        self.slides_closed += 1
         if not self.released.wait(timeout=30.0):
             raise RuntimeError("the test never released the slide")
-        return super().process_slide(batch, query_time)
+        return super().close_slide(batch, query_time)
 
 
 def test_a_supervisor_with_no_service_config_reports_its_watchdog(
@@ -71,6 +73,7 @@ def test_stalled_slide_is_detected_counted_and_still_published(
     with obs.activate(obs.MetricsRegistry()) as registry:
         supervisor, published, health = asyncio.run(scenario())
 
+    assert supervisor.system.slides_closed == supervisor.batcher.slides_processed > 0
     # Counted once, under one counter, while the slide was still wedged.
     assert health["watchdog"]["slide_running"]
     assert health["watchdog"]["stalls_detected"] == 1

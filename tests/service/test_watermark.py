@@ -65,16 +65,21 @@ def _wm(source: str, final: bool = False) -> str:
 
 
 class FakeSystem:
-    """Records every pipeline call the batcher makes."""
+    """Records every pipeline call the batcher makes, and the query time
+    of every slide it archived."""
 
     def __init__(self):
         self.calls = []
+        self.archived = []
 
-    def process_slide(self, batch, query_time):
+    def close_slide(self, batch, query_time):
         self.calls.append(
             (query_time, [(p.timestamp, p.mmsi) for p in batch])
         )
-        return None
+        return query_time  # stands in for the slide report
+
+    def archive(self):
+        self.archived.append(self.calls[-1][0])
 
     def finalize(self):
         self.calls.append(("finalize", None))
@@ -98,6 +103,8 @@ async def _drive(lines, watermark_sources=2, drain=False, size=None):
     await batcher.run()
     if drain:
         await batcher.drain()
+    # Every slide the batcher closed, and only those, was archived.
+    assert system.archived == [qt for qt, _ in system.calls if qt != "finalize"]
     return system, batcher
 
 
