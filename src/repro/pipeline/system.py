@@ -135,8 +135,9 @@ class SurveillanceSystem:
         """The online half of one slide: track, compress, recognize.
 
         The slide's expired points stay pending until :meth:`archive`,
-        which must run before the next slide; a live deployment publishes
-        the report in between.
+        which must run before the next slide or :meth:`finalize` (either
+        raises until it has); a live deployment publishes the report in
+        between.
         """
         with obs.timed_span("pipeline.slide"):
             return self._run_slide(batch, query_time, final=False)
@@ -208,6 +209,12 @@ class SurveillanceSystem:
     def _run_slide(
         self, batch: list[PositionalTuple], query_time: int, final: bool
     ) -> SlideReport:
+        if self._pending is not None:
+            # A second close would overwrite the expired points the MOD
+            # still owes the last slide.
+            raise RuntimeError(
+                f"slide {self._pending[0].query_time} has not been archived"
+            )
         # Staging, reconstruction and loading are filled by the archive;
         # seeding them here keeps the phases in Figure 10's order.
         slide_timings = dict.fromkeys(PHASES[:4], 0.0)

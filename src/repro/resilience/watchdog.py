@@ -38,7 +38,7 @@ class SlideWatchdog:
         self._started_at: float | None = None
         self._query_time: int | None = None
         self._counted = False
-        #: Finished beats: a live slide's close and its archive are one each.
+        #: Finished slides; an archive's beat is not one.
         self.slides_seen = 0
         self.stalls_detected = 0
 
@@ -49,10 +49,11 @@ class SlideWatchdog:
         self._query_time = query_time
         self._counted = False
 
-    def slide_finished(self) -> None:
+    def slide_finished(self, archive: bool = False) -> None:
         self._started_at = None
         self._query_time = None
-        self.slides_seen += 1
+        if not archive:
+            self.slides_seen += 1
 
     # -- the periodic check ---------------------------------------------
 

@@ -168,7 +168,6 @@ class SlideBatcher:
                 for *_, enqueued_at in items:
                     obs.observe("service.ingest.latency_seconds", now - enqueued_at)
             await self._ingest([item[:2] for item in items], journal=True)
-        await self._archive()
 
     async def _ingest(self, records: list[tuple[int, str]], journal: bool) -> None:
         """``(receive_time, sentence)`` records through journal → scanner
@@ -420,7 +419,7 @@ class SlideBatcher:
         query_time, self._archive_due = self._archive_due, None
         self.watchdog.slide_started(query_time)
         await self._call_pipeline(self.system.archive)
-        self.watchdog.slide_finished()
+        self.watchdog.slide_finished(archive=True)
 
     async def _call_pipeline(self, fn, *args) -> SlideReport | None:
         """Run one pipeline call off-loop; errors are counted, not fatal.

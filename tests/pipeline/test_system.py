@@ -64,6 +64,24 @@ class TestProcessing:
         system = SurveillanceSystem(world, small_fleet["specs"])
         assert system.finalize() is None
 
+    def test_a_slide_owed_its_archive_cannot_be_overwritten(
+        self, system, small_fleet
+    ):
+        """A second close before the archive would drop the MOD rows the
+        first slide still owes; it raises instead, and archiving clears it."""
+        arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
+        (first, batch), (second, _) = list(
+            StreamReplayer(arrivals, 900).batches()
+        )[:2]
+        system.close_slide(batch, first)
+        with pytest.raises(RuntimeError, match=f"slide {first} "):
+            system.close_slide([], second)
+        with pytest.raises(RuntimeError, match=f"slide {first} "):
+            system.finalize()
+        system.archive()
+        assert system.timings.slides == 1
+        assert system.finalize() is not None
+
 
 class TestOutputs:
     def test_kml_export(self, system, small_fleet):

@@ -28,6 +28,16 @@ class TestSlideWatchdog:
         assert watchdog.stalls_detected == 0
         assert watchdog.slides_seen == 1
 
+    def test_an_archive_beat_can_stall_but_is_not_a_slide(self):
+        clock = FakeClock()
+        watchdog = SlideWatchdog(10.0, clock=clock)
+        watchdog.slide_started(1800)
+        clock.now = 12.0
+        assert watchdog.check()
+        watchdog.slide_finished(archive=True)
+        assert watchdog.stalls_detected == 1
+        assert watchdog.slides_seen == 0
+
     def test_overrun_fires_with_query_time_and_elapsed(self):
         clock = FakeClock()
         watchdog = SlideWatchdog(10.0, clock=clock)

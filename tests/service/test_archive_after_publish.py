@@ -154,6 +154,9 @@ def test_a_wedged_archive_is_a_counted_stall_after_its_line(
     assert [_query_time(line) for line in before] == [wedged]
     assert watchdog["stalls_detected"] == 1
     assert registry.snapshot()["counters"]["resilience.watchdog.stalls"] == 1
+    # Archive beats are watched but not counted as slides.
+    batcher = supervisor.batcher
+    assert batcher.watchdog.slides_seen == batcher.slides_processed
     # The stall cost time, not output.
     assert supervisor.batcher.pipeline_errors == 0
     assert not supervisor.forced_abort

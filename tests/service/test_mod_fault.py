@@ -74,6 +74,7 @@ def test_mod_write_fault_costs_only_its_archive(
     assert supervisor.batcher.pipeline_errors == 1
     assert registry.snapshot()["counters"]["service.pipeline.errors"] == 1
     assert health["pipeline_errors"] == 1
+    assert "mod_guard" not in health
     assert health["status"] == "ok"
     # Every feed line, the failed slide's included, is the offline one.
     assert published == offline_oracle(soak_sentences, world, specs)

@@ -103,8 +103,10 @@ async def _drive(lines, watermark_sources=2, drain=False, size=None):
     await batcher.run()
     if drain:
         await batcher.drain()
-    # Every slide the batcher closed, and only those, was archived.
-    assert system.archived == [qt for qt, _ in system.calls if qt != "finalize"]
+    # Every slide the batcher closed was archived once a later hand-over,
+    # slide or drain came; only the last one may still be owed.
+    closed = [qt for qt, _ in system.calls if qt != "finalize"]
+    assert system.archived == (closed if drain else closed[:-1])
     return system, batcher
 
 
