@@ -56,18 +56,18 @@ class GatewayAggregator:
             transport=feed_transport,
             replay_ring=FEED_REPLAY_RING,
         )
-        self.fanin = FeedFanIn(self._publish)
-        #: Every merged line, in order — the parity tests' ground truth.
-        self.merged_lines: list[str] = []
+        self.fanin = FeedFanIn(self.hub.publish)
         self._server: asyncio.base_events.Server | None = None
 
     # ------------------------------------------------------------------
     # merged feed
     # ------------------------------------------------------------------
 
-    def _publish(self, line: str) -> None:
-        self.merged_lines.append(line)
-        self.hub.publish(line)
+    @property
+    def merged_lines(self) -> list[str]:
+        """The last :data:`FEED_REPLAY_RING` merged lines, in order: the
+        hub's replay ring, so the cluster holds one bounded copy."""
+        return self.hub.recent_lines
 
     def attach_runtime(self, name: str, session: TransportSession) -> None:
         """Subscribe to one runtime's feed (also used on reattach after a
@@ -136,7 +136,7 @@ class GatewayAggregator:
             "runtimes": runtimes,
             "feed": {
                 "down_sources": down_feeds,
-                "merged_lines": len(self.merged_lines),
+                "merged_lines": self.hub.next_seq - 1,
                 "subscribers": self.hub.subscriber_count,
                 "resumed": self.hub.resumed_count,
                 "next_seq": self.hub.next_seq,

@@ -241,7 +241,9 @@ class GatewayCluster:
 
     @property
     def merged_lines(self) -> list[str]:
-        """The cluster's merged feed so far (parity ground truth)."""
+        """The cluster's merged feed, its last
+        :data:`~repro.gateway.aggregator.FEED_REPLAY_RING` lines (parity
+        ground truth)."""
         assert self.aggregator is not None
         return self.aggregator.merged_lines
 

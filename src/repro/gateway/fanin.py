@@ -21,7 +21,12 @@ invisible in the merged bytes (docs/GATEWAY.md).
 import asyncio
 from typing import Callable
 
-from repro.gateway.merge import merge_order_key, merged_feed_line, parse_feed_line
+from repro.gateway.merge import (
+    ShardLine,
+    merge_order_key,
+    merged_feed_line,
+    parse_feed_line,
+)
 from repro.obs.registry import MetricsRegistry
 from repro.transport.base import TransportError, TransportSession
 
@@ -84,22 +89,20 @@ class FeedFanIn:
                     break
                 if line is None:
                     break
-                payload = parse_feed_line(line)
-                if (
-                    payload is None
-                    or payload.get("type") not in ("slide", "finalize")
-                    or not isinstance(payload.get("query_time"), int)
-                ):
+                # Checked whole here, so a malformed line is counted and
+                # skipped instead of stopping the merge.
+                shard_line = parse_feed_line(line)
+                if shard_line is None:
                     self.registry.inc("gateway.fanin.bad_lines")
                     continue
                 if (
                     source.last_qt is not None
-                    and payload["query_time"] <= source.last_qt
+                    and shard_line.query_time <= source.last_qt
                 ):
                     # A replayed slide from a restarted runtime's journal.
                     self.registry.inc("gateway.fanin.duplicate_lines")
                     continue
-                await source.queue.put(payload)
+                await source.queue.put(shard_line)
         finally:
             await session.close()
             await source.queue.put(_EOF)
@@ -121,7 +124,7 @@ class FeedFanIn:
             return item
 
     async def _run(self) -> None:
-        heads: dict[str, dict] = {}
+        heads: dict[str, ShardLine] = {}
         while self._sources:
             for name in list(self._sources):
                 if name not in heads:
@@ -141,7 +144,7 @@ class FeedFanIn:
             self.registry.inc("gateway.fanin.merged_lines")
             self.on_line(line)
             for name in group:
-                self._sources[name].last_qt = heads[name]["query_time"]
+                self._sources[name].last_qt = heads[name].query_time
                 del heads[name]
 
     def begin_close(self) -> None:

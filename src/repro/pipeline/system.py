@@ -145,8 +145,9 @@ class SurveillanceSystem:
     def track(self, positions: list[PositionalTuple]) -> None:
         """Track positions of the open slide as they arrive.
 
-        The slide's :meth:`close_slide` still receives the whole sorted
-        slide and returns what it would have without this call; it only
+        The slide's :meth:`close_slide` still receives the whole slide,
+        ties of ``(timestamp, mmsi)`` in arrival order, and returns what
+        it would have for the sorted slide without this call; it only
         has less tracking left to do
         (:meth:`~repro.tracking.ColumnarTracker.track`).  The seconds
         spent here count toward that slide's ``tracking`` timing.

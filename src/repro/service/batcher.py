@@ -52,7 +52,7 @@ a source), and some position or watermark is stamped after it.  A node
 with no upstream sources is its own source: its arrivals are its
 watermark, and it ignores (and counts) watermark lines.  Every
 deployment then cuts slides the same way: the batch is the pending
-positions with ``timestamp <= qt`` sorted by ``(timestamp, mmsi)``, and
+positions with ``timestamp <= qt`` in ``(timestamp, mmsi)`` order, and
 the grid re-anchors downward on an early straggler until the first
 slide runs — so a single node, a gateway-cluster shard and the offline
 replay agree byte for byte, however clients or gateway links
@@ -222,7 +222,8 @@ class SlideBatcher:
         """Add scanned positions to the pending batch; a position stamped
         past the current boundary may release slides.  The open slide's
         share of them is then tracked as far as the bound allows
-        (:meth:`_track_arrivals`)."""
+        (:meth:`_track_arrivals`); a closing slide's whole share is
+        tracked before its close (:meth:`_process_slide`)."""
         for position in positions:
             arrival = position.timestamp
             if self._max_ts is None or arrival > self._max_ts:
@@ -238,7 +239,6 @@ class SlideBatcher:
                     self._query_time = boundary
             self._held.append(position)
             if arrival > self._query_time:
-                self._track_arrivals()
                 await self._advance()
         self._track_arrivals()
 
@@ -361,6 +361,11 @@ class SlideBatcher:
 
     async def _process_slide(self) -> None:
         await self._archive()
+        # Track what the bound now releases before the close, so a slide
+        # whose last positions came with the watermark or position that
+        # closes it still takes the tracker's fast path.  Before the first
+        # slide the grid is not locked, and nothing is tracked.
+        self._track_arrivals()
         self._grid_locked = True
         if self.journal is not None:
             # Slide boundary = the batch-policy durability point: every
@@ -369,16 +374,19 @@ class SlideBatcher:
             self.journal.sync()
         # Only positions due at this boundary; later ones (delivered
         # before a lagging source or client caught up, or the arrival
-        # that closed this slide) wait for their slide.  The (timestamp,
-        # mmsi) sort erases the arrival interleaving — per-vessel order
-        # is already timestamped, so this is a pure determinism step.
-        # What was released is stamped at or before the query time, and
-        # ties keep their arrival order: a position held back arrived
-        # after every released one of its (timestamp, mmsi).
+        # that closed this slide) wait for their slide.  The slide's order
+        # is (timestamp, mmsi), which erases the arrival interleaving —
+        # per-vessel order is already timestamped, so this is a pure
+        # determinism step.  Ties keep their arrival order: a position
+        # held back arrived after every released one of its (timestamp,
+        # mmsi).  A tracker handed part of the slide orders it only if
+        # the close leaves it something to track, so only a slide it was
+        # handed nothing of is sorted here.
         qt = self._query_time
         held = self._held
         batch = self._released + [p for p in held if p.timestamp <= qt]
-        batch.sort(key=_SLIDE_ORDER)
+        if not self._released:
+            batch.sort(key=_SLIDE_ORDER)
         self._held = [p for p in held if p.timestamp > qt]
         self._released = []
         try:

@@ -256,5 +256,10 @@ class FeedHub:
         self._subscribers.clear()
 
     @property
+    def recent_lines(self) -> list[str]:
+        """The replay ring's lines, oldest first."""
+        return [line for _, line in self._ring]
+
+    @property
     def subscriber_count(self) -> int:
         return len(self._subscribers)

@@ -37,8 +37,9 @@ stream at the next accepted tuple.
 A live node tracks a slide as it arrives (:meth:`ColumnarTracker.track`,
 the open-slide mode): per vessel, reads are tracked at once while they
 stay in timestamp order, against a snapshot taken when the slide first
-touched the vessel, and ``process_batch`` of the sorted slide closes it
-with the events one sorted batch would have emitted
+touched the vessel, and ``process_batch`` of the slide closes it with
+the events one sorted batch would have emitted, sorting the slide only
+if something is left to track
 (``tests/tracking/test_arrival_parity.py``).
 """
 
@@ -287,9 +288,12 @@ class ColumnarTracker:
         """Process a batch of tuples (one window slide worth of arrivals).
 
         After :meth:`track`, this closes the open slide: ``positions`` is
-        the whole slide in ``(timestamp, mmsi)`` order, ties in the order
-        they arrived, and only what :meth:`track` has not tracked yet is
-        tracked now (all of it, if :meth:`track` only watched the slide).
+        the whole slide in any order that keeps positions sharing a
+        ``(timestamp, mmsi)`` in the order they arrived, and only what
+        :meth:`track` has not tracked yet is tracked now (all of it, if
+        :meth:`track` only watched the slide).  The slide is put in
+        ``(timestamp, mmsi)`` order only then: a close that finds every
+        position tracked reads nothing but its length.
         """
         with obs.span("tracking.process_batch"):
             batch = (
@@ -298,6 +302,8 @@ class ColumnarTracker:
             open_slide, self._open = self._open, None
             if open_slide is not None and open_slide.tracking:
                 events = self._close(open_slide, batch)
+            elif open_slide is not None:
+                events = self._run_batch(sorted(batch, key=_SLIDE_ORDER))
             else:
                 events = self._run_batch(batch)
             if open_slide is not None:
@@ -315,7 +321,7 @@ class ColumnarTracker:
         """Track arrivals of the open slide now; :meth:`process_batch` of
         the whole slide closes it.
 
-        The slide is meant to be closed in ``(timestamp, mmsi)`` order, so
+        The slide is closed in ``(timestamp, mmsi)`` order, so
         each vessel's positions are tracked here in arrival order only
         while that is also timestamp order.  The first time the slide
         touches a vessel, its state is snapshotted.  A position stamped
@@ -499,13 +505,13 @@ class ColumnarTracker:
         orders the held events, by ``(timestamp, mmsi, tracking order)``
         of the position that raised each, which is their place in a
         ``batch`` sorted by ``(timestamp, mmsi)`` with ties in arrival
-        order.  Otherwise a vessel keeps what :meth:`track` did only if
-        its tracked positions are, object for object, the first of its
-        positions in ``batch``; the rest are tracked now, and any other
-        vessel goes back to its snapshot and is tracked whole.  Either
-        way, vessels the slide created end up at the end of the vessel
-        table in first-appearance order, where :meth:`_run_batch` would
-        have created them.
+        order.  Otherwise ``batch`` is sorted so, and a vessel keeps what
+        :meth:`track` did only if its tracked positions are, object for
+        object, the first of its positions in it; the rest are tracked
+        now, and any other vessel goes back to its snapshot and is
+        tracked whole.  Either way, vessels the slide created end up at
+        the end of the vessel table in first-appearance order, where
+        :meth:`_run_batch` would have created them.
         """
         points = open_slide.points
         self.statistics.positions_seen += len(batch)
@@ -522,6 +528,7 @@ class ColumnarTracker:
             emit.sort(key=_first)
             return self._commit(emit, out_of_sequence, discarded)
 
+        batch = sorted(batch, key=_SLIDE_ORDER)
         snapshots = open_slide.snapshots
         tracked: dict[int, list[int]] = defaultdict(list)
         for index, position in enumerate(points):
@@ -1184,6 +1191,10 @@ _first = _itemgetter(0)
 
 #: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
 _stamp = _itemgetter(3)
+
+#: The order of a closed slide: ``(timestamp, mmsi)`` of a
+#: :class:`~repro.ais.stream.PositionalTuple`.
+_SLIDE_ORDER = _itemgetter(3, 0)
 
 #: A vessel the open slide has not touched yet.
 _UNSEEN = object()

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from repro.gateway import GatewayCluster, GatewayClusterConfig
+from repro.gateway import GatewayAggregator, GatewayCluster, GatewayClusterConfig
+from repro.gateway.aggregator import FEED_REPLAY_RING
 from repro.pipeline.config import SystemConfig
 from tests.gateway.conftest import http_get, split_round_robin
 from tests.parity import feed_gateways, offline_oracle, poll, run_cluster, subscribe
@@ -30,6 +31,18 @@ def oracle(cluster_sentences, world, small_fleet, vessel_config):
     return offline_oracle(
         cluster_sentences, world, small_fleet["specs"], config=vessel_config
     )
+
+
+def test_the_merged_feed_keeps_one_bounded_copy_and_healthz_counts_all():
+    # The merged lines are the hub's replay ring, not a second copy
+    # that grows for the cluster's lifetime; /healthz still counts
+    # every line merged.
+    aggregator = GatewayAggregator("127.0.0.1", 0, 0, [], lambda: [])
+    lines = [f"line {index}" for index in range(FEED_REPLAY_RING + 5)]
+    for line in lines:
+        aggregator.fanin.on_line(line)
+    assert aggregator.merged_lines == lines[-FEED_REPLAY_RING:]
+    assert aggregator.health()["feed"]["merged_lines"] == len(lines)
 
 
 class TestClusterParity:

@@ -1,22 +1,105 @@
-"""Fan-in units: barrier merge order, dedup, dormancy and reattach."""
+"""Fan-in units: barrier merge order, dedup, dormancy and reattach, and
+malformed lines counted without stopping the merge."""
 
 import asyncio
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from repro.gateway.fanin import FeedFanIn
+from repro.maritime.recognizer import Alert
 from repro.obs.registry import MetricsRegistry
+from repro.pipeline.metrics import SlideReport
+from repro.service.protocol import feed_line, slide_feed_line
+from repro.tracking.types import CriticalPoint, MovementEventType
 
 
 def _line(qt, kind="slide", raw=0):
-    return json.dumps({
-        "type": kind,
-        "query_time": qt,
-        "raw_positions": raw,
-        "movement_events": 0,
-        "recognized": 0,
-        "alerts": [],
-        "critical_points": [],
-    })
+    return feed_line(kind, qt, raw, 0, 0, [], [])
+
+
+def _full_line(qt):
+    """A slide line with one alert and one critical point."""
+    return slide_feed_line(SlideReport(
+        query_time=qt,
+        raw_positions=3,
+        movement_events=1,
+        fresh_critical_points=1,
+        expired_critical_points=0,
+        recognized_complex_events=1,
+        alerts=(Alert("illegalShipping", "a1", qt - 30, None, 111, None),),
+        timings={},
+        fresh_points=(
+            CriticalPoint(111, 23.5, 37.25, qt - 30,
+                          frozenset({MovementEventType.TURN}), 4.0, 90.0, 0),
+        ),
+    ))
+
+
+_NUMBER = (int, float)
+_INT_OR_NULL = (int, type(None))
+#: Each field of a feed line, where it sits (``None``: the line itself),
+#: and the types it may hold; ``type`` holds one of two strings, so no
+#: replacement below is a valid one.
+_FIELDS = [
+    (None, "type", ()),
+    (None, "query_time", (int,)),
+    (None, "raw_positions", (int,)),
+    (None, "movement_events", (int,)),
+    (None, "recognized", (int,)),
+    (None, "alerts", (list,)),
+    (None, "critical_points", (list,)),
+    ("alerts", "kind", (str,)),
+    ("alerts", "area", (str,)),
+    ("alerts", "since", (int,)),
+    ("alerts", "until", _INT_OR_NULL),
+    ("alerts", "mmsi", _INT_OR_NULL),
+    ("alerts", "mmsi2", _INT_OR_NULL),
+    ("critical_points", "annotations", (list,)),
+    ("critical_points", "duration_seconds", (int,)),
+    ("critical_points", "heading_degrees", _NUMBER),
+    ("critical_points", "lat", _NUMBER),
+    ("critical_points", "lon", _NUMBER),
+    ("critical_points", "mmsi", (int,)),
+    ("critical_points", "speed_knots", _NUMBER),
+    ("critical_points", "timestamp", (int,)),
+]
+_VALUES = [None, "x", 1.5, 2, True, [], {}, ["bogus"], [1]]
+
+
+@st.composite
+def _malformed_lines(draw, qt):
+    """The line :func:`_full_line` writes at ``qt``, with one field
+    dropped or given a value of a type it never holds."""
+    payload = json.loads(_full_line(qt))
+    where, key, types = draw(st.sampled_from(_FIELDS))
+    record = payload if where is None else payload[where][0]
+    if draw(st.booleans()):
+        del record[key]
+    else:
+        record[key] = draw(
+            st.sampled_from([v for v in _VALUES if type(v) not in types])
+        )
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True)
+
+
+def _merge_one_source(lines):
+    """What a fan-in over one source that sends ``lines`` emits, and its
+    registry."""
+
+    async def run():
+        merged = []
+        registry = MetricsRegistry()
+        fanin = FeedFanIn(merged.append, registry=registry)
+        source = ScriptedSession(lines)
+        fanin.add_source("only", source)
+        fanin.start()
+        source.finish()
+        fanin.begin_close()
+        await asyncio.wait_for(fanin.wait_closed(), 5)
+        return merged, registry
+
+    return asyncio.run(run())
 
 
 class ScriptedSession:
@@ -133,20 +216,26 @@ class TestFeedFanIn:
         assert registry.counter("gateway.fanin.source_losses").value == 1
 
     def test_bad_lines_are_counted_not_fatal(self):
-        async def run():
-            lines = []
-            registry = MetricsRegistry()
-            fanin = FeedFanIn(lines.append, registry=registry)
-            source = ScriptedSession([
-                "not json", json.dumps({"type": "bogus"}), _line(60),
-            ])
-            fanin.add_source("only", source)
-            fanin.start()
-            source.finish()
-            fanin.begin_close()
-            await asyncio.wait_for(fanin.wait_closed(), 5)
-            return lines, registry
-
-        lines, registry = asyncio.run(run())
+        lines, registry = _merge_one_source([
+            "not json", json.dumps({"type": "bogus"}), _line(60),
+        ])
         assert [json.loads(line)["query_time"] for line in lines] == [60]
         assert registry.counter("gateway.fanin.bad_lines").value == 2
+
+    def test_a_line_missing_fields_is_counted_and_later_lines_merge(self):
+        # Before the fan-in checked whole lines, this line passed the
+        # type and query-time check, and the merger died on its missing
+        # alerts: the merged stream stopped at 60.
+        lines = [_line(60), '{"type":"slide","query_time":120}',
+                 _line(180), _line(240)]
+        merged, registry = _merge_one_source(lines)
+        assert merged == [lines[0], lines[2], lines[3]]
+        assert registry.counter("gateway.fanin.bad_lines").value == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(bad=_malformed_lines(120))
+    def test_a_dropped_or_mistyped_field_is_a_counted_bad_line(self, bad):
+        lines = [_full_line(60), bad, _full_line(180), _full_line(240)]
+        merged, registry = _merge_one_source(lines)
+        assert merged == [lines[0], lines[2], lines[3]]
+        assert registry.counter("gateway.fanin.bad_lines").value == 1

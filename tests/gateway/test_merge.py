@@ -5,16 +5,24 @@ import json
 import pytest
 
 from repro.gateway.merge import (
+    ShardLine,
     alert_dict_sort_key,
     merge_order_key,
     merged_feed_line,
     parse_feed_line,
 )
 from repro.maritime.recognizer import Alert, alert_sort_key
-from repro.service.protocol import alert_to_dict
+from repro.service.protocol import (
+    alert_fragment,
+    alert_to_dict,
+    feed_line,
+    point_fragment,
+    strings_json,
+)
 
 
-def _payload(qt=60, kind="slide", alerts=(), points=(), raw=0, events=0, ces=0):
+def _fields(qt=60, kind="slide", alerts=(), points=(), raw=0, events=0, ces=0):
+    """One feed line's fields, as ``json.loads`` gives them back."""
     return {
         "type": kind,
         "query_time": qt,
@@ -24,6 +32,31 @@ def _payload(qt=60, kind="slide", alerts=(), points=(), raw=0, events=0, ces=0):
         "alerts": list(alerts),
         "critical_points": list(points),
     }
+
+
+def _line(fields: dict) -> ShardLine:
+    """The fields as a runtime's line reaches the merge: laid out by
+    :func:`feed_line`, then parsed."""
+    return parse_feed_line(feed_line(
+        fields["type"],
+        fields["query_time"],
+        fields["raw_positions"],
+        fields["movement_events"],
+        fields["recognized"],
+        [alert_fragment(**alert) for alert in fields["alerts"]],
+        [
+            (p["mmsi"], p["timestamp"], point_fragment(
+                p["mmsi"], p["lon"], p["lat"], p["timestamp"],
+                strings_json(p["annotations"]), p["speed_knots"],
+                p["heading_degrees"], p["duration_seconds"],
+            ))
+            for p in fields["critical_points"]
+        ],
+    ))
+
+
+def _payload(*args, **kwargs) -> ShardLine:
+    return _line(_fields(*args, **kwargs))
 
 
 def _merged(payloads):
@@ -69,7 +102,7 @@ class TestMergeOrderKey:
 
     def test_unknown_type_raises(self):
         with pytest.raises(ValueError):
-            merge_order_key(_payload(60, "snapshot"))
+            merge_order_key(_payload(60)._replace(type="snapshot"))
 
 
 class TestMergeSlidePayloads:
@@ -89,13 +122,13 @@ class TestMergeSlidePayloads:
         assert [p["mmsi"] for p in merged["critical_points"]] == [111, 222]
 
     def test_single_payload_roundtrips_byte_identically(self):
-        payload = _payload(
+        payload = _fields(
             alerts=[alert_to_dict(Alert("illegalShipping", "a1", 1, 2,
                                         111, None))],
             points=[_point(111, 50), _point(111, 55)],
             raw=2, events=2, ces=1,
         )
-        line = merged_feed_line([payload])
+        line = merged_feed_line([_line(payload)])
         assert json.loads(line) == payload
         # Compact separators, sorted keys: the single node's serializer.
         assert ": " not in line and ", " not in line
@@ -117,7 +150,12 @@ class TestMergeSlidePayloads:
 
 class TestParseFeedLine:
     def test_valid_json_object(self):
-        assert parse_feed_line('{"type":"slide"}') == {"type": "slide"}
+        # A whole line parses into its fields; an object that is only
+        # part of one is not a line.
+        assert parse_feed_line(feed_line("slide", 60, 3, 2, 1, [], [])) == (
+            ShardLine("slide", 60, 3, 2, 1, [], [])
+        )
+        assert parse_feed_line('{"type":"slide"}') is None
 
     def test_rejects_non_json_and_non_objects(self):
         assert parse_feed_line("not json") is None

@@ -65,17 +65,24 @@ def _wm(source: str, final: bool = False) -> str:
 
 
 class FakeSystem:
-    """Records every pipeline call the batcher makes, and the query time
-    of every slide it archived."""
+    """Records every pipeline call the batcher makes, each slide in the
+    ``(timestamp, mmsi)`` order the tracker closes it in, and the query
+    time of every slide it archived."""
 
     def __init__(self):
         self.calls = []
         self.archived = []
+        #: What the open slide handed ``track`` so far, and per close what
+        #: its slide had handed it before the close.
+        self.tracking = []
+        self.tracked = []
 
     def close_slide(self, batch, query_time):
         self.calls.append(
-            (query_time, [(p.timestamp, p.mmsi) for p in batch])
+            (query_time, sorted((p.timestamp, p.mmsi) for p in batch))
         )
+        self.tracked.append((query_time, sorted(self.tracking)))
+        self.tracking = []
         return query_time  # stands in for the slide report
 
     def archive(self):
@@ -86,7 +93,7 @@ class FakeSystem:
         return None
 
     def track(self, positions):
-        pass
+        self.tracking += [(p.timestamp, p.mmsi) for p in positions]
 
     def untrack(self):
         pass
@@ -194,6 +201,30 @@ class TestWatermarkCadence:
             (120, [(70, 100), (70, 300)]),
             (180, []),
         ]
+
+    def test_the_closing_watermark_tracks_what_it_releases_first(self):
+        # A shard tracks what every source has passed: at frontier 100,
+        # the positions at 80 and 90.  The watermarks at 130 close slide
+        # 120 and release the position at 110 too; it is tracked before
+        # the close, so the tracker is handed the whole slide and its
+        # close only orders the held events, instead of regrouping a
+        # slide split between tracked and untracked positions.
+        system, _ = asyncio.run(_drive([
+            (10, _sentence(111)),
+            (70, _wm("gw0")),
+            (70, _wm("gw1")),
+            (80, _sentence(222)),
+            (90, _sentence(333)),
+            (100, _wm("gw0")),
+            (100, _wm("gw1")),
+            (110, _sentence(222)),
+            (130, _wm("gw0")),
+            (130, _wm("gw1")),
+        ]))
+        slide = [(80, 222), (90, 333), (110, 222)]
+        assert system.calls == [(60, [(10, 111)]), (120, slide)]
+        # Nothing is tracked before the first slide locks the grid.
+        assert system.tracked == [(60, []), (120, slide)]
 
     def test_watermark_clocks_snapshot_is_monotonic(self):
         async def run():

@@ -2,10 +2,10 @@
 
 A live node hands :meth:`ColumnarTracker.track` each read of the open
 slide as it is scanned, then closes the slide with
-:meth:`~ColumnarTracker.process_batch` of the whole slide in
-``(timestamp, mmsi)`` order.  Whatever the reads and their order, the
-close must return what one ``process_batch`` of that sorted slide
-returns: the same events (by ``repr``), the same statistics, the same
+:meth:`~ColumnarTracker.process_batch` of the whole slide, sorted by
+``(timestamp, mmsi)`` or as the batcher releases it.  Whatever the reads
+and their order, the close must return what one ``process_batch`` of the
+sorted slide returns: the same events (by ``repr``), the same statistics, the same
 vessel-table order, and so the same ``finalize()``.  A read that breaks a
 vessel's timestamp order must roll that vessel back to its snapshot; a
 vessel the slide created must end up where the sorted batch would have
@@ -37,6 +37,10 @@ from tests.tracking.test_columnar_parity import (
 
 def _slide_order(position):
     return (position.timestamp, position.mmsi)
+
+
+def _stamp(position):
+    return position.timestamp
 
 
 def _deal(draw, slide):
@@ -116,6 +120,43 @@ def test_tracking_on_arrival_equals_one_sorted_batch(case):
     expected = [
         [repr(e) for e in reference.process_batch(batch)]
         for index, batch in enumerate(batches)
+        if index != lost
+    ]
+    assert _observed(on_arrival, closes) == _observed(reference, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dealt_slides(), st.data())
+def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close(case, data):
+    """The batcher hands the close what it released, in the order it
+    released it, then what it still held, in arrival order; only a slide
+    it released nothing of is sorted first.  Ties of ``(timestamp,
+    mmsi)`` keep their arrival order, and the tracker orders the slide
+    itself when it has tracking left to do."""
+    slides, lost = case
+    on_arrival = ColumnarTracker()
+    closes = []
+    for index, (order, reads) in enumerate(slides):
+        # A release is sorted by timestamp, stably, or left as it came.
+        released = [
+            sorted(read, key=_stamp) if data.draw(st.booleans()) else read
+            for read in reads
+        ]
+        batch = [p for read in released for p in read]
+        batch += order[len(batch):]
+        if not released:
+            batch.sort(key=_slide_order)
+        for read in released:
+            on_arrival.track(read)
+        if index == lost:
+            on_arrival.rollback()
+        else:
+            closes.append([repr(e) for e in on_arrival.process_batch(batch)])
+
+    reference = ColumnarTracker()
+    expected = [
+        [repr(e) for e in reference.process_batch(sorted(order, key=_slide_order))]
+        for index, (order, _) in enumerate(slides)
         if index != lost
     ]
     assert _observed(on_arrival, closes) == _observed(reference, expected)
