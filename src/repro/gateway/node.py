@@ -10,9 +10,10 @@ though it sees only a subset of the traffic.  The slide grid is the
 runtime's alone.
 
 Sentences travel to runtimes over :class:`RuntimeLink`\\ s — bounded
-send queues with the same shed-oldest contract as the ingest queue, a
-``gateway.link`` fault site for chaos drills, and deterministic
-reconnect backoff so a restarted runtime is rejoined transparently.
+send queues with the same shed-oldest contract as the ingest queue and
+deterministic reconnect backoff so a restarted runtime is rejoined
+transparently; the node hits the ``gateway.link`` fault site for chaos
+drills once per sentence it forwards.
 Both ends move batches: a node reads what a client has sent with one
 ``receive_many``, parses it with one
 :func:`~repro.service.protocol.parse_ingest_lines`, routes it with one
@@ -138,15 +139,13 @@ class RuntimeLink:
 
     def send_many(self, lines: list[str], control: bool = False) -> None:
         """Queue lines in order, exactly as one :meth:`send` each would:
-        the same fault-site hits, the same lines shed (synchronous: called
-        on the accept path, so it must never await).
+        the same lines shed (synchronous: called on the accept path, so
+        it must never await).
 
         One clock read stamps them all and one ``extend`` queues them;
         then as many of the oldest data lines are shed as the sends one
         by one would have shed, one per line that found the queue full.
         """
-        if not control and get_injector() is not None:
-            lines = [line for line in lines if not self._injected_drop()]
         if not lines:
             return
         enqueued_at = time.perf_counter()
@@ -158,15 +157,6 @@ class RuntimeLink:
         if excess > 0 and self._data_lines:
             self._shed_oldest(excess)
         self._wakeup.set()
-
-    def _injected_drop(self) -> bool:
-        """One hit of the ``gateway.link`` fault site; ``True`` when it
-        drops the line (counted)."""
-        spec = fault_point("gateway.link")
-        if spec is not None and spec.kind == "drop":
-            self.registry.inc("gateway.link.injected_drops")
-            return True
-        return False
 
     def _shed_oldest(self, count: int) -> None:
         """Backpressure contract of the ingest tier: shed the ``count``
@@ -391,10 +381,9 @@ class GatewayNode:
             # (service.ingest.ignored) — never invisibly.
             self.registry.inc("gateway.ingest.ignored", len(lines) - len(parsed))
         routes = self.router.route_many([sentence for _, sentence in parsed])
-        # The gateway.link fault site must be hit in arrival order for a
-        # chaos plan to replay exactly, so under an injector each line is
-        # queued on its own.
-        one_by_one = get_injector() is not None
+        # The gateway.link fault site is hit once per data line, in
+        # arrival order, so a chaos plan replays exactly.
+        injecting = get_injector() is not None
         runs: list[list[str]] = [[] for _ in self.links]
         clock = self._last_time
         late = 0
@@ -408,9 +397,9 @@ class GatewayNode:
                     # first, as a single node has before a late line.
                     self._flush(runs)
                     self._broadcast(clock)
+            if injecting and self._injected_drop():
+                continue
             runs[index].append(format_ingest_line(receive_time, sentence))
-            if one_by_one:
-                self._flush(runs)
         if late:
             # Behind our own clock: forwarded anyway (the runtime batches
             # it), but counted — the monotonicity contract of watermarked
@@ -422,6 +411,15 @@ class GatewayNode:
         # stamped with it, so a clock unequal to the last stamp moved.
         if clock != self._watermark_time:
             self._broadcast(clock)
+
+    def _injected_drop(self) -> bool:
+        """One hit of the ``gateway.link`` fault site; ``True`` when it
+        drops the line (counted)."""
+        spec = fault_point("gateway.link")
+        if spec is not None and spec.kind == "drop":
+            self.registry.inc("gateway.link.injected_drops")
+            return True
+        return False
 
     def _flush(self, runs: list[list[str]]) -> None:
         """Queue each link's run with one ``send_many``, and empty it."""

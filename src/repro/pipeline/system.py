@@ -134,21 +134,23 @@ class SurveillanceSystem:
     ) -> SlideReport:
         """The online half of one slide: track, compress, recognize.
 
-        The slide's expired points stay pending until :meth:`archive`,
-        which must run before the next slide or :meth:`finalize` (either
-        raises until it has); a live deployment publishes the report in
-        between.
+        After :meth:`track`, ``batch`` is exactly what it was handed
+        since the last close, in any order.  The slide's expired points
+        stay pending until :meth:`archive`, which must run before the
+        next slide or :meth:`finalize` (either raises until it has); a
+        live deployment publishes the report in between.
         """
         with obs.timed_span("pipeline.slide"):
             return self._run_slide(batch, query_time, final=False)
 
     def track(self, positions: list[PositionalTuple]) -> None:
-        """Track positions of the open slide as they arrive.
+        """Track positions of the open slide as they arrive, in arrival
+        order.
 
-        The slide's :meth:`close_slide` still receives the whole slide,
-        ties of ``(timestamp, mmsi)`` in arrival order, and returns what
-        it would have for the sorted slide without this call; it only
-        has less tracking left to do
+        The slide's :meth:`close_slide` receives exactly the positions
+        handed here, and returns what it would have, without this call,
+        for the slide in ``(timestamp, mmsi)`` order, ties in arrival
+        order: the tracker alone orders the slide
         (:meth:`~repro.tracking.ColumnarTracker.track`).  The seconds
         spent here count toward that slide's ``tracking`` timing.
         """

@@ -12,8 +12,8 @@ normal operation.
 Named sites wired through the tree (see docs/RESILIENCE.md):
 
 =========================  ====================================================
-``gateway.link``           one sentence queued on a gateway→runtime link
-                           (kinds: ``drop`` — the link sheds it, counted)
+``gateway.link``           one sentence a gateway forwards to its runtime
+                           (kinds: ``drop`` — never queued, counted)
 ``service.ingest.socket``  one received ingest line (kinds: ``drop`` —
                            severs the connection mid-stream)
 ``service.slide``          one pipeline slide (kinds: ``delay``, ``error``,

@@ -52,18 +52,19 @@ a source), and some position or watermark is stamped after it.  A node
 with no upstream sources is its own source: its arrivals are its
 watermark, and it ignores (and counts) watermark lines.  Every
 deployment then cuts slides the same way: the batch is the pending
-positions with ``timestamp <= qt`` in ``(timestamp, mmsi)`` order, and
-the grid re-anchors downward on an early straggler until the first
-slide runs — so a single node, a gateway-cluster shard and the offline
-replay agree byte for byte, however clients or gateway links
-interleave.
+positions with ``timestamp <= qt``, every one of them handed to
+``system.track`` before the close, and the grid re-anchors downward on
+an early straggler until the first slide runs.  The batcher keeps
+arrival order and never sorts: the tracker alone puts a slide in
+``(timestamp, mmsi)`` order — so a single node, a gateway-cluster shard
+and the offline replay agree byte for byte, however clients or gateway
+links interleave.
 """
 
 import asyncio
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from operator import itemgetter
 
 from repro import obs
 from repro.ais.scanner import DataScanner
@@ -78,13 +79,6 @@ from repro.service.quarantine import DeadLetterBuffer
 #: (``resilience.watchdog.stalls``, ``/healthz``): well above the slowest
 #: slide of any benchmark workload, so a count means a wedge.
 SLIDE_STALL_SECONDS = 10.0
-
-#: The deterministic order of a slide's batch: ``(timestamp, mmsi)`` of a
-#: :class:`~repro.ais.stream.PositionalTuple`.
-_SLIDE_ORDER = itemgetter(3, 0)
-
-#: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
-_TIMESTAMP = itemgetter(3)
 
 
 class SlideBatcher:
@@ -123,7 +117,7 @@ class SlideBatcher:
         self._max_ts: int | None = None
         #: Pending positions handed to ``system.track`` in the open
         #: slide, and those held back (:meth:`_track_arrivals`), each in
-        #: the order it was handed or arrived.
+        #: arrival order.
         self._released: list = []
         self._held: list = []
         self._query_time: int | None = None
@@ -244,8 +238,8 @@ class SlideBatcher:
 
     def _track_arrivals(self) -> None:
         """Hand the pipeline the held positions stamped at or before a
-        bound, in timestamp order, on the loop that scanned them, so
-        closing the slide pays only for what follows tracking.
+        bound, on the loop that scanned them, so closing the slide pays
+        only for what follows tracking.
 
         The bound is the open slide's query time, and on a shard also
         the lowest clock of its live sources: each gateway's stream is
@@ -258,15 +252,18 @@ class SlideBatcher:
         back to the close (``tracking.arrival_rollbacks``); the feed
         does not change.  After a slide that rolled back too many of its
         vessels, as two clients splitting each vessel's reports do, the
-        tracker only watches the next one (:meth:`ColumnarTracker.track`)."""
-        if not self._grid_locked or not self._held:
-            return
-        bound = min(self._query_time, self._frontier())
+        tracker leaves the next one to the close
+        (:meth:`ColumnarTracker.track`)."""
+        if self._grid_locked and self._held:
+            self._release(min(self._query_time, self._frontier()))
+
+    def _release(self, bound: float) -> None:
+        """Track the held positions stamped at or before ``bound``, in
+        the order they arrived; they join the open slide's batch."""
         held = self._held
         due = [p for p in held if p.timestamp <= bound]
         if due:
             self._held = [p for p in held if p.timestamp > bound]
-            due.sort(key=_TIMESTAMP)
             self._released += due
             self.system.track(due)
 
@@ -361,41 +358,29 @@ class SlideBatcher:
 
     async def _process_slide(self) -> None:
         await self._archive()
-        # Track what the bound now releases before the close, so a slide
-        # whose last positions came with the watermark or position that
-        # closes it still takes the tracker's fast path.  Before the first
-        # slide the grid is not locked, and nothing is tracked.
-        self._track_arrivals()
+        # The close gets exactly what the tracker took: every held
+        # position due at this boundary is tracked first, whatever the
+        # frontier (the first slide, which locks the grid, and a drain
+        # without a final watermark).  Later ones (delivered before a
+        # lagging source or client caught up, or the arrival that closed
+        # this slide) wait for their slide.  The tracker alone puts the
+        # slide in (timestamp, mmsi) order, ties in arrival order.
         self._grid_locked = True
+        qt = self._query_time
+        self._release(qt)
         if self.journal is not None:
             # Slide boundary = the batch-policy durability point: every
             # sentence this slide consumed is on disk before the pipeline
             # (or an injected crash) can act on it.
             self.journal.sync()
-        # Only positions due at this boundary; later ones (delivered
-        # before a lagging source or client caught up, or the arrival
-        # that closed this slide) wait for their slide.  The slide's order
-        # is (timestamp, mmsi), which erases the arrival interleaving —
-        # per-vessel order is already timestamped, so this is a pure
-        # determinism step.  Ties keep their arrival order: a position
-        # held back arrived after every released one of its (timestamp,
-        # mmsi).  A tracker handed part of the slide orders it only if
-        # the close leaves it something to track, so only a slide it was
-        # handed nothing of is sorted here.
-        qt = self._query_time
-        held = self._held
-        batch = self._released + [p for p in held if p.timestamp <= qt]
-        if not self._released:
-            batch.sort(key=_SLIDE_ORDER)
-        self._held = [p for p in held if p.timestamp > qt]
-        self._released = []
+        batch, self._released = self._released, []
         try:
             spec = fault_point("service.slide")
         except InjectedFault:
             # An injected slide error behaves like an unrecoverable
             # pipeline fault: the slide is lost and counted, service lives.
-            # What the slide tracked on arrival is undone first, so its
-            # positions never reach the tracker.
+            # What the slide tracked is undone first, so its positions
+            # never reach the tracker.
             self.system.untrack()
             self.pipeline_errors += 1
             obs.count("service.pipeline.errors")

@@ -35,12 +35,14 @@ inline against the true previous position and re-enters the precomputed
 stream at the next accepted tuple.
 
 A live node tracks a slide as it arrives (:meth:`ColumnarTracker.track`,
-the open-slide mode): per vessel, reads are tracked at once while they
-stay in timestamp order, against a snapshot taken when the slide first
-touched the vessel, and ``process_batch`` of the slide closes it with
-the events one sorted batch would have emitted, sorting the slide only
-if something is left to track
-(``tests/tracking/test_arrival_parity.py``).
+the open-slide mode): per vessel, each read is put in timestamp order
+and tracked at once while it does not fall behind the vessel's earlier
+reads, against a snapshot taken when the slide first touched the
+vessel; a vessel that falls behind waits for the close.  The tracker
+alone orders the slide: ``process_batch`` of exactly the positions
+``track`` took closes it with the events one batch of the slide in
+``(timestamp, mmsi)`` order would have emitted, and reads only its
+length (``tests/tracking/test_arrival_parity.py``).
 """
 
 import math
@@ -48,7 +50,6 @@ from collections import defaultdict, deque
 from collections.abc import Iterable
 from operator import (
     gt as _gt,
-    is_ as _is,
     itemgetter as _itemgetter,
     sub as _sub,
     truediv as _truediv,
@@ -212,31 +213,34 @@ class _OpenSlide:
     """
 
     __slots__ = (
-        "tracking", "snapshots", "latest", "points", "emit", "created", "skips",
-        "deferred", "rolled_back",
+        "tracking", "taken", "snapshots", "latest", "points", "emit", "created",
+        "skips", "deferred", "rolled_back",
     )
 
     def __init__(self, tracking: bool) -> None:
         #: Whether :meth:`ColumnarTracker.track` tracks this slide, or
-        #: only watches its arrival order.
+        #: defers every vessel to the close.
         self.tracking = tracking
+        #: How many positions :meth:`ColumnarTracker.track` took.
+        self.taken = 0
         #: Each touched vessel's state before the slide (a snapshot), or
         #: ``None`` if the slide created the vessel.
         self.snapshots: dict[int, tuple | None] = {}
         #: Each touched vessel's latest tracked timestamp, or ``None``
-        #: once an inversion deferred it to the close.
+        #: once it is deferred to the close.
         self.latest: dict[int, int | None] = {}
         #: Every tracked position, in tracking order.
         self.points: list[PositionalTuple] = []
         #: ``(index into points, event)`` of every event they raised.
         self.emit: list[tuple[int, MovementEvent]] = []
-        #: ``(first timestamp, mmsi)`` of every vessel the slide created.
-        self.created: list[tuple[int, int]] = []
+        #: The first timestamp of every vessel the slide created.
+        self.created: dict[int, int] = {}
         #: ``(out_of_sequence, discarded)`` of vessels with any.
         self.skips: dict[int, tuple[int, int]] = {}
-        #: Whether an inversion deferred any vessel.
-        self.deferred = False
-        #: Vessels rolled back (or, watched, that arrived out of order).
+        #: Each deferred vessel's positions taken after it was deferred,
+        #: each read's run in timestamp order.
+        self.deferred: dict[int, list[PositionalTuple]] = {}
+        #: Vessels that fell behind their latest timestamp.
         self.rolled_back: set[int] = set()
 
 
@@ -287,26 +291,27 @@ class ColumnarTracker:
     ) -> list[MovementEvent]:
         """Process a batch of tuples (one window slide worth of arrivals).
 
-        After :meth:`track`, this closes the open slide: ``positions`` is
-        the whole slide in any order that keeps positions sharing a
-        ``(timestamp, mmsi)`` in the order they arrived, and only what
-        :meth:`track` has not tracked yet is tracked now (all of it, if
-        :meth:`track` only watched the slide).  The slide is put in
-        ``(timestamp, mmsi)`` order only then: a close that finds every
-        position tracked reads nothing but its length.
+        After :meth:`track`, this closes the open slide: ``positions`` are
+        exactly the positions :meth:`track` took, in any order, and only
+        their count is read; any other count raises :class:`ValueError`
+        and forgets the open slide (:meth:`rollback`).
         """
         with obs.span("tracking.process_batch"):
             batch = (
                 positions if isinstance(positions, list) else list(positions)
             )
             open_slide, self._open = self._open, None
-            if open_slide is not None and open_slide.tracking:
-                events = self._close(open_slide, batch)
-            elif open_slide is not None:
-                events = self._run_batch(sorted(batch, key=_SLIDE_ORDER))
-            else:
+            if open_slide is None:
                 events = self._run_batch(batch)
-            if open_slide is not None:
+            elif len(batch) != open_slide.taken:
+                self._open = open_slide
+                self.rollback()
+                raise ValueError(
+                    f"track took {open_slide.taken} positions of the open"
+                    f" slide, its close was handed {len(batch)}"
+                )
+            else:
+                events = self._close(open_slide)
                 self._track_next = (
                     len(open_slide.rolled_back)
                     <= len(open_slide.latest) * _MAX_ROLLBACK_SHARE
@@ -319,72 +324,70 @@ class ColumnarTracker:
 
     def track(self, positions: list[PositionalTuple]) -> None:
         """Track arrivals of the open slide now; :meth:`process_batch` of
-        the whole slide closes it.
+        the same positions closes it.
 
-        The slide is closed in ``(timestamp, mmsi)`` order, so
-        each vessel's positions are tracked here in arrival order only
-        while that is also timestamp order.  The first time the slide
-        touches a vessel, its state is snapshotted.  A position stamped
-        earlier than one its vessel has already tracked is an inversion:
-        the vessel goes back to its snapshot and is tracked at the close.
-        Events and statistics are held back until the close, which
-        returns exactly what one :meth:`process_batch` of the sorted
-        slide would.
+        Each vessel's run of ``positions`` is put in timestamp order,
+        ties in the order they came, and tracked at once.  The first
+        time the slide touches a vessel, its state is snapshotted.  A
+        run stamped earlier than what its vessel has already tracked is
+        an inversion: the vessel goes back to its snapshot, and it and
+        its later positions wait for the close, which tracks it over the
+        whole slide.  Events and statistics are held back until the
+        close, which returns exactly what one :meth:`process_batch` of
+        the slide in ``(timestamp, mmsi)`` order would.
 
         A slide whose close follows one that rolled back more than
-        :data:`_MAX_ROLLBACK_SHARE` of its vessels is not tracked here,
-        only watched: its inversions decide whether the next one is.
+        :data:`_MAX_ROLLBACK_SHARE` of its vessels is not tracked here:
+        every vessel waits for the close, and the slide's inversions
+        decide whether the next one is tracked.
         """
         if self._open is None:
             self._open = _OpenSlide(self._track_next)
         open_slide = self._open
-        latest = open_slide.latest
-        if not open_slide.tracking:
-            # Watched: the latest timestamp per vessel, and which
-            # vessels fell behind it.
-            seen = latest.get
-            for mmsi, stamp in zip(map(_first, positions), map(_stamp, positions)):
-                if stamp < seen(mmsi, stamp):
-                    open_slide.rolled_back.add(mmsi)
-                else:
-                    latest[mmsi] = stamp
-            return
+        open_slide.taken += len(positions)
         grouped: dict[int, list[PositionalTuple]] = defaultdict(list)
         for mmsi, position in zip(map(_first, positions), positions):
             grouped[mmsi].append(position)
+        tracking = open_slide.tracking
+        latest = open_slide.latest
+        deferred = open_slide.deferred
         snapshots = open_slide.snapshots
         open_points = open_slide.points
         vessels = self._vessels
         for mmsi, points in grouped.items():
+            if len(points) > 1:
+                stamps = list(map(_stamp, points))
+                if any(map(_gt, stamps, stamps[1:])):
+                    points.sort(key=_stamp)
             previous = latest.get(mmsi, _UNSEEN)
+            if previous is None:
+                deferred[mmsi] += points
+                continue
             if previous is _UNSEEN:
+                if not tracking:
+                    latest[mmsi] = None
+                    deferred[mmsi] = points
+                    continue
                 state = vessels.get(mmsi)
                 if state is None:
                     vessels[mmsi] = _ColumnarVesselState(self._m_positions)
                     snapshots[mmsi] = None
-                    open_slide.created.append((points[0].timestamp, mmsi))
+                    open_slide.created[mmsi] = points[0].timestamp
                 else:
                     snapshots[mmsi] = state.snapshot()
-            elif previous is None:
-                continue  # deferred to the close
-            if previous is not _UNSEEN and points[0].timestamp < previous:
-                skips = None
-            else:
-                start = len(open_points)
-                skips = self._track_vessel(
-                    vessels[mmsi],
-                    points,
-                    range(start, start + len(points)),
-                    open_slide.emit,
-                    in_order_only=True,
-                )
-            if skips is None:
+            elif points[0].timestamp < previous:
                 self._restore(mmsi, snapshots[mmsi])
                 latest[mmsi] = None
-                open_slide.deferred = True
+                deferred[mmsi] = points
+                open_slide.skips.pop(mmsi, None)
                 open_slide.rolled_back.add(mmsi)
                 obs.count("tracking.arrival_rollbacks")
                 continue
+            start = len(open_points)
+            skips = self._track_vessel(
+                vessels[mmsi], points, range(start, start + len(points)),
+                open_slide.emit,
+            )
             open_points += points
             latest[mmsi] = points[-1].timestamp
             if skips != (0, 0):
@@ -497,87 +500,58 @@ class ColumnarTracker:
         else:
             self._vessels[mmsi].restore(snapshot)
 
-    def _close(self, open_slide: _OpenSlide, batch: list) -> list[MovementEvent]:
-        """Close the tracked open slide: ``batch`` is the whole slide.
+    def _close(self, open_slide: _OpenSlide) -> list[MovementEvent]:
+        """Close the open slide, every position of which :meth:`track` took.
 
-        If no vessel was deferred and ``batch`` is as long as what was
-        tracked, it holds exactly the tracked positions: the close only
-        orders the held events, by ``(timestamp, mmsi, tracking order)``
-        of the position that raised each, which is their place in a
-        ``batch`` sorted by ``(timestamp, mmsi)`` with ties in arrival
-        order.  Otherwise ``batch`` is sorted so, and a vessel keeps what
-        :meth:`track` did only if its tracked positions are, object for
-        object, the first of its positions in it; the rest are tracked
-        now, and any other vessel goes back to its snapshot and is
-        tracked whole.  Either way, vessels the slide created end up at
-        the end of the vessel table in first-appearance order, where
-        :meth:`_run_batch` would have created them.
+        The held events are ordered by ``(timestamp, mmsi, tracking
+        order)`` of the position that raised each, which is their place
+        in the slide in ``(timestamp, mmsi)`` order with ties in arrival
+        order.  Each deferred vessel drops its held events and is
+        tracked now over all its positions, in timestamp order.  Vessels
+        the slide created then move to the end of the vessel table in
+        ``(first timestamp, mmsi)`` order, where one batch of the slide
+        would have created them.
         """
         points = open_slide.points
-        self.statistics.positions_seen += len(batch)
-        vessels = self._vessels
-        if not open_slide.deferred and len(points) == len(batch):
-            out_of_sequence = sum(skips[0] for skips in open_slide.skips.values())
-            discarded = sum(skips[1] for skips in open_slide.skips.values())
-            emit: list = [
-                ((points[i].timestamp, points[i].mmsi, i), event)
-                for i, event in open_slide.emit
-            ]
-            for _, mmsi in sorted(open_slide.created):
-                vessels[mmsi] = vessels.pop(mmsi)
-            emit.sort(key=_first)
-            return self._commit(emit, out_of_sequence, discarded)
-
-        batch = sorted(batch, key=_SLIDE_ORDER)
-        snapshots = open_slide.snapshots
-        tracked: dict[int, list[int]] = defaultdict(list)
-        for index, position in enumerate(points):
-            tracked[position.mmsi].append(index)
-        grouped: dict[int, list[int]] = defaultdict(list)
-        for index, position in enumerate(batch):
-            grouped[position.mmsi].append(index)
-        #: Index into ``points`` → index into ``batch``, for kept vessels.
-        kept: dict[int, int] = {}
-        emit = []
-        take = batch.__getitem__
-        out_of_sequence = discarded = 0
-        for mmsi, indices in grouped.items():
-            done = 0
-            if mmsi in snapshots:
-                snapshot = snapshots.pop(mmsi)
-                mine = tracked[mmsi]
-                if (
-                    open_slide.latest[mmsi] is not None
-                    and len(mine) <= len(indices)
-                    and all(map(_is, map(take, indices), map(points.__getitem__, mine)))
-                ):
-                    done = len(mine)
-                    kept.update(zip(mine, indices))
-                    skipped, dropped = open_slide.skips.get(mmsi, (0, 0))
-                    out_of_sequence += skipped
-                    discarded += dropped
-                    if snapshot is None:
-                        vessels[mmsi] = vessels.pop(mmsi)
-                else:
-                    if mine and open_slide.latest[mmsi] is not None:
-                        open_slide.rolled_back.add(mmsi)
-                        obs.count("tracking.arrival_rollbacks")
-                    self._restore(mmsi, snapshot)
-            if done < len(indices):
+        deferred = open_slide.deferred
+        self.statistics.positions_seen += open_slide.taken
+        skips = open_slide.skips.values()
+        out_of_sequence = sum(skipped for skipped, _ in skips)
+        discarded = sum(dropped for _, dropped in skips)
+        emit: list = [
+            ((point.timestamp, mmsi, i), event)
+            for i, event in open_slide.emit
+            if (mmsi := (point := points[i]).mmsi) not in deferred
+        ]
+        if deferred:
+            runs: dict[int, list[PositionalTuple]] = {mmsi: [] for mmsi in deferred}
+            for point in points:
+                run = runs.get(point.mmsi)
+                if run is not None:
+                    run.append(point)
+            vessels = self._vessels
+            for mmsi, run in runs.items():
+                run += deferred[mmsi]
+                stamps = list(map(_stamp, run))
+                if any(map(_gt, stamps, stamps[1:])):
+                    run.sort(key=_stamp)
+                    open_slide.rolled_back.add(mmsi)
                 state = vessels.get(mmsi)
                 if state is None:
                     state = _ColumnarVesselState(self._m_positions)
                     vessels[mmsi] = state
-                rest = indices[done:]
+                    open_slide.created[mmsi] = run[0].timestamp
                 skipped, dropped = self._track_vessel(
-                    state, list(map(take, rest)), rest, emit
+                    state,
+                    run,
+                    [(point.timestamp, mmsi, j) for j, point in enumerate(run)],
+                    emit,
                 )
                 out_of_sequence += skipped
                 discarded += dropped
-        # Tracked positions the slide does not hold were never closed.
-        for mmsi, snapshot in snapshots.items():
-            self._restore(mmsi, snapshot)
-        emit += [(kept[i], event) for i, event in open_slide.emit if i in kept]
+        created = open_slide.created
+        for _, mmsi in sorted(zip(created.values(), created)):
+            self._vessels[mmsi] = self._vessels.pop(mmsi)
         emit.sort(key=_first)
         return self._commit(emit, out_of_sequence, discarded)
 
@@ -783,18 +757,15 @@ class ColumnarTracker:
         state.last_sin = math.sin(last_rlat)
         return True
 
-    def _track_vessel(self, state, points, indices, emit, in_order_only=False):
+    def _track_vessel(self, state, points, indices, emit):
         """Track one vessel's run; ``(out_of_sequence, discarded)``.
 
-        With ``in_order_only``, a run not in timestamp order is left
-        untracked, state untouched, and ``None`` returned.  A committed
-        quiet run has proved its order already (every ``dt > 0``).
+        Each event is emitted as ``(indices[k], event)`` of the position
+        ``points[k]`` that raised it.
         """
         taus, dist, head_col = self._vessel_columns(state, points)
         if self._quiet_run(state, points, taus, dist, head_col):
             return 0, 0
-        if in_order_only and any(map(_gt, taus, taus[1:])):
-            return None
         # Locals for everything the loop touches — threshold hoisting and
         # attribute-to-local conversion are where the batch layout wins.
         min_speed = self._min_speed
@@ -1191,10 +1162,6 @@ _first = _itemgetter(0)
 
 #: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
 _stamp = _itemgetter(3)
-
-#: The order of a closed slide: ``(timestamp, mmsi)`` of a
-#: :class:`~repro.ais.stream.PositionalTuple`.
-_SLIDE_ORDER = _itemgetter(3, 0)
 
 #: A vessel the open slide has not touched yet.
 _UNSEEN = object()

@@ -67,7 +67,8 @@ def _wm(source: str, final: bool = False) -> str:
 class FakeSystem:
     """Records every pipeline call the batcher makes, each slide in the
     ``(timestamp, mmsi)`` order the tracker closes it in, and the query
-    time of every slide it archived."""
+    time of every slide it archived.  Each close must be handed exactly
+    what ``track`` took since the previous close."""
 
     def __init__(self):
         self.calls = []
@@ -78,9 +79,9 @@ class FakeSystem:
         self.tracked = []
 
     def close_slide(self, batch, query_time):
-        self.calls.append(
-            (query_time, sorted((p.timestamp, p.mmsi) for p in batch))
-        )
+        slide = sorted((p.timestamp, p.mmsi) for p in batch)
+        assert slide == sorted(self.tracking)
+        self.calls.append((query_time, slide))
         self.tracked.append((query_time, sorted(self.tracking)))
         self.tracking = []
         return query_time  # stands in for the slide report
@@ -96,7 +97,7 @@ class FakeSystem:
         self.tracking += [(p.timestamp, p.mmsi) for p in positions]
 
     def untrack(self):
-        pass
+        self.tracking = []
 
 
 async def _drive(lines, watermark_sources=2, drain=False, size=None):
@@ -207,8 +208,7 @@ class TestWatermarkCadence:
         # the positions at 80 and 90.  The watermarks at 130 close slide
         # 120 and release the position at 110 too; it is tracked before
         # the close, so the tracker is handed the whole slide and its
-        # close only orders the held events, instead of regrouping a
-        # slide split between tracked and untracked positions.
+        # close only orders the held events.
         system, _ = asyncio.run(_drive([
             (10, _sentence(111)),
             (70, _wm("gw0")),
@@ -223,8 +223,9 @@ class TestWatermarkCadence:
         ]))
         slide = [(80, 222), (90, 333), (110, 222)]
         assert system.calls == [(60, [(10, 111)]), (120, slide)]
-        # Nothing is tracked before the first slide locks the grid.
-        assert system.tracked == [(60, []), (120, slide)]
+        # Nothing is tracked before the first slide locks the grid; the
+        # first slide is tracked at its close.
+        assert system.tracked == [(60, [(10, 111)]), (120, slide)]
 
     def test_watermark_clocks_snapshot_is_monotonic(self):
         async def run():

@@ -2,14 +2,14 @@
 
 A live node hands :meth:`ColumnarTracker.track` each read of the open
 slide as it is scanned, then closes the slide with
-:meth:`~ColumnarTracker.process_batch` of the whole slide, sorted by
-``(timestamp, mmsi)`` or as the batcher releases it.  Whatever the reads
-and their order, the close must return what one ``process_batch`` of the
-sorted slide returns: the same events (by ``repr``), the same statistics, the same
-vessel-table order, and so the same ``finalize()``.  A read that breaks a
-vessel's timestamp order must roll that vessel back to its snapshot; a
-vessel the slide created must end up where the sorted batch would have
-created it.
+:meth:`~ColumnarTracker.process_batch` of exactly the positions
+``track`` took, in any order.  Whatever the reads and their order, the
+close must return what one ``process_batch`` of the slide sorted by
+``(timestamp, mmsi)`` returns: the same events (by ``repr``), the same
+statistics, the same vessel-table order, and so the same
+``finalize()``.  A read that falls behind a vessel's earlier reads must
+roll that vessel back to its snapshot; a vessel the slide created must
+end up where the sorted batch would have created it.
 
 The fleets are the generator of ``test_columnar_parity.py`` —
 speed steps next to α, turns straddling Δθ, gaps near ΔT, stale and
@@ -29,8 +29,11 @@ from repro.tracking import ColumnarTracker, WindowSpec
 from repro.tracking import columnar
 from tests.parity import canonical_report
 from tests.tracking.test_columnar_parity import (
+    _ALPHA,
     _LEG,
+    _SLOW_KNOTS,
     _SPEED_KNOTS,
+    _TURN,
     _vessel_reports,
 )
 
@@ -48,7 +51,7 @@ def _deal(draw, slide):
 
     Half the orders interleave the vessels but keep each vessel's
     reports in timestamp order; the other half are any permutation.
-    Now and then the last reads are left to the close alone."""
+    Each read is sorted by timestamp, stably, or left as it came."""
     order = draw(st.permutations(slide))
     if draw(st.booleans()):
         queues: dict[int, list] = {}
@@ -58,8 +61,9 @@ def _deal(draw, slide):
     cuts = draw(st.sets(st.integers(1, max(1, len(order) - 1)), max_size=5))
     bounds = [0, *sorted(c for c in cuts if c < len(order)), len(order)]
     reads = [order[a:b] for a, b in zip(bounds, bounds[1:])]
-    if draw(st.integers(0, 3)) == 0:
-        reads = reads[: draw(st.integers(0, len(reads) - 1))]
+    reads = [
+        sorted(read, key=_stamp) if draw(st.booleans()) else read for read in reads
+    ]
     return order, reads
 
 
@@ -101,57 +105,19 @@ def _observed(tracker, closes):
 @settings(max_examples=200, deadline=None)
 @given(_dealt_slides())
 def test_tracking_on_arrival_equals_one_sorted_batch(case):
+    """Every read is tracked, then the close is handed the slide in
+    arrival order; ties of ``(timestamp, mmsi)`` keep their arrival
+    order in the sorted reference, as the tracker keeps them."""
     slides, lost = case
-    # The batcher's sort: stable, over the arrival order.
-    batches = [sorted(order, key=_slide_order) for order, _ in slides]
     on_arrival = ColumnarTracker()
     closes = []
-    for index, (_, reads) in enumerate(slides):
+    for index, (order, reads) in enumerate(slides):
         for read in reads:
             on_arrival.track(read)
         if index == lost:
             on_arrival.rollback()
         else:
-            closes.append(
-                [repr(e) for e in on_arrival.process_batch(batches[index])]
-            )
-
-    reference = ColumnarTracker()
-    expected = [
-        [repr(e) for e in reference.process_batch(batch)]
-        for index, batch in enumerate(batches)
-        if index != lost
-    ]
-    assert _observed(on_arrival, closes) == _observed(reference, expected)
-
-
-@settings(max_examples=200, deadline=None)
-@given(_dealt_slides(), st.data())
-def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close(case, data):
-    """The batcher hands the close what it released, in the order it
-    released it, then what it still held, in arrival order; only a slide
-    it released nothing of is sorted first.  Ties of ``(timestamp,
-    mmsi)`` keep their arrival order, and the tracker orders the slide
-    itself when it has tracking left to do."""
-    slides, lost = case
-    on_arrival = ColumnarTracker()
-    closes = []
-    for index, (order, reads) in enumerate(slides):
-        # A release is sorted by timestamp, stably, or left as it came.
-        released = [
-            sorted(read, key=_stamp) if data.draw(st.booleans()) else read
-            for read in reads
-        ]
-        batch = [p for read in released for p in read]
-        batch += order[len(batch):]
-        if not released:
-            batch.sort(key=_slide_order)
-        for read in released:
-            on_arrival.track(read)
-        if index == lost:
-            on_arrival.rollback()
-        else:
-            closes.append([repr(e) for e in on_arrival.process_batch(batch)])
+            closes.append([repr(e) for e in on_arrival.process_batch(order)])
 
     reference = ColumnarTracker()
     expected = [
@@ -160,6 +126,80 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close(case, data):
         if index != lost
     ]
     assert _observed(on_arrival, closes) == _observed(reference, expected)
+
+
+def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
+    """The close reads only how many positions it is handed, never their
+    order: a tracked slide closed with its positions as they arrived,
+    reversed or shuffled returns what the sorted close returns, and what
+    one ``process_batch`` of the sorted slide returns.  The reads are
+    shuffled, so vessels roll back, slides are watched, and both are
+    tracked at the close."""
+    legs = [
+        (("speed", 1 / (1 - _ALPHA) * 1.03), 6, 30, 0.05, 1.0),
+        (("turn", 1.8 * _TURN), 5, 60, 0.0, 0.98),
+        (("stale", 30), 4, 30, -0.3, 1.0),
+        (("halt", 6, 0.9), 3, 60, 0.0, 1.0),
+    ]
+    arrivals = []
+    for mmsi, start in ((1, 60), (2, 0), (3, 30)):
+        arrivals += _vessel_reports(mmsi, start, 4 * _SLOW_KNOTS, 60.0 * mmsi, legs)
+    arrivals.sort(key=lambda item: item[0])
+    stream = [position for _, position in arrivals]
+    cuts = [0, len(stream) // 4, len(stream) // 2, 3 * len(stream) // 4, len(stream)]
+    rng = random.Random(2015)
+    # Ties of ``(timestamp, mmsi)`` (the stale re-reports) keep their
+    # arrival order, so every tracker sees the same arrivals.
+    orders = [rng.sample(stream[a:b], b - a) for a, b in zip(cuts, cuts[1:])]
+
+    def handed_sorted(order):
+        return sorted(order, key=_slide_order)
+
+    def handed_shuffled(order):
+        return rng.sample(order, len(order))
+
+    observed = []
+    for hand in (list, lambda order: order[::-1], handed_shuffled, handed_sorted):
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            tracker = ColumnarTracker()
+            closes = []
+            for order in orders:
+                for start in range(0, len(order), 7):
+                    tracker.track(order[start:start + 7])
+                closes.append([repr(e) for e in tracker.process_batch(hand(order))])
+        assert registry.counter("tracking.arrival_rollbacks").value > 0
+        assert registry.counter("tracking.arrival_skipped_slides").value > 0
+        observed.append(_observed(tracker, closes))
+
+    reference = ColumnarTracker()
+    expected = [
+        [repr(e) for e in reference.process_batch(handed_sorted(order))]
+        for order in orders
+    ]
+    assert all(seen == _observed(reference, expected) for seen in observed)
+
+
+def test_a_close_handed_another_count_raises_and_forgets_the_slide():
+    """The close reads only how many positions it is handed: any other
+    count than ``track`` took is refused, and the tracked vessels go back
+    to where they were, as after :meth:`ColumnarTracker.rollback`."""
+    cruise = [(("none",), 8, 60, 0.0, 1.0)]
+    reports = [p for _, p in _vessel_reports(1, 0, 12.0, 90.0, cruise)]
+    tracker = ColumnarTracker()
+    tracker.process_batch(reports[:3])
+    before = repr(tracker.current_velocity(1))
+    tracker.track(reports[3:])
+    for handed in (reports[4:], reports[2:]):
+        with pytest.raises(ValueError):
+            tracker.process_batch(handed)
+        assert tracker._open is None
+        assert repr(tracker.current_velocity(1)) == before
+        tracker.track(reports[3:])
+    reference = ColumnarTracker()
+    reference.process_batch(reports[:3])
+    assert [repr(e) for e in tracker.process_batch(reports[3:])] == [
+        repr(e) for e in reference.process_batch(reports[3:])
+    ]
 
 
 def test_an_inverted_read_rolls_its_vessel_back():
