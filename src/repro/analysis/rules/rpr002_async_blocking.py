@@ -1,12 +1,12 @@
 """RPR002 — no blocking calls inside ``async def`` in the service layer.
 
-The live service keeps one event loop reading sockets while pipeline
-slides run on a dedicated executor thread (see
-:mod:`repro.service.batcher`).  A synchronous sleep, file open, sqlite
-call or socket operation *on the loop* stalls every connection at once
-— ingest backs up, the feed hub stops draining, the watchdog starves.
-Blocking work belongs on the executor (``run_in_executor``) or behind
-the async APIs.
+The live service keeps one event loop reading sockets, tracking and
+closing slides, while the MOD's sqlite work runs on a dedicated pipeline
+thread (see :mod:`repro.service.batcher`).  A synchronous sleep, file
+open, sqlite call or socket operation *on the loop* stalls every
+connection at once — ingest backs up, the feed hub stops draining, the
+watchdog starves.  Blocking work belongs on the executor
+(``run_in_executor``) or behind the async APIs.
 
 Flagged inside ``async def`` bodies in ``repro.service``,
 ``repro.transport`` and ``repro.gateway``:

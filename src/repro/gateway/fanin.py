@@ -30,8 +30,15 @@ from repro.gateway.merge import (
 from repro.obs.registry import MetricsRegistry
 from repro.transport.base import TransportError, TransportSession
 
-#: Queue sentinel: the source's current session reached end-of-stream.
-_EOF = object()
+
+class _EndOfStream:
+    """Queue marker: one session of a source reached end-of-stream."""
+
+    __slots__ = ("session",)
+
+    def __init__(self, session: int):
+        #: Which of the source's sessions ended (:attr:`_FanSource.sessions`).
+        self.session = session
 
 
 class _FanSource:
@@ -45,6 +52,9 @@ class _FanSource:
         self.last_qt: int | None = None
         self.down = False
         self.reader: asyncio.Task | None = None
+        #: Sessions attached so far: only the latest one's end-of-stream
+        #: can retire the source.
+        self.sessions = 0
 
 
 class FeedFanIn:
@@ -67,8 +77,11 @@ class FeedFanIn:
         if source is None:
             source = _FanSource(name)
             self._sources[name] = source
+        source.sessions += 1
         loop = asyncio.get_running_loop()
-        source.reader = loop.create_task(self._read(source, session))
+        source.reader = loop.create_task(
+            self._read(source, session, source.sessions)
+        )
 
     def start(self) -> None:
         """Start merging; call after the initial sources are attached."""
@@ -79,7 +92,9 @@ class FeedFanIn:
         """Names of sources currently dormant (connection lost)."""
         return sorted(n for n, s in self._sources.items() if s.down)
 
-    async def _read(self, source: _FanSource, session: TransportSession) -> None:
+    async def _read(
+        self, source: _FanSource, session: TransportSession, number: int
+    ) -> None:
         try:
             while True:
                 try:
@@ -105,14 +120,17 @@ class FeedFanIn:
                 await source.queue.put(shard_line)
         finally:
             await session.close()
-            await source.queue.put(_EOF)
+            await source.queue.put(_EndOfStream(number))
 
     async def _next_head(self, source: _FanSource):
         """The source's next line; ``None`` once it drained for good."""
         while True:
             item = await source.queue.get()
-            if item is _EOF:
-                if self._closing:
+            if isinstance(item, _EndOfStream):
+                # A crashed session's end can still be queued when the
+                # drain begins, ahead of its replacement's lines: only
+                # the latest session's end is final.
+                if self._closing and item.session == source.sessions:
                     return None
                 if not source.down:
                     source.down = True
@@ -148,13 +166,15 @@ class FeedFanIn:
                 del heads[name]
 
     def begin_close(self) -> None:
-        """Announce the cluster is draining: the next end-of-stream on
-        each source means *finished*, not *crashed*.  Dormant sources are
-        unblocked so the merger can retire them."""
+        """Announce the cluster is draining: the next end-of-stream of
+        each source's latest session means *finished*, not *crashed*.
+        Sources with no live session are unblocked so the merger can
+        retire them; one reattached but still silent is left to end its
+        own stream."""
         self._closing = True
         for source in self._sources.values():
-            if source.down:
-                source.queue.put_nowait(_EOF)
+            if source.reader is not None and source.reader.done():
+                source.queue.put_nowait(_EndOfStream(source.sessions))
 
     async def wait_closed(self) -> None:
         """Wait for the merger to retire every source."""

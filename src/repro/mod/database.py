@@ -86,8 +86,8 @@ class MovingObjectDatabase:
     def __init__(self, ports: list[Port], path: str = ":memory:"):
         # The database has a single logical owner (the pipeline system) and
         # every access is serialized, but that owner may run on a worker
-        # thread other than the constructing one — the live service drives
-        # slides through run_in_executor — so sqlite's per-thread affinity
+        # thread other than the constructing one — the live service
+        # archives through run_in_executor — so sqlite's per-thread affinity
         # check must be relaxed.
         self._connection = sqlite3.connect(path, check_same_thread=False)
         self._connection.execute("PRAGMA journal_mode = MEMORY")

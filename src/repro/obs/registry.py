@@ -19,7 +19,7 @@ deliberately lock-free — like the paper's main-memory tracker it assumes a
 single-threaded pipeline; use one registry per worker when partitioning.
 The one exception is the span stack, kept per thread: the live service
 records from its event loop and its pipeline thread, and a cluster's
-runtimes slide on several threads of one process.
+runtimes archive on several threads of one process.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ class MetricsRegistry:
 
     @property
     def _span_stack(self) -> list[Span]:
-        """The calling thread's open spans: threads that slide at once
-        (one pipeline thread per runtime of a cluster) nest only their
-        own spans."""
+        """The calling thread's open spans: threads that record at once
+        (the event loop, one pipeline thread per runtime of a cluster)
+        nest only their own spans."""
         try:
             stack: list[Span] = self._threads.span_stack
         except AttributeError:

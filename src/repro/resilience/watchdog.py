@@ -1,12 +1,15 @@
-"""Stalled-slide detection for the live service.
+"""Stalled-archive detection for the live service.
 
-A pipeline slide runs on a single-worker executor thread; if it wedges
-(a hung sqlite call, an injected ``service.slide:delay``), the batcher's
-await never returns and — without a watchdog — the whole service
-silently stops producing slides while still accepting ingest.
-:class:`SlideWatchdog` tracks slide start/finish beats from the event
-loop and counts a slide that overruns its deadline, once per slide, so
-``/healthz`` shows the stall.  Every slide batcher owns one.  It only
+A slide's archive (the MOD's staging and reconstruction) runs on the
+batcher's single-worker pipeline thread; if it wedges (a hung sqlite
+call), the batcher's await never returns and — without a watchdog — the
+whole service silently stops producing slides while still accepting
+ingest.  :class:`SlideWatchdog` takes start/finish beats from the event
+loop and counts an archive that overruns its deadline, once per beat,
+so ``/healthz`` shows the stall.  Every slide batcher owns one.  It
+cannot see work that holds the event loop, since its ticks run there:
+a slide's close, or an injected ``service.slide:delay``, which sleeps on
+the loop before the close, is late but never a stall.  It only
 detects: the whole pipeline runs in this process, so there is nothing
 to kill, and the supervisor's drain deadline is what bounds a wedge at
 shutdown.
@@ -18,12 +21,12 @@ from repro import obs
 
 
 class SlideWatchdog:
-    """Deadline monitor for pipeline slides.
+    """Deadline monitor for the pipeline thread's work.
 
     Parameters
     ----------
     timeout_seconds:
-        A slide running longer than this is considered stalled.
+        A beat running longer than this is considered stalled.
     clock:
         Injectable monotonic clock for sleep-free tests.
     """
@@ -50,6 +53,7 @@ class SlideWatchdog:
         self._counted = False
 
     def slide_finished(self, archive: bool = False) -> None:
+        """End the running beat, if any; count a slide unless ``archive``."""
         self._started_at = None
         self._query_time = None
         if not archive:

@@ -28,20 +28,20 @@ Durability and diagnostics (docs/RESILIENCE.md):
   batcher's :class:`~repro.service.quarantine.DeadLetterBuffer` instead
   of vanishing into a counter;
 * the batcher's :class:`~repro.resilience.watchdog.SlideWatchdog` gets a
-  beat when a slide's close or its archive starts and finishes, so a
-  wedged slide or archive is detected from the event loop.
+  beat when an archive starts and finishes, so a wedged archive is
+  detected from the event loop, and counts every slide closed.
 
-Pipeline slides execute on a worker thread (``run_in_executor``) so the
-event loop keeps reading sockets while a slide is being processed —
-that's what lets the bounded ingest queue shed (with counters) instead of
-the whole service seizing up when producers outrun the pipeline.  The
-open slide's positions are tracked on the loop as they arrive
-(``system.track``): on a node as each run is scanned, on a shard once
-every source's watermark has passed them.  A slide's close then pays
-only for the Compressor and RTEC (``system.close_slide``): its feed line
-is published, and the executor stages and reconstructs its expired
-points in the MOD (``system.archive``) at the start of the batcher's
-next hand-over, slide or drain.
+The online half of a slide is CPU work on the event loop.  The open
+slide's positions are tracked as they arrive (``system.track``): on a
+node as each run is scanned, on a shard once every source's watermark
+has passed them.  A slide's close then pays only for the Compressor and
+RTEC (``system.close_slide``), and its feed line is published; the
+batcher yields to the loop once after each slide, so a catch-up burst
+never holds sockets, links or the watchdog for more than one slide.
+Only the MOD's sqlite work runs on the one pipeline thread
+(``run_in_executor``): the slide's archive (``system.archive``, staging
+and reconstruction) at the start of the batcher's next hand-over, slide
+or drain, and ``finalize``.
 
 **One cadence** (docs/GATEWAY.md): the window keeps pace with the
 *reported* timestamps, so a slide holds every position stamped inside it
@@ -75,7 +75,7 @@ from repro.resilience.watchdog import SlideWatchdog
 from repro.service.protocol import CONTROL_PREFIX, parse_heartbeat, parse_watermark
 from repro.service.quarantine import DeadLetterBuffer
 
-#: A pipeline slide running longer than this is counted as stalled
+#: An archive running longer than this is counted as stalled
 #: (``resilience.watchdog.stalls``, ``/healthz``): well above the slowest
 #: slide of any benchmark workload, so a count means a wedge.
 SLIDE_STALL_SECONDS = 10.0
@@ -105,7 +105,8 @@ class SlideBatcher:
         self.journal = journal
         #: Sentences the scanner rejected, with their causes.
         self.deadletter = DeadLetterBuffer()
-        #: Beaten around every pipeline slide; the owner ticks it.
+        #: Beaten around every archive, counts every close; the owner
+        #: ticks it.
         self.watchdog = SlideWatchdog(SLIDE_STALL_SECONDS)
         #: Upstream sources whose watermarks gate a slide; ``0``: the
         #: node's own arrivals are its watermark.
@@ -129,10 +130,10 @@ class SlideBatcher:
         self.pipeline_errors = 0
         self.replayed_records = 0
         self._aborted = False
-        # One dedicated worker: pipeline calls stay strictly serialized on
-        # a single thread (the MOD's sqlite connection is single-owner).
+        # One dedicated worker for the archive and finalize: the MOD's
+        # sqlite connection is single-owner, and its I/O stays off the loop.
         self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="pipeline-slide"
+            max_workers=1, thread_name_prefix="pipeline-mod"
         )
 
     async def replay(self, records: list[tuple[int, str]]) -> int:
@@ -347,9 +348,10 @@ class SlideBatcher:
             self.journal.truncate_all()
 
     def abort(self) -> None:
-        """Forced shutdown: the drain deadline passed with a slide still
-        wedged on the executor.  Nothing further is flushed; the journal
-        file stays so the next incarnation replays it."""
+        """Forced shutdown: the drain deadline passed with an archive or
+        finalize still wedged on the pipeline thread.  Nothing further is
+        flushed; the journal file stays so the next incarnation replays
+        it."""
         self._aborted = True
         self._executor.shutdown(wait=False, cancel_futures=True)
         if self.journal is not None:
@@ -382,21 +384,28 @@ class SlideBatcher:
             # What the slide tracked is undone first, so its positions
             # never reach the tracker.
             self.system.untrack()
-            self.pipeline_errors += 1
-            obs.count("service.pipeline.errors")
+            self._count_pipeline_error()
             return
         if spec is not None and spec.kind == "crash":
             # The in-process stand-in for kill -9: abandon everything.
             raise SimulatedCrash("service.slide", spec.at)
-        self.watchdog.slide_started(qt)
-        report = await self._call_pipeline(self.system.close_slide, batch, qt)
+        try:
+            report = self.system.close_slide(batch, qt)
+        except Exception:
+            # Unrecoverable inside the close: the slide is lost, counted.
+            self._count_pipeline_error()
+        else:
+            self.slides_processed += 1
+            obs.set_gauge("service.ingest.queue_depth", len(self.queue))
+            self._on_report(report, "slide")
+            self._archive_due = qt
+        # The close holds the loop, so no watchdog tick can see it run:
+        # the beat only counts it.
         self.watchdog.slide_finished()
-        if report is None:
-            return
-        self.slides_processed += 1
-        obs.set_gauge("service.ingest.queue_depth", len(self.queue))
-        self._on_report(report, "slide")
-        self._archive_due = qt
+        # Yield once per slide: the subscriber's write, other connections
+        # and the watchdog run before the batcher goes on, in a catch-up
+        # burst too.
+        await asyncio.sleep(0)
 
     async def _archive(self) -> None:
         """Run the last closed slide's archive if it is still due.
@@ -404,8 +413,7 @@ class SlideBatcher:
         Called at the next hand-over, slide or drain, not right after
         the publish: an archive started then holds the interpreter lock
         while the loop is still delivering the slide's line.  The
-        batcher awaits it, so it never overlaps tracking on arrival and
-        pipeline calls stay serialized on the one pipeline thread.
+        batcher awaits it, so it never overlaps tracking or a close.
         """
         if self._archive_due is None:
             return
@@ -414,20 +422,19 @@ class SlideBatcher:
         await self._call_pipeline(self.system.archive)
         self.watchdog.slide_finished(archive=True)
 
-    async def _call_pipeline(self, fn, *args) -> SlideReport | None:
-        """Run one pipeline call off-loop; errors are counted, not fatal.
-
-        Anything that escapes the pipeline is an unrecoverable fault,
-        which the service survives and counts
-        (``service.pipeline.errors``): from a slide's online half it
-        costs the slide, from its archive only the archive.
-        """
+    async def _call_pipeline(self, fn) -> SlideReport | None:
+        """Run one MOD call (archive or finalize) on the pipeline thread;
+        errors are counted, not fatal: from an archive it costs only the
+        archive."""
         loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                self._executor, lambda: fn(*args)
-            )
+            return await loop.run_in_executor(self._executor, fn)
         except Exception:
-            self.pipeline_errors += 1
-            obs.count("service.pipeline.errors")
+            self._count_pipeline_error()
             return None
+
+    def _count_pipeline_error(self) -> None:
+        """Anything that escapes the pipeline is an unrecoverable fault,
+        which the service survives and counts (``service.pipeline.errors``)."""
+        self.pipeline_errors += 1
+        obs.count("service.pipeline.errors")

@@ -16,15 +16,16 @@ In every deployment a pipeline exception is counted (``pipeline_errors``
 on ``/healthz``): raised while a slide closes, it costs the slide; a
 failed MOD write or reconstruction costs only the slide's archive,
 which runs after the slide's line is published.  The batcher's slide
-watchdog detects a wedged slide or archive and counts the stall, which
-``/healthz`` reports.
+watchdog detects a wedged archive on the pipeline thread and counts the
+stall, which ``/healthz`` reports.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already
 buffered through the pipeline, flushes the final partial slide plus the
 end-of-stream ``finalize``, publishes the last feed lines, disconnects
 subscribers, and only then closes the pipeline and its MOD.  If
-the pipeline wedges past :data:`DRAIN_TIMEOUT_SECONDS` the drain is
+the pipeline thread (an archive or ``finalize``) wedges past
+:data:`DRAIN_TIMEOUT_SECONDS` the drain is
 force-aborted (counted, journal preserved for replay) instead of hanging
 the host's shutdown forever.
 """
@@ -48,8 +49,8 @@ from repro.transport import create_transport
 
 #: Recent complex events kept for ``/alerts?since=``.
 ALERT_RING_SIZE = 1024
-#: Graceful-drain deadline; past it the in-flight pipeline slide is
-#: force-aborted instead of hanging shutdown.
+#: Graceful-drain deadline; past it the pipeline thread's in-flight
+#: archive or finalize is force-aborted instead of hanging shutdown.
 DRAIN_TIMEOUT_SECONDS = 30.0
 
 
@@ -179,9 +180,9 @@ class ServiceSupervisor:
     async def drain_and_stop(self) -> None:
         """Graceful shutdown: drain ingest, flush the final slide, close.
 
-        Bounded by ``drain_timeout_seconds``: a pipeline slide wedged on
-        the executor thread used to hang shutdown forever (the batcher
-        join had no deadline); now the drain is force-aborted, counted,
+        Bounded by ``drain_timeout_seconds``: an archive or finalize
+        wedged on the pipeline thread used to hang shutdown forever (the
+        batcher join had no deadline); now the drain is force-aborted, counted,
         and the journal is preserved so the next incarnation replays
         whatever the abort abandoned.
         """

@@ -215,6 +215,77 @@ class TestFeedFanIn:
         assert registry.counter("gateway.fanin.duplicate_lines").value == 1
         assert registry.counter("gateway.fanin.source_losses").value == 1
 
+    def test_a_crashed_sessions_end_read_during_the_drain_is_not_final(self):
+        """The merger can still be waiting on another source when the
+        drain begins, with a crashed session's end queued ahead of its
+        replacement's lines: that end must not retire the source."""
+
+        async def run():
+            lines = []
+            registry = MetricsRegistry()
+            fanin = FeedFanIn(lines.append, registry=registry)
+            steady = ScriptedSession([_line(60, raw=1)])
+            flaky = ScriptedSession([_line(60, raw=2)])
+            fanin.add_source("steady", steady)
+            fanin.add_source("flaky", flaky)
+            fanin.start()
+            await _drain_loop()
+            # The merger now waits on steady; flaky's crash stays queued.
+            flaky.finish()
+            replacement = ScriptedSession(
+                [_line(60, raw=2), _line(120, raw=2), _line(180, "finalize")]
+            )
+            fanin.add_source("flaky", replacement)
+            replacement.finish()
+            await _drain_loop()
+            fanin.begin_close()
+            steady.push(_line(120, raw=1))
+            steady.push(_line(180, "finalize"))
+            steady.finish()
+            await asyncio.wait_for(fanin.wait_closed(), 5)
+            return lines, registry
+
+        lines, registry = asyncio.run(run())
+        payloads = [json.loads(line) for line in lines]
+        assert [(p["query_time"], p["type"], p["raw_positions"])
+                for p in payloads] == [
+            (60, "slide", 3), (120, "slide", 3), (180, "finalize", 0),
+        ]
+        assert registry.counter("gateway.fanin.source_losses").value == 1
+
+    def test_the_drain_waits_for_a_reattached_source_still_silent(self):
+        """A source that went dormant and was reattached, but has sent
+        nothing yet when the drain begins, still ends its own stream."""
+
+        async def run():
+            lines = []
+            fanin = FeedFanIn(lines.append, registry=MetricsRegistry())
+            steady = ScriptedSession([_line(60, raw=1)])
+            flaky = ScriptedSession([_line(60, raw=2)])
+            fanin.add_source("steady", steady)
+            fanin.add_source("flaky", flaky)
+            fanin.start()
+            await _drain_loop()
+            flaky.finish()
+            steady.push(_line(120, raw=1))
+            await _drain_loop()
+            assert fanin.down_sources == ["flaky"]
+            replacement = ScriptedSession()
+            fanin.add_source("flaky", replacement)
+            fanin.begin_close()
+            await _drain_loop()
+            replacement.push(_line(120, raw=2))
+            replacement.finish()
+            steady.finish()
+            await asyncio.wait_for(fanin.wait_closed(), 5)
+            return lines
+
+        lines = asyncio.run(run())
+        assert [(json.loads(line)["query_time"],
+                 json.loads(line)["raw_positions"]) for line in lines] == [
+            (60, 3), (120, 3),
+        ]
+
     def test_bad_lines_are_counted_not_fatal(self):
         lines, registry = _merge_one_source([
             "not json", json.dumps({"type": "bogus"}), _line(60),

@@ -137,10 +137,10 @@ class TestDrainDeadline:
         from repro.pipeline.system import SurveillanceSystem
 
         class WedgedSystem(SurveillanceSystem):
-            def close_slide(self, batch, query_time):
+            def archive(self):
                 wedged.set()
                 release.wait(timeout=30.0)  # wedge until the test releases
-                return super().close_slide(batch, query_time)
+                super().archive()
 
         service = ServiceConfig(**EPHEMERAL)
 
@@ -151,7 +151,7 @@ class TestDrainDeadline:
             )
             supervisor.drain_timeout_seconds = 0.5
             await supervisor.start()
-            # Enough sentences to start (and wedge inside) slide one.
+            # Enough sentences to close slide one and wedge in its archive.
             await send_sentences(
                 supervisor.ports()["ingest"], soak_sentences[:2000]
             )
@@ -163,7 +163,7 @@ class TestDrainDeadline:
             return supervisor, elapsed
 
         supervisor, elapsed = asyncio.run(scenario())
-        assert wedged.is_set(), "the slide never reached the wedge"
+        assert wedged.is_set(), "the archive never reached the wedge"
         assert supervisor.forced_abort, "deadline must force the abort"
         assert elapsed < 10.0, f"drain hung for {elapsed:.1f}s"
         assert supervisor.health()["forced_abort"] is True
