@@ -4,9 +4,9 @@ A window slide has an online half and an archive, as Figure 1 does.
 :meth:`SurveillanceSystem.close_slide`, the online half:
 
 1. runs the Mobility Tracker over the fresh positional batch (detecting
-   trajectory events in O(1)/O(m) per tuple) — or, on a live node or
-   shard that handed it the slide's positions as they arrived
-   (:meth:`track`), over only what is not tracked yet,
+   trajectory events in O(1)/O(m) per tuple), each vessel in timestamp
+   order: now, unless a live node or shard handed the positions to
+   :meth:`track` as they arrived,
 2. runs the Compressor, emitting fresh critical points into the window
    synopsis and collecting expired "delta" points, which stay pending,
 3. feeds the critical movement events to the Complex Event Recognition

@@ -18,11 +18,10 @@ around data instead of tuples:
    passes, and the gap/turn/stop/slow-motion detectors run in one fused
    loop per vessel with every threshold hoisted to a local — no
    per-tuple method dispatch, no intermediate velocity objects;
-3. the per-position event lists are spliced back into exact arrival
+3. the per-vessel events are merged back into ``(timestamp, mmsi)``
    order, so the emitted :class:`MovementEvent` stream is
-   **byte-identical** to the scalar tracker's
-   (``tests/tracking/test_columnar_parity.py`` replays the full
-   simulator fleet through both and compares).
+   **byte-identical** to the scalar tracker's on the sorted slide
+   (``tests/tracking/test_columnar_parity.py``).
 
 The byte-identity contract constrains every arithmetic rewrite: each
 batched expression reproduces the scalar code's operation order exactly
@@ -34,21 +33,21 @@ consecutive-pair chain; the fused loop then recomputes that one pair
 inline against the true previous position and re-enters the precomputed
 stream at the next accepted tuple.
 
-A live node tracks a slide as it arrives (:meth:`ColumnarTracker.track`,
-the open-slide mode): per vessel, each read is put in timestamp order
-and tracked at once while it does not fall behind the vessel's earlier
-reads, against a snapshot taken when the slide first touched the
-vessel; a vessel that falls behind waits for the close.  The tracker
-alone orders the slide: ``process_batch`` of exactly the positions
-``track`` took closes it with the events one batch of the slide in
-``(timestamp, mmsi)`` order would have emitted, and reads only its
-length (``tests/tracking/test_arrival_parity.py``).
+Every slide is tracked by :meth:`ColumnarTracker.track`: per vessel,
+each read is put in timestamp order, ties as they came, and tracked at
+once while it does not fall behind the vessel's earlier reads, against
+a snapshot taken when the slide first touched the vessel; a vessel that
+falls behind waits for the close.  A live node tracks each read as it
+arrives; a replay hands ``process_batch`` the whole slide as one read.
+The close returns the events of the slide in ``(timestamp, mmsi)``
+order (``tests/tracking/test_arrival_parity.py``).
 """
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from collections.abc import Iterable
 from operator import (
+    attrgetter as _attrgetter,
     gt as _gt,
     itemgetter as _itemgetter,
     sub as _sub,
@@ -231,8 +230,9 @@ class _OpenSlide:
         self.latest: dict[int, int | None] = {}
         #: Every tracked position, in tracking order.
         self.points: list[PositionalTuple] = []
-        #: ``(index into points, event)`` of every event they raised.
-        self.emit: list[tuple[int, MovementEvent]] = []
+        #: ``(timestamp, mmsi, event)`` of every event they raised, the
+        #: timestamp the raising position's.
+        self.emit: list[tuple[int, int, MovementEvent]] = []
         #: The first timestamp of every vessel the slide created.
         self.created: dict[int, int] = {}
         #: ``(out_of_sequence, discarded)`` of vessels with any.
@@ -248,9 +248,10 @@ class ColumnarTracker:
     """Batch/columnar trajectory-event detection, scalar-parity guaranteed.
 
     Held to the scalar reference tracker of ``tests/tracking/oracle.py``:
-    the same constructor, ``process`` / ``process_batch`` / ``finalize``
-    surface, the same :class:`TrackerStatistics`, and — the load-bearing
-    property — the same events in the same order for the same input.
+    the same constructor, ``process_batch`` / ``finalize`` surface, the
+    same :class:`TrackerStatistics`, and — the load-bearing property —
+    the same events in the same order for each slide sorted by
+    ``(timestamp, mmsi)``.
     """
 
     def __init__(self, parameters: TrackingParameters | None = None):
@@ -282,42 +283,38 @@ class ColumnarTracker:
     # public API
     # ------------------------------------------------------------------
 
-    def process(self, position: PositionalTuple) -> list[MovementEvent]:
-        """Examine one positional tuple; return the events it triggered."""
-        return self._run_batch([position])
-
     def process_batch(
         self, positions: Iterable[PositionalTuple]
     ) -> list[MovementEvent]:
-        """Process a batch of tuples (one window slide worth of arrivals).
+        """Close one window slide: :meth:`track` ``positions`` if no
+        slide is open, then return the slide's events.
 
-        After :meth:`track`, this closes the open slide: ``positions`` are
-        exactly the positions :meth:`track` took, in any order, and only
-        their count is read; any other count raises :class:`ValueError`
-        and forgets the open slide (:meth:`rollback`).
+        After :meth:`track`, ``positions`` are exactly the positions it
+        took, in any order, and only their count is read; any other count
+        raises :class:`ValueError` and forgets the open slide
+        (:meth:`rollback`).
         """
         with obs.span("tracking.process_batch"):
             batch = (
                 positions if isinstance(positions, list) else list(positions)
             )
+            if self._open is None:
+                self.track(batch)
             open_slide, self._open = self._open, None
-            if open_slide is None:
-                events = self._run_batch(batch)
-            elif len(batch) != open_slide.taken:
+            if len(batch) != open_slide.taken:
                 self._open = open_slide
                 self.rollback()
                 raise ValueError(
                     f"track took {open_slide.taken} positions of the open"
                     f" slide, its close was handed {len(batch)}"
                 )
-            else:
-                events = self._close(open_slide)
-                self._track_next = (
-                    len(open_slide.rolled_back)
-                    <= len(open_slide.latest) * _MAX_ROLLBACK_SHARE
-                )
-                if not open_slide.tracking:
-                    obs.count("tracking.arrival_skipped_slides")
+            events = self._close(open_slide)
+            self._track_next = (
+                len(open_slide.rolled_back)
+                <= len(open_slide.latest) * _MAX_ROLLBACK_SHARE
+            )
+            if not open_slide.tracking:
+                obs.count("tracking.arrival_skipped_slides")
             obs.count("tracking.positions", len(batch))
             obs.count("tracking.movement_events", len(events))
             return events
@@ -333,8 +330,8 @@ class ColumnarTracker:
         an inversion: the vessel goes back to its snapshot, and it and
         its later positions wait for the close, which tracks it over the
         whole slide.  Events and statistics are held back until the
-        close, which returns exactly what one :meth:`process_batch` of
-        the slide in ``(timestamp, mmsi)`` order would.
+        close, which returns them in the slide's ``(timestamp, mmsi)``
+        order, ties in arrival order.
 
         A slide whose close follows one that rolled back more than
         :data:`_MAX_ROLLBACK_SHARE` of its vessels is not tracked here:
@@ -355,10 +352,9 @@ class ColumnarTracker:
         open_points = open_slide.points
         vessels = self._vessels
         for mmsi, points in grouped.items():
-            if len(points) > 1:
-                stamps = list(map(_stamp, points))
-                if any(map(_gt, stamps, stamps[1:])):
-                    points.sort(key=_stamp)
+            # Cheaper than checking the order first: a sorted run costs
+            # the sort one pass.
+            points.sort(key=_stamp)
             previous = latest.get(mmsi, _UNSEEN)
             if previous is None:
                 deferred[mmsi] += points
@@ -383,11 +379,7 @@ class ColumnarTracker:
                 open_slide.rolled_back.add(mmsi)
                 obs.count("tracking.arrival_rollbacks")
                 continue
-            start = len(open_points)
-            skips = self._track_vessel(
-                vessels[mmsi], points, range(start, start + len(points)),
-                open_slide.emit,
-            )
+            skips = self._track_vessel(vessels[mmsi], points, open_slide.emit)
             open_points += points
             latest[mmsi] = points[-1].timestamp
             if skips != (0, 0):
@@ -442,57 +434,6 @@ class ColumnarTracker:
     # the kernel
     # ------------------------------------------------------------------
 
-    def _run_batch(self, batch: list) -> list[MovementEvent]:
-        """Run the kernel over one batch.
-
-        Returns the events in exact scalar emission order: grouped per
-        vessel, then spliced back by arrival index.
-        """
-        self.statistics.positions_seen += len(batch)
-        if not batch:
-            return []
-        # Group into per-MMSI index runs preserving arrival order; vessel
-        # states are created in first-appearance order so ``finalize``
-        # iterates vessels exactly as the scalar tracker would.
-        grouped: dict[int, list[int]] = defaultdict(list)
-        for index, position in enumerate(batch):
-            grouped[position.mmsi].append(index)
-        emit: list[tuple[int, MovementEvent]] = []
-        vessels = self._vessels
-        history = self._m_positions
-        single_vessel = len(grouped) == 1
-        out_of_sequence = discarded = 0
-        for mmsi, indices in grouped.items():
-            state = vessels.get(mmsi)
-            if state is None:
-                state = _ColumnarVesselState(history)
-                vessels[mmsi] = state
-            if single_vessel:
-                skipped, dropped = self._track_vessel(state, batch, indices, emit)
-            else:
-                points = list(map(batch.__getitem__, indices))
-                skipped, dropped = self._track_vessel(state, points, indices, emit)
-            out_of_sequence += skipped
-            discarded += dropped
-        # Stable sort restores arrival order across vessels while keeping
-        # each position's own events in emission order.
-        if not single_vessel:
-            emit.sort(key=_first)
-        return self._commit(emit, out_of_sequence, discarded)
-
-    def _commit(self, emit, out_of_sequence: int, discarded: int):
-        """The batch's events, in order, counted into the statistics."""
-        statistics = self.statistics
-        if out_of_sequence:
-            statistics.positions_out_of_sequence += out_of_sequence
-        if discarded:
-            statistics.positions_discarded_as_outliers += discarded
-        events = [event for _, event in emit]
-        count_event = statistics.count_event
-        for event in events:
-            count_event(event.event_type)
-        return events
-
     def _restore(self, mmsi: int, snapshot: tuple | None) -> None:
         """Put one vessel back as it was before the open slide."""
         if snapshot is None:
@@ -503,29 +444,24 @@ class ColumnarTracker:
     def _close(self, open_slide: _OpenSlide) -> list[MovementEvent]:
         """Close the open slide, every position of which :meth:`track` took.
 
-        The held events are ordered by ``(timestamp, mmsi, tracking
-        order)`` of the position that raised each, which is their place
+        The held events are ordered by ``(timestamp, mmsi)`` of the
+        position that raised each, ties in tracking order: their place
         in the slide in ``(timestamp, mmsi)`` order with ties in arrival
         order.  Each deferred vessel drops its held events and is
         tracked now over all its positions, in timestamp order.  Vessels
         the slide created then move to the end of the vessel table in
-        ``(first timestamp, mmsi)`` order, where one batch of the slide
-        would have created them.
+        ``(first timestamp, mmsi)`` order, where the sorted slide creates
+        them.
         """
-        points = open_slide.points
         deferred = open_slide.deferred
-        self.statistics.positions_seen += open_slide.taken
         skips = open_slide.skips.values()
         out_of_sequence = sum(skipped for skipped, _ in skips)
         discarded = sum(dropped for _, dropped in skips)
-        emit: list = [
-            ((point.timestamp, mmsi, i), event)
-            for i, event in open_slide.emit
-            if (mmsi := (point := points[i]).mmsi) not in deferred
-        ]
+        emit = open_slide.emit
         if deferred:
+            emit = [item for item in emit if item[1] not in deferred]
             runs: dict[int, list[PositionalTuple]] = {mmsi: [] for mmsi in deferred}
-            for point in points:
+            for point in open_slide.points:
                 run = runs.get(point.mmsi)
                 if run is not None:
                     run.append(point)
@@ -541,19 +477,24 @@ class ColumnarTracker:
                     state = _ColumnarVesselState(self._m_positions)
                     vessels[mmsi] = state
                     open_slide.created[mmsi] = run[0].timestamp
-                skipped, dropped = self._track_vessel(
-                    state,
-                    run,
-                    [(point.timestamp, mmsi, j) for j, point in enumerate(run)],
-                    emit,
-                )
+                skipped, dropped = self._track_vessel(state, run, emit)
                 out_of_sequence += skipped
                 discarded += dropped
         created = open_slide.created
         for _, mmsi in sorted(zip(created.values(), created)):
             self._vessels[mmsi] = self._vessels.pop(mmsi)
+        # Two stable sorts on integer keys: cheaper than one on tuples.
+        emit.sort(key=_second)
         emit.sort(key=_first)
-        return self._commit(emit, out_of_sequence, discarded)
+        events = list(map(_third, emit))
+        statistics = self.statistics
+        statistics.positions_seen += open_slide.taken
+        statistics.positions_out_of_sequence += out_of_sequence
+        statistics.positions_discarded_as_outliers += discarded
+        by_type = statistics.events_by_type
+        for event_type, count in Counter(map(_event_type, events)).items():
+            by_type[event_type] = by_type.get(event_type, 0) + count
+        return events
 
     def _vessel_columns(self, state, points):
         """One vessel run as parallel columns plus pair geometry.
@@ -757,11 +698,11 @@ class ColumnarTracker:
         state.last_sin = math.sin(last_rlat)
         return True
 
-    def _track_vessel(self, state, points, indices, emit):
+    def _track_vessel(self, state, points, emit):
         """Track one vessel's run; ``(out_of_sequence, discarded)``.
 
-        Each event is emitted as ``(indices[k], event)`` of the position
-        ``points[k]`` that raised it.
+        Each event is emitted as ``(timestamp, mmsi, event)`` of the
+        position that raised it.
         """
         taus, dist, head_col = self._vessel_columns(state, points)
         if self._quiet_run(state, points, taus, dist, head_col):
@@ -785,10 +726,11 @@ class ColumnarTracker:
         sqrt = math.sqrt
         within_bound = _WITHIN_BOUND
 
-        stream = zip(indices, points, taus, dist, head_col)
+        mmsi = points[0].mmsi
+        stream = zip(points, taus, dist, head_col)
         if state.last is None:
             # First position ever seen for this vessel seeds the state.
-            _, last, _, _, _ = next(stream)
+            last, _, _, _ = next(stream)
         else:
             last = state.last
         last_tau = last.timestamp
@@ -810,7 +752,7 @@ class ColumnarTracker:
         # acceptance re-aligns it.
         consecutive = True
 
-        for batch_index, position, timestamp, p_dist, p_head in stream:
+        for position, timestamp, p_dist, p_head in stream:
             dt = timestamp - last_tau
             if dt <= 0:
                 # Stale or duplicated timestamp: no new motion information.
@@ -824,9 +766,9 @@ class ColumnarTracker:
                     c_lon, c_lat = _centroid(stop_run)
                     run_first = stop_run[0]
                     run_last = stop_run[-1]
-                    emit_append((batch_index, MovementEvent(
+                    emit_append((timestamp, mmsi, MovementEvent(
                         _STOP_END,
-                        run_first.mmsi,
+                        mmsi,
                         c_lon,
                         c_lat,
                         run_last.timestamp,
@@ -840,9 +782,9 @@ class ColumnarTracker:
                 cumulative_turn = 0.0
                 gap_speed = v_speed if has_velocity else 0.0
                 gap_heading = v_heading if has_velocity else 0.0
-                emit_append((batch_index, MovementEvent(
+                emit_append((timestamp, mmsi, MovementEvent(
                     _GAP_START,
-                    position.mmsi,
+                    mmsi,
                     last.lon,
                     last.lat,
                     last_tau,
@@ -850,9 +792,9 @@ class ColumnarTracker:
                     heading_degrees=gap_heading,
                     duration_seconds=dt,
                 )))
-                emit_append((batch_index, MovementEvent(
+                emit_append((timestamp, mmsi, MovementEvent(
                     _GAP_END,
-                    position.mmsi,
+                    mmsi,
                     position.lon,
                     position.lat,
                     timestamp,
@@ -918,9 +860,9 @@ class ColumnarTracker:
                         consecutive_outliers += 1
                         if consecutive_outliers <= max_outliers:
                             discarded += 1
-                            emit_append((batch_index, MovementEvent(
+                            emit_append((timestamp, mmsi, MovementEvent(
                                 _OFF_COURSE,
-                                position.mmsi,
+                                mmsi,
                                 position.lon,
                                 position.lat,
                                 timestamp,
@@ -944,9 +886,9 @@ class ColumnarTracker:
             # Instantaneous events.
             paused = speed <= min_speed
             if paused:
-                emit_append((batch_index, MovementEvent(
+                emit_append((timestamp, mmsi, MovementEvent(
                     _PAUSE,
-                    position.mmsi,
+                    mmsi,
                     position.lon,
                     position.lat,
                     timestamp,
@@ -963,9 +905,9 @@ class ColumnarTracker:
                     delta = -delta
                 if delta / denominator > speed_change_frac \
                         and not (paused and v_speed <= min_speed):
-                    emit_append((batch_index, MovementEvent(
+                    emit_append((timestamp, mmsi, MovementEvent(
                         _SPEED_CHANGE,
-                        position.mmsi,
+                        mmsi,
                         position.lon,
                         position.lat,
                         timestamp,
@@ -987,9 +929,9 @@ class ColumnarTracker:
                         # The sharp turn is reported here; restart the
                         # smooth accumulation from the new course.
                         cumulative_turn = 0.0
-                        emit_append((batch_index, MovementEvent(
+                        emit_append((timestamp, mmsi, MovementEvent(
                             _TURN,
-                            position.mmsi,
+                            mmsi,
                             position.lon,
                             position.lat,
                             timestamp,
@@ -1012,9 +954,9 @@ class ColumnarTracker:
                             or cumulative_turn < neg_turn_threshold
                         ):
                             cumulative_turn = 0.0
-                            emit_append((batch_index, MovementEvent(
+                            emit_append((timestamp, mmsi, MovementEvent(
                                 _SMOOTH_TURN,
-                                position.mmsi,
+                                mmsi,
                                 position.lon,
                                 position.lat,
                                 timestamp,
@@ -1057,9 +999,9 @@ class ColumnarTracker:
                     if not stop_active and len(stop_run) >= m_positions:
                         stop_active = True
                         c_lon, c_lat = _centroid(stop_run)
-                        emit_append((batch_index, MovementEvent(
+                        emit_append((timestamp, mmsi, MovementEvent(
                             _STOP_START,
-                            position.mmsi,
+                            mmsi,
                             c_lon,
                             c_lat,
                             stop_run[0].timestamp,
@@ -1070,9 +1012,9 @@ class ColumnarTracker:
                         c_lon, c_lat = _centroid(stop_run)
                         run_first = stop_run[0]
                         run_last = stop_run[-1]
-                        emit_append((batch_index, MovementEvent(
+                        emit_append((timestamp, mmsi, MovementEvent(
                             _STOP_END,
-                            run_first.mmsi,
+                            mmsi,
                             c_lon,
                             c_lat,
                             run_last.timestamp,
@@ -1117,9 +1059,9 @@ class ColumnarTracker:
                     slow_run.clear()
                     if spread:
                         median_point = run_points[len(run_points) // 2]
-                        emit_append((batch_index, MovementEvent(
+                        emit_append((timestamp, mmsi, MovementEvent(
                             _SLOW_MOTION,
-                            position.mmsi,
+                            mmsi,
                             median_point.lon,
                             median_point.lat,
                             median_point.timestamp,
@@ -1155,10 +1097,13 @@ class ColumnarTracker:
         return out_of_sequence, discarded
 
 
-#: C-level sort key for the arrival-order splice (tuples would compare
-#: their MovementEvent payloads on ties without it); also the MMSI of a
-#: :class:`~repro.ais.stream.PositionalTuple`.
+#: Parts of an emitted ``(timestamp, mmsi, event)``; ``_first`` is also
+#: the MMSI of a :class:`~repro.ais.stream.PositionalTuple`.
 _first = _itemgetter(0)
+_second = _itemgetter(1)
+_third = _itemgetter(2)
+
+_event_type = _attrgetter("event_type")
 
 #: The timestamp of a :class:`~repro.ais.stream.PositionalTuple`.
 _stamp = _itemgetter(3)

@@ -62,10 +62,18 @@ class TestDegenerateStreams:
         assert tracker.statistics.positions_out_of_sequence >= len(stream) / 2
 
     def test_reversed_stream(self, small_fleet):
+        stream = small_fleet["stream"][:500]
+        # One batch is tracked per vessel in timestamp order: reversed, it
+        # raises the forward batch's events.
+        forward = ColumnarTracker().process_batch(stream)
+        assert ColumnarTracker().process_batch(list(reversed(stream))) == forward
+        # Across slides a stale report stays stale: fed later half first,
+        # only the reports past each vessel's latest contribute state.
+        # No crash, no bogus events.
         tracker = ColumnarTracker()
-        events = tracker.process_batch(list(reversed(small_fleet["stream"][:500])))
-        # Only each vessel's first-seen (latest) report contributes state;
-        # everything else is out of sequence.  No crash, no bogus events.
+        events = tracker.process_batch(stream[250:]) + tracker.process_batch(
+            stream[:250]
+        )
         assert tracker.statistics.positions_out_of_sequence > 0
         assert isinstance(events, list)
 

@@ -4,12 +4,12 @@ A live node hands :meth:`ColumnarTracker.track` each read of the open
 slide as it is scanned, then closes the slide with
 :meth:`~ColumnarTracker.process_batch` of exactly the positions
 ``track`` took, in any order.  Whatever the reads and their order, the
-close must return what one ``process_batch`` of the slide sorted by
-``(timestamp, mmsi)`` returns: the same events (by ``repr``), the same
-statistics, the same vessel-table order, and so the same
-``finalize()``.  A read that falls behind a vessel's earlier reads must
-roll that vessel back to its snapshot; a vessel the slide created must
-end up where the sorted batch would have created it.
+close must return what the scalar oracle (``tests/tracking/oracle.py``)
+returns for the slide sorted by ``(timestamp, mmsi)``: the same events
+(by ``repr``), the same statistics, the same vessel-table order, and so
+the same ``finalize()``.  A read that falls behind a vessel's earlier
+reads must roll that vessel back to its snapshot; a vessel the slide
+created must end up where the sorted slide creates it.
 
 The fleets are the generator of ``test_columnar_parity.py`` —
 speed steps next to α, turns straddling Δθ, gaps near ΔT, stale and
@@ -28,18 +28,16 @@ from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.tracking import ColumnarTracker, WindowSpec
 from repro.tracking import columnar
 from tests.parity import canonical_report
+from tests.tracking.oracle import MobilityTracker
 from tests.tracking.test_columnar_parity import (
     _ALPHA,
     _LEG,
     _SLOW_KNOTS,
     _SPEED_KNOTS,
     _TURN,
+    _slide_order,
     _vessel_reports,
 )
-
-
-def _slide_order(position):
-    return (position.timestamp, position.mmsi)
 
 
 def _stamp(position):
@@ -119,7 +117,7 @@ def test_tracking_on_arrival_equals_one_sorted_batch(case):
         else:
             closes.append([repr(e) for e in on_arrival.process_batch(order)])
 
-    reference = ColumnarTracker()
+    reference = MobilityTracker()
     expected = [
         [repr(e) for e in reference.process_batch(sorted(order, key=_slide_order))]
         for index, (order, _) in enumerate(slides)
@@ -132,7 +130,7 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
     """The close reads only how many positions it is handed, never their
     order: a tracked slide closed with its positions as they arrived,
     reversed or shuffled returns what the sorted close returns, and what
-    one ``process_batch`` of the sorted slide returns.  The reads are
+    the scalar oracle returns for the sorted slide.  The reads are
     shuffled, so vessels roll back, slides are watched, and both are
     tracked at the close."""
     legs = [
@@ -171,7 +169,7 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
         assert registry.counter("tracking.arrival_skipped_slides").value > 0
         observed.append(_observed(tracker, closes))
 
-    reference = ColumnarTracker()
+    reference = MobilityTracker()
     expected = [
         [repr(e) for e in reference.process_batch(handed_sorted(order))]
         for order in orders
@@ -195,7 +193,7 @@ def test_a_close_handed_another_count_raises_and_forgets_the_slide():
         assert tracker._open is None
         assert repr(tracker.current_velocity(1)) == before
         tracker.track(reports[3:])
-    reference = ColumnarTracker()
+    reference = MobilityTracker()
     reference.process_batch(reports[:3])
     assert [repr(e) for e in tracker.process_batch(reports[3:])] == [
         repr(e) for e in reference.process_batch(reports[3:])
@@ -215,7 +213,7 @@ def test_an_inverted_read_rolls_its_vessel_back():
         events = tracker.process_batch(reports)
     assert registry.counter("tracking.arrival_rollbacks").value == 1
     assert [repr(e) for e in events] == [
-        repr(e) for e in ColumnarTracker().process_batch(reports)
+        repr(e) for e in MobilityTracker().process_batch(reports)
     ]
 
 
@@ -223,7 +221,7 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
     """After a slide that rolled back more than the allowed share of its
     vessels, ``track`` only watches the next slide's order (no
     snapshot); a watched slide in order brings tracking back.  The
-    events equal the sorted batches' throughout."""
+    events equal the scalar oracle's throughout."""
     cruise = [(("none",), 30, 60, 0.0, 1.0)]
     reports = [p for _, p in _vessel_reports(1, 0, 12.0, 90.0, cruise)]
     slides = [reports[:10], reports[10:20], reports[20:]]
@@ -249,7 +247,7 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
         assert len(snapshots) == 2
     assert registry.counter("tracking.arrival_rollbacks").value == 1
     assert registry.counter("tracking.arrival_skipped_slides").value == 1
-    reference = ColumnarTracker()
+    reference = MobilityTracker()
     reference.process_batch(slides[0][:2])
     expected = [reference.process_batch(slides[0][2:])] + [
         reference.process_batch(slide) for slide in slides[1:]
@@ -257,23 +255,6 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
     assert [[repr(e) for e in close] for close in closes] == [
         [repr(e) for e in close] for close in expected
     ]
-
-
-def test_a_slide_without_tracking_on_arrival_takes_no_snapshot(
-    world, small_fleet, monkeypatch
-):
-    """The replays never call ``track``: their slides must not pay for
-    a snapshot."""
-
-    def refuse(state):
-        raise AssertionError("process_slide took a snapshot")
-
-    monkeypatch.setattr(columnar._ColumnarVesselState, "snapshot", refuse)
-    arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
-    with SurveillanceSystem(world, small_fleet["specs"]) as system:
-        for query_time, batch in StreamReplayer(arrivals, 1800).batches():
-            system.process_slide(batch, query_time)
-        assert system.tracker._open is None
 
 
 def test_the_pipeline_cannot_tell_tracking_on_arrival_apart(world, small_fleet):

@@ -15,29 +15,29 @@ def events_of(events, kind):
 class TestBasics:
     def test_first_position_produces_no_events(self, tracker_class):
         tracker = tracker_class()
-        assert tracker.process(PositionalTuple(1, 24.0, 38.0, 0)) == []
+        assert tracker.process_batch([PositionalTuple(1, 24.0, 38.0, 0)]) == []
         assert tracker.vessel_count() == 1
 
     def test_duplicate_timestamp_ignored(self, tracker_class):
         tracker = tracker_class()
-        tracker.process(PositionalTuple(1, 24.0, 38.0, 0))
-        tracker.process(PositionalTuple(1, 24.0, 38.0, 60))
-        assert tracker.process(PositionalTuple(1, 24.1, 38.0, 60)) == []
+        tracker.process_batch([PositionalTuple(1, 24.0, 38.0, 0)])
+        tracker.process_batch([PositionalTuple(1, 24.0, 38.0, 60)])
+        assert tracker.process_batch([PositionalTuple(1, 24.1, 38.0, 60)]) == []
         assert tracker.statistics.positions_out_of_sequence == 1
 
     def test_out_of_order_timestamp_ignored(self, tracker_class):
         tracker = tracker_class()
-        tracker.process(PositionalTuple(1, 24.0, 38.0, 100))
-        assert tracker.process(PositionalTuple(1, 24.1, 38.0, 50)) == []
+        tracker.process_batch([PositionalTuple(1, 24.0, 38.0, 100)])
+        assert tracker.process_batch([PositionalTuple(1, 24.1, 38.0, 50)]) == []
         assert tracker.statistics.positions_out_of_sequence == 1
 
     def test_vessels_tracked_independently(self, tracker_class):
         tracker = tracker_class()
-        tracker.process(PositionalTuple(1, 24.0, 38.0, 0))
-        tracker.process(PositionalTuple(2, 25.0, 38.0, 0))
+        tracker.process_batch([PositionalTuple(1, 24.0, 38.0, 0)])
+        tracker.process_batch([PositionalTuple(2, 25.0, 38.0, 0)])
         assert tracker.vessel_count() == 2
         # Vessel 2's first transition does not see vessel 1's state.
-        events = tracker.process(PositionalTuple(2, 25.0, 38.001, 60))
+        events = tracker.process_batch([PositionalTuple(2, 25.0, 38.001, 60)])
         assert all(e.mmsi == 2 for e in events)
 
     def test_velocity_vector_maintained(self, tracker_class):
