@@ -23,11 +23,7 @@ from repro.gateway.cluster import GatewayCluster
 from repro.gateway.config import GatewayClusterConfig
 from repro.gateway.fanin import FeedFanIn
 from repro.gateway.health import ClusterSupervisor, LinkFailureDetector
-from repro.gateway.merge import (
-    alert_dict_sort_key,
-    merge_order_key,
-    merged_feed_line,
-)
+from repro.gateway.merge import merge_order_key, merged_feed_line
 from repro.gateway.metrics import federate_prometheus
 from repro.gateway.node import GatewayNode, RuntimeLink
 from repro.gateway.routing import SentenceRouter, shard_for_mmsi
@@ -42,7 +38,6 @@ __all__ = [
     "LinkFailureDetector",
     "RuntimeLink",
     "SentenceRouter",
-    "alert_dict_sort_key",
     "federate_prometheus",
     "merge_order_key",
     "merged_feed_line",

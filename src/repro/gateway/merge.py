@@ -20,6 +20,7 @@ from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
+from repro.maritime.recognizer import Alert, alert_sort_key
 from repro.service.protocol import feed_line
 from repro.tracking.types import MovementEventType
 
@@ -64,29 +65,11 @@ class ShardLine(NamedTuple):
     raw_positions: int
     movement_events: int
     recognized: int
-    #: ``(alert_dict_sort_key(alert), fragment)`` per alert, in line order.
+    #: ``(alert_sort_key(alert), fragment)`` per alert, in line order.
     alerts: list
     #: ``(mmsi, timestamp, fragment)`` per critical point: the triples
     #: :func:`~repro.service.protocol.feed_line` sorts.
     points: list
-
-
-def alert_dict_sort_key(alert: dict) -> tuple:
-    """Dict-level twin of :func:`repro.maritime.recognizer.alert_sort_key`.
-
-    Must order alert dicts exactly as the recognizer orders
-    :class:`~repro.maritime.recognizer.Alert` tuples, so a stable sort of
-    concatenated shard alerts reproduces the single node's list.
-    """
-    mmsi = alert["mmsi"]
-    mmsi2 = alert["mmsi2"]
-    return (
-        alert["since"],
-        alert["kind"],
-        alert["area"],
-        -1 if mmsi is None else mmsi,
-        -1 if mmsi2 is None else mmsi2,
-    )
 
 
 def merge_order_key(line: ShardLine) -> tuple:
@@ -181,7 +164,7 @@ def _alert(line: str, index: int) -> tuple[tuple, int]:
         or tuple(map(type, alert.values())) not in _ALERT_TYPES
     ):
         raise ValueError("not an alert")
-    return (alert_dict_sort_key(alert), line[index:end]), end
+    return (alert_sort_key(Alert(**alert)), line[index:end]), end
 
 
 def _point(line: str, index: int) -> tuple[tuple, int]:

@@ -14,7 +14,7 @@ m reports) reach RTEC exactly as delayed events, as in Figure 5.
 """
 
 from repro.rtec.working_memory import WorkingMemory
-from repro.tracking.types import CriticalPoint, MovementEvent, MovementEventType
+from repro.tracking.types import MovementEvent, MovementEventType
 
 #: ME vocabulary: tracker event kind -> RTEC event functor.
 EVENT_FUNCTORS = {
@@ -59,32 +59,5 @@ class MovementEventAdapter:
                 arrival=arrival_time,
             )
             count += 1
-        self.events_ingested += count
-        return count
-
-    def ingest_critical_points(
-        self, points: list[CriticalPoint], arrival_time: int | None = None
-    ) -> int:
-        """Assert the MEs carried by critical-point annotations."""
-        count = 0
-        for point in points:
-            asserted_coord = False
-            for annotation in point.annotations:
-                functor = EVENT_FUNCTORS.get(annotation)
-                if functor is None:
-                    continue
-                self.memory.assert_event(
-                    functor, (point.mmsi,), point.timestamp, arrival=arrival_time
-                )
-                if not asserted_coord:
-                    self.memory.assert_value(
-                        "coord",
-                        (point.mmsi,),
-                        (point.lon, point.lat),
-                        point.timestamp,
-                        arrival=arrival_time,
-                    )
-                    asserted_coord = True
-                count += 1
         self.events_ingested += count
         return count

@@ -7,7 +7,7 @@ pipeline's per-slide phases therefore show up as, e.g.::
 
     pipeline.slide
     pipeline.slide/tracking
-    pipeline.slide/tracking/tracking.process_batch
+    pipeline.slide/tracking/tracking.close_slide
 
 so one registry snapshot is simultaneously the Figure-10 phase breakdown
 and a drill-down into each phase's interior.

@@ -1,12 +1,13 @@
 """The assembled maritime surveillance system (Figure 1).
 
 A window slide has an online half and an archive, as Figure 1 does.
-:meth:`SurveillanceSystem.close_slide`, the online half:
+:meth:`SurveillanceSystem.track` hands the Mobility Tracker the slide's
+positions (detecting trajectory events in O(1)/O(m) per tuple, each
+vessel in timestamp order): a live node or shard as they arrive, an
+offline caller the whole slide at once.  :meth:`close_slide`, the rest
+of the online half:
 
-1. runs the Mobility Tracker over the fresh positional batch (detecting
-   trajectory events in O(1)/O(m) per tuple), each vessel in timestamp
-   order: now, unless a live node or shard handed the positions to
-   :meth:`track` as they arrived,
+1. closes what the tracker took since the last close,
 2. runs the Compressor, emitting fresh critical points into the window
    synopsis and collecting expired "delta" points, which stay pending,
 3. feeds the critical movement events to the Complex Event Recognition
@@ -15,8 +16,8 @@ A window slide has an online half and an archive, as Figure 1 does.
 
 and returns the slide's report.  :meth:`archive` then ships the pending
 delta points to the staging table and (optionally) reconstructs/loads
-trips in the Moving Objects Database.  :meth:`process_slide` runs both,
-so an offline caller sees an up-to-date MOD after each call; a live
+trips in the Moving Objects Database.  :meth:`process_slide` runs all
+three, so an offline caller sees an up-to-date MOD after each call; a live
 deployment publishes the report in between, so no alert waits for the
 archive.  Call :meth:`finalize` at end-of-stream to flush open stops and
 drain the synopsis into the archive: the same skeleton, run once more
@@ -79,8 +80,10 @@ class SurveillanceSystem:
         self._last_query_time: int | None = None
         #: What :meth:`archive` still owes the last closed slide.
         self._pending: tuple | None = None
-        #: Seconds :meth:`track` spent on the open slide.
+        #: Seconds :meth:`track` spent on the open slide, and the
+        #: positions it took.
         self._arrival_seconds = 0.0
+        self._arrival_positions = 0
         self.tracker = ColumnarTracker(self.config.tracking)
         self.compressor = Compressor(self.config.window)
         #: Fleet-wide compression accounting, as the reports read it.
@@ -124,44 +127,44 @@ class SurveillanceSystem:
         self, batch: list[PositionalTuple], query_time: int
     ) -> SlideReport:
         """Process one slide's worth of arrivals and archive it; returns
-        the slide report (:meth:`close_slide`, then :meth:`archive`)."""
-        report = self.close_slide(batch, query_time)
+        the slide report (:meth:`track`, :meth:`close_slide`, then
+        :meth:`archive`)."""
+        self.track(batch)
+        report = self.close_slide(query_time)
         self.archive()
         return report
 
-    def close_slide(
-        self, batch: list[PositionalTuple], query_time: int
-    ) -> SlideReport:
-        """The online half of one slide: track, compress, recognize.
+    def close_slide(self, query_time: int) -> SlideReport:
+        """The online half of one slide past tracking: close what
+        :meth:`track` took since the last close, compress, recognize.
 
-        After :meth:`track`, ``batch`` is exactly what it was handed
-        since the last close, in any order.  The slide's expired points
-        stay pending until :meth:`archive`, which must run before the
-        next slide or :meth:`finalize` (either raises until it has); a
-        live deployment publishes the report in between.
+        The slide's expired points stay pending until :meth:`archive`,
+        which must run before the next slide or :meth:`finalize` (either
+        raises until it has); a live deployment publishes the report in
+        between.
         """
         with obs.timed_span("pipeline.slide"):
-            return self._run_slide(batch, query_time, final=False)
+            return self._run_slide(query_time, final=False)
 
     def track(self, positions: list[PositionalTuple]) -> None:
-        """Track positions of the open slide as they arrive, in arrival
-        order.
+        """Track positions of the open slide, in any order and any cut.
 
-        The slide's :meth:`close_slide` receives exactly the positions
-        handed here, and returns what it would have, without this call,
-        for the slide in ``(timestamp, mmsi)`` order, ties in arrival
-        order: the tracker alone orders the slide
+        The slide's :meth:`close_slide` returns what it would for the
+        slide in ``(timestamp, mmsi)`` order, ties in arrival order: the
+        tracker alone orders the slide
         (:meth:`~repro.tracking.ColumnarTracker.track`).  The seconds
         spent here count toward that slide's ``tracking`` timing.
         """
         with obs.timed_span("tracking.arrival") as phase:
             self.tracker.track(positions)
         self._arrival_seconds += phase.seconds
+        self._arrival_positions += len(positions)
 
     def untrack(self) -> None:
         """Undo every :meth:`track` of the open slide: the slide is lost."""
         self.tracker.rollback()
         self._arrival_seconds = 0.0
+        self._arrival_positions = 0
 
     def finalize(self) -> SlideReport | None:
         """Flush open long-lasting events and archive the whole synopsis.
@@ -176,7 +179,7 @@ class SurveillanceSystem:
             return None
         query_time = self._last_query_time + self.config.window.slide_seconds
         with obs.timed_span("pipeline.finalize"):
-            report = self._run_slide([], query_time, final=True)
+            report = self._run_slide(query_time, final=True)
             self.archive()
         return report
 
@@ -209,9 +212,7 @@ class SurveillanceSystem:
                 report.recognized_complex_events,
             )
 
-    def _run_slide(
-        self, batch: list[PositionalTuple], query_time: int, final: bool
-    ) -> SlideReport:
+    def _run_slide(self, query_time: int, final: bool) -> SlideReport:
         if self._pending is not None:
             # A second close would overwrite the expired points the MOD
             # still owes the last slide.
@@ -222,8 +223,9 @@ class SurveillanceSystem:
         # seeding them here keeps the phases in Figure 10's order.
         slide_timings = dict.fromkeys(PHASES[:4], 0.0)
         # Read before the tracker runs, so a slide lost to an error
-        # cannot carry its arrival seconds into the next report.
+        # cannot carry its arrivals into the next report.
         arrival_seconds, self._arrival_seconds = self._arrival_seconds, 0.0
+        raw_positions, self._arrival_positions = self._arrival_positions, 0
 
         with obs.timed_span("tracking") as phase:
             if final:
@@ -232,9 +234,9 @@ class SurveillanceSystem:
                 # Evict everything still in the window into the archive.
                 expired = expired + self.compressor.synopsis()
             else:
-                events = self.tracker.process_batch(batch)
+                events = self.tracker.close_slide()
                 fresh, expired = self.compressor.slide(
-                    events, query_time, raw_position_count=len(batch)
+                    events, query_time, raw_position_count=raw_positions
                 )
         slide_timings["tracking"] = phase.seconds + arrival_seconds
 
@@ -255,7 +257,7 @@ class SurveillanceSystem:
 
         report = SlideReport(
             query_time=query_time,
-            raw_positions=len(batch),
+            raw_positions=raw_positions,
             movement_events=len(events),
             fresh_critical_points=len(fresh),
             expired_critical_points=len(expired),

@@ -45,13 +45,6 @@ def unify(pattern, value, bindings: Bindings) -> Bindings | None:
     return bindings if pattern == value else None
 
 
-def unify_args(
-    patterns: tuple, values: tuple, bindings: Bindings
-) -> Bindings | None:
-    """Unify an argument tuple element-wise."""
-    return unify(patterns, values, bindings)
-
-
 def bind(pattern, bindings: Bindings):
     """Instantiate a pattern under bindings.
 

@@ -38,7 +38,7 @@ from repro.service.protocol import (
 )
 from repro.service.quarantine import DeadLetterBuffer
 from repro.service.replay import offline_feed_lines
-from repro.service.state import AlertRing, VesselSnapshot, VesselStateStore
+from repro.service.state import AlertRing
 from repro.service.supervisor import ServiceSupervisor, run_service
 
 __all__ = [
@@ -52,8 +52,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceSupervisor",
     "SlideBatcher",
-    "VesselSnapshot",
-    "VesselStateStore",
     "alert_to_dict",
     "format_ingest_line",
     "format_resume",

@@ -90,7 +90,6 @@ class SlideBatcher:
         queue,
         slide_seconds: int,
         on_report=None,
-        on_positions=None,
         journal=None,
         watermark_sources: int = 0,
     ):
@@ -101,7 +100,6 @@ class SlideBatcher:
         self.slide_seconds = slide_seconds
         self.scanner = DataScanner()
         self._on_report = on_report or (lambda report, kind: None)
-        self._on_positions = on_positions or (lambda positions: None)
         self.journal = journal
         #: Sentences the scanner rejected, with their causes.
         self.deadletter = DeadLetterBuffer()
@@ -116,10 +114,8 @@ class SlideBatcher:
         self._wm_final: set[str] = set()
         #: Max over every position and watermark timestamp seen.
         self._max_ts: int | None = None
-        #: Pending positions handed to ``system.track`` in the open
-        #: slide, and those held back (:meth:`_track_arrivals`), each in
-        #: arrival order.
-        self._released: list = []
+        #: Pending positions not yet handed to ``system.track``
+        #: (:meth:`_track_arrivals`), in arrival order.
         self._held: list = []
         self._query_time: int | None = None
         #: True once the first slide ran — the grid anchor is then final.
@@ -210,7 +206,6 @@ class SlideBatcher:
         for index, reason in self.scanner.rejections:
             self.deadletter.quarantine(*records[index], reason)
         if positions:
-            self._on_positions(positions)
             await self._admit(positions)
 
     async def _admit(self, positions: list) -> None:
@@ -260,12 +255,11 @@ class SlideBatcher:
 
     def _release(self, bound: float) -> None:
         """Track the held positions stamped at or before ``bound``, in
-        the order they arrived; they join the open slide's batch."""
+        the order they arrived: they join the open slide."""
         held = self._held
         due = [p for p in held if p.timestamp <= bound]
         if due:
             self._held = [p for p in held if p.timestamp > bound]
-            self._released += due
             self.system.track(due)
 
     async def _handle_watermark(
@@ -360,10 +354,10 @@ class SlideBatcher:
 
     async def _process_slide(self) -> None:
         await self._archive()
-        # The close gets exactly what the tracker took: every held
-        # position due at this boundary is tracked first, whatever the
-        # frontier (the first slide, which locks the grid, and a drain
-        # without a final watermark).  Later ones (delivered before a
+        # The close closes what the tracker took: every held position
+        # due at this boundary is tracked first, whatever the frontier
+        # (the first slide, which locks the grid, and a drain without a
+        # final watermark).  Later ones (delivered before a
         # lagging source or client caught up, or the arrival that closed
         # this slide) wait for their slide.  The tracker alone puts the
         # slide in (timestamp, mmsi) order, ties in arrival order.
@@ -375,7 +369,6 @@ class SlideBatcher:
             # sentence this slide consumed is on disk before the pipeline
             # (or an injected crash) can act on it.
             self.journal.sync()
-        batch, self._released = self._released, []
         try:
             spec = fault_point("service.slide")
         except InjectedFault:
@@ -390,7 +383,7 @@ class SlideBatcher:
             # The in-process stand-in for kill -9: abandon everything.
             raise SimulatedCrash("service.slide", spec.at)
         try:
-            report = self.system.close_slide(batch, qt)
+            report = self.system.close_slide(qt)
         except Exception:
             # Unrecoverable inside the close: the slide is lost, counted.
             self._count_pipeline_error()

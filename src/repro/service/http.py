@@ -6,8 +6,9 @@ and operational queries — deliberately not a web framework:
 * ``GET /healthz`` — liveness plus pipeline/runtime vitals;
 * ``GET /metrics`` — the observability registry in Prometheus text
   exposition format (:func:`repro.obs.render_prometheus`);
-* ``GET /vessels/{mmsi}`` — last-known velocity-vector snapshot;
-* ``GET /vessels`` — all tracked MMSIs;
+* ``GET /vessels/{mmsi}`` — the Mobility Tracker's last accepted
+  position of the vessel and its velocity vector;
+* ``GET /vessels`` — every MMSI the tracker holds, sorted;
 * ``GET /alerts?since=N&type=kind,kind`` — recent complex events from
   the alert ring, optionally filtered to a comma-separated set of CE
   kinds (e.g. ``type=rendezvous,darkShip`` for just the pairwise feed);
@@ -27,6 +28,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro import obs
 from repro.maritime.definitions import ALL_CE_NAMES
 from repro.obs.registry import render_prometheus
+from repro.tracking.types import VelocityVector
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed"}
@@ -137,7 +139,7 @@ class HttpApi:
         if path == "/vessels":
             return (
                 200,
-                {"vessels": self.supervisor.vessels.mmsis()},
+                {"vessels": self.supervisor.system.tracker.mmsis()},
                 "application/json",
             )
         if path.startswith("/vessels/"):
@@ -166,10 +168,22 @@ class HttpApi:
             mmsi = int(raw_mmsi)
         except ValueError:
             return 400, {"error": f"invalid mmsi: {raw_mmsi}"}, "application/json"
-        snapshot = self.supervisor.vessels.get(mmsi)
-        if snapshot is None:
+        tracker = self.supervisor.system.tracker
+        last = tracker.last_position(mmsi)
+        if last is None:
             return 404, {"error": f"vessel {mmsi} not seen"}, "application/json"
-        return 200, snapshot.to_dict(), "application/json"
+        # A vessel with one accepted fix has no velocity vector yet.
+        velocity = tracker.current_velocity(mmsi) or VelocityVector(0.0, 0.0)
+        snapshot = {
+            "mmsi": mmsi,
+            "lon": last.lon,
+            "lat": last.lat,
+            "timestamp": last.timestamp,
+            "speed_mps": velocity.speed_mps,
+            "speed_knots": velocity.speed_knots,
+            "heading_degrees": velocity.heading_degrees,
+        }
+        return 200, snapshot, "application/json"
 
     def _alerts(self, query: dict):
         try:

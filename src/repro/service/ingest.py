@@ -14,13 +14,14 @@ the counters still see every line — and queued with one
 pipeline the *oldest* buffered sentence is dropped — fresh positions are
 worth more than stale ones for surveillance — and every shed sentence is
 counted in the observability registry (``service.ingest.shed``).  Nothing
-is ever lost silently.
+is ever lost silently.  Lines and bytes are counted in the registry
+(``service.ingest.lines``, ``service.ingest.bytes``), not per
+connection: the listener holds nothing for a connection once it closes.
 """
 
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, field
 
 from repro import obs
 from repro.resilience.faults import fault_point
@@ -30,17 +31,6 @@ from repro.transport.tcp import CLIENT_READ_LIMIT, TcpTransport
 
 #: One buffered sentence: (receive_time, sentence, enqueue_perf_counter).
 IngestItem = tuple[int, str, float]
-
-
-@dataclass
-class ConnectionStats:
-    """Per-connection ingest accounting, kept for the lifetime of the server."""
-
-    peer: str
-    lines: int = 0
-    bytes: int = 0
-    opened_at: float = field(default_factory=time.time)
-    closed: bool = False
 
 
 class IngestQueue:
@@ -150,7 +140,7 @@ class IngestServer:
         self._clock = clock or (lambda: int(time.time()))
         self.transport = transport or TcpTransport()
         self._server: asyncio.base_events.Server | None = None
-        self.connections: list[ConnectionStats] = []
+        self.open_connections = 0
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -161,38 +151,38 @@ class IngestServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        peername = writer.get_extra_info("peername")
-        stats = ConnectionStats(peer=str(peername))
-        self.connections.append(stats)
         obs.count("service.ingest.connections")
-        session = await self.transport.accept(reader, writer, "ingest")
-        if session is None:
-            # Handshake failure (bad upgrade request, truncated head):
-            # counted so a misconfigured client is visible, then closed.
-            obs.count("service.ingest.handshake_failures")
-            stats.closed = True
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            return
+        self.open_connections += 1
         try:
-            while True:
+            session = await self.transport.accept(reader, writer, "ingest")
+            if session is None:
+                # Handshake failure (bad upgrade request, truncated head):
+                # counted so a misconfigured client is visible, then closed.
+                obs.count("service.ingest.handshake_failures")
+                writer.close()
                 try:
-                    lines = await session.receive_many()
-                except TransportError:
-                    # A protocol violation mid-stream is indistinguishable
-                    # from a corrupted link: counted, connection dropped.
-                    obs.count("service.ingest.protocol_errors")
-                    break
-                if not lines or not self._take(lines, stats):
-                    break
+                    await writer.wait_closed()
+                except (ConnectionResetError, BrokenPipeError):
+                    pass
+                return
+            try:
+                while True:
+                    try:
+                        lines = await session.receive_many()
+                    except TransportError:
+                        # A protocol violation mid-stream is
+                        # indistinguishable from a corrupted link:
+                        # counted, connection dropped.
+                        obs.count("service.ingest.protocol_errors")
+                        break
+                    if not lines or not self._take(lines):
+                        break
+            finally:
+                await session.close()
         finally:
-            stats.closed = True
-            await session.close()
+            self.open_connections -= 1
 
-    def _take(self, lines: list[str], stats: ConnectionStats) -> bool:
+    def _take(self, lines: list[str]) -> bool:
         """Queue one batch of lines with one put; ``False`` when an
         injected drop severed the connection partway."""
         now = self._clock()
@@ -207,8 +197,8 @@ class IngestServer:
                 taken = index
                 break
         read = lines[:taken]
-        stats.lines += taken
-        stats.bytes += sum(map(len, read)) + taken
+        if taken:
+            obs.count("service.ingest.bytes", sum(map(len, read)) + taken)
         parsed = parse_ingest_lines(read, now)
         self.queue.put_many(parsed)
         if taken > len(parsed):
@@ -226,7 +216,3 @@ class IngestServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    @property
-    def open_connections(self) -> int:
-        return sum(1 for stats in self.connections if not stats.closed)

@@ -44,7 +44,7 @@ from repro.service.feed import FeedHub
 from repro.service.http import HttpApi
 from repro.service.ingest import IngestQueue, IngestServer
 from repro.service.protocol import slide_feed_line
-from repro.service.state import AlertRing, VesselStateStore
+from repro.service.state import AlertRing
 from repro.transport import create_transport
 
 #: Recent complex events kept for ``/alerts?since=``.
@@ -81,7 +81,6 @@ class ServiceSupervisor:
         self.service = service or ServiceConfig()
         factory = system_factory or SurveillanceSystem
         self.system = factory(world, specs, self.config)
-        self.vessels = VesselStateStore()
         self.alert_ring = AlertRing(ALERT_RING_SIZE)
         self.queue = IngestQueue(self.service.ingest_queue_size)
         self.ingest = IngestServer(
@@ -102,7 +101,6 @@ class ServiceSupervisor:
             self.queue,
             slide_seconds=self.config.window.slide_seconds,
             on_report=self._on_report,
-            on_positions=self.vessels.update,
             journal=self.journal,
             watermark_sources=self.service.watermark_sources,
         )
@@ -258,7 +256,7 @@ class ServiceSupervisor:
             "ingested": self.queue.put_count,
             "shed": self.queue.shed_count,
             "pipeline_errors": self.batcher.pipeline_errors,
-            "vessels": len(self.vessels),
+            "vessels": self.system.vessel_count(),
             "alerts_last_seq": self.alert_ring.last_seq,
             "feed_subscribers": self.feed.subscriber_count,
             "feed_evicted": self.feed.evicted_count,

@@ -74,28 +74,6 @@ class WorldModel:
                 return area
         raise KeyError(f"no area named {name!r}")
 
-    def split_by_longitude(self) -> tuple["WorldModel", "WorldModel"]:
-        """Partition the world into west/east halves.
-
-        Reproduces the paper's two-processor setup: "one processor performed
-        CE recognition for the areas located in, and the vessels passing
-        through the west part of the area under surveillance" (Section 5.2).
-        Areas are assigned by centroid longitude; ports are shared since they
-        only matter for offline trip segmentation.
-        """
-        mid_lon = (self.bbox.min_lon + self.bbox.max_lon) / 2.0
-        west = WorldModel(
-            BoundingBox(self.bbox.min_lon, self.bbox.min_lat, mid_lon, self.bbox.max_lat),
-            ports=list(self.ports),
-            areas=[a for a in self.areas if a.polygon.centroid[0] < mid_lon],
-        )
-        east = WorldModel(
-            BoundingBox(mid_lon, self.bbox.min_lat, self.bbox.max_lon, self.bbox.max_lat),
-            ports=list(self.ports),
-            areas=[a for a in self.areas if a.polygon.centroid[0] >= mid_lon],
-        )
-        return west, east
-
 
 #: Anchor ports loosely modeled on real Aegean harbors, (name, lon, lat).
 _PORT_SITES = [

@@ -38,9 +38,12 @@ each read is put in timestamp order, ties as they came, and tracked at
 once while it does not fall behind the vessel's earlier reads, against
 a snapshot taken when the slide first touched the vessel; a vessel that
 falls behind waits for the close.  A live node tracks each read as it
-arrives; a replay hands ``process_batch`` the whole slide as one read.
-The close returns the events of the slide in ``(timestamp, mmsi)``
-order (``tests/tracking/test_arrival_parity.py``).
+arrives; a replay tracks the whole slide as one read (``process_batch``).
+:meth:`ColumnarTracker.close_slide` closes whatever was tracked and
+returns the slide's events in ``(timestamp, mmsi)`` order
+(``tests/tracking/test_arrival_parity.py``).  The tracker is the live
+node's one record of each vessel: ``/vessels`` reads its last accepted
+position and velocity vector.
 """
 
 import math
@@ -286,28 +289,18 @@ class ColumnarTracker:
     def process_batch(
         self, positions: Iterable[PositionalTuple]
     ) -> list[MovementEvent]:
-        """Close one window slide: :meth:`track` ``positions`` if no
-        slide is open, then return the slide's events.
+        """One whole window slide: :meth:`track` ``positions``, then
+        :meth:`close_slide`."""
+        self.track(positions if isinstance(positions, list) else list(positions))
+        return self.close_slide()
 
-        After :meth:`track`, ``positions`` are exactly the positions it
-        took, in any order, and only their count is read; any other count
-        raises :class:`ValueError` and forgets the open slide
-        (:meth:`rollback`).
-        """
-        with obs.span("tracking.process_batch"):
-            batch = (
-                positions if isinstance(positions, list) else list(positions)
-            )
-            if self._open is None:
-                self.track(batch)
-            open_slide, self._open = self._open, None
-            if len(batch) != open_slide.taken:
-                self._open = open_slide
-                self.rollback()
-                raise ValueError(
-                    f"track took {open_slide.taken} positions of the open"
-                    f" slide, its close was handed {len(batch)}"
-                )
+    def close_slide(self) -> list[MovementEvent]:
+        """Close the open slide: the events of every position
+        :meth:`track` took since the last close (none if it took
+        nothing)."""
+        with obs.span("tracking.close_slide"):
+            open_slide = self._open or _OpenSlide(self._track_next)
+            self._open = None
             events = self._close(open_slide)
             self._track_next = (
                 len(open_slide.rolled_back)
@@ -315,13 +308,13 @@ class ColumnarTracker:
             )
             if not open_slide.tracking:
                 obs.count("tracking.arrival_skipped_slides")
-            obs.count("tracking.positions", len(batch))
+            obs.count("tracking.positions", open_slide.taken)
             obs.count("tracking.movement_events", len(events))
             return events
 
     def track(self, positions: list[PositionalTuple]) -> None:
-        """Track arrivals of the open slide now; :meth:`process_batch` of
-        the same positions closes it.
+        """Track arrivals of the open slide now; :meth:`close_slide`
+        closes it.
 
         Each vessel's run of ``positions`` is put in timestamp order,
         ties in the order they came, and tracked at once.  The first
@@ -422,6 +415,15 @@ class ColumnarTracker:
     def vessel_count(self) -> int:
         """Number of vessels with tracked state."""
         return len(self._vessels)
+
+    def mmsis(self) -> list[int]:
+        """Every vessel with tracked state, sorted."""
+        return sorted(self._vessels)
+
+    def last_position(self, mmsi: int) -> PositionalTuple | None:
+        """The last position of a vessel the tracker accepted, if any."""
+        state = self._vessels.get(mmsi)
+        return None if state is None else state.last
 
     def current_velocity(self, mmsi: int) -> VelocityVector | None:
         """Latest velocity vector of a vessel, if any."""

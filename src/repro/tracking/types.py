@@ -33,16 +33,6 @@ class MovementEventType(enum.Enum):
     STOP_END = "stop_end"
     SLOW_MOTION = "slow_motion"
 
-    @property
-    def is_instantaneous(self) -> bool:
-        """Whether this is one of the paper's instantaneous event kinds."""
-        return self in (
-            MovementEventType.PAUSE,
-            MovementEventType.SPEED_CHANGE,
-            MovementEventType.TURN,
-            MovementEventType.OFF_COURSE,
-        )
-
 
 #: Event kinds that directly yield critical points.  Instantaneous pauses and
 #: off-course positions never do: a pause only matters once it aggregates

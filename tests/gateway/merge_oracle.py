@@ -7,7 +7,7 @@ encoders.  ``tests/gateway/test_merge_parity.py`` asserts that
 :func:`~repro.gateway.merge.parse_feed_line` writes these bytes.
 """
 
-from repro.gateway.merge import alert_dict_sort_key
+from repro.maritime.recognizer import Alert, alert_sort_key
 from repro.service.protocol import (
     alert_fragment,
     feed_line,
@@ -21,7 +21,7 @@ def merged_feed_line(payloads: list[dict]) -> str:
     time: counters summed, alerts re-sorted, every record re-encoded."""
     first = payloads[0]
     alerts = [alert for payload in payloads for alert in payload["alerts"]]
-    alerts.sort(key=alert_dict_sort_key)
+    alerts.sort(key=lambda alert: alert_sort_key(Alert(**alert)))
     return feed_line(
         first["type"],
         first["query_time"],

@@ -6,12 +6,11 @@ import pytest
 
 from repro.gateway.merge import (
     ShardLine,
-    alert_dict_sort_key,
     merge_order_key,
     merged_feed_line,
     parse_feed_line,
 )
-from repro.maritime.recognizer import Alert, alert_sort_key
+from repro.maritime.recognizer import Alert
 from repro.service.protocol import (
     alert_fragment,
     alert_to_dict,
@@ -74,21 +73,6 @@ def _point(mmsi, ts, lon=23.0):
         "heading_degrees": 90.0,
         "duration_seconds": 0,
     }
-
-
-class TestAlertDictSortKey:
-    def test_matches_the_recognizer_tuple_key(self):
-        alerts = [
-            Alert("illegalShipping", "a3", 10, 20, 111, None),
-            Alert("dangerousShipping", "a1", 10, None, 222, None),
-            Alert("illegalShipping", "a1", 5, 9, 333, None),
-            Alert("rendezvous", "open", 5, 9, 111, 222),
-        ]
-        by_tuple = sorted(alerts, key=alert_sort_key)
-        by_dict = sorted(
-            (alert_to_dict(a) for a in alerts), key=alert_dict_sort_key
-        )
-        assert by_dict == [alert_to_dict(a) for a in by_tuple]
 
 
 class TestMergeOrderKey:

@@ -17,7 +17,7 @@ from repro.resilience import faults
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import BackoffPolicy
 from repro.service import ServiceConfig, ServiceSupervisor
-from repro.service.ingest import ConnectionStats, IngestQueue, IngestServer
+from repro.service.ingest import IngestQueue, IngestServer
 from repro.service.protocol import (
     format_ingest_line,
     format_watermark,
@@ -422,19 +422,18 @@ class TestIngestTake:
         for batched in (True, False):
             queue = IngestQueue(capacity=1000)
             server = IngestServer(queue, "127.0.0.1", 0, clock=lambda: 7)
-            stats = ConnectionStats(peer="twin")
             with (
                 obs.activate(MetricsRegistry()) as registry,
                 faults.inject(_plan("service.ingest.socket", drops)) as injector,
             ):
                 if batched:
-                    kept = server._take(lines, stats)
+                    kept = server._take(lines)
                 else:
-                    kept = all(server._take([line], stats) for line in lines)
+                    kept = all(server._take([line]) for line in lines)
             twins.append((
                 kept,
                 [(receive_time, sentence) for receive_time, sentence, _ in queue._items],
-                stats.lines, stats.bytes, injector.snapshot(),
+                injector.snapshot(),
                 registry.snapshot()["counters"],
             ))
         assert twins[0] == twins[1]

@@ -2,7 +2,7 @@
 
 from repro.maritime.adapter import EVENT_FUNCTORS, MovementEventAdapter
 from repro.rtec.working_memory import WorkingMemory
-from repro.tracking.types import CriticalPoint, MovementEvent, MovementEventType
+from repro.tracking.types import MovementEvent, MovementEventType
 
 
 def make_event(kind, mmsi=1, timestamp=100, lon=24.0, lat=38.0):
@@ -65,24 +65,3 @@ class TestIngestEvents:
         adapter.ingest_events([make_event(MovementEventType.TURN)])
         adapter.ingest_events([make_event(MovementEventType.GAP_START)])
         assert adapter.events_ingested == 2
-
-
-class TestIngestCriticalPoints:
-    def test_annotations_expand_to_events(self):
-        memory = WorkingMemory()
-        adapter = MovementEventAdapter(memory)
-        point = CriticalPoint(
-            mmsi=1,
-            lon=24.0,
-            lat=38.0,
-            timestamp=100,
-            annotations=frozenset(
-                {MovementEventType.TURN, MovementEventType.SPEED_CHANGE}
-            ),
-        )
-        count = adapter.ingest_critical_points([point])
-        assert count == 2
-        assert len(memory.events_in_window("turn", 0, 1000)) == 1
-        assert len(memory.events_in_window("speedChange", 0, 1000)) == 1
-        # Coord asserted once per point, not per annotation.
-        assert memory.value_at("coord", (1,), 100, 1000) == (24.0, 38.0)

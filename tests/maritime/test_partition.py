@@ -19,6 +19,7 @@ class TestPartitionWorld:
     def test_two_partitions_split_areas(self, world):
         west, east = partition_world(world, 2)
         assert len(west.areas) + len(east.areas) == len(world.areas)
+        assert west.bbox.max_lon == east.bbox.min_lon
         mid = (world.bbox.min_lon + world.bbox.max_lon) / 2
         assert all(a.polygon.centroid[0] < mid for a in west.areas)
         assert all(a.polygon.centroid[0] >= mid for a in east.areas)

@@ -129,7 +129,8 @@ def offline_oracle(sentences, world, specs, config=None) -> list[str]:
 
 def offline_replay(sentences, world, specs, config=None) -> SurveillanceSystem:
     """An offline replay of ``sentences``, slide by slide through
-    ``close_slide`` and ``archive``, then ``finalize``; left open.
+    ``track``, ``close_slide`` and ``archive``, then ``finalize``; left
+    open.
 
     An archive that raises an injected fault is passed over, as the live
     batcher counts it and carries on: under a fault plan the replay
@@ -145,7 +146,8 @@ def offline_replay(sentences, world, specs, config=None) -> SurveillanceSystem:
         config.window.slide_seconds,
     )
     for query_time, batch in replayer.batches():
-        system.close_slide(batch, query_time)
+        system.track(batch)
+        system.close_slide(query_time)
         with contextlib.suppress(InjectedFault):
             system.archive()
     system.finalize()

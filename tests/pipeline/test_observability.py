@@ -100,7 +100,7 @@ class TestRegistryCollection:
             run_stream(system, small_fleet["stream"])
         paths = registry.span_paths()
         assert "pipeline.slide" in paths
-        assert "pipeline.slide/tracking/tracking.process_batch" in paths
+        assert "pipeline.slide/tracking/tracking.close_slide" in paths
         assert "pipeline.slide/tracking/tracking.compressor.slide" in paths
         assert "pipeline.archive/staging/mod.stage_points" in paths
         assert (

@@ -73,9 +73,10 @@ class TestProcessing:
         (first, batch), (second, _) = list(
             StreamReplayer(arrivals, 900).batches()
         )[:2]
-        system.close_slide(batch, first)
+        system.track(batch)
+        system.close_slide(first)
         with pytest.raises(RuntimeError, match=f"slide {first} "):
-            system.close_slide([], second)
+            system.close_slide(second)
         with pytest.raises(RuntimeError, match=f"slide {first} "):
             system.finalize()
         system.archive()

@@ -55,9 +55,9 @@ class ArchiveWedgedUntilReleased(SurveillanceSystem):
         self.wedged = threading.Event()
         self.closed: list[int] = []
 
-    def close_slide(self, batch, query_time):
+    def close_slide(self, query_time):
         self.closed.append(query_time)
-        return super().close_slide(batch, query_time)
+        return super().close_slide(query_time)
 
     def archive(self):
         if not self.wedged.is_set():

@@ -39,9 +39,9 @@ class RecordsThreads(SurveillanceSystem):
             "close_slide": set(), "archive": set(), "finalize": set()
         }
 
-    def close_slide(self, batch, query_time):
+    def close_slide(self, query_time):
         self.threads["close_slide"].add(threading.get_ident())
-        return super().close_slide(batch, query_time)
+        return super().close_slide(query_time)
 
     def archive(self):
         self.threads["archive"].add(threading.get_ident())
@@ -114,7 +114,7 @@ class RecognitionFailsOnce(SurveillanceSystem):
         super().__init__(*args)
         self.closes = 0
 
-    def close_slide(self, batch, query_time):
+    def close_slide(self, query_time):
         self.closes += 1
         if self.closes == self.FAILING_CLOSE:
             step = self.recognizer.step
@@ -124,7 +124,7 @@ class RecognitionFailsOnce(SurveillanceSystem):
                 raise RuntimeError("recognition failed")
 
             self.recognizer.step = failing
-        return super().close_slide(batch, query_time)
+        return super().close_slide(query_time)
 
 
 def test_a_close_that_raises_costs_only_its_slide_counted(
@@ -187,9 +187,9 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
             super().__init__(*args)
             self.ticks_at_close: list[int] = []
 
-        def close_slide(self, batch, query_time):
+        def close_slide(self, query_time):
             self.ticks_at_close.append(ticks[0])
-            return super().close_slide(batch, query_time)
+            return super().close_slide(query_time)
 
     async def tick():
         while True:

@@ -2,19 +2,23 @@
 
 import asyncio
 import json
+from types import SimpleNamespace
 
 from repro import obs
 from repro.ais.stream import PositionalTuple
+from repro.geo.units import mps_to_knots
 from repro.maritime.recognizer import Alert
-from repro.service import AlertRing, HttpApi, VesselStateStore
+from repro.service import AlertRing, HttpApi
+from repro.tracking import ColumnarTracker
 from tests.obs.test_prometheus import parse_exposition
+from tests.tracking.helpers import TraceBuilder
 
 
 class FakeSupervisor:
     """Just the three surfaces HttpApi reads from a real supervisor."""
 
     def __init__(self):
-        self.vessels = VesselStateStore()
+        self.system = SimpleNamespace(tracker=ColumnarTracker())
         self.alert_ring = AlertRing(16)
 
     def health(self):
@@ -81,7 +85,10 @@ class TestHttpApi:
 
     def test_vessel_snapshot_found_and_missing(self):
         async def scenario(api, supervisor):
-            supervisor.vessels.update([PositionalTuple(7, 24.0, 37.0, 100)])
+            supervisor.system.tracker.process_batch([
+                PositionalTuple(9, 24.5, 37.5, 90),
+                PositionalTuple(7, 24.0, 37.0, 100),
+            ])
             found = await http_request(api.port, "/vessels/7")
             missing = await http_request(api.port, "/vessels/8")
             bad = await http_request(api.port, "/vessels/not-a-number")
@@ -90,10 +97,42 @@ class TestHttpApi:
 
         found, missing, bad, listing = serve(scenario)
         assert found[0] == 200
-        assert json.loads(found[2])["mmsi"] == 7
+        # One fix and no velocity vector yet.
+        assert json.loads(found[2]) == {
+            "mmsi": 7, "lon": 24.0, "lat": 37.0, "timestamp": 100,
+            "speed_mps": 0.0, "speed_knots": 0.0, "heading_degrees": 0.0,
+        }
         assert missing[0] == 404
         assert bad[0] == 400
-        assert json.loads(listing[2]) == {"vessels": [7]}
+        assert json.loads(listing[2]) == {"vessels": [7, 9]}
+
+    def test_vessel_snapshot_is_the_trackers_not_an_off_course_outlier(self):
+        # The vessel's latest report jumps 2.5 km off its course: the
+        # tracker drops it as noise, and /vessels reports the last fix it
+        # accepted with the velocity vector it keeps.
+        trace = TraceBuilder(mmsi=7).cruise(90.0, 10.0, 8).jump(0.0, 2500.0, 30).build()
+        tracker = ColumnarTracker()
+
+        async def scenario(api, supervisor):
+            supervisor.system.tracker = tracker
+            tracker.process_batch(trace)
+            return await http_request(api.port, "/vessels/7")
+
+        status, _, body = serve(scenario)
+        assert status == 200
+        assert tracker.statistics.positions_discarded_as_outliers == 1
+        accepted = trace[-2]
+        velocity = tracker.current_velocity(7)
+        assert json.loads(body) == {
+            "mmsi": 7,
+            "lon": accepted.lon,
+            "lat": accepted.lat,
+            "timestamp": accepted.timestamp,
+            "speed_mps": velocity.speed_mps,
+            "speed_knots": mps_to_knots(velocity.speed_mps),
+            "heading_degrees": velocity.heading_degrees,
+        }
+        assert abs(velocity.heading_degrees - 90.0) < 1.0
 
     def test_alerts_since_cursor(self):
         async def scenario(api, supervisor):

@@ -1,6 +1,7 @@
 """Ingest queue shedding semantics and the TCP listener."""
 
 import asyncio
+from collections import deque
 
 import pytest
 
@@ -153,16 +154,17 @@ class TestIngestServer:
                 items = []
                 while len(queue):
                     items.append((await queue.get())[:2])
-                return sorted(items), len(server.connections)
+                return sorted(items)
 
             finally:
                 await server.stop()
 
-        items, connections = run(scenario())
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            items = run(scenario())
         # Comments/blank lines never reach the queue; the bare sentence
         # was stamped with the injected clock.
         assert items == [(42, "!AIVDM,b"), (100, "!AIVDM,a")]
-        assert connections == 2
+        assert registry.counter("service.ingest.connections").value == 2
 
     def test_unparseable_lines_are_counted_not_silent(self):
         async def scenario():
@@ -196,6 +198,8 @@ class TestIngestServer:
         assert queued == 1
 
     def test_per_connection_stats(self):
+        # A connection's lines and bytes land in registry counters; the
+        # server keeps no record of a closed connection.
         async def scenario():
             queue = IngestQueue(capacity=10)
             server = IngestServer(queue, "127.0.0.1", 0)
@@ -210,11 +214,44 @@ class TestIngestServer:
                 await writer.wait_closed()
                 while server.open_connections:
                     await asyncio.sleep(0.005)
-                return server.connections[0]
             finally:
                 await server.stop()
 
-        stats = run(scenario())
-        assert stats.lines == 2
-        assert stats.bytes == len(b"1\t!AIVDM,x\n2\t!AIVDM,y\n")
-        assert stats.closed
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            run(scenario())
+        assert registry.counter("service.ingest.lines").value == 2
+        assert registry.counter("service.ingest.bytes").value == len(
+            b"1\t!AIVDM,x\n2\t!AIVDM,y\n"
+        )
+
+    def test_reconnecting_clients_leave_nothing_behind(self):
+        # 50 connect/close cycles: every container the server holds is as
+        # large after the last as after the first.
+        async def scenario():
+            queue = IngestQueue(capacity=200)
+            server = IngestServer(queue, "127.0.0.1", 0)
+            await server.start()
+            try:
+                sizes = []
+                for cycle in range(50):
+                    _, writer = await asyncio.open_connection(
+                        "127.0.0.1", server.port
+                    )
+                    writer.write(f"{cycle}\t!AIVDM,x\n".encode())
+                    await writer.drain()
+                    writer.close()
+                    await writer.wait_closed()
+                    while server.open_connections or len(queue) <= cycle:
+                        await asyncio.sleep(0.005)
+                    sizes.append({
+                        name: len(value)
+                        for name, value in vars(server).items()
+                        if isinstance(value, (list, dict, set, deque))
+                    })
+                return sizes, len(queue)
+            finally:
+                await server.stop()
+
+        sizes, queued = run(scenario())
+        assert queued == 50
+        assert sizes[-1] == sizes[0]

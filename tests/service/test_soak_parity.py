@@ -45,10 +45,10 @@ class TestSoakParity:
 
             stalls = 0
 
-            def close_slide(self, batch, query_time):
+            def close_slide(self, query_time):
                 self.stalls += 1
                 time.sleep(0.05)
-                return super().close_slide(batch, query_time)
+                return super().close_slide(query_time)
 
         service = ServiceConfig(ingest_queue_size=64, **EPHEMERAL)
         recorded = []

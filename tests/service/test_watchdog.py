@@ -30,9 +30,9 @@ class WedgedUntilReleased(SurveillanceSystem):
         self.released = threading.Event()
         self.slides_closed = 0
 
-    def close_slide(self, batch, query_time):
+    def close_slide(self, query_time):
         self.slides_closed += 1
-        return super().close_slide(batch, query_time)
+        return super().close_slide(query_time)
 
     def archive(self):
         if not self.released.wait(timeout=30.0):

@@ -65,24 +65,19 @@ def _wm(source: str, final: bool = False) -> str:
 
 
 class FakeSystem:
-    """Records every pipeline call the batcher makes, each slide in the
-    ``(timestamp, mmsi)`` order the tracker closes it in, and the query
-    time of every slide it archived.  Each close must be handed exactly
-    what ``track`` took since the previous close."""
+    """Records every pipeline call the batcher makes: per close, the
+    positions handed to ``track`` since the previous close, in the
+    ``(timestamp, mmsi)`` order the tracker closes them in, and the query
+    time of every slide it archived."""
 
     def __init__(self):
         self.calls = []
         self.archived = []
-        #: What the open slide handed ``track`` so far, and per close what
-        #: its slide had handed it before the close.
+        #: What the open slide handed ``track`` so far.
         self.tracking = []
-        self.tracked = []
 
-    def close_slide(self, batch, query_time):
-        slide = sorted((p.timestamp, p.mmsi) for p in batch)
-        assert slide == sorted(self.tracking)
-        self.calls.append((query_time, slide))
-        self.tracked.append((query_time, sorted(self.tracking)))
+    def close_slide(self, query_time):
+        self.calls.append((query_time, sorted(self.tracking)))
         self.tracking = []
         return query_time  # stands in for the slide report
 
@@ -223,9 +218,6 @@ class TestWatermarkCadence:
         ]))
         slide = [(80, 222), (90, 333), (110, 222)]
         assert system.calls == [(60, [(10, 111)]), (120, slide)]
-        # Nothing is tracked before the first slide locks the grid; the
-        # first slide is tracked at its close.
-        assert system.tracked == [(60, [(10, 111)]), (120, slide)]
 
     def test_watermark_clocks_snapshot_is_monotonic(self):
         async def run():

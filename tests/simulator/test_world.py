@@ -59,10 +59,3 @@ class TestBuildWorld:
         small = build_aegean_world(num_ports=4, num_areas=9, seed=1)
         assert len(small.ports) == 4
         assert len(small.areas) == 9
-
-
-class TestSplitByLongitude:
-    def test_split_partitions_areas(self, world):
-        west, east = world.split_by_longitude()
-        assert len(west.areas) + len(east.areas) == len(world.areas)
-        assert west.bbox.max_lon == east.bbox.min_lon

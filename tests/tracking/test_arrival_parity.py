@@ -2,9 +2,8 @@
 
 A live node hands :meth:`ColumnarTracker.track` each read of the open
 slide as it is scanned, then closes the slide with
-:meth:`~ColumnarTracker.process_batch` of exactly the positions
-``track`` took, in any order.  Whatever the reads and their order, the
-close must return what the scalar oracle (``tests/tracking/oracle.py``)
+:meth:`~ColumnarTracker.close_slide`.  Whatever the reads and their
+order, the close must return what the scalar oracle (``tests/tracking/oracle.py``)
 returns for the slide sorted by ``(timestamp, mmsi)``: the same events
 (by ``repr``), the same statistics, the same vessel-table order, and so
 the same ``finalize()``.  A read that falls behind a vessel's earlier
@@ -103,9 +102,9 @@ def _observed(tracker, closes):
 @settings(max_examples=200, deadline=None)
 @given(_dealt_slides())
 def test_tracking_on_arrival_equals_one_sorted_batch(case):
-    """Every read is tracked, then the close is handed the slide in
-    arrival order; ties of ``(timestamp, mmsi)`` keep their arrival
-    order in the sorted reference, as the tracker keeps them."""
+    """Every read is tracked, then the slide is closed; ties of
+    ``(timestamp, mmsi)`` keep their arrival order in the sorted
+    reference, as the tracker keeps them."""
     slides, lost = case
     on_arrival = ColumnarTracker()
     closes = []
@@ -115,7 +114,7 @@ def test_tracking_on_arrival_equals_one_sorted_batch(case):
         if index == lost:
             on_arrival.rollback()
         else:
-            closes.append([repr(e) for e in on_arrival.process_batch(order)])
+            closes.append([repr(e) for e in on_arrival.close_slide()])
 
     reference = MobilityTracker()
     expected = [
@@ -127,11 +126,10 @@ def test_tracking_on_arrival_equals_one_sorted_batch(case):
 
 
 def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
-    """The close reads only how many positions it is handed, never their
-    order: a tracked slide closed with its positions as they arrived,
-    reversed or shuffled returns what the sorted close returns, and what
-    the scalar oracle returns for the sorted slide.  The reads are
-    shuffled, so vessels roll back, slides are watched, and both are
+    """A slide handed to ``track`` in reads of its positions as they
+    arrived, reversed or shuffled closes to what the sorted slide closes
+    to, and to what the scalar oracle returns for the sorted slide.  Out
+    of order, vessels roll back, slides are watched, and both are
     tracked at the close."""
     legs = [
         (("speed", 1 / (1 - _ALPHA) * 1.03), 6, 30, 0.05, 1.0),
@@ -162,11 +160,13 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
             tracker = ColumnarTracker()
             closes = []
             for order in orders:
-                for start in range(0, len(order), 7):
-                    tracker.track(order[start:start + 7])
-                closes.append([repr(e) for e in tracker.process_batch(hand(order))])
-        assert registry.counter("tracking.arrival_rollbacks").value > 0
-        assert registry.counter("tracking.arrival_skipped_slides").value > 0
+                handed = hand(order)
+                for start in range(0, len(handed), 7):
+                    tracker.track(handed[start:start + 7])
+                closes.append([repr(e) for e in tracker.close_slide()])
+        if hand is not handed_sorted:
+            assert registry.counter("tracking.arrival_rollbacks").value > 0
+            assert registry.counter("tracking.arrival_skipped_slides").value > 0
         observed.append(_observed(tracker, closes))
 
     reference = MobilityTracker()
@@ -175,29 +175,6 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
         for order in orders
     ]
     assert all(seen == _observed(reference, expected) for seen in observed)
-
-
-def test_a_close_handed_another_count_raises_and_forgets_the_slide():
-    """The close reads only how many positions it is handed: any other
-    count than ``track`` took is refused, and the tracked vessels go back
-    to where they were, as after :meth:`ColumnarTracker.rollback`."""
-    cruise = [(("none",), 8, 60, 0.0, 1.0)]
-    reports = [p for _, p in _vessel_reports(1, 0, 12.0, 90.0, cruise)]
-    tracker = ColumnarTracker()
-    tracker.process_batch(reports[:3])
-    before = repr(tracker.current_velocity(1))
-    tracker.track(reports[3:])
-    for handed in (reports[4:], reports[2:]):
-        with pytest.raises(ValueError):
-            tracker.process_batch(handed)
-        assert tracker._open is None
-        assert repr(tracker.current_velocity(1)) == before
-        tracker.track(reports[3:])
-    reference = MobilityTracker()
-    reference.process_batch(reports[:3])
-    assert [repr(e) for e in tracker.process_batch(reports[3:])] == [
-        repr(e) for e in reference.process_batch(reports[3:])
-    ]
 
 
 def test_an_inverted_read_rolls_its_vessel_back():
@@ -210,7 +187,7 @@ def test_an_inverted_read_rolls_its_vessel_back():
         tracker = ColumnarTracker()
         tracker.track(later)
         tracker.track(earlier)
-        events = tracker.process_batch(reports)
+        events = tracker.close_slide()
     assert registry.counter("tracking.arrival_rollbacks").value == 1
     assert [repr(e) for e in events] == [
         repr(e) for e in MobilityTracker().process_batch(reports)
@@ -237,12 +214,10 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
         tracker.process_batch(slides[0][:2])
         tracker.track(slides[0][7:])
         tracker.track(slides[0][2:7])
-        closes = [tracker.process_batch(slides[0][2:])]
+        closes = [tracker.close_slide()]
         assert len(snapshots) == 1
-        tracker.track(slides[1])
         closes.append(tracker.process_batch(slides[1]))
         assert len(snapshots) == 1
-        tracker.track(slides[2])
         closes.append(tracker.process_batch(slides[2]))
         assert len(snapshots) == 2
     assert registry.counter("tracking.arrival_rollbacks").value == 1
@@ -258,9 +233,10 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
 
 
 def test_the_pipeline_cannot_tell_tracking_on_arrival_apart(world, small_fleet):
-    """``track`` over shuffled reads, then ``process_slide`` of the sorted
-    slide: every slide report equals the plain replay's, and the arrival
-    seconds land in the slide's tracking timing."""
+    """``track`` over shuffled reads, then the close and the archive:
+    every slide report equals the plain replay's (``process_slide`` of the
+    sorted slide), and the arrival seconds land in the slide's tracking
+    timing."""
     config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
     arrivals = [TimedArrival(p.timestamp, p) for p in small_fleet["stream"]]
     slides = list(StreamReplayer(arrivals, 1800).batches())
@@ -277,9 +253,12 @@ def test_the_pipeline_cannot_tell_tracking_on_arrival_apart(world, small_fleet):
                     size = rng.randint(1, 40)
                     for start in range(0, len(order), size):
                         system.track(order[start:start + size])
-                    batch = sorted(order, key=_slide_order)
-                arrival_seconds = system._arrival_seconds
-                report = system.process_slide(batch, query_time)
+                    arrival_seconds = system._arrival_seconds
+                    report = system.close_slide(query_time)
+                    system.archive()
+                else:
+                    arrival_seconds = 0.0
+                    report = system.process_slide(batch, query_time)
                 assert report.timings["tracking"] > arrival_seconds
                 reports.append(canonical_report(report))
             reports.append(canonical_report(system.finalize()))
@@ -307,6 +286,6 @@ def test_a_slide_lost_to_an_error_keeps_its_arrival_seconds(
         with monkeypatch.context() as patch:
             patch.setattr(system.compressor, "slide", fail)
             with pytest.raises(RuntimeError):
-                system.process_slide(first, first_qt)
+                system.close_slide(first_qt)
         report = system.process_slide(second, second_qt)
     assert report.timings["tracking"] < 1000.0

@@ -32,6 +32,22 @@ def _slide_order(position):
     return (position.timestamp, position.mmsi)
 
 
+class SlideOracle(MobilityTracker):
+    """The scalar oracle behind the pipeline's ``track`` and
+    ``close_slide``: it closes what it was handed, sorted."""
+
+    def __init__(self, parameters=None):
+        super().__init__(parameters)
+        self._slide = []
+
+    def track(self, positions):
+        self._slide += positions
+
+    def close_slide(self):
+        slide, self._slide = self._slide, []
+        return self.process_batch(sorted(slide, key=_slide_order))
+
+
 def _sorted_slides(slides):
     """Each slide as the oracle must see it: sorted, ties as they came."""
     return [sorted(batch, key=_slide_order) for batch in slides]
@@ -92,7 +108,7 @@ def test_pipeline_parity_with_scalar_single_process(world, small_fleet):
     """
     config = SystemConfig(window=WindowSpec.of_hours(2, 0.5))
     with SurveillanceSystem(world, small_fleet["specs"], config) as system:
-        system.tracker = MobilityTracker(config.tracking)
+        system.tracker = SlideOracle(config.tracking)
         reference = replay_transcript(system, small_fleet["stream"])
     assert any(s["alerts"] for s in reference["slides"]), "no alerts raised"
     with SurveillanceSystem(world, small_fleet["specs"], config) as system:

@@ -125,13 +125,15 @@ def test_ingest_server_survives_and_counts_every_rejection(data):
         queue = IngestQueue(capacity=1000)
         server = IngestServer(queue, "127.0.0.1", 0, transport=WebSocketTransport())
         await server._handle(reader, SinkWriter())
-        return queue, server.connections[0]
+        return queue, server.open_connections
 
     with obs.activate(obs.MetricsRegistry()) as registry:
-        queue, connection = asyncio.run(serve())
-    assert connection.closed
+        queue, still_open = asyncio.run(serve())
+    assert still_open == 0
     assert registry.counter("service.ingest.protocol_errors").value == rejected
-    assert connection.lines == len(messages)
+    assert registry.counter("service.ingest.bytes").value == sum(
+        len(message) + 1 for message in messages
+    )
     assert queue.put_count + registry.counter("service.ingest.ignored").value == len(
         messages
     )
