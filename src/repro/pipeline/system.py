@@ -7,7 +7,8 @@ vessel in timestamp order): a live node or shard as they arrive, an
 offline caller the whole slide at once.  :meth:`close_slide`, the rest
 of the online half:
 
-1. closes what the tracker took since the last close,
+1. closes what the tracker took since the last close, keeping the
+   closed slide's positions and snapshots pending as well,
 2. runs the Compressor, emitting fresh critical points into the window
    synopsis and collecting expired "delta" points, which stay pending,
 3. feeds the critical movement events to the Complex Event Recognition
@@ -15,8 +16,10 @@ of the online half:
    never reads the MOD),
 
 and returns the slide's report.  :meth:`archive` then ships the pending
-delta points to the staging table and (optionally) reconstructs/loads
-trips in the Moving Objects Database.  :meth:`process_slide` runs all
+delta points to the staging table, (optionally) reconstructs/loads
+trips in the Moving Objects Database, and frees the closed slide: the
+one place a slide's state is released, so a live deployment pays for
+it after the alert, not before.  :meth:`process_slide` runs all
 three, so an offline caller sees an up-to-date MOD after each call; a live
 deployment publishes the report in between, so no alert waits for the
 archive.  Call :meth:`finalize` at end-of-stream to flush open stops and
@@ -78,7 +81,8 @@ class SurveillanceSystem:
         self.exporter = TrajectoryExporter()
         self.timings = PhaseTimings()
         self._last_query_time: int | None = None
-        #: What :meth:`archive` still owes the last closed slide.
+        #: What :meth:`archive` still owes the last closed slide, and
+        #: the closed slide it frees.
         self._pending: tuple | None = None
         #: Seconds :meth:`track` spent on the open slide, and the
         #: positions it took.
@@ -189,13 +193,15 @@ class SurveillanceSystem:
 
         Fills the slide's ``staging``, ``reconstruction`` and ``loading``
         timings, and only then records the slide into :attr:`timings` and
-        the ``pipeline.phase.*`` histograms.  The pending points are
-        consumed whether or not this succeeds.
+        the ``pipeline.phase.*`` histograms.  The pending points, and
+        the closed slide's tracked positions and snapshots, are released
+        whether or not this succeeds.
         """
         pending, self._pending = self._pending, None
         if pending is None:
             return
-        report, expired, final = pending
+        report, expired, final, closed = pending
+        del pending
         slide_timings = report.timings
         with obs.timed_span("pipeline.archive"):
             with obs.timed_span("staging") as phase:
@@ -204,6 +210,7 @@ class SurveillanceSystem:
             slide_timings["staging"] = phase.seconds
             if final or (self.config.reconstruct_each_slide and expired):
                 self.database.reconstruct(slide_timings)
+            del closed  # the slide's positions and snapshots, off the alert path
         if not final:
             self.timings.record(slide_timings)
             self._record_slide_metrics(
@@ -229,12 +236,12 @@ class SurveillanceSystem:
 
         with obs.timed_span("tracking") as phase:
             if final:
-                events = self.tracker.finalize()
+                events, closed = self.tracker.finalize(), None
                 fresh, expired = self.compressor.slide(events, query_time)
                 # Evict everything still in the window into the archive.
                 expired = expired + self.compressor.synopsis()
             else:
-                events = self.tracker.close_slide()
+                events, closed = self.tracker.close_slide()
                 fresh, expired = self.compressor.slide(
                     events, query_time, raw_position_count=raw_positions
                 )
@@ -266,7 +273,7 @@ class SurveillanceSystem:
             timings=slide_timings,
             fresh_points=tuple(fresh),
         )
-        self._pending = (report, expired, final)
+        self._pending = (report, expired, final, closed)
         if not final:
             self._last_query_time = query_time
         return report

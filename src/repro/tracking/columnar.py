@@ -41,9 +41,10 @@ falls behind waits for the close.  A live node tracks each read as it
 arrives; a replay tracks the whole slide as one read (``process_batch``).
 :meth:`ColumnarTracker.close_slide` closes whatever was tracked and
 returns the slide's events in ``(timestamp, mmsi)`` order
-(``tests/tracking/test_arrival_parity.py``).  The tracker is the live
-node's one record of each vessel: ``/vessels`` reads its last accepted
-position and velocity vector.
+(``tests/tracking/test_arrival_parity.py``), with the closed slide:
+the caller frees its positions and snapshots by dropping it.  The
+tracker is the live node's one record of each vessel: ``/vessels``
+reads its last accepted position and velocity vector.
 """
 
 import math
@@ -292,12 +293,18 @@ class ColumnarTracker:
         """One whole window slide: :meth:`track` ``positions``, then
         :meth:`close_slide`."""
         self.track(positions if isinstance(positions, list) else list(positions))
-        return self.close_slide()
+        return self.close_slide()[0]
 
-    def close_slide(self) -> list[MovementEvent]:
+    def close_slide(self) -> tuple[list[MovementEvent], _OpenSlide]:
         """Close the open slide: the events of every position
         :meth:`track` took since the last close (none if it took
-        nothing)."""
+        nothing), and the closed slide.
+
+        The tracker keeps no reference to the closed slide, which holds
+        the slide's tracked positions and vessel snapshots: they are
+        freed when the caller drops it, so a live caller can free them
+        after its alert is out.
+        """
         with obs.span("tracking.close_slide"):
             open_slide = self._open or _OpenSlide(self._track_next)
             self._open = None
@@ -310,7 +317,7 @@ class ColumnarTracker:
                 obs.count("tracking.arrival_skipped_slides")
             obs.count("tracking.positions", open_slide.taken)
             obs.count("tracking.movement_events", len(events))
-            return events
+            return events, open_slide
 
     def track(self, positions: list[PositionalTuple]) -> None:
         """Track arrivals of the open slide now; :meth:`close_slide`

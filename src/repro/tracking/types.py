@@ -8,6 +8,7 @@ complex event recognition.
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.geo.units import mps_to_knots
 
@@ -64,13 +65,15 @@ class VelocityVector:
         return mps_to_knots(self.speed_mps)
 
 
-@dataclass(frozen=True)
-class MovementEvent:
+class MovementEvent(NamedTuple):
     """One detected trajectory event for one vessel.
 
     ``timestamp``/``lon``/``lat`` locate the event; for aggregated events
     (long-term stop, slow motion) they are the representative point (centroid
-    or median) and ``duration_seconds`` covers the aggregated run.
+    or median) and ``duration_seconds`` covers the aggregated run.  A named
+    tuple, like :class:`CriticalPoint`: the tracker and the compressor build
+    them inside a slide's close, where a frozen dataclass's ``__init__``
+    costs several times a tuple's.
     """
 
     event_type: MovementEventType
@@ -88,8 +91,7 @@ class MovementEvent:
         return mps_to_knots(self.speed_mps)
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """A location retained by the compressor, with its annotations.
 
     One physical point may carry several annotations (e.g. a speed change

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ais.stream import StreamReplayer, TimedArrival
+from repro.ais.stream import PositionalTuple, StreamReplayer, TimedArrival
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.tracking import WindowSpec
 
@@ -82,6 +82,93 @@ class TestProcessing:
         system.archive()
         assert system.timings.slides == 1
         assert system.finalize() is not None
+
+
+def _counted_positions():
+    """A :class:`PositionalTuple` subclass that counts its instances alive."""
+
+    class Counted(PositionalTuple):
+        alive = 0
+
+        def __new__(cls, *fields):
+            cls.alive += 1
+            return super().__new__(cls, *fields)
+
+        def __del__(self):
+            type(self).alive -= 1
+
+    return Counted
+
+
+def _held(system, counted):
+    """The counted positions that vessel state still holds: each
+    vessel's last fix and its stop and slow runs."""
+    held = []
+    for state in system.tracker._vessels.values():
+        held += [state.last, *state.stop_run]
+        held += [position for position, _ in state.slow_run]
+    return {id(position) for position in held if isinstance(position, counted)}
+
+
+def _slides(stream, slide):
+    arrivals = [TimedArrival(p.timestamp, p) for p in stream]
+    return list(StreamReplayer(arrivals, slide).batches())
+
+
+class TestSlideRelease:
+    """A closed slide's tracked positions and vessel snapshots are freed
+    by its archive, after the slide's alerts are out, and no later."""
+
+    def test_the_close_frees_nothing_and_the_archive_the_rest(
+        self, system, small_fleet
+    ):
+        counted = _counted_positions()
+        slides = _slides(small_fleet["stream"], 900)
+        assert len(slides) > 4
+        for query_time, batch in slides[:3]:
+            system.process_slide(batch, query_time)
+        query_time, batch = slides[3]
+        batch = [counted(*position) for position in batch]
+        handed = len(batch)
+        system.track(batch)
+        del batch
+        assert counted.alive == handed
+        system.close_slide(query_time)
+        assert counted.alive == handed
+        system.archive()
+        held = _held(system, counted)
+        assert 0 < counted.alive == len(held) < handed
+
+    def test_no_closed_slide_outlives_its_archive(self, world, small_fleet):
+        config = SystemConfig(window=WindowSpec.of_hours(1, 0.2))
+        system = SurveillanceSystem(world, small_fleet["specs"], config)
+        counted = _counted_positions()
+        peaks = []
+        archive = system.archive
+
+        def sampled_archive():
+            peaks.append(counted.alive)
+            archive()
+
+        system.archive = sampled_archive
+        slides = _slides(small_fleet["stream"], 720)
+        assert len(slides) >= 20
+        for query_time, batch in slides[:20]:
+            carried = counted.alive
+            assert carried == len(_held(system, counted))
+            batch = [counted(*position) for position in batch]
+            handed = len(batch)
+            system.process_slide(batch, query_time)
+            del batch
+            # The archive meets one slide plus the carry-over: the close
+            # freed nothing, and no earlier slide is left to free.
+            assert peaks[-1] == carried + handed
+            assert counted.alive == len(_held(system, counted))
+        carried = counted.alive
+        system.finalize()
+        assert peaks[-1] <= carried
+        # Only each vessel's last fix outlives the end of the stream.
+        assert counted.alive == len(_held(system, counted)) == system.vessel_count()
 
 
 class TestOutputs:

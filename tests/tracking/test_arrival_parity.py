@@ -114,7 +114,7 @@ def test_tracking_on_arrival_equals_one_sorted_batch(case):
         if index == lost:
             on_arrival.rollback()
         else:
-            closes.append([repr(e) for e in on_arrival.close_slide()])
+            closes.append([repr(e) for e in on_arrival.close_slide()[0]])
 
     reference = MobilityTracker()
     expected = [
@@ -163,7 +163,7 @@ def test_a_close_handed_the_unsorted_slide_equals_the_sorted_close():
                 handed = hand(order)
                 for start in range(0, len(handed), 7):
                     tracker.track(handed[start:start + 7])
-                closes.append([repr(e) for e in tracker.close_slide()])
+                closes.append([repr(e) for e in tracker.close_slide()[0]])
         if hand is not handed_sorted:
             assert registry.counter("tracking.arrival_rollbacks").value > 0
             assert registry.counter("tracking.arrival_skipped_slides").value > 0
@@ -187,7 +187,7 @@ def test_an_inverted_read_rolls_its_vessel_back():
         tracker = ColumnarTracker()
         tracker.track(later)
         tracker.track(earlier)
-        events = tracker.close_slide()
+        events, _ = tracker.close_slide()
     assert registry.counter("tracking.arrival_rollbacks").value == 1
     assert [repr(e) for e in events] == [
         repr(e) for e in MobilityTracker().process_batch(reports)
@@ -214,7 +214,7 @@ def test_a_disordered_slide_leaves_the_next_one_to_the_close(monkeypatch):
         tracker.process_batch(slides[0][:2])
         tracker.track(slides[0][7:])
         tracker.track(slides[0][2:7])
-        closes = [tracker.close_slide()]
+        closes = [tracker.close_slide()[0]]
         assert len(snapshots) == 1
         closes.append(tracker.process_batch(slides[1]))
         assert len(snapshots) == 1

@@ -45,7 +45,7 @@ class SlideOracle(MobilityTracker):
 
     def close_slide(self):
         slide, self._slide = self._slide, []
-        return self.process_batch(sorted(slide, key=_slide_order))
+        return self.process_batch(sorted(slide, key=_slide_order)), slide
 
 
 def _sorted_slides(slides):
