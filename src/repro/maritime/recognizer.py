@@ -118,16 +118,16 @@ class MaritimeRecognizer:
         for fluent in computed:
             self.engine.declare_computed(fluent)
         self.engine.declare_outputs(output_fluents, output_events)
-        self.adapter = MovementEventAdapter(self.engine.working_memory)
+        self.adapter = MovementEventAdapter(
+            self.engine.working_memory, self.engine.read_events()
+        )
         self.last_step_seconds = 0.0
 
     def ingest(
         self, events: list[MovementEvent], arrival_time: int | None = None
     ) -> int:
-        """Feed one slide's movement events; returns the ME count asserted."""
-        count = self.adapter.ingest_events(events, arrival_time)
-        obs.count("recognition.ingested_events", count)
-        return count
+        """Feed one slide's movement events; returns the critical ME count."""
+        return self.adapter.ingest_events(events, arrival_time)
 
     def ingest_facts(
         self, facts: list[PairFact], arrival_time: int | None = None
@@ -136,14 +136,20 @@ class MaritimeRecognizer:
 
         The facts come pre-timestamped from the
         :class:`~repro.maritime.pairwise.monitor.PairwiseMonitor`; the
-        recognizer only records them as input events.
+        recognizer only records those a rule reads as input events.
         """
         memory = self.engine.working_memory
+        read = self.engine.read_events()
+        stored = 0
         for fact in facts:
-            memory.assert_event(
-                fact.functor, fact.args, fact.timestamp, arrival=arrival_time
-            )
-        obs.count("recognition.ingested_pair_facts", len(facts))
+            if fact.functor in read:
+                memory.assert_event(
+                    fact.functor, fact.args, fact.timestamp, arrival=arrival_time
+                )
+                stored += 1
+        if stored < len(facts):
+            obs.count("recognition.unread_events", len(facts) - stored)
+        obs.count("recognition.ingested_pair_facts", stored)
         return len(facts)
 
     def step(self, query_time: int) -> RecognitionResult:

@@ -219,6 +219,13 @@ class SurveillanceSystem:
                 report.recognized_complex_events,
             )
 
+    def archive_touches_mod(self) -> bool:
+        """Whether the pending archive calls the MOD: it stages expired
+        points (and may reconstruct), or it is the final one.  Any other
+        archive only records the slide and releases the closed slide."""
+        pending = self._pending
+        return pending is not None and (pending[2] or bool(pending[1]))
+
     def _run_slide(self, query_time: int, final: bool) -> SlideReport:
         if self._pending is not None:
             # A second close would overwrite the expired points the MOD

@@ -52,8 +52,16 @@ Exactness rules:
     (b).  Static predicates and guards are pure (``rules.py``).
 (e) *Cold start is the same code with empty caches*: on the first step, on
     a query time below the previous one, after ``declare_rules`` /
-    ``declare_computed``, after the working memory is replaced, and after
-    a failed step.
+    ``declare_computed`` / ``declare_outputs``, after the working memory
+    is replaced, and after a failed step.
+(f) *Demand.*  A step evaluates only the derived functors that a reported
+    output depends on, and only their rules hold caches (an undeclared
+    kind reports every derived functor of that kind).
+    :meth:`RTEC.read_events` names the input events those rules and
+    computed fluents read: occurrences of any other event change no
+    result, so a feed need not store them.  A functor that enters the
+    evaluation late (a wider ``declare_outputs``) starts from the window,
+    like a cold start: no interval persisted for it before.
 """
 
 from collections import defaultdict
@@ -209,6 +217,7 @@ class RTEC:
         # Open intervals persisted across steps: functor -> args -> value -> ts
         self._persisted_open: dict[str, dict[tuple, dict[object, int]]] = {}
         self._order: list[str] | None = None
+        self._read_events: frozenset[str] = frozenset()
         # The incremental state; None means the next step cold-starts.
         self._fold: _Fold | None = None
         self.last_result: RecognitionResult | None = None
@@ -252,6 +261,15 @@ class RTEC:
             self._outputs_fluents = (self._outputs_fluents or set()) | set(fluents)
         if events is not None:
             self._outputs_events = (self._outputs_events or set()) | set(events)
+        self._order = None
+        self._fold = None
+
+    def read_events(self) -> frozenset[str]:
+        """The input event functors recognition reads (rule (f)): those a
+        rule or computed fluent of the evaluation order reads, and the
+        reported events, whose input occurrences a result lists too."""
+        self._evaluation_order()
+        return self._read_events
 
     # ------------------------------------------------------------------
     # recognition
@@ -292,12 +310,7 @@ class RTEC:
         obs.count("rtec.triggers_reused", fold.reused)
 
         result = RecognitionResult(query_time, window_start)
-        report_fluents = self._outputs_fluents
-        if report_fluents is None:
-            report_fluents = set(self._initiation_rules) | set(self._computed)
-        report_events = self._outputs_events
-        if report_events is None:
-            report_events = set(self._event_rules)
+        report_fluents, report_events = self._reported()
         result.fluents = {
             functor: dict(fold.fluents[functor])
             for functor in report_fluents
@@ -335,34 +348,38 @@ class RTEC:
     # stratification
     # ------------------------------------------------------------------
 
+    def _reported(self) -> tuple[set[str], set[str]]:
+        """The fluents and events a result reports: the declared ones, or
+        every derived one of an undeclared kind."""
+        fluents = self._outputs_fluents
+        if fluents is None:
+            fluents = set(self._initiation_rules) | set(self._computed)
+        events = self._outputs_events
+        if events is None:
+            events = set(self._event_rules)
+        return fluents, events
+
     def _evaluation_order(self) -> list[str]:
-        """Topological order of derived fluents/events by dependency."""
+        """The derived fluents/events that a reported functor depends on,
+        in dependency order (rule (f)); settles :meth:`read_events`."""
         if self._order is not None:
             return self._order
-        nodes: set[str] = (
-            set(self._initiation_rules)
-            | set(self._termination_rules)
-            | set(self._event_rules)
-            | set(self._computed)
-        )
-        dependencies: dict[str, set[str]] = {node: set() for node in nodes}
-        for functor in set(self._initiation_rules) | set(self._termination_rules):
-            rules = self._initiation_rules.get(functor, []) + self._termination_rules.get(
-                functor, []
-            )
-            for rule in rules:
-                dependencies[functor] |= (
-                    rule.referenced_fluents() | rule.referenced_events()
-                ) & nodes
-        for functor, rules in self._event_rules.items():
-            for rule in rules:
-                dependencies[functor] |= (
-                    rule.referenced_fluents() | rule.referenced_events()
-                ) & nodes
+        # functor -> the functors its rules read, and the plain events among them
+        dependencies: dict[str, set[str]] = defaultdict(set)
+        events_read: dict[str, set[str]] = defaultdict(set)
+        for table in (self._initiation_rules, self._termination_rules, self._event_rules):
+            for functor, rules in table.items():
+                for rule in rules:
+                    events = rule.referenced_events()
+                    dependencies[functor] |= rule.referenced_fluents() | events
+                    events_read[functor] |= events
         for functor, computed in self._computed.items():
-            dependencies[functor] |= (
-                set(computed.depends_on_fluents) | set(computed.depends_on_events)
-            ) & nodes
+            dependencies[functor] |= set(computed.depends_on_fluents)
+            dependencies[functor] |= set(computed.depends_on_events)
+            events_read[functor] |= set(computed.depends_on_events)
+        nodes = set(dependencies)
+        for reads in dependencies.values():
+            reads &= nodes
 
         order: list[str] = []
         visiting: set[str] = set()
@@ -383,10 +400,27 @@ class RTEC:
             visited.add(node)
             order.append(node)
 
-        for node in sorted(nodes):
+        # Every node is visited, so a cycle is rejected even where no
+        # output reaches it; only what an output reaches is evaluated.
+        for node in sorted(dependencies):
             visit(node)
-        self._order = order
-        return order
+        report_fluents, report_events = self._reported()
+        needed: set[str] = set()
+        pending = [node for node in report_fluents | report_events if node in dependencies]
+        while pending:
+            node = pending.pop()
+            if node not in needed:
+                needed.add(node)
+                pending.extend(dependencies[node])
+        self._order = [node for node in order if node in needed]
+        self._read_events = frozenset(
+            report_events.union(*(events_read[node] for node in self._order))
+        )
+        # A functor that leaves the evaluation keeps no persisted interval
+        # to resume from stale if a later declaration brings it back.
+        for functor in self._persisted_open.keys() - needed:
+            del self._persisted_open[functor]
+        return self._order
 
 
 # ----------------------------------------------------------------------
@@ -459,18 +493,23 @@ class _Fold:
         self.window_start = 0
         #: previous query time (None on a cold step)
         self.previous_query: int | None = None
+        # Rule (f): only the evaluated functors' rules hold caches.
+        needed = set(engine._evaluation_order())
         #: head functor -> one cache per rule, in declaration order
         self.initiation = {
             functor: [_RuleCache(rule) for rule in rules]
             for functor, rules in engine._initiation_rules.items()
+            if functor in needed
         }
         self.termination = {
             functor: [_RuleCache(rule) for rule in rules]
             for functor, rules in engine._termination_rules.items()
+            if functor in needed
         }
         self.happening = {
             functor: [_RuleCache(rule) for rule in rules]
             for functor, rules in engine._event_rules.items()
+            if functor in needed
         }
         # Trigger routing: functor -> caches triggered by it.
         self.on_event: dict[str, list[_RuleCache]] = defaultdict(list)

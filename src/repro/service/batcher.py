@@ -41,7 +41,9 @@ never holds sockets, links or the watchdog for more than one slide.
 Only the MOD's sqlite work runs on the one pipeline thread
 (``run_in_executor``): the slide's archive (``system.archive``, staging
 and reconstruction) at the start of the batcher's next hand-over, slide
-or drain, and ``finalize``.
+or drain, and ``finalize``.  An archive with nothing to stage (the first
+omega/beta slides of a stream, most slides of a catch-up burst) runs on
+the loop instead.
 
 **One cadence** (docs/GATEWAY.md): the window keeps pace with the
 *reported* timestamps, so a slide holds every position stamped inside it
@@ -412,7 +414,15 @@ class SlideBatcher:
             return
         query_time, self._archive_due = self._archive_due, None
         self.watchdog.slide_started(query_time)
-        await self._call_pipeline(self.system.archive)
+        if self.system.archive_touches_mod():
+            await self._call_pipeline(self.system.archive)
+        else:
+            # No sqlite call that could wedge: the archive only records
+            # the slide and releases it, so it runs here, with no hop.
+            try:
+                self.system.archive()
+            except Exception:
+                self._count_pipeline_error()
         self.watchdog.slide_finished(archive=True)
 
     async def _call_pipeline(self, fn) -> SlideReport | None:

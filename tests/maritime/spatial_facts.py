@@ -335,15 +335,16 @@ class SpatialFactsRecognizer(MaritimeRecognizer):
         self, events: list[MovementEvent], arrival_time: int | None = None
     ) -> int:
         count = self.adapter.ingest_events(events, arrival_time)
-        count += assert_spatial_facts(
+        facts = assert_spatial_facts(
             self.engine.working_memory,
             events,
             self.world,
             self.config.close_threshold_meters,
             arrival_time,
         )
-        obs.count("recognition.ingested_events", count)
-        return count
+        # The adapter counted its MEs.
+        obs.count("recognition.ingested_events", facts)
+        return count + facts
 
 
 def use_spatial_facts(system, specs: dict[int, VesselSpec]) -> None:

@@ -45,19 +45,21 @@ class TestPartitionedRecognizer:
         return PartitionedRecognizer(world, specs, 10_000, partitions=partitions)
 
     def test_events_routed_by_longitude(self):
+        # speedChange, which illegalFishing's termination reads, is stored
+        # by the partition that covers the ME.
         world = build_aegean_world()
         recognizer = self.make(world)
         west_event = MovementEvent(
-            MovementEventType.TURN, 1, world.bbox.min_lon + 0.1, 38.0, 100
+            MovementEventType.SPEED_CHANGE, 1, world.bbox.min_lon + 0.1, 38.0, 100
         )
         east_event = MovementEvent(
-            MovementEventType.TURN, 1, world.bbox.max_lon - 0.1, 38.0, 200
+            MovementEventType.SPEED_CHANGE, 1, world.bbox.max_lon - 0.1, 38.0, 200
         )
         recognizer.ingest([west_event, east_event], arrival_time=500)
         west_memory = recognizer.recognizers[0].engine.working_memory
         east_memory = recognizer.recognizers[1].engine.working_memory
-        assert len(west_memory.events_in_window("turn", 0, 1000)) == 1
-        assert len(east_memory.events_in_window("turn", 0, 1000)) == 1
+        assert len(west_memory.events_in_window("speedChange", 0, 1000)) == 1
+        assert len(east_memory.events_in_window("speedChange", 0, 1000)) == 1
 
     def test_recognition_equivalent_to_single_engine(self):
         # A gap inside a protected area is recognized regardless of the

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro import obs
 from repro.geo.polygon import GeoPolygon
 from repro.maritime import MaritimeConfig, MaritimeRecognizer
+from repro.maritime.adapter import EVENT_FUNCTORS
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator.vessel import VesselSpec, VesselType
 from repro.simulator.world import Area, AreaKind, BoundingBox, Port, WorldModel
@@ -129,3 +131,46 @@ class TestVesselScope:
         assert {a.kind for a in alerts} <= {"illegalShipping", "dangerousShipping"}
         assert all(isinstance(a.area, str) for a in alerts)
         assert transcript["alerts"] == []
+
+    def test_evaluates_and_stores_only_what_its_two_ces_read(self):
+        # A slide carrying every critical ME kind: the vessel scope keeps
+        # caches for its two event rules alone, so no cache of an
+        # unevaluated functor (``stopped``) collects triggers it never
+        # runs, and it stores only the gap and slowMotion occurrences
+        # those rules read, with every ME's coord.
+        recognizer = MaritimeRecognizer(
+            tiny_world(), SPECS, window_seconds=10_000, ce_scope="vessel"
+        )
+        kinds = sorted(EVENT_FUNCTORS, key=lambda kind: kind.value)
+        events = [
+            MovementEvent(kind, 7, CENTER[0], CENTER[1] + 0.001 * index, 100 + index)
+            for index, kind in enumerate(kinds)
+        ]
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            recognizer.ingest(events, arrival_time=500)
+            recognizer.step(500)
+            recognizer.step(600)
+        counters = registry.snapshot()["counters"]
+        assert counters["recognition.ingested_events"] == 2
+        assert (
+            counters["recognition.ingested_events"]
+            + counters["recognition.unread_events"]
+            == len(events)
+        )
+        memory = recognizer.engine.working_memory
+        assert sorted(memory.event_functors()) == ["gap", "slowMotion"]
+        for event in events:
+            assert memory.value_at("coord", (7,), event.timestamp, 500) == (
+                event.lon, event.lat,
+            )
+        fold = recognizer.engine._fold
+        caches = [
+            cache
+            for table in (fold.initiation, fold.termination, fold.happening)
+            for rules in table.values()
+            for cache in rules
+        ]
+        assert sorted(cache.rule.head.event for cache in caches) == [
+            "dangerousShipping", "illegalShipping",
+        ]
+        assert all(not cache.added and not cache.removed for cache in caches)

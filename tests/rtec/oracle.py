@@ -3,10 +3,13 @@
 This is the engine's ``_step`` as it was before recognition became a fold
 over each step's changes — the paper's Section 4.2 algorithm: at every
 query time, re-derive every fluent and event over the whole working
-memory.  :class:`OracleRTEC` inherits declarations, stratification,
-snapshot/restore and the result type from :class:`~repro.rtec.engine.RTEC`
-and replaces only the step, so both engines can be driven side by side
-and must return identical ``RecognitionResult.fluents`` / ``.events``.
+memory.  :class:`OracleRTEC` inherits declarations, snapshot/restore and
+the result type from :class:`~repro.rtec.engine.RTEC` and replaces the
+step and the stratification: it evaluates every derived functor in
+dependency order, reported or not, where the engine evaluates only what
+a reported output needs (its rule (f)).  Both engines can be driven side
+by side and must return identical ``RecognitionResult.fluents`` /
+``.events``.
 
 One deliberate change from the historical code: every value whose
 interval is still open persists (the old code kept one per instance,
@@ -121,6 +124,59 @@ class OracleRTEC(RTEC):
         }
         self.last_result = result
         return result
+
+    def _evaluation_order(self) -> list[str]:
+        """Topological order of every derived fluent/event by dependency."""
+        if self._order is not None:
+            return self._order
+        nodes: set[str] = (
+            set(self._initiation_rules)
+            | set(self._termination_rules)
+            | set(self._event_rules)
+            | set(self._computed)
+        )
+        dependencies: dict[str, set[str]] = {node: set() for node in nodes}
+        for functor in set(self._initiation_rules) | set(self._termination_rules):
+            rules = self._initiation_rules.get(functor, []) + self._termination_rules.get(
+                functor, []
+            )
+            for rule in rules:
+                dependencies[functor] |= (
+                    rule.referenced_fluents() | rule.referenced_events()
+                ) & nodes
+        for functor, rules in self._event_rules.items():
+            for rule in rules:
+                dependencies[functor] |= (
+                    rule.referenced_fluents() | rule.referenced_events()
+                ) & nodes
+        for functor, computed in self._computed.items():
+            dependencies[functor] |= (
+                set(computed.depends_on_fluents) | set(computed.depends_on_events)
+            ) & nodes
+
+        order: list[str] = []
+        visiting: set[str] = set()
+        visited: set[str] = set()
+
+        def visit(node: str) -> None:
+            if node in visited:
+                return
+            if node in visiting:
+                raise ValueError(
+                    f"cyclic fluent dependency through {node!r}; "
+                    "RTEC event descriptions must be hierarchical"
+                )
+            visiting.add(node)
+            for dependency in sorted(dependencies[node]):
+                visit(dependency)
+            visiting.discard(node)
+            visited.add(node)
+            order.append(node)
+
+        for node in sorted(nodes):
+            visit(node)
+        self._order = order
+        return order
 
     def _derive_fluent(
         self, functor: str, context: "_EvalContext"

@@ -10,9 +10,12 @@ previous steps derived.  Both must return identical
   delayed and future arrivals across window boundaries (a), per-instance
   diffs of fluents and derived events including persisted open intervals
   (b), a forget anchor that has not arrived (c), broad reads, a second
-  time variable and a computed fluent (d), and repeated / decreasing query
-  times, which cold-start (e);
-* the maritime rule sets over the ``recognition_replay`` fleet.
+  time variable and a computed fluent (d), repeated / decreasing query
+  times, which cold-start (e), and any output declaration, which the
+  engine evaluates only what it needs for (f) while the oracle evaluates
+  every rule;
+* the maritime rule sets over the ``recognition_replay`` fleet, the oracle
+  fed every ME the tracker raised, the engine only what its rules read.
 """
 
 import dataclasses
@@ -21,6 +24,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.maritime.adapter import MovementEventAdapter
 from repro.rtec.engine import RTEC, ComputedFluent
 from repro.rtec.intervals import OPEN
 from repro.rtec.rules import (
@@ -28,6 +32,7 @@ from repro.rtec.rules import (
     EventPattern,
     Guard,
     HappensAt,
+    HappensHead,
     HoldsAt,
     NotHappensAt,
     NotHoldsAt,
@@ -157,6 +162,19 @@ TEMPLATES = {
     "busy-": terminated("busy", (V,), True, [HappensAt(End("h", (V,), True))]),
 }
 
+#: The functors an output declaration may name, by kind.
+EVENT_HEADS = sorted(
+    {rule.head.event for rule in TEMPLATES.values() if isinstance(rule.head, HappensHead)}
+)
+FLUENT_HEADS = sorted(
+    {
+        rule.head.fluent
+        for rule in TEMPLATES.values()
+        if not isinstance(rule.head, HappensHead)
+    }
+    | {"holding"}
+)
+
 VESSELS = ("a", "b", "c")
 
 assertions = st.one_of(
@@ -198,11 +216,14 @@ def _assert(memory, assertion, query_time):
         memory.assert_value(functor, (vessel,), assertion[5], time, arrival=arrival)
 
 
-def _engines(names, window):
+def _engines(names, window, fluents=None, events=None):
+    """An engine and its oracle over the named templates, both reporting
+    the declared outputs (``None``: every derived one of that kind)."""
     rules = [TEMPLATES[name] for name in sorted(names)]
     engine = RTEC(window)
     engine.declare_rules(rules)
     engine.declare_computed(HoldingCount())
+    engine.declare_outputs(fluents, events)
     return engine, OracleRTEC.like(engine)
 
 
@@ -216,9 +237,11 @@ def _assert_same(got, want, context):
     names=st.sets(st.sampled_from(sorted(TEMPLATES)), min_size=1),
     window=st.sampled_from([15, 40, 100]),
     plan=steps,
+    fluents=st.none() | st.lists(st.sampled_from(FLUENT_HEADS), unique=True),
+    events=st.none() | st.lists(st.sampled_from(EVENT_HEADS), unique=True),
 )
-def test_generated_rules_and_streams(names, window, plan):
-    engine, oracle = _engines(names, window)
+def test_generated_rules_and_streams(names, window, plan, fluents, events):
+    engine, oracle = _engines(names, window, fluents, events)
     oracle.working_memory = WorkingMemory()
     query_time = 100
     for number, (advance, batch) in enumerate(plan):
@@ -313,6 +336,39 @@ class TestExactnessRules:
         _both(engine, oracle, "assert_event", "e3", ("a",), 105)
         _assert_same(engine.step(120), oracle.step(120), 120)
 
+    def test_a_wider_declaration_replans(self):
+        # (e), (f): only d2 (and g, which it reads) is evaluated at 110;
+        # widening the declaration must evaluate h, f and d1 at 120.
+        engine, oracle = _engines(TEMPLATES, 100, fluents=[], events=["d2"])
+        oracle.working_memory = WorkingMemory()
+        _both(engine, oracle, "assert_value", "pos", ("a",), 1, 90)
+        _both(engine, oracle, "assert_event", "e1", ("a",), 100)
+        _both(engine, oracle, "assert_event", "e3", ("a",), 105)
+        _assert_same(engine.step(110), oracle.step(110), 110)
+        for twin in (engine, oracle):
+            twin.declare_outputs(fluents=["h"], events=["d1"])
+        _both(engine, oracle, "assert_event", "e3", ("a",), 115)
+        _assert_same(engine.step(120), oracle.step(120), 120)
+        assert engine.last_result.intervals("h", ("a",)) == [(100, OPEN)]
+        assert engine.last_result.occurrences("d1") == [(("a",), 105), (("a",), 115)]
+
+    def test_a_functor_back_in_demand_keeps_no_stale_interval(self):
+        # (f): f is open at 20, leaves the evaluation, is terminated at 40
+        # unseen, and is demanded again once that termination has left
+        # the window: an interval persisted at 20 would still be open.
+        engine, oracle = _stepped_pair(window=30)
+        _both(engine, oracle, "assert_event", "e1", ("a",), 10)
+        _assert_same(engine.step(20), oracle.step(20), 20)
+        for twin in (engine, oracle):
+            twin.declare_outputs(fluents=["g"], events=[])
+        _both(engine, oracle, "assert_event", "e2", ("a",), 40)
+        for query_time in (50, 80):
+            _assert_same(engine.step(query_time), oracle.step(query_time), query_time)
+        for twin in (engine, oracle):
+            twin.declare_outputs(fluents=["f"])
+        _assert_same(engine.step(90), oracle.step(90), 90)
+        assert engine.last_result.intervals("f", ("a",)) == []
+
 
 #: The maritime rule sets: the paper's full set plus the pairwise layer
 #: over a 9 h window (``recognition_replay``), the MMSI-decomposable vessel
@@ -338,22 +394,39 @@ def test_maritime_rule_sets_on_the_fleet(rule_set, seed):
     system = system_for(seed, MARITIME[rule_set])
     if rule_set == "spatial-facts":
         use_spatial_facts(system, recognition_fleet(seed)[1])
-    engine = system.recognizer.engine
+    recognizer = system.recognizer
+    engine = recognizer.engine
     oracle = OracleRTEC.like(engine)
     oracle.working_memory = WorkingMemory()
     memory = engine.working_memory
+    # MEs are mirrored at the adapter, so the oracle gets the ones the
+    # engine does not store too; anything else at the memory.
+    every_me = MovementEventAdapter(oracle.working_memory)
+    in_adapter = [False]
 
     def mirrored(method):
         original = getattr(memory, method)
 
         def call(*args, **kwargs):
-            getattr(oracle.working_memory, method)(*args, **kwargs)
+            if not in_adapter[0]:
+                getattr(oracle.working_memory, method)(*args, **kwargs)
             return original(*args, **kwargs)
 
         return call
 
+    def ingest_events(events, arrival_time=None):
+        every_me.ingest_events(events, arrival_time)
+        in_adapter[0] = True
+        try:
+            return MovementEventAdapter.ingest_events(
+                recognizer.adapter, events, arrival_time
+            )
+        finally:
+            in_adapter[0] = False
+
     memory.assert_event = mirrored("assert_event")
     memory.assert_value = mirrored("assert_value")
+    recognizer.adapter.ingest_events = ingest_events
     steps = []
 
     def step(query_time):

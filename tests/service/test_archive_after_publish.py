@@ -59,6 +59,9 @@ class ArchiveWedgedUntilReleased(SurveillanceSystem):
         self.closed.append(query_time)
         return super().close_slide(query_time)
 
+    def archive_touches_mod(self):
+        return True  # the wedge stands in for a stuck sqlite call
+
     def archive(self):
         if not self.wedged.is_set():
             self.wedged.set()

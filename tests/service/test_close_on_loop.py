@@ -2,10 +2,12 @@
 on the one pipeline thread.
 
 The batcher closes each slide (compress, recognize) synchronously on the
-loop, as it tracks, and hands only the MOD's sqlite work, ``archive`` and
-``finalize``, to its pipeline thread.  These cases pin that placement on
-a node and on every shard of a 2×4 cluster, what a close that raises
-costs, and that a catch-up burst of slides yields the loop between them.
+loop, as it tracks, and hands only the MOD's sqlite work, an ``archive``
+that stages or reconstructs and ``finalize``, to its pipeline thread; an
+archive with nothing to stage runs on the loop.  These cases pin that
+placement on a node and on every shard of a 2×4 cluster, what a close
+that raises costs, and that a catch-up burst of slides yields the loop
+between them and hops to the pipeline thread only to stage.
 """
 
 import asyncio
@@ -36,7 +38,8 @@ class RecordsThreads(SurveillanceSystem):
     def __init__(self, *args):
         super().__init__(*args)
         self.threads: dict[str, set[int]] = {
-            "close_slide": set(), "archive": set(), "finalize": set()
+            "close_slide": set(), "archive": set(), "archive without MOD": set(),
+            "finalize": set(),
         }
 
     def close_slide(self, query_time):
@@ -44,7 +47,8 @@ class RecordsThreads(SurveillanceSystem):
         return super().close_slide(query_time)
 
     def archive(self):
-        self.threads["archive"].add(threading.get_ident())
+        kind = "archive" if self.archive_touches_mod() else "archive without MOD"
+        self.threads[kind].add(threading.get_ident())
         super().archive()
 
     def finalize(self):
@@ -58,8 +62,10 @@ def _assert_placement(system: RecordsThreads, loop_thread: int) -> None:
     assert len(threads["finalize"]) == 1
     (pipeline_thread,) = threads["finalize"]
     assert pipeline_thread != loop_thread
-    # finalize archives the whole synopsis itself, on the same thread.
+    # Every archive that touches the MOD runs on that one thread,
+    # finalize's own included; the rest run on the loop.
     assert threads["archive"] == {pipeline_thread}
+    assert threads["archive without MOD"] == {loop_thread}
 
 
 def test_a_node_closes_on_the_loop_and_archives_on_its_pipeline_thread(
@@ -173,10 +179,10 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
 ):
     """One line stamped far ahead runs every slide up to it: the loop
     turns between consecutive closes, and between each published line
-    and the archive that follows it.  Each archive's trip to the
-    pipeline thread turns the loop too, so the closes alone would pass
-    without the batcher's own yield; the published-line-to-archive gap
-    is what only that yield opens."""
+    and the archive that follows it.  Only an archive that stages
+    expired points makes the trip to the pipeline thread: the rest of
+    the burst runs on the loop, and only the batcher's own yield turns
+    it between them."""
     ticks = [0]
     head = soak_sentences[:200]
     slide = SystemConfig().window.slide_seconds
@@ -186,10 +192,13 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
         def __init__(self, *args):
             super().__init__(*args)
             self.ticks_at_close: list[int] = []
+            self.expired: list[int] = []
 
         def close_slide(self, query_time):
             self.ticks_at_close.append(ticks[0])
-            return super().close_slide(query_time)
+            report = super().close_slide(query_time)
+            self.expired.append(report.expired_critical_points)
+            return report
 
     async def tick():
         while True:
@@ -217,6 +226,14 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
             return started(query_time)
 
         watchdog.slide_started = tapped_started
+        executor = supervisor.batcher._executor
+        submit = executor.submit
+
+        def counted_submit(fn, *args):
+            hops.append(fn)
+            return submit(fn, *args)
+
+        executor.submit = counted_submit
         ticker = asyncio.ensure_future(tick())
         try:
             await supervisor.start()
@@ -230,6 +247,7 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
                 await ticker
         return supervisor, beats
 
+    hops: list = []
     supervisor, beats = asyncio.run(scenario())
     closes = supervisor.system.ticks_at_close
     assert len(closes) > 60
@@ -241,3 +259,8 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
     ]
     assert len(pairs) > 60
     assert all(published < archived for published, archived in pairs)
+    # The pipeline thread ran the archives of the slides that staged
+    # something, and finalize.
+    staged = sum(1 for expired in supervisor.system.expired if expired)
+    assert 0 < staged < len(closes)
+    assert len(hops) == staged + 1

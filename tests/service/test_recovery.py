@@ -137,6 +137,9 @@ class TestDrainDeadline:
         from repro.pipeline.system import SurveillanceSystem
 
         class WedgedSystem(SurveillanceSystem):
+            def archive_touches_mod(self):
+                return True  # the wedge stands in for a stuck sqlite call
+
             def archive(self):
                 wedged.set()
                 release.wait(timeout=30.0)  # wedge until the test releases

@@ -34,6 +34,9 @@ class WedgedUntilReleased(SurveillanceSystem):
         self.slides_closed += 1
         return super().close_slide(query_time)
 
+    def archive_touches_mod(self):
+        return True  # the wedge stands in for a stuck sqlite call
+
     def archive(self):
         if not self.released.wait(timeout=30.0):
             raise RuntimeError("the test never released the archive")

@@ -84,6 +84,9 @@ class FakeSystem:
     def archive(self):
         self.archived.append(self.calls[-1][0])
 
+    def archive_touches_mod(self):
+        return False  # there is no MOD
+
     def finalize(self):
         self.calls.append(("finalize", None))
         return None
