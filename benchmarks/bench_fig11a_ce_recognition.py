@@ -23,7 +23,11 @@ Two engines are timed side by side on the same ME batches:
 
 Each configuration keeps the fastest of :data:`ROUNDS` replays: the times
 are raw wall-clock on a shared host, and a slow regime during one replay
-must not decide a shape assertion.
+must not decide a shape assertion.  The 3x gate does not compare two
+cells, which ran minutes apart: it feeds one oracle and one incremental
+recognizer the same batches and steps them in turn at each query time,
+so a slow moment of the host costs both engines alike, and compares
+their summed step times over :data:`ROUNDS` such replays.
 """
 
 import pytest
@@ -86,9 +90,36 @@ def emit_report():
     assert seconds(9, 2, "oracle") < seconds(9, 1, "oracle"), (
         "partitioning should reduce per-query recognition time"
     )
-    # The shipped engine re-derives only what changed.
-    assert seconds(9, 1, "oracle") >= 3 * seconds(9, 1, "incremental"), (
-        "incremental recognition should be at least 3x the from-scratch oracle"
+
+
+def _recognizer(specs, hours: int, partitions: int, engine: str):
+    recognizer = PartitionedRecognizer(
+        benchmark_world(), specs, hours * 3600, partitions=partitions
+    )
+    if engine == "oracle":
+        for band in recognizer.recognizers:
+            band.engine = OracleRTEC.like(band.engine)
+    return recognizer
+
+
+def test_incremental_is_3x_the_oracle_step_for_step():
+    """The shipped engine re-derives only what changed: at omega = 9 h on
+    one processor its summed step time is at most a third of the
+    oracle's, the two stepped in turn on the same batches."""
+    specs, batches = _me_batches()
+    seconds = {engine: 0.0 for engine in ENGINES}
+    for _ in range(ROUNDS):
+        recognizers = {
+            engine: _recognizer(specs, 9, 1, engine) for engine in ENGINES
+        }
+        for query_time, events in batches:
+            for engine, recognizer in recognizers.items():
+                recognizer.ingest(events, arrival_time=query_time)
+                _, timing = recognizer.step(query_time)
+                seconds[engine] += timing.parallel_seconds
+    assert seconds["oracle"] >= 3 * seconds["incremental"], (
+        "incremental recognition should be at least 3x the from-scratch oracle",
+        seconds,
     )
 
 
@@ -99,12 +130,7 @@ def test_ce_recognition(benchmark, hours, partitions, engine):
     specs, batches = _me_batches()
 
     def replay():
-        recognizer = PartitionedRecognizer(
-            benchmark_world(), specs, hours * 3600, partitions=partitions
-        )
-        if engine == "oracle":
-            for band in recognizer.recognizers:
-                band.engine = OracleRTEC.like(band.engine)
+        recognizer = _recognizer(specs, hours, partitions, engine)
         step_seconds = []
         total_ces = 0
         window_mes = 0

@@ -5,7 +5,7 @@ closing slides, while the MOD's sqlite work runs on a dedicated pipeline
 thread (see :mod:`repro.service.batcher`).  A synchronous sleep, file
 open, sqlite call or socket operation *on the loop* stalls every
 connection at once — ingest backs up, the feed hub stops draining, the
-watchdog starves.  Blocking work belongs on the executor
+stall timers starve.  Blocking work belongs on the executor
 (``run_in_executor``) or behind the async APIs.
 
 Flagged inside ``async def`` bodies in ``repro.service``,

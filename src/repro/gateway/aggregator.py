@@ -107,9 +107,11 @@ class GatewayAggregator:
 
     def health(self) -> dict:
         """Cluster status (``ok|degraded|down``): degraded whenever any
-        runtime is unhealthy, any feed source is dormant, or any
-        gateway→runtime link is not ``up``; down only when *every*
-        runtime is down — a partially-alive cluster still serves."""
+        runtime is unhealthy or stalled (its pipeline thread wedged past
+        its stall timer, which holds back every merged line), any feed
+        source is dormant, or any gateway→runtime link is not ``up``;
+        down only when *every* runtime is down — a partially-alive
+        cluster still serves."""
         runtimes = self.runtime_health()
         down_feeds = self.fanin.down_sources
         nodes = [node.snapshot() for node in self.nodes]
@@ -125,7 +127,10 @@ class GatewayAggregator:
         elif (
             down_feeds
             or link_trouble
-            or any(entry.get("status") != "ok" for entry in runtimes)
+            or any(
+                entry.get("status") != "ok" or entry.get("stalled")
+                for entry in runtimes
+            )
         ):
             status = "degraded"
         else:

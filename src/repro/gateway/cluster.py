@@ -230,6 +230,7 @@ class GatewayCluster:
             entries.append({
                 "name": name,
                 "status": health["status"],
+                "stalled": supervisor.batcher.stalled,
                 "slides": health["slides"],
                 "queue_depth": health["queue_depth"],
                 "vessels": health["vessels"],

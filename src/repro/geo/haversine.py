@@ -12,6 +12,16 @@ import math
 #: Mean Earth radius in meters (IUGG mean radius R1).
 EARTH_RADIUS_METERS = 6_371_008.8
 
+#: Trig-free overestimate of the Haversine distance: with
+#: ``a <= (dphi/2)^2 + (dlam/2)^2`` (sin x <= x) and ``asin x <= pi*x/2``,
+#: ``d <= WITHIN_BOUND * sqrt(dphi^2 + dlam^2)`` (radians).  The
+#: overestimate factor is ``(pi/2) * (sqrt(a)/asin(sqrt(a)))`` —
+#: essentially pi/2 at stop-radius scale — so a bound at or under a
+#: radius *proves* the pair is within it, with two squares in place of
+#: four trig calls.  Only booleans derived from it are observable, so the
+#: screen cannot perturb parity.
+WITHIN_BOUND = math.pi * EARTH_RADIUS_METERS / 2.0
+
 
 def haversine_meters(lon1: float, lat1: float, lon2: float, lat2: float) -> float:
     """Great-circle distance in meters between two (lon, lat) points.

@@ -39,13 +39,11 @@ class MovementEventAdapter:
     """Assert critical MEs into an RTEC working memory.
 
     ``read`` names the event functors to store; ``None`` stores every ME.
-    :attr:`events_ingested` counts the MEs stored.
     """
 
     def __init__(self, memory: WorkingMemory, read: frozenset[str] | None = None):
         self.memory = memory
         self.read = read
-        self.events_ingested = 0
 
     def ingest_events(
         self, events: list[MovementEvent], arrival_time: int | None = None
@@ -77,7 +75,6 @@ class MovementEventAdapter:
                 event.timestamp,
                 arrival=arrival_time,
             )
-        self.events_ingested += count
         obs.count("recognition.ingested_events", count)
         if unread:
             obs.count("recognition.unread_events", unread)

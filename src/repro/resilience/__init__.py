@@ -15,9 +15,7 @@ survive that reality — and *prove* it under injected failure:
   slow or crashed slide, corrupt journal record);
 * :mod:`repro.resilience.retry` — the deterministic exponential backoff
   schedule behind gateway re-dials, runtime restarts and the feed
-  client's reconnects;
-* :mod:`repro.resilience.watchdog` — stalled-slide detection, counted
-  and reported on ``/healthz``.
+  client's reconnects.
 
 Guarantees, fault sites and trade-offs: docs/RESILIENCE.md.
 """
@@ -42,7 +40,6 @@ from repro.resilience.wal import (
     RecoveryStats,
     read_journal,
 )
-from repro.resilience.watchdog import SlideWatchdog
 
 __all__ = [
     "SITES",
@@ -54,7 +51,6 @@ __all__ = [
     "InjectedFault",
     "RecoveryStats",
     "SimulatedCrash",
-    "SlideWatchdog",
     "fault_point",
     "get_injector",
     "inject",

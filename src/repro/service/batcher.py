@@ -27,9 +27,10 @@ Durability and diagnostics (docs/RESILIENCE.md):
 * sentences the scanner rejects are classified and quarantined in the
   batcher's :class:`~repro.service.quarantine.DeadLetterBuffer` instead
   of vanishing into a counter;
-* the batcher's :class:`~repro.resilience.watchdog.SlideWatchdog` gets a
-  beat when an archive starts and finishes, so a wedged archive is
-  detected from the event loop, and counts every slide closed.
+* every call to the pipeline thread (an archive that touches the MOD,
+  and ``finalize``) arms a timer on the event loop: a call still running
+  after :data:`SLIDE_STALL_SECONDS` is counted once as a stall
+  (``resilience.watchdog.stalls``) and shows on ``/healthz``.
 
 The online half of a slide is CPU work on the event loop.  The open
 slide's positions are tracked as they arrive (``system.track``): on a
@@ -37,7 +38,7 @@ node as each run is scanned, on a shard once every source's watermark
 has passed them.  A slide's close then pays only for the Compressor and
 RTEC (``system.close_slide``), and its feed line is published; the
 batcher yields to the loop once after each slide, so a catch-up burst
-never holds sockets, links or the watchdog for more than one slide.
+never holds sockets, links or a stall timer for more than one slide.
 Only the MOD's sqlite work runs on the one pipeline thread
 (``run_in_executor``): the slide's archive (``system.archive``, staging
 and reconstruction) at the start of the batcher's next hand-over, slide
@@ -73,13 +74,12 @@ from repro.ais.scanner import DataScanner
 from repro.ais.stream import first_query_time
 from repro.pipeline.metrics import SlideReport
 from repro.resilience.faults import InjectedFault, SimulatedCrash, fault_point
-from repro.resilience.watchdog import SlideWatchdog
 from repro.service.protocol import CONTROL_PREFIX, parse_heartbeat, parse_watermark
 from repro.service.quarantine import DeadLetterBuffer
 
-#: An archive running longer than this is counted as stalled
-#: (``resilience.watchdog.stalls``, ``/healthz``): well above the slowest
-#: slide of any benchmark workload, so a count means a wedge.
+#: A pipeline-thread call running longer than this is counted as
+#: stalled (``resilience.watchdog.stalls``, ``/healthz``): well above the
+#: slowest slide of any benchmark workload, so a count means a wedge.
 SLIDE_STALL_SECONDS = 10.0
 
 
@@ -105,9 +105,13 @@ class SlideBatcher:
         self.journal = journal
         #: Sentences the scanner rejected, with their causes.
         self.deadletter = DeadLetterBuffer()
-        #: Beaten around every archive, counts every close; the owner
-        #: ticks it.
-        self.watchdog = SlideWatchdog(SLIDE_STALL_SECONDS)
+        #: A pipeline-thread call outliving this is one stall.
+        self.stall_seconds = SLIDE_STALL_SECONDS
+        self.stalls_detected = 0
+        #: Query time of the pipeline-thread call in flight, if any.
+        self.pipeline_query_time: int | None = None
+        #: True while that call has outlived ``stall_seconds``.
+        self.stalled = False
         #: Upstream sources whose watermarks gate a slide; ``0``: the
         #: node's own arrivals are its watermark.
         self.watermark_sources = watermark_sources
@@ -126,7 +130,6 @@ class SlideBatcher:
         self._archive_due: int | None = None
         self.slides_processed = 0
         self.pipeline_errors = 0
-        self.replayed_records = 0
         self._aborted = False
         # One dedicated worker for the archive and finalize: the MOD's
         # sqlite connection is single-owner, and its I/O stays off the loop.
@@ -146,7 +149,6 @@ class SlideBatcher:
         pending, and live ingest continues it seamlessly.
         """
         await self._ingest(records, journal=False)
-        self.replayed_records += len(records)
         if records:
             obs.count("resilience.recovery.replayed_records", len(records))
         return len(records)
@@ -334,7 +336,9 @@ class SlideBatcher:
             obs.count("service.ingest.fragments_dropped_at_drain", dropped)
         await self._archive()
         if self._query_time is not None:
-            report = await self._call_pipeline(self.system.finalize)
+            report = await self._call_pipeline(
+                self.system.finalize, self._query_time
+            )
             if report is not None:
                 self._on_report(report, "finalize")
         self._executor.shutdown(wait=True)
@@ -394,11 +398,8 @@ class SlideBatcher:
             obs.set_gauge("service.ingest.queue_depth", len(self.queue))
             self._on_report(report, "slide")
             self._archive_due = qt
-        # The close holds the loop, so no watchdog tick can see it run:
-        # the beat only counts it.
-        self.watchdog.slide_finished()
-        # Yield once per slide: the subscriber's write, other connections
-        # and the watchdog run before the batcher goes on, in a catch-up
+        # Yield once per slide: the subscriber's write and other
+        # connections run before the batcher goes on, in a catch-up
         # burst too.
         await asyncio.sleep(0)
 
@@ -413,9 +414,8 @@ class SlideBatcher:
         if self._archive_due is None:
             return
         query_time, self._archive_due = self._archive_due, None
-        self.watchdog.slide_started(query_time)
         if self.system.archive_touches_mod():
-            await self._call_pipeline(self.system.archive)
+            await self._call_pipeline(self.system.archive, query_time)
         else:
             # No sqlite call that could wedge: the archive only records
             # the slide and releases it, so it runs here, with no hop.
@@ -423,18 +423,30 @@ class SlideBatcher:
                 self.system.archive()
             except Exception:
                 self._count_pipeline_error()
-        self.watchdog.slide_finished(archive=True)
 
-    async def _call_pipeline(self, fn) -> SlideReport | None:
+    async def _call_pipeline(self, fn, query_time: int) -> SlideReport | None:
         """Run one MOD call (archive or finalize) on the pipeline thread;
         errors are counted, not fatal: from an archive it costs only the
-        archive."""
+        archive.  A timer on the loop counts the call once as a stall if
+        it is still running after ``stall_seconds``; the call only
+        detects it: the drain deadline is what bounds a wedge."""
         loop = asyncio.get_running_loop()
+        self.pipeline_query_time = query_time
+        timer = loop.call_later(self.stall_seconds, self._count_stall)
         try:
             return await loop.run_in_executor(self._executor, fn)
         except Exception:
             self._count_pipeline_error()
             return None
+        finally:
+            timer.cancel()
+            self.pipeline_query_time = None
+            self.stalled = False
+
+    def _count_stall(self) -> None:
+        self.stalled = True
+        self.stalls_detected += 1
+        obs.count("resilience.watchdog.stalls")
 
     def _count_pipeline_error(self) -> None:
         """Anything that escapes the pipeline is an unrecoverable fault,

@@ -15,9 +15,9 @@ service republishes byte-identical slides and resumes mid-slide.
 In every deployment a pipeline exception is counted (``pipeline_errors``
 on ``/healthz``): raised while a slide closes, it costs the slide; a
 failed MOD write or reconstruction costs only the slide's archive,
-which runs after the slide's line is published.  The batcher's slide
-watchdog detects a wedged archive on the pipeline thread and counts the
-stall, which ``/healthz`` reports.
+which runs after the slide's line is published.  Each call to the
+pipeline thread arms a stall timer, so a wedged archive or ``finalize``
+is counted once, and ``/healthz`` reports it.
 
 Shutdown is graceful by contract, but with a deadline:
 :meth:`drain_and_stop` stops accepting ingest, drains everything already
@@ -113,7 +113,6 @@ class ServiceSupervisor:
         self.drain_timeout_seconds = DRAIN_TIMEOUT_SECONDS
         self.forced_abort = False
         self._batcher_task: asyncio.Task | None = None
-        self._watchdog_task: asyncio.Task | None = None
         self._stopped = False
 
     def _build_journal(self) -> IngestJournal | None:
@@ -152,15 +151,7 @@ class ServiceSupervisor:
         await self.feed.start()
         await self.http.start()
         self._batcher_task = asyncio.ensure_future(self.batcher.run())
-        self._watchdog_task = asyncio.ensure_future(self._watch())
         obs.set_gauge("service.up", 1)
-
-    async def _watch(self) -> None:
-        watchdog = self.batcher.watchdog
-        interval = max(0.05, watchdog.timeout_seconds / 4)
-        while True:
-            await asyncio.sleep(interval)
-            watchdog.check()
 
     async def _drain_pipeline(self) -> None:
         """Join the batcher, then flush the final slide and finalize."""
@@ -187,8 +178,6 @@ class ServiceSupervisor:
         if self._stopped:
             return
         self._stopped = True
-        if self._watchdog_task is not None:
-            self._watchdog_task.cancel()
         # 1. Stop accepting new feeds; buffered sentences keep flowing.
         await self.ingest.stop()
         self.queue.close()
@@ -214,8 +203,6 @@ class ServiceSupervisor:
         cluster's crash hook calls to kill one runtime abruptly.
         """
         self._stopped = True
-        if self._watchdog_task is not None:
-            self._watchdog_task.cancel()
         if self._batcher_task is not None:
             self._batcher_task.cancel()
             with contextlib.suppress(asyncio.CancelledError, Exception):
@@ -289,7 +276,14 @@ class ServiceSupervisor:
             }
         if self.journal is not None:
             payload["wal"] = self.journal.snapshot()
-        payload["watchdog"] = self.batcher.watchdog.snapshot()
+        batcher = self.batcher
+        payload["watchdog"] = {
+            "timeout_seconds": batcher.stall_seconds,
+            "slide_running": batcher.pipeline_query_time is not None,
+            "current_query_time": batcher.pipeline_query_time,
+            "slides_seen": batcher.slides_processed,
+            "stalls_detected": batcher.stalls_detected,
+        }
         return payload
 
     def ports(self) -> dict:

@@ -27,12 +27,7 @@ Two index flavours, both degree-bucketed uniform grids:
 
 import math
 
-from repro.geo.haversine import EARTH_RADIUS_METERS, haversine_meters
-
-#: Trig-free overestimate of the Haversine distance (see
-#: ``tracking/columnar.py``): ``d <= (pi*R/2) * sqrt(dphi^2 + dlam^2)``,
-#: so a bound at or under the radius proves the pair is within it.
-_WITHIN_BOUND = math.pi * EARTH_RADIUS_METERS / 2.0
+from repro.geo.haversine import EARTH_RADIUS_METERS, WITHIN_BOUND, haversine_meters
 
 #: Clamp for ``cos(lat)`` when sizing longitude spans, mirroring
 #: ``BoundingBox.expanded``; keeps polar cells finite.
@@ -51,7 +46,7 @@ def _within_radius(
         dlam -= 2.0 * math.pi
     elif dlam < -math.pi:
         dlam += 2.0 * math.pi
-    if _WITHIN_BOUND * math.sqrt(dphi * dphi + dlam * dlam) <= radius:
+    if WITHIN_BOUND * math.sqrt(dphi * dphi + dlam * dlam) <= radius:
         return True
     return haversine_meters(lon1, lat1, lon2, lat2) <= radius
 

@@ -62,6 +62,7 @@ from repro import obs
 from repro.ais.stream import PositionalTuple
 from repro.geo.haversine import (
     EARTH_RADIUS_METERS,
+    WITHIN_BOUND,
     haversine_meters,
     initial_bearing_degrees,
 )
@@ -88,16 +89,6 @@ _SLOW_MOTION = MovementEventType.SLOW_MOTION
 #: exponent), so hoisting it keeps the Haversine arc byte-identical to
 #: the scalar left-associative ``2.0 * R * asin(...)``.
 _TWO_RADII = 2.0 * EARTH_RADIUS_METERS
-
-#: Trig-free overestimate of the Haversine distance: with
-#: ``a <= (dphi/2)^2 + (dlam/2)^2`` (sin x <= x) and ``asin x <= pi*x/2``,
-#: ``d <= (pi*R/2) * sqrt(dphi^2 + dlam^2)``.  The overestimate factor is
-#: ``(pi/2) * (sqrt(a)/asin(sqrt(a)))`` — essentially pi/2 at stop-radius
-#: scale — so a bound at or under the radius *proves* the point is within
-#: it, replacing four trig calls with two squares for the tight-jitter
-#: common case.  Only booleans derived from these distances are observable,
-#: so the screen cannot perturb parity.
-_WITHIN_BOUND = math.pi * EARTH_RADIUS_METERS / 2.0
 
 
 #: Floor of the speed-change ratio's denominator (a halted vessel).
@@ -733,7 +724,7 @@ class ColumnarTracker:
         emit_append = emit.append
         radians = math.radians
         sqrt = math.sqrt
-        within_bound = _WITHIN_BOUND
+        within_bound = WITHIN_BOUND
 
         mmsi = points[0].mmsi
         stream = zip(points, taus, dist, head_col)

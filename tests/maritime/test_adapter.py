@@ -1,5 +1,6 @@
 """Tests for the ME -> RTEC adapter."""
 
+from repro import obs
 from repro.maritime.adapter import EVENT_FUNCTORS, MovementEventAdapter
 from repro.rtec.working_memory import WorkingMemory
 from repro.tracking.types import MovementEvent, MovementEventType
@@ -62,6 +63,7 @@ class TestIngestEvents:
 
     def test_ingested_counter(self):
         adapter = MovementEventAdapter(WorkingMemory())
-        adapter.ingest_events([make_event(MovementEventType.TURN)])
-        adapter.ingest_events([make_event(MovementEventType.GAP_START)])
-        assert adapter.events_ingested == 2
+        with obs.activate(obs.MetricsRegistry()) as registry:
+            adapter.ingest_events([make_event(MovementEventType.TURN)])
+            adapter.ingest_events([make_event(MovementEventType.GAP_START)])
+        assert registry.counter("recognition.ingested_events").value == 2

@@ -218,14 +218,14 @@ def test_a_catch_up_burst_yields_the_loop_after_every_slide(
             return publish(line)
 
         supervisor.feed.publish = tapped_publish
-        watchdog = supervisor.batcher.watchdog
-        started = watchdog.slide_started
+        # The batcher asks this once for each due archive, before it runs.
+        touches_mod = supervisor.system.archive_touches_mod
 
-        def tapped_started(query_time):
+        def tapped_touches_mod():
             beats.append(("archive", ticks[0]))
-            return started(query_time)
+            return touches_mod()
 
-        watchdog.slide_started = tapped_started
+        supervisor.system.archive_touches_mod = tapped_touches_mod
         executor = supervisor.batcher._executor
         submit = executor.submit
 

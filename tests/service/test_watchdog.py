@@ -1,12 +1,12 @@
-"""The slide watchdog, wired into a running service.
+"""Stall detection, wired into a running service.
 
-``tests/resilience/test_watchdog.py`` drives :class:`SlideWatchdog` with a
-fake clock; this is the assembled path — every supervisor's batcher owns
-a watchdog and beats it around every archive on the pipeline thread, and
-the supervisor's ``_watch`` task ticks it — on an archive that really is
-wedged.  No option turns it on.  The watchdog only detects: the test
-releases the wedge once ``/healthz`` shows the stall.  A slide's close
-runs on the event loop, where no tick can see it.
+Every call the batcher makes to its pipeline thread (an archive that
+touches the MOD, and ``finalize``) arms a timer on the event loop; a call
+still running when it fires is counted once as a stall
+(``resilience.watchdog.stalls``), and ``/healthz`` reports it.  No option
+turns it on.  Stall detection only detects: these cases release the
+wedge once the stall shows.  A slide's close runs on the event loop,
+where no timer can fire while it runs.
 """
 
 import asyncio
@@ -14,33 +14,79 @@ import json
 import threading
 
 from repro import obs
+from repro.gateway import GatewayCluster, GatewayClusterConfig
+from repro.pipeline.config import SystemConfig
 from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.faults import FaultPlan, inject
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.batcher import SLIDE_STALL_SECONDS
-from tests.parity import EPHEMERAL, offline_oracle, poll, send_sentences, tap_feed
+from tests.parity import (
+    EPHEMERAL,
+    feed_gateways,
+    offline_oracle,
+    poll,
+    quiesce,
+    send_sentences,
+    tap_feed,
+)
 from tests.service.test_http import http_request
 
+#: The short stall threshold these cases set in place of the constant,
+#: far above a real slide, so a wedge need not last ten seconds.
+STALL = 0.05
 
-class WedgedUntilReleased(SurveillanceSystem):
-    """The first slide's archive blocks until the test sets ``released``."""
+
+class ArchivesWedged(SurveillanceSystem):
+    """The first ``WEDGED`` archives each block until the test sets its
+    event in ``wedges``."""
+
+    WEDGED = 1
 
     def __init__(self, *args):
         super().__init__(*args)
-        self.released = threading.Event()
-        self.slides_closed = 0
+        self.wedges = [threading.Event() for _ in range(self.WEDGED)]
+        self.closed: list[int] = []
+        self._archives = 0
 
     def close_slide(self, query_time):
-        self.slides_closed += 1
+        self.closed.append(query_time)
         return super().close_slide(query_time)
 
     def archive_touches_mod(self):
         return True  # the wedge stands in for a stuck sqlite call
 
     def archive(self):
-        if not self.released.wait(timeout=30.0):
-            raise RuntimeError("the test never released the archive")
+        if self._archives < self.WEDGED:
+            self._archives += 1
+            if not self.wedges[self._archives - 1].wait(timeout=30.0):
+                raise RuntimeError("the test never released the archive")
         super().archive()
+
+
+class TwoArchivesWedged(ArchivesWedged):
+    WEDGED = 2
+
+
+class FinalizeWedgedUntilReleased(SurveillanceSystem):
+    """``finalize`` blocks until the test sets ``released``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.released = threading.Event()
+
+    def finalize(self):
+        if not self.released.wait(timeout=30.0):
+            raise RuntimeError("the test never released finalize")
+        return super().finalize()
+
+
+def _supervisor(world, specs, system_factory) -> ServiceSupervisor:
+    supervisor = ServiceSupervisor(
+        world, specs, service=ServiceConfig(**EPHEMERAL),
+        system_factory=system_factory,
+    )
+    supervisor.batcher.stall_seconds = STALL
+    return supervisor
 
 
 def test_a_supervisor_with_no_service_config_reports_its_watchdog(
@@ -51,43 +97,46 @@ def test_a_supervisor_with_no_service_config_reports_its_watchdog(
         watchdog = supervisor.health()["watchdog"]
     finally:
         supervisor.system.database.close()
-    assert watchdog["timeout_seconds"] == SLIDE_STALL_SECONDS
-    assert watchdog["stalls_detected"] == 0
-    assert not watchdog["slide_running"]
+    assert watchdog == {
+        "timeout_seconds": SLIDE_STALL_SECONDS,
+        "slide_running": False,
+        "current_query_time": None,
+        "slides_seen": 0,
+        "stalls_detected": 0,
+    }
 
 
 def test_stalled_slide_is_detected_counted_and_still_published(
     world, small_fleet, soak_sentences
 ):
     async def scenario():
-        supervisor = ServiceSupervisor(
-            world, small_fleet["specs"], service=ServiceConfig(**EPHEMERAL),
-            system_factory=WedgedUntilReleased,
-        )
-        # The stall threshold is a constant far above a real slide; this
-        # one watchdog gets a short one instead of a ten-second wedge.
-        supervisor.batcher.watchdog.timeout_seconds = 0.05
+        supervisor = _supervisor(world, small_fleet["specs"], ArchivesWedged)
         published = tap_feed(supervisor)
         await supervisor.start()
         ports = supervisor.ports()
         await send_sentences(ports["ingest"], soak_sentences)
-        await poll(lambda: supervisor.batcher.watchdog.stalls_detected >= 1)
+        await poll(lambda: supervisor.batcher.stalls_detected >= 1)
+        # The wedge outlasts several timeouts: still one stall.
+        await asyncio.sleep(6 * STALL)
+        stalled = supervisor.batcher.stalled
         status, _, body = await http_request(ports["http"], "/healthz")
         assert status == 200
-        supervisor.system.released.set()
+        supervisor.system.wedges[0].set()
         await supervisor.drain_and_stop()
-        return supervisor, published, json.loads(body)
+        return supervisor, published, stalled, json.loads(body)
 
     with obs.activate(obs.MetricsRegistry()) as registry:
-        supervisor, published, health = asyncio.run(scenario())
+        supervisor, published, stalled, health = asyncio.run(scenario())
 
-    assert supervisor.system.slides_closed == supervisor.batcher.slides_processed > 0
+    assert len(supervisor.system.closed) == supervisor.batcher.slides_processed > 0
     # Counted once, under one counter, while the slide was still wedged.
+    assert stalled
     assert health["watchdog"]["slide_running"]
     assert health["watchdog"]["stalls_detected"] == 1
     counters = registry.snapshot()["counters"]
     assert counters["resilience.watchdog.stalls"] == 1
-    assert supervisor.batcher.watchdog.stalls_detected == 1
+    assert supervisor.batcher.stalls_detected == 1
+    assert not supervisor.batcher.stalled
     # The stall cost time, not output: every line matches the offline
     # replay once the archive was released.
     assert supervisor.batcher.pipeline_errors == 0
@@ -97,19 +146,80 @@ def test_stalled_slide_is_detected_counted_and_still_published(
     )
 
 
+def test_two_wedged_archives_count_two_stalls(world, small_fleet, soak_sentences):
+    specs = small_fleet["specs"]
+
+    async def scenario():
+        supervisor = _supervisor(world, specs, TwoArchivesWedged)
+        published = tap_feed(supervisor)
+        batcher, system = supervisor.batcher, supervisor.system
+        await supervisor.start()
+        await send_sentences(supervisor.ports()["ingest"], soak_sentences)
+        seen = []
+        for wedge in system.wedges:
+            await poll(lambda: batcher.stalls_detected > len(seen))
+            seen.append(
+                (batcher.stalls_detected, batcher.pipeline_query_time)
+            )
+            wedge.set()
+        await supervisor.drain_and_stop()
+        return supervisor, published, seen
+
+    with obs.activate(obs.MetricsRegistry()) as registry:
+        supervisor, published, seen = asyncio.run(scenario())
+
+    # Each wedged archive was its own stall, on its own slide.
+    first, second = supervisor.system.closed[:2]
+    assert seen == [(1, first), (2, second)]
+    assert supervisor.batcher.stalls_detected == 2
+    assert registry.snapshot()["counters"]["resilience.watchdog.stalls"] == 2
+    assert supervisor.batcher.pipeline_errors == 0
+    assert published == offline_oracle(soak_sentences, world, specs)
+
+
+def test_a_wedged_finalize_counts_one_stall_and_the_drain_completes(
+    world, small_fleet, soak_sentences
+):
+    specs = small_fleet["specs"]
+
+    async def scenario():
+        supervisor = _supervisor(world, specs, FinalizeWedgedUntilReleased)
+        published = tap_feed(supervisor)
+        batcher = supervisor.batcher
+        await supervisor.start()
+        await send_sentences(supervisor.ports()["ingest"], soak_sentences)
+        await poll(lambda: supervisor.queue.put_count == len(soak_sentences))
+        drain = asyncio.ensure_future(supervisor.drain_and_stop())
+        await poll(lambda: batcher.stalls_detected >= 1)
+        watchdog = supervisor.health()["watchdog"]
+        final = batcher._query_time
+        supervisor.system.released.set()
+        await drain
+        return supervisor, published, watchdog, final
+
+    with obs.activate(obs.MetricsRegistry()) as registry:
+        supervisor, published, watchdog, final = asyncio.run(scenario())
+
+    assert watchdog["slide_running"]
+    assert watchdog["current_query_time"] == final
+    assert watchdog["stalls_detected"] == 1
+    assert registry.snapshot()["counters"]["resilience.watchdog.stalls"] == 1
+    assert not supervisor.forced_abort
+    assert supervisor.batcher.pipeline_errors == 0
+    assert published == offline_oracle(soak_sentences, world, specs)
+    assert json.loads(published[-1])["type"] == "finalize"
+
+
 def test_an_injected_slide_delay_is_late_but_never_a_stall(
     world, small_fleet, soak_sentences
 ):
     """``service.slide:delay`` sleeps on the event loop, at the slide's
-    fault point before its close: no watchdog tick can run until it ends,
-    so the slide is late, never a counted stall, and its line is the
+    fault point before its close: no pipeline-thread call is running, so
+    the slide is late, never a counted stall, and its line is the
     offline one."""
 
     async def scenario():
-        supervisor = ServiceSupervisor(
-            world, small_fleet["specs"], service=ServiceConfig(**EPHEMERAL),
-        )
-        supervisor.batcher.watchdog.timeout_seconds = 0.05
+        supervisor = _supervisor(world, small_fleet["specs"], None)
         published = tap_feed(supervisor)
         with inject(FaultPlan.from_spec("service.slide:delay@2:0.3")) as faults:
             await supervisor.start()
@@ -126,9 +236,63 @@ def test_an_injected_slide_delay_is_late_but_never_a_stall(
     assert [(spec.site, spec.kind) for spec in fired] == [
         ("service.slide", "delay")
     ]
-    assert supervisor.batcher.watchdog.stalls_detected == 0
+    assert supervisor.batcher.stalls_detected == 0
     assert "resilience.watchdog.stalls" not in registry.snapshot()["counters"]
     assert supervisor.batcher.pipeline_errors == 0
     assert published == offline_oracle(
         soak_sentences, world, small_fleet["specs"]
+    )
+
+
+def test_a_cluster_with_a_stalled_shard_is_degraded(
+    world, small_fleet, soak_sentences
+):
+    """One shard's wedged archive holds back every merged line (the
+    barrier merge waits for it) while the other shard keeps closing
+    slides: the cluster reports ``degraded`` until the wedge clears, and
+    the merged feed is then the offline one."""
+    specs = small_fleet["specs"]
+    config = SystemConfig(ce_scope="vessel")
+
+    async def scenario():
+        cluster = GatewayCluster(
+            world, specs, config, GatewayClusterConfig(gateways=1, runtimes=2)
+        )
+        wedged = cluster.supervisors[0]
+        released = threading.Event()
+        archive = wedged.system.archive
+
+        def archive_until_released():
+            if not released.wait(timeout=30.0):
+                raise RuntimeError("the test never released the archive")
+            archive()
+
+        # Runtime 0's archives touch the MOD, and the first one wedges.
+        wedged.system.archive_touches_mod = lambda: True
+        wedged.system.archive = archive_until_released
+        wedged.batcher.stall_seconds = STALL
+        await cluster.start()
+        await feed_gateways(cluster, [soak_sentences])
+        await poll(lambda: wedged.batcher.stalled)
+        other = cluster.supervisors[1].batcher
+        await poll(lambda: other.slides_processed > 2)
+        during = cluster.aggregator.health()
+        released.set()
+        await quiesce(cluster)
+        await poll(lambda: not wedged.batcher.stalled)
+        after = cluster.aggregator.health()
+        await cluster.drain_and_stop()
+        return cluster, during, after
+
+    cluster, during, after = asyncio.run(scenario())
+
+    assert during["status"] == "degraded"
+    assert [entry["stalled"] for entry in during["runtimes"]] == [True, False]
+    stalled, other = during["runtimes"]
+    assert during["feed"]["merged_lines"] <= stalled["slides"] < other["slides"]
+    assert [entry["status"] for entry in during["runtimes"]] == ["ok", "ok"]
+    assert after["status"] == "ok"
+    assert cluster.supervisors[0].batcher.stalls_detected == 1
+    assert cluster.merged_lines == offline_oracle(
+        soak_sentences, world, specs, config
     )
