@@ -23,11 +23,12 @@ Two engines are timed side by side on the same ME batches:
 
 Each configuration keeps the fastest of :data:`ROUNDS` replays: the times
 are raw wall-clock on a shared host, and a slow regime during one replay
-must not decide a shape assertion.  The 3x gate does not compare two
-cells, which ran minutes apart: it feeds one oracle and one incremental
-recognizer the same batches and steps them in turn at each query time,
-so a slow moment of the host costs both engines alike, and compares
-their summed step times over :data:`ROUNDS` such replays.
+must not decide a shape assertion.  The two gates at omega = 9 h (the 3x
+gate, and two oracle processors beating one) do not compare two cells,
+which ran minutes apart: each feeds its two recognizers the same batches
+and steps them in turn at each query time, so a slow moment of the host
+costs both alike, and compares their summed step times over
+:data:`ROUNDS` such replays.
 """
 
 import pytest
@@ -82,14 +83,10 @@ def emit_report():
     def seconds(hours, partitions, engine):
         return _results[(hours, partitions, engine)]["avg_seconds"]
 
-    # Shape 1 (the paper's algorithm): recognition time grows with omega.
+    # The paper's algorithm: recognition time grows with omega.
     for partitions in PARTITIONS:
         series = [seconds(h, partitions, "oracle") for h in WINDOW_HOURS]
         assert series[-1] > series[0], series
-    # Shape 2: two processors beat one at the largest window.
-    assert seconds(9, 2, "oracle") < seconds(9, 1, "oracle"), (
-        "partitioning should reduce per-query recognition time"
-    )
 
 
 def _recognizer(specs, hours: int, partitions: int, engine: str):
@@ -102,23 +99,43 @@ def _recognizer(specs, hours: int, partitions: int, engine: str):
     return recognizer
 
 
+def _step_for_step(configurations) -> dict[tuple[int, str], float]:
+    """Summed step seconds at omega = 9 h of each ``(partitions, engine)``
+    configuration over :data:`ROUNDS` replays, the recognizers fed the
+    same batches and stepped in turn at each query time."""
+    specs, batches = _me_batches()
+    seconds = {configuration: 0.0 for configuration in configurations}
+    for _ in range(ROUNDS):
+        recognizers = {
+            configuration: _recognizer(specs, 9, *configuration)
+            for configuration in configurations
+        }
+        for query_time, events in batches:
+            for configuration, recognizer in recognizers.items():
+                recognizer.ingest(events, arrival_time=query_time)
+                _, timing = recognizer.step(query_time)
+                # Parallel wall-clock: the slowest partition.
+                seconds[configuration] += timing.parallel_seconds
+    return seconds
+
+
 def test_incremental_is_3x_the_oracle_step_for_step():
     """The shipped engine re-derives only what changed: at omega = 9 h on
     one processor its summed step time is at most a third of the
-    oracle's, the two stepped in turn on the same batches."""
-    specs, batches = _me_batches()
-    seconds = {engine: 0.0 for engine in ENGINES}
-    for _ in range(ROUNDS):
-        recognizers = {
-            engine: _recognizer(specs, 9, 1, engine) for engine in ENGINES
-        }
-        for query_time, events in batches:
-            for engine, recognizer in recognizers.items():
-                recognizer.ingest(events, arrival_time=query_time)
-                _, timing = recognizer.step(query_time)
-                seconds[engine] += timing.parallel_seconds
-    assert seconds["oracle"] >= 3 * seconds["incremental"], (
+    oracle's."""
+    seconds = _step_for_step([(1, "oracle"), (1, "incremental")])
+    assert seconds[1, "oracle"] >= 3 * seconds[1, "incremental"], (
         "incremental recognition should be at least 3x the from-scratch oracle",
+        seconds,
+    )
+
+
+def test_two_oracle_processors_beat_one_step_for_step():
+    """Figure 11(a)'s shape: at omega = 9 h the 2-partition oracle's
+    summed step time is below the 1-partition oracle's."""
+    seconds = _step_for_step([(1, "oracle"), (2, "oracle")])
+    assert seconds[2, "oracle"] < seconds[1, "oracle"], (
+        "partitioning should reduce per-query recognition time",
         seconds,
     )
 

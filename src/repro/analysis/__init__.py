@@ -26,7 +26,7 @@ line with ``# repro: allow[RPR001]`` (comma-separate several codes).
 Run it as a CLI::
 
     python -m repro.analysis src tests
-    python -m repro.analysis --format json --select RPR003 src
+    python -m repro.analysis --format json src
 
 or drive it programmatically::
 
@@ -36,23 +36,15 @@ or drive it programmatically::
         print(diagnostic.format())
 """
 
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import (
-    AnalysisResult,
-    ModuleContext,
-    module_name_for,
-    run_analysis,
-)
-from repro.analysis.registry import Rule, all_rules, get_rule, rule_codes
+from repro.analysis.engine import AnalysisResult, module_name_for, run_analysis
 
 __all__ = [
     "AnalysisResult",
     "Diagnostic",
     "ModuleContext",
     "Rule",
-    "all_rules",
-    "get_rule",
     "module_name_for",
-    "rule_codes",
     "run_analysis",
 ]

@@ -5,7 +5,7 @@ Exit-code contract (CI depends on it):
 ====  =========================================================
 ``0``  scan ran, no diagnostics
 ``1``  scan ran, at least one diagnostic (including parse errors)
-``2``  usage error — unknown rule code, missing path
+``2``  usage error — unknown option, missing or undecodable path
 ====  =========================================================
 """
 
@@ -17,22 +17,11 @@ from collections.abc import Sequence
 
 from repro.analysis.diagnostics import render_human, render_json
 from repro.analysis.engine import run_analysis
-from repro.analysis.registry import get_rule, rule_codes
 
 #: Exit codes of the contract above.
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
-
-
-def _split_codes(raw: list[str] | None) -> list[str] | None:
-    """Flatten repeated/comma-separated code options into one list."""
-    if raw is None:
-        return None
-    codes: list[str] = []
-    for chunk in raw:
-        codes.extend(code.strip() for code in chunk.split(",") if code.strip())
-    return codes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,18 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("human", "json"), default="human",
         help="diagnostic output format (default: human)",
     )
-    parser.add_argument(
-        "--select", action="append", metavar="CODES",
-        help="run only these rule codes (comma-separated, repeatable)",
-    )
-    parser.add_argument(
-        "--ignore", action="append", metavar="CODES",
-        help="skip these rule codes (comma-separated, repeatable)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalog and exit",
-    )
     return parser
 
 
@@ -72,17 +49,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for code in rule_codes():
-            print(f"{code}  {get_rule(code).summary}")
-        return EXIT_CLEAN
-
     try:
-        result = run_analysis(
-            args.paths,
-            select=_split_codes(args.select),
-            ignore=_split_codes(args.ignore),
-        )
+        result = run_analysis(args.paths)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,7 +1,8 @@
 """File discovery, parsing, rule dispatch and result assembly.
 
 One :func:`run_analysis` call walks the given paths, parses every Python
-file once, hands each parsed module to every selected rule, then runs
+file once, hands each parsed module to every rule of
+:data:`~repro.analysis.rules.RULES`, then runs
 the rules' project-wide ``finalize`` hooks.  Diagnostics come back
 sorted by location, suppression comments already applied.
 
@@ -23,12 +24,13 @@ import ast
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import Any
 
 from repro import obs
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.registry import Rule, select_rules
+from repro.analysis.rules import RULES
 from repro.analysis.suppressions import is_suppressed, suppressed_lines
 
 #: Diagnostic code attached to files the parser rejects.
@@ -36,16 +38,6 @@ PARSE_ERROR_CODE = "RPR000"
 
 #: Directory names never descended into during discovery.
 _PRUNED_DIRS = {"__pycache__", "fixtures"}
-
-
-@dataclass(frozen=True)
-class ModuleContext:
-    """One parsed module as the rules see it."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    source: str
 
 
 @dataclass
@@ -156,14 +148,10 @@ def _parse(path: Path) -> tuple[ModuleContext | None, Diagnostic | None]:
     )
 
 
-def run_analysis(
-    paths: Iterable[str | Path],
-    select: Iterable[str] | None = None,
-    ignore: Iterable[str] | None = None,
-) -> AnalysisResult:
-    """Run the selected rules over every Python file under ``paths``."""
+def run_analysis(paths: Iterable[str | Path]) -> AnalysisResult:
+    """Run every rule over every Python file under ``paths``."""
     started = time.perf_counter()
-    rules: list[Rule] = [cls() for cls in select_rules(select, ignore)]
+    rules: list[Rule] = [cls() for cls in RULES]
     rule_seconds: dict[str, float] = {rule.code: 0.0 for rule in rules}
 
     files = discover_files(paths)

@@ -1,21 +1,17 @@
-"""The bundled project rules; importing this package registers them all.
+"""The bundled project rules, one module each, and :data:`RULES`.
 
-Each module holds one rule.  To add a rule: create a module here with a
-:class:`~repro.analysis.registry.Rule` subclass decorated with
-``@register``, import it below, and document it in
-docs/STATIC_ANALYSIS.md (the rule catalog is part of the contract).
+To add a rule: create a module here with a
+:class:`~repro.analysis.base.Rule` subclass, add the class to
+:data:`RULES`, and document it in docs/STATIC_ANALYSIS.md (the rule
+catalog is part of the contract).
 """
 
-from repro.analysis.rules import (  # noqa: F401  (registration side effects)
-    rpr001_wallclock,
-    rpr002_async_blocking,
-    rpr003_fault_sites,
-    rpr004_silent_drop,
-)
+from repro.analysis.rules.rpr001_wallclock import WallclockRule
+from repro.analysis.rules.rpr002_async_blocking import AsyncBlockingRule
+from repro.analysis.rules.rpr003_fault_sites import FaultSiteRule
+from repro.analysis.rules.rpr004_silent_drop import SilentDropRule
 
-__all__ = [
-    "rpr001_wallclock",
-    "rpr002_async_blocking",
-    "rpr003_fault_sites",
-    "rpr004_silent_drop",
-]
+#: Every rule, in code order: each run applies them all.
+RULES = (WallclockRule, AsyncBlockingRule, FaultSiteRule, SilentDropRule)
+
+__all__ = ["RULES"]

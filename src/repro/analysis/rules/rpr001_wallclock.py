@@ -23,9 +23,8 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.astutils import import_aliases, resolve_call
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ModuleContext
-from repro.analysis.registry import Rule, register
 
 #: Packages whose output must be a pure function of their input.
 DETERMINISTIC_PACKAGES = (
@@ -57,15 +56,10 @@ def in_scope(module: str) -> bool:
     )
 
 
-@register
 class WallclockRule(Rule):
     """Deterministic packages must not read wall clock or global RNG."""
 
     code = "RPR001"
-    summary = (
-        "no time.time()/datetime.now()/module-level random in "
-        "deterministic packages (tracking, rtec, maritime, pipeline)"
-    )
 
     def check_module(self, module: ModuleContext) -> Iterator[Diagnostic]:
         if not in_scope(module.module):

@@ -27,9 +27,8 @@ from repro.analysis.astutils import (
     resolve_call,
     walk_function_body,
 )
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ModuleContext
-from repro.analysis.registry import Rule, register
 
 #: Packages whose async functions are checked (the service layer plus
 #: the transport adapters and the gateway tier, which share its loop).
@@ -62,15 +61,10 @@ def _is_blocking(origin: str) -> bool:
     return origin in BLOCKING_CALLS or origin.startswith(BLOCKING_PREFIXES)
 
 
-@register
 class AsyncBlockingRule(Rule):
     """`async def` bodies in repro.service must not block the loop."""
 
     code = "RPR002"
-    summary = (
-        "no blocking calls (time.sleep, open, sqlite3, sockets, "
-        "subprocess) inside async def in repro.service"
-    )
 
     def check_module(self, module: ModuleContext) -> Iterator[Diagnostic]:
         if not in_scope(module.module):

@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from collections.abc import Iterator
 
 from repro.analysis.astutils import call_arg_literal, import_aliases, resolve_call
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ModuleContext
-from repro.analysis.registry import Rule, register
 
 #: Module that must define the ``SITES`` registry.
 REGISTRY_MODULE = "repro.resilience.faults"
@@ -56,15 +55,10 @@ class _Site:
     col: int
 
 
-@register
 class FaultSiteRule(Rule):
     """fault_point literals and the SITES registry must match exactly."""
 
     code = "RPR003"
-    summary = (
-        "every fault_point(\"…\") literal appears in "
-        "repro.resilience.faults.SITES and vice versa"
-    )
 
     def __init__(self) -> None:
         self._call_sites: list[_Site] = []

@@ -35,9 +35,8 @@ from repro.analysis.astutils import (
     iter_functions,
     walk_function_body,
 )
+from repro.analysis.base import ModuleContext, Rule
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.engine import ModuleContext
-from repro.analysis.registry import Rule, register
 
 #: Packages whose drop paths must be counted.
 QUEUEING_PACKAGES = (
@@ -85,15 +84,10 @@ def _drop_reason(
     return None
 
 
-@register
 class SilentDropRule(Rule):
     """Drop/shed/evict paths must increment an obs counter."""
 
     code = "RPR004"
-    summary = (
-        "get_nowait/evict/shed/drop branches must increment an "
-        "observability counter in the same function"
-    )
 
     def check_module(self, module: ModuleContext) -> Iterator[Diagnostic]:
         if not in_scope(module.module):

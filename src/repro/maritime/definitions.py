@@ -51,15 +51,6 @@ from repro.simulator.world import Area, AreaKind, WorldModel
 OUTPUT_FLUENTS = ["suspicious", "illegalFishing"]
 OUTPUT_EVENTS = ["illegalShipping", "dangerousShipping"]
 
-#: Recognition scopes.  ``full`` is the paper's rule set; ``vessel``
-#: keeps only the CEs whose bodies reference a single vessel — the
-#: per-area counter fluents (``vesselsStoppedIn``, ``fishingStoppedIn``)
-#: aggregate over *every* vessel near an area, so the ``suspicious`` and
-#: ``illegalFishing`` rule-sets are not MMSI-decomposable and are gated
-#: out when recognition is partitioned across a gateway cluster's
-#: independent runtimes (docs/GATEWAY.md).
-CE_SCOPES = ("full", "vessel")
-
 #: The full CE vocabulary, vessel-vs-area plus the pairwise layer
 #: (:mod:`repro.maritime.pairwise`); the HTTP alert filter validates
 #: ``?type=`` names against this.
@@ -76,18 +67,15 @@ def build_maritime_rules(
     specs: dict[int, VesselSpec],
     config: MaritimeConfig | None = None,
     watch_areas: list[Area] | None = None,
-    scope: str = "full",
 ) -> tuple[list[Rule], list[ComputedFluent]]:
     """Assemble the full event description for a world and fleet.
 
     ``watch_areas`` restricts the ``suspicious`` CE (officials "restrict
     computation ... to these areas"); it defaults to every area of the
-    world.  ``scope`` selects between the paper's full rule set and the
-    MMSI-decomposable ``vessel`` subset (see :data:`CE_SCOPES`).  Returns
-    the rules plus the computed counter fluents to register.
+    world.  Returns the rules plus the computed counter fluents to
+    register; which of them run is the engine's choice (rule (f)), made
+    from the declared outputs.
     """
-    if scope not in CE_SCOPES:
-        raise ValueError(f"scope must be one of {CE_SCOPES}: {scope!r}")
     config = config or MaritimeConfig()
     watch = watch_areas if watch_areas is not None else list(world.areas)
     threshold = config.close_threshold_meters
@@ -131,93 +119,92 @@ def build_maritime_rules(
         )
     )
 
-    if scope == "full":
-        # ----- Scenario 1: suspicious(Area) — rule-set (3) --------------
-        rules.append(
-            initiated(
-                "suspicious", (area,), True,
-                [
-                    HappensAt(Start("stopped", (vessel,), True)),
-                    coord_lookup,
-                    StaticJoin(close_watch, inputs=("Lon", "Lat"), outputs=("Area",)),
-                    HoldsAt("vesselsStoppedIn", (area,), count),
-                    Guard(
-                        lambda n, k=config.suspicious_other_vessels: n >= k, ("N",)
-                    ),
-                ],
-            )
+    # ----- Scenario 1: suspicious(Area) — rule-set (3) ------------------
+    rules.append(
+        initiated(
+            "suspicious", (area,), True,
+            [
+                HappensAt(Start("stopped", (vessel,), True)),
+                coord_lookup,
+                StaticJoin(close_watch, inputs=("Lon", "Lat"), outputs=("Area",)),
+                HoldsAt("vesselsStoppedIn", (area,), count),
+                Guard(
+                    lambda n, k=config.suspicious_other_vessels: n >= k, ("N",)
+                ),
+            ],
         )
-        rules.append(
-            terminated(
-                "suspicious", (area,), True,
-                [
-                    HappensAt(End("stopped", (vessel,), True)),
-                    coord_lookup,
-                    StaticJoin(close_watch, inputs=("Lon", "Lat"), outputs=("Area",)),
-                    HoldsAt("vesselsStoppedIn", (area,), count),
-                    # The departing vessel is still counted at its
-                    # end(stopped) instant, so N - 1 vessels remain.
-                    Guard(
-                        lambda n, k=config.suspicious_other_vessels: n - 1 <= k,
-                        ("N",),
-                    ),
-                ],
-            )
+    )
+    rules.append(
+        terminated(
+            "suspicious", (area,), True,
+            [
+                HappensAt(End("stopped", (vessel,), True)),
+                coord_lookup,
+                StaticJoin(close_watch, inputs=("Lon", "Lat"), outputs=("Area",)),
+                HoldsAt("vesselsStoppedIn", (area,), count),
+                # The departing vessel is still counted at its
+                # end(stopped) instant, so N - 1 vessels remain.
+                Guard(
+                    lambda n, k=config.suspicious_other_vessels: n - 1 <= k,
+                    ("N",),
+                ),
+            ],
         )
+    )
 
-        # ----- Scenario 2: illegalFishing(Area) — rule-set (4) ----------
-        rules.append(
-            initiated(
-                "illegalFishing", (area,), True,
-                [
-                    HappensAt(Start("stopped", (vessel,), True)),
-                    is_fishing,
-                    coord_lookup,
-                    StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
-                ],
-            )
+    # ----- Scenario 2: illegalFishing(Area) — rule-set (4) --------------
+    rules.append(
+        initiated(
+            "illegalFishing", (area,), True,
+            [
+                HappensAt(Start("stopped", (vessel,), True)),
+                is_fishing,
+                coord_lookup,
+                StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
+            ],
         )
-        rules.append(
-            initiated(
-                "illegalFishing", (area,), True,
-                [
-                    HappensAt(EventPattern("slowMotion", (vessel,))),
-                    is_fishing,
-                    coord_lookup,
-                    StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
-                ],
-            )
+    )
+    rules.append(
+        initiated(
+            "illegalFishing", (area,), True,
+            [
+                HappensAt(EventPattern("slowMotion", (vessel,))),
+                is_fishing,
+                coord_lookup,
+                StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
+            ],
         )
-        # Termination (the paper sketches the conditions): no fishing
-        # vessels remain stopped in the area...
-        rules.append(
-            terminated(
-                "illegalFishing", (area,), True,
-                [
-                    HappensAt(End("stopped", (vessel,), True)),
-                    is_fishing,
-                    coord_lookup,
-                    StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
-                    HoldsAt("fishingStoppedIn", (area,), count),
-                    Guard(lambda n: n - 1 <= 0, ("N",)),
-                ],
-            )
+    )
+    # Termination (the paper sketches the conditions): no fishing
+    # vessels remain stopped in the area...
+    rules.append(
+        terminated(
+            "illegalFishing", (area,), True,
+            [
+                HappensAt(End("stopped", (vessel,), True)),
+                is_fishing,
+                coord_lookup,
+                StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
+                HoldsAt("fishingStoppedIn", (area,), count),
+                Guard(lambda n: n - 1 <= 0, ("N",)),
+            ],
         )
-        # ... or a fishing vessel speeds up (movement no longer allows
-        # fishing) while no fishing vessel is stopped there.
-        rules.append(
-            terminated(
-                "illegalFishing", (area,), True,
-                [
-                    HappensAt(EventPattern("speedChange", (vessel,))),
-                    is_fishing,
-                    coord_lookup,
-                    StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
-                    HoldsAt("fishingStoppedIn", (area,), count),
-                    Guard(lambda n: n == 0, ("N",)),
-                ],
-            )
+    )
+    # ... or a fishing vessel speeds up (movement no longer allows
+    # fishing) while no fishing vessel is stopped there.
+    rules.append(
+        terminated(
+            "illegalFishing", (area,), True,
+            [
+                HappensAt(EventPattern("speedChange", (vessel,))),
+                is_fishing,
+                coord_lookup,
+                StaticJoin(close_forbidden, inputs=("Lon", "Lat"), outputs=("Area",)),
+                HoldsAt("fishingStoppedIn", (area,), count),
+                Guard(lambda n: n == 0, ("N",)),
+            ],
         )
+    )
 
     # ----- Scenario 3: illegalShipping — rule (5) ------------------------
     rules.append(
@@ -246,18 +233,15 @@ def build_maritime_rules(
         )
     )
 
-    computed: list[ComputedFluent] = []
-    if scope == "full":
-        # The counter fluents only back the aggregate rule-sets above.
-        computed = [
-            VesselsStoppedIn(close_watch, area_names=[a.name for a in watch]),
-            FishingStoppedIn(
-                close_forbidden,
-                fishing=lambda mmsi: fishing(mmsi),
-                area_names=[
-                    a.name
-                    for a in world.areas_of_kind(AreaKind.FORBIDDEN_FISHING)
-                ],
-            ),
-        ]
+    # The counter fluents back the aggregate rule-sets (3) and (4).
+    computed: list[ComputedFluent] = [
+        VesselsStoppedIn(close_watch, area_names=[a.name for a in watch]),
+        FishingStoppedIn(
+            close_forbidden,
+            fishing=lambda mmsi: fishing(mmsi),
+            area_names=[
+                a.name for a in world.areas_of_kind(AreaKind.FORBIDDEN_FISHING)
+            ],
+        ),
+    ]
     return rules, computed

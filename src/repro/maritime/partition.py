@@ -22,7 +22,7 @@ multi-process figure stands next to it).
 from dataclasses import dataclass
 
 from repro.maritime.config import MaritimeConfig
-from repro.maritime.recognizer import Alert, MaritimeRecognizer
+from repro.maritime.recognizer import Alert, MaritimeRecognizer, alert_sort_key
 from repro.rtec.engine import RecognitionResult
 from repro.simulator.vessel import VesselSpec
 from repro.simulator.world import BoundingBox, WorldModel
@@ -124,7 +124,7 @@ class PartitionedRecognizer:
         merged: list[Alert] = []
         for recognizer in self.recognizers:
             merged.extend(recognizer.alerts())
-        merged.sort(key=lambda alert: (alert.since, alert.kind, alert.area))
+        merged.sort(key=alert_sort_key)
         return merged
 
     def _route(self, lon: float) -> MaritimeRecognizer:

@@ -77,6 +77,22 @@ def alert_sort_key(alert: Alert) -> tuple:
     )
 
 
+#: The CEs each ``(ce_scope, pairwise)`` reports.  ``vessel`` keeps the
+#: MMSI-decomposable CEs a gateway cluster can shard (docs/GATEWAY.md);
+#: its empty fluent list is a declaration that keeps internal fluents
+#: (``stopped``, ...) out of the alerts.  Pairwise CEs span two vessels,
+#: so only the full scope takes them.  RTEC rule (f) evaluates and stores
+#: only what these outputs need.
+_SCOPE_OUTPUTS: dict[tuple[str, bool], tuple[list[str], list[str]]] = {
+    ("full", False): (OUTPUT_FLUENTS, OUTPUT_EVENTS),
+    ("full", True): (
+        OUTPUT_FLUENTS + PAIRWISE_OUTPUT_FLUENTS,
+        OUTPUT_EVENTS + PAIRWISE_OUTPUT_EVENTS,
+    ),
+    ("vessel", False): ([], OUTPUT_EVENTS),
+}
+
+
 class MaritimeRecognizer:
     """End-to-end CE recognition over movement-event slides."""
 
@@ -90,31 +106,20 @@ class MaritimeRecognizer:
         pairwise: bool = False,
         ce_scope: str = "full",
     ):
+        try:
+            output_fluents, output_events = _SCOPE_OUTPUTS[ce_scope, pairwise]
+        except KeyError:
+            raise ValueError(
+                f"no recognition scope {ce_scope!r} with pairwise={pairwise}; "
+                f"known: {sorted(_SCOPE_OUTPUTS)}"
+            ) from None
         self.world = world
         self.config = config or MaritimeConfig()
-        self.pairwise = pairwise
-        self.ce_scope = ce_scope
-        if ce_scope != "full" and pairwise:
-            # Pairwise CEs span two vessels: they are not MMSI-decomposable,
-            # so they do not compose with the vessel scope (docs/GATEWAY.md).
-            raise ValueError("ce_scope='vessel' excludes pairwise recognition")
         self.engine = RTEC(window_seconds)
         rules, computed = build_maritime_rules(
-            self.world, specs, self.config, watch_areas, scope=ce_scope
+            self.world, specs, self.config, watch_areas
         )
-        if ce_scope == "full":
-            output_fluents = list(OUTPUT_FLUENTS)
-        else:
-            # The aggregate fluents are gated out of the rule set, so the
-            # vessel scope reports no fluent at all: the empty declaration
-            # keeps internal fluents (``stopped``, ...) out of the alerts.
-            output_fluents = []
-        output_events = list(OUTPUT_EVENTS)
-        if pairwise:
-            rules = list(rules) + build_pairwise_rules()
-            output_fluents += PAIRWISE_OUTPUT_FLUENTS
-            output_events += PAIRWISE_OUTPUT_EVENTS
-        self.engine.declare_rules(rules)
+        self.engine.declare_rules(rules + build_pairwise_rules())
         for fluent in computed:
             self.engine.declare_computed(fluent)
         self.engine.declare_outputs(output_fluents, output_events)

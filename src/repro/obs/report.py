@@ -36,7 +36,8 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 SCHEMA = "repro.obs/pipeline-v1"
 
 #: Histogram-name prefix under which the pipeline records per-phase
-#: per-slide seconds (see ``SurveillanceSystem.process_slide``).
+#: per-slide seconds (``SurveillanceSystem.archive`` →
+#: ``_record_slide_metrics``).
 PHASE_HISTOGRAM_PREFIX = "pipeline.phase."
 
 

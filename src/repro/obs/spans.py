@@ -14,8 +14,8 @@ and a drill-down into each phase's interior.
 
 Usage::
 
-    with registry.span("tracking.process_batch"):
-        events = tracker.process_batch(batch)
+    with registry.span("tracking.close_slide"):
+        events, closed = tracker.close_slide()
 
 A disabled registry hands out :data:`NULL_SPAN`, a shared singleton whose
 enter/exit do nothing at all — no clock reads, no allocation — so

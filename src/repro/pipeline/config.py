@@ -28,12 +28,14 @@ class SystemConfig:
     #: rendezvous, CPA risk, dark ship.  See :mod:`repro.maritime.pairwise`.
     pairwise: bool = False
     pairwise_config: PairwiseConfig = field(default_factory=PairwiseConfig)
-    #: Complex-event scope.  ``full`` (the paper's rule set) includes the
-    #: per-area aggregate CEs (``suspicious``, ``illegalFishing``) whose
-    #: vessel counters span every vessel in an area; ``vessel`` keeps only
-    #: the vessel-local CEs (``illegalShipping``, ``dangerousShipping``),
-    #: making recognition decomposable by MMSI — the contract a gateway
-    #: cluster of independent runtimes requires (docs/GATEWAY.md).
+    #: Complex-event scope: the CEs reported.  ``full`` (the paper's rule
+    #: set) includes the per-area aggregate CEs (``suspicious``,
+    #: ``illegalFishing``) whose vessel counters span every vessel in an
+    #: area; ``vessel`` reports only the vessel-local CEs
+    #: (``illegalShipping``, ``dangerousShipping``), and RTEC evaluates
+    #: only what those read, making recognition decomposable by MMSI — the
+    #: contract a gateway cluster of independent runtimes requires
+    #: (docs/GATEWAY.md).
     ce_scope: str = "full"
     #: Disable the CE recognition phase entirely (the Figure 10 experiment
     #: measures only the trajectory-maintenance phases).

@@ -1,11 +1,12 @@
-"""CLI contract: exit codes, JSON schema, --select/--ignore, --list-rules."""
+"""CLI contract: exit codes and the JSON schema."""
 
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import EXIT_CLEAN, EXIT_FINDINGS, EXIT_USAGE, main
 from repro.analysis.diagnostics import JSON_SCHEMA
-from repro.analysis.registry import rule_codes
 
 FIXTURES = str(Path(__file__).parent / "fixtures")
 CLEAN_FILE = str(Path("src/repro/geo/units.py"))
@@ -21,35 +22,17 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "issues found" in out
 
-    def test_unknown_rule_code_exits_two(self, capsys):
-        assert main(["--select", "RPR999", CLEAN_FILE]) == EXIT_USAGE
-        assert "unknown rule code" in capsys.readouterr().err
+    def test_unknown_option_exits_two(self, capsys):
+        # Every run applies every rule: there is no option to choose them.
+        for option in ("--select=RPR001", "--ignore=RPR004", "--list-rules"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([option, CLEAN_FILE])
+            assert exit_info.value.code == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, capsys):
         assert main(["no/such/dir"]) == EXIT_USAGE
         assert "no such path" in capsys.readouterr().err
-
-
-class TestSelectIgnore:
-    def test_select_restricts_rules(self, capsys):
-        assert main(["--select", "RPR001", FIXTURES]) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "RPR001" in out
-        assert "RPR004" not in out
-
-    def test_ignore_removes_rules(self, capsys):
-        code = main(
-            ["--ignore", "RPR001,RPR002,RPR003,RPR004", FIXTURES]
-        )
-        assert code == EXIT_CLEAN
-        capsys.readouterr()
-
-    def test_repeatable_and_comma_separated(self, capsys):
-        assert main(
-            ["--select", "RPR004", "--select", "RPR002", FIXTURES]
-        ) == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        assert "RPR004" in out and "RPR002" in out and "RPR001" not in out
 
 
 class TestJsonOutput:
@@ -79,10 +62,3 @@ class TestJsonOutput:
         assert payload["diagnostics"] == []
         assert payload["stats"]["files"] == 1
 
-
-class TestListRules:
-    def test_catalog_lists_every_code(self, capsys):
-        assert main(["--list-rules"]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        for code in rule_codes():
-            assert code in out

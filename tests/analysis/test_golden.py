@@ -9,7 +9,7 @@ shows up as a diff against the golden list, not as silent drift.
 from pathlib import Path
 
 from repro.analysis import run_analysis
-from repro.analysis.registry import rule_codes
+from repro.analysis.rules import RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -43,7 +43,7 @@ class TestGoldenFindings:
 
     def test_every_rule_fires_at_least_once(self):
         fired = {rule for rule, _, _ in GOLDEN}
-        assert fired == set(rule_codes())
+        assert fired == {rule.code for rule in RULES}
 
     def test_one_suppressed_finding(self):
         result = run_analysis([FIXTURES])

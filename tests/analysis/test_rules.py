@@ -7,8 +7,8 @@ from repro.analysis import run_analysis
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def findings(paths, select):
-    return run_analysis(paths, select=[select]).diagnostics
+def findings(paths, code):
+    return [d for d in run_analysis(paths).diagnostics if d.rule == code]
 
 
 class TestRPR001Wallclock:

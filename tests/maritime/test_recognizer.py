@@ -6,6 +6,12 @@ from repro import obs
 from repro.geo.polygon import GeoPolygon
 from repro.maritime import MaritimeConfig, MaritimeRecognizer
 from repro.maritime.adapter import EVENT_FUNCTORS
+from repro.maritime.pairwise.monitor import PairFact
+from repro.maritime.pairwise.rules import (
+    PAIR_FACT_FUNCTORS,
+    PAIRWISE_OUTPUT_EVENTS,
+    PAIRWISE_OUTPUT_FLUENTS,
+)
 from repro.pipeline import SurveillanceSystem, SystemConfig
 from repro.simulator.vessel import VesselSpec, VesselType
 from repro.simulator.world import Area, AreaKind, BoundingBox, Port, WorldModel
@@ -174,3 +180,45 @@ class TestVesselScope:
             "dangerousShipping", "illegalShipping",
         ]
         assert all(not cache.added and not cache.removed for cache in caches)
+
+
+class TestScopeIsAnOutputDeclaration:
+    def test_an_unknown_scope_raises(self):
+        with pytest.raises(ValueError, match="vesel"):
+            MaritimeRecognizer(
+                tiny_world(), SPECS, window_seconds=10_000, ce_scope="vesel"
+            )
+
+    def test_the_vessel_scope_excludes_pairwise_recognition(self):
+        with pytest.raises(ValueError, match="pairwise"):
+            MaritimeRecognizer(
+                tiny_world(), SPECS, window_seconds=10_000,
+                ce_scope="vessel", pairwise=True,
+            )
+
+    def test_full_scope_without_pairwise_runs_and_stores_no_pairwise_rule(
+        self, recognizer
+    ):
+        # Every pairwise rule is declared; no pairwise output is, so the
+        # engine keeps no cache for them and the recognizer stores none
+        # of the pair facts they alone read.
+        facts = [
+            PairFact(functor, (7, 8), 100 + index, anchor_lon=CENTER[0])
+            for index, functor in enumerate(PAIR_FACT_FUNCTORS)
+        ]
+        recognizer.ingest(
+            [MovementEvent(MovementEventType.STOP_START, 7, *CENTER, 90)],
+            arrival_time=500,
+        )
+        assert recognizer.ingest_facts(facts, arrival_time=500) == len(facts)
+        recognizer.step(500)
+        fold = recognizer.engine._fold
+        held = {*fold.initiation, *fold.termination, *fold.happening}
+        assert held == {
+            "stopped", "suspicious", "illegalFishing",
+            "illegalShipping", "dangerousShipping",
+        }
+        assert held.isdisjoint(PAIRWISE_OUTPUT_FLUENTS + PAIRWISE_OUTPUT_EVENTS)
+        memory = recognizer.engine.working_memory
+        assert set(memory.event_functors()).isdisjoint(PAIR_FACT_FUNCTORS)
+        assert memory.event_functors()

@@ -3,8 +3,8 @@ suite, and the live drivers the service, recovery and gateway suites
 share: :func:`send_sentences`, :func:`subscribe`, :func:`tap_feed`,
 :func:`tap_ingest`, :func:`run_live`, :func:`gateway_records`,
 :func:`first_watermark_at`, :func:`run_shard`, :func:`feed_gateways`,
-:func:`quiesce`, :func:`run_cluster` and the :class:`HandOver` queue
-stand-in.
+:func:`quiesce`, :func:`run_cluster`, the :class:`HandOver` queue
+stand-in and the :class:`PipelineWedge` stall double.
 
 A transcript is everything a system emits over a stream — per-slide
 reports, the finalize report, the final synopsis, the latest alerts and
@@ -21,6 +21,7 @@ Alerts and movement events hold only scalars, so they compare as they are.
 import asyncio
 import contextlib
 import inspect
+import threading
 import time
 from collections import Counter
 
@@ -185,6 +186,64 @@ class KeepsItsMod(SurveillanceSystem):
         if self.mod is None:
             self.mod = mod_contents(self.database)
         super().close()
+
+
+class PipelineWedge:
+    """Holds a pipeline's calls on its thread until the test releases
+    them: each of the first ``archives`` archives until its event in
+    ``archive_releases`` is set, and ``finalize`` (if ``finalize``) until
+    ``finalize_release`` is.  A wedge never released fails its call after
+    30 s.  With an archive wedge, every archive touches the MOD (the
+    wedge stands in for a stuck sqlite call), so it runs on the pipeline
+    thread.  ``reached`` is set once a call blocks; ``closed`` lists the
+    query times of the slides the pipeline closed.
+
+    Pass :meth:`system` as a ``system_factory``, or :meth:`install` the
+    wedge into a pipeline already built (a cluster runtime's)."""
+
+    def __init__(self, archives: int = 1, finalize: bool = False):
+        self.archive_releases = [threading.Event() for _ in range(archives)]
+        self.finalize_release = threading.Event() if finalize else None
+        self.reached = threading.Event()
+        self.closed: list[int] = []
+        self._archives = 0
+
+    def system(self, *args) -> SurveillanceSystem:
+        """A new pipeline, wedged: a ``system_factory``."""
+        return self.install(SurveillanceSystem(*args))
+
+    def install(self, system: SurveillanceSystem) -> SurveillanceSystem:
+        """Wedge ``system`` in place; returns it."""
+        close_slide, archive, finalize = (
+            system.close_slide, system.archive, system.finalize,
+        )
+
+        def closing(query_time):
+            self.closed.append(query_time)
+            return close_slide(query_time)
+
+        def archiving():
+            if self._archives < len(self.archive_releases):
+                self._archives += 1
+                self._hold(self.archive_releases[self._archives - 1])
+            archive()
+
+        def finalizing():
+            if self.finalize_release is not None:
+                self._hold(self.finalize_release)
+            return finalize()
+
+        system.close_slide = closing
+        system.archive = archiving
+        system.finalize = finalizing
+        if self.archive_releases:
+            system.archive_touches_mod = lambda: True
+        return system
+
+    def _hold(self, release: threading.Event) -> None:
+        self.reached.set()
+        if not release.wait(timeout=30.0):
+            raise RuntimeError("the test never released the wedge")
 
 
 async def send_sentences(port: int, sentences) -> None:

@@ -10,17 +10,16 @@ stall.
 
 import asyncio
 import json
-import threading
 
 import pytest
 
 from repro import obs
-from repro.pipeline.system import SurveillanceSystem
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.simulator import FleetSimulator
 from tests.parity import (
     EPHEMERAL,
     KeepsItsMod,
+    PipelineWedge,
     mod_contents,
     offline_oracle,
     offline_replay,
@@ -46,41 +45,18 @@ def trip_fleet(world):
     }
 
 
-class ArchiveWedgedUntilReleased(SurveillanceSystem):
-    """The first slide's archive blocks until the test sets ``released``."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.released = threading.Event()
-        self.wedged = threading.Event()
-        self.closed: list[int] = []
-
-    def close_slide(self, query_time):
-        self.closed.append(query_time)
-        return super().close_slide(query_time)
-
-    def archive_touches_mod(self):
-        return True  # the wedge stands in for a stuck sqlite call
-
-    def archive(self):
-        if not self.wedged.is_set():
-            self.wedged.set()
-            if not self.released.wait(timeout=30.0):
-                raise RuntimeError("the test never released the archive")
-        super().archive()
-
-
 def _query_time(line: str) -> int:
     return json.loads(line)["query_time"]
 
 
 def test_the_line_does_not_wait_for_the_archive(world, trip_fleet):
     specs, sentences = trip_fleet["specs"], trip_fleet["sentences"]
+    wedge = PipelineWedge()
 
     async def scenario():
         supervisor = ServiceSupervisor(
             world, specs, service=ServiceConfig(**EPHEMERAL),
-            system_factory=ArchiveWedgedUntilReleased,
+            system_factory=wedge.system,
         )
         system = supervisor.system
         await supervisor.start()
@@ -93,8 +69,8 @@ def test_the_line_does_not_wait_for_the_archive(world, trip_fleet):
         # Read before the first slide's archive can finish, which it
         # does only once released: had the line waited, this times out.
         first = await asyncio.wait_for(reader.readline(), LINE_TIMEOUT)
-        held = (list(system.closed), system.timings.slides)
-        system.released.set()
+        held = (list(wedge.closed), system.timings.slides)
+        wedge.archive_releases[0].set()
         await poll(lambda: supervisor.ingest.open_connections == 0)
         await supervisor.drain_and_stop()
         rest = await reader.read()
@@ -131,11 +107,12 @@ def test_a_wedged_archive_is_a_counted_stall_after_its_line(
     world, small_fleet, soak_sentences
 ):
     specs = small_fleet["specs"]
+    wedge = PipelineWedge()
 
     async def scenario():
         supervisor = ServiceSupervisor(
             world, specs, service=ServiceConfig(**EPHEMERAL),
-            system_factory=ArchiveWedgedUntilReleased,
+            system_factory=wedge.system,
         )
         supervisor.batcher.stall_seconds = 0.05
         published = tap_feed(supervisor)
@@ -143,7 +120,7 @@ def test_a_wedged_archive_is_a_counted_stall_after_its_line(
         await send_sentences(supervisor.ports()["ingest"], soak_sentences)
         await poll(lambda: supervisor.batcher.stalls_detected >= 1)
         stalled = (list(published), supervisor.health()["watchdog"])
-        supervisor.system.released.set()
+        wedge.archive_releases[0].set()
         await supervisor.drain_and_stop()
         return supervisor, published, stalled
 
@@ -151,7 +128,7 @@ def test_a_wedged_archive_is_a_counted_stall_after_its_line(
         supervisor, published, (before, watchdog) = asyncio.run(scenario())
 
     # The stall was the held archive's slide, whose line was already out.
-    (wedged,) = supervisor.system.closed[:1]
+    (wedged,) = wedge.closed[:1]
     assert watchdog["slide_running"]
     assert watchdog["current_query_time"] == wedged
     assert [_query_time(line) for line in before] == [wedged]
@@ -159,7 +136,7 @@ def test_a_wedged_archive_is_a_counted_stall_after_its_line(
     assert registry.snapshot()["counters"]["resilience.watchdog.stalls"] == 1
     # Archives are watched but not counted as slides.
     slides_seen = supervisor.health()["watchdog"]["slides_seen"]
-    assert slides_seen == len(supervisor.system.closed)
+    assert slides_seen == len(wedge.closed)
     # The stall cost time, not output.
     assert supervisor.batcher.pipeline_errors == 0
     assert not supervisor.forced_abort

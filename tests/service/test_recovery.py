@@ -14,7 +14,6 @@ the chaos CI job).
 """
 
 import asyncio
-import threading
 import time
 
 from repro.resilience import FaultPlan, SimulatedCrash, inject
@@ -22,6 +21,7 @@ from repro.resilience.wal import read_journal
 from repro.service import ServiceConfig, ServiceSupervisor
 from tests.parity import (
     EPHEMERAL,
+    PipelineWedge,
     offline_oracle,
     poll,
     run_live,
@@ -131,26 +131,13 @@ class TestDrainDeadline:
         self, world, small_fleet, soak_sentences
     ):
         """The satellite bugfix: drain used to await the batcher forever."""
-        release = threading.Event()
-        wedged = threading.Event()
-
-        from repro.pipeline.system import SurveillanceSystem
-
-        class WedgedSystem(SurveillanceSystem):
-            def archive_touches_mod(self):
-                return True  # the wedge stands in for a stuck sqlite call
-
-            def archive(self):
-                wedged.set()
-                release.wait(timeout=30.0)  # wedge until the test releases
-                super().archive()
-
+        wedge = PipelineWedge()
         service = ServiceConfig(**EPHEMERAL)
 
         async def scenario():
             supervisor = ServiceSupervisor(
                 world, small_fleet["specs"], service=service,
-                system_factory=WedgedSystem,
+                system_factory=wedge.system,
             )
             supervisor.drain_timeout_seconds = 0.5
             await supervisor.start()
@@ -162,11 +149,11 @@ class TestDrainDeadline:
             started = time.monotonic()
             await supervisor.drain_and_stop()
             elapsed = time.monotonic() - started
-            release.set()
+            wedge.archive_releases[0].set()
             return supervisor, elapsed
 
         supervisor, elapsed = asyncio.run(scenario())
-        assert wedged.is_set(), "the archive never reached the wedge"
+        assert wedge.reached.is_set(), "the archive never reached the wedge"
         assert supervisor.forced_abort, "deadline must force the abort"
         assert elapsed < 10.0, f"drain hung for {elapsed:.1f}s"
         assert supervisor.health()["forced_abort"] is True

@@ -11,17 +11,16 @@ where no timer can fire while it runs.
 
 import asyncio
 import json
-import threading
 
 from repro import obs
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.pipeline.config import SystemConfig
-from repro.pipeline.system import SurveillanceSystem
 from repro.resilience.faults import FaultPlan, inject
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.batcher import SLIDE_STALL_SECONDS
 from tests.parity import (
     EPHEMERAL,
+    PipelineWedge,
     feed_gateways,
     offline_oracle,
     poll,
@@ -34,50 +33,6 @@ from tests.service.test_http import http_request
 #: The short stall threshold these cases set in place of the constant,
 #: far above a real slide, so a wedge need not last ten seconds.
 STALL = 0.05
-
-
-class ArchivesWedged(SurveillanceSystem):
-    """The first ``WEDGED`` archives each block until the test sets its
-    event in ``wedges``."""
-
-    WEDGED = 1
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.wedges = [threading.Event() for _ in range(self.WEDGED)]
-        self.closed: list[int] = []
-        self._archives = 0
-
-    def close_slide(self, query_time):
-        self.closed.append(query_time)
-        return super().close_slide(query_time)
-
-    def archive_touches_mod(self):
-        return True  # the wedge stands in for a stuck sqlite call
-
-    def archive(self):
-        if self._archives < self.WEDGED:
-            self._archives += 1
-            if not self.wedges[self._archives - 1].wait(timeout=30.0):
-                raise RuntimeError("the test never released the archive")
-        super().archive()
-
-
-class TwoArchivesWedged(ArchivesWedged):
-    WEDGED = 2
-
-
-class FinalizeWedgedUntilReleased(SurveillanceSystem):
-    """``finalize`` blocks until the test sets ``released``."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.released = threading.Event()
-
-    def finalize(self):
-        if not self.released.wait(timeout=30.0):
-            raise RuntimeError("the test never released finalize")
-        return super().finalize()
 
 
 def _supervisor(world, specs, system_factory) -> ServiceSupervisor:
@@ -109,8 +64,10 @@ def test_a_supervisor_with_no_service_config_reports_its_watchdog(
 def test_stalled_slide_is_detected_counted_and_still_published(
     world, small_fleet, soak_sentences
 ):
+    wedge = PipelineWedge()
+
     async def scenario():
-        supervisor = _supervisor(world, small_fleet["specs"], ArchivesWedged)
+        supervisor = _supervisor(world, small_fleet["specs"], wedge.system)
         published = tap_feed(supervisor)
         await supervisor.start()
         ports = supervisor.ports()
@@ -121,14 +78,14 @@ def test_stalled_slide_is_detected_counted_and_still_published(
         stalled = supervisor.batcher.stalled
         status, _, body = await http_request(ports["http"], "/healthz")
         assert status == 200
-        supervisor.system.wedges[0].set()
+        wedge.archive_releases[0].set()
         await supervisor.drain_and_stop()
         return supervisor, published, stalled, json.loads(body)
 
     with obs.activate(obs.MetricsRegistry()) as registry:
         supervisor, published, stalled, health = asyncio.run(scenario())
 
-    assert len(supervisor.system.closed) == supervisor.batcher.slides_processed > 0
+    assert len(wedge.closed) == supervisor.batcher.slides_processed > 0
     # Counted once, under one counter, while the slide was still wedged.
     assert stalled
     assert health["watchdog"]["slide_running"]
@@ -148,20 +105,21 @@ def test_stalled_slide_is_detected_counted_and_still_published(
 
 def test_two_wedged_archives_count_two_stalls(world, small_fleet, soak_sentences):
     specs = small_fleet["specs"]
+    wedge = PipelineWedge(archives=2)
 
     async def scenario():
-        supervisor = _supervisor(world, specs, TwoArchivesWedged)
+        supervisor = _supervisor(world, specs, wedge.system)
         published = tap_feed(supervisor)
-        batcher, system = supervisor.batcher, supervisor.system
+        batcher = supervisor.batcher
         await supervisor.start()
         await send_sentences(supervisor.ports()["ingest"], soak_sentences)
         seen = []
-        for wedge in system.wedges:
+        for release in wedge.archive_releases:
             await poll(lambda: batcher.stalls_detected > len(seen))
             seen.append(
                 (batcher.stalls_detected, batcher.pipeline_query_time)
             )
-            wedge.set()
+            release.set()
         await supervisor.drain_and_stop()
         return supervisor, published, seen
 
@@ -169,7 +127,7 @@ def test_two_wedged_archives_count_two_stalls(world, small_fleet, soak_sentences
         supervisor, published, seen = asyncio.run(scenario())
 
     # Each wedged archive was its own stall, on its own slide.
-    first, second = supervisor.system.closed[:2]
+    first, second = wedge.closed[:2]
     assert seen == [(1, first), (2, second)]
     assert supervisor.batcher.stalls_detected == 2
     assert registry.snapshot()["counters"]["resilience.watchdog.stalls"] == 2
@@ -181,9 +139,10 @@ def test_a_wedged_finalize_counts_one_stall_and_the_drain_completes(
     world, small_fleet, soak_sentences
 ):
     specs = small_fleet["specs"]
+    wedge = PipelineWedge(archives=0, finalize=True)
 
     async def scenario():
-        supervisor = _supervisor(world, specs, FinalizeWedgedUntilReleased)
+        supervisor = _supervisor(world, specs, wedge.system)
         published = tap_feed(supervisor)
         batcher = supervisor.batcher
         await supervisor.start()
@@ -193,7 +152,7 @@ def test_a_wedged_finalize_counts_one_stall_and_the_drain_completes(
         await poll(lambda: batcher.stalls_detected >= 1)
         watchdog = supervisor.health()["watchdog"]
         final = batcher._query_time
-        supervisor.system.released.set()
+        wedge.finalize_release.set()
         await drain
         return supervisor, published, watchdog, final
 
@@ -259,17 +218,9 @@ def test_a_cluster_with_a_stalled_shard_is_degraded(
             world, specs, config, GatewayClusterConfig(gateways=1, runtimes=2)
         )
         wedged = cluster.supervisors[0]
-        released = threading.Event()
-        archive = wedged.system.archive
-
-        def archive_until_released():
-            if not released.wait(timeout=30.0):
-                raise RuntimeError("the test never released the archive")
-            archive()
-
         # Runtime 0's archives touch the MOD, and the first one wedges.
-        wedged.system.archive_touches_mod = lambda: True
-        wedged.system.archive = archive_until_released
+        wedge = PipelineWedge()
+        wedge.install(wedged.system)
         wedged.batcher.stall_seconds = STALL
         await cluster.start()
         await feed_gateways(cluster, [soak_sentences])
@@ -277,7 +228,7 @@ def test_a_cluster_with_a_stalled_shard_is_degraded(
         other = cluster.supervisors[1].batcher
         await poll(lambda: other.slides_processed > 2)
         during = cluster.aggregator.health()
-        released.set()
+        wedge.archive_releases[0].set()
         await quiesce(cluster)
         await poll(lambda: not wedged.batcher.stalled)
         after = cluster.aggregator.health()
