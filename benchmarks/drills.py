@@ -363,7 +363,7 @@ def run_partition_drill(
             ),
         )
         await cluster.start()
-        supervisor = cluster.start_supervisor(run=False)
+        supervisor = cluster.start_supervisor()
         host = cluster.cluster.host
         hub = cluster.aggregator.hub
         reader = ResumableFeedReader("tcp", host, hub.port)
@@ -384,10 +384,7 @@ def run_partition_drill(
                 # The supervisor closes the loop by itself: heartbeats
                 # feed the detectors, the down verdict triggers a
                 # supervised restart, the fresh port escapes the sever.
-                while not supervisor.incidents:
-                    supervisor.tick()
-                    await supervisor.check_once()
-                    await asyncio.sleep(0.02)
+                await poll(lambda: supervisor.incidents)
                 # Kick the subscriber mid-incident: it must come back
                 # through the RESUME handshake, not stay connected.
                 for subscriber in list(hub._subscribers):

@@ -68,6 +68,30 @@ def _report_path(value: str) -> str:
     return value
 
 
+def _fault_plan(value: str):
+    """``--chaos`` names only sites of ``SITES``, each with a kind that
+    site interprets: a plan that would arm nothing, or fire a fault its
+    site ignores, is a usage error."""
+    from repro.resilience import SITES, FaultPlan
+
+    try:
+        plan = FaultPlan.from_spec(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    for spec in plan.specs:
+        kinds = SITES.get(spec.site)
+        if kinds is None:
+            raise argparse.ArgumentTypeError(
+                f"unknown fault site {spec.site!r}; known: {', '.join(SITES)}"
+            )
+        if spec.kind not in kinds:
+            raise argparse.ArgumentTypeError(
+                f"fault site {spec.site!r} interprets {', '.join(kinds)}, "
+                f"not {spec.kind!r}"
+            )
+    return plan
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The demo's argument parser."""
     parser = argparse.ArgumentParser(
@@ -115,12 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
                         default="batch",
                         help="WAL fsync policy with --wal-dir: per record, "
                              "per slide boundary, or never (default: batch)")
-    parser.add_argument("--chaos", metavar="SPEC",
-                        help="install a deterministic fault plan, e.g. "
+    parser.add_argument("--chaos", metavar="SPEC", type=_fault_plan,
+                        help="with --serve: install a deterministic fault "
+                             "plan, e.g. "
                              "'mod.write:error@3,service.slide:crash@2'")
     parser.add_argument("--chaos-seed", type=int, metavar="N",
-                        help="generate a seeded fault plan over all known "
-                             "sites (replayable by seed; prints the plan)")
+                        help="with --serve: generate a seeded fault plan "
+                             "over all known sites (replayable by seed; "
+                             "prints the plan)")
     parser.add_argument("--kml", metavar="PATH",
                         help="export the final window synopsis as KML")
     parser.add_argument("--metrics-json", metavar="PATH", type=_report_path,
@@ -205,10 +231,7 @@ def _install_chaos(args: argparse.Namespace) -> None:
         return
     from repro.resilience import FaultPlan, install, seedable_sites
 
-    if args.chaos:
-        plan = FaultPlan.from_spec(args.chaos)
-    else:
-        plan = FaultPlan.seeded(args.chaos_seed, sites=seedable_sites())
+    plan = args.chaos or FaultPlan.seeded(args.chaos_seed, sites=seedable_sites())
     install(plan)
     print(f"chaos plan installed: {plan.to_spec()}")
 

@@ -11,9 +11,6 @@ gates CI on them (see docs/STATIC_ANALYSIS.md for the rule catalog):
             packages (tracking, rtec, maritime, pipeline)
 ``RPR002``  no blocking calls (``time.sleep``, ``open``, sqlite,
             sockets, subprocesses) inside ``async def`` in the service
-``RPR003``  every ``fault_point("…")`` literal is declared in the
-            :data:`repro.resilience.faults.SITES` registry, and vice
-            versa — no orphaned or undocumented chaos sites
 ``RPR004``  load-shedding branches (``get_nowait`` / evict / shed /
             drop) must increment an observability counter in the same
             function — nothing is ever lost silently

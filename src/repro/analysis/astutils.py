@@ -72,15 +72,6 @@ def resolve_call(node: ast.Call, aliases: dict[str, str]) -> str | None:
     return ".".join([origin, *rest]) if rest else origin
 
 
-def call_arg_literal(node: ast.Call, index: int = 0) -> str | None:
-    """The ``index``-th positional argument, if it is a string literal."""
-    if index < len(node.args):
-        arg = node.args[index]
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-    return None
-
-
 def walk_function_body(
     function: ast.FunctionDef | ast.AsyncFunctionDef,
 ) -> list[ast.AST]:

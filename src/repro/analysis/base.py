@@ -1,17 +1,10 @@
 """What a rule is, and the parsed module it reads.
 
-A rule is a class with a ``code`` (``RPR001``…) and two hooks:
-
-* :meth:`Rule.check_module` — called once per parsed module, yields
-  :class:`~repro.analysis.diagnostics.Diagnostic` objects for findings
-  local to that module;
-* :meth:`Rule.finalize` — called once after every module was visited,
-  for project-wide invariants (e.g. RPR003's fault-site registry match,
-  which needs both the registry module and every call site).
-
-Rules are instantiated fresh per engine run, so they may accumulate
-state across ``check_module`` calls and consume it in ``finalize``.
-The rules a run applies are :data:`repro.analysis.rules.RULES`.
+A rule is a class with a ``code`` (``RPR001``…) and one hook,
+:meth:`Rule.check_module`: called once per parsed module, it yields
+:class:`~repro.analysis.diagnostics.Diagnostic` objects for findings in
+that module.  The rules a run applies are
+:data:`repro.analysis.rules.RULES`.
 """
 
 from __future__ import annotations
@@ -41,9 +34,5 @@ class Rule:
     code: ClassVar[str] = ""
 
     def check_module(self, module: ModuleContext) -> Iterator[Diagnostic]:
-        """Findings local to one module (default: none)."""
-        return iter(())
-
-    def finalize(self) -> Iterator[Diagnostic]:
-        """Project-wide findings after all modules were seen (default: none)."""
+        """Findings in one module (default: none)."""
         return iter(())

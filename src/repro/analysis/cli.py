@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "Project-invariant AST lint for the deterministic pipeline "
-            "(rules RPR001-RPR004; see docs/STATIC_ANALYSIS.md)"
+            "(rules RPR001, RPR002, RPR004; see docs/STATIC_ANALYSIS.md)"
         ),
     )
     parser.add_argument(

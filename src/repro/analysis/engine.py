@@ -1,10 +1,10 @@
 """File discovery, parsing, rule dispatch and result assembly.
 
 One :func:`run_analysis` call walks the given paths, parses every Python
-file once, hands each parsed module to every rule of
-:data:`~repro.analysis.rules.RULES`, then runs
-the rules' project-wide ``finalize`` hooks.  Diagnostics come back
-sorted by location, suppression comments already applied.
+file once and hands each parsed module to every rule of
+:data:`~repro.analysis.rules.RULES`: one pass, every rule a per-module
+check.  Diagnostics come back sorted by location, suppression comments
+already applied.
 
 The engine measures itself through the ambient observability registry
 (:mod:`repro.obs`): ``analysis.files`` / ``analysis.diagnostics``
@@ -171,10 +171,6 @@ def run_analysis(paths: Iterable[str | Path]) -> AnalysisResult:
             raw.extend(rule.check_module(context))
             rule_seconds[rule.code] += time.perf_counter() - rule_started
         obs.count("analysis.files")
-    for rule in rules:
-        rule_started = time.perf_counter()
-        raw.extend(rule.finalize())
-        rule_seconds[rule.code] += time.perf_counter() - rule_started
 
     diagnostics: list[Diagnostic] = []
     suppressed = 0

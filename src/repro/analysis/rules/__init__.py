@@ -8,10 +8,9 @@ catalog is part of the contract).
 
 from repro.analysis.rules.rpr001_wallclock import WallclockRule
 from repro.analysis.rules.rpr002_async_blocking import AsyncBlockingRule
-from repro.analysis.rules.rpr003_fault_sites import FaultSiteRule
 from repro.analysis.rules.rpr004_silent_drop import SilentDropRule
 
 #: Every rule, in code order: each run applies them all.
-RULES = (WallclockRule, AsyncBlockingRule, FaultSiteRule, SilentDropRule)
+RULES = (WallclockRule, AsyncBlockingRule, SilentDropRule)
 
 __all__ = ["RULES"]

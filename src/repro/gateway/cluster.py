@@ -148,19 +148,12 @@ class GatewayCluster:
             self.cluster.host, node.port, "ingest"
         )
 
-    def start_supervisor(
-        self, interval_seconds: float = 0.05, run: bool = True
-    ) -> ClusterSupervisor:
-        """Arm the self-healing loop (:mod:`repro.gateway.health`).
-
-        With ``run=False`` the supervisor is created but not scheduled —
-        tests and the partition drill drive ``tick()``/``check_once()``
-        deterministically instead of racing a background task.
-        """
-        supervisor = ClusterSupervisor(self, interval_seconds=interval_seconds)
+    def start_supervisor(self) -> ClusterSupervisor:
+        """Schedule the self-healing loop (:mod:`repro.gateway.health`);
+        :meth:`drain_and_stop` stops it."""
+        supervisor = ClusterSupervisor(self)
         self.health_supervisor = supervisor
-        if run:
-            supervisor.start()
+        supervisor.start()
         return supervisor
 
     async def drain_and_stop(self) -> None:

@@ -110,9 +110,9 @@ class ClusterSupervisor:
     """Closed-loop self-healing over one :class:`GatewayCluster`.
 
     ``interval_seconds`` paces both the heartbeat fan-out and the health
-    check; :meth:`tick` and :meth:`check_once` are public so tests (and
-    the partition drill) can drive one deterministic step at a time
-    instead of racing the background loop.
+    check; :meth:`run` repeats the two.  :meth:`tick` and
+    :meth:`check_once` are public so unit tests can drive one
+    deterministic step at a time against a stub cluster.
     """
 
     def __init__(

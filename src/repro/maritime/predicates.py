@@ -33,14 +33,19 @@ def make_close_predicate(
     expanded area boxes prefilters candidates; it is exactly conservative
     (``is_close`` starts with the same expanded-box containment test) and
     preserves the area-list enumeration order, so results are identical
-    to the linear scan.
+    to the linear scan.  The index is built on the first call: a
+    recognizer that declares a rule but never evaluates it (rule (f))
+    holds none.
     """
-    index = StaticBoxIndex(
-        (position, area.polygon.bbox.expanded(threshold_meters))
-        for position, area in enumerate(areas)
-    )
+    index: StaticBoxIndex | None = None
 
     def close(lon: float, lat: float) -> list[tuple[str]]:
+        nonlocal index
+        if index is None:
+            index = StaticBoxIndex(
+                (position, area.polygon.bbox.expanded(threshold_meters))
+                for position, area in enumerate(areas)
+            )
         return [
             (areas[position].name,)
             for position in index.candidates(lon, lat)

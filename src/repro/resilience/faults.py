@@ -9,29 +9,6 @@ failure-prone spots with :func:`fault_point`, which is a single global
 ``None`` check when no injector is installed — the hooks cost nothing in
 normal operation.
 
-Named sites wired through the tree (see docs/RESILIENCE.md):
-
-=========================  ====================================================
-``gateway.link``           one sentence a gateway forwards to its runtime
-                           (kinds: ``drop`` — never queued, counted)
-``service.ingest.socket``  one received ingest line (kinds: ``drop`` —
-                           severs the connection mid-stream)
-``service.slide``          one pipeline slide (kinds: ``delay``, ``error``,
-                           ``crash`` — the in-process stand-in for ``kill -9``)
-``mod.write``              one MOD staging write (kinds: ``error``)
-``mod.reconstruct``        one trip reconstruction pass (kinds: ``error``)
-``wal.append``             one WAL record append (kinds: ``corrupt``)
-``chaosnet.connect``       one chaos-wrapped transport dial (kinds:
-                           ``drop`` — the dial fails with TransportError)
-``chaosnet.send``          one chaos-wrapped outbound message (kinds:
-                           ``drop`` — the send fails, session intact)
-``chaosnet.receive``       one chaos-wrapped inbound read (kinds:
-                           ``drop`` — the read fails, session intact)
-``chaosnet.partition``     one chaos-wrapped dial severs its *endpoint*
-                           (kinds: ``drop``; ``arg`` = seconds until the
-                           partition auto-heals, 0 = until healed by hand)
-=========================  ====================================================
-
 Spec string grammar (``--chaos``)::
 
     site:kind@hit[:arg][,site:kind@hit[:arg]...]
@@ -39,6 +16,7 @@ Spec string grammar (``--chaos``)::
 ``hit`` is 1-based ("the 3rd time this site is reached"); ``arg`` is the
 delay in seconds for ``delay`` faults and the heal delay for
 ``chaosnet.partition``.  Example: ``mod.write:error@3,service.slide:delay@2:0.5``.
+The named sites and the kinds each one interprets are :data:`SITES`.
 """
 
 import random
@@ -49,27 +27,36 @@ from dataclasses import dataclass, field
 
 from repro import obs
 
-#: Fault kinds understood by the injector itself (``error`` raises,
-#: ``delay`` sleeps); every other kind is returned to the fault point's
+#: ``error`` and ``delay`` are fired by the injector itself (it raises,
+#: it sleeps); every other kind is returned to the fault point's
 #: caller, which interprets it (``drop``, ``crash``, ``corrupt``).
-HANDLED_KINDS = ("error", "delay")
 KNOWN_KINDS = ("error", "delay", "drop", "crash", "corrupt")
 
-#: The central fault-site registry: every ``fault_point("…")`` literal in
-#: the tree maps here to the kinds meaningful at that site, and static
-#: analysis (rule RPR003, see docs/STATIC_ANALYSIS.md) enforces the match
-#: in both directions — no undocumented chaos surfaces, no dead entries.
-#: The table in this module's docstring and docs/RESILIENCE.md mirror it.
+#: The one declaration of the fault sites: every ``fault_point("…")``
+#: call names one key with a string literal, every key is named by a
+#: call (tests/resilience/test_faults.py walks the tree for both), and
+#: ``--chaos`` rejects a site or a kind not listed here.
 SITES: dict[str, tuple[str, ...]] = {
+    # A sentence a gateway forwards to its runtime (drop: never queued).
     "gateway.link": ("drop",),
+    # A received ingest line (drop: severs the connection mid-stream).
     "service.ingest.socket": ("drop",),
+    # A pipeline slide (crash: the in-process stand-in for ``kill -9``).
     "service.slide": ("delay", "error", "crash"),
+    # A MOD staging write.
     "mod.write": ("error",),
+    # A trip reconstruction pass.
     "mod.reconstruct": ("error",),
+    # A WAL record append (corrupt: garbles the record's tail).
     "wal.append": ("corrupt",),
+    # A chaos-wrapped dial (drop: the dial fails with TransportError).
     "chaosnet.connect": ("drop",),
+    # A chaos-wrapped outbound message (drop: fails, session intact).
     "chaosnet.send": ("drop",),
+    # A chaos-wrapped inbound read (drop: fails, session intact).
     "chaosnet.receive": ("drop",),
+    # A chaos-wrapped dial severs its endpoint (arg: seconds until it
+    # heals by itself, 0 = until healed by hand).
     "chaosnet.partition": ("drop",),
 }
 
@@ -82,8 +69,8 @@ SEEDABLE_KINDS = ("drop", "delay", "error")
 #: Sites excluded from blind seeded plans even though their kinds are
 #: seedable.  ``chaosnet.partition`` without an auto-heal ``arg`` severs
 #: an endpoint *permanently* — fine for a staged drill that heals it,
-#: fatal for a smoke run drawing faults blindly.  RPR003 checks this set
-#: stays a subset of :data:`SITES` so it can never hide dead names.
+#: fatal for a smoke run drawing faults blindly.  A subset of
+#: :data:`SITES` (tests/transport/test_chaosnet.py).
 UNSEEDED_SITES = frozenset({"chaosnet.partition"})
 
 

@@ -24,7 +24,7 @@ import time
 from collections import deque
 
 from repro import obs
-from repro.resilience.faults import fault_point
+from repro.resilience.faults import fault_point, get_injector
 from repro.service.protocol import parse_ingest_lines
 from repro.transport.base import Transport, TransportError
 from repro.transport.tcp import CLIENT_READ_LIMIT, TcpTransport
@@ -187,15 +187,18 @@ class IngestServer:
         injected drop severed the connection partway."""
         now = self._clock()
         taken = len(lines)
-        for index in range(taken):
-            spec = fault_point("service.ingest.socket")
-            if spec is not None and spec.kind == "drop":
-                # Injected connection drop: sever mid-stream, exactly
-                # like an upstream feed dying.  The client sees EOF
-                # and is expected to reconnect and resend.
-                obs.count("service.ingest.injected_drops")
-                taken = index
-                break
+        if get_injector() is not None:
+            # The service.ingest.socket site is hit once per line, but
+            # only under chaos: one check per read when it is off.
+            for index in range(taken):
+                spec = fault_point("service.ingest.socket")
+                if spec is not None and spec.kind == "drop":
+                    # Injected connection drop: sever mid-stream, exactly
+                    # like an upstream feed dying.  The client sees EOF
+                    # and is expected to reconnect and resend.
+                    obs.count("service.ingest.injected_drops")
+                    taken = index
+                    break
         read = lines[:taken]
         if taken:
             obs.count("service.ingest.bytes", sum(map(len, read)) + taken)

@@ -64,15 +64,15 @@ class TestDiscovery:
 
 class TestSuppressionComments:
     def test_single_code(self):
-        allowed = suppressed_lines("x = 1  # repro: allow[RPR003]\n")
-        assert allowed == {1: {"RPR003"}}
+        allowed = suppressed_lines("x = 1  # repro: allow[RPR002]\n")
+        assert allowed == {1: {"RPR002"}}
 
     def test_comma_separated_codes(self):
         allowed = suppressed_lines("x = 1  # repro: allow[RPR001, RPR004]\n")
         assert allowed == {1: {"RPR001", "RPR004"}}
 
     def test_line_scoped_only(self):
-        source = "# repro: allow[RPR003]\nx = 1\n"
+        source = "# repro: allow[RPR002]\nx = 1\n"
         allowed = suppressed_lines(source)
         assert 1 in allowed and 2 not in allowed
 
@@ -116,6 +116,4 @@ class TestSelfMetrics:
             "files", "diagnostics", "suppressed", "parse_errors",
             "elapsed_seconds", "files_per_sec", "rule_seconds",
         }
-        assert list(stats["rule_seconds"]) == [
-            "RPR001", "RPR002", "RPR003", "RPR004",
-        ]
+        assert list(stats["rule_seconds"]) == ["RPR001", "RPR002", "RPR004"]

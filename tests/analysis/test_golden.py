@@ -21,8 +21,6 @@ GOLDEN = [
     ("RPR002", "repro/service/bad_async.py", 8),
     ("RPR002", "repro/service/bad_async.py", 12),
     ("RPR002", "repro/service/bad_async.py", 17),
-    ("RPR003", "repro/resilience/faults.py", 10),
-    ("RPR003", "repro/service/bad_faults.py", 7),
     ("RPR004", "repro/service/bad_drop.py", 8),
     ("RPR001", "repro/tracking/suppressed.py", 11),
     ("RPR004", "repro/service/bad_drop.py", 12),

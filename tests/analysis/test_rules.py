@@ -50,46 +50,6 @@ class TestRPR002AsyncBlocking:
         assert findings([target], "RPR002") == []
 
 
-class TestRPR003FaultSites:
-    def test_unknown_and_orphan_sites_reported(self):
-        results = findings([FIXTURES], "RPR003")
-        messages = [d.message for d in results]
-        assert len(results) == 2
-        assert any("demo.unknown" in m for m in messages)
-        assert any("demo.orphan" in m for m in messages)
-
-    def test_directions_skipped_without_registry_module(self):
-        # Scanning only the call-site file: the registry was never seen,
-        # so the unknown-site direction must be skipped, not guessed.
-        target = FIXTURES / "repro" / "service" / "bad_faults.py"
-        assert findings([target], "RPR003") == []
-
-    def test_unseeded_entry_must_name_a_declared_site(self, tmp_path):
-        # An UNSEEDED_SITES exclusion for a site nobody declared filters
-        # nothing — usually a typo or a renamed site left behind.
-        pkg = tmp_path / "repro" / "resilience"
-        pkg.mkdir(parents=True)
-        target = pkg / "faults.py"
-        target.write_text(
-            'SITES = {"demo.site": ("error",)}\n'
-            'UNSEEDED_SITES = frozenset({"demo.site", "demo.gone"})\n'
-            "\n"
-            "def fault_point(site):\n"
-            "    return None\n"
-            "\n"
-            "def used():\n"
-            '    return fault_point("demo.site")\n'
-        )
-        results = findings([target], "RPR003")
-        messages = [d.message for d in results]
-        assert len(results) == 1
-        assert "demo.gone" in messages[0]
-        assert "filters nothing" in messages[0]
-
-    def test_real_tree_is_consistent(self):
-        assert findings(["src"], "RPR003") == []
-
-
 class TestRPR004SilentDrop:
     def test_flags_sheds_and_uncounted_get_nowait(self):
         target = FIXTURES / "repro" / "service" / "bad_drop.py"

@@ -438,6 +438,12 @@ class TestIngestTake:
             ))
         assert twins[0] == twins[1]
 
+    def test_an_armed_plan_hits_the_site_once_per_line(self):
+        server = IngestServer(IngestQueue(capacity=10), "127.0.0.1", 0, clock=lambda: 7)
+        with faults.inject(FaultPlan()) as injector:
+            assert server._take(["", "# comment", "junk line"])
+        assert injector.hits == {"service.ingest.socket": 3}
+
 
 @st.composite
 def gateway_reads(draw) -> list[str]:

@@ -31,6 +31,33 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "--metrics-json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("mod.wrte:error@1", "known: gateway.link, "),
+            ("mod.write:drop@1", "'mod.write' interprets error, not 'drop'"),
+        ],
+    )
+    def test_chaos_outside_the_site_table_is_a_usage_error(
+        self, spec, named, capsys, monkeypatch
+    ):
+        """A site ``SITES`` lacks, or a kind its site ignores, would arm
+        nothing: rejected while parsing, before any fleet is simulated."""
+        monkeypatch.setattr(
+            "repro.__main__._build_pipeline_inputs",
+            lambda args: pytest.fail("a fleet was simulated"),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--serve", "--chaos", spec])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
+    def test_chaos_parses_into_its_plan(self):
+        args = build_parser().parse_args(
+            ["--chaos", "mod.write:error@3,service.slide:delay@2:0.5"]
+        )
+        assert args.chaos.to_spec() == "mod.write:error@3,service.slide:delay@2:0.5"
+
 
 class TestMain:
     def test_small_run(self, capsys, tmp_path):

@@ -1,8 +1,15 @@
-"""Deterministic fault injection: plans, specs, the global injector."""
+"""Deterministic fault injection: plans, specs, the global injector,
+and the one table of fault sites."""
+
+import ast
+import functools
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.resilience.faults import (
+    SITES,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -97,3 +104,44 @@ class TestGlobalInstallation:
             assert fault_point("y").kind == "drop"
         finally:
             uninstall()
+
+
+@functools.cache
+def _fault_point_calls() -> list[tuple[str, ast.expr | None]]:
+    """Every ``fault_point(...)`` call in the ``repro`` package, as
+    ``("path:line", first positional argument)``."""
+    root = Path(repro.__file__).parent
+    calls = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = getattr(callee, "attr", None) or getattr(callee, "id", None)
+            if name == "fault_point":
+                where = f"{path.relative_to(root)}:{node.lineno}"
+                calls.append((where, node.args[0] if node.args else None))
+    return calls
+
+
+class TestSiteTable:
+    """``SITES`` is the one declaration of the fault sites: the calls in
+    ``repro`` name exactly its keys, each with a string literal, so a
+    chaos plan can target every site and arms none in vain."""
+
+    def test_every_call_names_a_declared_site_with_a_literal(self):
+        undeclared = [
+            (where, ast.unparse(arg) if arg is not None else None)
+            for where, arg in _fault_point_calls()
+            if not (isinstance(arg, ast.Constant) and arg.value in SITES)
+        ]
+        assert undeclared == []
+
+    def test_every_declared_site_is_named_by_a_call(self):
+        named = {
+            arg.value
+            for _, arg in _fault_point_calls()
+            if isinstance(arg, ast.Constant)
+        }
+        assert sorted(SITES.keys() - named) == []

@@ -1,10 +1,16 @@
 """Ingest journal: framing, recovery, repair, truncation, old format."""
 
+import os
 import struct
 
 import pytest
 
-from repro.resilience.wal import JOURNAL_NAME, IngestJournal, read_journal
+from repro.resilience.wal import (
+    FSYNC_POLICIES,
+    JOURNAL_NAME,
+    IngestJournal,
+    read_journal,
+)
 
 
 def _write(directory, records):
@@ -48,6 +54,37 @@ class TestFraming:
     def test_fsync_policy_validated(self, tmp_path):
         with pytest.raises(ValueError, match="fsync"):
             IngestJournal(tmp_path, fsync="sometimes")
+
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_fsync_policy_decides_when_records_reach_the_disk(
+        self, policy, tmp_path, monkeypatch
+    ):
+        """``os.fsync`` calls after three appends, a sync and a close:
+        ``always`` on every append, ``batch`` only at sync and close,
+        ``never`` not at all; every policy recovers every record."""
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))
+        )
+        records = [(1000 + i, f"record-{i}") for i in range(3)]
+        journal = IngestJournal(tmp_path, fsync=policy)
+        counts = []
+        for record in records:
+            journal.append(*record)
+        counts.append(len(fsyncs))
+        journal.sync()
+        counts.append(len(fsyncs))
+        journal.close()
+        counts.append(len(fsyncs))
+        assert counts == {
+            "always": [3, 4, 5],
+            "batch": [0, 1, 2],
+            "never": [0, 0, 0],
+        }[policy]
+        reopened = IngestJournal(tmp_path, fsync=policy)
+        reopened.close()
+        assert reopened.recovered == records
 
     def test_append_after_close_refused(self, tmp_path):
         journal = IngestJournal(tmp_path)
