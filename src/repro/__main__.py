@@ -158,9 +158,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     """Run the demo; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.serve:
         return _serve(args)
+    for flag, value in (
+        ("--wal-dir", args.wal_dir),
+        ("--chaos", args.chaos),
+        ("--chaos-seed", args.chaos_seed),
+    ):
+        if value is not None:
+            # Only the live service reads it: a batch run would ignore it.
+            parser.error(f"{flag} needs --serve")
     if args.metrics_json:
         # A fresh scoped registry: repeated in-process runs don't bleed
         # metrics into each other, and the global one stays untouched.

@@ -10,12 +10,12 @@ order, over one integer per payload (:mod:`repro.ais.sixbit`).  Encode
 walks the tables; at import each is also compiled into extraction rows
 (end bit, mask, sign bit, converter) in :class:`PositionReport` order,
 which decode, the Data Scanner's batch read :func:`decode_fixes` and the
-router's MMSI reads (:func:`decode_mmsi`, and :func:`decode_mmsis` for a
-batch) walk without re-deriving offsets per payload.  Only the fields
-the surveillance system uses (MMSI, longitude, latitude, plus speed/course
-metadata useful for validation) are surfaced; the rest are constants,
-written on encode and skipped on decode, keeping the wire format faithful
-so that corrupt-message tests exercise realistic payloads.
+router's MMSI read :func:`decode_mmsi` walk without re-deriving offsets
+per payload.  Only the fields the surveillance system uses (MMSI,
+longitude, latitude, plus speed/course metadata useful for validation)
+are surfaced; the rest are constants, written on encode and skipped on
+decode, keeping the wire format faithful so that corrupt-message tests
+exercise realistic payloads.
 """
 
 from collections.abc import Callable
@@ -73,7 +73,7 @@ _HEADER = (
     Field("mmsi", 30),
 )
 #: Armored characters that hold the header.
-_HEADER_CHARS = -(-sum(field.width for field in _HEADER) // 6)
+HEADER_CHARS = -(-sum(field.width for field in _HEADER) // 6)
 _MOTION = (
     Field("speed_knots", 10),
     Field("position accuracy", 1, constant=0),
@@ -342,31 +342,8 @@ def decode_mmsi(payload: str, fill_bits: int = 0) -> int:
     """
     # Fill bits pad the last character, so they reach the header only
     # when the header characters are the whole payload.
-    fill_bits = fill_bits if len(payload) <= _HEADER_CHARS else 0
-    value, bits = unarmor(payload[:_HEADER_CHARS], fill_bits)
+    fill_bits = fill_bits if len(payload) <= HEADER_CHARS else 0
+    value, bits = unarmor(payload[:HEADER_CHARS], fill_bits)
     if bits < _MMSI_ROW.end:
         raise ValueError(f"payload too short: {bits} bits, mmsi ends at {_MMSI_ROW.end}")
     return _read(_MMSI_ROW, value, bits)
-
-
-def decode_mmsis(payloads: list[str]) -> list[int | None]:
-    """:func:`decode_mmsi` of each payload without fill bits: its MMSI,
-    or ``None`` where :func:`decode_mmsi` would raise.
-
-    The headers are unarmored together
-    (:func:`~repro.ais.sixbit.unarmor_many`); a batch holding a payload
-    shorter than the header, or a header that is not armor, is read one
-    payload at a time.
-    """
-    headers = [(payload[:_HEADER_CHARS], 0) for payload in payloads]
-    values = unarmor_many(headers)
-    if values is None or any(len(header) < _HEADER_CHARS for header, _ in headers):
-        mmsis: list[int | None] = []
-        for payload in payloads:
-            try:
-                mmsis.append(decode_mmsi(payload))
-            except ValueError:
-                mmsis.append(None)
-        return mmsis
-    shift = 6 * _HEADER_CHARS - _MMSI_ROW.end
-    return [value >> shift & _MMSI_ROW.mask for value in values]

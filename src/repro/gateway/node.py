@@ -15,13 +15,18 @@ deterministic reconnect backoff so a restarted runtime is rejoined
 transparently; the node hits the ``gateway.link`` fault site for chaos
 drills once per sentence it forwards.
 Both ends move batches: a node reads what a client has sent with one
-``receive_many``, parses it with one
-:func:`~repro.service.protocol.parse_ingest_lines`, routes it with one
-:meth:`~repro.gateway.routing.SentenceRouter.route_many` and queues each
-link's run with one :meth:`RuntimeLink.send_many`; a link sends its
-queued lines with one ``send_many`` per wakeup.  Fault sites, shedding
-and counters still act per line, and a line stays queued — bounded,
-sheddable — until it is sent.
+``receive_many`` and takes its lines in one pass.  A canonical line
+(:data:`~repro.service.protocol.CANONICAL_INGEST_LINE`, what
+:func:`~repro.service.protocol.format_ingest_line` writes for a usual
+single-fragment sentence) is stamped and framed by one match, routed by
+its header (:meth:`~repro.gateway.routing.SentenceRouter.route_header`)
+and forwarded as received, and the same sentence sent bare is stamped
+with the read's clock; any other line is parsed, routed and formatted
+again.  Each link's run is queued with one
+:meth:`RuntimeLink.send_many`, and a link sends its queued lines with
+one ``send_many`` per wakeup.  Fault sites, shedding and counters still
+act per line, and a line stays queued — bounded, sheddable — until it
+is sent.
 """
 
 import asyncio
@@ -35,9 +40,10 @@ from repro.obs.registry import MetricsRegistry
 from repro.resilience.faults import fault_point, get_injector
 from repro.resilience.retry import BackoffPolicy
 from repro.service.protocol import (
+    CANONICAL_INGEST_LINE,
     format_ingest_line,
     format_watermark,
-    parse_ingest_lines,
+    parse_ingest_line,
 )
 from repro.transport.base import Transport, TransportError, TransportSession
 from repro.transport.tcp import CLIENT_READ_LIMIT
@@ -366,28 +372,45 @@ class GatewayNode:
         time would: the same lines on every link, in the same order, each
         link's run queued with one ``send_many``.
 
-        A read that moved this node's clock past its last watermark
-        leaves one more, stamped with the clock: at its end, or before
-        its first line behind the clock.  Every runtime may then close
-        or track what is stamped at or before it, and a late line lands
-        in the slide a single node would give it, however the read is
-        cut.  The first sentence's watermark also tells every runtime,
-        quiet shards included, that this source exists."""
-        parsed = parse_ingest_lines(lines, int(time.time()))
-        if parsed:
-            self.registry.inc("gateway.ingest.lines", len(parsed))
-        if len(parsed) < len(lines):
-            # Blank/comment lines are skipped, as on a single node
-            # (service.ingest.ignored) — never invisibly.
-            self.registry.inc("gateway.ingest.ignored", len(lines) - len(parsed))
-        routes = self.router.route_many([sentence for _, sentence in parsed])
+        A canonical line is forwarded as received (a bare canonical
+        sentence is stamped with the read's clock); any other is parsed
+        (:func:`~repro.service.protocol.parse_ingest_line`), routed
+        (:meth:`~repro.gateway.routing.SentenceRouter.route`) and
+        formatted again.  A read that moved this node's clock past its
+        last watermark leaves one more, stamped with the clock: at its
+        end, or before its first line behind the clock.  Every runtime
+        may then close or track what is stamped at or before it, and a
+        late line lands in the slide a single node would give it,
+        however the read is cut.  The first sentence's watermark also
+        tells every runtime, quiet shards included, that this source
+        exists."""
+        default_time = int(time.time())
+        canonical = CANONICAL_INGEST_LINE
+        router = self.router
         # The gateway.link fault site is hit once per data line, in
         # arrival order, so a chaos plan replays exactly.
         injecting = get_injector() is not None
         runs: list[list[str]] = [[] for _ in self.links]
         clock = self._last_time
-        late = 0
-        for (receive_time, sentence), index in zip(parsed, routes):
+        taken = late = 0
+        for line in lines:
+            match = canonical(line)
+            if match is not None:
+                stamp, sentence, header = match.groups()
+                if stamp is None:
+                    receive_time = default_time
+                    line = format_ingest_line(receive_time, sentence)
+                else:
+                    receive_time = int(stamp)
+                index = router.route_header(header, sentence)
+            else:
+                item = parse_ingest_line(line, default_time)
+                if item is None:
+                    continue
+                receive_time, sentence = item
+                index = router.route(sentence)
+                line = format_ingest_line(receive_time, sentence)
+            taken += 1
             if clock is None or receive_time > clock:
                 clock = receive_time
             elif receive_time < clock:
@@ -399,7 +422,13 @@ class GatewayNode:
                     self._broadcast(clock)
             if injecting and self._injected_drop():
                 continue
-            runs[index].append(format_ingest_line(receive_time, sentence))
+            runs[index].append(line)
+        if taken:
+            self.registry.inc("gateway.ingest.lines", taken)
+        if taken < len(lines):
+            # Blank/comment lines are skipped, as on a single node
+            # (service.ingest.ignored) — never invisibly.
+            self.registry.inc("gateway.ingest.ignored", len(lines) - taken)
         if late:
             # Behind our own clock: forwarded anyway (the runtime batches
             # it), but counted — the monotonicity contract of watermarked

@@ -15,12 +15,12 @@ checksum per sentence, so the runtime still trusts nothing it receives.
 A sentence with a bad checksum therefore routes by the MMSI its header
 carries, and that backend quarantines it as ``bad_checksum``.
 
-The router moves batches: :meth:`SentenceRouter.route_many` frames every
-single-fragment sentence of the usual shape with one regular-expression
-match and reads all of their MMSI headers together
-(:func:`~repro.ais.messages.decode_mmsis`); fragments, fill bits and any
-other framing go through the per-sentence path, in order.
-:meth:`SentenceRouter.route` is the one-item form.
+:meth:`SentenceRouter.route` frames one sentence, and a bounded memo
+holds the backend of every header that decoded, one entry per vessel; a
+header that does not decode is read, and counted, every time.  A usual
+single-fragment sentence without fill bits is owned by its header
+alone, so :meth:`SentenceRouter.route_header` routes it by the memo
+without framing it.
 
 Multi-fragment messages only carry the MMSI in their first fragment, so
 the router remembers the group key
@@ -33,9 +33,7 @@ deterministically to backend 0, counted, where the backend's dead-letter
 machinery classifies it just like a single node's would.
 """
 
-import re
-
-from repro.ais.messages import decode_mmsi, decode_mmsis
+from repro.ais.messages import HEADER_CHARS, decode_mmsi
 from repro.ais.nmea import frame_aivdm
 from repro.obs.registry import MetricsRegistry
 
@@ -43,19 +41,14 @@ from repro.obs.registry import MetricsRegistry
 #: evicted (and counted) — an abandoned group must not leak memory.
 PENDING_FRAGMENT_CAPACITY = 1024
 
+#: Headers a router memoizes at most, with their backends; the memo is
+#: cleared when full, so distinct headers cost bounded memory.
+HEADER_MEMO_CAPACITY = 1 << 16
+
 #: Knuth's multiplicative constant (2^32 / phi), for MMSI mixing; spreads
 #: consecutive MMSIs (fleets are often numbered in blocks) evenly.
 _MIX = 2654435761
 _MASK = 0xFFFFFFFF
-
-#: A single-fragment sentence of the usual shape: ``1,1`` framing, a
-#: payload without fill bits and two hex checksum digits, with no ``*``
-#: and no surrounding whitespace.  :func:`~repro.ais.nmea.frame_aivdm`
-#: reads such a sentence as exactly this payload and fill 0; every other
-#: sentence is framed by it one at a time.
-_SINGLE = re.compile(
-    r"!AIVD[MO],1,1,[^,*]*,[^,*]*,([^,*]+),0\*[0-9A-Fa-f]{2}", re.ASCII
-).fullmatch
 
 
 def shard_for_mmsi(mmsi: int, shards: int) -> int:
@@ -84,34 +77,12 @@ class SentenceRouter:
         self.registry = registry
         #: Group key → backend of an open fragment group.
         self._pending: dict[tuple[str, str, int], int] = {}
+        #: Header → backend of every header that decoded (:meth:`_owner`).
+        self._owners: dict[str, int] = {}
 
     def route(self, sentence: str) -> int:
-        """The backend index owning this sentence (0 when unroutable)."""
-        return self.route_many([sentence])[0]
-
-    def route_many(self, sentences: list[str]) -> list[int]:
-        """:meth:`route` of each sentence, in order, with the same
-        counters: single-fragment sentences are framed by one match each
-        and their MMSIs read together; the rest take :meth:`_route_one`."""
-        routes = [0] * len(sentences)
-        singles: list[int] = []
-        payloads: list[str] = []
-        for index, sentence in enumerate(sentences):
-            match = _SINGLE(sentence)
-            if match is None:
-                routes[index] = self._route_one(sentence)
-            else:
-                singles.append(index)
-                payloads.append(match[1])
-        for index, mmsi in zip(singles, decode_mmsis(payloads)):
-            if mmsi is None:
-                routes[index] = self._unroutable("short_payload")
-            else:
-                routes[index] = shard_for_mmsi(mmsi, self.backends)
-        return routes
-
-    def _route_one(self, sentence: str) -> int:
-        """One sentence, framed by :func:`~repro.ais.nmea.frame_aivdm`."""
+        """The backend index owning this sentence (0 when unroutable),
+        framed by :func:`~repro.ais.nmea.frame_aivdm`."""
         try:
             parsed = frame_aivdm(sentence)
         except ValueError:
@@ -125,12 +96,40 @@ class SentenceRouter:
             if backend is None:
                 return self._unroutable("orphan_fragment")
             return backend
-        mmsi = mmsi_of_payload(parsed.payload, parsed.fill_bits)
-        if mmsi is None:
+        backend = self._owner(parsed.payload, parsed.fill_bits)
+        if backend is None:
             return self._unroutable("short_payload")
-        backend = shard_for_mmsi(mmsi, self.backends)
         if parsed.fragment_count > 1:
             self._remember(parsed.group_key, backend)
+        return backend
+
+    def route_header(self, header: str, sentence: str) -> int:
+        """:meth:`route` of a single-fragment ``sentence`` without fill
+        bits whose payload starts with the 7 characters ``header``
+        (:data:`~repro.service.protocol.CANONICAL_INGEST_LINE`): its
+        owner depends on the header alone, so a memoized header skips
+        the framing."""
+        backend = self._owners.get(header)
+        return self.route(sentence) if backend is None else backend
+
+    def _owner(self, payload: str, fill_bits: int) -> int | None:
+        """The backend owning a payload's MMSI, ``None`` if unreadable.
+
+        Fill bits reach the header only when it is the whole payload;
+        any other header that decodes is memoized, and one that does not
+        is decoded again every time."""
+        if fill_bits and len(payload) <= HEADER_CHARS:
+            mmsi = mmsi_of_payload(payload, fill_bits)
+            return None if mmsi is None else shard_for_mmsi(mmsi, self.backends)
+        header = payload[:HEADER_CHARS]
+        backend = self._owners.get(header)
+        if backend is None:
+            mmsi = mmsi_of_payload(header, 0)
+            if mmsi is None:
+                return None
+            if len(self._owners) >= HEADER_MEMO_CAPACITY:
+                self._owners.clear()
+            backend = self._owners[header] = shard_for_mmsi(mmsi, self.backends)
         return backend
 
     def _remember(self, key: tuple[str, str, int], backend: int) -> None:

@@ -22,6 +22,7 @@ Everything here is pure and synchronous so the offline replay
 (:mod:`repro.service.replay`) produces identical bytes without sockets.
 """
 
+import re
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
@@ -61,6 +62,23 @@ def parse_ingest_lines(lines: list[str], default_time: int) -> list[tuple[int, s
 def format_ingest_line(receive_time: int, sentence: str) -> str:
     """The timestamped ingest form: ``<epoch-seconds>\\t<sentence>``."""
     return f"{receive_time}\t{sentence}"
+
+
+#: A *canonical* ingest line: what :func:`format_ingest_line` writes for
+#: a usual single-fragment sentence,
+#: ``<stamp>\t!AIVDx,1,1,<id>,<ch>,<payload>,0*hh``.  The stamp has at
+#: most 18 digits and no leading zero, the payload is at least 7 armor
+#: characters, and no field holds ``,``, ``*`` or ASCII whitespace.
+#: :func:`parse_ingest_line` reads such a line as ``(int(stamp),
+#: sentence)`` and :func:`format_ingest_line` writes it back unchanged,
+#: so a gateway forwards it as received.  The same sentence sent bare
+#: (no stamp group) parses as ``(default_time, sentence)``.  The groups
+#: are the stamp, the sentence and the payload's 7-character MMSI header.
+CANONICAL_INGEST_LINE = re.compile(
+    r"(?:(0|[1-9][0-9]{0,17})\t)?"
+    r"(!AIVD[MO],1,1,[^,*\s]*,[^,*\s]*,([0-W`-w]{7})[0-W`-w]*,0\*[0-9A-Fa-f]{2})",
+    re.ASCII,
+).fullmatch
 
 
 #: Sentence prefix of every in-band control line.  Deliberately

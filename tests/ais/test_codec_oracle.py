@@ -12,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from repro.ais.messages import (
     PositionReport,
     decode_fix,
-    decode_mmsis,
     decode_payload,
     encode_position_report,
 )
 from repro.gateway.routing import mmsi_of_payload
 from tests.ais import oracle
+from tests.gateway.read_oracle import decode_mmsis
 
 ARMOR = [chr(code) for code in range(48, 88)] + [chr(code) for code in range(96, 120)]
 #: Characters outside the armor alphabet, including ones ``int()`` would

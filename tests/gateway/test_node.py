@@ -3,6 +3,9 @@ batches, shedding, the batch accept path against one line at a time,
 read cuts and their watermarks, and a link severed mid-batch."""
 
 import asyncio
+import time
+from types import SimpleNamespace
+from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +14,7 @@ from repro.ais import PositionReport, encode_position_report
 from repro.ais.nmea import wrap_aivdm, wrap_aivdm_fragments
 from repro.ais.stream import first_query_time
 from repro.gateway import GatewayNode, RuntimeLink
+from repro.gateway.routing import SentenceRouter
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline import SystemConfig
 from repro.resilience import faults
@@ -19,13 +23,17 @@ from repro.resilience.retry import BackoffPolicy
 from repro.service import ServiceConfig, ServiceSupervisor
 from repro.service.ingest import IngestQueue, IngestServer
 from repro.service.protocol import (
+    CANONICAL_INGEST_LINE,
     format_ingest_line,
     format_watermark,
+    parse_ingest_line,
     parse_ingest_lines,
 )
 from repro.transport import chaosnet, create_transport
 from repro.gateway import node as node_module
 from repro.transport.base import Transport, TransportError, TransportSession
+from tests.gateway import read_oracle
+from tests.gateway.test_routing import _checksummed
 from tests.parity import gateway_records, offline_oracle, poll, run_shard
 from tests.service.conftest import to_sentences
 
@@ -493,6 +501,149 @@ def _placed(queued: list[tuple[str, bool]]) -> list[tuple[str, int]]:
             stamp = _stamp(line)
             placed.append((line, stamp if watermark is None else max(stamp, watermark)))
     return placed
+
+
+@st.composite
+def near_canonical_reads(draw) -> list[str]:
+    """Canonical ingest lines of a few vessels mixed with each near
+    miss: odd stamps, padding, whitespace in a field, fill bits,
+    fragment groups, short or non-armor headers, bad checksums, blank,
+    comment and junk lines, late stamps and bare sentences."""
+    payloads = [
+        encode_position_report(PositionReport(
+            message_type=message_type, mmsi=237_000_000 + vessel, lon=23.5,
+            lat=37.9, speed_knots=10.0, course_degrees=90.0, second_of_minute=0,
+        ))[0]
+        for vessel, message_type in enumerate((1, 3, 18, 19))
+    ]
+    receive_time = draw(st.integers(min_value=0, max_value=10**10))
+    lines: list[str] = []
+    for message_id in range(draw(st.integers(min_value=0, max_value=24))):
+        receive_time = max(0, receive_time + draw(st.sampled_from([0, 1, 30, -1, -40])))
+        payload = draw(st.sampled_from(payloads))
+        kind = draw(st.sampled_from([
+            "canonical", "canonical", "canonical", "stamp", "padding",
+            "field", "fill", "group", "short", "header", "checksum",
+            "skipped", "bare", "odd_field",
+        ]))
+        sentence = wrap_aivdm(payload, 0, draw(st.sampled_from(["A", "B", ""])))
+        stamp = str(receive_time)
+        if kind == "stamp":
+            odd = draw(st.sampled_from(["0102", "+1", "١", "00", f"{stamp} ", "space"]))
+            if odd == "space":
+                lines.append(f"{stamp} {sentence}")
+                continue
+            stamp = odd
+        elif kind == "padding":
+            pad = draw(st.sampled_from(["\r", "\t", " "]))
+            sentence = draw(st.sampled_from([sentence + pad, pad + sentence]))
+        elif kind == "field":
+            spaced = draw(st.sampled_from(["\t", " 1"]))
+            sentence = _checksummed(["1", "1", spaced, "A", payload, "0"])
+        elif kind == "odd_field":
+            # Canonical all the same: only ASCII whitespace is excluded.
+            sentence = _checksummed(["1", "1", "\x85", "\xa0A", payload, "0"])
+        elif kind == "fill":
+            # Fill bits that cut into a 7-character header as well.
+            cut = draw(st.sampled_from([7, 8, len(payload) - 1]))
+            sentence = wrap_aivdm(payload[:cut], draw(st.integers(1, 5)))
+        elif kind == "group":
+            group = wrap_aivdm_fragments(payload, 0, message_id=message_id % 4)
+            lines += [format_ingest_line(receive_time, part) for part in group]
+            continue
+        elif kind == "short":
+            sentence = wrap_aivdm(payload[:draw(st.integers(1, 6))], 0)
+        elif kind == "header":
+            at = draw(st.integers(0, 6))
+            bad = draw(st.sampled_from(["~", "é", "!", "X"]))
+            sentence = wrap_aivdm(payload[:at] + bad + payload[at + 1:], 0)
+        elif kind == "checksum":
+            sentence = sentence[:-2] + draw(st.sampled_from(["00", "zz", "0"]))
+        elif kind == "skipped":
+            lines.append(draw(st.sampled_from(["", "   ", "# comment", "junk line", "\r"])))
+            continue
+        elif kind == "bare":
+            lines.append(sentence)
+            continue
+        lines.append(f"{stamp}\t{sentence}")
+    return lines
+
+
+def _cut(lines: list[str], cuts: list[int]) -> list[list[str]]:
+    """``lines`` cut into reads at the given offsets."""
+    edges = sorted({0, len(lines), *(cut % (len(lines) + 1) for cut in cuts)})
+    return [lines[start:end] for start, end in zip(edges, edges[1:])]
+
+
+#: The wall clock the twin gateways stamp bare sentences with.
+NOW = 1_000_000
+
+
+class TestTakeTwin:
+    """``GatewayNode._take`` against the read path it replaced
+    (``tests/gateway/read_oracle.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        lines=near_canonical_reads(),
+        cuts=st.lists(st.integers(min_value=0, max_value=80), max_size=4),
+        drops=st.lists(st.integers(min_value=1, max_value=40), max_size=3, unique=True),
+        backends=st.integers(min_value=1, max_value=4),
+    )
+    def test_equals_the_parse_route_format_path(self, lines, cuts, drops, backends):
+        """The same reads, under the same armed ``gateway.link`` plan:
+        the same per-link queues, watermarks included, fault-site hits,
+        open fragment groups, clock and ``gateway.*`` counters."""
+        results = []
+        for take in (
+            lambda node, read: node._take(read),
+            lambda node, read: read_oracle.take(node, read, NOW),
+        ):
+            registry = MetricsRegistry()
+            links = [
+                RuntimeLink(f"l{index}", "127.0.0.1", 1, RecordingTransport(), registry)
+                for index in range(backends)
+            ]
+            node = GatewayNode(
+                "gw0", "127.0.0.1", 0, create_transport("tcp"), links, registry
+            )
+            clock = SimpleNamespace(time=lambda: NOW, perf_counter=time.perf_counter)
+            with (
+                patch.object(node_module, "time", clock),
+                faults.inject(_plan("gateway.link", drops)) as injector,
+            ):
+                for read in _cut(lines, cuts):
+                    take(node, read)
+            results.append((
+                [_queued(link) for link in links],
+                injector.snapshot(),
+                list(node.router._pending.items()),
+                (node._last_time, node._watermark_time),
+                registry.snapshot()["counters"],
+            ))
+        assert results[0] == results[1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=near_canonical_reads())
+    def test_a_canonical_line_is_its_parse_and_format(self, lines):
+        """A canonical line parses to its stamp and sentence and formats
+        back to itself, a bare one parses to the clock and its sentence,
+        and the header, memoized by an earlier line or not, routes as a
+        fresh router routes its sentence."""
+        memo = SentenceRouter(4, MetricsRegistry())
+        for line in lines:
+            match = CANONICAL_INGEST_LINE(line)
+            if match is None:
+                continue
+            stamp, sentence, header = match.groups()
+            if stamp is None:
+                assert parse_ingest_line(line, NOW) == (NOW, sentence)
+            else:
+                assert parse_ingest_line(line, NOW) == (int(stamp), sentence)
+                assert format_ingest_line(int(stamp), sentence) == line
+            owner = SentenceRouter(4, MetricsRegistry()).route(sentence)
+            assert memo.route_header(header, sentence) == owner
+            assert memo._owners[header] == owner
 
 
 class TestReadCuts:

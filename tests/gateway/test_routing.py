@@ -16,6 +16,7 @@ from repro.gateway.routing import (
     shard_for_mmsi,
 )
 from repro.obs.registry import MetricsRegistry
+from tests.gateway.read_oracle import route_many
 
 
 def _sentence(mmsi: int, message_type: int = 1):
@@ -339,14 +340,14 @@ def routed_sentences(draw) -> list[str]:
 
 
 def _twin_routes(sentences, backends, capacity):
-    """Routes and counters of one ``route_many``, of ``route`` per
-    sentence, and of the per-sentence framing path, on three routers."""
+    """Routes and counters of the batch router the gateway once used
+    (``read_oracle.route_many``) and of ``route`` per sentence, on two
+    routers."""
     results = []
     with patch.object(routing, "PENDING_FRAGMENT_CAPACITY", capacity):
         for route in (
-            lambda router: router.route_many(sentences),
+            lambda router: route_many(router, sentences),
             lambda router: [router.route(sentence) for sentence in sentences],
-            lambda router: [router._route_one(sentence) for sentence in sentences],
         ):
             registry = MetricsRegistry()
             router = SentenceRouter(backends, registry)
@@ -367,15 +368,15 @@ class TestRouteMany:
     )
     def test_equals_route_per_sentence(self, batches, backends, capacity):
         sentences = [sentence for batch in batches for sentence in batch]
-        batch, one_by_one, framed = _twin_routes(sentences, backends, capacity)
-        assert batch == one_by_one == framed
+        batch, one_by_one = _twin_routes(sentences, backends, capacity)
+        assert batch == one_by_one
 
     def test_fill_bits_that_cut_into_the_header(self):
         # Seven characters with 5 fill bits leave 37 bits: no MMSI.
         payload, _ = _sentence(237006500)
         sentences = [wrap_aivdm(payload[:7], fill) for fill in range(6)]
-        batch, one_by_one, framed = _twin_routes(sentences, 4, PENDING_FRAGMENT_CAPACITY)
-        assert batch == one_by_one == framed
+        batch, one_by_one = _twin_routes(sentences, 4, PENDING_FRAGMENT_CAPACITY)
+        assert batch == one_by_one
         assert batch[0] == [shard_for_mmsi(237006500, 4)] * 5 + [0]
 
     def test_more_open_groups_than_the_capacity(self):
@@ -385,9 +386,36 @@ class TestRouteMany:
             for message_id in range(PENDING_FRAGMENT_CAPACITY + 8)
         ]
         sentences = [first for first, _ in groups] + [second for _, second in groups]
-        batch, one_by_one, framed = _twin_routes(
-            sentences, 4, PENDING_FRAGMENT_CAPACITY
-        )
-        assert batch == one_by_one == framed
+        batch, one_by_one = _twin_routes(sentences, 4, PENDING_FRAGMENT_CAPACITY)
+        assert batch == one_by_one
         assert batch[1]["gateway.route.fragment_groups_dropped"] == 8
         assert batch[1]["gateway.route.unroutable.orphan_fragment"] == 8
+
+
+class TestHeaderMemo:
+    def test_stays_within_its_bound(self):
+        """More distinct headers than the bound: the memo never holds
+        more, and every header still routes to its owner."""
+        registry = MetricsRegistry()
+        router = SentenceRouter(4, registry)
+        with patch.object(routing, "HEADER_MEMO_CAPACITY", 8):
+            for mmsi in range(237_000_000, 237_000_030):
+                payload, fill = _sentence(mmsi)
+                sentence = wrap_aivdm(payload, fill)
+                assert router.route_header(payload[:7], sentence) == shard_for_mmsi(mmsi, 4)
+                assert len(router._owners) <= 8
+        assert "gateway.route.unroutable" not in registry.snapshot()["counters"]
+
+    def test_an_undecodable_header_is_counted_on_every_line(self):
+        """A header that is not armor routes to backend 0 and is counted
+        as unroutable on every repeat: it is never memoized."""
+        registry = MetricsRegistry()
+        router = SentenceRouter(4, registry)
+        payload, fill = _sentence(237006500)
+        payload = payload[:3] + "~" + payload[4:]
+        sentence = wrap_aivdm(payload, fill)
+        for repeat in range(1, 4):
+            assert router.route_header(payload[:7], sentence) == 0
+            assert registry.counter("gateway.route.unroutable").value == repeat
+            assert registry.counter("gateway.route.unroutable.short_payload").value == repeat
+        assert not router._owners

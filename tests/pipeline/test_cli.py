@@ -52,6 +52,28 @@ class TestParser:
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chaos", "mod.write:error@1"],
+            ["--chaos-seed", "0"],
+            ["--wal-dir", "wal"],
+        ],
+    )
+    def test_a_serve_only_flag_without_serve_is_a_usage_error(
+        self, flags, capsys, monkeypatch
+    ):
+        """A batch run would ignore it: rejected before any fleet is
+        simulated, naming the flag."""
+        monkeypatch.setattr(
+            "repro.__main__._build_pipeline_inputs",
+            lambda args: pytest.fail("a fleet was simulated"),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--vessels", "5", "--hours", "1", *flags])
+        assert exit_info.value.code == 2
+        assert f"{flags[0]} needs --serve" in capsys.readouterr().err
+
     def test_chaos_parses_into_its_plan(self):
         args = build_parser().parse_args(
             ["--chaos", "mod.write:error@3,service.slide:delay@2:0.5"]
