@@ -1,14 +1,13 @@
 """The sweeps and fault drills no gated benchmark workload covers.
 
 "How fast is it?" has one answer, ``benchmarks/e2e`` (docs/PERFORMANCE.md).
-These four drills ask something else — which tracking kernel earns its
-place, what the write-ahead journal costs and how fast it recovers, whether a partitioned cluster heals to a
-byte-identical feed, how long the project's own lint takes::
+These three drills ask something else — which tracking kernel earns its
+place, what the write-ahead journal costs and how fast it recovers, and
+whether a partitioned cluster heals to a byte-identical feed::
 
     PYTHONPATH=src python benchmarks/drills.py tracking-sweep
     PYTHONPATH=src python benchmarks/drills.py chaos
     PYTHONPATH=src python benchmarks/drills.py partition-drill
-    PYTHONPATH=src python benchmarks/drills.py lint
 
 Each prints its one section as JSON, stamped with commit / python / cpu
 count / date.  ``--json PATH`` also replaces that section's key in PATH
@@ -41,7 +40,6 @@ from harness import (
 
 from repro import obs
 from repro.ais.stream import StreamReplayer, TimedArrival
-from repro.analysis import run_analysis
 from repro.gateway import GatewayCluster, GatewayClusterConfig
 from repro.obs.report import write_report
 from repro.pipeline import SystemConfig
@@ -456,35 +454,11 @@ def run_partition_drill(
     return result
 
 
-def run_lint_drill(paths: tuple[str, ...] = ("src", "tests")) -> dict:
-    """Time the project's own static analyzer over the tree.
-
-    The analyzer runs inside an activated obs registry (so it measures
-    itself through the same instruments as the pipeline, see
-    docs/STATIC_ANALYSIS.md) and reports files scanned, findings,
-    suppressions, throughput, and per-rule seconds.
-    """
-    with obs.activate(obs.MetricsRegistry()) as registry:
-        result = run_analysis([REPO_ROOT / path for path in paths])
-        recorded_files = registry.counter("analysis.files").value
-        recorded_runs = registry.histogram("analysis.run_seconds").count
-    return {
-        "paths": list(paths),
-        "clean": not result.diagnostics,
-        "findings": [d.to_dict() for d in result.diagnostics],
-        **result.stats(),
-        # Cross-check: the obs registry saw the same run the result did.
-        "obs_files": int(recorded_files),
-        "obs_runs_recorded": recorded_runs,
-    }
-
-
 #: Subcommand -> drill; the section's JSON key is the name with underscores.
 DRILLS = {
     "tracking-sweep": run_tracking_sweep,
     "chaos": run_chaos_drill,
     "partition-drill": run_partition_drill,
-    "lint": lambda fleet_size, duration: run_lint_drill(),
 }
 
 

@@ -115,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the live service (TCP ingest + feed + "
                              "HTTP API) instead of a batch replay; see "
                              "docs/SERVICE.md")
-    parser.add_argument("--port", type=int, default=10110,
+    parser.add_argument("--port", type=int,
                         help="base port with --serve: ingest=PORT, "
                              "feed=PORT+1, http=PORT+2 (default: 10110; "
                              "0 binds ephemerally)")
-    parser.add_argument("--host", default="127.0.0.1",
+    parser.add_argument("--host",
                         help="bind address with --serve (default: 127.0.0.1)")
-    parser.add_argument("--ingest-transport", default=DEFAULT_TRANSPORT,
+    parser.add_argument("--ingest-transport",
                         choices=available_transports(),
                         help="wire protocol of the --serve ingest listener "
                              "(docs/GATEWAY.md) "
                              f"(default: {DEFAULT_TRANSPORT})")
-    parser.add_argument("--feed-transport", default=DEFAULT_TRANSPORT,
+    parser.add_argument("--feed-transport",
                         choices=available_transports(),
                         help="wire protocol of the --serve subscription "
                              f"feed (default: {DEFAULT_TRANSPORT})")
@@ -136,7 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "replay unacknowledged sentences "
                              "(docs/RESILIENCE.md)")
     parser.add_argument("--fsync", choices=("always", "batch", "never"),
-                        default="batch",
                         help="WAL fsync policy with --wal-dir: per record, "
                              "per slide boundary, or never (default: batch)")
     parser.add_argument("--chaos", metavar="SPEC", type=_fault_plan,
@@ -160,15 +159,23 @@ def main(argv: list[str] | None = None) -> int:
     """Run the demo; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A flag the chosen mode would ignore is a usage error, not a no-op.
+    if args.fsync is not None and args.wal_dir is None:
+        parser.error("--fsync needs --wal-dir")
     if args.serve:
+        if args.kml is not None:
+            parser.error("--kml is not allowed with --serve")
         return _serve(args)
     for flag, value in (
+        ("--port", args.port),
+        ("--host", args.host),
+        ("--ingest-transport", args.ingest_transport),
+        ("--feed-transport", args.feed_transport),
         ("--wal-dir", args.wal_dir),
         ("--chaos", args.chaos),
         ("--chaos-seed", args.chaos_seed),
     ):
         if value is not None:
-            # Only the live service reads it: a batch run would ignore it.
             parser.error(f"{flag} needs --serve")
     if args.metrics_json:
         # A fresh scoped registry: repeated in-process runs don't bleed
@@ -200,15 +207,16 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.service import ServiceConfig, run_service
 
     world, _, _, specs, config = _build_pipeline_inputs(args)
+    port = 10110 if args.port is None else args.port
     service = ServiceConfig(
-        host=args.host,
-        ingest_port=args.port,
-        feed_port=args.port + 1 if args.port else 0,
-        http_port=args.port + 2 if args.port else 0,
-        ingest_transport=args.ingest_transport,
-        feed_transport=args.feed_transport,
+        host="127.0.0.1" if args.host is None else args.host,
+        ingest_port=port,
+        feed_port=port + 1 if port else 0,
+        http_port=port + 2 if port else 0,
+        ingest_transport=args.ingest_transport or DEFAULT_TRANSPORT,
+        feed_transport=args.feed_transport or DEFAULT_TRANSPORT,
         wal_dir=args.wal_dir,
-        wal_fsync=args.fsync,
+        wal_fsync=args.fsync or "batch",
     )
     _install_chaos(args)
     # /metrics serves the global registry, so collection is on for the

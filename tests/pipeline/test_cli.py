@@ -58,6 +58,11 @@ class TestParser:
             ["--chaos", "mod.write:error@1"],
             ["--chaos-seed", "0"],
             ["--wal-dir", "wal"],
+            ["--port", "0"],
+            ["--host", "0.0.0.0"],
+            ["--ingest-transport", "tcp"],
+            ["--feed-transport", "websocket"],
+            ["--fsync", "always"],
         ],
     )
     def test_a_serve_only_flag_without_serve_is_a_usage_error(
@@ -72,7 +77,37 @@ class TestParser:
         with pytest.raises(SystemExit) as exit_info:
             main(["--vessels", "5", "--hours", "1", *flags])
         assert exit_info.value.code == 2
-        assert f"{flags[0]} needs --serve" in capsys.readouterr().err
+        needs = {"--fsync": "--wal-dir"}.get(flags[0], "--serve")
+        assert f"{flags[0]} needs {needs}" in capsys.readouterr().err
+
+    def test_kml_with_serve_is_a_usage_error(self, capsys, monkeypatch):
+        """The live service never writes a synopsis file."""
+        monkeypatch.setattr(
+            "repro.__main__._build_pipeline_inputs",
+            lambda args: pytest.fail("a fleet was simulated"),
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--serve", "--kml", "out.kml"])
+        assert exit_info.value.code == 2
+        assert "--kml is not allowed with --serve" in capsys.readouterr().err
+
+    def test_serve_fills_in_the_listener_defaults(self, monkeypatch):
+        from repro import obs
+        from repro.service import ServiceConfig
+
+        served = []
+
+        async def run_service(world, specs, config, service):
+            served.append(service)
+
+        monkeypatch.setattr("repro.service.run_service", run_service)
+        monkeypatch.setattr(
+            "repro.__main__._build_pipeline_inputs",
+            lambda args: (None, None, None, {}, None),
+        )
+        monkeypatch.setattr(obs, "enable", lambda: None)
+        assert main(["--serve"]) == 0
+        assert served == [ServiceConfig()]
 
     def test_chaos_parses_into_its_plan(self):
         args = build_parser().parse_args(

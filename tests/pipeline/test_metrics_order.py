@@ -3,8 +3,7 @@
 The per-slide phase timings arrive as a dict whose insertion order
 reflects execution interleaving.  Anything derived from iterating it
 (here: the order of histogram observations) must go through ``sorted()``
-so observability output is byte-stable, the same discipline RPR005
-enforces statically.  There is one ``_record_slide_metrics`` — inline and
+so observability output is byte-stable.  There is one ``_record_slide_metrics`` — inline and
 sharded systems share it — so it is exercised on the real inline system.
 """
 
